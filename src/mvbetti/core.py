@@ -6,8 +6,6 @@ shared freely between worker threads.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 Simplex = tuple
@@ -152,8 +150,7 @@ class PointCloud:
             raise IndexError(f"point index out of range: ({i}, {j}) with n={self.n}")
         if self.n <= _DIST_CACHE_LIMIT:
             return float(self._distance_matrix()[i, j])
-        diff = self.coords[i] - self.coords[j]
-        return math.sqrt(float((diff * diff).sum()))
+        return float(_pairwise_block(self.coords[i:i + 1], self.coords[j:j + 1])[0, 0])
 
     def pairwise(self, indices) -> np.ndarray:
         """Distance submatrix for a list of point indices (row/col order preserved)."""

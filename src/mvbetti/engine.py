@@ -3,8 +3,10 @@
 A box with a full axis splits along its first full axis into cell pieces and
 overlap boxes; boxes with no full axis are leaves solved by direct reduction.
 The box tree is executed as a job DAG by a bounded thread pool (all shared
-state is immutable; the only synchronization point is job completion), then
-Betti numbers are read off the root solver, one independent pass per scale.
+state is immutable; the only synchronization point is job completion), one
+pass per scale, and Betti numbers are read off each pass's root solver.  The
+first pass enumerates and reduces every leaf once for all scales; later
+passes take per-scale views of those reductions.
 """
 
 from __future__ import annotations
@@ -76,27 +78,35 @@ def plan_jobs(covering: GridCovering):
     return jobs, root
 
 
-def _run_job(job: Job, children, cloud, covering, scale, n_max, field, budget):
+def _run_job(job: Job, inputs, cloud, covering, scale, scales, n_max, field, budget):
+    """(solver, seconds) for one job.  inputs is (pieces, overlaps) for a node;
+    for a leaf, its reduction from an earlier scale of the run, or None to
+    build it, in which case the one-off build is left out of the seconds."""
     start = time.perf_counter()
-    if job.kind == "leaf":
-        pts = covering.points_in_box(cloud, job.box)
-        solver = build_leaf(pts, cloud, scale, n_max, field, budget)
-    else:
-        pieces, overlaps = children
+    if job.kind == "node":
+        pieces, overlaps = inputs
         solver = assemble(pieces, overlaps, n_max, field, scale)
-    return solver, time.perf_counter() - start
+        return solver, time.perf_counter() - start
+    if inputs is not None:
+        return inputs.view(scale), time.perf_counter() - start
+    pts = covering.points_in_box(cloud, job.box)
+    solver = build_leaf(pts, cloud, scale, n_max, field, budget, scales=scales)
+    return solver, time.perf_counter() - start - solver.reduction.seconds
 
 
-def execute_scale(cloud, covering, scale, n_max, field, budget, workers):
+def execute_scale(cloud, covering, scale, n_max, field, budget, workers, scales, leaves):
     """Run one scale's DAG with at most `workers` concurrent jobs.
 
+    A leaf missing from `leaves` (box -> reduction, shared by the calls of
+    one run) is enumerated and reduced once for every scale in `scales` and
+    added to it; a leaf found there only takes its view at `scale`.
     Returns (root solver, per-box solver map, stats dict).  Results are
     independent of worker count: assembly consumes children in a fixed order
     and all arithmetic is exact.
     """
     jobs, root = plan_jobs(covering)
     for box, j in jobs.items():
-        if j.kind == "leaf":
+        if j.kind == "leaf" and box not in leaves:
             covering.points_in_box(cloud, box)  # warm the cache on this thread
     blocked = {box: set(j.deps) for box, j in jobs.items()}
     dependents = {}
@@ -115,12 +125,13 @@ def execute_scale(cloud, covering, scale, n_max, field, budget, workers):
             while ready:
                 box = ready.pop(0)
                 job = jobs[box]
-                children = None
                 if job.kind == "node":
-                    children = ([results[b] for b in job.pieces],
-                                [results[b] for b in job.overlaps])
-                fut = pool.submit(_run_job, job, children, cloud, covering,
-                                  scale, n_max, field, budget)
+                    inputs = ([results[b] for b in job.pieces],
+                              [results[b] for b in job.overlaps])
+                else:
+                    inputs = leaves.get(box)
+                fut = pool.submit(_run_job, job, inputs, cloud, covering,
+                                  scale, scales, n_max, field, budget)
                 in_flight[fut] = box
             done, _ = wait(list(in_flight), return_when=FIRST_COMPLETED)
             for fut in sorted(done, key=lambda f: in_flight[f]):
@@ -134,6 +145,7 @@ def execute_scale(cloud, covering, scale, n_max, field, budget, workers):
                 results[box] = solver
                 job = jobs[box]
                 if job.kind == "leaf":
+                    leaves[box] = solver.reduction
                     stats["leaf_seconds"] += elapsed
                     stats["leaf_count"] += 1
                     stats["max_leaf_points"] = max(stats["max_leaf_points"],
@@ -151,18 +163,13 @@ def execute_scale(cloud, covering, scale, n_max, field, budget, workers):
 
 
 def build_solver(box, cloud, covering, scale, n_max, field, budget=DEFAULT_BUDGET):
-    """Sequential recursive solver for one box (no pool); same results as the DAG."""
-    if isinstance(field, int):
-        field = PrimeField(field)
-    box, sp = _resolve(box, covering)
-    if sp is None:
-        return build_leaf(covering.points_in_box(cloud, box), cloud, scale,
-                          n_max, field, budget)
-    pieces = [build_solver(b, cloud, covering, scale, n_max, field, budget)
-              for b in sp.pieces]
-    inters = [build_solver(b, cloud, covering, scale, n_max, field, budget)
-              for b in sp.overlaps]
-    return assemble(pieces, inters, n_max, field, scale)
+    """Root solver of the whole covering at one scale: the DAG with one worker.
+
+    box must be full_box(d); the recursion always starts at the root.
+    """
+    if box != full_box(covering.dim):
+        raise ValueError(f"build_solver solves the full box, got {box}")
+    return execute_scale(cloud, covering, scale, n_max, field, budget, 1, [scale], {})[0]
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +271,11 @@ def run(cloud, eps, scales, n_max=1, field=2, workers=None, grid=None,
     leaf_count = 0
     max_leaf_points = 0
     max_complex = 0
+    leaves = {}
+    scales_eff = [s + slack for s in scales]
     for s in scales:
         root, _, stats = execute_scale(cloud, covering, s + slack, n_max, field,
-                                       budget, workers)
+                                       budget, workers, scales_eff, leaves)
         per_scale.append(ScaleResult(scale=s, betti=root.betti_all()))
         if keep_solvers:
             roots[s] = root

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Chain, ConsistencyError, chain_boundary
-from .reduction import PrimeField, reduce_columns
+from .reduction import PrimeField, _DictOps, reduce_columns
 
 
 def _offsets(sizes):
@@ -31,18 +31,6 @@ def _offsets(sizes):
     for s in sizes:
         off.append(off[-1] + s)
     return off
-
-
-def _dict_axpy(dst: dict, src: dict, c: int, p: int) -> dict:
-    c %= p
-    if c:
-        for r, v in src.items():
-            nv = (dst.get(r, 0) + c * v) % p
-            if nv:
-                dst[r] = nv
-            else:
-                dst.pop(r, None)
-    return dst
 
 
 def _combo_chain(solver, n: int, coeffs, p: int) -> Chain:
@@ -155,6 +143,7 @@ class _FStructure:
         at smaller rows, so the sweep terminates with support on cokernel rows.
         """
         ops = self.red.ops
+        dops = _DictOps(field)
         p = field.p
         working = dict(t)
         y = {}
@@ -166,9 +155,9 @@ class _FStructure:
             j = self.red.pivots[l]
             rj = ops.to_dict(self.red.r[j])
             c = (working[l] * field.inv(rj[l])) % p
-            _dict_axpy(working, rj, -c, p)
+            dops.axpy(working, rj, -c)
             if want_membership:
-                _dict_axpy(y, ops.to_dict(self.red.v[j]), c, p)
+                dops.axpy(y, ops.to_dict(self.red.v[j]), c)
         coords = tuple(working.get(r, 0) for r in self.coker_rows)
         if want_membership:
             return coords, y
@@ -176,6 +165,7 @@ class _FStructure:
 
     def kernel_coords(self, u: dict, field: PrimeField):
         """Coordinates of a kernel vector in the echelon kernel basis."""
+        dops = _DictOps(field)
         p = field.p
         working = dict(u)
         out = [0] * len(self.kernel_cols)
@@ -189,7 +179,7 @@ class _FStructure:
             kc = self.kernel_cols[i]
             c = (working[l] * field.inv(kc[l])) % p
             out[i] = (out[i] + c) % p
-            _dict_axpy(working, kc, -c, p)
+            dops.axpy(working, kc, -c)
         return out
 
 

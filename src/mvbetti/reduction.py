@@ -1,9 +1,10 @@
 """Exact homology linear algebra over Z/p.
 
 Column reduction (R = D*V with V invertible upper-triangular) drives three
-things: Betti numbers of a region at a fixed scale, membership queries
-(express a cycle in the homology basis / produce an explicit bounding chain),
-and the direct filtration barcode used as an independent check on the
+things: Betti numbers of a region at each requested scale (one reduction
+per region, read through per-scale views), membership queries (express a
+cycle in the homology basis / produce an explicit bounding chain), and the
+direct filtration barcode used as an independent check on the
 divide-and-conquer path.
 
 Columns are sparse dicts {row: coeff}; over Z/2 they are packed into Python
@@ -12,6 +13,9 @@ ints (bit r = row r), which makes column addition a single XOR.
 
 from __future__ import annotations
 
+import time
+from bisect import bisect_left
+from itertools import accumulate
 from typing import NamedTuple
 
 from .core import Chain, ConsistencyError, PointCloud, PrimeField, chain_boundary
@@ -201,90 +205,155 @@ class _TableEntry(NamedTuple):
     payload: object      # boundary: preimage column over (n+1)-simplices; rep: basis index
 
 
-class LeafSolver:
-    """Homology of one region at one scale, answered by direct reduction.
+def _order_by_bucket(cx, scales):
+    """Stable-sort every level of cx by scale bucket, in place.
 
-    For each dimension n <= n_max the solver holds an elimination table whose
-    column space is exactly the cycle space Z_n: the reduced image of the
-    (n+1)-boundary (with preimages) plus an echelon set of homology
-    representatives.  betti(n) = dim Z_n - rank d_{n+1}; coords() expresses a
-    cycle in the representative basis; bound() returns an explicit preimage
-    under the boundary map whenever the class vanishes.
+    A simplex's bucket is the index of the first scale >= its diameter, so
+    the complex at scales[b] is a prefix of every level.  Returns
+    prefix[q][b], the number of q-simplices in buckets <= b.
+    """
+    prefix = []
+    for q in range(cx.max_dim + 1):
+        groups = [[] for _ in scales]
+        for i, d in enumerate(cx.diameters[q]):
+            groups[bisect_left(scales, d)].append(i)
+        if sum(1 for g in groups if g) > 1:
+            order = [i for g in groups for i in g]
+            level, diams = cx.simplices[q], cx.diameters[q]
+            cx.simplices[q] = [level[i] for i in order]
+            cx.diameters[q] = [diams[i] for i in order]
+            cx.index[q] = {s: i for i, s in enumerate(cx.simplices[q])}
+        prefix.append(list(accumulate(len(g) for g in groups)))
+    return prefix
+
+
+class LeafReduction:
+    """One reduction of a region's Rips complex that serves every requested scale.
+
+    The complex is enumerated once at the top scale and its levels are
+    ordered by scale bucket, so left-to-right reduction of each boundary
+    matrix is also a reduction of every prefix, i.e. of the complex at every
+    requested scale.  Dimensions are reduced top-down with clearing: a
+    q-simplex that is the pivot row of some reduced (q+1)-column R_k is a
+    cycle, so its column is not reduced and takes V_j := R_k, whose lowest
+    row is j.  view(scale) reads a LeafSolver off the shared columns.
     """
 
-    def __init__(self, points, cloud: PointCloud, scale: float, n_max: int,
+    def __init__(self, points, cloud: PointCloud, scales, n_max: int,
                  field: PrimeField, budget: int = DEFAULT_BUDGET):
+        t0 = time.perf_counter()
         self.cloud = cloud
-        self.scale = scale
+        self.scales = sorted(set(float(s) for s in scales))
         self.n_max = n_max
         self.field = field
-        self.complex = enumerate_complex(points, cloud, scale, n_max + 1, budget)
+        self.ops = ops = _ops_for(field)
+        cx = enumerate_complex(points, cloud, self.scales[-1], n_max + 1, budget)
+        self.complex = cx
+        self.prefix = _order_by_bucket(cx, self.scales)
+
+        # Per dimension q >= 1: reduced D_q and its (column, low row) pivot
+        # pairs in ascending column order.
+        self.reduced = {}
+        self.pivot_pairs = {}
+        killers = {}
+        for q in range(n_max + 1, 0, -1):
+            red = None
+            if cx.count(q):
+                nrows, cols = boundary_matrix(cx, q, field.p)
+                for j in killers:
+                    cols[j] = {}
+                red = reduce_columns(nrows, cols, field, keep_v=True)
+                up = self.reduced.get(q + 1)
+                for j, k in killers.items():
+                    red.v[j] = up.r[k]
+            self.reduced[q] = red
+            killers = red.pivots if red is not None else {}
+            self.pivot_pairs[q] = [(j, l) for l, j in killers.items()]
+
+        # Per dimension n: (row, killer column or None, cycle column) for
+        # every zero column of D_n (every vertex when n = 0), ascending.
+        self.cycles = []
+        for n in range(n_max + 1):
+            up = self.reduced[n + 1]
+            kill = up.pivots if up is not None else {}
+            red = self.reduced.get(n)
+            if n == 0:
+                zero = [(i, ops.unit(i)) for i in range(cx.count(0))]
+            elif red is None:
+                zero = []
+            else:
+                zero = [(j, red.v[j]) for j in range(red.ncols) if ops.is_zero(red.r[j])]
+            self.cycles.append([(i, kill.get(i), col) for i, col in zero])
+        self.seconds = time.perf_counter() - t0
+
+    def view(self, scale: float) -> "LeafSolver":
+        return LeafSolver(self, scale)
+
+
+class LeafSolver:
+    """Homology of one region at one scale: a view of a LeafReduction.
+
+    For each dimension n <= n_max the view holds an elimination table whose
+    column space is exactly the cycle space Z_n of the complex at its scale:
+    the reduced (n+1)-boundary columns in that prefix (with preimages), plus
+    the cycle columns of the prefix's zero n-columns whose killer lies
+    outside it, which are the homology representatives.  All lowest rows are
+    distinct, so the table is already in echelon form.  betti(n) = dim Z_n -
+    rank d_{n+1}; coords() expresses a cycle in the representative basis;
+    bound() returns an explicit preimage under the boundary map whenever the
+    class vanishes.
+    """
+
+    def __init__(self, reduction: LeafReduction, scale: float):
+        b = bisect_left(reduction.scales, scale)
+        if b == len(reduction.scales) or reduction.scales[b] != scale:
+            raise ValueError(f"scale {scale} is not one of the leaf's scales")
+        self.reduction = reduction
+        self.cloud = reduction.cloud
+        self.scale = scale
+        self.n_max = reduction.n_max
+        self.field = reduction.field
+        self.complex = reduction.complex
         self.points = self.complex.points
         self.point_set = frozenset(self.points)
-        self._ops = _ops_for(field)
+        self._ops = reduction.ops
+        # Simplices of the view per dimension: a prefix of every level.
+        self._limit = [reduction.prefix[q][b] for q in range(self.n_max + 2)]
         self._tables = []   # per dimension: {low row: _TableEntry}
         self._reps = []     # per dimension: list of rep columns (ops repr)
-        self.rank_d = {}    # boundary-map ranks, by source dimension
         self._build()
 
     # -- construction
 
+    def _rank(self, q: int) -> int:
+        """Rank of d_q restricted to the view."""
+        return bisect_left(self.reduction.pivot_pairs.get(q, ()), (self._limit[q],))
+
     def _build(self):
-        cx = self.complex
-        field = self.field
-        ops = self._ops
-        reduced = {}
-        for q in range(1, self.n_max + 2):
-            if cx.count(q) == 0:
-                reduced[q] = None
-                self.rank_d[q] = 0
-                continue
-            nrows, cols = boundary_matrix(cx, q, field.p)
-            reduced[q] = reduce_columns(nrows, cols, field, keep_v=True)
-            self.rank_d[q] = reduced[q].rank
-
+        red = self.reduction
         for n in range(0, self.n_max + 1):
+            limit, limit_up = self._limit[n], self._limit[n + 1]
             table = {}
-            red_next = reduced.get(n + 1)
-            if red_next is not None:
-                for l, j in red_next.pivots.items():
-                    table[l] = _TableEntry(red_next.r[j], "boundary", red_next.v[j])
-
-            # Candidate cycle basis of Z_n: kernel columns of d_n (all unit
-            # columns when n = 0, where the boundary map is zero).
-            candidates = []
-            if n == 0:
-                candidates = [ops.unit(j) for j in range(cx.count(0))]
-            else:
-                red_this = reduced.get(n)
-                if red_this is not None:
-                    candidates = [
-                        red_this.v[j]
-                        for j in range(red_this.ncols)
-                        if ops.is_zero(red_this.r[j])
-                    ]
-
+            up = red.reduced[n + 1]
+            for j, l in red.pivot_pairs[n + 1]:
+                if j >= limit_up:
+                    break
+                table[l] = _TableEntry(up.r[j], "boundary", up.v[j])
             reps = []
-            p = field.p
-            for cand in candidates:
-                col = ops.copy(cand)  # candidates alias V columns; never mutate those
-                while not ops.is_zero(col):
-                    l = ops.low(col)
-                    e = table.get(l)
-                    if e is None:
-                        table[l] = _TableEntry(col, "rep", len(reps))
-                        reps.append(col)
-                        break
-                    c = (-ops.get(col, l) * field.inv(ops.get(e.col, l))) % p
-                    col = ops.axpy(col, e.col, c)
+            for i, killer, col in red.cycles[n]:
+                if i >= limit:
+                    break
+                if killer is None or killer >= limit_up:
+                    table[i] = _TableEntry(col, "rep", len(reps))
+                    reps.append(col)
             self._tables.append(table)
             self._reps.append(reps)
 
-            n_cycles = cx.count(n) - (self.rank_d.get(n, 0) if n >= 1 else 0)
-            if len(reps) != n_cycles - self.rank_d.get(n + 1, 0):
+            expected = limit - self._rank(n) - self._rank(n + 1)
+            if len(reps) != expected:
                 raise ConsistencyError(
                     f"homology basis size mismatch at dimension {n}: "
-                    f"{len(reps)} reps vs {n_cycles - self.rank_d.get(n + 1, 0)} expected"
+                    f"{len(reps)} reps vs {expected} expected"
                 )
 
     # -- queries
@@ -302,6 +371,14 @@ class LeafSolver:
         p = self.field.p
         return [cx.chain_of_column(self._ops.to_dict(c), n, p) for c in self._reps[n]]
 
+    def _column(self, z: Chain, n: int) -> dict:
+        """z over the view's n-simplices; simplices beyond the view are foreign."""
+        col = self.complex.column_of_chain(z)
+        if col and max(col) >= self._limit[n]:
+            raise ValueError(f"simplex {self.complex.simplices[n][max(col)]} "
+                             f"is not in this complex")
+        return col
+
     def _eliminate(self, z: Chain, n: int):
         """Express a cycle as (rep coordinates, boundary preimage column)."""
         ops = self._ops
@@ -310,7 +387,7 @@ class LeafSolver:
             return [0] * len(self._reps[n]), ops.zero
         if z.dim != n:
             raise ValueError(f"chain dimension {z.dim} does not match query dimension {n}")
-        col = ops.from_dict(self.complex.column_of_chain(z))
+        col = ops.from_dict(self._column(z, n))
         table = self._tables[n]
         coords = [0] * len(self._reps[n])
         w = ops.zero
@@ -360,11 +437,18 @@ class LeafSolver:
         return [self.betti(n) for n in range(self.n_max + 1)]
 
 
-def build_leaf(points, cloud, scale, n_max, field, budget: int = DEFAULT_BUDGET) -> LeafSolver:
-    """Region solver over its Rips complex at the given scale."""
+def build_leaf(points, cloud, scale, n_max, field, budget: int = DEFAULT_BUDGET,
+               scales=None) -> LeafSolver:
+    """Region solver over its Rips complex at the given scale.
+
+    With `scales` (which must contain `scale`), the one reduction behind the
+    returned solver also serves solver.reduction.view(s) for every s in it.
+    """
     if isinstance(field, int):
         field = PrimeField(field)
-    return LeafSolver(points, cloud, scale, n_max, field, budget)
+    reduction = LeafReduction(points, cloud, (scale,) if scales is None else scales,
+                              n_max, field, budget)
+    return reduction.view(scale)
 
 
 # ---------------------------------------------------------------------------

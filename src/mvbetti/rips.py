@@ -29,8 +29,10 @@ class BudgetExceededError(RuntimeError):
 class RipsComplex:
     """All simplices of diameter <= scale on a region, up to max_dim.
 
-    simplices[q] is the lexicographically sorted list of q-simplices (tuples
-    of global point indices); diameters[q] aligns with it.
+    simplices[q] is the list of q-simplices (tuples of global point indices),
+    lexicographically sorted as enumerated; diameters[q] aligns with it and
+    index[q] inverts it.  A leaf reduction may stable-sort the levels by
+    scale bucket (and rebuild index) before building boundary matrices.
     """
 
     __slots__ = ("points", "scale", "max_dim", "simplices", "diameters", "index")

@@ -45,6 +45,14 @@ class TestDistance:
         finally:
             core._DIST_CACHE_LIMIT = old
 
+    def test_uncached_distance_equals_pairwise(self):
+        # 3001 points is above the cache limit, so both calls compute afresh.
+        rng = np.random.default_rng(11)
+        pc = PointCloud(rng.random((3001, 3)) * 1e3 + 1e6)
+        for i, j in rng.integers(0, 3001, size=(500, 2)):
+            i, j = int(i), int(j)
+            assert pc.distance(i, j) == pc.pairwise([i, j])[0, 1]
+
 
 class TestDiameter:
     def test_singleton(self):

@@ -1,0 +1,120 @@
+"""One leaf reduction serves every requested scale through prefix views.
+
+Each view must agree with a fresh single-scale solve and with the
+independent brute-force oracle, answer coords()/bound() exactly, and reject
+simplices that only enter at a larger scale.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mvbetti import reduction
+from mvbetti.core import Chain, PointCloud, chain_boundary
+from mvbetti.covering import build_covering, cell, full_box
+from mvbetti.engine import build_solver, run
+from mvbetti.reduction import betti_at_scale, build_leaf, persistence_barcode
+
+from conftest import brute_force_betti, dense_rank_mod_p
+
+
+@st.composite
+def leaf_cases(draw):
+    """A small cloud, a field, n_max and a sorted scale list with duplicates
+    and at least one scale exactly equal to a pairwise distance."""
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(4, 9))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    cloud = PointCloud(rng.random((n, d)))
+    dists = sorted({float(x) for x in cloud.pairwise(range(n))[np.triu_indices(n, 1)]})
+    ties = draw(st.lists(st.sampled_from(dists), min_size=1, max_size=3))
+    extra = draw(st.lists(st.floats(0.05, 1.0), max_size=2))
+    scales = sorted(ties + extra + ties[:1])
+    p = draw(st.sampled_from([2, 3]))
+    n_max = draw(st.integers(1, 2))
+    return cloud, scales, p, n_max, rng
+
+
+def _prefix_simplices(view, q):
+    cx = view.complex
+    return [s for s, diam in zip(cx.simplices[q], cx.diameters[q]) if diam <= view.scale]
+
+
+@settings(max_examples=40, deadline=None)
+@given(leaf_cases())
+def test_views_match_fresh_solves_and_the_oracle(case):
+    cloud, scales, p, n_max, rng = case
+    pts = range(cloud.n)
+    first = build_leaf(pts, cloud, scales[0], n_max, p, scales=scales)
+    for s in scales:
+        view = first.reduction.view(s)
+        fresh = build_leaf(pts, cloud, s, n_max, p)
+        assert view.betti_all() == fresh.betti_all() == brute_force_betti(pts, cloud, s, n_max, p)
+        for n in range(n_max + 1):
+            reps = fresh.representatives(n)
+            if reps:
+                M = np.array([view.coords(z, n) for z in reps]).T
+                assert dense_rank_mod_p(M, p) == len(reps)
+            uppers = _prefix_simplices(view, n + 1)
+            if uppers:
+                picks = rng.choice(len(uppers), size=min(3, len(uppers)), replace=False)
+                w0 = Chain(n + 1, p, {uppers[int(i)]: int(rng.integers(1, p)) for i in picks})
+                z = chain_boundary(w0)
+                w = view.bound(z, n)
+                assert w is not None and chain_boundary(w) == z
+
+
+def test_view_rejects_simplices_beyond_its_scale():
+    # Unit square: the sides enter at 1, the diagonals at sqrt(2).
+    cloud = PointCloud([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    top = 2.0 ** 0.5
+    leaf = build_leaf(range(4), cloud, 1.0, 1, 3, scales=[1.0, top])
+    z = chain_boundary(Chain.single((0, 1, 2), 3))   # uses the diagonal (0, 2)
+    assert leaf.reduction.view(top).coords(z, 1) == ()
+    with pytest.raises(ValueError, match="is not in this complex"):
+        leaf.coords(z, 1)
+    with pytest.raises(ValueError, match="is not in this complex"):
+        leaf.bound(z, 1)
+    with pytest.raises(ValueError):
+        leaf.reduction.view(1.2)
+
+
+@settings(max_examples=15, deadline=None)
+@given(leaf_cases())
+def test_run_on_a_grid_matches_the_oracle_at_every_scale(case):
+    cloud, scales, p, n_max, _ = case
+    eps = scales[-1]
+    # Two cells per axis are valid at any eps, so the grid never collapses.
+    report = run(cloud, eps, scales, n_max=n_max, field=p, workers=1,
+                 grid=[2] * cloud.dim)
+    bars = persistence_barcode(range(cloud.n), cloud, eps, n_max, p)
+    for sr in report.scales:
+        assert sr.betti == [betti_at_scale(bars, n, sr.scale) for n in range(n_max + 1)]
+
+
+def test_run_enumerates_each_leaf_once(monkeypatch):
+    calls = []
+    original = reduction.enumerate_complex
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, "enumerate_complex", counting)
+    rng = np.random.default_rng(3)
+    cloud = PointCloud(rng.random((80, 2)))
+    scales = [0.05, 0.1, 0.15, 0.2]
+    report = run(cloud, 0.2, scales, n_max=1, field=2, workers=2, grid=[3, 3])
+    leaf_count = report.diagnostics["leaf_count"]
+    assert leaf_count == 25
+    assert len(calls) == leaf_count
+    assert set(calls) == {0.2}
+
+
+def test_build_solver_requires_the_full_box():
+    cloud = PointCloud([[0.0], [1.0], [2.0]])
+    cov = build_covering(cloud, 1.0, 2)
+    assert build_solver(full_box(1), cloud, cov, 1.0, 1, 2).betti_all() == [1, 0]
+    with pytest.raises(ValueError):
+        build_solver((cell(0),), cloud, cov, 1.0, 1, 2)
