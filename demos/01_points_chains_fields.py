@@ -15,7 +15,8 @@ print("diameter of all three =", cloud.diameter([0, 1, 2]))
 
 print("\n== Prime field arithmetic (exact, no floats) ==")
 F5 = PrimeField(5)
-print("in Z/5: 3 + 4 =", F5.add(3, 4), ", 3 * 4 =", F5.mul(3, 4))
+p = F5.p
+print("in Z/5: 3 + 4 =", (3 + 4) % p, ", 3 * 4 =", (3 * 4) % p)
 print("inverse of 4 mod 5:", F5.inv(4), " (4 * 4 = 16 = 1 mod 5)")
 
 print("\n== Boundaries ==")

@@ -1,7 +1,8 @@
 """Command-line front end: CSV in, JSON Betti report out.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 budget exceeded,
-4 verify mismatch.
+4 verify mismatch, 5 internal consistency check failed, 6 a region job
+failed for another reason.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .core import PointCloud, PrimeField
+from .core import ConsistencyError, PointCloud, PrimeField
 from .engine import BettiReport, JobError, attach_verification, run
 from .rips import DEFAULT_BUDGET, BudgetExceededError
 
@@ -272,10 +273,15 @@ def main(argv=None) -> int:
             grid=grid, budget=cfg.budget, slack=cfg.slack,
         )
     except JobError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc.__cause__, BudgetExceededError):
-            print(f"error: {exc}", file=sys.stderr)
             return 3
-        raise
+        if isinstance(exc.__cause__, ConsistencyError):
+            return 5
+        return 6
+    except ConsistencyError as exc:
+        print(f"error: internal consistency check failed: {exc}", file=sys.stderr)
+        return 5
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

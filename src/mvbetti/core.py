@@ -78,21 +78,6 @@ class PrimeField:
         else:
             self._inverses = None
 
-    def normalize(self, x: int) -> int:
-        return x % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
@@ -307,11 +292,3 @@ def chain_boundary(chain: Chain) -> Chain:
             else:
                 acc.pop(face, None)
     return Chain(chain.dim - 1, p, acc)
-
-
-def chain_add(a: Chain, b: Chain) -> Chain:
-    return a + b
-
-
-def chain_scale(a: Chain, c: int) -> Chain:
-    return a.scaled(c)

@@ -44,10 +44,6 @@ def full_box(dim: int) -> Box:
     return tuple(FULL for _ in range(dim))
 
 
-def is_leaf(box: Box) -> bool:
-    return all(s.kind != "full" for s in box)
-
-
 def choose_k(parallel: int, dim: int, extent: float, eps: float):
     """Pick the per-axis cell count from a parallelism budget.
 

@@ -110,7 +110,8 @@ def build_f(pieces, inters, n: int, field) -> FMatrix:
 class _FStructure:
     """Reduced form of one f_n: image echelon, cokernel rows, kernel basis."""
 
-    __slots__ = ("fmat", "rank", "red", "coker_rows", "kernel_cols", "kernel_table")
+    __slots__ = ("fmat", "rank", "red", "coker_rows", "coker_pos", "kernel_cols",
+                 "kernel_table")
 
     def __init__(self, fmat: FMatrix, field: PrimeField):
         self.fmat = fmat
@@ -119,6 +120,7 @@ class _FStructure:
         self.rank = red.rank
         pivot_rows = set(red.pivots)
         self.coker_rows = [r for r in range(fmat.nrows) if r not in pivot_rows]
+        self.coker_pos = {r: i for i, r in enumerate(self.coker_rows)}
         # Echelonized nullspace: a second reduction of the kernel columns of V
         # yields columns with distinct lowest rows, so membership tests in the
         # kernel are a straight elimination.
@@ -158,7 +160,10 @@ class _FStructure:
             dops.axpy(working, rj, -c)
             if want_membership:
                 dops.axpy(y, ops.to_dict(self.red.v[j]), c)
-        coords = tuple(working.get(r, 0) for r in self.coker_rows)
+        coords = [0] * len(self.coker_rows)
+        for r, c in working.items():
+            coords[self.coker_pos[r]] = c
+        coords = tuple(coords)
         if want_membership:
             return coords, y
         return coords
@@ -298,11 +303,16 @@ class MVNodeSolver:
             return []
         out = []
         fs = self._f[n]
-        for r in fs.coker_rows:
-            k = 0
-            while fs.fmat.row_offsets[k + 1] <= r:
+        off = fs.fmat.row_offsets
+        k = 0
+        reps = None
+        for r in fs.coker_rows:     # ascending, so k only moves forward
+            while off[k + 1] <= r:
                 k += 1
-            out.append(self.pieces[k].representatives(n)[r - fs.fmat.row_offsets[k]])
+                reps = None
+            if reps is None:
+                reps = self.pieces[k].representatives(n)
+            out.append(reps[r - off[k]])
         if n >= 1:
             out.extend(self._lifts[n - 1])
         return out

@@ -39,12 +39,10 @@ class _BitOps:
     @staticmethod
     def to_dict(col):
         out = {}
-        r = 0
         while col:
-            if col & 1:
-                out[r] = 1
-            col >>= 1
-            r += 1
+            bit = col & -col        # lowest set bit
+            out[bit.bit_length() - 1] = 1
+            col ^= bit
         return out
 
     @staticmethod
@@ -66,10 +64,6 @@ class _BitOps:
     @staticmethod
     def unit(row):
         return 1 << row
-
-    @staticmethod
-    def copy(col):
-        return col
 
     zero = 0
 
@@ -117,10 +111,6 @@ class _DictOps:
     def unit(row):
         return {row: 1}
 
-    @staticmethod
-    def copy(col):
-        return dict(col)
-
     @property
     def zero(self):
         return {}
@@ -166,33 +156,78 @@ class ReducedPair:
 def reduce_columns(nrows, columns, field: PrimeField, keep_v: bool = True) -> ReducedPair:
     """Left-to-right column reduction of a sparse matrix over Z/p.
 
-    columns is a list of {row: coeff} dicts.  While a column shares its lowest
+    columns is a list of {row: nonzero residue} dicts; at p = 2 a column may
+    also be an int bitset (bit r = row r).  While a column shares its lowest
     nonzero row with an earlier column, the appropriate multiple of that
     earlier column is subtracted; V records the operations.  Deterministic
     given the column order.
     """
     ops = _ops_for(field)
-    p = field.p
-    R = [ops.from_dict(c) for c in columns]
-    V = [ops.unit(j) for j in range(len(columns))] if keep_v else None
+    if field.p == 2:
+        R, V, pivots = _reduce_bits(columns, keep_v)
+    else:
+        R, V, pivots = _reduce_dicts(columns, field, keep_v)
+    return ReducedPair(nrows, len(columns), field, ops, R, V, pivots)
+
+
+def _reduce_bits(columns, keep_v):
+    """The Z/2 loop: lowest row is the top bit, column addition is XOR."""
+    from_dict = _BitOps.from_dict
+    R = [c if type(c) is int else from_dict(c) for c in columns]
+    V = [1 << j for j in range(len(R))] if keep_v else None
     pivots = {}
-    for j in range(len(columns)):
-        col = R[j]
-        vcol = V[j] if keep_v else None
-        while not ops.is_zero(col):
-            l = ops.low(col)
+    for j, col in enumerate(R):
+        if not col:
+            continue
+        v = V[j] if keep_v else 0
+        while col:
+            l = col.bit_length() - 1
             k = pivots.get(l)
             if k is None:
                 pivots[l] = j
                 break
-            c = (-ops.get(col, l) * field.inv(ops.get(R[k], l))) % p
-            col = ops.axpy(col, R[k], c)
+            col ^= R[k]
             if keep_v:
-                vcol = ops.axpy(vcol, V[k], c)
+                v ^= V[k]
         R[j] = col
         if keep_v:
-            V[j] = vcol
-    return ReducedPair(nrows, len(columns), field, ops, R, V, pivots)
+            V[j] = v
+    return R, V, pivots
+
+
+def _reduce_dicts(columns, field, keep_v):
+    """The odd-p loop over dict columns.  Each pivot column stores the
+    negated inverse of its lowest coefficient once, so a step costs one
+    multiplication plus the inlined axpy."""
+    p = field.p
+    R = [dict(c) for c in columns]
+    V = [{j: 1} for j in range(len(R))] if keep_v else None
+    pivots = {}
+    neg_inv = {}    # pivot column -> -(lowest coefficient)^-1 mod p
+    for j, col in enumerate(R):
+        v = V[j] if keep_v else None
+        while col:
+            l = max(col)
+            k = pivots.get(l)
+            if k is None:
+                pivots[l] = j
+                neg_inv[j] = (-field.inv(col[l])) % p
+                break
+            c = (col[l] * neg_inv[k]) % p
+            for r, x in R[k].items():
+                y = (col.get(r, 0) + c * x) % p
+                if y:
+                    col[r] = y
+                else:
+                    del col[r]
+            if keep_v:
+                for r, x in V[k].items():
+                    y = (v.get(r, 0) + c * x) % p
+                    if y:
+                        v[r] = y
+                    else:
+                        del v[r]
+    return R, V, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +294,7 @@ class LeafReduction:
         for q in range(n_max + 1, 0, -1):
             red = None
             if cx.count(q):
-                nrows, cols = boundary_matrix(cx, q, field.p)
-                for j in killers:
-                    cols[j] = {}
+                nrows, cols = boundary_matrix(cx, q, field.p, skip=killers)
                 red = reduce_columns(nrows, cols, field, keep_v=True)
                 up = self.reduced.get(q + 1)
                 for j, k in killers.items():
@@ -321,6 +354,7 @@ class LeafSolver:
         self._limit = [reduction.prefix[q][b] for q in range(self.n_max + 2)]
         self._tables = []   # per dimension: {low row: _TableEntry}
         self._reps = []     # per dimension: list of rep columns (ops repr)
+        self._rep_chains = {}   # dimension -> representatives(n), built on first call
         self._build()
 
     # -- construction
@@ -364,12 +398,20 @@ class LeafSolver:
         return len(self._reps[n])
 
     def representatives(self, n: int):
-        """Cycle chains whose classes form the homology basis at dimension n."""
+        """Cycle chains whose classes form the homology basis at dimension n.
+
+        The list is built once per view and shared by later calls; callers
+        must not mutate it.
+        """
         if n < 0 or n > self.n_max:
             return []
-        cx = self.complex
-        p = self.field.p
-        return [cx.chain_of_column(self._ops.to_dict(c), n, p) for c in self._reps[n]]
+        chains = self._rep_chains.get(n)
+        if chains is None:
+            cx = self.complex
+            p = self.field.p
+            chains = [cx.chain_of_column(self._ops.to_dict(c), n, p) for c in self._reps[n]]
+            self._rep_chains[n] = chains
+        return chains
 
     def _column(self, z: Chain, n: int) -> dict:
         """z over the view's n-simplices; simplices beyond the view are foreign."""

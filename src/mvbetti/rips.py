@@ -9,6 +9,8 @@ lexicographic order).
 
 from __future__ import annotations
 
+import numpy as np
+
 from .core import Chain, PointCloud
 
 DEFAULT_BUDGET = 10_000_000
@@ -55,10 +57,6 @@ class RipsComplex:
     def total(self) -> int:
         return sum(len(level) for level in self.simplices)
 
-    def has_simplex(self, simplex) -> bool:
-        q = len(simplex) - 1
-        return 0 <= q <= self.max_dim and tuple(simplex) in self.index[q]
-
     def column_of_chain(self, chain: Chain) -> dict:
         """Chain as a sparse coefficient vector over this complex's basis."""
         q = chain.dim
@@ -99,9 +97,6 @@ def enumerate_complex(
     if n == 0:
         return RipsComplex(tuple(), scale, max_dim, simplices, diameters)
 
-    D = cloud.pairwise(pts)
-    local = {g: i for i, g in enumerate(pts)}
-
     simplices[0] = [(g,) for g in pts]
     diameters[0] = [0.0] * n
     count = n
@@ -109,55 +104,71 @@ def enumerate_complex(
         raise BudgetExceededError(budget, n)
 
     if max_dim >= 1:
-        # Neighbors above each vertex, ascending; drives the clique expansion.
-        nbrs_above = {}
+        # Neighbours above each vertex as {vertex: distance}, ascending; one
+        # vectorised comparison per row, then only Python ints and floats.
+        D = cloud.pairwise(pts)
+        gids = np.asarray(pts)
+        nbrs = {}
         for i, g in enumerate(pts):
-            row = D[i]
-            nbrs_above[g] = [pts[j] for j in range(i + 1, n) if row[j] <= scale]
+            row = D[i, i + 1:]
+            js = np.flatnonzero(row <= scale)
+            nbrs[g] = dict(zip(gids[js + (i + 1)].tolist(), row[js].tolist()))
 
-        prev = [((g,), 0.0, nbrs_above[g]) for g in pts]
+        # Each simplex carries its common neighbours above its last vertex,
+        # each with its largest distance to the simplex's vertices, so a
+        # coface's diameter is one comparison.
+        prev = [((g,), 0.0, nbrs[g]) for g in pts]
         for q in range(1, max_dim + 1):
+            level, diams = simplices[q], diameters[q]
             cur = []
             for verts, diam, cands in prev:
-                li = [local[v] for v in verts]
-                for w in cands:
-                    lw = local[w]
-                    d = diam
-                    for v in li:
-                        dv = D[v][lw]
-                        if dv > d:
-                            d = dv
+                for w, dw in cands.items():
+                    d = dw if dw > diam else diam
                     s = verts + (w,)
-                    simplices[q].append(s)
-                    diameters[q].append(float(d))
+                    level.append(s)
+                    diams.append(d)
                     count += 1
                     if count > budget:
                         raise BudgetExceededError(budget, n)
                     if q < max_dim:
-                        ext = [u for u in cands if u > w and D[lw][local[u]] <= scale]
-                        cur.append((s, float(d), ext))
+                        # nbrs[w] holds only vertices above w; cands
+                        # ascends, so the extension keeps the order.
+                        nw = nbrs[w]
+                        ext = {}
+                        for u, du in cands.items():
+                            x = nw.get(u)
+                            if x is not None:
+                                ext[u] = x if x > du else du
+                        cur.append((s, d, ext))
             prev = cur
 
     return RipsComplex(tuple(pts), scale, max_dim, simplices, diameters)
 
 
-def boundary_matrix(cx: RipsComplex, q: int, p: int):
+def boundary_matrix(cx: RipsComplex, q: int, p: int, skip=()):
     """Sparse boundary matrix from q-simplices to (q-1)-simplices over Z/p.
 
-    Returns (nrows, columns) where columns[j] maps row index -> coefficient;
-    column j holds the alternating-sign faces of the j-th q-simplex.
+    Returns (nrows, columns) with the columns in reduce_columns' own
+    representation: int bitsets (bit r = row r) at p = 2, {row: coefficient}
+    dicts otherwise.  Column j holds the alternating-sign faces of the j-th
+    q-simplex; columns whose index is in skip are left empty without being
+    built.
     """
     if q < 1 or q > cx.max_dim:
         raise ValueError(f"boundary dimension {q} out of range 1..{cx.max_dim}")
     rows = cx.index[q - 1]
     columns = []
-    minus = (p - 1) % p
-    for s in cx.simplices[q]:
-        col = {}
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1:]
-            coeff = 1 if i % 2 == 0 else minus
-            if coeff:
-                col[rows[face]] = coeff
+    minus = p - 1
+    for j, s in enumerate(cx.simplices[q]):
+        if p == 2:
+            col = 0
+            if j not in skip:
+                for i in range(q + 1):
+                    col |= 1 << rows[s[:i] + s[i + 1:]]
+        else:
+            col = {}
+            if j not in skip:
+                for i in range(q + 1):
+                    col[rows[s[:i] + s[i + 1:]]] = minus if i % 2 else 1
         columns.append(col)
     return len(cx.simplices[q - 1]), columns

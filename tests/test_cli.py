@@ -4,9 +4,11 @@ import os
 import numpy as np
 import pytest
 
+import mvbetti.cli
+import mvbetti.engine
 from mvbetti.cli import (DataFormatError, build_parser, config_from_args,
                          emit_report, main, parse_input, report_to_dict)
-from mvbetti.core import PointCloud
+from mvbetti.core import ConsistencyError, PointCloud
 from mvbetti.engine import BettiReport, ScaleResult, run
 from mvbetti.mayer_vietoris import MVNodeSolver
 
@@ -190,6 +192,37 @@ class TestMainExitCodes:
     def test_budget_exceeded(self, tmp_path):
         csv = write_hexagon_csv(tmp_path / "hex.csv")
         assert main([csv, "--epsilon", "1", "--budget", "3"]) == 3
+
+    def test_consistency_error_in_leaf_exits_5(self, tmp_path, capsys, monkeypatch):
+        def broken_leaf(*args, **kwargs):
+            raise ConsistencyError("injected leaf invariant failure")
+
+        monkeypatch.setattr(mvbetti.engine, "build_leaf", broken_leaf)
+        csv = write_hexagon_csv(tmp_path / "hex.csv")
+        assert main([csv] + HEX_ARGS) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "injected leaf invariant failure" in err
+        assert "Traceback" not in err
+
+    def test_bare_consistency_error_exits_5(self, tmp_path, capsys, monkeypatch):
+        def broken_run(*args, **kwargs):
+            raise ConsistencyError("injected covering invariant failure")
+
+        monkeypatch.setattr(mvbetti.cli, "run", broken_run)
+        csv = write_hexagon_csv(tmp_path / "hex.csv")
+        assert main([csv] + HEX_ARGS) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "injected covering invariant failure" in err
+
+    def test_other_job_failure_exits_6(self, tmp_path, capsys, monkeypatch):
+        def broken_leaf(*args, **kwargs):
+            raise RuntimeError("injected leaf crash")
+
+        monkeypatch.setattr(mvbetti.engine, "build_leaf", broken_leaf)
+        csv = write_hexagon_csv(tmp_path / "hex.csv")
+        assert main([csv] + HEX_ARGS) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error: job for box") and "injected leaf crash" in err
 
     def test_verify_pass_and_mismatch(self, tmp_path, capsys, monkeypatch):
         csv = write_hexagon_csv(tmp_path / "hex.csv")

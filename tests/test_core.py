@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mvbetti.core import (Chain, PointCloud, PrimeField, boundary,
-                          chain_add, chain_boundary, chain_scale, make_simplex)
+                          chain_boundary, make_simplex)
 
 
 class TestDistance:
@@ -134,7 +134,8 @@ class TestBoundary:
 class TestChainArithmetic:
     def test_add_zero_identity(self):
         a = Chain(1, 3, {(0, 1): 2, (1, 2): 1})
-        assert chain_add(a, Chain.zero(1, 3)) == a
+        assert a + Chain.zero(1, 3) == a
+        assert Chain.zero(1, 3) + a == a
 
     def test_self_cancel_mod2(self):
         a = Chain(1, 2, {(0, 1): 1, (2, 3): 1})
@@ -142,7 +143,8 @@ class TestChainArithmetic:
 
     def test_scale_mod5(self):
         a = Chain(1, 5, {(0, 1): 2})
-        assert chain_scale(a, 3).terms == {(0, 1): 1}  # 6 mod 5
+        assert a.scaled(3).terms == {(0, 1): 1}  # 6 mod 5
+        assert a.scaled(5).is_zero()
 
     def test_zero_coefficients_pruned(self):
         a = Chain(0, 3, {(0,): 1, (1,): 2})
@@ -171,7 +173,8 @@ class TestPrimeField:
     def test_inverses(self, p):
         f = PrimeField(p)
         for a in range(1, p):
-            assert f.mul(a, f.inv(a)) == 1
+            assert (a * f.inv(a)) % p == 1
+            assert 0 < f.inv(a) < p
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_distributivity(self, p):
@@ -179,7 +182,12 @@ class TestPrimeField:
         f = PrimeField(p)
         for _ in range(50):
             a, b, c = (int(x) for x in rng.integers(0, p, size=3))
-            assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+            assert (a * ((b + c) % p)) % p == ((a * b) % p + (a * c) % p) % p
+            if a and b:
+                # Inversion respects the field product, and accepts any
+                # representative of a residue.
+                assert f.inv((a * b) % p) == (f.inv(a) * f.inv(b)) % p
+                assert f.inv(a + 3 * p) == f.inv(a)
 
     def test_non_prime_rejected(self):
         for bad in (0, 1, 4, 6, 9, 15):

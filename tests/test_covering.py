@@ -3,7 +3,7 @@ import pytest
 
 from mvbetti.core import ConsistencyError, PointCloud
 from mvbetti.covering import (FULL, assign_simplex, build_covering, cell,
-                              choose_k, full_box, is_leaf, overlap, split_axis)
+                              choose_k, full_box, overlap, split_axis)
 
 from conftest import HEX_POINTS
 
@@ -144,8 +144,8 @@ class TestBoxesAndSplits:
     def test_all_cell_box_is_leaf(self):
         cov = build_covering(line_cloud(), 1.0, 3)
         assert split_axis((cell(0),), cov) is None
-        assert is_leaf((cell(1),))
-        assert not is_leaf((FULL,))
+        assert split_axis((cell(1),), cov) is None
+        assert split_axis((FULL,), cov) is not None
 
     def test_d2_partial_split_inherits_selectors(self):
         pc = PointCloud(np.random.default_rng(0).random((20, 2)) * 10)

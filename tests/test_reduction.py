@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvbetti.core import Chain, PointCloud, PrimeField, chain_boundary
 from mvbetti.reduction import (betti_at_scale, build_leaf, persistence_barcode,
@@ -90,6 +91,73 @@ class TestReduce:
             lows = list(red.pivots.keys())
             assert len(lows) == len(set(lows))
             assert red.rank == dense_rank_mod_p(dense_of_columns(9, cols, p), p)
+
+
+def naive_reduce(columns, p):
+    """Textbook left-to-right reduction with explicit modular arithmetic:
+    (pivots, R, V) as lists of {row: residue} dicts."""
+    def axpy(dst, src, c):
+        out = {}
+        for r in sorted(set(dst) | set(src)):
+            v = (dst.get(r, 0) + c * src.get(r, 0)) % p
+            if v:
+                out[r] = v
+        return out
+
+    R = [dict(c) for c in columns]
+    V = [{j: 1} for j in range(len(columns))]
+    pivots = {}
+    for j in range(len(R)):
+        while R[j]:
+            low = max(R[j])
+            if low not in pivots:
+                pivots[low] = j
+                break
+            k = pivots[low]
+            c = (-R[j][low] * pow(R[k][low], p - 2, p)) % p
+            R[j] = axpy(R[j], R[k], c)
+            V[j] = axpy(V[j], V[k], c)
+    return pivots, R, V
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(p, nrows, columns) with empty columns and repeated columns mixed in."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    nrows = draw(st.integers(0, 14))
+    entry = st.dictionaries(st.integers(0, max(nrows - 1, 0)), st.integers(1, p - 1),
+                            max_size=nrows)
+    base = draw(st.lists(entry, min_size=1, max_size=12))
+    base.append({})
+    picks = draw(st.lists(st.integers(0, len(base) - 1), max_size=16))
+    return p, nrows, [dict(base[i]) for i in picks]
+
+
+class TestReduceAgainstNaive:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_matrices(), st.booleans())
+    def test_same_pivots_r_and_v(self, case, keep_v):
+        p, nrows, cols = case
+        red = reduce_columns(nrows, cols, PrimeField(p), keep_v=keep_v)
+        pivots, R, V = naive_reduce(cols, p)
+        assert red.pivots == pivots
+        assert [red.r_dict(j) for j in range(len(cols))] == R
+        if not keep_v:
+            assert red.v is None
+            return
+        assert [red.v_dict(j) for j in range(len(cols))] == V
+        D = dense_of_columns(nrows, cols, p)
+        Vd = dense_of_columns(len(cols), V, p)
+        assert np.array_equal((D @ Vd) % p, dense_of_columns(nrows, R, p))
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_matrices())
+    def test_bitset_columns_match_dict_columns(self, case):
+        _, nrows, cols = case
+        bits = [sum(1 << r for r in c) for c in cols]
+        a = reduce_columns(nrows, cols, PrimeField(2))
+        b = reduce_columns(nrows, bits, PrimeField(2))
+        assert a.pivots == b.pivots and a.r == b.r and a.v == b.v
 
 
 class TestLeafSolver:

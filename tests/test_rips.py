@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvbetti.core import PointCloud, boundary
+from mvbetti.reduction import _BitOps
 from mvbetti.rips import BudgetExceededError, boundary_matrix, enumerate_complex
 
 from conftest import (TETRA_POINTS, TETRA_SIDE, UNIT_SQUARE,
@@ -53,7 +55,7 @@ class TestEnumerate:
         for q in range(1, 4):
             for s in cx.simplices[q]:
                 for i in range(len(s)):
-                    assert cx.has_simplex(s[:i] + s[i + 1:])
+                    assert s[:i] + s[i + 1:] in cx.index[q - 1]
 
     def test_monotone_in_scale(self):
         rng = np.random.default_rng(7)
@@ -90,13 +92,55 @@ class TestEnumerate:
                 assert d == pc.diameter(s)
 
 
+@st.composite
+def adversarial_clouds(draw):
+    """Grid-snapped clouds in d = 1..3: duplicate points, many equal
+    distances, a scale exactly equal to some pairwise distance, and
+    coordinate offsets up to 1e12."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 11))
+    coords = draw(st.lists(st.lists(st.integers(0, 4), min_size=d, max_size=d),
+                           min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        coords[-1] = list(coords[0])
+    offset = draw(st.sampled_from([0.0, 1e6, 1e9, 1e12]))
+    step = draw(st.sampled_from([0.25, 0.3, 1.0]))
+    cloud = PointCloud(np.asarray(coords, dtype=np.float64) * step + offset)
+    dists = sorted({float(x) for x in cloud.pairwise(range(n)).ravel()} - {0.0})
+    scale = draw(st.sampled_from(dists)) if dists and draw(st.booleans()) \
+        else draw(st.floats(0.1, 2.5))
+    points = draw(st.sets(st.integers(0, n - 1), min_size=0, max_size=n))
+    max_dim = draw(st.integers(0, 3))
+    return cloud, sorted(points), scale, max_dim
+
+
+class TestEnumerateProperties:
+    @settings(max_examples=250, deadline=None)
+    @given(adversarial_clouds())
+    def test_equals_brute_force_in_order_with_exact_diameters(self, case):
+        cloud, points, scale, max_dim = case
+        cx = enumerate_complex(points, cloud, scale, max_dim)
+        expect = brute_force_simplices(points, cloud, scale, max_dim)
+        for q in range(max_dim + 1):
+            assert cx.simplices[q] == expect[q]
+            want = [0.0 if q == 0 else cloud.diameter(s) for s in expect[q]]
+            assert [d.hex() for d in cx.diameters[q]] == [d.hex() for d in want]
+            assert all(type(d) is float for d in cx.diameters[q])
+
+
+def dict_columns(cols):
+    """Boundary columns as {row: coefficient} dicts; p = 2 columns are bitsets."""
+    return [_BitOps.to_dict(c) if type(c) is int else c for c in cols]
+
+
 class TestBoundaryMatrix:
     def test_single_edge(self):
         pc = PointCloud([[0.0], [1.0]])
         cx = enumerate_complex(range(2), pc, 1.0, 1)
         nrows, cols = boundary_matrix(cx, 1, 2)
         assert nrows == 2
-        assert cols == [{0: 1, 1: 1}]
+        assert cols == [0b11]
+        assert dict_columns(cols) == [{0: 1, 1: 1}]
 
     def test_consecutive_product_vanishes(self):
         pc = PointCloud(TETRA_POINTS)
@@ -105,6 +149,7 @@ class TestBoundaryMatrix:
             for q in (2, 3):
                 r1, lower = boundary_matrix(cx, q - 1, p)
                 _, upper = boundary_matrix(cx, q, p)
+                lower, upper = dict_columns(lower), dict_columns(upper)
                 # multiply sparsely: (d_{q-1} * d_q) column by column
                 for col in upper:
                     acc = {}
@@ -118,7 +163,7 @@ class TestBoundaryMatrix:
         cx = enumerate_complex(range(4), pc, 1.0, 2)
         nrows, cols = boundary_matrix(cx, 1, 2)
         assert nrows == 4 and len(cols) == 4
-        for col in cols:
+        for col in dict_columns(cols):
             assert len(col) == 2 and all(v == 1 for v in col.values())
 
     def test_matches_core_boundary(self):
@@ -128,10 +173,24 @@ class TestBoundaryMatrix:
             cx = enumerate_complex(range(12), pc, 0.7, 2)
             for q in (1, 2):
                 _, cols = boundary_matrix(cx, q, p)
-                for s, col in zip(cx.simplices[q], cols):
+                assert all(type(c) is (int if p == 2 else dict) for c in cols)
+                for s, col in zip(cx.simplices[q], dict_columns(cols)):
                     chain = boundary(s, p)
                     want = {cx.index[q - 1][f]: c for f, c in chain.terms.items()}
                     assert col == want
+
+    def test_skipped_columns(self):
+        rng = np.random.default_rng(12)
+        pc = random_cloud(rng, 14, 2)
+        cx = enumerate_complex(range(14), pc, 0.6, 3)
+        assert cx.count(3) > 0
+        for p in (2, 3):
+            for q in (1, 2, 3):
+                _, cols = boundary_matrix(cx, q, p)
+                skip = set(range(0, len(cols), 3))
+                _, got = boundary_matrix(cx, q, p, skip=skip)
+                empty = 0 if p == 2 else {}
+                assert got == [empty if j in skip else c for j, c in enumerate(cols)]
 
     def test_dimension_out_of_range(self):
         pc = PointCloud(UNIT_SQUARE)
