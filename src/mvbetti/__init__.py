@@ -11,8 +11,7 @@ from .core import (Chain, ConsistencyError, PointCloud, PrimeField, boundary,
                    chain_boundary, make_simplex)
 from .covering import (AxisIntervals, GridCovering, assign_simplex,
                        build_covering, choose_k, full_box, split_axis)
-from .engine import (BettiReport, attach_verification, build_solver, run,
-                     verify)
+from .engine import BettiReport, attach_verification, run, verify
 from .mayer_vietoris import FMatrix, MVNodeSolver, assemble, build_f, induced_map
 from .reduction import (Bar, LeafSolver, ReducedPair, betti_at_scale,
                         build_leaf, persistence_barcode, reduce_columns)
@@ -44,7 +43,6 @@ __all__ = [
     "build_covering",
     "build_f",
     "build_leaf",
-    "build_solver",
     "chain_boundary",
     "choose_k",
     "enumerate_complex",

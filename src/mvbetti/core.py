@@ -12,9 +12,6 @@ Simplex = tuple
 # A simplex is a strictly increasing tuple of global point indices;
 # its dimension is len(vertices) - 1.
 
-# Full pairwise distance matrices are cached only below this point count.
-_DIST_CACHE_LIMIT = 3000
-
 
 class ConsistencyError(RuntimeError):
     """An internal invariant failed (covering or exactness bug, not user error)."""
@@ -103,7 +100,7 @@ class PointCloud:
     regions are index sets, never renumbered copies.
     """
 
-    __slots__ = ("coords", "n", "dim", "_dist")
+    __slots__ = ("coords", "n", "dim")
 
     def __init__(self, coords):
         a = np.asarray(coords, dtype=np.float64)
@@ -117,32 +114,20 @@ class PointCloud:
         self.coords = a
         self.n = a.shape[0]
         self.dim = a.shape[1]
-        self._dist = None
 
     def __len__(self):
         return self.n
-
-    def _distance_matrix(self) -> np.ndarray:
-        if self._dist is None:
-            d = _pairwise_block(self.coords, self.coords)
-            d.setflags(write=False)
-            self._dist = d
-        return self._dist
 
     def distance(self, i: int, j: int) -> float:
         """Euclidean distance between points i and j."""
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise IndexError(f"point index out of range: ({i}, {j}) with n={self.n}")
-        if self.n <= _DIST_CACHE_LIMIT:
-            return float(self._distance_matrix()[i, j])
         return float(_pairwise_block(self.coords[i:i + 1], self.coords[j:j + 1])[0, 0])
 
     def pairwise(self, indices) -> np.ndarray:
-        """Distance submatrix for a list of point indices (row/col order preserved)."""
-        idx = np.asarray(indices, dtype=np.intp)
-        if self.n <= _DIST_CACHE_LIMIT:
-            return self._distance_matrix()[np.ix_(idx, idx)]
-        pts = self.coords[idx]
+        """Distance matrix of the listed points (row/col order preserved),
+        computed for those points only."""
+        pts = self.coords[np.asarray(indices, dtype=np.intp)]
         return _pairwise_block(pts, pts)
 
     def diameter(self, vertices) -> float:

@@ -162,16 +162,6 @@ def execute_scale(cloud, covering, scale, n_max, field, budget, workers, scales,
     return results[root], results, stats
 
 
-def build_solver(box, cloud, covering, scale, n_max, field, budget=DEFAULT_BUDGET):
-    """Root solver of the whole covering at one scale: the DAG with one worker.
-
-    box must be full_box(d); the recursion always starts at the root.
-    """
-    if box != full_box(covering.dim):
-        raise ValueError(f"build_solver solves the full box, got {box}")
-    return execute_scale(cloud, covering, scale, n_max, field, budget, 1, [scale], {})[0]
-
-
 # ---------------------------------------------------------------------------
 # Reports
 

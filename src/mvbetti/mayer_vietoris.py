@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Chain, ConsistencyError, chain_boundary
-from .reduction import PrimeField, _DictOps, reduce_columns
+from .reduction import PrimeField, as_dict, combine, eliminate, reduce_columns
 
 
 def _offsets(sizes):
@@ -110,29 +110,27 @@ def build_f(pieces, inters, n: int, field) -> FMatrix:
 class _FStructure:
     """Reduced form of one f_n: image echelon, cokernel rows, kernel basis."""
 
-    __slots__ = ("fmat", "rank", "red", "coker_rows", "coker_pos", "kernel_cols",
-                 "kernel_table")
+    __slots__ = ("fmat", "rank", "red", "image_table", "coker_rows", "coker_pos",
+                 "kernel_cols", "kernel_table")
 
     def __init__(self, fmat: FMatrix, field: PrimeField):
         self.fmat = fmat
         red = reduce_columns(fmat.nrows, fmat.columns, field, keep_v=True)
         self.red = red
         self.rank = red.rank
-        pivot_rows = set(red.pivots)
-        self.coker_rows = [r for r in range(fmat.nrows) if r not in pivot_rows]
+        self.image_table = {l: (red.r[j], j) for l, j in red.pivots.items()}
+        self.coker_rows = [r for r in range(fmat.nrows) if r not in red.pivots]
         self.coker_pos = {r: i for i, r in enumerate(self.coker_rows)}
         # Echelonized nullspace: a second reduction of the kernel columns of V
         # yields columns with distinct lowest rows, so membership tests in the
         # kernel are a straight elimination.
-        ops = red.ops
-        raw_kernel = [ops.to_dict(red.v[j]) for j in range(red.ncols)
-                      if ops.is_zero(red.r[j])]
+        raw_kernel = [red.v[j] for j in range(red.ncols) if not red.r[j]]
         if raw_kernel:
             kred = reduce_columns(fmat.ncols, raw_kernel, field, keep_v=False)
-            self.kernel_cols = [kred.ops.to_dict(kred.r[j]) for j in range(kred.ncols)]
-            self.kernel_table = {max(c): i for i, c in enumerate(self.kernel_cols)}
-            if len(self.kernel_table) != len(self.kernel_cols):
-                raise ConsistencyError("kernel echelon basis has colliding pivots")
+            if kred.rank != kred.ncols:
+                raise ConsistencyError("kernel basis of f is linearly dependent")
+            self.kernel_cols = [as_dict(c) for c in kred.r]
+            self.kernel_table = {l: (kred.r[i], i) for l, i in kred.pivots.items()}
         else:
             self.kernel_cols = []
             self.kernel_table = {}
@@ -141,50 +139,28 @@ class _FStructure:
         """Reduce a target vector mod im(f): cokernel coordinates, and optionally
         the source combination y with f(y) = t when the projection is zero.
 
-        Eliminating at the largest pivot row present only introduces entries
-        at smaller rows, so the sweep terminates with support on cokernel rows.
+        Every row left after eliminating the image pivot rows is a cokernel row.
         """
-        ops = self.red.ops
-        dops = _DictOps(field)
-        p = field.p
-        working = dict(t)
-        y = {}
-        while True:
-            hit = [r for r in working if r in self.red.pivots]
-            if not hit:
-                break
-            l = max(hit)
-            j = self.red.pivots[l]
-            rj = ops.to_dict(self.red.r[j])
-            c = (working[l] * field.inv(rj[l])) % p
-            dops.axpy(working, rj, -c)
-            if want_membership:
-                dops.axpy(y, ops.to_dict(self.red.v[j]), c)
+        rest, used = eliminate(t, self.image_table, field.p)
         coords = [0] * len(self.coker_rows)
-        for r, c in working.items():
+        for r, c in as_dict(rest).items():
             coords[self.coker_pos[r]] = c
         coords = tuple(coords)
         if want_membership:
-            return coords, y
+            v = self.red.v
+            return coords, as_dict(combine([(v[j], c) for j, c in used], field.p))
         return coords
 
     def kernel_coords(self, u: dict, field: PrimeField):
         """Coordinates of a kernel vector in the echelon kernel basis."""
-        dops = _DictOps(field)
-        p = field.p
-        working = dict(u)
+        rest, used = eliminate(u, self.kernel_table, field.p)
+        if rest:
+            raise ConsistencyError(
+                "connecting-map image landed outside ker(f); exactness violated"
+            )
         out = [0] * len(self.kernel_cols)
-        while working:
-            l = max(working)
-            i = self.kernel_table.get(l)
-            if i is None:
-                raise ConsistencyError(
-                    "connecting-map image landed outside ker(f); exactness violated"
-                )
-            kc = self.kernel_cols[i]
-            c = (working[l] * field.inv(kc[l])) % p
-            out[i] = (out[i] + c) % p
-            dops.axpy(working, kc, -c)
+        for i, c in used:
+            out[i] = c
         return out
 
 

@@ -7,8 +7,14 @@ cycle in the homology basis / produce an explicit bounding chain), and the
 direct filtration barcode used as an independent check on the
 divide-and-conquer path.
 
-Columns are sparse dicts {row: coeff}; over Z/2 they are packed into Python
-ints (bit r = row r), which makes column addition a single XOR.
+Columns are native Python values: int bitsets (bit r = row r) at p = 2,
+where column addition is one XOR, and {row: nonzero residue} dicts
+otherwise.  All elimination goes through two routines, each one loop per
+representation: reduce_columns reduces a matrix left to right, and
+eliminate reduces one column against a table of columns with distinct
+lowest rows, the step behind every coords/bound query of a region and the
+Mayer-Vietoris kernel and cokernel.  combine forms linear combinations of
+columns, and as_dict decodes a column of either representation.
 """
 
 from __future__ import annotations
@@ -23,101 +29,96 @@ from .rips import DEFAULT_BUDGET, boundary_matrix, enumerate_complex
 
 
 # ---------------------------------------------------------------------------
-# Column representations
+# Columns
 
 
-class _BitOps:
-    """Columns as int bitsets; valid only for p = 2."""
+def _bits(col) -> int:
+    """A {row: coefficient} column as an int bitset (p = 2)."""
+    v = 0
+    for r in col:
+        v |= 1 << r
+    return v
 
-    @staticmethod
-    def from_dict(col):
-        v = 0
-        for r in col:
-            v |= 1 << r
-        return v
 
-    @staticmethod
-    def to_dict(col):
-        out = {}
-        while col:
-            bit = col & -col        # lowest set bit
-            out[bit.bit_length() - 1] = 1
-            col ^= bit
+def as_dict(col) -> dict:
+    """A column of either representation as a new {row: residue} dict."""
+    if type(col) is not int:
+        return dict(col)
+    out = {}
+    while col:
+        bit = col & -col        # lowest set bit
+        out[bit.bit_length() - 1] = 1
+        col ^= bit
+    return out
+
+
+def combine(terms, p: int):
+    """The native column sum(c * col) over (col, c) pairs of native columns."""
+    if p == 2:
+        out = 0
+        for col, c in terms:
+            if c & 1:
+                out ^= col
         return out
-
-    @staticmethod
-    def is_zero(col):
-        return col == 0
-
-    @staticmethod
-    def low(col):
-        return col.bit_length() - 1
-
-    @staticmethod
-    def get(col, row):
-        return (col >> row) & 1
-
-    @staticmethod
-    def axpy(dst, src, c):
-        return dst ^ src if c & 1 else dst
-
-    @staticmethod
-    def unit(row):
-        return 1 << row
-
-    zero = 0
-
-
-class _DictOps:
-    """Columns as {row: nonzero residue} dicts, any prime p."""
-
-    def __init__(self, field: PrimeField):
-        self.field = field
-
-    @staticmethod
-    def from_dict(col):
-        return dict(col)
-
-    @staticmethod
-    def to_dict(col):
-        return dict(col)
-
-    @staticmethod
-    def is_zero(col):
-        return not col
-
-    @staticmethod
-    def low(col):
-        return max(col)
-
-    @staticmethod
-    def get(col, row):
-        return col.get(row, 0)
-
-    def axpy(self, dst, src, c):
-        p = self.field.p
-        c %= p
-        if c == 0:
-            return dst
-        for r, v in src.items():
-            nv = (dst.get(r, 0) + c * v) % p
-            if nv:
-                dst[r] = nv
+    out = {}
+    for col, c in terms:
+        for r, x in col.items():
+            y = (out.get(r, 0) + c * x) % p
+            if y:
+                out[r] = y
             else:
-                dst.pop(r, None)
-        return dst
-
-    @staticmethod
-    def unit(row):
-        return {row: 1}
-
-    @property
-    def zero(self):
-        return {}
+                del out[r]
+    return out
 
 
-def _ops_for(field: PrimeField):
-    return _BitOps() if field.p == 2 else _DictOps(field)
+def eliminate(col, table, p: int):
+    """Reduce one column against table {lowest row: (column, tag)}.
+
+    Every table column is native, nonzero, and has its key as its lowest
+    (largest) nonzero row.  The rows of col are swept in descending order: a
+    row that is a table key is cleared by subtracting a multiple of that
+    column, which touches only smaller rows; any other row is set aside.
+    Returns (remainder, used): col = remainder + sum(c * column) over the
+    (tag, c) pairs in used, no row of the remainder is a table key, and each
+    tag appears at most once.  A dict col holds nonzero residues; at p = 2
+    col may also be a bitset, and the remainder is native either way.
+    """
+    used = []
+    if p == 2:
+        if type(col) is not int:
+            col = _bits(col)
+        rest = 0
+        while col:
+            l = col.bit_length() - 1
+            e = table.get(l)
+            if e is None:
+                bit = 1 << l
+                rest |= bit
+                col ^= bit
+            else:
+                col ^= e[0]
+                used.append((e[1], 1))
+        return rest, used
+    col = dict(col)
+    rest = {}
+    while col:
+        l = max(col)
+        x = col.pop(l)
+        e = table.get(l)
+        if e is None:
+            rest[l] = x
+            continue
+        src, tag = e
+        c = x * pow(src[l], -1, p) % p
+        for r, y in src.items():
+            if r != l:
+                z = (col.get(r, 0) - c * y) % p
+                if z:
+                    col[r] = z
+                else:
+                    del col[r]
+        used.append((tag, c))
+    return rest, used
 
 
 # ---------------------------------------------------------------------------
@@ -129,15 +130,15 @@ class ReducedPair:
 
     V is invertible upper-triangular; distinct nonzero columns of R have
     distinct lowest nonzero rows, recorded in pivots (low row -> column).
+    Columns of R and V are native (bitsets at p = 2, dicts otherwise).
     """
 
-    __slots__ = ("nrows", "ncols", "field", "ops", "r", "v", "pivots")
+    __slots__ = ("nrows", "ncols", "field", "r", "v", "pivots")
 
-    def __init__(self, nrows, ncols, field, ops, r, v, pivots):
+    def __init__(self, nrows, ncols, field, r, v, pivots):
         self.nrows = nrows
         self.ncols = ncols
         self.field = field
-        self.ops = ops
         self.r = r
         self.v = v
         self.pivots = pivots
@@ -145,12 +146,6 @@ class ReducedPair:
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    def r_dict(self, j) -> dict:
-        return self.ops.to_dict(self.r[j])
-
-    def v_dict(self, j) -> dict:
-        return self.ops.to_dict(self.v[j])
 
 
 def reduce_columns(nrows, columns, field: PrimeField, keep_v: bool = True) -> ReducedPair:
@@ -162,18 +157,16 @@ def reduce_columns(nrows, columns, field: PrimeField, keep_v: bool = True) -> Re
     earlier column is subtracted; V records the operations.  Deterministic
     given the column order.
     """
-    ops = _ops_for(field)
     if field.p == 2:
         R, V, pivots = _reduce_bits(columns, keep_v)
     else:
         R, V, pivots = _reduce_dicts(columns, field, keep_v)
-    return ReducedPair(nrows, len(columns), field, ops, R, V, pivots)
+    return ReducedPair(nrows, len(columns), field, R, V, pivots)
 
 
 def _reduce_bits(columns, keep_v):
     """The Z/2 loop: lowest row is the top bit, column addition is XOR."""
-    from_dict = _BitOps.from_dict
-    R = [c if type(c) is int else from_dict(c) for c in columns]
+    R = [c if type(c) is int else _bits(c) for c in columns]
     V = [1 << j for j in range(len(R))] if keep_v else None
     pivots = {}
     for j, col in enumerate(R):
@@ -234,12 +227,6 @@ def _reduce_dicts(columns, field, keep_v):
 # Leaf homology solver
 
 
-class _TableEntry(NamedTuple):
-    col: object          # reduced column (ops representation), nonzero
-    kind: str            # "boundary" | "rep"
-    payload: object      # boundary: preimage column over (n+1)-simplices; rep: basis index
-
-
 def _order_by_bucket(cx, scales):
     """Stable-sort every level of cx by scale bucket, in place.
 
@@ -281,7 +268,6 @@ class LeafReduction:
         self.scales = sorted(set(float(s) for s in scales))
         self.n_max = n_max
         self.field = field
-        self.ops = ops = _ops_for(field)
         cx = enumerate_complex(points, cloud, self.scales[-1], n_max + 1, budget)
         self.complex = cx
         self.prefix = _order_by_bucket(cx, self.scales)
@@ -311,11 +297,12 @@ class LeafReduction:
             kill = up.pivots if up is not None else {}
             red = self.reduced.get(n)
             if n == 0:
-                zero = [(i, ops.unit(i)) for i in range(cx.count(0))]
+                zero = [(i, 1 << i if field.p == 2 else {i: 1})
+                        for i in range(cx.count(0))]
             elif red is None:
                 zero = []
             else:
-                zero = [(j, red.v[j]) for j in range(red.ncols) if ops.is_zero(red.r[j])]
+                zero = [(j, red.v[j]) for j in range(red.ncols) if not red.r[j]]
             self.cycles.append([(i, kill.get(i), col) for i, col in zero])
         self.seconds = time.perf_counter() - t0
 
@@ -326,7 +313,7 @@ class LeafReduction:
 class LeafSolver:
     """Homology of one region at one scale: a view of a LeafReduction.
 
-    For each dimension n <= n_max the view holds an elimination table whose
+    For each dimension n <= n_max the view holds an eliminate() table whose
     column space is exactly the cycle space Z_n of the complex at its scale:
     the reduced (n+1)-boundary columns in that prefix (with preimages), plus
     the cycle columns of the prefix's zero n-columns whose killer lies
@@ -349,11 +336,10 @@ class LeafSolver:
         self.complex = reduction.complex
         self.points = self.complex.points
         self.point_set = frozenset(self.points)
-        self._ops = reduction.ops
         # Simplices of the view per dimension: a prefix of every level.
         self._limit = [reduction.prefix[q][b] for q in range(self.n_max + 2)]
-        self._tables = []   # per dimension: {low row: _TableEntry}
-        self._reps = []     # per dimension: list of rep columns (ops repr)
+        self._tables = []   # per dimension: {low row: (column, (kind, payload))}
+        self._reps = []     # per dimension: list of rep columns (native)
         self._rep_chains = {}   # dimension -> representatives(n), built on first call
         self._build()
 
@@ -372,13 +358,13 @@ class LeafSolver:
             for j, l in red.pivot_pairs[n + 1]:
                 if j >= limit_up:
                     break
-                table[l] = _TableEntry(up.r[j], "boundary", up.v[j])
+                table[l] = (up.r[j], ("boundary", up.v[j]))
             reps = []
             for i, killer, col in red.cycles[n]:
                 if i >= limit:
                     break
                 if killer is None or killer >= limit_up:
-                    table[i] = _TableEntry(col, "rep", len(reps))
+                    table[i] = (col, ("rep", len(reps)))
                     reps.append(col)
             self._tables.append(table)
             self._reps.append(reps)
@@ -409,7 +395,7 @@ class LeafSolver:
         if chains is None:
             cx = self.complex
             p = self.field.p
-            chains = [cx.chain_of_column(self._ops.to_dict(c), n, p) for c in self._reps[n]]
+            chains = [cx.chain_of_column(as_dict(c), n, p) for c in self._reps[n]]
             self._rep_chains[n] = chains
         return chains
 
@@ -422,32 +408,24 @@ class LeafSolver:
         return col
 
     def _eliminate(self, z: Chain, n: int):
-        """Express a cycle as (rep coordinates, boundary preimage column)."""
-        ops = self._ops
-        p = self.field.p
-        if z.is_zero():
-            return [0] * len(self._reps[n]), ops.zero
-        if z.dim != n:
+        """Express a cycle as (rep coordinates, (preimage column, coefficient)
+        terms of a bounding chain of the rest)."""
+        if not z.is_zero() and z.dim != n:
             raise ValueError(f"chain dimension {z.dim} does not match query dimension {n}")
-        col = ops.from_dict(self._column(z, n))
-        table = self._tables[n]
+        rest, used = eliminate(self._column(z, n), self._tables[n], self.field.p)
+        if rest:
+            raise ValueError(
+                f"chain is not a cycle of this region's complex (unmatched row "
+                f"{max(as_dict(rest))} at dimension {n})"
+            )
         coords = [0] * len(self._reps[n])
-        w = ops.zero
-        while not ops.is_zero(col):
-            l = ops.low(col)
-            e = table.get(l)
-            if e is None:
-                raise ValueError(
-                    f"chain is not a cycle of this region's complex (unmatched row {l} "
-                    f"at dimension {n})"
-                )
-            c = (ops.get(col, l) * self.field.inv(ops.get(e.col, l))) % p
-            col = ops.axpy(col, e.col, (-c) % p)
-            if e.kind == "boundary":
-                w = ops.axpy(w, e.payload, c)
+        preimage = []
+        for (kind, payload), c in used:
+            if kind == "rep":
+                coords[payload] = c
             else:
-                coords[e.payload] = (coords[e.payload] + c) % p
-        return coords, w
+                preimage.append((payload, c))
+        return coords, preimage
 
     def coords(self, z: Chain, n: int):
         """Coordinates of a cycle's class in the homology basis (length betti(n))."""
@@ -467,10 +445,11 @@ class LeafSolver:
             return Chain.zero(n + 1, self.field.p)
         if n < 0 or n > self.n_max:
             raise ValueError(f"dimension {n} out of range")
-        coords, w = self._eliminate(z, n)
+        coords, preimage = self._eliminate(z, n)
         if any(coords):
             return None
-        chain = self.complex.chain_of_column(self._ops.to_dict(w), n + 1, self.field.p)
+        p = self.field.p
+        chain = self.complex.chain_of_column(as_dict(combine(preimage, p)), n + 1, p)
         if chain_boundary(chain) != z:
             raise ConsistencyError("bound() produced a chain whose boundary differs from z")
         return chain
@@ -504,17 +483,13 @@ class Bar(NamedTuple):
 
 
 def persistence_barcode(points, cloud, eps_max, n_max, field,
-                        budget: int = DEFAULT_BUDGET, clearing: bool = False):
+                        budget: int = DEFAULT_BUDGET):
     """Barcode of the scale-filtered Rips complex up to eps_max.
 
     Simplices enter at their diameter; ties are ordered by dimension then
     lexicographic vertex order, so faces always precede cofaces.  Pivots of
     the reduced boundary matrix give (birth, death) pairs; unpaired cycles of
     dimension <= n_max become open bars.  Zero-length pairs are dropped.
-
-    With clearing enabled, dimensions are reduced top-down and any column
-    whose simplex was already captured as a pivot row one dimension up is
-    skipped (it is guaranteed to reduce to zero); the bars are identical.
     """
     if isinstance(field, int):
         field = PrimeField(field)
@@ -538,27 +513,10 @@ def persistence_barcode(points, cloud, eps_max, n_max, field,
             col[pos[face]] = 1 if i % 2 == 0 else minus
         return col
 
-    pivots = {}     # global row position -> global column position
-    zero_cols = set()
-    if not clearing:
-        columns = [column_for(s, q) if q >= 1 else {} for _, q, s in entries]
-        red = reduce_columns(len(entries), columns, field, keep_v=False)
-        pivots = dict(red.pivots)
-        zero_cols = {j for j in range(len(entries)) if red.ops.is_zero(red.r[j])}
-    else:
-        cleared = set()
-        for q in range(cx.max_dim, 0, -1):
-            block = [(pos[s], s) for _, qq, s in entries if qq == q]
-            block.sort()
-            cols = [{} if p0 in cleared else column_for(s, q) for p0, s in block]
-            red = reduce_columns(len(entries), cols, field, keep_v=False)
-            for l, j in red.pivots.items():
-                pivots[l] = block[j][0]
-                cleared.add(l)
-            for j, (p0, _) in enumerate(block):
-                if red.ops.is_zero(red.r[j]) and p0 not in cleared:
-                    zero_cols.add(p0)
-        zero_cols.update(p0 for p0, (_, q, _) in enumerate(entries) if q == 0)
+    columns = [column_for(s, q) if q >= 1 else {} for _, q, s in entries]
+    red = reduce_columns(len(entries), columns, field, keep_v=False)
+    pivots = red.pivots     # global row position -> global column position
+    zero_cols = {j for j in range(len(entries)) if not red.r[j]}
 
     bars = []
     dead_rows = set(pivots)

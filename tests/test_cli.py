@@ -14,7 +14,18 @@ from mvbetti.mayer_vietoris import MVNodeSolver
 
 from conftest import HEX_POINTS
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "hexagon.json")
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+GOLDEN = os.path.join(GOLDEN_DIR, "hexagon.json")
+
+# name -> flags; tests/golden/<name>.csv is the input, <name>.json the report.
+GOLDEN_REPORTS = {
+    "plane_p2": ["--epsilon", "0.25", "--scale-steps", "5", "--grid", "3,3",
+                 "--field", "2"],
+    "cube_p3": ["--epsilon", "0.45", "--scale-steps", "3", "--grid", "2,2,2",
+                "--max-dim", "2", "--field", "3"],
+    "ring_p5": ["--epsilon", "0.9", "--scales", "0.3,0.7,0.9", "--grid", "2,2",
+                "--field", "5"],
+}
 
 
 def write_hexagon_csv(path, header=True):
@@ -268,3 +279,12 @@ class TestGolden:
         assert outs[0] == outs[1]
         with open(GOLDEN, "rb") as f:
             assert outs[0] == f.read()
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+    def test_report_bytes_match_golden(self, name, tmp_path):
+        out = tmp_path / "report.json"
+        rc = main([os.path.join(GOLDEN_DIR, f"{name}.csv")] + GOLDEN_REPORTS[name]
+                  + ["--parallel", "2", "--no-timings", "--verify", "--output", str(out)])
+        assert rc == 0
+        with open(os.path.join(GOLDEN_DIR, f"{name}.json"), "rb") as f:
+            assert out.read_bytes() == f.read()

@@ -29,29 +29,24 @@ class TestDistance:
         with pytest.raises(IndexError):
             pc.distance(0, 2)
 
-    def test_scalar_matches_matrix_path(self):
-        # Large clouds skip the cached matrix; both paths must agree bitwise.
-        rng = np.random.default_rng(3)
-        pts = rng.random((20, 3))
-        small = PointCloud(pts)
-        import mvbetti.core as core
-        big = PointCloud(pts)
-        old = core._DIST_CACHE_LIMIT
-        core._DIST_CACHE_LIMIT = 1
-        try:
-            for i in range(20):
-                for j in range(20):
-                    assert big.distance(i, j) == small.distance(i, j)
-        finally:
-            core._DIST_CACHE_LIMIT = old
-
     def test_uncached_distance_equals_pairwise(self):
-        # 3001 points is above the cache limit, so both calls compute afresh.
+        # A 1x1 block and a 2x2 block of the same points must agree bitwise.
         rng = np.random.default_rng(11)
         pc = PointCloud(rng.random((3001, 3)) * 1e3 + 1e6)
         for i, j in rng.integers(0, 3001, size=(500, 2)):
             i, j = int(i), int(j)
             assert pc.distance(i, j) == pc.pairwise([i, j])[0, 1]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 17])
+    def test_block_equals_slice_of_full_matrix(self, d):
+        # Regions and the oracle compute blocks of different point sets; a
+        # shared pair must get the same bits in every block.
+        rng = np.random.default_rng(d)
+        pc = PointCloud(rng.random((200, d)) + 1e11 * rng.random())
+        full = pc.pairwise(range(pc.n))
+        for _ in range(20):
+            idx = rng.choice(pc.n, size=int(rng.integers(2, 60)), replace=False)
+            assert np.array_equal(pc.pairwise(idx), full[np.ix_(idx, idx)])
 
 
 class TestDiameter:

@@ -5,10 +5,11 @@ from mvbetti import engine
 from mvbetti.cli import report_to_dict
 from mvbetti.core import PointCloud
 from mvbetti.covering import build_covering, cell, full_box
-from mvbetti.engine import JobError, attach_verification, build_solver, plan_jobs, run
+from mvbetti.engine import (JobError, attach_verification, execute_scale, plan_jobs,
+                            run)
 from mvbetti.mayer_vietoris import MVNodeSolver
 from mvbetti.reduction import LeafSolver, build_leaf
-from mvbetti.rips import BudgetExceededError
+from mvbetti.rips import DEFAULT_BUDGET, BudgetExceededError
 
 from conftest import HEX_POINTS, distance_quantile, random_cloud
 
@@ -17,14 +18,14 @@ class TestBuildSolver:
     def test_single_cell_is_leaf(self):
         pc = PointCloud([[0.0], [0.5], [1.0]])
         cov = build_covering(pc, 0.6, 1)
-        s = build_solver(full_box(1), pc, cov, 0.6, 1, 2)
+        s = execute_scale(pc, cov, 0.6, 1, 2, DEFAULT_BUDGET, 1, [0.6], {})[0]
         assert isinstance(s, LeafSolver)
         assert s.betti_all() == [1, 0]
 
     def test_collinear_two_cells(self):
         pc = PointCloud([[0.0], [1.0], [2.0]])
         cov = build_covering(pc, 1.0, 2)
-        s = build_solver(full_box(1), pc, cov, 1.0, 1, 2)
+        s = execute_scale(pc, cov, 1.0, 1, 2, DEFAULT_BUDGET, 1, [1.0], {})[0]
         assert isinstance(s, MVNodeSolver)
         assert all(isinstance(c, LeafSolver) for c in s.pieces + s.inters)
         assert s.betti_all() == [1, 0]
@@ -33,7 +34,7 @@ class TestBuildSolver:
         rng = np.random.default_rng(0)
         pc = PointCloud(rng.random((30, 2)) * 10)
         cov = build_covering(pc, 0.8, 2)
-        s = build_solver(full_box(2), pc, cov, 0.8, 1, 2)
+        s = execute_scale(pc, cov, 0.8, 1, 2, DEFAULT_BUDGET, 1, [0.8], {})[0]
         # Root node over 2 strip nodes and 1 overlap-strip node; every child
         # node sits over leaves.
         assert isinstance(s, MVNodeSolver)

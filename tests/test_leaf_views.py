@@ -11,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from mvbetti import reduction
 from mvbetti.core import Chain, PointCloud, chain_boundary
-from mvbetti.covering import build_covering, cell, full_box
-from mvbetti.engine import build_solver, run
+from mvbetti.engine import run
 from mvbetti.reduction import betti_at_scale, build_leaf, persistence_barcode
 
 from conftest import brute_force_betti, dense_rank_mod_p
@@ -110,11 +109,3 @@ def test_run_enumerates_each_leaf_once(monkeypatch):
     assert leaf_count == 25
     assert len(calls) == leaf_count
     assert set(calls) == {0.2}
-
-
-def test_build_solver_requires_the_full_box():
-    cloud = PointCloud([[0.0], [1.0], [2.0]])
-    cov = build_covering(cloud, 1.0, 2)
-    assert build_solver(full_box(1), cloud, cov, 1.0, 1, 2).betti_all() == [1, 0]
-    with pytest.raises(ValueError):
-        build_solver((cell(0),), cloud, cov, 1.0, 1, 2)

@@ -3,10 +3,11 @@ import pytest
 
 from mvbetti.core import Chain, ConsistencyError, PointCloud, PrimeField, chain_boundary
 from mvbetti.covering import build_covering, full_box, split_axis
-from mvbetti.engine import build_solver
+from mvbetti.engine import execute_scale
 from mvbetti.mayer_vietoris import MVNodeSolver, assemble, build_f, induced_map
 from mvbetti.reduction import (betti_at_scale, build_leaf, persistence_barcode,
                                reduce_columns)
+from mvbetti.rips import DEFAULT_BUDGET
 
 from conftest import (HEX_POINTS, distance_quantile, hexagon_cycle,
                       random_cloud)
@@ -90,7 +91,7 @@ class TestAssemble:
         f = PrimeField(2)
         cov = build_covering(pc, 0.5, 2)
         sp = split_axis(full_box(2), cov)
-        node = build_solver(full_box(2), pc, cov, 0.5, 1, f)
+        node = execute_scale(pc, cov, 0.5, 1, f, DEFAULT_BUDGET, 1, [0.5], {})[0]
         assert node.betti_all() == [2, 0]
         assert sp is not None
 
@@ -106,7 +107,7 @@ class TestAssemble:
         f = PrimeField(2)
         # Middle cells of a 5-cell covering are empty at this scale.
         cov = build_covering(pc, 0.5, 5)
-        node = build_solver(full_box(1), pc, cov, 0.5, 1, f)
+        node = execute_scale(pc, cov, 0.5, 1, f, DEFAULT_BUDGET, 1, [0.5], {})[0]
         assert node.betti_all() == [2, 0]
         sizes = [len(s.points) for s in node.pieces]
         assert 0 in sizes
@@ -228,7 +229,7 @@ class TestExactnessProperties:
             if eps <= 0:
                 continue
             cov = build_covering(pc, eps, 3 if cov_fits(pc, eps, 3) else 2)
-            node = build_solver(full_box(1), pc, cov, eps, 1, f)
+            node = execute_scale(pc, cov, eps, 1, f, DEFAULT_BUDGET, 1, [eps], {})[0]
             bars = persistence_barcode(range(n), pc, eps, 1, f)
             for dim in (0, 1):
                 assert node.betti(dim) == betti_at_scale(bars, dim, eps)
@@ -248,7 +249,7 @@ class TestExactnessProperties:
             pc = random_cloud(rng, 25, 2)
             eps = distance_quantile(pc, 0.25)
             cov = build_covering(pc, eps, 2)
-            node = build_solver(full_box(2), pc, cov, eps, 1, f)
+            node = execute_scale(pc, cov, eps, 1, f, DEFAULT_BUDGET, 1, [eps], {})[0]
             assert isinstance(node, MVNodeSolver)
             assert all(isinstance(c, MVNodeSolver) for c in node.pieces)
             leaf = build_leaf(range(25), pc, eps, 1, f)
@@ -276,7 +277,7 @@ class TestExactnessProperties:
         pc = PointCloud([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         f = PrimeField(p)
         cov = build_covering(pc, 1.0, [2, 1])
-        node = build_solver(full_box(2), pc, cov, 1.0, 1, f)
+        node = execute_scale(pc, cov, 1.0, 1, f, DEFAULT_BUDGET, 1, [1.0], {})[0]
         leaf = build_leaf(range(4), pc, 1.0, 1, f)
         assert node.betti_all() == leaf.betti_all() == [1, 1]
         edges = leaf.complex.simplices[1]

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvbetti.core import Chain, PointCloud, PrimeField, chain_boundary
-from mvbetti.reduction import (betti_at_scale, build_leaf, persistence_barcode,
-                               reduce_columns)
+from mvbetti.reduction import (as_dict, betti_at_scale, build_leaf, combine,
+                               eliminate, persistence_barcode, reduce_columns)
 from mvbetti.rips import boundary_matrix, enumerate_complex
 
 from conftest import (HEX_POINTS, TETRA_POINTS, TETRA_SIDE, UNIT_SQUARE,
@@ -40,14 +40,14 @@ class TestReduce:
         red = reduce_columns(4, [{}, {}, {}], f)
         assert red.rank == 0
         for j in range(3):
-            assert red.r_dict(j) == {}
-            assert red.v_dict(j) == {j: 1}
+            assert as_dict(red.r[j]) == {}
+            assert as_dict(red.v[j]) == {j: 1}
 
     def test_single_edge_already_reduced(self):
         f = PrimeField(2)
         red = reduce_columns(2, [{0: 1, 1: 1}], f)
         assert red.rank == 1
-        assert red.r_dict(0) == {0: 1, 1: 1}
+        assert as_dict(red.r[0]) == {0: 1, 1: 1}
 
     def test_unit_square_rank(self):
         pc = PointCloud(UNIT_SQUARE)
@@ -66,8 +66,8 @@ class TestReduce:
             cols = random_sparse_columns(rng, nrows, ncols, p)
             red = reduce_columns(nrows, cols, f)
             D = dense_of_columns(nrows, cols, p)
-            V = dense_of_columns(ncols, [red.v_dict(j) for j in range(ncols)], p)
-            R = dense_of_columns(nrows, [red.r_dict(j) for j in range(ncols)], p)
+            V = dense_of_columns(ncols, [as_dict(red.v[j]) for j in range(ncols)], p)
+            R = dense_of_columns(nrows, [as_dict(red.r[j]) for j in range(ncols)], p)
             assert np.array_equal((D @ V) % p, R)
 
     @pytest.mark.parametrize("p", [2, 5])
@@ -77,7 +77,7 @@ class TestReduce:
         cols = random_sparse_columns(rng, 8, 10, p)
         red = reduce_columns(8, cols, f)
         for j in range(10):
-            v = red.v_dict(j)
+            v = as_dict(red.v[j])
             assert v.get(j) == 1
             assert all(r <= j for r in v)
 
@@ -141,11 +141,11 @@ class TestReduceAgainstNaive:
         red = reduce_columns(nrows, cols, PrimeField(p), keep_v=keep_v)
         pivots, R, V = naive_reduce(cols, p)
         assert red.pivots == pivots
-        assert [red.r_dict(j) for j in range(len(cols))] == R
+        assert [as_dict(red.r[j]) for j in range(len(cols))] == R
         if not keep_v:
             assert red.v is None
             return
-        assert [red.v_dict(j) for j in range(len(cols))] == V
+        assert [as_dict(red.v[j]) for j in range(len(cols))] == V
         D = dense_of_columns(nrows, cols, p)
         Vd = dense_of_columns(len(cols), V, p)
         assert np.array_equal((D @ Vd) % p, dense_of_columns(nrows, R, p))
@@ -158,6 +158,50 @@ class TestReduceAgainstNaive:
         a = reduce_columns(nrows, cols, PrimeField(2))
         b = reduce_columns(nrows, bits, PrimeField(2))
         assert a.pivots == b.pivots and a.r == b.r and a.v == b.v
+
+
+@st.composite
+def elimination_cases(draw):
+    """(p, nrows, table columns keyed by their lowest row, column) as dicts."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    nrows = draw(st.integers(1, 14))
+    residue = st.integers(1, p - 1)
+    table = {}
+    for low in sorted(draw(st.sets(st.integers(0, nrows - 1)))):
+        col = draw(st.dictionaries(st.integers(0, low - 1), residue)) if low else {}
+        col[low] = draw(residue)
+        table[low] = col
+    col = draw(st.dictionaries(st.integers(0, nrows - 1), residue))
+    return p, nrows, table, col
+
+
+class TestEliminate:
+    @settings(max_examples=300, deadline=None)
+    @given(elimination_cases())
+    def test_input_is_remainder_plus_used_columns(self, case):
+        p, nrows, cols, col = case
+        native = (lambda c: sum(1 << r for r in c)) if p == 2 else dict
+        table = {low: (native(c), ("col", low)) for low, c in cols.items()}
+        before = dict(col)
+        rest, used = eliminate(col, table, p)
+        assert col == before
+        rest = as_dict(rest)
+        assert not set(rest) & set(table)
+        tags = [tag for tag, _ in used]
+        assert len(tags) == len(set(tags))
+
+        def dense(c):
+            return dense_of_columns(nrows, [c], p)[:, 0]
+
+        total = dense(rest)
+        for (_, low), c in used:
+            assert 0 < c < p
+            total = total + c * dense(cols[low])
+        assert np.array_equal(total % p, dense(col))
+        spent = combine([(table[low][0], c) for (_, low), c in used], p)
+        assert np.array_equal(dense(as_dict(spent)), (dense(col) - dense(rest)) % p)
+        if p == 2:
+            assert eliminate(native(col), table, p) == eliminate(col, table, p)
 
 
 class TestLeafSolver:
@@ -290,18 +334,6 @@ class TestBarcode:
         h1 = [b for b in bars if b.dim == 1]
         assert len(h1) == 1
         assert h1[0].birth == 1.0 and h1[0].death is None
-
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_clearing_gives_identical_bars(self, p):
-        rng = np.random.default_rng(800 + p)
-        for trial in range(10):
-            d = [1, 2, 3][trial % 3]
-            n = int(rng.integers(6, 30))
-            pc = random_cloud(rng, n, d)
-            eps = distance_quantile(pc, 0.35)
-            plain = persistence_barcode(range(n), pc, eps, 1, p)
-            cleared = persistence_barcode(range(n), pc, eps, 1, p, clearing=True)
-            assert plain == cleared
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_barcode_matches_leaf_betti(self, p):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvbetti.core import PointCloud, boundary
-from mvbetti.reduction import _BitOps
+from mvbetti.reduction import as_dict
 from mvbetti.rips import BudgetExceededError, boundary_matrix, enumerate_complex
 
 from conftest import (TETRA_POINTS, TETRA_SIDE, UNIT_SQUARE,
@@ -130,7 +130,7 @@ class TestEnumerateProperties:
 
 def dict_columns(cols):
     """Boundary columns as {row: coefficient} dicts; p = 2 columns are bitsets."""
-    return [_BitOps.to_dict(c) if type(c) is int else c for c in cols]
+    return [as_dict(c) for c in cols]
 
 
 class TestBoundaryMatrix:
