@@ -11,7 +11,7 @@ enforced at construction from k = 3 on (two cells have no non-adjacent pair).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -133,14 +133,13 @@ def _build_axis(axis: int, a: float, extent: float, k: int, eps: float) -> AxisI
     return AxisIntervals(axis, a, extent, k, eps, cells, overlaps)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridCovering:
     """Per-axis interval structure for one cloud at one top scale."""
 
     eps: float
     axes: tuple  # tuple[AxisIntervals, ...]
     extent: float
-    _point_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
@@ -158,10 +157,6 @@ class GridCovering:
 
     def points_in_box(self, cloud: PointCloud, box: Box) -> np.ndarray:
         """Sorted global indices of cloud points inside a box (closed intervals)."""
-        key = box
-        cached = self._point_cache.get(key)
-        if cached is not None:
-            return cached
         mask = np.ones(cloud.n, dtype=bool)
         for ax, sel in zip(self.axes, box):
             iv = ax.interval(sel)
@@ -171,7 +166,6 @@ class GridCovering:
             mask &= (col >= iv[0]) & (col <= iv[1])
         idx = np.nonzero(mask)[0]
         idx.setflags(write=False)
-        self._point_cache[key] = idx
         return idx
 
 

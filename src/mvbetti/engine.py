@@ -1,19 +1,19 @@
-"""Full workflow: recursive grid decomposition, concurrent leaf jobs, assembly.
+"""Full workflow: recursive grid decomposition, concurrent leaf builds, assembly.
 
 A box with a full axis splits along its first full axis into cell pieces and
 overlap boxes; boxes with no full axis are leaves solved by direct reduction.
-The box tree is executed as a job DAG by a bounded thread pool (all shared
-state is immutable; the only synchronization point is job completion), one
-pass per scale, and Betti numbers are read off each pass's root solver.  The
-first pass enumerates and reduces every leaf once for all scales; later
-passes take per-scale views of those reductions.
+Each leaf is enumerated and reduced once per run, for every requested scale,
+by a bounded thread pool (all shared state is immutable).  Per scale, the box
+tree is then walked on the calling thread, children before parents: leaves
+take their view at that scale, nodes assemble, and Betti numbers are read off
+the root solver.  Later scales start no threads.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 from .core import PointCloud, PrimeField
@@ -34,12 +34,10 @@ class JobError(RuntimeError):
 
 @dataclass
 class Job:
-    """One unit of work in the per-scale DAG (a forest mirroring the boxes)."""
+    """One box of the recursion: a leaf region or a node over its children."""
 
     box: tuple
     kind: str                 # "leaf" | "node"
-    deps: tuple               # child boxes; empty for leaves
-    axis: int = -1            # split axis for nodes
     pieces: tuple = ()
     overlaps: tuple = ()
 
@@ -57,7 +55,7 @@ def plan_jobs(covering: GridCovering):
     """(box -> Job map, root box) for the whole recursion.
 
     Boxes are resolved through trivial one-cell splits, so the recursion tree
-    contains no single-piece nodes.
+    contains no single-piece nodes.  Every box is inserted after its children.
     """
     jobs = {}
 
@@ -66,100 +64,64 @@ def plan_jobs(covering: GridCovering):
         if box in jobs:
             return box
         if sp is None:
-            jobs[box] = Job(box=box, kind="leaf", deps=())
+            jobs[box] = Job(box=box, kind="leaf")
             return box
         pieces = tuple(visit(b) for b in sp.pieces)
         overlaps = tuple(visit(b) for b in sp.overlaps)
-        jobs[box] = Job(box=box, kind="node", deps=pieces + overlaps,
-                        axis=sp.axis, pieces=pieces, overlaps=overlaps)
+        jobs[box] = Job(box=box, kind="node", pieces=pieces, overlaps=overlaps)
         return box
 
     root = visit(full_box(covering.dim))
     return jobs, root
 
 
-def _run_job(job: Job, inputs, cloud, covering, scale, scales, n_max, field, budget):
-    """(solver, seconds) for one job.  inputs is (pieces, overlaps) for a node;
-    for a leaf, its reduction from an earlier scale of the run, or None to
-    build it, in which case the one-off build is left out of the seconds."""
-    start = time.perf_counter()
-    if job.kind == "node":
-        pieces, overlaps = inputs
-        solver = assemble(pieces, overlaps, n_max, field, scale)
-        return solver, time.perf_counter() - start
-    if inputs is not None:
-        return inputs.view(scale), time.perf_counter() - start
-    pts = covering.points_in_box(cloud, job.box)
-    solver = build_leaf(pts, cloud, scale, n_max, field, budget, scales=scales)
-    return solver, time.perf_counter() - start - solver.reduction.seconds
-
-
 def execute_scale(cloud, covering, scale, n_max, field, budget, workers, scales, leaves):
-    """Run one scale's DAG with at most `workers` concurrent jobs.
+    """(root solver, {"leaf"|"node": summed step seconds}) of one scale.
 
-    A leaf missing from `leaves` (box -> reduction, shared by the calls of
-    one run) is enumerated and reduced once for every scale in `scales` and
-    added to it; a leaf found there only takes its view at `scale`.
-    Returns (root solver, per-box solver map, stats dict).  Results are
-    independent of worker count: assembly consumes children in a fixed order
-    and all arithmetic is exact.
+    Leaves missing from `leaves` (box -> reduction, shared by the calls of
+    one run) are built in sorted box order by at most `workers` threads,
+    each enumerated and reduced once for every scale in `scales`, and added
+    to it; the first of them to fail in that order cancels the rest.  The
+    box tree is then walked on the calling thread.  Results are independent
+    of worker count: assembly consumes children in a fixed order and all
+    arithmetic is exact.
     """
     jobs, root = plan_jobs(covering)
-    for box, j in jobs.items():
-        if j.kind == "leaf" and box not in leaves:
-            covering.points_in_box(cloud, box)  # warm the cache on this thread
-    blocked = {box: set(j.deps) for box, j in jobs.items()}
-    dependents = {}
-    for box, j in jobs.items():
-        for d in j.deps:
-            dependents.setdefault(d, []).append(box)
-    results = {}
-    stats = {"leaf_seconds": 0.0, "assembly_seconds": 0.0,
-             "leaf_count": 0, "max_leaf_points": 0, "max_complex_size": 0}
-
-    ready = sorted(box for box, deps in blocked.items() if not deps)
-
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        in_flight = {}
-        while ready or in_flight:
-            while ready:
-                box = ready.pop(0)
-                job = jobs[box]
-                if job.kind == "node":
-                    inputs = ([results[b] for b in job.pieces],
-                              [results[b] for b in job.overlaps])
-                else:
-                    inputs = leaves.get(box)
-                fut = pool.submit(_run_job, job, inputs, cloud, covering,
-                                  scale, scales, n_max, field, budget)
-                in_flight[fut] = box
-            done, _ = wait(list(in_flight), return_when=FIRST_COMPLETED)
-            for fut in sorted(done, key=lambda f: in_flight[f]):
-                box = in_flight.pop(fut)
+    missing = sorted(box for box, j in jobs.items()
+                     if j.kind == "leaf" and box not in leaves)
+    built = {}
+    if missing:
+        # Point sets first: computed between submissions, they would wait on
+        # the interpreter lock behind running builds.
+        points = [covering.points_in_box(cloud, box) for box in missing]
+        pool = ThreadPoolExecutor(max_workers=max(1, workers))
+        try:
+            futures = [pool.submit(build_leaf, pts, cloud, scale, n_max, field,
+                                   budget, scales=scales) for pts in points]
+            for box, fut in zip(missing, futures):
                 try:
-                    solver, elapsed = fut.result()
+                    built[box] = fut.result()
                 except Exception as exc:
-                    for other in in_flight:
-                        other.cancel()
                     raise JobError(box, exc) from exc
-                results[box] = solver
-                job = jobs[box]
-                if job.kind == "leaf":
-                    leaves[box] = solver.reduction
-                    stats["leaf_seconds"] += elapsed
-                    stats["leaf_count"] += 1
-                    stats["max_leaf_points"] = max(stats["max_leaf_points"],
-                                                   len(solver.points))
-                    stats["max_complex_size"] = max(stats["max_complex_size"],
-                                                    solver.complex.total())
-                else:
-                    stats["assembly_seconds"] += elapsed
-                for parent in dependents.get(box, ()):
-                    blocked[parent].discard(box)
-                    if not blocked[parent]:
-                        ready.append(parent)
-                ready.sort()
-    return results[root], results, stats
+                leaves[box] = built[box].reduction
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+    solvers = {}
+    seconds = {"leaf": 0.0, "node": 0.0}
+    for box, job in jobs.items():  # children before parents
+        start = time.perf_counter()
+        try:
+            if job.kind == "node":
+                solvers[box] = assemble([solvers[b] for b in job.pieces],
+                                        [solvers[b] for b in job.overlaps],
+                                        n_max, field, scale)
+            else:
+                solvers[box] = built[box] if box in built else leaves[box].view(scale)
+        except Exception as exc:
+            raise JobError(box, exc) from exc
+        seconds[job.kind] += time.perf_counter() - start
+    return solvers[root], seconds
 
 
 # ---------------------------------------------------------------------------
@@ -258,25 +220,20 @@ def run(cloud, eps, scales, n_max=1, field=2, workers=None, grid=None,
     roots = {}
     diag_ranks = {}
     timings_scales = {}
-    leaf_count = 0
-    max_leaf_points = 0
-    max_complex = 0
     leaves = {}
     scales_eff = [s + slack for s in scales]
     for s in scales:
-        root, _, stats = execute_scale(cloud, covering, s + slack, n_max, field,
-                                       budget, workers, scales_eff, leaves)
+        root, seconds = execute_scale(cloud, covering, s + slack, n_max, field,
+                                      budget, workers, scales_eff, leaves)
         per_scale.append(ScaleResult(scale=s, betti=root.betti_all()))
         if keep_solvers:
             roots[s] = root
         diag_ranks[_scale_key(s)] = _collect_ranks(root)
         timings_scales[_scale_key(s)] = {
-            "leaves_ms": stats["leaf_seconds"] * 1000.0,
-            "assembly_ms": stats["assembly_seconds"] * 1000.0,
+            "leaves_ms": seconds["leaf"] * 1000.0,
+            "assembly_ms": seconds["node"] * 1000.0,
         }
-        leaf_count = stats["leaf_count"]
-        max_leaf_points = max(max_leaf_points, stats["max_leaf_points"])
-        max_complex = max(max_complex, stats["max_complex_size"])
+    max_complex = max(red.complex.total() for red in leaves.values())
 
     if budget and max_complex > 0.8 * budget:
         warnings.append(
@@ -285,8 +242,8 @@ def run(cloud, eps, scales, n_max=1, field=2, workers=None, grid=None,
         )
 
     diagnostics = {
-        "leaf_count": leaf_count,
-        "max_leaf_points": max_leaf_points,
+        "leaf_count": len(leaves),
+        "max_leaf_points": max(len(red.complex.points) for red in leaves.values()),
         "max_complex_size": max_complex,
         "ranks_f": diag_ranks,
         "timings_ms": {

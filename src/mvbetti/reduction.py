@@ -19,7 +19,6 @@ columns, and as_dict decodes a column of either representation.
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left
 from itertools import accumulate
 from typing import NamedTuple
@@ -263,7 +262,6 @@ class LeafReduction:
 
     def __init__(self, points, cloud: PointCloud, scales, n_max: int,
                  field: PrimeField, budget: int = DEFAULT_BUDGET):
-        t0 = time.perf_counter()
         self.cloud = cloud
         self.scales = sorted(set(float(s) for s in scales))
         self.n_max = n_max
@@ -304,7 +302,6 @@ class LeafReduction:
             else:
                 zero = [(j, red.v[j]) for j in range(red.ncols) if not red.r[j]]
             self.cycles.append([(i, kill.get(i), col) for i, col in zero])
-        self.seconds = time.perf_counter() - t0
 
     def view(self, scale: float) -> "LeafSolver":
         return LeafSolver(self, scale)

@@ -215,6 +215,18 @@ class TestMainExitCodes:
         assert err.startswith("error: ") and "injected leaf invariant failure" in err
         assert "Traceback" not in err
 
+    def test_consistency_error_in_assembly_exits_5(self, tmp_path, capsys, monkeypatch):
+        def broken_assemble(*args, **kwargs):
+            raise ConsistencyError("injected assembly invariant failure")
+
+        monkeypatch.setattr(mvbetti.engine, "assemble", broken_assemble)
+        csv = write_hexagon_csv(tmp_path / "hex.csv")
+        assert main([csv] + HEX_ARGS) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: job for box")
+        assert "injected assembly invariant failure" in err
+        assert "Traceback" not in err
+
     def test_bare_consistency_error_exits_5(self, tmp_path, capsys, monkeypatch):
         def broken_run(*args, **kwargs):
             raise ConsistencyError("injected covering invariant failure")

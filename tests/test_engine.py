@@ -1,9 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
 from mvbetti import engine
 from mvbetti.cli import report_to_dict
-from mvbetti.core import PointCloud
+from mvbetti.core import ConsistencyError, PointCloud
 from mvbetti.covering import build_covering, cell, full_box
 from mvbetti.engine import (JobError, attach_verification, execute_scale, plan_jobs,
                             run)
@@ -61,6 +63,81 @@ class TestBuildSolver:
         assert len(jobs[root].pieces) == 2
         leaves = [j for j in jobs.values() if j.kind == "leaf"]
         assert len(leaves) == 3 == cov.leaf_count()
+
+
+class TestFailures:
+    """A failed job surfaces as JobError naming its box, whatever the worker count."""
+
+    @staticmethod
+    def _grid_cloud():
+        # 20x20 unit grid, 3 cells per axis: 25 leaves, every one with its own
+        # nonempty point set, so a patched build_leaf can tell them apart.
+        pc = PointCloud(np.array([[x, y] for x in range(20) for y in range(20)],
+                                 dtype=float))
+        cov = build_covering(pc, 1.0, 3)
+        jobs, _ = plan_jobs(cov)
+        boxes = sorted(b for b, j in jobs.items() if j.kind == "leaf")
+        keys = [tuple(cov.points_in_box(pc, b)) for b in boxes]
+        assert len(boxes) == cov.leaf_count() == 25
+        assert len(set(keys)) == len(keys) and all(keys)
+        return pc, cov, boxes, keys
+
+    @staticmethod
+    def _failing_build(monkeypatch, delays):
+        """Patch build_leaf to raise, after the given delay in seconds, for
+        the point sets keyed in `delays`; returns the list of point sets it
+        was entered with."""
+        real = engine.build_leaf
+        entered = []
+
+        def flaky(points, *args, **kwargs):
+            key = tuple(points)
+            entered.append(key)
+            if key in delays:
+                time.sleep(delays[key])
+                raise RuntimeError(f"injected failure for {len(key)} points")
+            time.sleep(0.01)  # gives the caller time to cancel queued builds
+            return real(points, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "build_leaf", flaky)
+        return entered
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_first_failing_leaf_in_sorted_order_is_reported(self, monkeypatch, workers):
+        # The earlier box fails last in time whenever builds overlap.
+        pc, cov, boxes, keys = self._grid_cloud()
+        self._failing_build(monkeypatch, {keys[6]: 0.2, keys[17]: 0.0})
+        for _ in range(3):
+            with pytest.raises(JobError) as ei:
+                execute_scale(pc, cov, 1.0, 1, 2, DEFAULT_BUDGET, workers, [1.0], {})
+            assert ei.value.box == boxes[6]
+            assert isinstance(ei.value.__cause__, RuntimeError)
+
+    def test_failed_leaf_cancels_queued_builds(self, monkeypatch):
+        pc, cov, boxes, keys = self._grid_cloud()
+        entered = self._failing_build(monkeypatch, {keys[0]: 0.0})
+        leaves = {}
+        with pytest.raises(JobError) as ei:
+            execute_scale(pc, cov, 1.0, 1, 2, DEFAULT_BUDGET, 1, [1.0], leaves)
+        assert ei.value.box == boxes[0]
+        assert entered[0] == keys[0]
+        assert len(entered) < cov.leaf_count()
+        assert not leaves
+
+    def test_assembly_failure_names_the_first_node_box(self, monkeypatch):
+        def broken_assemble(*args, **kwargs):
+            raise ConsistencyError("injected assembly failure")
+
+        monkeypatch.setattr(engine, "assemble", broken_assemble)
+        pc = PointCloud(HEX_POINTS)
+        cov = build_covering(pc, 1.0, 2)
+        jobs, _ = plan_jobs(cov)
+        first_node = next(b for b, j in jobs.items() if j.kind == "node")
+        for workers in (1, 2):
+            with pytest.raises(JobError) as ei:
+                execute_scale(pc, cov, 1.0, 1, 2, DEFAULT_BUDGET, workers, [1.0], {})
+            assert ei.value.box == first_node
+            assert isinstance(ei.value.__cause__, ConsistencyError)
 
 
 class TestRun:
