@@ -9,12 +9,15 @@ divide-and-conquer path.
 
 Columns are native Python values: int bitsets (bit r = row r) at p = 2,
 where column addition is one XOR, and {row: nonzero residue} dicts
-otherwise.  All elimination goes through two routines, each one loop per
-representation: reduce_columns reduces a matrix left to right, and
-eliminate reduces one column against a table of columns with distinct
-lowest rows, the step behind every coords/bound query of a region and the
-Mayer-Vietoris kernel and cokernel.  combine forms linear combinations of
-columns, and as_dict decodes a column of either representation.
+otherwise.  Elimination goes through three routines: reduce_columns
+reduces a matrix left to right, one loop per representation;
+cohomology_pairs finds the pivot pairs of a boundary matrix from the
+coboundary columns, so that a region reduces only the top-dimension
+columns it reads; and eliminate reduces one column against a table of
+columns with distinct lowest rows, the step behind every coords/bound
+query of a region and the Mayer-Vietoris kernel and cokernel.  combine
+forms linear combinations of columns, and as_dict decodes a column of
+either representation.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .core import Chain, ConsistencyError, PointCloud, PrimeField, chain_boundary
-from .rips import DEFAULT_BUDGET, boundary_matrix, enumerate_complex
+from .rips import (DEFAULT_BUDGET, boundary_matrix, enumerate_complex, facet_rows,
+                   facet_signs)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +133,10 @@ class ReducedPair:
 
     V is invertible upper-triangular; distinct nonzero columns of R have
     distinct lowest nonzero rows, recorded in pivots (low row -> column).
-    Columns of R and V are native (bitsets at p = 2, dicts otherwise).
+    r and v hold the columns of R and V by column index: lists when the
+    ncols columns were given as a list, {column index: column} dicts when
+    they were given as one.  Columns are native (bitsets at p = 2, dicts
+    otherwise).
     """
 
     __slots__ = ("nrows", "ncols", "field", "r", "v", "pivots")
@@ -150,28 +157,35 @@ class ReducedPair:
 def reduce_columns(nrows, columns, field: PrimeField, keep_v: bool = True) -> ReducedPair:
     """Left-to-right column reduction of a sparse matrix over Z/p.
 
-    columns is a list of {row: nonzero residue} dicts; at p = 2 a column may
-    also be an int bitset (bit r = row r).  While a column shares its lowest
-    nonzero row with an earlier column, the appropriate multiple of that
-    earlier column is subtracted; V records the operations.  Deterministic
-    given the column order.
+    columns is a list of {row: nonzero residue} dicts, or a {column index:
+    column} dict in ascending index order standing for a matrix whose other
+    columns are zero: those get no R or V entry and cost nothing.  At p = 2
+    a column may also be an int bitset (bit r = row r).  While a column
+    shares its lowest nonzero row with an earlier column, the appropriate
+    multiple of that earlier column is subtracted; V records the operations.
+    Deterministic given the column order.
     """
-    if field.p == 2:
-        R, V, pivots = _reduce_bits(columns, keep_v)
+    n = len(columns)
+    if type(columns) is dict:
+        items, R, V = columns.items(), {}, {} if keep_v else None
     else:
-        R, V, pivots = _reduce_dicts(columns, field, keep_v)
-    return ReducedPair(nrows, len(columns), field, R, V, pivots)
+        items, R, V = enumerate(columns), [None] * n, [None] * n if keep_v else None
+    if field.p == 2:
+        pivots = _reduce_bits(items, R, V)
+    else:
+        pivots = _reduce_dicts(items, R, V, field)
+    return ReducedPair(nrows, n, field, R, V, pivots)
 
 
-def _reduce_bits(columns, keep_v):
-    """The Z/2 loop: lowest row is the top bit, column addition is XOR."""
-    R = [c if type(c) is int else _bits(c) for c in columns]
-    V = [1 << j for j in range(len(R))] if keep_v else None
+def _reduce_bits(items, R, V):
+    """The Z/2 loop: lowest row is the top bit, column addition is XOR.
+    Fills R and V (None when V is not kept) and returns the pivots."""
+    keep_v = V is not None
     pivots = {}
-    for j, col in enumerate(R):
-        if not col:
-            continue
-        v = V[j] if keep_v else 0
+    for j, col in items:
+        if type(col) is not int:
+            col = _bits(col)
+        v = 1 << j if keep_v else 0
         while col:
             l = col.bit_length() - 1
             k = pivots.get(l)
@@ -184,20 +198,20 @@ def _reduce_bits(columns, keep_v):
         R[j] = col
         if keep_v:
             V[j] = v
-    return R, V, pivots
+    return pivots
 
 
-def _reduce_dicts(columns, field, keep_v):
+def _reduce_dicts(items, R, V, field):
     """The odd-p loop over dict columns.  Each pivot column stores the
     negated inverse of its lowest coefficient once, so a step costs one
     multiplication plus the inlined axpy."""
     p = field.p
-    R = [dict(c) for c in columns]
-    V = [{j: 1} for j in range(len(R))] if keep_v else None
+    keep_v = V is not None
     pivots = {}
     neg_inv = {}    # pivot column -> -(lowest coefficient)^-1 mod p
-    for j, col in enumerate(R):
-        v = V[j] if keep_v else None
+    for j, col in items:
+        col = dict(col)
+        v = {j: 1} if keep_v else None
         while col:
             l = max(col)
             k = pivots.get(l)
@@ -219,7 +233,64 @@ def _reduce_dicts(columns, field, keep_v):
                         v[r] = y
                     else:
                         del v[r]
-    return R, V, pivots
+        R[j] = col
+        if keep_v:
+            V[j] = v
+    return pivots
+
+
+def cohomology_pairs(cx, q: int, field: PrimeField, clear=()):
+    """Pivot pairs of D_q, found by reducing the coboundary columns of the
+    (q-1)-simplices instead of the boundary columns of the q-simplices.
+
+    Returns {(q-1)-simplex: q-simplex}, equal to the pivots of
+    reduce_columns over all of boundary_matrix(cx, q, p): homology and
+    cohomology have the same pairs (de Silva, Morozov & Vejdemo-Johansson,
+    "Dualities in persistent (co)homology", 2011).  The coboundary column of
+    a (q-1)-simplex holds its cofaces with their boundary coefficients; the
+    columns are reduced in descending simplex order, and a column's pivot is
+    its earliest coface.  Most columns keep the earliest coface of their
+    unreduced coboundary as pivot and need no addition (Bauer, "Ripser",
+    2021).  Simplices in clear, the pivot columns of D_{q-1}, are skipped:
+    their coboundary columns reduce to zero.
+    """
+    p = field.p
+    # One pass over level q: cofaces enter each column in ascending order,
+    # so a column's first key is its earliest coface.
+    cob = [{} for _ in range(cx.count(q - 1))]
+    signs = facet_signs(q, p)
+    rows = facet_rows(cx, q)
+    for i in range(cx.count(q)):
+        for c in signs:
+            cob[next(rows)][i] = c
+
+    pairs = {}
+    table = {}      # pivot coface -> column
+    for i in range(len(cob) - 1, -1, -1):
+        col = cob[i]
+        if not col or i in clear:
+            continue
+        low = next(iter(col))
+        src = table.get(low)
+        if src is not None:
+            col = dict(col)
+            while src is not None:
+                c = (-col[low] * field.inv(src[low])) % p
+                for r, x in src.items():
+                    y = (col.get(r, 0) + c * x) % p
+                    if y:
+                        col[r] = y
+                    else:
+                        del col[r]
+                if not col:
+                    break
+                low = min(col)
+                src = table.get(low)
+            if not col:
+                continue
+        pairs[i] = low
+        table[low] = col
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +325,17 @@ class LeafReduction:
     The complex is enumerated once at the top scale and its levels are
     ordered by scale bucket, so left-to-right reduction of each boundary
     matrix is also a reduction of every prefix, i.e. of the complex at every
-    requested scale.  Dimensions are reduced top-down with clearing: a
-    q-simplex that is the pivot row of some reduced (q+1)-column R_k is a
-    cycle, so its column is not reduced and takes V_j := R_k, whose lowest
-    row is j.  view(scale) reads a LeafSolver off the shared columns.
+    requested scale.  Pairs come first: cohomology_pairs finds the pivot
+    pairs of D_1, ..., D_{n_max+1} in ascending dimension, each level
+    cleared by the pivot columns of the level below.  The top matrix is then
+    built and reduced only at its pivot columns: the views read only those,
+    and a column that reduces to zero is never added to another, so their R
+    and V equal those of a full reduction.  The lower dimensions are reduced
+    top-down with clearing: a q-simplex that is the pivot row of some reduced
+    (q+1)-column R_k is a cycle, its column is not built, and R_k is its
+    cycle column.  Every reduction must reproduce the pairs found first, or
+    ConsistencyError is raised.  view(scale) reads a LeafSolver off the
+    shared columns.
     """
 
     def __init__(self, points, cloud: PointCloud, scales, n_max: int,
@@ -266,25 +344,34 @@ class LeafReduction:
         self.scales = sorted(set(float(s) for s in scales))
         self.n_max = n_max
         self.field = field
-        cx = enumerate_complex(points, cloud, self.scales[-1], n_max + 1, budget)
+        top = n_max + 1
+        cx = enumerate_complex(points, cloud, self.scales[-1], top, budget)
         self.complex = cx
         self.prefix = _order_by_bucket(cx, self.scales)
 
-        # Per dimension q >= 1: reduced D_q and its (column, low row) pivot
-        # pairs in ascending column order.
+        pairs = {0: {}}     # q -> {(q-1)-simplex: q-simplex}; D_0 = 0
+        for q in range(1, top + 1):
+            pairs[q] = cohomology_pairs(cx, q, field, set(pairs[q - 1].values()))
+
+        # Per dimension q >= 1: reduced D_q, keyed by the columns built, and
+        # its (column, low row) pivot pairs in ascending column order.
         self.reduced = {}
         self.pivot_pairs = {}
         killers = {}
-        for q in range(n_max + 1, 0, -1):
-            red = None
-            if cx.count(q):
-                nrows, cols = boundary_matrix(cx, q, field.p, skip=killers)
-                red = reduce_columns(nrows, cols, field, keep_v=True)
-                up = self.reduced.get(q + 1)
-                for j, k in killers.items():
-                    red.v[j] = up.r[k]
+        for q in range(top, 0, -1):
+            if q == top:
+                built = sorted(pairs[q].values())
+            else:
+                built = [j for j in range(cx.count(q)) if j not in killers]
+            nrows, cols = boundary_matrix(cx, q, field.p, built)
+            red = reduce_columns(nrows, dict(zip(built, cols)), field, keep_v=True)
+            if red.pivots != pairs[q]:
+                raise ConsistencyError(
+                    f"reduced D_{q} pivots differ from its cohomology pairs "
+                    f"({len(red.pivots)} vs {len(pairs[q])})"
+                )
             self.reduced[q] = red
-            killers = red.pivots if red is not None else {}
+            killers = red.pivots
             self.pivot_pairs[q] = [(j, l) for l, j in killers.items()]
 
         # Per dimension n: (row, killer column or None, cycle column) for
@@ -292,16 +379,16 @@ class LeafReduction:
         self.cycles = []
         for n in range(n_max + 1):
             up = self.reduced[n + 1]
-            kill = up.pivots if up is not None else {}
-            red = self.reduced.get(n)
-            if n == 0:
-                zero = [(i, 1 << i if field.p == 2 else {i: 1})
-                        for i in range(cx.count(0))]
-            elif red is None:
-                zero = []
-            else:
-                zero = [(j, red.v[j]) for j in range(red.ncols) if not red.r[j]]
-            self.cycles.append([(i, kill.get(i), col) for i, col in zero])
+            zero = []
+            for j in range(cx.count(n)):
+                k = up.pivots.get(j)
+                if n == 0:
+                    zero.append((j, k, 1 << j if field.p == 2 else {j: 1}))
+                elif k is not None:
+                    zero.append((j, k, up.r[k]))
+                elif not self.reduced[n].r[j]:
+                    zero.append((j, None, self.reduced[n].v[j]))
+            self.cycles.append(zero)
 
     def view(self, scale: float) -> "LeafSolver":
         return LeafSolver(self, scale)

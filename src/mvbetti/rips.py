@@ -9,6 +9,8 @@ lexicographic order).
 
 from __future__ import annotations
 
+from itertools import chain, combinations, repeat
+
 import numpy as np
 
 from .core import Chain, PointCloud
@@ -145,30 +147,49 @@ def enumerate_complex(
     return RipsComplex(tuple(pts), scale, max_dim, simplices, diameters)
 
 
-def boundary_matrix(cx: RipsComplex, q: int, p: int, skip=()):
+def facet_rows(cx: RipsComplex, q: int, simplices=None):
+    """Iterator over the (q-1)-level indices of the facets of q-simplices.
+
+    Yields q + 1 indices per simplex of simplices (default: all of level
+    q), in the order of facet_signs(q, p).
+    """
+    if simplices is None:
+        simplices = cx.simplices[q]
+    # combinations() drops the last vertex first.
+    return map(cx.index[q - 1].__getitem__,
+               chain.from_iterable(map(combinations, simplices, repeat(q))))
+
+
+def facet_signs(q: int, p: int):
+    """Boundary coefficients over Z/p of the facets in facet_rows order: the
+    m-th facet drops vertex q - m, so its sign is (-1)^(q - m)."""
+    return [p - 1 if (q - m) % 2 else 1 for m in range(q + 1)]
+
+
+def boundary_matrix(cx: RipsComplex, q: int, p: int, columns=None):
     """Sparse boundary matrix from q-simplices to (q-1)-simplices over Z/p.
 
     Returns (nrows, columns) with the columns in reduce_columns' own
     representation: int bitsets (bit r = row r) at p = 2, {row: coefficient}
     dicts otherwise.  Column j holds the alternating-sign faces of the j-th
-    q-simplex; columns whose index is in skip are left empty without being
-    built.
+    q-simplex.  With columns, a list of q-simplex indices, only those
+    columns are built, in that order.
     """
     if q < 1 or q > cx.max_dim:
         raise ValueError(f"boundary dimension {q} out of range 1..{cx.max_dim}")
-    rows = cx.index[q - 1]
-    columns = []
-    minus = p - 1
-    for j, s in enumerate(cx.simplices[q]):
-        if p == 2:
+    level = cx.simplices[q]
+    if columns is not None:
+        level = [level[j] for j in columns]
+    rows = facet_rows(cx, q, level)
+    out = []
+    if p == 2:
+        for _ in level:
             col = 0
-            if j not in skip:
-                for i in range(q + 1):
-                    col |= 1 << rows[s[:i] + s[i + 1:]]
-        else:
-            col = {}
-            if j not in skip:
-                for i in range(q + 1):
-                    col[rows[s[:i] + s[i + 1:]]] = minus if i % 2 else 1
-        columns.append(col)
-    return len(cx.simplices[q - 1]), columns
+            for _ in range(q + 1):
+                col |= 1 << next(rows)
+            out.append(col)
+    else:
+        signs = facet_signs(q, p)
+        for _ in level:
+            out.append({next(rows): c for c in signs})
+    return len(cx.simplices[q - 1]), out

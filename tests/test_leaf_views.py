@@ -18,9 +18,9 @@ from conftest import brute_force_betti, dense_rank_mod_p
 
 
 @st.composite
-def leaf_cases(draw):
-    """A small cloud, a field, n_max and a sorted scale list with duplicates
-    and at least one scale exactly equal to a pairwise distance."""
+def leaf_cases(draw, primes=(2, 3)):
+    """A small cloud, a field from primes, n_max and a sorted scale list with
+    duplicates and at least one scale exactly equal to a pairwise distance."""
     d = draw(st.sampled_from([2, 3]))
     n = draw(st.integers(4, 9))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -30,7 +30,7 @@ def leaf_cases(draw):
     ties = draw(st.lists(st.sampled_from(dists), min_size=1, max_size=3))
     extra = draw(st.lists(st.floats(0.05, 1.0), max_size=2))
     scales = sorted(ties + extra + ties[:1])
-    p = draw(st.sampled_from([2, 3]))
+    p = draw(st.sampled_from(primes))
     n_max = draw(st.integers(1, 2))
     return cloud, scales, p, n_max, rng
 

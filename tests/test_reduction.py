@@ -150,6 +150,20 @@ class TestReduceAgainstNaive:
         Vd = dense_of_columns(len(cols), V, p)
         assert np.array_equal((D @ Vd) % p, dense_of_columns(nrows, R, p))
 
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_matrices(), st.booleans())
+    def test_given_columns_match_the_full_matrix(self, case, keep_v):
+        p, nrows, cols = case
+        given = {j: c for j, c in enumerate(cols) if c}
+        red = reduce_columns(nrows, given, PrimeField(p), keep_v=keep_v)
+        full = reduce_columns(nrows, cols, PrimeField(p), keep_v=keep_v)
+        assert red.ncols == len(given) and red.pivots == full.pivots
+        assert list(red.r) == list(given)
+        assert all(red.r[j] == full.r[j] for j in given)
+        if keep_v:
+            assert list(red.v) == list(given)
+            assert all(red.v[j] == full.v[j] for j in given)
+
     @settings(max_examples=100, deadline=None)
     @given(sparse_matrices())
     def test_bitset_columns_match_dict_columns(self, case):

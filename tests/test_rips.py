@@ -179,18 +179,17 @@ class TestBoundaryMatrix:
                     want = {cx.index[q - 1][f]: c for f, c in chain.terms.items()}
                     assert col == want
 
-    def test_skipped_columns(self):
+    def test_selected_columns(self):
         rng = np.random.default_rng(12)
         pc = random_cloud(rng, 14, 2)
         cx = enumerate_complex(range(14), pc, 0.6, 3)
         assert cx.count(3) > 0
         for p in (2, 3):
             for q in (1, 2, 3):
-                _, cols = boundary_matrix(cx, q, p)
-                skip = set(range(0, len(cols), 3))
-                _, got = boundary_matrix(cx, q, p, skip=skip)
-                empty = 0 if p == 2 else {}
-                assert got == [empty if j in skip else c for j, c in enumerate(cols)]
+                nrows, cols = boundary_matrix(cx, q, p)
+                picked = list(range(0, len(cols), 3))
+                assert boundary_matrix(cx, q, p, picked) == (nrows, [cols[j] for j in picked])
+                assert boundary_matrix(cx, q, p, []) == (nrows, [])
 
     def test_dimension_out_of_range(self):
         pc = PointCloud(UNIT_SQUARE)
