@@ -272,8 +272,9 @@ def attach_verification(report: BettiReport, cloud, n_max, budget=DEFAULT_BUDGET
                         slack=0.0) -> BettiReport:
     """Compare a report against the direct global barcode; fills report.verify.
 
-    An infeasible oracle (budget exceeded) is reported explicitly rather than
-    passing silently.
+    The oracle shares enumeration and pairing with run(), not the grid or
+    the assembly (see reduction.persistence_barcode).  An infeasible oracle
+    (budget exceeded) is reported explicitly rather than passing silently.
     """
     if isinstance(cloud, PointCloud) is False:
         cloud = PointCloud(cloud)

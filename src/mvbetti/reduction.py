@@ -1,11 +1,12 @@
 """Exact homology linear algebra over Z/p.
 
-Column reduction (R = D*V with V invertible upper-triangular) drives three
-things: Betti numbers of a region at each requested scale (one reduction
-per region, read through per-scale views), membership queries (express a
-cycle in the homology basis / produce an explicit bounding chain), and the
-direct filtration barcode used as an independent check on the
-divide-and-conquer path.
+Column reduction (R = D*V with V invertible upper-triangular) gives the
+Betti numbers of a region at each requested scale (one reduction per
+region, read through per-scale views) and its membership queries (express
+a cycle in the homology basis / produce an explicit bounding chain).  The
+pairing that precedes it also gives the direct filtration barcode, the
+oracle for the divide-and-conquer path (see persistence_barcode for what
+it shares with run() and what keeps it independent).
 
 Columns are native Python values: int bitsets (bit r = row r) at p = 2,
 where column addition is one XOR, and {row: nonzero residue} dicts
@@ -23,7 +24,7 @@ either representation.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 from .core import Chain, ConsistencyError, PointCloud, PrimeField, chain_boundary
@@ -297,26 +298,43 @@ def cohomology_pairs(cx, q: int, field: PrimeField, clear=()):
 # Leaf homology solver
 
 
-def _order_by_bucket(cx, scales):
+def _order_levels(cx, scales):
     """Stable-sort every level of cx by scale bucket, in place.
 
-    A simplex's bucket is the index of the first scale >= its diameter, so
-    the complex at scales[b] is a prefix of every level.  Returns
-    prefix[q][b], the number of q-simplices in buckets <= b.
+    scales ascend and the last is at least every diameter in cx.  A
+    simplex's bucket is the index of the first scale >= its diameter, so the
+    complex at scales[b] is a prefix of every level; with the distinct
+    diameters as scales, each level is ordered by (diameter, lex).  Returns
+    prefix[q][b], the number of q-simplices in buckets <= b.  A level with
+    every diameter in bucket 0, as under a single scale, is left as it is.
     """
     prefix = []
     for q in range(cx.max_dim + 1):
+        diams = cx.diameters[q]
+        if not diams or max(diams) <= scales[0]:
+            prefix.append([len(diams)] * len(scales))
+            continue
         groups = [[] for _ in scales]
-        for i, d in enumerate(cx.diameters[q]):
+        for i, d in enumerate(diams):
             groups[bisect_left(scales, d)].append(i)
         if sum(1 for g in groups if g) > 1:
             order = [i for g in groups for i in g]
-            level, diams = cx.simplices[q], cx.diameters[q]
+            level = cx.simplices[q]
             cx.simplices[q] = [level[i] for i in order]
             cx.diameters[q] = [diams[i] for i in order]
             cx.index[q] = {s: i for i, s in enumerate(cx.simplices[q])}
         prefix.append(list(accumulate(len(g) for g in groups)))
     return prefix
+
+
+def _pair_levels(cx, top: int, field: PrimeField):
+    """Pivot pairs of D_1, ..., D_top as {q: {(q-1)-simplex: q-simplex}},
+    with pairs[0] = {} for D_0 = 0: cohomology_pairs in ascending q, each
+    level cleared by the pivot columns of the level below."""
+    pairs = {0: {}}
+    for q in range(1, top + 1):
+        pairs[q] = cohomology_pairs(cx, q, field, set(pairs[q - 1].values()))
+    return pairs
 
 
 class LeafReduction:
@@ -347,11 +365,8 @@ class LeafReduction:
         top = n_max + 1
         cx = enumerate_complex(points, cloud, self.scales[-1], top, budget)
         self.complex = cx
-        self.prefix = _order_by_bucket(cx, self.scales)
-
-        pairs = {0: {}}     # q -> {(q-1)-simplex: q-simplex}; D_0 = 0
-        for q in range(1, top + 1):
-            pairs[q] = cohomology_pairs(cx, q, field, set(pairs[q - 1].values()))
+        self.prefix = _order_levels(cx, self.scales)
+        pairs = _pair_levels(cx, top, field)
 
         # Per dimension q >= 1: reduced D_q, keyed by the columns built, and
         # its (column, low row) pivot pairs in ascending column order.
@@ -570,48 +585,29 @@ def persistence_barcode(points, cloud, eps_max, n_max, field,
                         budget: int = DEFAULT_BUDGET):
     """Barcode of the scale-filtered Rips complex up to eps_max.
 
-    Simplices enter at their diameter; ties are ordered by dimension then
-    lexicographic vertex order, so faces always precede cofaces.  Pivots of
-    the reduced boundary matrix give (birth, death) pairs; unpaired cycles of
-    dimension <= n_max become open bars.  Zero-length pairs are dropped.
+    Simplices enter at their diameter, ties ordered by dimension then lex
+    order.  Pairs between levels q-1 and q depend only on the order within
+    each level, so every level is sorted by (diameter, lex) and paired as a
+    leaf is.  An n-simplex that is not a column of the D_n pairs is born at
+    its diameter and dies at its D_{n+1} partner's, or gives an open bar;
+    zero-length bars are dropped.  The oracle shares enumeration, level
+    ordering and pairing with run(), nothing else; the tests'
+    brute_force_betti, the golden barcode frozen from a global reduction and
+    the benchmark's frozen seed-0 Betti numbers keep it independent.
     """
     if isinstance(field, int):
         field = PrimeField(field)
     cx = enumerate_complex(points, cloud, eps_max, n_max + 1, budget)
-
-    entries = []
-    for q in range(cx.max_dim + 1):
-        level = cx.simplices[q]
-        diams = cx.diameters[q]
-        for i, s in enumerate(level):
-            entries.append((diams[i], q, s))
-    entries.sort()
-    pos = {s: i for i, (_, _, s) in enumerate(entries)}
-
-    minus = field.p - 1
-
-    def column_for(s, q):
-        col = {}
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1:]
-            col[pos[face]] = 1 if i % 2 == 0 else minus
-        return col
-
-    columns = [column_for(s, q) if q >= 1 else {} for _, q, s in entries]
-    red = reduce_columns(len(entries), columns, field, keep_v=False)
-    pivots = red.pivots     # global row position -> global column position
-    zero_cols = {j for j in range(len(entries)) if not red.r[j]}
+    _order_levels(cx, sorted(set(chain.from_iterable(cx.diameters))))
+    pairs = _pair_levels(cx, n_max + 1, field)
 
     bars = []
-    dead_rows = set(pivots)
-    for l, j in pivots.items():
-        birth_diam, birth_dim, _ = entries[l]
-        death_diam = entries[j][0]
-        if death_diam > birth_diam:
-            bars.append(Bar(birth_dim, birth_diam, death_diam))
-    for j, (diam, q, _) in enumerate(entries):
-        if q <= n_max and j not in dead_rows and j in zero_cols:
-            bars.append(Bar(q, diam, None))
+    for n in range(n_max + 1):
+        killers, up = set(pairs[n].values()), pairs[n + 1]
+        for i, birth in enumerate(cx.diameters[n]):
+            death = cx.diameters[n + 1][up[i]] if i in up else None
+            if i not in killers and (death is None or death > birth):
+                bars.append(Bar(n, birth, death))
     bars.sort(key=lambda b: (b.dim, b.birth, -1.0 if b.death is None else b.death))
     return bars
 

@@ -35,8 +35,8 @@ class RipsComplex:
 
     simplices[q] is the list of q-simplices (tuples of global point indices),
     lexicographically sorted as enumerated; diameters[q] aligns with it and
-    index[q] inverts it.  A leaf reduction may stable-sort the levels by
-    scale bucket (and rebuild index) before building boundary matrices.
+    index[q] inverts it.  A leaf reduction or the oracle may stable-sort
+    the levels by scale bucket (and rebuild index) before pairing them.
     """
 
     __slots__ = ("points", "scale", "max_dim", "simplices", "diameters", "index")

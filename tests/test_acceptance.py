@@ -23,7 +23,7 @@ from mvbetti.reduction import betti_at_scale, build_leaf, persistence_barcode
 from conftest import HEX_POINTS, distance_quantile
 
 N_CLOUDS = 100
-WORKER_HINT = 9  # grid hint: k=2 for d in {2,3}, eps-capped for d=1
+WORKER_HINT = 9  # grid hint: k=2 for d=2, eps-capped for d=1 and d=3
 
 
 def cloud_specs():
@@ -63,8 +63,13 @@ def run_suite(p, check_nodes=True):
     }
     for spec in cloud_specs():
         cloud, eps, scales, n_max = make_cloud(spec)
+        # On one cell run() and the oracle would share their whole pairing.
+        # The hint leaves these 3-D clouds at one cell; two cells per axis
+        # are valid at any eps.
+        grid = [2] * 3 if cloud.dim == 3 else None
         rep = run(cloud, eps, scales, n_max=n_max, field=p,
-                  workers=WORKER_HINT, keep_solvers=check_nodes)
+                  workers=WORKER_HINT, grid=grid, keep_solvers=check_nodes)
+        assert min(rep.grid) >= 2, (spec, rep.grid)
         bars = persistence_barcode(range(cloud.n), cloud, eps, n_max, p)
         for sr in rep.scales:
             expect = [betti_at_scale(bars, n, sr.scale) for n in range(n_max + 1)]

@@ -1,0 +1,27 @@
+"""Every demo script runs to completion.
+
+Each demos/*.py runs in a fresh interpreter with PYTHONPATH=src, from an
+empty working directory, and must exit 0.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_exist():
+    assert len(DEMOS) >= 7
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_exits_0(demo, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

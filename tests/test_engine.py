@@ -13,7 +13,7 @@ from mvbetti.mayer_vietoris import MVNodeSolver
 from mvbetti.reduction import LeafSolver, build_leaf
 from mvbetti.rips import DEFAULT_BUDGET, BudgetExceededError
 
-from conftest import HEX_POINTS, distance_quantile, random_cloud
+from conftest import HEX_POINTS, brute_force_betti, distance_quantile, random_cloud
 
 
 class TestBuildSolver:
@@ -225,11 +225,15 @@ class TestVerify:
         rep = engine.verify(pc, eps, [eps], n_max=1, field=2, workers=1, grid=[1, 1])
         assert rep.verify["pass"] is True
         assert rep.verify["mismatches"] == []
+        # On one cell run() and the oracle share their pairing; the dense
+        # ranks share nothing with either.
+        assert rep.betti_at(eps) == brute_force_betti(range(20), pc, eps, 1, 2)
 
     def test_acceptance_style_instance(self):
         rng = np.random.default_rng(4)
         pc = random_cloud(rng, 60, 2)
         rep = engine.verify(pc, 0.35, [0.175, 0.35], n_max=1, field=2, workers=9)
+        assert rep.grid == [2, 2]
         assert rep.verify["pass"] is True
 
     def test_corrupted_assembly_detected(self, monkeypatch):
@@ -271,7 +275,12 @@ class TestOracleSweep:
             eps = distance_quantile(pc, 0.3)
             scales = [eps * (i / 6) for i in range(1, 7)]
             n_max = 2 if d >= 2 else 1
-            rep = engine.verify(pc, eps, scales, n_max=n_max, field=2, workers=9)
+            # The hint gives d <= 2 at least two cells per axis; a 3-D cloud
+            # this small would stay one cell, so it gets two per axis.
+            grid = [2] * 3 if d == 3 else None
+            rep = engine.verify(pc, eps, scales, n_max=n_max, field=2, workers=9,
+                                grid=grid)
+            assert min(rep.grid) >= 2, rep.grid
             assert rep.verify["pass"] is True, rep.verify["mismatches"]
 
 

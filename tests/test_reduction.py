@@ -352,6 +352,7 @@ class TestBarcode:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_barcode_matches_leaf_betti(self, p):
         rng = np.random.default_rng(500 + p)
+        checked = 0
         for trial in range(50):
             d = [1, 2, 3][trial % 3]
             n = int(rng.integers(5, 41))
@@ -364,3 +365,14 @@ class TestBarcode:
             leaf = build_leaf(range(n), pc, s, 1, p)
             for nn in (0, 1):
                 assert betti_at_scale(bars, nn, s) == leaf.betti(nn)
+            if n > 16:
+                continue
+            # The oracle pairs as the leaves do; the dense ranks share
+            # nothing with either.  Check every distinct diameter <= eps,
+            # on the small clouds only, where dense ranks are cheap.
+            dists = pc.pairwise(range(n))[np.triu_indices(n, 1)]
+            for s in sorted({0.0, *dists[dists <= eps].tolist()}):
+                expect = brute_force_betti(range(n), pc, s, 1, p)
+                assert [betti_at_scale(bars, nn, s) for nn in (0, 1)] == expect
+                checked += 1
+        assert checked >= 200
