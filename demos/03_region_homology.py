@@ -18,7 +18,7 @@ loop = solver.representatives(1)[0]
 print("  stored loop representative:", loop)
 
 z = Chain(1, 2, {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): 1})
-print("  coords of the four-sides cycle:", solver.coords(z, 1))
+print("  coords of the four-sides cycle ({basis index: residue}):", solver.coords(z, 1))
 print("  bound(four-sides cycle):", solver.bound(z, 1), " (non-bounding)")
 
 print()

@@ -39,12 +39,12 @@ print("  it is a cycle:", chain_boundary(lift).is_zero())
 
 cycle = Chain(1, 3, {(0, 1): 1, (1, 2): 1, (2, 3): 1, (3, 4): 1, (4, 5): 1, (0, 5): -1})
 print("\nthe oriented six-sides cycle has coordinates", node.coords(cycle, 1),
-      "in the assembled basis")
+      "({basis index: residue}) in the assembled basis")
 print("and admits no bounding chain:", node.bound(cycle, 1))
 
 print("\nqueries are chain-level and exact; a boundary computed in a piece:")
 zb = chain_boundary(Chain(1, 3, {(0, 1): 1, (1, 2): 1}))
-print("  coords of d(path 0-1-2) =", node.coords(zb, 0), "(a boundary, class zero)")
+print("  coords of d(path 0-1-2) =", node.coords(zb, 0), "(no nonzero entry: class zero)")
 w = node.bound(zb, 0)
 print("  bound() returns a chain with exactly that boundary:",
       chain_boundary(w) == zb)

@@ -187,9 +187,6 @@ class Chain:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, simplex: Simplex) -> int:
-        return self.terms.get(tuple(simplex), 0)
-
     def sorted_terms(self):
         return sorted(self.terms.items())
 

@@ -183,9 +183,11 @@ def run(cloud, eps, scales, n_max=1, field=2, workers=None, grid=None,
         field = PrimeField(field)
     if isinstance(cloud, PointCloud) is False:
         cloud = PointCloud(cloud)
+    if cloud.n == 0:
+        raise ValueError("cannot cover an empty cloud")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    scales = sorted(float(s) for s in scales)
+    scales = sorted(set(float(s) for s in scales))
     if not scales:
         raise ValueError("at least one scale is required")
     if scales[0] <= 0 or scales[-1] > eps:

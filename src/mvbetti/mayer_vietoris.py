@@ -13,7 +13,9 @@ builds the f matrices from child solvers, extracts kernel and cokernel bases
 exactly over Z/p, constructs an explicit union cycle for every kernel basis
 vector (the connecting-map lift), and answers coords()/bound() on the union
 by the standard chain-level chase, so a node composes with further nodes
-exactly like a leaf solver.
+exactly like a leaf solver.  Class coordinates are sparse {basis index:
+nonzero residue} dicts throughout, the representation of a dict column: a
+child's coords() shifts straight into an f-matrix column or target vector.
 
 All chains use global point indices, so inclusions are literal identities.
 """
@@ -44,6 +46,17 @@ def _combo_chain(solver, n: int, coeffs, p: int) -> Chain:
     return out
 
 
+def _block_coords(solver, z: Chain, n: int, offset: int, what: str) -> dict:
+    """solver.coords(z, n) with its keys shifted by offset into an f-matrix
+    block.  A child that rejects z breaks exactness, so its ValueError is
+    raised as ConsistencyError, prefixed by what."""
+    try:
+        co = solver.coords(z, n)
+    except ValueError as exc:
+        raise ConsistencyError(f"{what}: {exc}") from exc
+    return {offset + i: c for i, c in co.items()}
+
+
 def induced_map(inter, piece, n: int, sign: int, field: PrimeField):
     """Matrix of the inclusion-induced map H_n(inter) -> H_n(piece), scaled by sign.
 
@@ -52,20 +65,12 @@ def induced_map(inter, piece, n: int, sign: int, field: PrimeField):
     """
     if isinstance(field, int):
         field = PrimeField(field)
+    p = field.p
     cols = []
     for rep in inter.representatives(n):
-        try:
-            co = piece.coords(rep, n)
-        except ValueError as exc:
-            raise ConsistencyError(
-                f"overlap representative is not a cycle of its piece: {exc}"
-            ) from exc
-        col = {}
-        for i, c in enumerate(co):
-            v = (sign * c) % field.p
-            if v:
-                col[i] = v
-        cols.append(col)
+        co = _block_coords(piece, rep, n, 0,
+                           "overlap representative is not a cycle of its piece")
+        cols.append({i: (sign * c) % p for i, c in co.items()})
     return cols
 
 
@@ -142,26 +147,21 @@ class _FStructure:
         Every row left after eliminating the image pivot rows is a cokernel row.
         """
         rest, used = eliminate(t, self.image_table, field.p)
-        coords = [0] * len(self.coker_rows)
-        for r, c in as_dict(rest).items():
-            coords[self.coker_pos[r]] = c
-        coords = tuple(coords)
+        pos = self.coker_pos
+        coords = {pos[r]: c for r, c in as_dict(rest).items()}
         if want_membership:
             v = self.red.v
             return coords, as_dict(combine([(v[j], c) for j, c in used], field.p))
         return coords
 
-    def kernel_coords(self, u: dict, field: PrimeField):
-        """Coordinates of a kernel vector in the echelon kernel basis."""
+    def kernel_coords(self, u: dict, field: PrimeField) -> dict:
+        """Sparse coordinates of a kernel vector in the echelon kernel basis."""
         rest, used = eliminate(u, self.kernel_table, field.p)
         if rest:
             raise ConsistencyError(
                 "connecting-map image landed outside ker(f); exactness violated"
             )
-        out = [0] * len(self.kernel_cols)
-        for i, c in used:
-            out[i] = c
-        return out
+        return dict(used)
 
 
 class MVNodeSolver:
@@ -171,7 +171,8 @@ class MVNodeSolver:
     coords / bound over the union region), so nodes stack across split axes.
     The stored basis lists cokernel classes first (one lifted piece
     representative per non-pivot row of f_n, ascending) and kernel classes
-    second (one connecting lift per echelon kernel vector of f_{n-1}).
+    second (one connecting lift per echelon kernel vector of f_{n-1}), so in
+    a coords() dict kernel class i has key len(coker_rows) + i.
     """
 
     def __init__(self, pieces, inters, n_max: int, field: PrimeField, scale: float):
@@ -202,6 +203,7 @@ class MVNodeSolver:
 
         self._f = []        # _FStructure per dimension 0..n_max
         self._lifts = []    # per dimension n: lifts for ker f_n (cycles of dim n+1)
+        self._rep_chains = {}   # dimension -> representatives(n), built on first call
         self.rank_f = {}
         self._build()
 
@@ -224,12 +226,9 @@ class MVNodeSolver:
             self._lifts.append([self._connecting_lift(u, n)
                                 for u in self._f[n].kernel_cols])
 
-    def _inter_combo(self, k: int, n: int, coeffs: dict) -> Chain:
-        return _combo_chain(self.inters[k], n, coeffs, self.p)
-
-    def _slice_source(self, fs: _FStructure, u: dict):
-        """Split a flattened overlap-basis vector into per-overlap coefficient dicts."""
-        off = fs.fmat.col_offsets
+    def _slice_source(self, n: int, u: dict):
+        """Split a flattened f_n source vector into per-overlap coefficient dicts."""
+        off = self._f[n].fmat.col_offsets
         per = [dict() for _ in self.inters]
         for r, c in u.items():
             k = 0
@@ -238,6 +237,25 @@ class MVNodeSolver:
             per[k][r - off[k]] = c
         return per
 
+    def _telescope(self, xis, y: dict, n: int, what: str) -> Chain:
+        """Sum over pieces k of piece_k.bound(xi_k + r_k - r_{k-1}), where r_k
+        is the overlap-k n-chain named by the f_n source vector y (r_{-1} and
+        r_{K-1} are zero) and xis is None for xi = 0.  A piece term that does
+        not bound raises ConsistencyError naming the piece after what."""
+        per = self._slice_source(n, y)
+        zero = Chain.zero(n, self.p)
+        w = Chain.zero(n + 1, self.p)
+        prev = zero
+        for k, piece in enumerate(self.pieces):
+            r_k = _combo_chain(self.inters[k], n, per[k], self.p) if k < len(per) else zero
+            t_k = r_k - prev if xis is None else xis[k] + r_k - prev
+            s_k = piece.bound(t_k, n)
+            if s_k is None:
+                raise ConsistencyError(f"{what} fails to bound in piece {k}")
+            w = w + s_k
+            prev = r_k
+        return w
+
     def _connecting_lift(self, u: dict, n: int) -> Chain:
         """Union (n+1)-cycle hitting kernel vector u of f_n under the connecting map.
 
@@ -245,22 +263,7 @@ class MVNodeSolver:
         is null-homologous in piece k precisely because f(u) = 0; summing the
         piece-level bounding chains telescopes into a cycle of the union.
         """
-        fs = self._f[n]
-        per = self._slice_source(fs, u)
-        r_chains = [self._inter_combo(k, n, per[k]) for k in range(len(self.inters))]
-        lift = Chain.zero(n + 1, self.p)
-        prev = Chain.zero(n, self.p)
-        for k, piece in enumerate(self.pieces):
-            r_k = r_chains[k] if k < len(r_chains) else Chain.zero(n, self.p)
-            t_k = r_k - prev
-            s_k = piece.bound(t_k, n)
-            if s_k is None:
-                raise ConsistencyError(
-                    f"kernel difference chain fails to bound in piece {k}; "
-                    f"f-matrix and piece solvers disagree"
-                )
-            lift = lift + s_k
-            prev = r_k
+        lift = self._telescope(None, u, n, "kernel difference chain")
         if not chain_boundary(lift).is_zero():
             raise ConsistencyError("connecting lift is not a cycle")
         return lift
@@ -275,8 +278,17 @@ class MVNodeSolver:
         return coker + kernel
 
     def representatives(self, n: int):
+        """Cycle chains whose classes form the union's basis at dimension n.
+
+        The list is built once per node and shared by later calls, so a
+        query that names a few basis classes does not rebuild all of them;
+        callers must not mutate it.
+        """
         if n < 0 or n > self.n_max:
             return []
+        out = self._rep_chains.get(n)
+        if out is not None:
+            return out
         out = []
         fs = self._f[n]
         off = fs.fmat.row_offsets
@@ -291,6 +303,7 @@ class MVNodeSolver:
             out.append(reps[r - off[k]])
         if n >= 1:
             out.extend(self._lifts[n - 1])
+        self._rep_chains[n] = out
         return out
 
     def _split(self, z: Chain):
@@ -317,28 +330,23 @@ class MVNodeSolver:
         return [Chain(z.dim, self.p, t) for t in parts]
 
     def _chase(self, z: Chain, n: int):
-        """Run the exact-sequence chase; returns (kernel coords, xi chains, fs_n)."""
-        field = self.field
+        """Run the exact-sequence chase; returns (sparse kernel coords, xi chains)."""
         K = len(self.pieces)
-        fs_n = self._f[n]
-
         zs = self._split(z)
-        kappa = []
+        kappa = {}
         if n >= 1:
             omegas = self._partial_boundaries(zs)
             u = {}
             fs_prev = self._f[n - 1]
             for k, om in enumerate(omegas):
-                co = self._inter_coords(k, om, n - 1)
-                for i, c in enumerate(co):
-                    if c:
-                        u[fs_prev.fmat.col_offsets[k] + i] = c
-            kappa = fs_prev.kernel_coords(u, field)
-            if any(kappa):
+                u.update(_block_coords(self.inters[k], om, n - 1,
+                                       fs_prev.fmat.col_offsets[k],
+                                       f"partial boundary escaped overlap {k}"))
+            kappa = fs_prev.kernel_coords(u, self.field)
+            if kappa:
                 zz = z
-                for i, c in enumerate(kappa):
-                    if c:
-                        zz = zz - self._lifts[n - 1][i].scaled(c)
+                for i, c in kappa.items():
+                    zz = zz - self._lifts[n - 1][i].scaled(c)
                 zs = self._split(zz)
                 omegas = self._partial_boundaries(zs)
             vs = []
@@ -366,7 +374,7 @@ class MVNodeSolver:
             if k < K - 1 and not vs[k].is_zero():
                 xi = xi - vs[k]
             xis.append(xi)
-        return list(kappa), xis, fs_n
+        return kappa, xis
 
     def _partial_boundaries(self, zs):
         acc = Chain.zero(zs[0].dim - 1 if zs else -1, self.p)
@@ -376,44 +384,32 @@ class MVNodeSolver:
             out.append(acc)
         return out
 
-    def _inter_coords(self, k: int, om: Chain, n: int):
-        try:
-            return self.inters[k].coords(om, n)
-        except ValueError as exc:
-            raise ConsistencyError(
-                f"partial boundary escaped overlap {k}: {exc}"
-            ) from exc
-
-    def _piece_target_vector(self, xis, n: int, fs_n):
+    def _piece_target_vector(self, xis, n: int) -> dict:
+        """The corrected piece chains' classes as one f_n target vector."""
+        off = self._f[n].fmat.row_offsets
         t = {}
         for k, xi in enumerate(xis):
-            try:
-                co = self.pieces[k].coords(xi, n)
-            except ValueError as exc:
-                raise ConsistencyError(
-                    f"corrected piece chain is not a cycle in piece {k}: {exc}"
-                ) from exc
-            for i, c in enumerate(co):
-                if c:
-                    t[fs_n.fmat.row_offsets[k] + i] = c
+            t.update(_block_coords(self.pieces[k], xi, n, off[k],
+                                   f"corrected piece chain is not a cycle in piece {k}"))
         return t
 
-    def coords(self, z: Chain, n: int):
-        """Coordinates of a union cycle's class: cokernel block then kernel block."""
-        if n < 0 or n > self.n_max:
-            if z.is_zero():
-                return ()
-            raise ValueError(f"dimension {n} out of range")
+    def coords(self, z: Chain, n: int) -> dict:
+        """A union cycle's class as {basis index: nonzero residue}: cokernel
+        keys first, kernel keys offset by the cokernel size."""
         if z.is_zero():
-            return (0,) * self.betti(n)
+            return {}
+        if n < 0 or n > self.n_max:
+            raise ValueError(f"dimension {n} out of range")
         if z.dim != n:
             raise ValueError(f"chain dimension {z.dim} does not match query dimension {n}")
         if not chain_boundary(z).is_zero():
             raise ValueError("chain is not a cycle")
-        kappa, xis, fs_n = self._chase(z, n)
-        t = self._piece_target_vector(xis, n, fs_n)
-        coker = fs_n.project_coker(t, self.field)
-        return tuple(coker) + tuple(kappa)
+        kappa, xis = self._chase(z, n)
+        fs_n = self._f[n]
+        out = fs_n.project_coker(self._piece_target_vector(xis, n), self.field)
+        m = len(fs_n.coker_rows)
+        out.update((m + i, c) for i, c in kappa.items())
+        return out
 
     def bound(self, z: Chain, n: int):
         """A union chain w with boundary exactly z, or None when [z] != 0."""
@@ -425,27 +421,18 @@ class MVNodeSolver:
             raise ValueError(f"chain dimension {z.dim} does not match query dimension {n}")
         if not chain_boundary(z).is_zero():
             raise ValueError("chain is not a cycle")
-        kappa, xis, fs_n = self._chase(z, n)
-        if any(kappa):
+        kappa, xis = self._chase(z, n)
+        if kappa:
             return None
-        t = self._piece_target_vector(xis, n, fs_n)
-        coker, y = fs_n.project_coker(t, self.field, want_membership=True)
-        if any(coker):
+        coker, y = self._f[n].project_coker(self._piece_target_vector(xis, n),
+                                            self.field, want_membership=True)
+        if coker:
             return None
-        per = self._slice_source(fs_n, y)
-        rho = [self._inter_combo(k, n, per[k]) for k in range(len(self.inters))]
-        w = Chain.zero(n + 1, self.p)
-        prev = Chain.zero(n, self.p)
-        for k, piece in enumerate(self.pieces):
-            rho_k = rho[k] if k < len(rho) else Chain.zero(n, self.p)
-            eta = xis[k] - rho_k + prev
-            b_k = piece.bound(eta, n)
-            if b_k is None:
-                raise ConsistencyError(
-                    f"membership combination fails to bound in piece {k}"
-                )
-            w = w + b_k
-            prev = rho_k
+        # f(y) = t, so with rho_k the overlap chains of y each
+        # xi_k - rho_k + rho_{k-1} bounds in piece k: telescope over -y.
+        p = self.p
+        w = self._telescope(xis, {j: p - c for j, c in y.items()}, n,
+                            "membership combination")
         if chain_boundary(w) != z:
             raise ConsistencyError("union bound() produced a chain whose boundary differs from z")
         return w

@@ -418,9 +418,10 @@ class LeafSolver:
     the cycle columns of the prefix's zero n-columns whose killer lies
     outside it, which are the homology representatives.  All lowest rows are
     distinct, so the table is already in echelon form.  betti(n) = dim Z_n -
-    rank d_{n+1}; coords() expresses a cycle in the representative basis;
-    bound() returns an explicit preimage under the boundary map whenever the
-    class vanishes.
+    rank d_{n+1}; coords() expresses a cycle in the representative basis as
+    a sparse {basis index: nonzero residue} dict, the representation of a
+    dict column; bound() returns an explicit preimage under the boundary map
+    whenever the class vanishes.
     """
 
     def __init__(self, reduction: LeafReduction, scale: float):
@@ -507,8 +508,8 @@ class LeafSolver:
         return col
 
     def _eliminate(self, z: Chain, n: int):
-        """Express a cycle as (rep coordinates, (preimage column, coefficient)
-        terms of a bounding chain of the rest)."""
+        """Express a cycle as (sparse rep coordinates, (preimage column,
+        coefficient) terms of a bounding chain of the rest)."""
         if not z.is_zero() and z.dim != n:
             raise ValueError(f"chain dimension {z.dim} does not match query dimension {n}")
         rest, used = eliminate(self._column(z, n), self._tables[n], self.field.p)
@@ -517,7 +518,7 @@ class LeafSolver:
                 f"chain is not a cycle of this region's complex (unmatched row "
                 f"{max(as_dict(rest))} at dimension {n})"
             )
-        coords = [0] * len(self._reps[n])
+        coords = {}
         preimage = []
         for (kind, payload), c in used:
             if kind == "rep":
@@ -526,14 +527,13 @@ class LeafSolver:
                 preimage.append((payload, c))
         return coords, preimage
 
-    def coords(self, z: Chain, n: int):
-        """Coordinates of a cycle's class in the homology basis (length betti(n))."""
+    def coords(self, z: Chain, n: int) -> dict:
+        """A cycle's class in the homology basis as {basis index: nonzero residue}."""
+        if z.is_zero():
+            return {}
         if n < 0 or n > self.n_max:
-            if z.is_zero():
-                return ()
             raise ValueError(f"dimension {n} out of range")
-        c, _ = self._eliminate(z, n)
-        return tuple(c)
+        return self._eliminate(z, n)[0]
 
     def bound(self, z: Chain, n: int):
         """A chain w with boundary exactly z, or None when [z] != 0.
@@ -545,7 +545,7 @@ class LeafSolver:
         if n < 0 or n > self.n_max:
             raise ValueError(f"dimension {n} out of range")
         coords, preimage = self._eliminate(z, n)
-        if any(coords):
+        if coords:
             return None
         p = self.field.p
         chain = self.complex.chain_of_column(as_dict(combine(preimage, p)), n + 1, p)

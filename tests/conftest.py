@@ -47,6 +47,17 @@ def hexagon_cycle(p: int) -> Chain:
     return Chain(1, p, terms)
 
 
+def dense(coords: dict, size: int) -> list:
+    """A sparse {basis index: residue} class vector as a list of length size.
+
+    Every key must be a basis index and every stored residue nonzero."""
+    assert all(0 <= i < size for i in coords) and all(coords.values())
+    out = [0] * size
+    for i, c in coords.items():
+        out[i] = c
+    return out
+
+
 def dense_rank_mod_p(M, p: int) -> int:
     """Row-based Gauss-Jordan rank over Z/p (independent of the library)."""
     A = (np.asarray(M, dtype=np.int64) % p).copy()

@@ -98,11 +98,12 @@ def _check_splitting_identity(node, stats):
 
 def _check_representatives(node, stats):
     for n in range(node.n_max + 1):
-        b = node.betti(n)
-        for idx, rep in enumerate(node.representatives(n)):
+        reps = node.representatives(n)
+        if len(reps) != node.betti(n):
+            stats["rep_failures"] += 1
+        for idx, rep in enumerate(reps):
             stats["reps"] += 1
-            co = node.coords(rep, n)
-            if co != tuple(1 if j == idx else 0 for j in range(b)):
+            if node.coords(rep, n) != {idx: 1}:
                 stats["rep_failures"] += 1
 
 

@@ -190,6 +190,16 @@ class TestMainExitCodes:
         obj = json.loads(capsys.readouterr().out)
         assert obj["scales"][1]["betti"] == [1, 1]
 
+    def test_duplicate_scale_reported_once(self, tmp_path, capsys):
+        csv = write_hexagon_csv(tmp_path / "hex.csv")
+        rc = main([csv, "--epsilon", "1.0", "--scales", "0.5,0.5", "--grid", "2,2",
+                   "--no-timings"])
+        assert rc == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["scales"] == [{"scale": 0.5, "betti": [6, 0]}]
+        assert list(obj["diagnostics"]["ranks_f"]) == ["0.5"]
+        assert list(obj["diagnostics"]["timings_ms"]["per_scale"]) == ["0.5"]
+
     def test_usage_error(self, tmp_path, capsys):
         csv = write_hexagon_csv(tmp_path / "hex.csv")
         assert main([csv, "--epsilon", "-2"]) == 1

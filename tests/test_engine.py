@@ -181,6 +181,19 @@ class TestRun:
         with pytest.raises(ValueError):
             run(pc, 1.0, [1.5])
 
+    @pytest.mark.parametrize("grid", [None, [2, 2]])
+    def test_empty_cloud_rejected(self, grid):
+        with pytest.raises(ValueError, match="cannot cover an empty cloud"):
+            run(PointCloud(np.zeros((0, 2))), 1.0, [0.5], grid=grid)
+
+    def test_duplicate_scales_assembled_once(self):
+        pc = PointCloud(HEX_POINTS)
+        rep = run(pc, 0.3, [0.2, 0.2, 0.3], n_max=1, field=2, workers=1)
+        once = run(pc, 0.3, [0.2, 0.3], n_max=1, field=2, workers=1)
+        assert [sr.scale for sr in rep.scales] == [0.2, 0.3]
+        assert report_to_dict(rep, timings=False) == report_to_dict(once, timings=False)
+        assert len(rep.diagnostics["timings_ms"]["per_scale"]) == 2
+
     def test_eps_cap_warning(self):
         pc = PointCloud([[0.0], [0.4], [0.8], [1.2], [1.6], [2.0]])
         rep = run(pc, 0.9, [0.9], n_max=1, field=2, workers=64)

@@ -14,7 +14,7 @@ from mvbetti.core import Chain, PointCloud, chain_boundary
 from mvbetti.engine import run
 from mvbetti.reduction import betti_at_scale, build_leaf, persistence_barcode
 
-from conftest import brute_force_betti, dense_rank_mod_p
+from conftest import brute_force_betti, dense, dense_rank_mod_p
 
 
 @st.composite
@@ -53,7 +53,7 @@ def test_views_match_fresh_solves_and_the_oracle(case):
         for n in range(n_max + 1):
             reps = fresh.representatives(n)
             if reps:
-                M = np.array([view.coords(z, n) for z in reps]).T
+                M = np.array([dense(view.coords(z, n), view.betti(n)) for z in reps]).T
                 assert dense_rank_mod_p(M, p) == len(reps)
             uppers = _prefix_simplices(view, n + 1)
             if uppers:
@@ -70,7 +70,8 @@ def test_view_rejects_simplices_beyond_its_scale():
     top = 2.0 ** 0.5
     leaf = build_leaf(range(4), cloud, 1.0, 1, 3, scales=[1.0, top])
     z = chain_boundary(Chain.single((0, 1, 2), 3))   # uses the diagonal (0, 2)
-    assert leaf.reduction.view(top).coords(z, 1) == ()
+    top_view = leaf.reduction.view(top)
+    assert top_view.betti(1) == 0 and top_view.coords(z, 1) == {}
     with pytest.raises(ValueError, match="is not in this complex"):
         leaf.coords(z, 1)
     with pytest.raises(ValueError, match="is not in this complex"):
