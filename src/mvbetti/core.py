@@ -124,11 +124,52 @@ class PointCloud:
             raise IndexError(f"point index out of range: ({i}, {j}) with n={self.n}")
         return float(_pairwise_block(self.coords[i:i + 1], self.coords[j:j + 1])[0, 0])
 
-    def pairwise(self, indices) -> np.ndarray:
+    def pairwise(self, indices, others=None) -> np.ndarray:
         """Distance matrix of the listed points (row/col order preserved),
-        computed for those points only."""
+        computed for those points only; with others, the rectangular block
+        from indices (rows) to others (columns)."""
         pts = self.coords[np.asarray(indices, dtype=np.intp)]
-        return _pairwise_block(pts, pts)
+        if others is None:
+            return _pairwise_block(pts, pts)
+        return _pairwise_block(pts, self.coords[np.asarray(others, dtype=np.intp)])
+
+    def close_pairs(self, indices, scale):
+        """Every pair of the listed points at distance <= scale, in blocks.
+
+        Yields (lo, hi, dist) arrays per block: global indices lo < hi and
+        their distance, each close pair exactly once over all blocks.  The
+        points are swept in order along their axis of largest extent, and
+        each block of _SWEEP_BLOCK rows meets at most _SWEEP_BLOCK columns at
+        a time of the window that can still be close: a column is dropped
+        only when sqrt(gap * gap) > scale for its float gap to the block's
+        last row along the sweep axis.  That is a lower bound on the
+        computed distance of every row in the block, since the other squared
+        terms never lower the sum.  So memory is linear in points plus close
+        pairs, and every distance has the bits of pairwise(), whose blocks
+        are bitwise equal to slices of the full matrix in either operand
+        order.
+        """
+        idx = np.asarray(indices, dtype=np.intp)
+        if len(idx) < 2:
+            return
+        pts = self.coords[idx]
+        axis = int(np.argmax(pts.max(axis=0) - pts.min(axis=0)))
+        order = np.argsort(pts[:, axis], kind="stable")
+        gid, x = idx[order], pts[order, axis]
+        n, step = len(idx), _SWEEP_BLOCK
+        for r0 in range(0, n, step):
+            r1 = min(r0 + step, n)
+            gap = x[r1 - 1:] - x[r1 - 1]
+            end = max(r1, r1 - 1 + int(np.searchsorted(np.sqrt(gap * gap), scale, "right")))
+            for c0 in range(r0, end, step):
+                c1 = min(c0 + step, end)
+                dist = self.pairwise(gid[r0:r1], gid[c0:c1])
+                keep = dist <= scale
+                if c0 < r1:     # each pair once: sweep position of column > row
+                    keep &= np.arange(r0, r1)[:, None] < np.arange(c0, c1)
+                rows, cols = np.nonzero(keep)
+                a, b = gid[r0 + rows], gid[c0 + cols]
+                yield np.minimum(a, b), np.maximum(a, b), dist[rows, cols]
 
     def diameter(self, vertices) -> float:
         """Max pairwise distance over a nonempty vertex-index set (0 for singletons)."""
@@ -145,6 +186,9 @@ class PointCloud:
     def axis_ranges(self):
         """Per-axis (min, max) coordinate values."""
         return self.coords.min(axis=0), self.coords.max(axis=0)
+
+
+_SWEEP_BLOCK = 256     # rows, and columns at a time, of one close_pairs block
 
 
 def _pairwise_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:

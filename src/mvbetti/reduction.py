@@ -24,8 +24,10 @@ either representation.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate, chain
+from itertools import chain
 from typing import NamedTuple
+
+import numpy as np
 
 from .core import Chain, ConsistencyError, PointCloud, PrimeField, chain_boundary
 from .rips import (DEFAULT_BUDGET, boundary_matrix, enumerate_complex, facet_rows,
@@ -314,16 +316,9 @@ def _order_levels(cx, scales):
         if not diams or max(diams) <= scales[0]:
             prefix.append([len(diams)] * len(scales))
             continue
-        groups = [[] for _ in scales]
-        for i, d in enumerate(diams):
-            groups[bisect_left(scales, d)].append(i)
-        if sum(1 for g in groups if g) > 1:
-            order = [i for g in groups for i in g]
-            level = cx.simplices[q]
-            cx.simplices[q] = [level[i] for i in order]
-            cx.diameters[q] = [diams[i] for i in order]
-            cx.index[q] = {s: i for i, s in enumerate(cx.simplices[q])}
-        prefix.append(list(accumulate(len(g) for g in groups)))
+        buckets = np.searchsorted(scales, diams)
+        cx.reorder(q, np.argsort(buckets, kind="stable").tolist())
+        prefix.append(np.bincount(buckets, minlength=len(scales)).cumsum().tolist())
     return prefix
 
 

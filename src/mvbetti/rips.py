@@ -5,6 +5,12 @@ i.e. the complex is the clique complex of the scale-neighborhood graph, so
 enumeration runs by extending each q-simplex with vertices adjacent to all of
 its vertices and larger than its maximum (each simplex generated once, in
 lexicographic order).
+
+The scale-neighbourhood graph comes from PointCloud.close_pairs, a sweep
+along the region's axis of largest extent that computes distance blocks of
+bounded size only where a pair can still be close.  Its memory is linear in
+points plus edges, and the edges count against the simplex budget as they
+are found, so the budget bounds the distance stage as well.
 """
 
 from __future__ import annotations
@@ -35,11 +41,12 @@ class RipsComplex:
 
     simplices[q] is the list of q-simplices (tuples of global point indices),
     lexicographically sorted as enumerated; diameters[q] aligns with it and
-    index[q] inverts it.  A leaf reduction or the oracle may stable-sort
-    the levels by scale bucket (and rebuild index) before pairing them.
+    index[q] inverts it.  A leaf reduction or the oracle may reorder the
+    levels by scale bucket before pairing them; index is built on first use,
+    so it is built once, after any reordering.
     """
 
-    __slots__ = ("points", "scale", "max_dim", "simplices", "diameters", "index")
+    __slots__ = ("points", "scale", "max_dim", "simplices", "diameters", "_index")
 
     def __init__(self, points, scale, max_dim, simplices, diameters):
         self.points = points
@@ -47,9 +54,20 @@ class RipsComplex:
         self.max_dim = max_dim
         self.simplices = simplices
         self.diameters = diameters
-        self.index = [
-            {s: i for i, s in enumerate(level)} for level in simplices
-        ]
+        self._index = None
+
+    @property
+    def index(self):
+        if self._index is None:
+            self._index = [{s: i for i, s in enumerate(level)} for level in self.simplices]
+        return self._index
+
+    def reorder(self, q: int, order):
+        """Put level q in the given order of its current positions."""
+        level, diams = self.simplices[q], self.diameters[q]
+        self.simplices[q] = [level[i] for i in order]
+        self.diameters[q] = [diams[i] for i in order]
+        self._index = None
 
     def count(self, q: int) -> int:
         if q < 0 or q > self.max_dim:
@@ -76,6 +94,33 @@ class RipsComplex:
     def chain_of_column(self, col: dict, q: int, p: int) -> Chain:
         level = self.simplices[q]
         return Chain(q, p, {level[r]: c for r, c in col.items()})
+
+
+def _neighbours(pts, cloud: PointCloud, scale: float, budget: int) -> dict:
+    """{vertex: {higher neighbour: distance}} over the sorted point list pts,
+    every dict in ascending neighbour order, from cloud.close_pairs.
+
+    Edges are counted block by block: once the points plus the edges pass
+    budget, BudgetExceededError is raised before more are computed.  The
+    clique expansion would raise on exactly that condition.
+    """
+    n = len(pts)
+    blocks, edges = [], 0
+    for block in cloud.close_pairs(pts, scale):
+        edges += len(block[0])
+        if n + edges > budget:
+            raise BudgetExceededError(budget, n)
+        blocks.append(block)
+    if not blocks:
+        return {g: {} for g in pts}
+    lo, hi, dist = (np.concatenate(a) for a in zip(*blocks))
+    order = np.lexsort((hi, lo))
+    lo, his, ds = lo[order], hi[order].tolist(), dist[order].tolist()
+    nbrs, start = {}, 0
+    for g, end in zip(pts, np.searchsorted(lo, pts, "right").tolist()):
+        nbrs[g] = dict(zip(his[start:end], ds[start:end]))
+        start = end
+    return nbrs
 
 
 def enumerate_complex(
@@ -106,15 +151,7 @@ def enumerate_complex(
         raise BudgetExceededError(budget, n)
 
     if max_dim >= 1:
-        # Neighbours above each vertex as {vertex: distance}, ascending; one
-        # vectorised comparison per row, then only Python ints and floats.
-        D = cloud.pairwise(pts)
-        gids = np.asarray(pts)
-        nbrs = {}
-        for i, g in enumerate(pts):
-            row = D[i, i + 1:]
-            js = np.flatnonzero(row <= scale)
-            nbrs[g] = dict(zip(gids[js + (i + 1)].tolist(), row[js].tolist()))
+        nbrs = _neighbours(pts, cloud, scale, budget)
 
         # Each simplex carries its common neighbours above its last vertex,
         # each with its largest distance to the simplex's vertices, so a

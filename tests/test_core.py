@@ -48,6 +48,23 @@ class TestDistance:
             idx = rng.choice(pc.n, size=int(rng.integers(2, 60)), replace=False)
             assert np.array_equal(pc.pairwise(idx), full[np.ix_(idx, idx)])
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 17])
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e11])
+    def test_rectangular_blocks_equal_slices_either_way_round(self, d, offset):
+        # The Rips neighbour sweep computes rectangular blocks whose rows may
+        # come after their columns in index order; every entry must still
+        # have the bits of the symmetric full matrix.
+        rng = np.random.default_rng(d)
+        pc = PointCloud(rng.random((120, d)) * rng.choice([1e-3, 1.0, 1e3]) + offset)
+        full = pc.pairwise(range(pc.n))
+        for _ in range(20):
+            a = rng.choice(pc.n, size=int(rng.integers(1, 40)), replace=False)
+            b = rng.choice(pc.n, size=int(rng.integers(1, 40)), replace=False)
+            block, swapped = pc.pairwise(a, b), pc.pairwise(b, a)
+            assert np.array_equal(block, full[np.ix_(a, b)])
+            assert np.array_equal(swapped, full[np.ix_(b, a)])
+            assert np.array_equal(block, swapped.T)
+
 
 class TestDiameter:
     def test_singleton(self):

@@ -1,10 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mvbetti.core
+from mvbetti import rips
+from mvbetti.cli import main
 from mvbetti.core import PointCloud, boundary
 from mvbetti.reduction import as_dict
-from mvbetti.rips import BudgetExceededError, boundary_matrix, enumerate_complex
+from mvbetti.rips import (DEFAULT_BUDGET, BudgetExceededError, boundary_matrix,
+                          enumerate_complex)
 
 from conftest import (TETRA_POINTS, TETRA_SIDE, UNIT_SQUARE,
                       brute_force_simplices, random_cloud)
@@ -126,6 +132,97 @@ class TestEnumerateProperties:
             want = [0.0 if q == 0 else cloud.diameter(s) for s in expect[q]]
             assert [d.hex() for d in cx.diameters[q]] == [d.hex() for d in want]
             assert all(type(d) is float for d in cx.diameters[q])
+
+
+def dense_neighbours(points, cloud, scale):
+    """{vertex: {higher neighbour: distance}} read off the full distance
+    matrix of the points, the enumeration's former neighbour search."""
+    D = cloud.pairwise(points)
+    return {g: {points[j]: float(D[i, j]) for j in range(i + 1, len(points))
+                if D[i, j] <= scale}
+            for i, g in enumerate(points)}
+
+
+@st.composite
+def sweep_clouds(draw):
+    """Grid-snapped clouds in d = 1..5 with up to 200 points: ties on every
+    axis, duplicate points, axes of zero extent, offsets up to 1e12, and a
+    pair that differs along one axis only, often exactly scale apart."""
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([2, 5, 40, 1000]))
+    coords = rng.integers(0, levels, size=(n, d)) * draw(st.sampled_from([0.1, 0.25, 1.0]))
+    flat = sorted(draw(st.sets(st.integers(0, d - 1), max_size=d)))
+    coords[:, flat] = coords[0, flat]
+    coords += draw(st.sampled_from([0.0, 1e6, 1e9, 1e12]))
+    axis = int(np.argmax(np.ptp(coords, axis=0)))
+    if n >= 3:
+        coords[-1] = coords[0]
+        coords[-1, axis] = coords[1, axis]
+    cloud = PointCloud(coords)
+    along = abs(float(coords[-1, axis] - coords[0, axis]))
+    scale = draw(st.sampled_from([along, float(np.ptp(coords[:, axis])) / levels,
+                                  draw(st.floats(0.0, 3.0))]))
+    points = sorted(rng.choice(n, size=draw(st.integers(1, n)), replace=False).tolist())
+    return cloud, points, scale, draw(st.integers(1, 3))
+
+
+class TestNeighbourSweep:
+    @settings(max_examples=60, deadline=None)
+    @given(sweep_clouds())
+    def test_equals_dense_neighbours_bitwise(self, case):
+        cloud, points, scale, block = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mvbetti.core, "_SWEEP_BLOCK", block)
+            got = rips._neighbours(points, cloud, scale, DEFAULT_BUDGET)
+        want = dense_neighbours(points, cloud, scale)
+        assert list(got) == list(want)
+        for g in points:
+            assert [(w, x.hex()) for w, x in got[g].items()] == \
+                [(w, x.hex()) for w, x in want[g].items()]
+            assert all(type(x) is float for x in got[g].values())
+
+    def test_edges_alone_pass_the_budget(self, monkeypatch):
+        # 40 points a unit apart on a line at scale 1.5 have 39 edges, so
+        # the budget is passed by the edges, not by the 40 vertices.
+        monkeypatch.setattr(mvbetti.core, "_SWEEP_BLOCK", 4)
+        pc = PointCloud([[float(i)] for i in range(40)])
+        assert enumerate_complex(range(40), pc, 1.5, 1, budget=79).count(1) == 39
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_complex(range(40), pc, 1.5, 1, budget=78)
+        assert (err.value.budget, err.value.region_size) == (78, 40)
+
+    def test_budget_stops_the_distance_stage(self, monkeypatch):
+        # Every pair is in range: the sweep stops at the first block that
+        # passes the budget instead of computing all 55 blocks.
+        monkeypatch.setattr(mvbetti.core, "_SWEEP_BLOCK", 10)
+        calls = []
+        pairwise = PointCloud.pairwise
+        monkeypatch.setattr(PointCloud, "pairwise",
+                            lambda self, *a: calls.append(a) or pairwise(self, *a))
+        pc = PointCloud(np.zeros((100, 2)))
+        with pytest.raises(BudgetExceededError):
+            enumerate_complex(range(100), pc, 1.0, 2, budget=200)
+        assert len(calls) <= 3
+
+    def test_cli_exits_3_when_edges_pass_the_budget(self, tmp_path):
+        path = tmp_path / "line.csv"
+        path.write_text("".join(f"{i}.0,0.0\n" for i in range(40)))
+        args = [str(path), "--epsilon", "1.5", "--grid", "1,1", "--max-dim", "0"]
+        assert main(args + ["--budget", "79"]) == 0
+        assert main(args + ["--budget", "78"]) == 3
+
+    def test_memory_linear_in_points_and_edges(self):
+        # The former dense block peaked at about 153 MB here.
+        pc = PointCloud(np.random.default_rng(0).random((2000, 2)))
+        tracemalloc.start()
+        try:
+            enumerate_complex(range(2000), pc, 0.02, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def dict_columns(cols):
