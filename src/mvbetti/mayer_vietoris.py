@@ -330,7 +330,14 @@ class MVNodeSolver:
         return [Chain(z.dim, self.p, t) for t in parts]
 
     def _chase(self, z: Chain, n: int):
-        """Run the exact-sequence chase; returns (sparse kernel coords, xi chains)."""
+        """Run the exact-sequence chase on a nonzero cycle; returns (sparse
+        kernel coords, xi chains)."""
+        if n < 0 or n > self.n_max:
+            raise ValueError(f"dimension {n} out of range")
+        if z.dim != n:
+            raise ValueError(f"chain dimension {z.dim} does not match query dimension {n}")
+        if not chain_boundary(z).is_zero():
+            raise ValueError("chain is not a cycle")
         K = len(self.pieces)
         zs = self._split(z)
         kappa = {}
@@ -398,12 +405,6 @@ class MVNodeSolver:
         keys first, kernel keys offset by the cokernel size."""
         if z.is_zero():
             return {}
-        if n < 0 or n > self.n_max:
-            raise ValueError(f"dimension {n} out of range")
-        if z.dim != n:
-            raise ValueError(f"chain dimension {z.dim} does not match query dimension {n}")
-        if not chain_boundary(z).is_zero():
-            raise ValueError("chain is not a cycle")
         kappa, xis = self._chase(z, n)
         fs_n = self._f[n]
         out = fs_n.project_coker(self._piece_target_vector(xis, n), self.field)
@@ -415,12 +416,6 @@ class MVNodeSolver:
         """A union chain w with boundary exactly z, or None when [z] != 0."""
         if z.is_zero():
             return Chain.zero(n + 1, self.p)
-        if n < 0 or n > self.n_max:
-            raise ValueError(f"dimension {n} out of range")
-        if z.dim != n:
-            raise ValueError(f"chain dimension {z.dim} does not match query dimension {n}")
-        if not chain_boundary(z).is_zero():
-            raise ValueError("chain is not a cycle")
         kappa, xis = self._chase(z, n)
         if kappa:
             return None

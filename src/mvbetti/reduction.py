@@ -1,9 +1,11 @@
 """Exact homology linear algebra over Z/p.
 
 Column reduction (R = D*V with V invertible upper-triangular) gives the
-Betti numbers of a region at each requested scale (one reduction per
-region, read through per-scale views) and its membership queries (express
-a cycle in the homology basis / produce an explicit bounding chain).  The
+Betti numbers of a region at each requested scale and its membership
+queries (express a cycle in the homology basis / produce an explicit
+bounding chain).  A region is reduced once, into one elimination table per
+dimension that serves every scale; a per-scale view is the list of the
+table rows that are representatives at its scale.  The
 pairing that precedes it also gives the direct filtration barcode, the
 oracle for the divide-and-conquer path (see persistence_barcode for what
 it shares with run() and what keeps it independent).
@@ -347,8 +349,13 @@ class LeafReduction:
     top-down with clearing: a q-simplex that is the pivot row of some reduced
     (q+1)-column R_k is a cycle, its column is not built, and R_k is its
     cycle column.  Every reduction must reproduce the pairs found first, or
-    ConsistencyError is raised.  view(scale) reads a LeafSolver off the
-    shared columns.
+    ConsistencyError is raised.
+
+    tables[n] is the one eliminate() table of dimension n for every scale,
+    tagged by row, in ascending row order: a row j killed by column k of
+    D_{n+1} holds R_k, whose lowest row is j; an unkilled zero column holds
+    V_j, and an unkilled vertex e_j.  Its rows below any prefix span the
+    cycles of that prefix.  view(scale) reads a LeafSolver off it.
     """
 
     def __init__(self, points, cloud: PointCloud, scales, n_max: int,
@@ -384,21 +391,19 @@ class LeafReduction:
             killers = red.pivots
             self.pivot_pairs[q] = [(j, l) for l, j in killers.items()]
 
-        # Per dimension n: (row, killer column or None, cycle column) for
-        # every zero column of D_n (every vertex when n = 0), ascending.
-        self.cycles = []
+        self.tables = []
         for n in range(n_max + 1):
-            up = self.reduced[n + 1]
-            zero = []
+            up, red = self.reduced[n + 1], self.reduced.get(n)
+            table = {}
             for j in range(cx.count(n)):
                 k = up.pivots.get(j)
-                if n == 0:
-                    zero.append((j, k, 1 << j if field.p == 2 else {j: 1}))
-                elif k is not None:
-                    zero.append((j, k, up.r[k]))
-                elif not self.reduced[n].r[j]:
-                    zero.append((j, None, self.reduced[n].v[j]))
-            self.cycles.append(zero)
+                if k is not None:
+                    table[j] = (up.r[k], j)
+                elif n == 0:
+                    table[j] = (1 << j if field.p == 2 else {j: 1}, j)
+                elif not red.r[j]:
+                    table[j] = (red.v[j], j)
+            self.tables.append(table)
 
     def view(self, scale: float) -> "LeafSolver":
         return LeafSolver(self, scale)
@@ -407,16 +412,16 @@ class LeafReduction:
 class LeafSolver:
     """Homology of one region at one scale: a view of a LeafReduction.
 
-    For each dimension n <= n_max the view holds an eliminate() table whose
-    column space is exactly the cycle space Z_n of the complex at its scale:
-    the reduced (n+1)-boundary columns in that prefix (with preimages), plus
-    the cycle columns of the prefix's zero n-columns whose killer lies
-    outside it, which are the homology representatives.  All lowest rows are
-    distinct, so the table is already in echelon form.  betti(n) = dim Z_n -
-    rank d_{n+1}; coords() expresses a cycle in the representative basis as
-    a sparse {basis index: nonzero residue} dict, the representation of a
-    dict column; bound() returns an explicit preimage under the boundary map
-    whenever the class vanishes.
+    A view is the list of its live rows.  The rows of the reduction's
+    dimension-n table below the view's n-limit span the cycle space Z_n of
+    the complex at its scale.  A row is a representative unless its killer k
+    lies in the view's (n+1)-prefix, where R_k is a boundary with preimage
+    V_k.  The view keeps {representative row: basis index} per dimension, so
+    betti(n) = dim Z_n - rank d_{n+1} is the size of that dict.  coords()
+    expresses a cycle in the representative basis as a sparse {basis index:
+    nonzero residue} dict, the representation of a dict column; bound()
+    returns an explicit preimage under the boundary map whenever the class
+    vanishes.
     """
 
     def __init__(self, reduction: LeafReduction, scale: float):
@@ -433,50 +438,37 @@ class LeafSolver:
         self.point_set = frozenset(self.points)
         # Simplices of the view per dimension: a prefix of every level.
         self._limit = [reduction.prefix[q][b] for q in range(self.n_max + 2)]
-        self._tables = []   # per dimension: {low row: (column, (kind, payload))}
-        self._reps = []     # per dimension: list of rep columns (native)
+        self._basis = []    # per dimension: {representative row: basis index}
         self._rep_chains = {}   # dimension -> representatives(n), built on first call
-        self._build()
+        for n in range(self.n_max + 1):
+            limit, limit_up = self._limit[n], self._limit[n + 1]
+            killers = reduction.reduced[n + 1].pivots
+            basis = {}
+            for row in reduction.tables[n]:
+                if row >= limit:
+                    break
+                k = killers.get(row)
+                if k is None or k >= limit_up:
+                    basis[row] = len(basis)
+            self._basis.append(basis)
 
-    # -- construction
+            expected = limit - self._rank(n) - self._rank(n + 1)
+            if len(basis) != expected:
+                raise ConsistencyError(
+                    f"homology basis size mismatch at dimension {n}: "
+                    f"{len(basis)} reps vs {expected} expected"
+                )
 
     def _rank(self, q: int) -> int:
         """Rank of d_q restricted to the view."""
         return bisect_left(self.reduction.pivot_pairs.get(q, ()), (self._limit[q],))
-
-    def _build(self):
-        red = self.reduction
-        for n in range(0, self.n_max + 1):
-            limit, limit_up = self._limit[n], self._limit[n + 1]
-            table = {}
-            up = red.reduced[n + 1]
-            for j, l in red.pivot_pairs[n + 1]:
-                if j >= limit_up:
-                    break
-                table[l] = (up.r[j], ("boundary", up.v[j]))
-            reps = []
-            for i, killer, col in red.cycles[n]:
-                if i >= limit:
-                    break
-                if killer is None or killer >= limit_up:
-                    table[i] = (col, ("rep", len(reps)))
-                    reps.append(col)
-            self._tables.append(table)
-            self._reps.append(reps)
-
-            expected = limit - self._rank(n) - self._rank(n + 1)
-            if len(reps) != expected:
-                raise ConsistencyError(
-                    f"homology basis size mismatch at dimension {n}: "
-                    f"{len(reps)} reps vs {expected} expected"
-                )
 
     # -- queries
 
     def betti(self, n: int) -> int:
         if n < 0 or n > self.n_max:
             return 0
-        return len(self._reps[n])
+        return len(self._basis[n])
 
     def representatives(self, n: int):
         """Cycle chains whose classes form the homology basis at dimension n.
@@ -488,9 +480,9 @@ class LeafSolver:
             return []
         chains = self._rep_chains.get(n)
         if chains is None:
-            cx = self.complex
-            p = self.field.p
-            chains = [cx.chain_of_column(as_dict(c), n, p) for c in self._reps[n]]
+            cx, p, table = self.complex, self.field.p, self.reduction.tables[n]
+            chains = [cx.chain_of_column(as_dict(table[row][0]), n, p)
+                      for row in self._basis[n]]
             self._rep_chains[n] = chains
         return chains
 
@@ -503,31 +495,34 @@ class LeafSolver:
         return col
 
     def _eliminate(self, z: Chain, n: int):
-        """Express a cycle as (sparse rep coordinates, (preimage column,
-        coefficient) terms of a bounding chain of the rest)."""
-        if not z.is_zero() and z.dim != n:
+        """Express a nonzero cycle as (sparse rep coordinates, (preimage
+        column, coefficient) terms of a bounding chain of the rest)."""
+        if n < 0 or n > self.n_max:
+            raise ValueError(f"dimension {n} out of range")
+        if z.dim != n:
             raise ValueError(f"chain dimension {z.dim} does not match query dimension {n}")
-        rest, used = eliminate(self._column(z, n), self._tables[n], self.field.p)
+        red = self.reduction
+        rest, used = eliminate(self._column(z, n), red.tables[n], self.field.p)
         if rest:
             raise ValueError(
                 f"chain is not a cycle of this region's complex (unmatched row "
                 f"{max(as_dict(rest))} at dimension {n})"
             )
+        basis, up = self._basis[n], red.reduced[n + 1]
         coords = {}
         preimage = []
-        for (kind, payload), c in used:
-            if kind == "rep":
-                coords[payload] = c
+        for row, c in used:
+            b = basis.get(row)
+            if b is None:
+                preimage.append((up.v[up.pivots[row]], c))
             else:
-                preimage.append((payload, c))
+                coords[b] = c
         return coords, preimage
 
     def coords(self, z: Chain, n: int) -> dict:
         """A cycle's class in the homology basis as {basis index: nonzero residue}."""
         if z.is_zero():
             return {}
-        if n < 0 or n > self.n_max:
-            raise ValueError(f"dimension {n} out of range")
         return self._eliminate(z, n)[0]
 
     def bound(self, z: Chain, n: int):
@@ -537,8 +532,6 @@ class LeafSolver:
         """
         if z.is_zero():
             return Chain.zero(n + 1, self.field.p)
-        if n < 0 or n > self.n_max:
-            raise ValueError(f"dimension {n} out of range")
         coords, preimage = self._eliminate(z, n)
         if coords:
             return None

@@ -40,10 +40,11 @@ class RipsComplex:
     """All simplices of diameter <= scale on a region, up to max_dim.
 
     simplices[q] is the list of q-simplices (tuples of global point indices),
-    lexicographically sorted as enumerated; diameters[q] aligns with it and
-    index[q] inverts it.  A leaf reduction or the oracle may reorder the
-    levels by scale bucket before pairing them; index is built on first use,
-    so it is built once, after any reordering.
+    lexicographically sorted as enumerated; diameters[q] aligns with it and,
+    for the levels below max_dim, the only ones looked up, index[q] inverts
+    it.  A leaf reduction or the oracle may reorder the levels by scale
+    bucket before pairing them; index is built on first use, so it is built
+    once, after any reordering.
     """
 
     __slots__ = ("points", "scale", "max_dim", "simplices", "diameters", "_index")
@@ -59,7 +60,8 @@ class RipsComplex:
     @property
     def index(self):
         if self._index is None:
-            self._index = [{s: i for i, s in enumerate(level)} for level in self.simplices]
+            self._index = [{s: i for i, s in enumerate(level)}
+                           for level in self.simplices[:self.max_dim]]
         return self._index
 
     def reorder(self, q: int, order):
@@ -78,10 +80,14 @@ class RipsComplex:
         return sum(len(level) for level in self.simplices)
 
     def column_of_chain(self, chain: Chain) -> dict:
-        """Chain as a sparse coefficient vector over this complex's basis."""
+        """Chain of a level below max_dim as a sparse coefficient vector over
+        this complex's basis."""
         q = chain.dim
         if chain.is_zero():
             return {}
+        if not 0 <= q < self.max_dim:
+            raise ValueError(f"dimension {q} chains are not indexed; only levels "
+                             f"below {self.max_dim} are")
         idx = self.index[q]
         col = {}
         for s, c in chain.terms.items():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvbetti import reduction
-from mvbetti.core import Chain, PointCloud, chain_boundary
+from mvbetti.core import Chain, ConsistencyError, PointCloud, chain_boundary
 from mvbetti.engine import run
 from mvbetti.reduction import betti_at_scale, build_leaf, persistence_barcode
 
@@ -51,6 +51,14 @@ def test_views_match_fresh_solves_and_the_oracle(case):
         fresh = build_leaf(pts, cloud, s, n_max, p)
         assert view.betti_all() == fresh.betti_all() == brute_force_betti(pts, cloud, s, n_max, p)
         for n in range(n_max + 1):
+            # The view's own representatives: cycles of its complex, each
+            # its own basis vector, although the shared table may hold R_k
+            # for a killer k that only enters at a larger scale.
+            present = set(_prefix_simplices(view, n))
+            for b, z in enumerate(view.representatives(n)):
+                assert chain_boundary(z).is_zero()
+                assert set(z.terms) <= present
+                assert view.coords(z, n) == {b: 1}
             reps = fresh.representatives(n)
             if reps:
                 M = np.array([dense(view.coords(z, n), view.betti(n)) for z in reps]).T
@@ -62,6 +70,26 @@ def test_views_match_fresh_solves_and_the_oracle(case):
                 z = chain_boundary(w0)
                 w = view.bound(z, n)
                 assert w is not None and chain_boundary(w) == z
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_views_guard_their_basis_size_and_bounds(p):
+    cloud = PointCloud([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    top = 2.0 ** 0.5
+    red = build_leaf(range(4), cloud, 1.0, 1, p, scales=[1.0, top]).reduction
+    # A boundary at the top scale whose preimage is then tampered with.
+    z = chain_boundary(Chain.single((0, 1, 2), p))
+    up = red.reduced[2]
+    for k in up.v:
+        up.v[k] = 0 if p == 2 else {}
+    with pytest.raises(ConsistencyError, match="boundary differs from z"):
+        red.view(top).bound(z, 1)
+    # The square's loop is the one 1-cycle row at scale 1; without it the
+    # view's basis no longer matches the ranks.
+    row = next(iter(red.view(1.0)._basis[1]))
+    del red.tables[1][row]
+    with pytest.raises(ConsistencyError, match="basis size mismatch"):
+        red.view(1.0)
 
 
 def test_view_rejects_simplices_beyond_its_scale():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import mvbetti.core
 from mvbetti import rips
 from mvbetti.cli import main
-from mvbetti.core import PointCloud, boundary
+from mvbetti.core import Chain, PointCloud, boundary
 from mvbetti.reduction import as_dict
 from mvbetti.rips import (DEFAULT_BUDGET, BudgetExceededError, boundary_matrix,
                           enumerate_complex)
@@ -71,6 +71,18 @@ class TestEnumerate:
             cx = enumerate_complex(range(15), pc, scale, 2)
             counts.append(cx.total())
         assert counts == sorted(counts)
+
+    def test_only_levels_below_the_top_are_indexed(self):
+        pc = PointCloud(TETRA_POINTS)
+        cx = enumerate_complex(range(4), pc, TETRA_SIDE, 2)
+        assert cx.count(2) == 4
+        assert len(cx.index) == 2
+        for q in range(2):
+            assert cx.index[q] == {s: i for i, s in enumerate(cx.simplices[q])}
+        edge = Chain.single(cx.simplices[1][0], 3)
+        assert cx.column_of_chain(edge) == {0: 1}
+        with pytest.raises(ValueError, match="not indexed"):
+            cx.column_of_chain(Chain.single(cx.simplices[2][0], 3))
 
     def test_lexicographic_order(self):
         rng = np.random.default_rng(8)
