@@ -14,9 +14,11 @@ Columns are native Python values: int bitsets (bit r = row r) at p = 2,
 where column addition is one XOR, and {row: nonzero residue} dicts
 otherwise.  Elimination goes through three routines: reduce_columns
 reduces a matrix left to right, one loop per representation;
-cohomology_pairs finds the pivot pairs of a boundary matrix from the
-coboundary columns, so that a region reduces only the top-dimension
-columns it reads; and eliminate reduces one column against a table of
+cohomology_pairs finds the pivot pairs of a boundary matrix, so that a
+region reduces only the top-dimension columns it reads: by union-find over
+the edges for D_1, and above that by reducing coboundary columns read from
+the level's facet table (rips.facet_tables, shared with boundary_matrix);
+and eliminate reduces one column against a table of
 columns with distinct lowest rows, the step behind every coords/bound
 query of a region and the Mayer-Vietoris kernel and cokernel.  combine
 forms linear combinations of columns, and as_dict decodes a column of
@@ -26,14 +28,15 @@ either representation.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import reduce
 from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import Chain, ConsistencyError, PointCloud, PrimeField, chain_boundary
-from .rips import (DEFAULT_BUDGET, boundary_matrix, enumerate_complex, facet_rows,
-                   facet_signs)
+from .rips import (DEFAULT_BUDGET, boundary_matrix, enumerate_complex, facet_signs,
+                   facet_tables)
 
 
 # ---------------------------------------------------------------------------
@@ -244,42 +247,76 @@ def _reduce_dicts(items, R, V, field):
     return pivots
 
 
-def cohomology_pairs(cx, q: int, field: PrimeField, clear=()):
+def cohomology_pairs(cx, q: int, field: PrimeField, clear=(), facets=None):
     """Pivot pairs of D_q, found by reducing the coboundary columns of the
     (q-1)-simplices instead of the boundary columns of the q-simplices.
 
     Returns {(q-1)-simplex: q-simplex}, equal to the pivots of
     reduce_columns over all of boundary_matrix(cx, q, p): homology and
     cohomology have the same pairs (de Silva, Morozov & Vejdemo-Johansson,
-    "Dualities in persistent (co)homology", 2011).  The coboundary column of
-    a (q-1)-simplex holds its cofaces with their boundary coefficients; the
-    columns are reduced in descending simplex order, and a column's pivot is
-    its earliest coface.  Most columns keep the earliest coface of their
-    unreduced coboundary as pivot and need no addition (Bauer, "Ripser",
-    2021).  Simplices in clear, the pivot columns of D_{q-1}, are skipped:
-    their coboundary columns reduce to zero.
-    """
-    p = field.p
-    # One pass over level q: cofaces enter each column in ascending order,
-    # so a column's first key is its earliest coface.
-    cob = [{} for _ in range(cx.count(q - 1))]
-    signs = facet_signs(q, p)
-    rows = facet_rows(cx, q)
-    for i in range(cx.count(q)):
-        for c in signs:
-            cob[next(rows)][i] = c
+    "Dualities in persistent (co)homology", 2011).  facets is level q's
+    table from facet_tables, built here when not given.
 
-    pairs = {}
-    table = {}      # pivot coface -> column
-    for i in range(len(cob) - 1, -1, -1):
-        col = cob[i]
-        if not col or i in clear:
+    At q = 1 the pairs come from union-find over the edges in level order
+    (Kruskal), each component rooted at its smallest vertex row: an edge
+    that joins roots a < b pairs with b.  b is the lowest row of the edge's
+    reduced column, which has a nonzero coefficient sum on each of the two
+    components and no pivot row.  clear is not read there.
+
+    For q >= 2 the coboundary column of a (q-1)-simplex holds its cofaces
+    with their boundary coefficients.  An argsort of the flattened facet
+    table groups its entries by facet into a sparse (CSR) matrix: entry e
+    is coface e // (q+1), with the sign of facet column e % (q+1).  The
+    columns are reduced in descending simplex order, and a column's pivot
+    is its earliest coface (Bauer, "Ripser", 2021).  A column that is the
+    latest facet of its earliest coface forms an apparent pair with it: no
+    column above it holds that coface, so these pairs are entered before the
+    loop.  Of the others, a column whose earliest coface is free is paired
+    by reading that one entry; a column becomes a dict only when it needs
+    an addition or is the source of one.  Simplices in clear, the pivot
+    columns of D_{q-1}, are skipped: their coboundary columns reduce to zero.
+    """
+    if facets is None:
+        facets = facet_tables(cx, q)[q]
+    if q == 1:
+        return _union_find_pairs(facets, cx.count(0))
+    p, k, n = field.p, q + 1, cx.count(q - 1)
+    flat = facets.ravel()
+    # The order within a column is not used, so the sort need not be stable.
+    cofaces = np.argsort(flat)
+    coefs = np.array(facet_signs(q, p))[cofaces % k]
+    cofaces //= k
+    sizes = np.bincount(flat, minlength=n)
+    ends = sizes.cumsum()
+    starts = ends - sizes
+    first = np.full(n, -1, np.int64)    # each column's earliest coface
+    live = sizes > 0
+    first[live] = np.minimum.reduceat(cofaces, starts[live])
+    if clear:
+        first[np.fromiter(clear, np.int64, len(clear))] = -1
+    apparent = np.flatnonzero(first >= 0)
+    apparent = apparent[reduce(np.maximum, facets.T)[first[apparent]] == apparent]
+    table = dict(zip(first[apparent].tolist(), apparent.tolist()))  # pivot -> column
+    pairs = dict(zip(apparent.tolist(), first[apparent].tolist()))
+    first[apparent] = -1
+    first, starts, ends = first.tolist(), starts.tolist(), ends.tolist()
+
+    def column(i):
+        s, e = starts[i], ends[i]
+        return dict(zip(cofaces[s:e].tolist(), coefs[s:e].tolist()))
+
+    reduced = {}    # column -> its reduced coboundary, once it is a dict
+    for i in range(n - 1, -1, -1):
+        low = first[i]
+        if low < 0:
             continue
-        low = next(iter(col))
-        src = table.get(low)
-        if src is not None:
-            col = dict(col)
-            while src is not None:
+        j = table.get(low)
+        if j is not None:
+            col = column(i)
+            while j is not None:
+                src = reduced.get(j)
+                if src is None:
+                    src = reduced[j] = column(j)
                 c = (-col[low] * field.inv(src[low])) % p
                 for r, x in src.items():
                     y = (col.get(r, 0) + c * x) % p
@@ -290,11 +327,30 @@ def cohomology_pairs(cx, q: int, field: PrimeField, clear=()):
                 if not col:
                     break
                 low = min(col)
-                src = table.get(low)
+                j = table.get(low)
             if not col:
                 continue
+            reduced[i] = col
         pairs[i] = low
-        table[low] = col
+        table[low] = i
+    return pairs
+
+
+def _union_find_pairs(edges, n: int):
+    """Pivot pairs of D_1 from the (count(1), 2) vertex rows of the edges in
+    level order, on n vertices; roots are merged into the smaller one."""
+    root = list(range(n))
+    pairs = {}
+    for j, (a, b) in enumerate(edges.tolist()):
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        while root[b] != b:
+            root[b] = b = root[root[b]]
+        if a != b:
+            if a > b:
+                a, b = b, a
+            root[b] = a
+            pairs[b] = j
     return pairs
 
 
@@ -324,13 +380,15 @@ def _order_levels(cx, scales):
     return prefix
 
 
-def _pair_levels(cx, top: int, field: PrimeField):
+def _pair_levels(cx, top: int, field: PrimeField, facets):
     """Pivot pairs of D_1, ..., D_top as {q: {(q-1)-simplex: q-simplex}},
-    with pairs[0] = {} for D_0 = 0: cohomology_pairs in ascending q, each
-    level cleared by the pivot columns of the level below."""
+    with pairs[0] = {} for D_0 = 0: cohomology_pairs in ascending q on the
+    facet tables of facet_tables(cx, top), each level cleared by the pivot
+    columns of the level below."""
     pairs = {0: {}}
     for q in range(1, top + 1):
-        pairs[q] = cohomology_pairs(cx, q, field, set(pairs[q - 1].values()))
+        pairs[q] = cohomology_pairs(cx, q, field, set(pairs[q - 1].values()),
+                                    facets[q])
     return pairs
 
 
@@ -368,7 +426,8 @@ class LeafReduction:
         cx = enumerate_complex(points, cloud, self.scales[-1], top, budget)
         self.complex = cx
         self.prefix = _order_levels(cx, self.scales)
-        pairs = _pair_levels(cx, top, field)
+        facets = facet_tables(cx, top)
+        pairs = _pair_levels(cx, top, field, facets)
 
         # Per dimension q >= 1: reduced D_q, keyed by the columns built, and
         # its (column, low row) pivot pairs in ascending column order.
@@ -380,7 +439,8 @@ class LeafReduction:
                 built = sorted(pairs[q].values())
             else:
                 built = [j for j in range(cx.count(q)) if j not in killers]
-            nrows, cols = boundary_matrix(cx, q, field.p, built)
+            # facets[q], popped so that each table is freed once it is read.
+            nrows, cols = boundary_matrix(cx, q, field.p, built, facets.pop())
             red = reduce_columns(nrows, dict(zip(built, cols)), field, keep_v=True)
             if red.pivots != pairs[q]:
                 raise ConsistencyError(
@@ -587,7 +647,7 @@ def persistence_barcode(points, cloud, eps_max, n_max, field,
         field = PrimeField(field)
     cx = enumerate_complex(points, cloud, eps_max, n_max + 1, budget)
     _order_levels(cx, sorted(set(chain.from_iterable(cx.diameters))))
-    pairs = _pair_levels(cx, n_max + 1, field)
+    pairs = _pair_levels(cx, n_max + 1, field, facet_tables(cx, n_max + 1))
 
     bars = []
     for n in range(n_max + 1):

@@ -11,11 +11,17 @@ along the region's axis of largest extent that computes distance blocks of
 bounded size only where a pair can still be close.  Its memory is linear in
 points plus edges, and the edges count against the simplex budget as they
 are found, so the budget bounds the distance stage as well.
+
+facet_tables turns the levels of a complex into one int array per level
+that holds the facet positions of every simplex.  It is the one facet
+lookup: boundary_matrix builds its columns from it, and the pairing in
+reduction reads its coboundaries from it.  A caller builds it once per
+complex, after any reordering of the levels, and drops it when done.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -190,49 +196,102 @@ def enumerate_complex(
     return RipsComplex(tuple(pts), scale, max_dim, simplices, diameters)
 
 
-def facet_rows(cx: RipsComplex, q: int, simplices=None):
-    """Iterator over the (q-1)-level indices of the facets of q-simplices.
+def facet_tables(cx: RipsComplex, top: int):
+    """[None, F_1, ..., F_top], one facet table per level 1..top.
 
-    Yields q + 1 indices per simplex of simplices (default: all of level
-    q), in the order of facet_signs(q, p).
+    F_q is a (count(q), q + 1) int64 array: row i holds the (q-1)-level
+    positions of the facets of q-simplex i, in the order of facet_signs(q, p).
+    Built in the levels' current order, so after any reordering.
     """
-    if simplices is None:
-        simplices = cx.simplices[q]
-    # combinations() drops the last vertex first.
-    return map(cx.index[q - 1].__getitem__,
-               chain.from_iterable(map(combinations, simplices, repeat(q))))
+    levels = [np.fromiter(chain.from_iterable(cx.simplices[q]), np.int64,
+                          cx.count(q) * (q + 1)).reshape(-1, q + 1)
+              for q in range(top + 1)]
+    # row[g] is the level-0 position of point g, g below the cloud's size.
+    row = np.empty(cx.points[-1] + 1 if cx.points else 0, np.int64)
+    row[levels[0][:, 0]] = np.arange(cx.count(0))
+    return _facet_tables([row[v] for v in levels], cx.count(0))
+
+
+def _facet_tables(levels, n: int):
+    """Facet tables from the vertex rows levels[q] of every level q >= 1 of
+    a closed complex on n vertices (levels[0] is not read).
+
+    A (q-1)-simplex, q >= 2, is keyed by (position of its first q - 1
+    vertices in level q-2) * n + (its last vertex), where the position of a
+    vertex in level 0 is its row.  Keys are distinct within a level and
+    below count(q-2) * n.  Both counts stay below 2^31 for any complex that
+    fits in memory (2^31 simplices take hundreds of GB as tuples), so the
+    keys are exact in int64, where a radix key over all q vertices would
+    pass 2^63 at q = 3 once n > 2^21.  Column 0 of F_q is the position of
+    the prefix v_0..v_{q-1}, found one vertex at a time; the facet that drops
+    v_{q-m}, m >= 1, is facet m - 1 of that prefix plus v_q.  So level q
+    costs 2q - 1 searchsorted calls and, for the level above, one argsort.
+    A facet that is not in the level below raises ValueError.
+    """
+    tables = [None]
+    index = [None]      # level k -> (sorted keys, their positions)
+
+    def find(k, keys):
+        sorted_keys, at = index[k]
+        pos = np.searchsorted(sorted_keys, keys)
+        if keys.size and not (len(sorted_keys) and np.array_equal(
+                sorted_keys[np.minimum(pos, len(sorted_keys) - 1)], keys)):
+            raise ValueError(f"a facet of a level-{k + 1} simplex is not in level {k}")
+        return at[pos]
+
+    for q in range(1, len(levels)):
+        v = levels[q]
+        table = np.empty(v.shape, np.int64)
+        if q == 1:
+            table[:, 0], table[:, 1] = v[:, 0], v[:, 1]
+        else:
+            # Position of the prefix v_0..v_{q-1}, found one vertex at a time.
+            prefix = v[:, 0]
+            for k in range(1, q):
+                prefix = find(k, prefix * n + v[:, k])
+            table[:, 0] = prefix
+            # Dropping v_{q-m} (m >= 1) leaves facet m - 1 of the prefix plus v_q.
+            for m in range(1, q + 1):
+                table[:, m] = find(q - 1, tables[q - 1][prefix, m - 1] * n + v[:, q])
+        tables.append(table)
+        if q + 1 < len(levels):
+            keys = table[:, 0] * n + v[:, q]
+            at = np.argsort(keys)
+            index.append((keys[at], at))
+    return tables
 
 
 def facet_signs(q: int, p: int):
-    """Boundary coefficients over Z/p of the facets in facet_rows order: the
+    """Boundary coefficients over Z/p of the facets in facet table order: the
     m-th facet drops vertex q - m, so its sign is (-1)^(q - m)."""
     return [p - 1 if (q - m) % 2 else 1 for m in range(q + 1)]
 
 
-def boundary_matrix(cx: RipsComplex, q: int, p: int, columns=None):
+def boundary_matrix(cx: RipsComplex, q: int, p: int, columns=None, facets=None):
     """Sparse boundary matrix from q-simplices to (q-1)-simplices over Z/p.
 
     Returns (nrows, columns) with the columns in reduce_columns' own
     representation: int bitsets (bit r = row r) at p = 2, {row: coefficient}
     dicts otherwise.  Column j holds the alternating-sign faces of the j-th
     q-simplex.  With columns, a list of q-simplex indices, only those
-    columns are built, in that order.
+    columns are built, in that order.  facets is level q's facet table from
+    facet_tables, built here when not given.
     """
     if q < 1 or q > cx.max_dim:
         raise ValueError(f"boundary dimension {q} out of range 1..{cx.max_dim}")
-    level = cx.simplices[q]
+    if facets is None:
+        facets = facet_tables(cx, q)[q]
     if columns is not None:
-        level = [level[j] for j in columns]
-    rows = facet_rows(cx, q, level)
-    out = []
+        facets = facets[np.asarray(columns, dtype=np.intp)]
+    rows = facets.tolist()
     if p == 2:
-        for _ in level:
+        out = []
+        for r in rows:
             col = 0
-            for _ in range(q + 1):
-                col |= 1 << next(rows)
+            for x in r:
+                col |= 1 << x
             out.append(col)
     else:
         signs = facet_signs(q, p)
-        for _ in level:
-            out.append({next(rows): c for c in signs})
-    return len(cx.simplices[q - 1]), out
+        out = [dict(zip(r, signs)) for r in rows]
+    return cx.count(q - 1), out

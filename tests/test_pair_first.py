@@ -8,13 +8,13 @@ reproduce the pairs must fail loudly.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from mvbetti import reduction
 from mvbetti.cli import main
 from mvbetti.core import ConsistencyError, PointCloud, PrimeField
-from mvbetti.reduction import build_leaf, cohomology_pairs, reduce_columns
-from mvbetti.rips import boundary_matrix
+from mvbetti.reduction import _order_levels, build_leaf, cohomology_pairs, reduce_columns
+from mvbetti.rips import boundary_matrix, enumerate_complex
 
 from test_leaf_views import leaf_cases
 
@@ -44,6 +44,37 @@ def test_pairs_and_pivot_columns_match_the_full_reduction(case):
         assert mine.v[j] == full.v[j]
 
 
+@st.composite
+def graph_cases(draw):
+    """Clouds that stress the union-find pairing of D_1: a single point,
+    clusters too far apart to join, duplicate points (zero-length edges),
+    lattice points with many equal edge lengths, and scales that put the
+    edges in bucket order, zero-length edges first when 0 is a scale."""
+    d = draw(st.integers(1, 3))
+    rows = []
+    for c in range(draw(st.integers(1, 3))):
+        cluster = draw(st.lists(st.lists(st.integers(0, 2), min_size=d, max_size=d),
+                                min_size=1, max_size=7))
+        rows += [[x + 100 * c for x in row] for row in cluster]
+    rows += rows[:draw(st.integers(0, 2))]
+    order = draw(st.permutations(range(len(rows))))
+    cloud = PointCloud(np.array([rows[i] for i in order], dtype=np.float64))
+    scales = sorted(set(draw(st.lists(st.sampled_from([0.0, 1.0, 2**0.5, 2.0, 3.0]),
+                                      min_size=1, max_size=4))))
+    return cloud, scales, draw(st.sampled_from([2, 3, 5]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph_cases())
+def test_union_find_pairs_match_the_full_reduction(case):
+    cloud, scales, p = case
+    field = PrimeField(p)
+    cx = enumerate_complex(range(cloud.n), cloud, scales[-1], 1)
+    _order_levels(cx, scales)
+    assert cohomology_pairs(cx, 1, field) == \
+        reduce_columns(*boundary_matrix(cx, 1, p), field, keep_v=False).pivots
+
+
 def _cloud(n=40, seed=5):
     return PointCloud(np.random.default_rng(seed).random((n, 2)))
 
@@ -53,9 +84,9 @@ def test_only_pivot_columns_of_the_top_dimension_are_built(monkeypatch, p):
     built = {}
     original = reduction.boundary_matrix
 
-    def recording(cx, q, p, columns=None):
+    def recording(cx, q, p, columns=None, facets=None):
         built[q] = list(columns)
-        return original(cx, q, p, columns)
+        return original(cx, q, p, columns, facets)
 
     monkeypatch.setattr(reduction, "boundary_matrix", recording)
     cloud = _cloud()
@@ -74,8 +105,8 @@ def test_only_pivot_columns_of_the_top_dimension_are_built(monkeypatch, p):
 def _swap_two_top_pairs(monkeypatch):
     original = reduction.cohomology_pairs
 
-    def swapped(cx, q, field, clear=()):
-        pairs = original(cx, q, field, clear)
+    def swapped(cx, q, field, clear=(), facets=None):
+        pairs = original(cx, q, field, clear, facets)
         if q == cx.max_dim and len(pairs) >= 2:
             (l1, j1), (l2, j2) = list(pairs.items())[:2]
             pairs[l1], pairs[l2] = j2, j1

@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ import mvbetti.core
 from mvbetti import rips
 from mvbetti.cli import main
 from mvbetti.core import Chain, PointCloud, boundary
-from mvbetti.reduction import as_dict
+from mvbetti.reduction import _order_levels, as_dict
 from mvbetti.rips import (DEFAULT_BUDGET, BudgetExceededError, boundary_matrix,
-                          enumerate_complex)
+                          enumerate_complex, facet_tables)
 
 from conftest import (TETRA_POINTS, TETRA_SIDE, UNIT_SQUARE,
                       brute_force_simplices, random_cloud)
@@ -307,3 +308,77 @@ class TestBoundaryMatrix:
             boundary_matrix(cx, 0, 2)
         with pytest.raises(ValueError):
             boundary_matrix(cx, 3, 2)
+
+
+def looked_up_facets(levels, q):
+    """Facet rows of level q from combinations() and a dict of level q - 1:
+    combinations drops the last vertex first, the facet_signs order."""
+    index = {tuple(s): i for i, s in enumerate(levels[q - 1])}
+    return [[index[f] for f in combinations(tuple(s), q)] for s in levels[q]]
+
+
+@st.composite
+def facet_clouds(draw):
+    """A leaf-like point subset in d = 1..4 whose global indices lie far
+    above its size: grid-snapped points with ties and duplicates, the unit
+    vectors (every distance sqrt(2) or 0) with repeats, or one point
+    repeated.  Also n_max up to 3 and scales that put the levels in bucket
+    order."""
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["grid", "equal", "same"]))
+    n = draw(st.integers(1, 10))
+    if kind == "grid":
+        coords = rng.integers(0, 3, size=(n, d)) * 0.5
+        if n > 1:
+            coords[-1] = coords[0]
+    elif kind == "equal":
+        coords = np.eye(d)[rng.integers(0, d, size=n)]
+    else:
+        coords = np.zeros((n, d))
+    offset = draw(st.sampled_from([0, 1000, 100_000]))
+    spread = draw(st.sampled_from([1, 3]))
+    points = np.sort(offset + rng.choice(n * spread, size=n, replace=False))
+    full = np.full((offset + n * spread, d), 50.0)
+    full[points] = coords
+    cloud = PointCloud(full)
+    local = cloud.pairwise(points.tolist())
+    dists = sorted({float(x) for x in local.ravel()})
+    scales = sorted(set(draw(st.lists(st.sampled_from(dists), min_size=1, max_size=3))))
+    return cloud, points.tolist(), scales, draw(st.integers(0, 3))
+
+
+class TestFacetTables:
+    @settings(max_examples=120, deadline=None)
+    @given(facet_clouds())
+    def test_equals_a_per_simplex_lookup(self, case):
+        cloud, points, scales, n_max = case
+        top = n_max + 1
+        cx = enumerate_complex(points, cloud, scales[-1], top)
+        _order_levels(cx, scales)
+        tables = facet_tables(cx, top)
+        assert len(tables) == top + 1 and tables[0] is None
+        for q in range(1, top + 1):
+            assert tables[q].dtype == np.int64
+            assert tables[q].shape == (cx.count(q), q + 1)
+            assert tables[q].tolist() == looked_up_facets(cx.simplices, q)
+
+    def test_keys_stay_exact_where_radix_keys_wrap(self):
+        # Radix keys over the three vertices of a triangle would need
+        # n^3 > 2^63 here; the prefix keys stay below count * n.
+        n = 2**21 + 8
+        assert n**3 > 2**63
+        verts = [0, 5, n - 4, n - 3, n - 2, n - 1]
+        rng = np.random.default_rng(0)
+        levels = [None]
+        for q in range(1, 5):
+            level = np.array(list(combinations(verts, q + 1)), dtype=np.int64)
+            levels.append(level[rng.permutation(len(level))])
+        tables = rips._facet_tables(levels, n)
+        assert tables[1].tolist() == levels[1].tolist()     # vertices are their rows
+        for q in range(2, 5):
+            assert tables[q].tolist() == looked_up_facets(levels, q)
+        # A level missing one of the facets of the level above is refused.
+        levels[2] = levels[2][1:]
+        with pytest.raises(ValueError, match="not in level 2"):
+            rips._facet_tables(levels, n)
