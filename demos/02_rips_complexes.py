@@ -23,5 +23,5 @@ At 0.5 nothing connects; at 1.0 the six sides form a hollow loop; at 1.75
 the short diagonals fill in the loop; at 2.0 everything is a clique.""")
 
 cx = enumerate_complex(range(6), hexagon, 1.0, 2)
-print("edges at scale 1.0:", cx.simplices[1])
-print("each edge records its diameter:", [round(d, 6) for d in cx.diameters[1]])
+print("edges at scale 1.0:", [tuple(s) for s in cx.simplices[1].tolist()])
+print("each edge records its diameter:", [round(d, 6) for d in cx.diameters[1].tolist()])

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import reduce
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -371,11 +370,11 @@ def _order_levels(cx, scales):
     prefix = []
     for q in range(cx.max_dim + 1):
         diams = cx.diameters[q]
-        if not diams or max(diams) <= scales[0]:
+        if not len(diams) or diams.max() <= scales[0]:
             prefix.append([len(diams)] * len(scales))
             continue
         buckets = np.searchsorted(scales, diams)
-        cx.reorder(q, np.argsort(buckets, kind="stable").tolist())
+        cx.reorder(q, np.argsort(buckets, kind="stable"))
         prefix.append(np.bincount(buckets, minlength=len(scales)).cumsum().tolist())
     return prefix
 
@@ -550,8 +549,8 @@ class LeafSolver:
         """z over the view's n-simplices; simplices beyond the view are foreign."""
         col = self.complex.column_of_chain(z)
         if col and max(col) >= self._limit[n]:
-            raise ValueError(f"simplex {self.complex.simplices[n][max(col)]} "
-                             f"is not in this complex")
+            s = tuple(self.complex.simplices[n][max(col)].tolist())
+            raise ValueError(f"simplex {s} is not in this complex")
         return col
 
     def _eliminate(self, z: Chain, n: int):
@@ -646,14 +645,15 @@ def persistence_barcode(points, cloud, eps_max, n_max, field,
     if isinstance(field, int):
         field = PrimeField(field)
     cx = enumerate_complex(points, cloud, eps_max, n_max + 1, budget)
-    _order_levels(cx, sorted(set(chain.from_iterable(cx.diameters))))
+    _order_levels(cx, np.unique(np.concatenate(cx.diameters)))
     pairs = _pair_levels(cx, n_max + 1, field, facet_tables(cx, n_max + 1))
 
     bars = []
     for n in range(n_max + 1):
         killers, up = set(pairs[n].values()), pairs[n + 1]
-        for i, birth in enumerate(cx.diameters[n]):
-            death = cx.diameters[n + 1][up[i]] if i in up else None
+        deaths = cx.diameters[n + 1].tolist()
+        for i, birth in enumerate(cx.diameters[n].tolist()):
+            death = deaths[up[i]] if i in up else None
             if i not in killers and (death is None or death > birth):
                 bars.append(Bar(n, birth, death))
     bars.sort(key=lambda b: (b.dim, b.birth, -1.0 if b.death is None else b.death))

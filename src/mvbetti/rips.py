@@ -12,6 +12,13 @@ bounded size only where a pair can still be close.  Its memory is linear in
 points plus edges, and the edges count against the simplex budget as they
 are found, so the budget bounds the distance stage as well.
 
+The edges become sorted arrays: CSR offsets of each vertex's higher
+neighbours and one sorted key per edge.  Every level then comes from the one
+below it with numpy, in blocks of at most _EXPAND_BLOCK candidates, each
+block counted against the budget before the next is expanded.  A complex
+keeps its levels as arrays from enumeration to the facet table; vertex
+tuples are made only for the chains of its queries.
+
 facet_tables turns the levels of a complex into one int array per level
 that holds the facet positions of every simplex.  It is the one facet
 lookup: boundary_matrix builds its columns from it, and the pairing in
@@ -21,13 +28,12 @@ complex, after any reordering of the levels, and drops it when done.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from .core import Chain, PointCloud
 
 DEFAULT_BUDGET = 10_000_000
+_EXPAND_BLOCK = 1 << 16     # candidate cofaces of one clique expansion block
 
 
 class BudgetExceededError(RuntimeError):
@@ -45,12 +51,14 @@ class BudgetExceededError(RuntimeError):
 class RipsComplex:
     """All simplices of diameter <= scale on a region, up to max_dim.
 
-    simplices[q] is the list of q-simplices (tuples of global point indices),
-    lexicographically sorted as enumerated; diameters[q] aligns with it and,
-    for the levels below max_dim, the only ones looked up, index[q] inverts
-    it.  A leaf reduction or the oracle may reorder the levels by scale
-    bucket before pairing them; index is built on first use, so it is built
-    once, after any reordering.
+    simplices[q] is a (count(q), q + 1) int64 array whose rows are the
+    q-simplices as increasing global point indices, lexicographically sorted
+    as enumerated; diameters[q] is the float64 array of their diameters.  A
+    leaf reduction or the oracle may reorder the levels by scale bucket
+    before pairing them.  Chains stay keyed by vertex tuples: index[q], for
+    the levels below max_dim, the only ones looked up, maps a tuple to its
+    row.  It is built from the arrays on first use, so only when a query
+    needs it and after any reordering.
     """
 
     __slots__ = ("points", "scale", "max_dim", "simplices", "diameters", "_index")
@@ -66,15 +74,21 @@ class RipsComplex:
     @property
     def index(self):
         if self._index is None:
-            self._index = [{s: i for i, s in enumerate(level)}
-                           for level in self.simplices[:self.max_dim]]
+            # The tuples hold the int objects of points, not one new int per
+            # vertex entry as tolist() would make.
+            pts = self.points
+            at = np.asarray(pts, dtype=np.int64)
+            self._index = []
+            for level in self.simplices[:self.max_dim]:
+                cols = np.searchsorted(at, level).T.tolist()
+                keys = zip(*(map(pts.__getitem__, col) for col in cols))
+                self._index.append(dict(zip(keys, range(len(level)))))
         return self._index
 
     def reorder(self, q: int, order):
         """Put level q in the given order of its current positions."""
-        level, diams = self.simplices[q], self.diameters[q]
-        self.simplices[q] = [level[i] for i in order]
-        self.diameters[q] = [diams[i] for i in order]
+        self.simplices[q] = self.simplices[q][order]
+        self.diameters[q] = self.diameters[q][order]
         self._index = None
 
     def count(self, q: int) -> int:
@@ -104,13 +118,14 @@ class RipsComplex:
         return col
 
     def chain_of_column(self, col: dict, q: int, p: int) -> Chain:
-        level = self.simplices[q]
-        return Chain(q, p, {level[r]: c for r, c in col.items()})
+        rows = self.simplices[q][list(col)].tolist()
+        return Chain(q, p, dict(zip(map(tuple, rows), col.values())))
 
 
-def _neighbours(pts, cloud: PointCloud, scale: float, budget: int) -> dict:
-    """{vertex: {higher neighbour: distance}} over the sorted point list pts,
-    every dict in ascending neighbour order, from cloud.close_pairs.
+def _edges(pts, cloud: PointCloud, scale: float, budget: int):
+    """Every edge of the scale-neighbourhood graph on the sorted global
+    indices pts, as arrays (lo, hi, dist) of local vertex rows lo < hi and
+    their distance, lexsorted by (lo, hi), from cloud.close_pairs.
 
     Edges are counted block by block: once the points plus the edges pass
     budget, BudgetExceededError is raised before more are computed.  The
@@ -124,15 +139,11 @@ def _neighbours(pts, cloud: PointCloud, scale: float, budget: int) -> dict:
             raise BudgetExceededError(budget, n)
         blocks.append(block)
     if not blocks:
-        return {g: {} for g in pts}
+        return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
     lo, hi, dist = (np.concatenate(a) for a in zip(*blocks))
+    lo, hi = np.searchsorted(pts, lo), np.searchsorted(pts, hi)
     order = np.lexsort((hi, lo))
-    lo, his, ds = lo[order], hi[order].tolist(), dist[order].tolist()
-    nbrs, start = {}, 0
-    for g, end in zip(pts, np.searchsorted(lo, pts, "right").tolist()):
-        nbrs[g] = dict(zip(his[start:end], ds[start:end]))
-        start = end
-    return nbrs
+    return lo[order], hi[order], dist[order]
 
 
 def enumerate_complex(
@@ -149,51 +160,74 @@ def enumerate_complex(
     """
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
-    pts = sorted(int(i) for i in points)
+    pts = np.array(sorted(int(i) for i in points), dtype=np.int64)
     n = len(pts)
-    simplices = [[] for _ in range(max_dim + 1)]
-    diameters = [[] for _ in range(max_dim + 1)]
+    simplices = [pts[:, None]] + [np.empty((0, q + 1), np.int64)
+                                  for q in range(1, max_dim + 1)]
+    diameters = [np.zeros(n)] + [np.empty(0) for _ in range(max_dim)]
     if n == 0:
         return RipsComplex(tuple(), scale, max_dim, simplices, diameters)
-
-    simplices[0] = [(g,) for g in pts]
-    diameters[0] = [0.0] * n
     count = n
     if count > budget:
         raise BudgetExceededError(budget, n)
 
     if max_dim >= 1:
-        nbrs = _neighbours(pts, cloud, scale, budget)
-
-        # Each simplex carries its common neighbours above its last vertex,
-        # each with its largest distance to the simplex's vertices, so a
-        # coface's diameter is one comparison.
-        prev = [((g,), 0.0, nbrs[g]) for g in pts]
+        lo, hi, dist = _edges(pts, cloud, scale, budget)
+        count += len(lo)
+        # starts[v]:starts[v + 1] are the edges from v to its higher
+        # neighbours, in ascending order; keys are the edges' (lo, hi) keys,
+        # ascending too.
+        starts = np.searchsorted(lo, np.arange(n + 1))
+        keys = lo * n + hi
+        level, diams = np.column_stack((lo, hi)), dist
+        simplices[1], diameters[1] = level, diams
+        for q in range(2, max_dim + 1):
+            blocks = [(simplices[q], diameters[q])]     # the empty level
+            for block in _cofaces(level, diams, starts, hi, dist, keys, n):
+                count += len(block[1])
+                if count > budget:
+                    raise BudgetExceededError(budget, n)
+                blocks.append(block)
+            level, diams = (np.concatenate(a) for a in zip(*blocks))
+            simplices[q], diameters[q] = level, diams
         for q in range(1, max_dim + 1):
-            level, diams = simplices[q], diameters[q]
-            cur = []
-            for verts, diam, cands in prev:
-                for w, dw in cands.items():
-                    d = dw if dw > diam else diam
-                    s = verts + (w,)
-                    level.append(s)
-                    diams.append(d)
-                    count += 1
-                    if count > budget:
-                        raise BudgetExceededError(budget, n)
-                    if q < max_dim:
-                        # nbrs[w] holds only vertices above w; cands
-                        # ascends, so the extension keeps the order.
-                        nw = nbrs[w]
-                        ext = {}
-                        for u, du in cands.items():
-                            x = nw.get(u)
-                            if x is not None:
-                                ext[u] = x if x > du else du
-                        cur.append((s, d, ext))
-            prev = cur
+            simplices[q] = pts[simplices[q]]
 
-    return RipsComplex(tuple(pts), scale, max_dim, simplices, diameters)
+    return RipsComplex(tuple(pts.tolist()), scale, max_dim, simplices, diameters)
+
+
+def _cofaces(level, diams, starts, hi, dist, keys, n):
+    """Yield the simplices one dimension up from level (local vertex rows,
+    lexsorted) and their diameters, in lex order, as (vertex rows, diameters)
+    blocks of at most _EXPAND_BLOCK candidates, or of one simplex with more.
+
+    The candidates of a simplex are the higher neighbours w of its last
+    vertex, in ascending order; w extends it when the edge key (v, w) of
+    every other vertex v is in keys.  A coface's diameter is the largest of
+    the simplex's and the new edges' distances: max is exact, so the bits
+    equal those of a diameter computed over all pairs.
+    """
+    last = level[:, -1]
+    first = starts[last]
+    sizes = starts[last + 1] - first
+    ends = sizes.cumsum()
+    a, m = 0, len(level)
+    while a < m:
+        done = ends[a - 1] if a else 0
+        b = max(a + 1, int(np.searchsorted(ends, done + _EXPAND_BLOCK, "right")))
+        size = sizes[a:b]
+        total = int(ends[b - 1] - done)
+        # Candidate c of simplex s is edge first[s] + c.
+        sid = np.repeat(np.arange(a, b), size)
+        e = np.arange(total) + np.repeat(first[a:b] - (ends[a:b] - size - done), size)
+        w, d = hi[e], np.maximum(diams[sid], dist[e])
+        for i in range(level.shape[1] - 1):
+            key = level[sid, i] * n + w
+            pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+            ok = keys[pos] == key
+            sid, w, d = sid[ok], w[ok], np.maximum(d[ok], dist[pos[ok]])
+        yield np.column_stack((level[sid], w)), d
+        a = b
 
 
 def facet_tables(cx: RipsComplex, top: int):
@@ -203,9 +237,7 @@ def facet_tables(cx: RipsComplex, top: int):
     positions of the facets of q-simplex i, in the order of facet_signs(q, p).
     Built in the levels' current order, so after any reordering.
     """
-    levels = [np.fromiter(chain.from_iterable(cx.simplices[q]), np.int64,
-                          cx.count(q) * (q + 1)).reshape(-1, q + 1)
-              for q in range(top + 1)]
+    levels = cx.simplices[:top + 1]
     # row[g] is the level-0 position of point g, g below the cloud's size.
     row = np.empty(cx.points[-1] + 1 if cx.points else 0, np.int64)
     row[levels[0][:, 0]] = np.arange(cx.count(0))

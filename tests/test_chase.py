@@ -80,7 +80,7 @@ def test_root_and_leaf_queries_recover_known_classes(case):
     leaf = build_leaf(range(cloud.n), cloud, scale, n_max, p)
     assert root.betti_all() == leaf.betti_all()
     # The single-scale leaf's complex is the whole cloud's complex at scale.
-    levels = leaf.complex.simplices
+    levels = [[tuple(s) for s in level.tolist()] for level in leaf.complex.simplices]
     for n in range(n_max + 1):
         for solver in (root, leaf):
             _check_queries(solver, levels[n + 1], n, p, rng, zero_class)

@@ -37,7 +37,8 @@ def leaf_cases(draw, primes=(2, 3)):
 
 def _prefix_simplices(view, q):
     cx = view.complex
-    return [s for s, diam in zip(cx.simplices[q], cx.diameters[q]) if diam <= view.scale]
+    return [tuple(s) for s, diam in zip(cx.simplices[q].tolist(), cx.diameters[q].tolist())
+            if diam <= view.scale]
 
 
 @settings(max_examples=40, deadline=None)

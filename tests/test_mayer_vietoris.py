@@ -182,7 +182,8 @@ class TestUnionQueries:
         node = assemble([a, b], [i], 1, f, 1.2)
         rng = np.random.default_rng(p)
         # random 1-chains w in the union made of piece simplices: z = dw
-        pool = a.complex.simplices[1] + b.complex.simplices[1]
+        pool = [tuple(s) for s in a.complex.simplices[1].tolist()] + \
+            [tuple(s) for s in b.complex.simplices[1].tolist()]
         for _ in range(10):
             take = rng.integers(0, len(pool), size=3)
             w = Chain(1, p, {pool[int(t)]: int(rng.integers(1, p)) for t in set(map(int, take))})
@@ -280,7 +281,7 @@ class TestExactnessProperties:
         node = execute_scale(pc, cov, 1.0, 1, f, DEFAULT_BUDGET, 1, [1.0], {})[0]
         leaf = build_leaf(range(4), pc, 1.0, 1, f)
         assert node.betti_all() == leaf.betti_all() == [1, 1]
-        edges = leaf.complex.simplices[1]
+        edges = [tuple(s) for s in leaf.complex.simplices[1].tolist()]
         M = [dense(node.coords(rep, 1), node.betti(1)) for rep in leaf.representatives(1)]
         cycles = 0
         for coeffs in product(range(p), repeat=len(edges)):

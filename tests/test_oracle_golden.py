@@ -64,6 +64,16 @@ def test_barcode_matches_golden(name):
     assert got == case["bars"]
 
 
+def test_bars_carry_python_floats():
+    coords, eps, n_max, p = _cases()["plane_p2"]
+    cloud = PointCloud(coords)
+    bars = persistence_barcode(range(cloud.n), cloud, eps, n_max, p)
+    assert any(b.death is not None for b in bars)
+    for b in bars:
+        assert type(b.birth) is float
+        assert b.death is None or type(b.death) is float
+
+
 def test_golden_cases_are_nontrivial():
     for name, case in _load().items():
         assert any(dim > 0 and death is not None for dim, _, death in case["bars"]), name

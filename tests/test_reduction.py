@@ -267,7 +267,8 @@ class TestLeafSolver:
             if cx.count(2) == 0:
                 break
             idx = rng.integers(0, cx.count(2), size=min(3, cx.count(2)))
-            w = Chain(2, p, {cx.simplices[2][int(i)]: int(rng.integers(1, p)) for i in set(map(int, idx))})
+            w = Chain(2, p, {tuple(cx.simplices[2][int(i)].tolist()): int(rng.integers(1, p))
+                             for i in set(map(int, idx))})
             z = chain_boundary(w)
             assert leaf.coords(z, 1) == {}
 
@@ -304,7 +305,7 @@ class TestLeafSolver:
             if cx.count(2) == 0:
                 break
             i = int(rng.integers(0, cx.count(2)))
-            w0 = Chain(2, p, {cx.simplices[2][i]: int(rng.integers(1, p))})
+            w0 = Chain(2, p, {tuple(cx.simplices[2][i].tolist()): int(rng.integers(1, p))})
             z = chain_boundary(w0)
             w = leaf.bound(z, 1)
             assert w is not None

@@ -32,7 +32,7 @@ class TestEnumerate:
         pc = PointCloud(UNIT_SQUARE)
         cx = enumerate_complex(range(4), pc, 1.0, 2)
         assert [cx.count(q) for q in range(3)] == [4, 4, 0]
-        assert set(cx.simplices[1]) == {(0, 1), (1, 2), (2, 3), (0, 3)}
+        assert {tuple(s) for s in cx.simplices[1].tolist()} == {(0, 1), (1, 2), (2, 3), (0, 3)}
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(4)
@@ -44,7 +44,7 @@ class TestEnumerate:
             cx = enumerate_complex(range(n), pc, scale, 3)
             expect = brute_force_simplices(range(n), pc, scale, 3)
             for q in range(4):
-                assert cx.simplices[q] == expect[q]
+                assert [tuple(s) for s in cx.simplices[q].tolist()] == expect[q]
 
     def test_subset_of_points(self):
         rng = np.random.default_rng(6)
@@ -53,14 +53,14 @@ class TestEnumerate:
         cx = enumerate_complex(sub, pc, 0.6, 2)
         expect = brute_force_simplices(sub, pc, 0.6, 2)
         for q in range(3):
-            assert cx.simplices[q] == expect[q]
+            assert [tuple(s) for s in cx.simplices[q].tolist()] == expect[q]
 
     def test_face_closure(self):
         rng = np.random.default_rng(5)
         pc = random_cloud(rng, 14, 2)
         cx = enumerate_complex(range(14), pc, 0.5, 3)
         for q in range(1, 4):
-            for s in cx.simplices[q]:
+            for s in [tuple(s) for s in cx.simplices[q].tolist()]:
                 for i in range(len(s)):
                     assert s[:i] + s[i + 1:] in cx.index[q - 1]
 
@@ -79,18 +79,30 @@ class TestEnumerate:
         assert cx.count(2) == 4
         assert len(cx.index) == 2
         for q in range(2):
-            assert cx.index[q] == {s: i for i, s in enumerate(cx.simplices[q])}
-        edge = Chain.single(cx.simplices[1][0], 3)
+            assert cx.index[q] == {s: i for i, s in
+                                   enumerate(tuple(s) for s in cx.simplices[q].tolist())}
+        edge = Chain.single(tuple(cx.simplices[1][0].tolist()), 3)
         assert cx.column_of_chain(edge) == {0: 1}
         with pytest.raises(ValueError, match="not indexed"):
-            cx.column_of_chain(Chain.single(cx.simplices[2][0], 3))
+            cx.column_of_chain(Chain.single(tuple(cx.simplices[2][0].tolist()), 3))
+
+    def test_index_keys_share_the_point_ints(self):
+        # Indices above 256 are not cached ints: the index must not hold a
+        # new int object per vertex entry.
+        pc = random_cloud(np.random.default_rng(11), 330, 2)
+        cx = enumerate_complex(range(300, 330), pc, 0.5, 2)
+        assert cx.count(1) > 0
+        ids = {id(g) for g in cx.points}
+        for level in cx.index:
+            assert all(id(v) in ids for s in level for v in s)
 
     def test_lexicographic_order(self):
         rng = np.random.default_rng(8)
         pc = random_cloud(rng, 12, 2)
         cx = enumerate_complex(range(12), pc, 0.7, 2)
         for q in range(3):
-            assert cx.simplices[q] == sorted(cx.simplices[q])
+            level = [tuple(s) for s in cx.simplices[q].tolist()]
+            assert level == sorted(level)
 
     def test_empty_points(self):
         pc = PointCloud([[0.0]])
@@ -112,11 +124,11 @@ class TestEnumerate:
 
 
 @st.composite
-def adversarial_clouds(draw):
-    """Grid-snapped clouds in d = 1..3: duplicate points, many equal
+def adversarial_clouds(draw, max_d=3):
+    """Grid-snapped clouds in d = 1..max_d: duplicate points, many equal
     distances, a scale exactly equal to some pairwise distance, and
     coordinate offsets up to 1e12."""
-    d = draw(st.integers(1, 3))
+    d = draw(st.integers(1, max_d))
     n = draw(st.integers(1, 11))
     coords = draw(st.lists(st.lists(st.integers(0, 4), min_size=d, max_size=d),
                            min_size=n, max_size=n))
@@ -133,18 +145,71 @@ def adversarial_clouds(draw):
     return cloud, sorted(points), scale, max_dim
 
 
+def assert_equals_brute_force(cx, cloud, points, scale, max_dim):
+    """Same simplices in the same order, diameters bit-equal as float64."""
+    expect = brute_force_simplices(points, cloud, scale, max_dim)
+    for q in range(max_dim + 1):
+        assert [tuple(s) for s in cx.simplices[q].tolist()] == expect[q]
+        want = [0.0 if q == 0 else cloud.diameter(s) for s in expect[q]]
+        assert [d.hex() for d in cx.diameters[q].tolist()] == [d.hex() for d in want]
+        assert cx.diameters[q].dtype == np.float64
+
+
 class TestEnumerateProperties:
     @settings(max_examples=250, deadline=None)
     @given(adversarial_clouds())
     def test_equals_brute_force_in_order_with_exact_diameters(self, case):
         cloud, points, scale, max_dim = case
         cx = enumerate_complex(points, cloud, scale, max_dim)
-        expect = brute_force_simplices(points, cloud, scale, max_dim)
-        for q in range(max_dim + 1):
-            assert cx.simplices[q] == expect[q]
-            want = [0.0 if q == 0 else cloud.diameter(s) for s in expect[q]]
-            assert [d.hex() for d in cx.diameters[q]] == [d.hex() for d in want]
-            assert all(type(d) is float for d in cx.diameters[q])
+        assert_equals_brute_force(cx, cloud, points, scale, max_dim)
+
+    @settings(max_examples=150, deadline=None)
+    @given(adversarial_clouds(max_d=4), st.integers(1, 7))
+    def test_any_expansion_block_gives_the_same_complex(self, case, block):
+        cloud, points, scale, max_dim = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rips, "_EXPAND_BLOCK", block)
+            cx = enumerate_complex(points, cloud, scale, max_dim)
+        assert_equals_brute_force(cx, cloud, points, scale, max_dim)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 7))
+    def test_budget_threshold_is_the_total(self, seed, max_dim, block):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 25))
+        cloud = random_cloud(rng, n, int(rng.integers(1, 4)))
+        scale = float(rng.uniform(0.1, 0.8))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rips, "_EXPAND_BLOCK", block)
+            total = enumerate_complex(range(n), cloud, scale, max_dim).total()
+            assert enumerate_complex(range(n), cloud, scale, max_dim,
+                                     budget=total).total() == total
+            with pytest.raises(BudgetExceededError) as err:
+                enumerate_complex(range(n), cloud, scale, max_dim, budget=total - 1)
+        assert (err.value.budget, err.value.region_size) == (total - 1, n)
+
+    def test_budget_stops_the_expansion_at_the_block_that_passes_it(self, monkeypatch):
+        # 30 coincident points: 30 vertices and 435 edges fit in 600, the
+        # 4,060 triangles do not.  The expansion stops at the first block
+        # of triangles that passes the budget, before any tetrahedron.
+        monkeypatch.setattr(rips, "_EXPAND_BLOCK", 4)
+        blocks = []     # (dimension, simplices) of every expanded block
+        cofaces = rips._cofaces
+
+        def recording(level, *args):
+            for block in cofaces(level, *args):
+                blocks.append((level.shape[1], len(block[1])))
+                yield block
+
+        monkeypatch.setattr(rips, "_cofaces", recording)
+        pc = PointCloud(np.zeros((30, 2)))
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_complex(range(30), pc, 1.0, 3, budget=600)
+        assert (err.value.budget, err.value.region_size) == (600, 30)
+        assert {q for q, _ in blocks} == {2}
+        made = 30 + 435 + sum(k for _, k in blocks)
+        assert made - blocks[-1][1] <= 600 < made
+        assert made < 700
 
 
 def dense_neighbours(points, cloud, scale):
@@ -188,13 +253,16 @@ class TestNeighbourSweep:
         cloud, points, scale, block = case
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mvbetti.core, "_SWEEP_BLOCK", block)
-            got = rips._neighbours(points, cloud, scale, DEFAULT_BUDGET)
+            lo, hi, dist = rips._edges(np.array(points), cloud, scale, DEFAULT_BUDGET)
+        assert dist.dtype == np.float64
+        got = {g: {} for g in points}
+        for a, b, x in zip(lo.tolist(), hi.tolist(), dist.tolist()):
+            got[points[a]][points[b]] = x
         want = dense_neighbours(points, cloud, scale)
         assert list(got) == list(want)
         for g in points:
             assert [(w, x.hex()) for w, x in got[g].items()] == \
                 [(w, x.hex()) for w, x in want[g].items()]
-            assert all(type(x) is float for x in got[g].values())
 
     def test_edges_alone_pass_the_budget(self, monkeypatch):
         # 40 points a unit apart on a line at scale 1.5 have 39 edges, so
