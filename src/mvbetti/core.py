@@ -1,7 +1,8 @@
 """Foundational types: point clouds, prime fields, simplices, chains, boundaries.
 
 Everything here is an immutable value after construction, so instances can be
-shared freely between worker threads.
+shared freely between worker threads.  What is built from them need not be:
+a leaf reduction (reduction.LeafReduction) fills caches on first query.
 """
 
 from __future__ import annotations

@@ -3,10 +3,13 @@
 A box with a full axis splits along its first full axis into cell pieces and
 overlap boxes; boxes with no full axis are leaves solved by direct reduction.
 Each leaf is enumerated and reduced once per run, for every requested scale,
-by a bounded thread pool (all shared state is immutable).  Per scale, the box
-tree is then walked on the calling thread, children before parents: leaves
-take their view at that scale, nodes assemble, and Betti numbers are read off
-the root solver.  Later scales start no threads.
+by a bounded thread pool; the builds share only the cloud, the field and the
+covering, which are immutable.  Per scale, the box tree is then walked on the
+calling thread, children before parents: leaves take their view at that
+scale, nodes assemble, and Betti numbers are read off the root solver.
+Later scales start no threads.  A leaf reduction is not immutable: its table
+columns and implicit apparent columns are built and cached on first query,
+and queries run only in that walk, so they fill on the calling thread.
 """
 
 from __future__ import annotations

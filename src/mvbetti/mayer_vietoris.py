@@ -146,7 +146,7 @@ class _FStructure:
 
         Every row left after eliminating the image pivot rows is a cokernel row.
         """
-        rest, used = eliminate(t, self.image_table, field.p)
+        rest, used = eliminate(t, self.image_table.get, field.p)
         pos = self.coker_pos
         coords = {pos[r]: c for r, c in as_dict(rest).items()}
         if want_membership:
@@ -156,7 +156,7 @@ class _FStructure:
 
     def kernel_coords(self, u: dict, field: PrimeField) -> dict:
         """Sparse coordinates of a kernel vector in the echelon kernel basis."""
-        rest, used = eliminate(u, self.kernel_table, field.p)
+        rest, used = eliminate(u, self.kernel_table.get, field.p)
         if rest:
             raise ConsistencyError(
                 "connecting-map image landed outside ker(f); exactness violated"

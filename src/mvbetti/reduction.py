@@ -4,11 +4,13 @@ Column reduction (R = D*V with V invertible upper-triangular) gives the
 Betti numbers of a region at each requested scale and its membership
 queries (express a cycle in the homology basis / produce an explicit
 bounding chain).  A region is reduced once, into one elimination table per
-dimension that serves every scale; a per-scale view is the list of the
-table rows that are representatives at its scale.  The
-pairing that precedes it also gives the direct filtration barcode, the
-oracle for the divide-and-conquer path (see persistence_barcode for what
-it shares with run() and what keeps it independent).
+dimension that serves every scale: two arrays, its rows and each row's
+killer, from which a per-scale view picks the rows that are
+representatives at its scale.  A row's column is built only when a query
+reaches it.  The pairing that precedes the reduction also gives the direct
+filtration barcode, the oracle for the divide-and-conquer path (see
+persistence_barcode for what it shares with run() and what keeps it
+independent).
 
 Columns are native Python values: int bitsets (bit r = row r) at p = 2,
 where column addition is one XOR, and {row: nonzero residue} dicts
@@ -18,11 +20,13 @@ cohomology_pairs finds the pivot pairs of a boundary matrix, so that a
 region reduces only the top-dimension columns it reads: by union-find over
 the edges for D_1, and above that by reducing coboundary columns read from
 the level's facet table (rips.facet_tables, shared with boundary_matrix);
-and eliminate reduces one column against a table of
-columns with distinct lowest rows, the step behind every coords/bound
-query of a region and the Mayer-Vietoris kernel and cokernel.  combine
-forms linear combinations of columns, and as_dict decodes a column of
-either representation.
+and eliminate reduces one column against a table of columns with distinct
+lowest rows, given as a row lookup, the step behind every coords/bound
+query of a region and the Mayer-Vietoris kernel and cokernel.  Of the top
+dimension's pivot columns, the apparent ones (R_k = the boundary of k,
+V_k = e_k) are found from the facet table and left implicit, built from it
+on first read.  combine forms linear combinations of columns, and as_dict
+decodes a column of either representation.
 """
 
 from __future__ import annotations
@@ -62,6 +66,11 @@ def as_dict(col) -> dict:
     return out
 
 
+def _unit(j: int, p: int):
+    """The native column e_j."""
+    return 1 << j if p == 2 else {j: 1}
+
+
 def combine(terms, p: int):
     """The native column sum(c * col) over (col, c) pairs of native columns."""
     if p == 2:
@@ -81,17 +90,20 @@ def combine(terms, p: int):
     return out
 
 
-def eliminate(col, table, p: int):
-    """Reduce one column against table {lowest row: (column, tag)}.
+def eliminate(col, lookup, p: int):
+    """Reduce one column against a table of columns with distinct lowest rows.
 
-    Every table column is native, nonzero, and has its key as its lowest
-    (largest) nonzero row.  The rows of col are swept in descending order: a
-    row that is a table key is cleared by subtracting a multiple of that
-    column, which touches only smaller rows; any other row is set aside.
-    Returns (remainder, used): col = remainder + sum(c * column) over the
-    (tag, c) pairs in used, no row of the remainder is a table key, and each
-    tag appears at most once.  A dict col holds nonzero residues; at p = 2
-    col may also be a bitset, and the remainder is native either way.
+    lookup(row) returns the table entry (column, tag) whose column has row
+    as its lowest (largest) nonzero row, or None when row is not a table
+    row: a dict's .get, or a leaf's table that builds each entry on first
+    lookup.  Every table column is native and nonzero.  The rows of col are
+    swept in descending order: a table row is cleared by subtracting a
+    multiple of its column, which touches only smaller rows; any other row
+    is set aside.  Returns (remainder, used): col = remainder + sum(c *
+    column) over the (tag, c) pairs in used, no row of the remainder is a
+    table row, and each tag appears at most once.  A dict col holds nonzero
+    residues; at p = 2 col may also be a bitset, and the remainder is native
+    either way.
     """
     used = []
     if p == 2:
@@ -100,7 +112,7 @@ def eliminate(col, table, p: int):
         rest = 0
         while col:
             l = col.bit_length() - 1
-            e = table.get(l)
+            e = lookup(l)
             if e is None:
                 bit = 1 << l
                 rest |= bit
@@ -114,7 +126,7 @@ def eliminate(col, table, p: int):
     while col:
         l = max(col)
         x = col.pop(l)
-        e = table.get(l)
+        e = lookup(l)
         if e is None:
             rest[l] = x
             continue
@@ -141,9 +153,10 @@ class ReducedPair:
     V is invertible upper-triangular; distinct nonzero columns of R have
     distinct lowest nonzero rows, recorded in pivots (low row -> column).
     r and v hold the columns of R and V by column index: lists when the
-    ncols columns were given as a list, {column index: column} dicts when
-    they were given as one.  Columns are native (bitsets at p = 2, dicts
-    otherwise).
+    ncols columns were given as a list, {column index: column} mappings when
+    they were given as one (a leaf's top dimension leaves its apparent
+    columns implicit there, see _Implicit).  Columns are native (bitsets at
+    p = 2, dicts otherwise).
     """
 
     __slots__ = ("nrows", "ncols", "field", "r", "v", "pivots")
@@ -161,7 +174,8 @@ class ReducedPair:
         return len(self.pivots)
 
 
-def reduce_columns(nrows, columns, field: PrimeField, keep_v: bool = True) -> ReducedPair:
+def reduce_columns(nrows, columns, field: PrimeField, keep_v: bool = True,
+                   into: ReducedPair = None) -> ReducedPair:
     """Left-to-right column reduction of a sparse matrix over Z/p.
 
     columns is a list of {row: nonzero residue} dicts, or a {column index:
@@ -171,24 +185,33 @@ def reduce_columns(nrows, columns, field: PrimeField, keep_v: bool = True) -> Re
     shares its lowest nonzero row with an earlier column, the appropriate
     multiple of that earlier column is subtracted; V records the operations.
     Deterministic given the column order.
+
+    into, a reduction of other columns of the same matrix whose pivots are
+    already entered, is extended in place with the dict columns and
+    returned; keep_v is not read then, V is kept when into has a v.  Its pivot columns are read
+    through its r and v as sources; each must be final whatever columns
+    come before it, as an apparent column is (see _apparent_columns).
     """
     n = len(columns)
-    if type(columns) is dict:
-        items, R, V = columns.items(), {}, {} if keep_v else None
+    if into is not None:
+        items, R, V, pivots = columns.items(), into.r, into.v, into.pivots
+        into.ncols += n
+    elif type(columns) is dict:
+        items, R, V, pivots = columns.items(), {}, {} if keep_v else None, {}
     else:
-        items, R, V = enumerate(columns), [None] * n, [None] * n if keep_v else None
+        items, R, V, pivots = (enumerate(columns), [None] * n,
+                               [None] * n if keep_v else None, {})
     if field.p == 2:
-        pivots = _reduce_bits(items, R, V)
+        _reduce_bits(items, R, V, pivots)
     else:
-        pivots = _reduce_dicts(items, R, V, field)
-    return ReducedPair(nrows, n, field, R, V, pivots)
+        _reduce_dicts(items, R, V, pivots, field)
+    return into if into is not None else ReducedPair(nrows, n, field, R, V, pivots)
 
 
-def _reduce_bits(items, R, V):
+def _reduce_bits(items, R, V, pivots):
     """The Z/2 loop: lowest row is the top bit, column addition is XOR.
-    Fills R and V (None when V is not kept) and returns the pivots."""
+    Fills R, V (None when V is not kept) and pivots."""
     keep_v = V is not None
-    pivots = {}
     for j, col in items:
         if type(col) is not int:
             col = _bits(col)
@@ -205,16 +228,14 @@ def _reduce_bits(items, R, V):
         R[j] = col
         if keep_v:
             V[j] = v
-    return pivots
 
 
-def _reduce_dicts(items, R, V, field):
-    """The odd-p loop over dict columns.  Each pivot column stores the
-    negated inverse of its lowest coefficient once, so a step costs one
-    multiplication plus the inlined axpy."""
+def _reduce_dicts(items, R, V, pivots, field):
+    """The odd-p loop over dict columns.  Each pivot column's negated
+    inverse of its lowest coefficient is computed once, when it is first
+    a source, so a step costs one multiplication plus the inlined axpy."""
     p = field.p
     keep_v = V is not None
-    pivots = {}
     neg_inv = {}    # pivot column -> -(lowest coefficient)^-1 mod p
     for j, col in items:
         col = dict(col)
@@ -224,10 +245,13 @@ def _reduce_dicts(items, R, V, field):
             k = pivots.get(l)
             if k is None:
                 pivots[l] = j
-                neg_inv[j] = (-field.inv(col[l])) % p
                 break
-            c = (col[l] * neg_inv[k]) % p
-            for r, x in R[k].items():
+            src = R[k]
+            c = neg_inv.get(k)
+            if c is None:
+                c = neg_inv[k] = (-field.inv(src[l])) % p
+            c = (col[l] * c) % p
+            for r, x in src.items():
                 y = (col.get(r, 0) + c * x) % p
                 if y:
                     col[r] = y
@@ -243,7 +267,6 @@ def _reduce_dicts(items, R, V, field):
         R[j] = col
         if keep_v:
             V[j] = v
-    return pivots
 
 
 def cohomology_pairs(cx, q: int, field: PrimeField, clear=(), facets=None):
@@ -391,6 +414,86 @@ def _pair_levels(cx, top: int, field: PrimeField, facets):
     return pairs
 
 
+class _Implicit(dict):
+    """Columns of a reduction by column index, where the apparent columns
+    (apparent[k] true) are left implicit: make(k) builds one on first read,
+    and it is then cached.  Reading any other missing column raises
+    KeyError."""
+
+    __slots__ = ("_apparent", "_make")
+
+    def __init__(self, apparent, make):
+        super().__init__()
+        self._apparent = apparent
+        self._make = make
+
+    def __missing__(self, k):
+        if not (0 <= k < len(self._apparent) and self._apparent[k]):
+            raise KeyError(k)
+        col = self[k] = self._make(k)
+        return col
+
+
+def _apparent_columns(facets, nrows: int, field: PrimeField) -> ReducedPair:
+    """The reduction of D_q at its apparent columns, from level q's facet
+    table facets (kept, to build them) on nrows (q-1)-simplices.
+
+    Column k is apparent when k is the earliest coface of its lowest row
+    l = max(facets[k]).  No column before k then holds row l, so neither does
+    any combination of them: in a left-to-right reduction k is never
+    reduced, l is its pivot, R_k = the boundary of k and V_k = e_k, over
+    every Z/p and in every prefix.  Their pivots are entered; r and v build
+    a column on first read (_Implicit).  Ripser's apparent pairs (Bauer,
+    2021), found here on the homology side, apart from cohomology_pairs.
+    """
+    ncols, width = facets.shape
+    p = field.p
+    low = reduce(np.maximum, facets.T)
+    first = np.full(nrows, ncols, np.int64)     # each row's earliest coface
+    np.minimum.at(first, facets.ravel(), np.arange(ncols).repeat(width))
+    apparent = first[low] == np.arange(ncols)
+    cols = np.flatnonzero(apparent)
+    signs = facet_signs(width - 1, p)
+
+    def boundary(k):
+        rows = facets[k].tolist()
+        return _bits(rows) if p == 2 else dict(zip(rows, signs))
+
+    return ReducedPair(nrows, len(cols), field, _Implicit(apparent, boundary),
+                       _Implicit(apparent, lambda k: _unit(k, p)),
+                       dict(zip(low[cols].tolist(), cols.tolist())))
+
+
+class _LeafTable(dict):
+    """Dimension n's eliminate() table of a LeafReduction, {row: (column,
+    row)}, each entry built on its first lookup: R_k at a row killed by
+    column k of D_{n+1}, e_j at an unkilled vertex, V_j at an unkilled zero
+    column of D_n.  A pivot column of D_n is no table row; looking it up
+    gives None and caches nothing.  table.__getitem__ is the lookup that
+    eliminate() takes."""
+
+    __slots__ = ("_up", "_down")
+
+    def __init__(self, up: ReducedPair, down):
+        super().__init__()
+        self._up = up           # reduced D_{n+1}
+        self._down = down       # reduced D_n, None at n = 0
+
+    def __missing__(self, row):
+        up, down = self._up, self._down
+        k = up.pivots.get(row)
+        if k is not None:
+            col = up.r[k]
+        elif down is None:
+            col = _unit(row, up.field.p)
+        elif down.r[row]:
+            return None
+        else:
+            col = down.v[row]
+        e = self[row] = (col, row)
+        return e
+
+
 class LeafReduction:
     """One reduction of a region's Rips complex that serves every requested scale.
 
@@ -399,20 +502,28 @@ class LeafReduction:
     matrix is also a reduction of every prefix, i.e. of the complex at every
     requested scale.  Pairs come first: cohomology_pairs finds the pivot
     pairs of D_1, ..., D_{n_max+1} in ascending dimension, each level
-    cleared by the pivot columns of the level below.  The top matrix is then
-    built and reduced only at its pivot columns: the views read only those,
-    and a column that reduces to zero is never added to another, so their R
-    and V equal those of a full reduction.  The lower dimensions are reduced
-    top-down with clearing: a q-simplex that is the pivot row of some reduced
-    (q+1)-column R_k is a cycle, its column is not built, and R_k is its
-    cycle column.  Every reduction must reproduce the pairs found first, or
+    cleared by the pivot columns of the level below.  The top matrix keeps
+    only its pivot columns, since the views read only those, and a column
+    that reduces to zero is never added to another, so their R and V equal
+    those of a full reduction.  Of these, the apparent columns
+    (_apparent_columns, found from the top level's facet table) are entered
+    first and stay implicit, R_k = the boundary of k and V_k = e_k, built
+    only when read; just the other pivot columns are built and reduced.  The
+    lower dimensions are reduced top-down with clearing: a q-simplex that is
+    the pivot row of some reduced (q+1)-column R_k is a cycle, its column is
+    not built, and R_k is its cycle column.  Every reduction, apparent
+    pivots included, must reproduce the pairs found first, or
     ConsistencyError is raised.
 
-    tables[n] is the one eliminate() table of dimension n for every scale,
-    tagged by row, in ascending row order: a row j killed by column k of
-    D_{n+1} holds R_k, whose lowest row is j; an unkilled zero column holds
-    V_j, and an unkilled vertex e_j.  Its rows below any prefix span the
-    cycles of that prefix.  view(scale) reads a LeafSolver off it.
+    The dimension-n eliminate() table for every scale has as rows the
+    n-simplices that are not pivot columns of D_n, in ascending order:
+    rows[n], with killers[n] each row's killer in D_{n+1} (-1 when none).
+    Its rows below any prefix span the cycles of that prefix, and a view
+    (view(scale), a LeafSolver) picks its basis from these two arrays.  The
+    column of a row (R_k where k kills it, V_j at an unkilled zero column,
+    e_j at an unkilled vertex) is built only when a query reaches that row,
+    and cached in tables[n].  A Betti-only run builds none.  The caches
+    fill on the thread that queries, during assembly on the calling thread.
     """
 
     def __init__(self, points, cloud: PointCloud, scales, n_max: int,
@@ -428,19 +539,23 @@ class LeafReduction:
         facets = facet_tables(cx, top)
         pairs = _pair_levels(cx, top, field, facets)
 
-        # Per dimension q >= 1: reduced D_q, keyed by the columns built, and
-        # its (column, low row) pivot pairs in ascending column order.
+        # Per dimension q >= 1: reduced D_q, keyed by the columns it holds,
+        # and its (column, low row) pivot pairs in ascending column order.
         self.reduced = {}
         self.pivot_pairs = {}
         killers = {}
         for q in range(top, 0, -1):
+            # facets[q], popped so that each lower table is freed once read.
+            table = facets.pop()
             if q == top:
-                built = sorted(pairs[q].values())
+                red = _apparent_columns(table, cx.count(q - 1), field)
+                built = sorted(set(pairs[q].values()).difference(red.pivots.values()))
+                cols = boundary_matrix(cx, q, field.p, built, table)[1]
+                reduce_columns(red.nrows, dict(zip(built, cols)), field, into=red)
             else:
                 built = [j for j in range(cx.count(q)) if j not in killers]
-            # facets[q], popped so that each table is freed once it is read.
-            nrows, cols = boundary_matrix(cx, q, field.p, built, facets.pop())
-            red = reduce_columns(nrows, dict(zip(built, cols)), field, keep_v=True)
+                nrows, cols = boundary_matrix(cx, q, field.p, built, table)
+                red = reduce_columns(nrows, dict(zip(built, cols)), field, keep_v=True)
             if red.pivots != pairs[q]:
                 raise ConsistencyError(
                     f"reduced D_{q} pivots differ from its cohomology pairs "
@@ -448,21 +563,20 @@ class LeafReduction:
                 )
             self.reduced[q] = red
             killers = red.pivots
-            self.pivot_pairs[q] = [(j, l) for l, j in killers.items()]
+            self.pivot_pairs[q] = sorted(zip(killers.values(), killers))
 
-        self.tables = []
+        self.rows, self.killers, self.tables = [], [], []
         for n in range(n_max + 1):
-            up, red = self.reduced[n + 1], self.reduced.get(n)
-            table = {}
-            for j in range(cx.count(n)):
-                k = up.pivots.get(j)
-                if k is not None:
-                    table[j] = (up.r[k], j)
-                elif n == 0:
-                    table[j] = (1 << j if field.p == 2 else {j: 1}, j)
-                elif not red.r[j]:
-                    table[j] = (red.v[j], j)
-            self.tables.append(table)
+            up, down = self.reduced[n + 1], self.reduced.get(n)
+            killer = np.full(cx.count(n), -1, np.int64)
+            killer[list(up.pivots)] = list(up.pivots.values())
+            live = np.ones(cx.count(n), bool)
+            if down is not None:
+                live[list(down.pivots.values())] = False
+            rows = np.flatnonzero(live)
+            self.rows.append(rows)
+            self.killers.append(killer[rows])
+            self.tables.append(_LeafTable(up, down))
 
     def view(self, scale: float) -> "LeafSolver":
         return LeafSolver(self, scale)
@@ -475,12 +589,14 @@ class LeafSolver:
     dimension-n table below the view's n-limit span the cycle space Z_n of
     the complex at its scale.  A row is a representative unless its killer k
     lies in the view's (n+1)-prefix, where R_k is a boundary with preimage
-    V_k.  The view keeps {representative row: basis index} per dimension, so
-    betti(n) = dim Z_n - rank d_{n+1} is the size of that dict.  coords()
-    expresses a cycle in the representative basis as a sparse {basis index:
-    nonzero residue} dict, the representation of a dict column; bound()
-    returns an explicit preimage under the boundary map whenever the class
-    vanishes.
+    V_k.  The view keeps {representative row: basis index} per dimension,
+    picked from the reduction's rows and killers arrays with numpy, so
+    betti(n) = dim Z_n - rank d_{n+1} is the size of that dict and no table
+    column is built.  coords() expresses a cycle in the representative basis
+    as a sparse {basis index: nonzero residue} dict, the representation of a
+    dict column; bound() returns an explicit preimage under the boundary map
+    whenever the class vanishes.  Both, and representatives(), build the
+    table columns they reach on first use.
     """
 
     def __init__(self, reduction: LeafReduction, scale: float):
@@ -500,18 +616,14 @@ class LeafSolver:
         self._basis = []    # per dimension: {representative row: basis index}
         self._rep_chains = {}   # dimension -> representatives(n), built on first call
         for n in range(self.n_max + 1):
-            limit, limit_up = self._limit[n], self._limit[n + 1]
-            killers = reduction.reduced[n + 1].pivots
-            basis = {}
-            for row in reduction.tables[n]:
-                if row >= limit:
-                    break
-                k = killers.get(row)
-                if k is None or k >= limit_up:
-                    basis[row] = len(basis)
+            rows, killers = reduction.rows[n], reduction.killers[n]
+            end = np.searchsorted(rows, self._limit[n])
+            killers = killers[:end]
+            reps = rows[:end][(killers < 0) | (killers >= self._limit[n + 1])]
+            basis = dict(zip(reps.tolist(), range(len(reps))))
             self._basis.append(basis)
 
-            expected = limit - self._rank(n) - self._rank(n + 1)
+            expected = self._limit[n] - self._rank(n) - self._rank(n + 1)
             if len(basis) != expected:
                 raise ConsistencyError(
                     f"homology basis size mismatch at dimension {n}: "
@@ -561,7 +673,7 @@ class LeafSolver:
         if z.dim != n:
             raise ValueError(f"chain dimension {z.dim} does not match query dimension {n}")
         red = self.reduction
-        rest, used = eliminate(self._column(z, n), red.tables[n], self.field.p)
+        rest, used = eliminate(self._column(z, n), red.tables[n].__getitem__, self.field.p)
         if rest:
             raise ValueError(
                 f"chain is not a cycle of this region's complex (unmatched row "

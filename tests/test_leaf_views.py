@@ -10,17 +10,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvbetti import reduction
-from mvbetti.core import Chain, ConsistencyError, PointCloud, chain_boundary
+from mvbetti.core import Chain, ConsistencyError, PointCloud, PrimeField, chain_boundary
 from mvbetti.engine import run
-from mvbetti.reduction import betti_at_scale, build_leaf, persistence_barcode
+from mvbetti.reduction import betti_at_scale, build_leaf, persistence_barcode, reduce_columns
+from mvbetti.rips import boundary_matrix
 
 from conftest import brute_force_betti, dense, dense_rank_mod_p
 
 
 @st.composite
-def leaf_cases(draw, primes=(2, 3)):
-    """A small cloud, a field from primes, n_max and a sorted scale list with
-    duplicates and at least one scale exactly equal to a pairwise distance."""
+def leaf_cases(draw, primes=(2, 3), n_maxes=(1, 2)):
+    """A small cloud, a field from primes, n_max from n_maxes and a sorted
+    scale list with duplicates and at least one scale exactly equal to a
+    pairwise distance."""
     d = draw(st.sampled_from([2, 3]))
     n = draw(st.integers(4, 9))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -31,7 +33,7 @@ def leaf_cases(draw, primes=(2, 3)):
     extra = draw(st.lists(st.floats(0.05, 1.0), max_size=2))
     scales = sorted(ties + extra + ties[:1])
     p = draw(st.sampled_from(primes))
-    n_max = draw(st.integers(1, 2))
+    n_max = draw(st.sampled_from(n_maxes))
     return cloud, scales, p, n_max, rng
 
 
@@ -78,19 +80,59 @@ def test_views_guard_their_basis_size_and_bounds(p):
     cloud = PointCloud([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     top = 2.0 ** 0.5
     red = build_leaf(range(4), cloud, 1.0, 1, p, scales=[1.0, top]).reduction
-    # A boundary at the top scale whose preimage is then tampered with.
+    # A boundary at the top scale whose preimage is then tampered with: V_k
+    # of every pivot column, implicit (apparent) or reduced, read as zero.
     z = chain_boundary(Chain.single((0, 1, 2), p))
     up = red.reduced[2]
-    for k in up.v:
+    for k, _ in red.pivot_pairs[2]:
         up.v[k] = 0 if p == 2 else {}
     with pytest.raises(ConsistencyError, match="boundary differs from z"):
         red.view(top).bound(z, 1)
-    # The square's loop is the one 1-cycle row at scale 1; without it the
-    # view's basis no longer matches the ranks.
+    # The square's loop is the one 1-cycle row at scale 1; without it in the
+    # table's row arrays the view's basis no longer matches the ranks.
     row = next(iter(red.view(1.0)._basis[1]))
-    del red.tables[1][row]
+    keep = red.rows[1] != row
+    red.rows[1], red.killers[1] = red.rows[1][keep], red.killers[1][keep]
     with pytest.raises(ConsistencyError, match="basis size mismatch"):
         red.view(1.0)
+
+
+def _eager_tables(cx, n_max, p):
+    """The per-dimension eliminate tables as they were built eagerly, from
+    full reductions of every D_q (at a zero column of D_q, the V_j of a full
+    reduction equals that of one with clearing: a cleared column reduces to
+    zero and is never added to another)."""
+    field = PrimeField(p)
+    full = {q: reduce_columns(*boundary_matrix(cx, q, p), field) for q in range(1, n_max + 2)}
+    tables = []
+    for n in range(n_max + 1):
+        up, red = full[n + 1], full.get(n)
+        table = {}
+        for j in range(cx.count(n)):
+            k = up.pivots.get(j)
+            if k is not None:
+                table[j] = (up.r[k], j)
+            elif n == 0:
+                table[j] = (1 << j if p == 2 else {j: 1}, j)
+            elif not red.r[j]:
+                table[j] = (red.v[j], j)
+        tables.append((table, up.pivots))
+    return tables
+
+
+@settings(max_examples=60, deadline=None)
+@given(leaf_cases(primes=(2, 3, 5), n_maxes=(0, 1, 2)))
+def test_lazy_table_columns_equal_the_eager_tables(case):
+    cloud, scales, p, n_max, _ = case
+    red = build_leaf(range(cloud.n), cloud, scales[0], n_max, p, scales=scales).reduction
+    assert [len(t) for t in red.tables] == [0] * (n_max + 1)
+    for n, (table, killers) in enumerate(_eager_tables(red.complex, n_max, p)):
+        rows = sorted(table)
+        assert red.rows[n].tolist() == rows
+        assert red.killers[n].tolist() == [killers.get(j, -1) for j in rows]
+        for j in range(red.complex.count(n)):
+            assert red.tables[n][j] == table.get(j)
+        assert sorted(red.tables[n]) == rows
 
 
 def test_view_rejects_simplices_beyond_its_scale():

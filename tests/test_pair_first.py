@@ -2,21 +2,34 @@
 
 cohomology_pairs must give the pivots of the full boundary reduction at
 every dimension, the pivot-only reduction of the top dimension must give the
-full reduction's R and V at those columns, and a reduction that does not
-reproduce the pairs must fail loudly.
+full reduction's R and V at those columns, its apparent columns must stay
+implicit until read, and a reduction that does not reproduce the pairs must
+fail loudly.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvbetti import reduction
+from mvbetti import engine, reduction
 from mvbetti.cli import main
 from mvbetti.core import ConsistencyError, PointCloud, PrimeField
 from mvbetti.reduction import _order_levels, build_leaf, cohomology_pairs, reduce_columns
 from mvbetti.rips import boundary_matrix, enumerate_complex
 
-from test_leaf_views import leaf_cases
+from conftest import dense_boundary, dense_rank_mod_p
+from test_leaf_views import _prefix_simplices, leaf_cases
+
+
+def _apparent(cx, q):
+    """Columns of D_q that are the earliest coface of their lowest row, read
+    off the boundary columns in level order."""
+    cols = boundary_matrix(cx, q, 3)[1]
+    first = {}
+    for j, col in enumerate(cols):
+        for r in col:
+            first.setdefault(r, j)
+    return {j for j, col in enumerate(cols) if first[max(col)] == j}
 
 
 @settings(max_examples=60, deadline=None)
@@ -38,10 +51,19 @@ def test_pairs_and_pivot_columns_match_the_full_reduction(case):
     full = reduce_columns(*boundary_matrix(cx, top, p), field)
     mine = leaf.reduction.reduced[top]
     assert mine.pivots == full.pivots
-    assert list(mine.r) == list(mine.v) == sorted(full.pivots.values())
+    # Only pivot columns are stored: the reduced ones, and the apparent ones
+    # that were read as sources, built on that first read.
+    paired = set(full.pivots.values())
+    apparent = _apparent(cx, top)
+    assert apparent <= paired
+    assert paired - apparent <= set(mine.r) == set(mine.v) <= paired
     for j in full.pivots.values():
         assert mine.r[j] == full.r[j]
         assert mine.v[j] == full.v[j]
+    assert sorted(mine.r) == sorted(mine.v) == sorted(full.pivots.values())
+    for j in set(range(cx.count(top))) - set(full.pivots.values()):
+        with pytest.raises(KeyError):
+            mine.r[j]
 
 
 @st.composite
@@ -94,21 +116,29 @@ def test_only_pivot_columns_of_the_top_dimension_are_built(monkeypatch, p):
     cx = red.complex
     paired = [j for j, _ in red.pivot_pairs[2]]
     assert 0 < len(paired) < cx.count(2)
-    assert built[2] == paired
-    assert list(red.reduced[2].r) == list(red.reduced[2].v) == paired
+    apparent = _apparent(cx, 2)
+    assert 0 < len(apparent) < len(paired)
+    assert sorted(built[2] + list(apparent)) == paired
+    assert set(built[2]) <= set(red.reduced[2].r) == set(red.reduced[2].v) <= set(paired)
     # D_1 is built without its cleared columns, the pivot rows of D_2.
     cleared = {l for _, l in red.pivot_pairs[2]}
     assert built[1] == [j for j in range(cx.count(1)) if j not in cleared]
     assert list(red.reduced[1].v) == built[1]
 
 
-def _swap_two_top_pairs(monkeypatch):
+def _swap_two_top_pairs(monkeypatch, apparent=None):
+    """Swap the partners of the first two top pairs, or of the first two
+    whose column is (apparent=True) or is not (False) apparent."""
     original = reduction.cohomology_pairs
 
     def swapped(cx, q, field, clear=(), facets=None):
         pairs = original(cx, q, field, clear, facets)
-        if q == cx.max_dim and len(pairs) >= 2:
-            (l1, j1), (l2, j2) = list(pairs.items())[:2]
+        items = list(pairs.items())
+        if q == cx.max_dim and apparent is not None:
+            kind = _apparent(cx, q)
+            items = [(l, j) for l, j in items if (j in kind) == apparent]
+        if q == cx.max_dim and len(items) >= 2:
+            (l1, j1), (l2, j2) = items[:2]
             pairs[l1], pairs[l2] = j2, j1
         return pairs
 
@@ -130,3 +160,77 @@ def test_altered_pair_exits_5(monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "cohomology pairs" in err
     assert "Traceback" not in err
+
+
+@settings(max_examples=60, deadline=None)
+@given(leaf_cases(primes=(2, 3, 5), n_maxes=(0, 1, 2)))
+def test_boundary_columns_are_built_only_for_non_apparent_pivots(case):
+    cloud, scales, p, n_max, _ = case
+    top = n_max + 1
+    built = {}
+    original = reduction.boundary_matrix
+
+    def recording(cx, q, p, columns=None, facets=None):
+        built[q] = list(columns)
+        return original(cx, q, p, columns, facets)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduction, "boundary_matrix", recording)
+        red = build_leaf(range(cloud.n), cloud, scales[0], n_max, p, scales=scales).reduction
+    paired = {j for j, _ in red.pivot_pairs[top]}
+    apparent = _apparent(red.complex, top)
+    assert apparent <= paired
+    assert built[top] == sorted(paired - apparent)
+
+
+@settings(max_examples=60, deadline=None)
+@given(leaf_cases(primes=(2, 3, 5), n_maxes=(0, 1, 2)))
+def test_pivot_pairs_are_sorted_and_ranks_match_brute_force(case):
+    cloud, scales, p, n_max, _ = case
+    red = build_leaf(range(cloud.n), cloud, scales[0], n_max, p, scales=scales).reduction
+    for q in range(1, n_max + 2):
+        columns = [j for j, _ in red.pivot_pairs[q]]
+        assert columns == sorted(set(columns))
+        assert dict((l, j) for j, l in red.pivot_pairs[q]) == red.reduced[q].pivots
+    for s in scales:
+        view = red.view(s)
+        for q in range(1, n_max + 2):
+            M = dense_boundary(_prefix_simplices(view, q - 1), _prefix_simplices(view, q), p)
+            assert view._rank(q) == dense_rank_mod_p(M, p)
+
+
+def test_betti_only_run_on_one_leaf_builds_no_table_column(monkeypatch):
+    leaves = []
+    original = engine.build_leaf
+
+    def recording(*args, **kwargs):
+        leaves.append(original(*args, **kwargs).reduction)
+        return leaves[-1].view(args[2])
+
+    monkeypatch.setattr(engine, "build_leaf", recording)
+    cloud = _cloud(200, seed=2)
+    for p in (2, 3):
+        leaves.clear()
+        engine.run(cloud, 0.2, [0.1, 0.2], n_max=1, field=p, workers=2, grid=[1, 1])
+        (red,) = leaves
+        assert [len(t) for t in red.tables] == [0, 0]
+        # Apparent top columns that no reduction read stay implicit.
+        top = red.reduced[2]
+        assert len(top.r) == len(top.v) < top.rank
+    # On a grid the assembly queries the leaves, which fill their tables.
+    leaves.clear()
+    engine.run(cloud, 0.2, [0.2], n_max=1, field=3, workers=1, grid=[2, 2])
+    assert any(len(t) for red in leaves for t in red.tables)
+
+
+@pytest.mark.parametrize("apparent", [True, False], ids=["apparent", "reduced"])
+def test_swapped_pairs_of_either_kind_raise_and_exit_5(monkeypatch, tmp_path, capsys, apparent):
+    _swap_two_top_pairs(monkeypatch, apparent)
+    cloud = _cloud()
+    with pytest.raises(ConsistencyError, match="differ from its cohomology pairs"):
+        build_leaf(range(cloud.n), cloud, 0.3, 1, 3)
+    path = tmp_path / "cloud.csv"
+    path.write_text("".join(f"{x!r},{y!r}\n" for x, y in cloud.coords.tolist()))
+    assert main([str(path), "--epsilon", "0.3", "--no-timings"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cohomology pairs" in err

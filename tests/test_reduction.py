@@ -197,7 +197,7 @@ class TestEliminate:
         native = (lambda c: sum(1 << r for r in c)) if p == 2 else dict
         table = {low: (native(c), ("col", low)) for low, c in cols.items()}
         before = dict(col)
-        rest, used = eliminate(col, table, p)
+        rest, used = eliminate(col, table.get, p)
         assert col == before
         rest = as_dict(rest)
         assert not set(rest) & set(table)
@@ -215,7 +215,7 @@ class TestEliminate:
         spent = combine([(table[low][0], c) for (_, low), c in used], p)
         assert np.array_equal(dense(as_dict(spent)), (dense(col) - dense(rest)) % p)
         if p == 2:
-            assert eliminate(native(col), table, p) == eliminate(col, table, p)
+            assert eliminate(native(col), table.get, p) == eliminate(col, table.get, p)
 
 
 class TestLeafSolver:
