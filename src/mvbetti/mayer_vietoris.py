@@ -120,25 +120,19 @@ class _FStructure:
 
     def __init__(self, fmat: FMatrix, field: PrimeField):
         self.fmat = fmat
-        red = reduce_columns(fmat.nrows, fmat.columns, field, keep_v=True)
+        red = reduce_columns(fmat.columns, field)
         self.red = red
         self.rank = red.rank
         self.image_table = {l: (red.r[j], j) for l, j in red.pivots.items()}
         self.coker_rows = [r for r in range(fmat.nrows) if r not in red.pivots]
         self.coker_pos = {r: i for i, r in enumerate(self.coker_rows)}
-        # Echelonized nullspace: a second reduction of the kernel columns of V
-        # yields columns with distinct lowest rows, so membership tests in the
-        # kernel are a straight elimination.
-        raw_kernel = [red.v[j] for j in range(red.ncols) if not red.r[j]]
-        if raw_kernel:
-            kred = reduce_columns(fmat.ncols, raw_kernel, field, keep_v=False)
-            if kred.rank != kred.ncols:
-                raise ConsistencyError("kernel basis of f is linearly dependent")
-            self.kernel_cols = [as_dict(c) for c in kred.r]
-            self.kernel_table = {l: (kred.r[i], i) for l, i in kred.pivots.items()}
-        else:
-            self.kernel_cols = []
-            self.kernel_table = {}
+        # Echelon nullspace: the V_j of the zero columns R_j.  V is unit
+        # upper-triangular, so V_j's lowest row is j, the kernel columns have
+        # distinct lowest rows, and membership in the kernel is a straight
+        # elimination.
+        kernel = [j for j in range(red.ncols) if not red.r[j]]
+        self.kernel_cols = [as_dict(red.v[j]) for j in kernel]
+        self.kernel_table = {j: (red.v[j], i) for i, j in enumerate(kernel)}
 
     def project_coker(self, t: dict, field: PrimeField, want_membership: bool = False):
         """Reduce a target vector mod im(f): cokernel coordinates, and optionally

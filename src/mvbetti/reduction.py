@@ -15,18 +15,19 @@ independent).
 Columns are native Python values: int bitsets (bit r = row r) at p = 2,
 where column addition is one XOR, and {row: nonzero residue} dicts
 otherwise.  Elimination goes through three routines: reduce_columns
-reduces a matrix left to right, one loop per representation;
+reduces a matrix left to right with V, one loop per representation;
 cohomology_pairs finds the pivot pairs of a boundary matrix, so that a
-region reduces only the top-dimension columns it reads: by union-find over
-the edges for D_1, and above that by reducing coboundary columns read from
-the level's facet table (rips.facet_tables, shared with boundary_matrix);
-and eliminate reduces one column against a table of columns with distinct
-lowest rows, given as a row lookup, the step behind every coords/bound
-query of a region and the Mayer-Vietoris kernel and cokernel.  Of the top
-dimension's pivot columns, the apparent ones (R_k = the boundary of k,
-V_k = e_k) are found from the facet table and left implicit, built from it
-on first read.  combine forms linear combinations of columns, and as_dict
-decodes a column of either representation.
+region reduces only the columns it reads: by union-find over the edges for
+D_1, and above that by reducing coboundary columns read from the level's
+facet table (rips.facet_tables, shared with boundary_matrix); and eliminate
+reduces one column against a table of columns with distinct lowest rows,
+given as a row lookup, the step behind every coords/bound query of a region
+and the Mayer-Vietoris kernel and cokernel.  In every dimension, the
+apparent columns (R_k = the boundary of k, V_k = e_k) are found from the
+facet table and left implicit, built from it on first read; only the other
+columns a region reads are built and reduced.  combine forms linear
+combinations of columns, and as_dict decodes a column of either
+representation.
 """
 
 from __future__ import annotations
@@ -154,15 +155,14 @@ class ReducedPair:
     distinct lowest nonzero rows, recorded in pivots (low row -> column).
     r and v hold the columns of R and V by column index: lists when the
     ncols columns were given as a list, {column index: column} mappings when
-    they were given as one (a leaf's top dimension leaves its apparent
-    columns implicit there, see _Implicit).  Columns are native (bitsets at
-    p = 2, dicts otherwise).
+    they were given as one (a leaf leaves its apparent columns implicit
+    there, see _Implicit).  Columns are native (bitsets at p = 2, dicts
+    otherwise).
     """
 
-    __slots__ = ("nrows", "ncols", "field", "r", "v", "pivots")
+    __slots__ = ("ncols", "field", "r", "v", "pivots")
 
-    def __init__(self, nrows, ncols, field, r, v, pivots):
-        self.nrows = nrows
+    def __init__(self, ncols, field, r, v, pivots):
         self.ncols = ncols
         self.field = field
         self.r = r
@@ -174,9 +174,8 @@ class ReducedPair:
         return len(self.pivots)
 
 
-def reduce_columns(nrows, columns, field: PrimeField, keep_v: bool = True,
-                   into: ReducedPair = None) -> ReducedPair:
-    """Left-to-right column reduction of a sparse matrix over Z/p.
+def reduce_columns(columns, field: PrimeField, into: ReducedPair = None) -> ReducedPair:
+    """Left-to-right column reduction of a sparse matrix over Z/p, with V.
 
     columns is a list of {row: nonzero residue} dicts, or a {column index:
     column} dict in ascending index order standing for a matrix whose other
@@ -188,34 +187,33 @@ def reduce_columns(nrows, columns, field: PrimeField, keep_v: bool = True,
 
     into, a reduction of other columns of the same matrix whose pivots are
     already entered, is extended in place with the dict columns and
-    returned; keep_v is not read then, V is kept when into has a v.  Its pivot columns are read
-    through its r and v as sources; each must be final whatever columns
-    come before it, as an apparent column is (see _apparent_columns).
+    returned.  Its pivot columns are read through its r and v as sources;
+    each must be final whatever columns come before it, and no column
+    before it may reach its pivot row, as holds for an apparent column (see
+    _apparent_columns).
     """
     n = len(columns)
     if into is not None:
         items, R, V, pivots = columns.items(), into.r, into.v, into.pivots
         into.ncols += n
     elif type(columns) is dict:
-        items, R, V, pivots = columns.items(), {}, {} if keep_v else None, {}
+        items, R, V, pivots = columns.items(), {}, {}, {}
     else:
-        items, R, V, pivots = (enumerate(columns), [None] * n,
-                               [None] * n if keep_v else None, {})
+        items, R, V, pivots = enumerate(columns), [None] * n, [None] * n, {}
     if field.p == 2:
         _reduce_bits(items, R, V, pivots)
     else:
         _reduce_dicts(items, R, V, pivots, field)
-    return into if into is not None else ReducedPair(nrows, n, field, R, V, pivots)
+    return into if into is not None else ReducedPair(n, field, R, V, pivots)
 
 
 def _reduce_bits(items, R, V, pivots):
     """The Z/2 loop: lowest row is the top bit, column addition is XOR.
-    Fills R, V (None when V is not kept) and pivots."""
-    keep_v = V is not None
+    Fills R, V and pivots."""
     for j, col in items:
         if type(col) is not int:
             col = _bits(col)
-        v = 1 << j if keep_v else 0
+        v = 1 << j
         while col:
             l = col.bit_length() - 1
             k = pivots.get(l)
@@ -223,11 +221,9 @@ def _reduce_bits(items, R, V, pivots):
                 pivots[l] = j
                 break
             col ^= R[k]
-            if keep_v:
-                v ^= V[k]
+            v ^= V[k]
         R[j] = col
-        if keep_v:
-            V[j] = v
+        V[j] = v
 
 
 def _reduce_dicts(items, R, V, pivots, field):
@@ -235,11 +231,10 @@ def _reduce_dicts(items, R, V, pivots, field):
     inverse of its lowest coefficient is computed once, when it is first
     a source, so a step costs one multiplication plus the inlined axpy."""
     p = field.p
-    keep_v = V is not None
     neg_inv = {}    # pivot column -> -(lowest coefficient)^-1 mod p
     for j, col in items:
         col = dict(col)
-        v = {j: 1} if keep_v else None
+        v = {j: 1}
         while col:
             l = max(col)
             k = pivots.get(l)
@@ -257,16 +252,14 @@ def _reduce_dicts(items, R, V, pivots, field):
                     col[r] = y
                 else:
                     del col[r]
-            if keep_v:
-                for r, x in V[k].items():
-                    y = (v.get(r, 0) + c * x) % p
-                    if y:
-                        v[r] = y
-                    else:
-                        del v[r]
+            for r, x in V[k].items():
+                y = (v.get(r, 0) + c * x) % p
+                if y:
+                    v[r] = y
+                else:
+                    del v[r]
         R[j] = col
-        if keep_v:
-            V[j] = v
+        V[j] = v
 
 
 def cohomology_pairs(cx, q: int, field: PrimeField, clear=(), facets=None):
@@ -459,7 +452,7 @@ def _apparent_columns(facets, nrows: int, field: PrimeField) -> ReducedPair:
         rows = facets[k].tolist()
         return _bits(rows) if p == 2 else dict(zip(rows, signs))
 
-    return ReducedPair(nrows, len(cols), field, _Implicit(apparent, boundary),
+    return ReducedPair(len(cols), field, _Implicit(apparent, boundary),
                        _Implicit(apparent, lambda k: _unit(k, p)),
                        dict(zip(low[cols].tolist(), cols.tolist())))
 
@@ -468,28 +461,29 @@ class _LeafTable(dict):
     """Dimension n's eliminate() table of a LeafReduction, {row: (column,
     row)}, each entry built on its first lookup: R_k at a row killed by
     column k of D_{n+1}, e_j at an unkilled vertex, V_j at an unkilled zero
-    column of D_n.  A pivot column of D_n is no table row; looking it up
-    gives None and caches nothing.  table.__getitem__ is the lookup that
-    eliminate() takes."""
+    column of D_n.  A pivot column of D_n (live[row] false) is no table
+    row; looking it up gives None and caches nothing.  table.__getitem__ is
+    the lookup that eliminate() takes."""
 
-    __slots__ = ("_up", "_down")
+    __slots__ = ("_up", "_down", "_live")
 
-    def __init__(self, up: ReducedPair, down):
+    def __init__(self, up: ReducedPair, down, live):
         super().__init__()
         self._up = up           # reduced D_{n+1}
         self._down = down       # reduced D_n, None at n = 0
+        self._live = live       # bool array over the n-simplices
 
     def __missing__(self, row):
-        up, down = self._up, self._down
+        up = self._up
         k = up.pivots.get(row)
         if k is not None:
             col = up.r[k]
-        elif down is None:
-            col = _unit(row, up.field.p)
-        elif down.r[row]:
+        elif not self._live[row]:
             return None
+        elif self._down is None:
+            col = _unit(row, up.field.p)
         else:
-            col = down.v[row]
+            col = self._down.v[row]
         e = self[row] = (col, row)
         return e
 
@@ -502,18 +496,20 @@ class LeafReduction:
     matrix is also a reduction of every prefix, i.e. of the complex at every
     requested scale.  Pairs come first: cohomology_pairs finds the pivot
     pairs of D_1, ..., D_{n_max+1} in ascending dimension, each level
-    cleared by the pivot columns of the level below.  The top matrix keeps
-    only its pivot columns, since the views read only those, and a column
-    that reduces to zero is never added to another, so their R and V equal
-    those of a full reduction.  Of these, the apparent columns
-    (_apparent_columns, found from the top level's facet table) are entered
-    first and stay implicit, R_k = the boundary of k and V_k = e_k, built
-    only when read; just the other pivot columns are built and reduced.  The
-    lower dimensions are reduced top-down with clearing: a q-simplex that is
-    the pivot row of some reduced (q+1)-column R_k is a cycle, its column is
-    not built, and R_k is its cycle column.  Every reduction, apparent
-    pivots included, must reproduce the pairs found first, or
-    ConsistencyError is raised.
+    cleared by the pivot columns of the level below.
+
+    Every D_q is then reduced the same way, top dimension first, keeping R
+    and V only for the columns the views read.  At the top these are the
+    pivot columns; below it, every column except the cleared ones: a
+    q-simplex that is the pivot row of some reduced (q+1)-column R_k is a
+    cycle, and R_k is its cycle column.  The other columns of D_q reduce to
+    zero and a zero column is never added to another, so the kept R and V
+    equal those of a full reduction.  Of the kept columns, the apparent
+    ones (_apparent_columns, found from level q's facet table, which is
+    kept) are entered first and stay implicit, R_k = the boundary of k and
+    V_k = e_k, built only when read; just the others are built and reduced
+    into them.  Every reduction, apparent pivots included, must reproduce
+    the pairs found first, or ConsistencyError is raised.
 
     The dimension-n eliminate() table for every scale has as rows the
     n-simplices that are not pivot columns of D_n, in ascending order:
@@ -545,17 +541,14 @@ class LeafReduction:
         self.pivot_pairs = {}
         killers = {}
         for q in range(top, 0, -1):
-            # facets[q], popped so that each lower table is freed once read.
-            table = facets.pop()
+            red = _apparent_columns(facets[q], cx.count(q - 1), field)
             if q == top:
-                red = _apparent_columns(table, cx.count(q - 1), field)
-                built = sorted(set(pairs[q].values()).difference(red.pivots.values()))
-                cols = boundary_matrix(cx, q, field.p, built, table)[1]
-                reduce_columns(red.nrows, dict(zip(built, cols)), field, into=red)
+                needed = set(pairs[q].values())
             else:
-                built = [j for j in range(cx.count(q)) if j not in killers]
-                nrows, cols = boundary_matrix(cx, q, field.p, built, table)
-                red = reduce_columns(nrows, dict(zip(built, cols)), field, keep_v=True)
+                needed = set(range(cx.count(q))).difference(killers)
+            built = sorted(needed.difference(red.pivots.values()))
+            cols = boundary_matrix(cx, q, field.p, built, facets[q])
+            reduce_columns(dict(zip(built, cols)), field, into=red)
             if red.pivots != pairs[q]:
                 raise ConsistencyError(
                     f"reduced D_{q} pivots differ from its cohomology pairs "
@@ -576,7 +569,7 @@ class LeafReduction:
             rows = np.flatnonzero(live)
             self.rows.append(rows)
             self.killers.append(killer[rows])
-            self.tables.append(_LeafTable(up, down))
+            self.tables.append(_LeafTable(up, down, live))
 
     def view(self, scale: float) -> "LeafSolver":
         return LeafSolver(self, scale)

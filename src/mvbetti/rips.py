@@ -23,7 +23,8 @@ facet_tables turns the levels of a complex into one int array per level
 that holds the facet positions of every simplex.  It is the one facet
 lookup: boundary_matrix builds its columns from it, and the pairing in
 reduction reads its coboundaries from it.  A caller builds it once per
-complex, after any reordering of the levels, and drops it when done.
+complex, after any reordering of the levels; a leaf keeps it to build its
+apparent columns on first read.
 """
 
 from __future__ import annotations
@@ -302,9 +303,8 @@ def facet_signs(q: int, p: int):
 def boundary_matrix(cx: RipsComplex, q: int, p: int, columns=None, facets=None):
     """Sparse boundary matrix from q-simplices to (q-1)-simplices over Z/p.
 
-    Returns (nrows, columns) with the columns in reduce_columns' own
-    representation: int bitsets (bit r = row r) at p = 2, {row: coefficient}
-    dicts otherwise.  Column j holds the alternating-sign faces of the j-th
+    Returns the columns in reduce_columns' own representation: int bitsets
+    (bit r = row r) at p = 2, {row: coefficient} dicts otherwise.  Column j holds the alternating-sign faces of the j-th
     q-simplex.  With columns, a list of q-simplex indices, only those
     columns are built, in that order.  facets is level q's facet table from
     facet_tables, built here when not given.
@@ -326,4 +326,4 @@ def boundary_matrix(cx: RipsComplex, q: int, p: int, columns=None, facets=None):
     else:
         signs = facet_signs(q, p)
         out = [dict(zip(r, signs)) for r in rows]
-    return cx.count(q - 1), out
+    return out

@@ -103,7 +103,7 @@ def _eager_tables(cx, n_max, p):
     reduction equals that of one with clearing: a cleared column reduces to
     zero and is never added to another)."""
     field = PrimeField(p)
-    full = {q: reduce_columns(*boundary_matrix(cx, q, p), field) for q in range(1, n_max + 2)}
+    full = {q: reduce_columns(boundary_matrix(cx, q, p), field) for q in range(1, n_max + 2)}
     tables = []
     for n in range(n_max + 1):
         up, red = full[n + 1], full.get(n)

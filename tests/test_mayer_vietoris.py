@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvbetti.core import Chain, ConsistencyError, PointCloud, PrimeField, chain_boundary
 from mvbetti.covering import build_covering, full_box, split_axis
 from mvbetti.engine import execute_scale
-from mvbetti.mayer_vietoris import MVNodeSolver, assemble, build_f, induced_map
+from mvbetti.mayer_vietoris import (FMatrix, MVNodeSolver, _FStructure, assemble, build_f,
+                                    induced_map)
 from mvbetti.reduction import (betti_at_scale, build_leaf, persistence_barcode,
                                reduce_columns)
 from mvbetti.rips import DEFAULT_BUDGET
 
-from conftest import (HEX_POINTS, dense, distance_quantile, hexagon_cycle,
-                      random_cloud)
+from conftest import (HEX_POINTS, dense, dense_rank_mod_p, distance_quantile,
+                      hexagon_cycle, random_cloud)
+from test_reduction import dense_of_columns, sparse_matrices
 
 
 def collinear_pair(p):
@@ -62,7 +65,7 @@ class TestBuildF:
         _, f, a, b, i = collinear_pair(p)
         fm = build_f([a, b], [i], 0, f)
         assert fm.nrows == 2 and fm.columns == [expect]
-        assert reduce_columns(fm.nrows, fm.columns, f).rank == 1
+        assert reduce_columns(fm.columns, f).rank == 1
 
     def test_single_piece_empty_matrix(self):
         pc = PointCloud([[0.0], [1.0]])
@@ -76,7 +79,45 @@ class TestBuildF:
         _, f, a, b, i = hexagon_two_pieces(p)
         fm = build_f([a, b], [i], 0, f)
         assert fm.nrows == 2 and fm.ncols == 2
-        assert reduce_columns(fm.nrows, fm.columns, f).rank == 1
+        assert reduce_columns(fm.columns, f).rank == 1
+
+
+class TestFStructure:
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_matrices().filter(lambda case: case[0] in (2, 3, 5)), st.data())
+    def test_kernel_basis_and_cokernel_membership(self, case, data):
+        p, nrows, cols = case
+        field, ncols = PrimeField(p), len(cols)
+        fs = _FStructure(FMatrix(0, nrows, cols, [0, nrows], [0, ncols]), field)
+
+        def apply(y):
+            """f y for a sparse source vector y, as a sparse target vector."""
+            out = {}
+            for j, c in y.items():
+                for r, x in cols[j].items():
+                    out[r] = (out.get(r, 0) + c * x) % p
+            return {r: x for r, x in out.items() if x}
+
+        kernel = fs.kernel_cols
+        assert fs.rank == dense_rank_mod_p(dense_of_columns(nrows, cols, p), p)
+        assert len(kernel) == ncols - fs.rank
+        assert all(apply(k) == {} for k in kernel)
+        assert len({max(k) for k in kernel}) == len(kernel)
+
+        coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=len(kernel),
+                                    max_size=len(kernel)))
+        u = {}
+        for k, c in zip(kernel, coeffs):
+            for r, x in k.items():
+                u[r] = (u.get(r, 0) + c * x) % p
+        u = {r: x for r, x in u.items() if x}
+        assert fs.kernel_coords(u, field) == {i: c for i, c in enumerate(coeffs) if c}
+
+        y = data.draw(st.dictionaries(st.integers(0, ncols - 1), st.integers(1, p - 1))
+                      if ncols else st.just({}))
+        coker, y2 = fs.project_coker(apply(y), field, want_membership=True)
+        assert coker == {}
+        assert apply(y2) == apply(y)
 
 
 class TestAssemble:

@@ -1,10 +1,10 @@
-"""Pairs first: a leaf builds and reduces only the top-dimension pivot columns.
+"""Pairs first: a leaf builds and reduces only the columns its views read.
 
 cohomology_pairs must give the pivots of the full boundary reduction at
-every dimension, the pivot-only reduction of the top dimension must give the
-full reduction's R and V at those columns, its apparent columns must stay
-implicit until read, and a reduction that does not reproduce the pairs must
-fail loudly.
+every dimension.  The leaf's reduction of every dimension (pivot columns at
+the top, uncleared columns below) must give the full reduction's R and V at
+those columns, its apparent columns must stay implicit until read, and a
+reduction that does not reproduce the pairs must fail loudly.
 """
 
 import numpy as np
@@ -24,12 +24,21 @@ from test_leaf_views import _prefix_simplices, leaf_cases
 def _apparent(cx, q):
     """Columns of D_q that are the earliest coface of their lowest row, read
     off the boundary columns in level order."""
-    cols = boundary_matrix(cx, q, 3)[1]
+    cols = boundary_matrix(cx, q, 3)
     first = {}
     for j, col in enumerate(cols):
         for r in col:
             first.setdefault(r, j)
     return {j for j, col in enumerate(cols) if first[max(col)] == j}
+
+
+def _needed(red, q):
+    """The columns of D_q that a leaf reduction keeps: the pivot columns at
+    the top dimension, below it every column except the cleared ones, the
+    pivot rows of D_{q+1}."""
+    if q == red.n_max + 1:
+        return {j for j, _ in red.pivot_pairs[q]}
+    return set(range(red.complex.count(q))) - {l for _, l in red.pivot_pairs[q + 1]}
 
 
 @settings(max_examples=60, deadline=None)
@@ -43,27 +52,29 @@ def test_pairs_and_pivot_columns_match_the_full_reduction(case):
 
     clear = ()
     for q in range(1, top + 1):
+        full = reduce_columns(boundary_matrix(cx, q, p), field)
         pairs = cohomology_pairs(cx, q, field, clear)
-        assert pairs == reduce_columns(*boundary_matrix(cx, q, p), field, keep_v=False).pivots
+        assert pairs == full.pivots
         assert cohomology_pairs(cx, q, field) == pairs      # clearing changes no pair
         clear = set(pairs.values())
 
-    full = reduce_columns(*boundary_matrix(cx, top, p), field)
-    mine = leaf.reduction.reduced[top]
-    assert mine.pivots == full.pivots
-    # Only pivot columns are stored: the reduced ones, and the apparent ones
-    # that were read as sources, built on that first read.
-    paired = set(full.pivots.values())
-    apparent = _apparent(cx, top)
-    assert apparent <= paired
-    assert paired - apparent <= set(mine.r) == set(mine.v) <= paired
-    for j in full.pivots.values():
-        assert mine.r[j] == full.r[j]
-        assert mine.v[j] == full.v[j]
-    assert sorted(mine.r) == sorted(mine.v) == sorted(full.pivots.values())
-    for j in set(range(cx.count(top))) - set(full.pivots.values()):
-        with pytest.raises(KeyError):
-            mine.r[j]
+        mine = leaf.reduction.reduced[q]
+        assert mine.pivots == full.pivots
+        # Only the needed columns are stored: the reduced ones, and the
+        # apparent ones that were read as sources, built on that first read.
+        needed = _needed(leaf.reduction, q)
+        apparent = _apparent(cx, q)
+        assert apparent <= set(full.pivots.values()) & needed
+        assert needed - apparent <= set(mine.r) == set(mine.v) <= needed
+        for j in needed:
+            assert mine.r[j] == full.r[j]
+            assert mine.v[j] == full.v[j]
+        assert sorted(mine.r) == sorted(mine.v) == sorted(needed)
+        for j in set(range(cx.count(q))) - needed:
+            with pytest.raises(KeyError):
+                mine.r[j]
+            with pytest.raises(KeyError):
+                mine.v[j]
 
 
 @st.composite
@@ -94,7 +105,7 @@ def test_union_find_pairs_match_the_full_reduction(case):
     cx = enumerate_complex(range(cloud.n), cloud, scales[-1], 1)
     _order_levels(cx, scales)
     assert cohomology_pairs(cx, 1, field) == \
-        reduce_columns(*boundary_matrix(cx, 1, p), field, keep_v=False).pivots
+        reduce_columns(boundary_matrix(cx, 1, p), field).pivots
 
 
 def _cloud(n=40, seed=5):
@@ -120,24 +131,30 @@ def test_only_pivot_columns_of_the_top_dimension_are_built(monkeypatch, p):
     assert 0 < len(apparent) < len(paired)
     assert sorted(built[2] + list(apparent)) == paired
     assert set(built[2]) <= set(red.reduced[2].r) == set(red.reduced[2].v) <= set(paired)
-    # D_1 is built without its cleared columns, the pivot rows of D_2.
+    # D_1 is built without its cleared columns, the pivot rows of D_2, and
+    # without its apparent columns.
     cleared = {l for _, l in red.pivot_pairs[2]}
-    assert built[1] == [j for j in range(cx.count(1)) if j not in cleared]
-    assert list(red.reduced[1].v) == built[1]
+    apparent = _apparent(cx, 1)
+    assert 0 < len(apparent) and not apparent & cleared
+    assert built[1] == [j for j in range(cx.count(1)) if j not in cleared | apparent]
+    assert set(built[1]) <= set(red.reduced[1].r) == set(red.reduced[1].v)
 
 
-def _swap_two_top_pairs(monkeypatch, apparent=None):
-    """Swap the partners of the first two top pairs, or of the first two
-    whose column is (apparent=True) or is not (False) apparent."""
+def _swap_two_pairs(monkeypatch, apparent=None, dim=None):
+    """Swap the partners of the first two pairs of D_dim (the top dimension
+    when dim is None), or of the first two whose column is (apparent=True)
+    or is not (False) apparent."""
     original = reduction.cohomology_pairs
 
     def swapped(cx, q, field, clear=(), facets=None):
         pairs = original(cx, q, field, clear, facets)
+        if q != (cx.max_dim if dim is None else dim):
+            return pairs
         items = list(pairs.items())
-        if q == cx.max_dim and apparent is not None:
+        if apparent is not None:
             kind = _apparent(cx, q)
             items = [(l, j) for l, j in items if (j in kind) == apparent]
-        if q == cx.max_dim and len(items) >= 2:
+        if len(items) >= 2:
             (l1, j1), (l2, j2) = items[:2]
             pairs[l1], pairs[l2] = j2, j1
         return pairs
@@ -146,14 +163,14 @@ def _swap_two_top_pairs(monkeypatch, apparent=None):
 
 
 def test_altered_pair_raises(monkeypatch):
-    _swap_two_top_pairs(monkeypatch)
+    _swap_two_pairs(monkeypatch)
     cloud = _cloud()
     with pytest.raises(ConsistencyError, match="differ from its cohomology pairs"):
         build_leaf(range(cloud.n), cloud, 0.3, 1, 3)
 
 
 def test_altered_pair_exits_5(monkeypatch, tmp_path, capsys):
-    _swap_two_top_pairs(monkeypatch)
+    _swap_two_pairs(monkeypatch)
     path = tmp_path / "cloud.csv"
     path.write_text("".join(f"{x!r},{y!r}\n" for x, y in _cloud().coords.tolist()))
     assert main([str(path), "--epsilon", "0.3", "--no-timings"]) == 5
@@ -177,10 +194,10 @@ def test_boundary_columns_are_built_only_for_non_apparent_pivots(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reduction, "boundary_matrix", recording)
         red = build_leaf(range(cloud.n), cloud, scales[0], n_max, p, scales=scales).reduction
-    paired = {j for j, _ in red.pivot_pairs[top]}
-    apparent = _apparent(red.complex, top)
-    assert apparent <= paired
-    assert built[top] == sorted(paired - apparent)
+    for q in range(1, top + 1):
+        apparent = _apparent(red.complex, q)
+        assert apparent <= {j for j, _ in red.pivot_pairs[q]}
+        assert built[q] == sorted(_needed(red, q) - apparent)
 
 
 @settings(max_examples=60, deadline=None)
@@ -223,9 +240,13 @@ def test_betti_only_run_on_one_leaf_builds_no_table_column(monkeypatch):
     assert any(len(t) for red in leaves for t in red.tables)
 
 
-@pytest.mark.parametrize("apparent", [True, False], ids=["apparent", "reduced"])
-def test_swapped_pairs_of_either_kind_raise_and_exit_5(monkeypatch, tmp_path, capsys, apparent):
-    _swap_two_top_pairs(monkeypatch, apparent)
+# At the top dimension and at D_1, whose pairs come from union-find: the pair
+# check covers the apparent pivots that are entered unreduced.
+@pytest.mark.parametrize("apparent,dim", [(True, None), (False, None), (True, 1), (False, 1)],
+                         ids=["apparent", "reduced", "d1-apparent", "d1-reduced"])
+def test_swapped_pairs_of_either_kind_raise_and_exit_5(monkeypatch, tmp_path, capsys,
+                                                       apparent, dim):
+    _swap_two_pairs(monkeypatch, apparent, dim)
     cloud = _cloud()
     with pytest.raises(ConsistencyError, match="differ from its cohomology pairs"):
         build_leaf(range(cloud.n), cloud, 0.3, 1, 3)

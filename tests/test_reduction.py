@@ -37,7 +37,7 @@ def random_sparse_columns(rng, nrows, ncols, p, density=0.3):
 class TestReduce:
     def test_zero_matrix(self):
         f = PrimeField(3)
-        red = reduce_columns(4, [{}, {}, {}], f)
+        red = reduce_columns([{}, {}, {}], f)
         assert red.rank == 0
         for j in range(3):
             assert as_dict(red.r[j]) == {}
@@ -45,15 +45,14 @@ class TestReduce:
 
     def test_single_edge_already_reduced(self):
         f = PrimeField(2)
-        red = reduce_columns(2, [{0: 1, 1: 1}], f)
+        red = reduce_columns([{0: 1, 1: 1}], f)
         assert red.rank == 1
         assert as_dict(red.r[0]) == {0: 1, 1: 1}
 
     def test_unit_square_rank(self):
         pc = PointCloud(UNIT_SQUARE)
         cx = enumerate_complex(range(4), pc, 1.0, 2)
-        nrows, cols = boundary_matrix(cx, 1, 2)
-        red = reduce_columns(nrows, cols, PrimeField(2))
+        red = reduce_columns(boundary_matrix(cx, 1, 2), PrimeField(2))
         assert red.rank == 3  # beta_0 = 4 - 3 = 1, beta_1 = (4 - 3) - 0 = 1
 
     @pytest.mark.parametrize("p", [2, 3, 5])
@@ -64,7 +63,7 @@ class TestReduce:
             nrows = int(rng.integers(3, 12))
             ncols = int(rng.integers(3, 12))
             cols = random_sparse_columns(rng, nrows, ncols, p)
-            red = reduce_columns(nrows, cols, f)
+            red = reduce_columns(cols, f)
             D = dense_of_columns(nrows, cols, p)
             V = dense_of_columns(ncols, [as_dict(red.v[j]) for j in range(ncols)], p)
             R = dense_of_columns(nrows, [as_dict(red.r[j]) for j in range(ncols)], p)
@@ -75,7 +74,7 @@ class TestReduce:
         rng = np.random.default_rng(p * 13)
         f = PrimeField(p)
         cols = random_sparse_columns(rng, 8, 10, p)
-        red = reduce_columns(8, cols, f)
+        red = reduce_columns(cols, f)
         for j in range(10):
             v = as_dict(red.v[j])
             assert v.get(j) == 1
@@ -87,7 +86,7 @@ class TestReduce:
         f = PrimeField(p)
         for _ in range(10):
             cols = random_sparse_columns(rng, 9, 7, p)
-            red = reduce_columns(9, cols, f)
+            red = reduce_columns(cols, f)
             lows = list(red.pivots.keys())
             assert len(lows) == len(set(lows))
             assert red.rank == dense_rank_mod_p(dense_of_columns(9, cols, p), p)
@@ -135,42 +134,36 @@ def sparse_matrices(draw):
 
 class TestReduceAgainstNaive:
     @settings(max_examples=300, deadline=None)
-    @given(sparse_matrices(), st.booleans())
-    def test_same_pivots_r_and_v(self, case, keep_v):
+    @given(sparse_matrices())
+    def test_same_pivots_r_and_v(self, case):
         p, nrows, cols = case
-        red = reduce_columns(nrows, cols, PrimeField(p), keep_v=keep_v)
+        red = reduce_columns(cols, PrimeField(p))
         pivots, R, V = naive_reduce(cols, p)
         assert red.pivots == pivots
         assert [as_dict(red.r[j]) for j in range(len(cols))] == R
-        if not keep_v:
-            assert red.v is None
-            return
         assert [as_dict(red.v[j]) for j in range(len(cols))] == V
         D = dense_of_columns(nrows, cols, p)
         Vd = dense_of_columns(len(cols), V, p)
         assert np.array_equal((D @ Vd) % p, dense_of_columns(nrows, R, p))
 
     @settings(max_examples=200, deadline=None)
-    @given(sparse_matrices(), st.booleans())
-    def test_given_columns_match_the_full_matrix(self, case, keep_v):
-        p, nrows, cols = case
+    @given(sparse_matrices())
+    def test_given_columns_match_the_full_matrix(self, case):
+        p, _, cols = case
         given = {j: c for j, c in enumerate(cols) if c}
-        red = reduce_columns(nrows, given, PrimeField(p), keep_v=keep_v)
-        full = reduce_columns(nrows, cols, PrimeField(p), keep_v=keep_v)
+        red = reduce_columns(given, PrimeField(p))
+        full = reduce_columns(cols, PrimeField(p))
         assert red.ncols == len(given) and red.pivots == full.pivots
-        assert list(red.r) == list(given)
-        assert all(red.r[j] == full.r[j] for j in given)
-        if keep_v:
-            assert list(red.v) == list(given)
-            assert all(red.v[j] == full.v[j] for j in given)
+        assert list(red.r) == list(red.v) == list(given)
+        assert all(red.r[j] == full.r[j] and red.v[j] == full.v[j] for j in given)
 
     @settings(max_examples=100, deadline=None)
     @given(sparse_matrices())
     def test_bitset_columns_match_dict_columns(self, case):
-        _, nrows, cols = case
+        _, _, cols = case
         bits = [sum(1 << r for r in c) for c in cols]
-        a = reduce_columns(nrows, cols, PrimeField(2))
-        b = reduce_columns(nrows, bits, PrimeField(2))
+        a = reduce_columns(cols, PrimeField(2))
+        b = reduce_columns(bits, PrimeField(2))
         assert a.pivots == b.pivots and a.r == b.r and a.v == b.v
 
 

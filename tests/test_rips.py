@@ -315,8 +315,7 @@ class TestBoundaryMatrix:
     def test_single_edge(self):
         pc = PointCloud([[0.0], [1.0]])
         cx = enumerate_complex(range(2), pc, 1.0, 1)
-        nrows, cols = boundary_matrix(cx, 1, 2)
-        assert nrows == 2
+        cols = boundary_matrix(cx, 1, 2)
         assert cols == [0b11]
         assert dict_columns(cols) == [{0: 1, 1: 1}]
 
@@ -325,8 +324,8 @@ class TestBoundaryMatrix:
         for p in (2, 3, 5):
             cx = enumerate_complex(range(4), pc, TETRA_SIDE, 3)
             for q in (2, 3):
-                r1, lower = boundary_matrix(cx, q - 1, p)
-                _, upper = boundary_matrix(cx, q, p)
+                lower = boundary_matrix(cx, q - 1, p)
+                upper = boundary_matrix(cx, q, p)
                 lower, upper = dict_columns(lower), dict_columns(upper)
                 # multiply sparsely: (d_{q-1} * d_q) column by column
                 for col in upper:
@@ -339,8 +338,8 @@ class TestBoundaryMatrix:
     def test_unit_square_columns(self):
         pc = PointCloud(UNIT_SQUARE)
         cx = enumerate_complex(range(4), pc, 1.0, 2)
-        nrows, cols = boundary_matrix(cx, 1, 2)
-        assert nrows == 4 and len(cols) == 4
+        cols = boundary_matrix(cx, 1, 2)
+        assert len(cols) == 4
         for col in dict_columns(cols):
             assert len(col) == 2 and all(v == 1 for v in col.values())
 
@@ -350,7 +349,7 @@ class TestBoundaryMatrix:
         for p in (2, 5):
             cx = enumerate_complex(range(12), pc, 0.7, 2)
             for q in (1, 2):
-                _, cols = boundary_matrix(cx, q, p)
+                cols = boundary_matrix(cx, q, p)
                 assert all(type(c) is (int if p == 2 else dict) for c in cols)
                 for s, col in zip(cx.simplices[q], dict_columns(cols)):
                     chain = boundary(s, p)
@@ -364,10 +363,10 @@ class TestBoundaryMatrix:
         assert cx.count(3) > 0
         for p in (2, 3):
             for q in (1, 2, 3):
-                nrows, cols = boundary_matrix(cx, q, p)
+                cols = boundary_matrix(cx, q, p)
                 picked = list(range(0, len(cols), 3))
-                assert boundary_matrix(cx, q, p, picked) == (nrows, [cols[j] for j in picked])
-                assert boundary_matrix(cx, q, p, []) == (nrows, [])
+                assert boundary_matrix(cx, q, p, picked) == [cols[j] for j in picked]
+                assert boundary_matrix(cx, q, p, []) == []
 
     def test_dimension_out_of_range(self):
         pc = PointCloud(UNIT_SQUARE)
