@@ -7,6 +7,8 @@ a leaf reduction (reduction.LeafReduction) fills caches on first query.
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
 Simplex = tuple
@@ -123,54 +125,96 @@ class PointCloud:
         """Euclidean distance between points i and j."""
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise IndexError(f"point index out of range: ({i}, {j}) with n={self.n}")
-        return float(_pairwise_block(self.coords[i:i + 1], self.coords[j:j + 1])[0, 0])
+        return float(_distances(self.coords[i], self.coords[j]))
 
     def pairwise(self, indices, others=None) -> np.ndarray:
         """Distance matrix of the listed points (row/col order preserved),
         computed for those points only; with others, the rectangular block
         from indices (rows) to others (columns)."""
         pts = self.coords[np.asarray(indices, dtype=np.intp)]
-        if others is None:
-            return _pairwise_block(pts, pts)
-        return _pairwise_block(pts, self.coords[np.asarray(others, dtype=np.intp)])
+        cols = pts if others is None else self.coords[np.asarray(others, dtype=np.intp)]
+        return _distances(pts[:, None, :], cols[None, :, :])
 
     def close_pairs(self, indices, scale):
         """Every pair of the listed points at distance <= scale, in blocks.
 
-        Yields (lo, hi, dist) arrays per block: global indices lo < hi and
-        their distance, each close pair exactly once over all blocks.  The
-        points are swept in order along their axis of largest extent, and
-        each block of _SWEEP_BLOCK rows meets at most _SWEEP_BLOCK columns at
-        a time of the window that can still be close: a column is dropped
-        only when sqrt(gap * gap) > scale for its float gap to the block's
-        last row along the sweep axis.  That is a lower bound on the
-        computed distance of every row in the block, since the other squared
-        terms never lower the sum.  So memory is linear in points plus close
-        pairs, and every distance has the bits of pairwise(), whose blocks
-        are bitwise equal to slices of the full matrix in either operand
-        order.
+        Yields (lo, hi, dist) arrays per block: positions lo < hi in indices
+        and their distance, each close pair exactly once over all blocks.
+
+        The points are bucketed into eps-cells.  On an axis a of float
+        extent E_a = max - min the cell width w_a is the largest of
+        scale * (1 + 2^-20), E_a * 2^-20 and 2^-500, and a point's cell is
+        floor((x_a - min_a) / w_a) in floats, at most floor(E_a / w_a) <=
+        2^20, so cell keys stay exact in int64.  Of the axes with a finite
+        w_a and at least three cells, the three of largest extent are
+        bucketed; on the others every point is in one cell.  Sorted by cell
+        key, the cells of one run along the last bucketed axis are
+        consecutive positions, so each point meets, as ranges of positions,
+        the later points of its own cell and the next cell of its run, and
+        the three cells around it in each run ahead of its own: every pair
+        in the same or adjacent cells once.  Those candidates go to
+        _distances in blocks of at most _PAIR_BLOCK, or of one point's range
+        when that is longer, so memory is linear in points plus close pairs.
+
+        A pair two or more cells apart on an axis is never close.  Its cell
+        quotients t differ by more than 1, and each t is (x_a - min_a) / w_a
+        up to a relative error 2u + u^2 (u = 2^-53; below 2^-1073 absolute
+        if subnormal) with x_a - min_a <= E_a (1 + u) and E_a / w_a <= 2^20,
+        so the true gap exceeds w_a (1 - 2^-30).  The computed distance is
+        at least the rounded sqrt of the rounded square of the rounded gap,
+        because rounding is monotone and the other squared terms are >= 0.
+        That loses under 4u more, and w_a >= 2^-500 keeps the square normal.
+        So the distance exceeds w_a (1 - 2^-29), which is above scale: w_a >=
+        2^-500 > scale * (1 + 2^-20) or w_a >= scale * (1 + 2^-20) (1 - u).
+        Every distance comes from _distances, as pairwise() does, so its
+        bits are those of the full matrix in either operand order.
         """
         idx = np.asarray(indices, dtype=np.intp)
-        if len(idx) < 2:
+        n = len(idx)
+        if n < 2:
             return
         pts = self.coords[idx]
-        axis = int(np.argmax(pts.max(axis=0) - pts.min(axis=0)))
-        order = np.argsort(pts[:, axis], kind="stable")
-        gid, x = idx[order], pts[order, axis]
-        n, step = len(idx), _SWEEP_BLOCK
-        for r0 in range(0, n, step):
-            r1 = min(r0 + step, n)
-            gap = x[r1 - 1:] - x[r1 - 1]
-            end = max(r1, r1 - 1 + int(np.searchsorted(np.sqrt(gap * gap), scale, "right")))
-            for c0 in range(r0, end, step):
-                c1 = min(c0 + step, end)
-                dist = self.pairwise(gid[r0:r1], gid[c0:c1])
-                keep = dist <= scale
-                if c0 < r1:     # each pair once: sweep position of column > row
-                    keep &= np.arange(r0, r1)[:, None] < np.arange(c0, c1)
-                rows, cols = np.nonzero(keep)
-                a, b = gid[r0 + rows], gid[c0 + cols]
-                yield np.minimum(a, b), np.maximum(a, b), dist[rows, cols]
+        low = pts.min(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            extent = pts.max(axis=0) - low
+            width = np.maximum(np.maximum(scale * (1 + 2.0**-20), extent * 2.0**-20), 2.0**-500)
+            cells = np.floor(extent / width) + 1
+        axes = np.flatnonzero(np.isfinite(cells) & (cells > 2))
+        axes = axes[np.argsort(-extent[axes], kind="stable")[:3]]
+        # Cell c on an axis is digit c + 1 of the key, so the cells next to
+        # cell 0 and to the last cell are empty keys, not other runs.
+        stride = [1] * len(axes)
+        for t in range(len(axes) - 2, -1, -1):
+            stride[t] = stride[t + 1] * (int(cells[axes[t + 1]]) + 2)
+        key = (np.floor((pts[:, axes] - low[axes]) / width[axes]).astype(np.int64) + 1) @ \
+            np.array(stride, np.int64)
+        order = np.argsort(key, kind="stable")
+        key, pts = key[order], pts.take(order, axis=0)
+        # Run offsets: the own run, then the runs ahead of it (first nonzero
+        # offset +1 on the axes before the last).
+        rest = max(len(axes) - 1, 0)
+        ahead = list(product((-1, 0, 1), repeat=rest))[3 ** rest // 2:]
+        centre = key[:, None] + np.array([0] + [np.dot(o, stride[:-1]) for o in ahead[1:]],
+                                         np.int64)
+        first = np.searchsorted(key, centre - 1, "left")
+        first[:, 0] = np.arange(1, n + 1)
+        sizes = (np.searchsorted(key, centre + 1, "right") - first).ravel()
+        first, ends, runs = first.ravel(), sizes.cumsum(), centre.shape[1]
+        a, m = 0, len(sizes)
+        while a < m:
+            done = ends[a - 1] if a else 0
+            b = max(a + 1, int(np.searchsorted(ends, done + _PAIR_BLOCK, "right")))
+            size = sizes[a:b]
+            total = int(ends[b - 1] - done)
+            if total:
+                # Candidate c of range r is position first[r] + c.
+                rows = np.repeat(np.arange(a, b) // runs, size)
+                cols = np.arange(total) + np.repeat(first[a:b] - (ends[a:b] - size - done), size)
+                dist = _distances(pts.take(rows, axis=0), pts.take(cols, axis=0))
+                keep = np.flatnonzero(dist <= scale)
+                i, j = order[rows[keep]], order[cols[keep]]
+                yield np.minimum(i, j), np.maximum(i, j), dist[keep]
+            a = b
 
     def diameter(self, vertices) -> float:
         """Max pairwise distance over a nonempty vertex-index set (0 for singletons)."""
@@ -189,13 +233,13 @@ class PointCloud:
         return self.coords.min(axis=0), self.coords.max(axis=0)
 
 
-_SWEEP_BLOCK = 256     # rows, and columns at a time, of one close_pairs block
+_PAIR_BLOCK = 1 << 15     # candidate pairs of one close_pairs block
 
 
-def _pairwise_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Shared by the scalar and matrix paths so borderline comparisons against
-    # a scale never disagree between call sites.
-    diff = a[:, None, :] - b[None, :, :]
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Shared by the scalar, matrix and pair paths so borderline comparisons
+    # against a scale never disagree between call sites.
+    diff = a - b
     return np.sqrt((diff * diff).sum(axis=-1))
 
 

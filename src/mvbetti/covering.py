@@ -4,8 +4,9 @@ Each axis is cut into k closed cells of width R/k + eps whose consecutive
 overlaps have width exactly eps.  Because coordinate projections are
 1-Lipschitz, any vertex set of diameter <= eps fits inside some cell on every
 axis (a Lebesgue-number property), which is what makes simplex assignment
-total.  Non-adjacent cells must be disjoint, which requires R/k > eps and is
-enforced at construction from k = 3 on (two cells have no non-adjacent pair).
+total.  Non-adjacent cells must be disjoint at their float endpoints, which
+requires R/k > eps and is enforced at construction from k = 3 on (two cells
+have no non-adjacent pair).
 """
 
 from __future__ import annotations
@@ -44,12 +45,15 @@ def full_box(dim: int) -> Box:
     return tuple(FULL for _ in range(dim))
 
 
-def choose_k(parallel: int, dim: int, extent: float, eps: float):
+def choose_k(parallel: int, dim: int, extent: float, eps: float, origins=None):
     """Pick the per-axis cell count from a parallelism budget.
 
     Returns (k, eps_capped).  k is the largest integer whose dim-th power is
     below the parallelism budget, clamped so that cells stay wider than the
-    overlap (extent/k > eps, needed for non-adjacent cells to be disjoint);
+    overlap (extent/k > eps, needed for non-adjacent cells to be disjoint)
+    and lowered until the rounded cell endpoints keep non-adjacent cells
+    disjoint on every axis (_disjoint, the test _build_axis makes).  origins
+    are the axes' minimal coordinates, 0 on every axis when not given;
     eps_capped reports whether the clamp was what limited k.
     """
     if parallel < 1 or dim < 1:
@@ -67,7 +71,10 @@ def choose_k(parallel: int, dim: int, extent: float, eps: float):
     while extent / (k_eps + 1) > eps:
         k_eps += 1
     k = max(1, min(k_par, k_eps))
-    return k, k_eps < k_par
+    origins = [0.0] * dim if origins is None else [float(o) for o in origins]
+    while not all(_disjoint(_cells(o, extent, k, eps)) for o in origins):
+        k -= 1
+    return k, min(k_eps, k) < k_par
 
 
 @dataclass(frozen=True)
@@ -107,29 +114,39 @@ class AxisIntervals:
         )
 
 
+def _cells(a: float, extent: float, k: int, eps: float):
+    """The k closed cells of an axis from a, as float (start, end) pairs."""
+    w = extent / k
+    return tuple((a + j * w, a + (j + 1) * w + eps) for j in range(k))
+
+
+def _disjoint(cells) -> bool:
+    """Whether cell j+2 starts strictly after cell j ends, for every j.
+
+    The path-nerve hypothesis needs non-adjacent cells disjoint at their
+    float endpoints, not only extent/k > eps in exact arithmetic: at
+    origin 0.1, extent 0.3, k = 3 and eps = 0.1 the quotient is above eps
+    but cells 0 and 2 both meet 0.30000000000000004.
+    """
+    return all(cells[j + 2][0] > cells[j][1] for j in range(len(cells) - 2))
+
+
 def _build_axis(axis: int, a: float, extent: float, k: int, eps: float) -> AxisIntervals:
     if k < 1:
         raise ValueError("cell count must be >= 1")
     if k == 1:
         return AxisIntervals(axis, a, extent, 1, eps, ((a, a + extent + eps),), ())
-    if k >= 3 and not extent / k > eps:
-        # With only two cells there are no non-adjacent pairs, so any width
-        # works; from three cells on, disjointness needs extent/k > eps.
+    cells = _cells(a, extent, k, eps)
+    # With only two cells there are no non-adjacent pairs, so any width
+    # works; from three cells on, disjointness needs extent/k > eps.
+    if k >= 3 and not (extent / k > eps and _disjoint(cells)):
         raise ValueError(
             f"cell count {k} too large on axis {axis}: cell width {extent / k} "
-            f"must exceed eps={eps} for non-adjacent cells to stay disjoint"
+            f"must exceed eps={eps} at the rounded endpoints for non-adjacent "
+            f"cells to stay disjoint"
         )
     w = extent / k
-    cells = tuple((a + j * w, a + (j + 1) * w + eps) for j in range(k))
     overlaps = tuple((a + (j + 1) * w, a + (j + 1) * w + eps) for j in range(k - 1))
-    # Guard the float endpoints themselves: cell j+2 must start strictly after
-    # cell j ends, or the path-nerve hypothesis silently breaks downstream.
-    for j in range(k - 2):
-        if not cells[j + 2][0] > cells[j][1]:
-            raise ConsistencyError(
-                f"axis {axis}: cells {j} and {j + 2} touch after rounding; "
-                f"reduce k or eps"
-            )
     return AxisIntervals(axis, a, extent, k, eps, cells, overlaps)
 
 

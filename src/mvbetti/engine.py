@@ -213,7 +213,7 @@ def run(cloud, eps, scales, n_max=1, field=2, workers=None, grid=None,
         mins, maxs = cloud.axis_ranges()
         extent = float((maxs - mins).max())
         if extent > 0:
-            k, capped = choose_k(workers, cloud.dim, extent, eps_eff)
+            k, capped = choose_k(workers, cloud.dim, extent, eps_eff, origins=mins)
             if capped:
                 warnings.append(
                     f"cell count capped at {k} per axis so cells stay wider "

@@ -288,7 +288,8 @@ def cohomology_pairs(cx, q: int, field: PrimeField, clear=(), facets=None):
     column above it holds that coface, so these pairs are entered before the
     loop.  Of the others, a column whose earliest coface is free is paired
     by reading that one entry; a column becomes a dict only when it needs
-    an addition or is the source of one.  Simplices in clear, the pivot
+    an addition or is the source of one, and a source's negated inverse of
+    its pivot coefficient is computed once.  Simplices in clear, the pivot
     columns of D_{q-1}, are skipped: their coboundary columns reduce to zero.
     """
     if facets is None:
@@ -321,6 +322,7 @@ def cohomology_pairs(cx, q: int, field: PrimeField, clear=(), facets=None):
         return dict(zip(cofaces[s:e].tolist(), coefs[s:e].tolist()))
 
     reduced = {}    # column -> its reduced coboundary, once it is a dict
+    neg_inv = {}    # source column -> -(its pivot coefficient)^-1 mod p
     for i in range(n - 1, -1, -1):
         low = first[i]
         if low < 0:
@@ -332,7 +334,10 @@ def cohomology_pairs(cx, q: int, field: PrimeField, clear=(), facets=None):
                 src = reduced.get(j)
                 if src is None:
                     src = reduced[j] = column(j)
-                c = (-col[low] * field.inv(src[low])) % p
+                c = neg_inv.get(j)
+                if c is None:
+                    c = neg_inv[j] = (-field.inv(src[low])) % p
+                c = (col[low] * c) % p
                 for r, x in src.items():
                     y = (col.get(r, 0) + c * x) % p
                     if y:

@@ -6,11 +6,12 @@ enumeration runs by extending each q-simplex with vertices adjacent to all of
 its vertices and larger than its maximum (each simplex generated once, in
 lexicographic order).
 
-The scale-neighbourhood graph comes from PointCloud.close_pairs, a sweep
-along the region's axis of largest extent that computes distance blocks of
-bounded size only where a pair can still be close.  Its memory is linear in
-points plus edges, and the edges count against the simplex budget as they
-are found, so the budget bounds the distance stage as well.
+The scale-neighbourhood graph comes from PointCloud.close_pairs, which
+buckets the region's points into cells just wider than the scale on up to
+three axes and computes distances, in blocks of bounded size, only between
+points of the same or adjacent cells.  Its memory is linear in points plus
+edges, and the edges count against the simplex budget as they are found,
+so the budget bounds the distance stage as well.
 
 The edges become sorted arrays: CSR offsets of each vertex's higher
 neighbours and one sorted key per edge.  Every level then comes from the one
@@ -126,7 +127,8 @@ class RipsComplex:
 def _edges(pts, cloud: PointCloud, scale: float, budget: int):
     """Every edge of the scale-neighbourhood graph on the sorted global
     indices pts, as arrays (lo, hi, dist) of local vertex rows lo < hi and
-    their distance, lexsorted by (lo, hi), from cloud.close_pairs.
+    their distance, lexsorted by (lo, hi), from cloud.close_pairs (whose
+    positions in pts are the local rows).
 
     Edges are counted block by block: once the points plus the edges pass
     budget, BudgetExceededError is raised before more are computed.  The
@@ -142,8 +144,7 @@ def _edges(pts, cloud: PointCloud, scale: float, budget: int):
     if not blocks:
         return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
     lo, hi, dist = (np.concatenate(a) for a in zip(*blocks))
-    lo, hi = np.searchsorted(pts, lo), np.searchsorted(pts, hi)
-    order = np.lexsort((hi, lo))
+    order = np.argsort(lo * n + hi)     # distinct keys: the (lo, hi) lex order
     return lo[order], hi[order], dist[order]
 
 

@@ -205,6 +205,24 @@ class TestMainExitCodes:
         assert main([csv, "--epsilon", "-2"]) == 1
         assert main([csv, "--epsilon", "1", "--grid", "2,2,2"]) == 1
 
+    def test_cells_touching_after_rounding(self, tmp_path, capsys):
+        # extent/3 = 0.10000000000000002 > eps, yet cells 0 and 2 meet at
+        # 0.30000000000000004.  The automatic grid lowers k to 2; an
+        # explicit grid is a usage error naming the axis.
+        path = tmp_path / "line.csv"
+        path.write_text("0.1\n0.4\n0.4\n")
+        args = [str(path), "--epsilon", "0.1", "--scales", "0.1", "--no-timings"]
+        assert main(args + ["--parallel", "4"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["grid"] == [2] and obj["scales"][0]["betti"] == [2, 0]
+        assert main(args + ["--grid", "3"]) == 1
+        assert "too large on axis 0" in capsys.readouterr().err
+        # The same at offset 1e12 in 4-D, on axis 1 of grid 1,3,3,3.
+        path = tmp_path / "far.csv"
+        path.write_text(",".join(["1e12"] * 4) + "\n" + ",".join([repr(1e12 + 0.9)] * 4) + "\n")
+        assert main([str(path), "--epsilon", "0.3", "--grid", "1,3,3,3"]) == 1
+        assert "too large on axis 1" in capsys.readouterr().err
+
     def test_data_error(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0,0\n1\n")

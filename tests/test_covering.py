@@ -42,6 +42,16 @@ class TestChooseK:
         with pytest.raises(ValueError):
             choose_k(4, 1, 0.0, 0.5)
 
+    def test_lowered_until_rounded_cells_stay_disjoint(self):
+        # extent/3 = 0.10000000000000002 > eps, but from origin 0.1 cells 0
+        # and 2 both meet 0.30000000000000004: k drops to 2, flagged.
+        assert choose_k(4, 1, 0.30000000000000004, 0.1) == (3, False)
+        assert choose_k(4, 1, 0.30000000000000004, 0.1, origins=[0.1]) == (2, True)
+        # At offset 1e12 the rounded endpoints touch on axes 1..3 only.
+        extent = (1e12 + 0.9) - 1e12
+        assert extent / 3 > 0.3
+        assert choose_k(82, 4, extent, 0.3, origins=[0.0] + [1e12] * 3) == (2, True)
+
 
 class TestBuildCovering:
     def test_reference_cells_and_overlaps(self):

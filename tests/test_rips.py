@@ -223,51 +223,88 @@ def dense_neighbours(points, cloud, scale):
 
 @st.composite
 def sweep_clouds(draw):
-    """Grid-snapped clouds in d = 1..5 with up to 200 points: ties on every
+    """Grid-snapped clouds in d = 1..8 with up to 200 points: ties on every
     axis, duplicate points, axes of zero extent, offsets up to 1e12, and a
-    pair that differs along one axis only, often exactly scale apart."""
-    d = draw(st.integers(1, 5))
+    pair that differs along one axis only, often exactly scale apart.  The
+    scale may be 0, a multiple of the grid step or the float gap of two
+    points, so that points lie on cell boundaries, and one axis may hold
+    coordinates near +-1e308, whose extent overflows to inf."""
+    d = draw(st.integers(1, 8))
     n = draw(st.integers(1, 200))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     levels = draw(st.sampled_from([2, 5, 40, 1000]))
-    coords = rng.integers(0, levels, size=(n, d)) * draw(st.sampled_from([0.1, 0.25, 1.0]))
+    step = draw(st.sampled_from([0.1, 0.25, 0.3, 1.0]))
+    coords = rng.integers(0, levels, size=(n, d)) * step
     flat = sorted(draw(st.sets(st.integers(0, d - 1), max_size=d)))
     coords[:, flat] = coords[0, flat]
-    coords += draw(st.sampled_from([0.0, 1e6, 1e9, 1e12]))
-    axis = int(np.argmax(np.ptp(coords, axis=0)))
+    coords += draw(st.sampled_from([0.0, 0.3, 1e6, 1e9, 1e12]))
+    huge = draw(st.sampled_from([None, 1e308, 1.7e308])) if d > 1 else None
+    if huge is not None:
+        # The last axis splits the points between huge and -huge (extent
+        # inf) or 0 (extent huge); the other axes stay grid-snapped.
+        other = draw(st.sampled_from([-huge, 0.0]))
+        coords[:, -1] += np.where(rng.random(n) < 0.5, other, huge)
+    axis = int(np.argmax(np.ptp(coords[:, :d - 1 if huge else d], axis=0)))
     if n >= 3:
         coords[-1] = coords[0]
         coords[-1, axis] = coords[1, axis]
     cloud = PointCloud(coords)
     along = abs(float(coords[-1, axis] - coords[0, axis]))
-    scale = draw(st.sampled_from([along, float(np.ptp(coords[:, axis])) / levels,
+    gap = abs(float(coords[rng.integers(n), axis] - coords[rng.integers(n), axis]))
+    scale = draw(st.sampled_from([along, gap, float(np.ptp(coords[:, axis])) / levels,
+                                  0.0, draw(st.integers(1, 3)) * step,
                                   draw(st.floats(0.0, 3.0))]))
     points = sorted(rng.choice(n, size=draw(st.integers(1, n)), replace=False).tolist())
     return cloud, points, scale, draw(st.integers(1, 3))
 
 
 class TestNeighbourSweep:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(sweep_clouds())
     def test_equals_dense_neighbours_bitwise(self, case):
         cloud, points, scale, block = case
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mvbetti.core, "_SWEEP_BLOCK", block)
+        with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
+            mp.setattr(mvbetti.core, "_PAIR_BLOCK", block)
             lo, hi, dist = rips._edges(np.array(points), cloud, scale, DEFAULT_BUDGET)
+            want = dense_neighbours(points, cloud, scale)
         assert dist.dtype == np.float64
         got = {g: {} for g in points}
         for a, b, x in zip(lo.tolist(), hi.tolist(), dist.tolist()):
             got[points[a]][points[b]] = x
-        want = dense_neighbours(points, cloud, scale)
         assert list(got) == list(want)
         for g in points:
             assert [(w, x.hex()) for w, x in got[g].items()] == \
                 [(w, x.hex()) for w, x in want[g].items()]
 
+    def test_a_gap_equal_to_the_scale_across_cell_boundaries(self):
+        # Cells exactly scale wide would put points 6 and 9 two cells
+        # apart, though their float gap is the scale: the relative margin
+        # on the cell width keeps them adjacent.
+        xs = 0.3 + np.arange(11) * 0.3
+        scale = float(xs[9] - xs[6])
+        assert scale == 0.8999999999999999
+        cell = np.floor((xs - xs[0]) / scale)
+        assert cell[9] - cell[6] == 2
+        lo, hi, dist = rips._edges(np.arange(11), PointCloud(xs[:, None]), scale, DEFAULT_BUDGET)
+        assert (6, 9) in set(zip(lo.tolist(), hi.tolist()))
+
+    def test_only_neighbouring_cells_are_compared(self, monkeypatch):
+        # Uniform points in the unit square at scale 0.06: the eps-cells
+        # compare about 2.8 candidate pairs per edge; the whole triangle
+        # would be 93 per edge.
+        computed = []
+        distances = mvbetti.core._distances
+        monkeypatch.setattr(mvbetti.core, "_distances",
+                            lambda a, b: computed.append(len(a)) or distances(a, b))
+        pc = PointCloud(np.random.default_rng(0).random((2000, 2)))
+        lo, hi, dist = rips._edges(np.arange(2000), pc, 0.06, DEFAULT_BUDGET)
+        assert len(lo) == 21498
+        assert sum(computed) < 3 * len(lo)
+
     def test_edges_alone_pass_the_budget(self, monkeypatch):
         # 40 points a unit apart on a line at scale 1.5 have 39 edges, so
         # the budget is passed by the edges, not by the 40 vertices.
-        monkeypatch.setattr(mvbetti.core, "_SWEEP_BLOCK", 4)
+        monkeypatch.setattr(mvbetti.core, "_PAIR_BLOCK", 4)
         pc = PointCloud([[float(i)] for i in range(40)])
         assert enumerate_complex(range(40), pc, 1.5, 1, budget=79).count(1) == 39
         with pytest.raises(BudgetExceededError) as err:
@@ -275,17 +312,18 @@ class TestNeighbourSweep:
         assert (err.value.budget, err.value.region_size) == (78, 40)
 
     def test_budget_stops_the_distance_stage(self, monkeypatch):
-        # Every pair is in range: the sweep stops at the first block that
-        # passes the budget instead of computing all 55 blocks.
-        monkeypatch.setattr(mvbetti.core, "_SWEEP_BLOCK", 10)
-        calls = []
-        pairwise = PointCloud.pairwise
-        monkeypatch.setattr(PointCloud, "pairwise",
-                            lambda self, *a: calls.append(a) or pairwise(self, *a))
+        # 100 coincident points share one cell, so each point's range of
+        # later points is a block of its own.  The search stops at the
+        # first block that passes the budget instead of computing all 99.
+        monkeypatch.setattr(mvbetti.core, "_PAIR_BLOCK", 10)
+        blocks = []
+        distances = mvbetti.core._distances
+        monkeypatch.setattr(mvbetti.core, "_distances",
+                            lambda a, b: blocks.append(len(a)) or distances(a, b))
         pc = PointCloud(np.zeros((100, 2)))
         with pytest.raises(BudgetExceededError):
             enumerate_complex(range(100), pc, 1.0, 2, budget=200)
-        assert len(calls) <= 3
+        assert blocks == [99, 98]
 
     def test_cli_exits_3_when_edges_pass_the_budget(self, tmp_path):
         path = tmp_path / "line.csv"
