@@ -1,11 +1,11 @@
-"""The overlapping grid: cells, overlaps, simplex assignment, box splitting.
+"""The overlapping grid: cells, overlaps, the Lebesgue property, box splitting.
 
 Run:  python demos/04_grid_covering.py
 """
 
 import numpy as np
 
-from mvbetti import PointCloud, assign_simplex, build_covering, choose_k, full_box, split_axis
+from mvbetti import PointCloud, build_covering, choose_k, full_box, split_axis
 
 rng = np.random.default_rng(1)
 cloud = PointCloud(rng.random((40, 2)) * 10)
@@ -25,10 +25,11 @@ print("every overlap is exactly eps wide; cells overlap only their neighbors.")
 
 print("\nAny simplex with diameter <= eps fits inside one cell per axis")
 print("(coordinate projections shrink distances, so spans stay <= eps):")
-edge = (3, 17)
-print(f"  edge {edge} with x-span "
-      f"[{cloud.coords[list(edge), 0].min():.3f}, {cloud.coords[list(edge), 0].max():.3f}]"
-      f" -> cell {assign_simplex(cov, 0, edge, cloud)} on axis 0")
+dist = cloud.pairwise(range(cloud.n))
+edge = tuple(int(v) for v in np.argwhere(np.triu(dist <= eps, 1))[0])
+lo, hi = cloud.coords[list(edge), 0].min(), cloud.coords[list(edge), 0].max()
+inside = [j for j, (a, b) in enumerate(ax.cells) if a <= lo and hi <= b]
+print(f"  edge {edge} of length {dist[edge]:.3f} with x-span [{lo:.3f}, {hi:.3f}] lies in cells {inside} on axis 0")
 
 print("\nRecursive decomposition of the whole box:")
 sp = split_axis(full_box(2), cov)

@@ -27,7 +27,7 @@ fm = build_f([top, bottom], [overlap], 0, 3)
 print("\nf_0 maps the overlap's two components into the two pieces:")
 print("  columns:", fm.columns, " -> rank 1, kernel dimension 1")
 
-node = assemble([top, bottom], [overlap], 1, 3, 1.0)
+node = assemble([top, bottom], [overlap], 1, 3)
 print("\nassembled union betti:", node.betti_all())
 print("  beta_0 = coker(f_0) = 2 - 1 = 1")
 print("  beta_1 = ker(f_0)   = 2 - 1 = 1   (no loop lives in any piece!)")

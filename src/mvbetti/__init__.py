@@ -7,10 +7,8 @@ direct persistence computation on the whole cloud serves as an independent
 cross-check.
 """
 
-from .core import (Chain, ConsistencyError, PointCloud, PrimeField, boundary,
-                   chain_boundary, make_simplex)
-from .covering import (AxisIntervals, GridCovering, assign_simplex,
-                       build_covering, choose_k, full_box, split_axis)
+from .core import Chain, ConsistencyError, PointCloud, PrimeField, boundary, chain_boundary
+from .covering import AxisIntervals, GridCovering, build_covering, choose_k, full_box, split_axis
 from .engine import BettiReport, attach_verification, run, verify
 from .mayer_vietoris import FMatrix, MVNodeSolver, assemble, build_f, induced_map
 from .reduction import (Bar, LeafSolver, ReducedPair, betti_at_scale,
@@ -35,7 +33,6 @@ __all__ = [
     "ReducedPair",
     "RipsComplex",
     "assemble",
-    "assign_simplex",
     "attach_verification",
     "betti_at_scale",
     "boundary",
@@ -48,7 +45,6 @@ __all__ = [
     "enumerate_complex",
     "full_box",
     "induced_map",
-    "make_simplex",
     "persistence_barcode",
     "reduce_columns",
     "run",

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -269,7 +268,7 @@ def main(argv=None) -> int:
         report = run(
             cloud, cfg.epsilon, cfg.scales,
             n_max=cfg.n_max, field=cfg.field,
-            workers=cfg.workers if cfg.workers is not None else (os.cpu_count() or 1),
+            workers=cfg.workers,
             grid=grid, budget=cfg.budget, slack=cfg.slack,
         )
     except JobError as exc:

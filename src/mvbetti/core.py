@@ -20,23 +20,6 @@ class ConsistencyError(RuntimeError):
     """An internal invariant failed (covering or exactness bug, not user error)."""
 
 
-def make_simplex(vertices) -> Simplex:
-    """Validate and normalize a vertex tuple into a simplex.
-
-    Vertices must be distinct nonnegative integers; the result is the
-    strictly increasing tuple.
-    """
-    vs = tuple(sorted(int(v) for v in vertices))
-    if not vs:
-        raise ValueError("a simplex needs at least one vertex")
-    for a, b in zip(vs, vs[1:]):
-        if a == b:
-            raise ValueError(f"repeated vertex {a} in simplex {vs}")
-    if vs[0] < 0:
-        raise ValueError(f"negative vertex index in {vs}")
-    return vs
-
-
 def simplex_faces(simplex: Simplex):
     """Yield (sign_exponent, face) for each codimension-1 face.
 
@@ -65,26 +48,19 @@ class PrimeField:
     Every residue is kept in [0, p); every nonzero residue has an inverse.
     """
 
-    __slots__ = ("p", "_inverses")
+    __slots__ = ("p",)
 
     def __init__(self, p: int = 2):
         p = int(p)
         if not _is_prime(p):
             raise ValueError(f"field modulus must be prime, got {p}")
         self.p = p
-        # Small-p inverse table; Fermat fallback for larger moduli.
-        if p <= 4096:
-            self._inverses = [0] + [pow(a, p - 2, p) for a in range(1, p)]
-        else:
-            self._inverses = None
 
     def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
+        """The residue b in [1, p) with a * b = 1 mod p, for a nonzero mod p."""
+        if a % self.p == 0:
             raise ZeroDivisionError("0 has no inverse")
-        if self._inverses is not None:
-            return self._inverses[a]
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -3,8 +3,11 @@
 Each axis is cut into k closed cells of width R/k + eps whose consecutive
 overlaps have width exactly eps.  Because coordinate projections are
 1-Lipschitz, any vertex set of diameter <= eps fits inside some cell on every
-axis (a Lebesgue-number property), which is what makes simplex assignment
-total.  Non-adjacent cells must be disjoint at their float endpoints, which
+axis (a Lebesgue-number property).  points_in_box selects a region's points
+with the same closed intervals, so every such simplex has all its vertices
+in some piece of a split, and mayer_vietoris.MVNodeSolver._split, which
+assigns each simplex of a chain to the lowest such piece, is total.
+Non-adjacent cells must be disjoint at their float endpoints, which
 requires R/k > eps and is enforced at construction from k = 3 on (two cells
 have no non-adjacent pair).
 """
@@ -17,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ConsistencyError, PointCloud
+from .core import PointCloud
 
 
 class Sel(NamedTuple):
@@ -98,20 +101,6 @@ class AxisIntervals:
         if sel.kind == "overlap":
             return self.overlaps[sel.j]
         raise ValueError(f"unknown selector kind {sel.kind!r}")
-
-    def assign(self, lo: float, hi: float) -> int:
-        """Lowest cell index whose interval contains [lo, hi].
-
-        Total for spans of width <= eps inside [origin, origin + extent];
-        anything else means the caller violated the diameter precondition.
-        """
-        for j, (a, b) in enumerate(self.cells):
-            if a <= lo and hi <= b:
-                return j
-        raise ConsistencyError(
-            f"span [{lo}, {hi}] fits no cell on axis {self.axis}; "
-            f"diameter precondition violated"
-        )
 
 
 def _cells(a: float, extent: float, k: int, eps: float):
@@ -210,16 +199,6 @@ def build_covering(cloud: PointCloud, eps: float, k) -> GridCovering:
         _build_axis(i, float(mins[i]), extent, ks[i], eps) for i in range(cloud.dim)
     )
     return GridCovering(eps=eps, axes=axes, extent=extent)
-
-
-def assign_simplex(covering: GridCovering, axis: int, simplex, cloud: PointCloud) -> int:
-    """Lowest cell on one axis containing every vertex of the simplex.
-
-    Requires the simplex diameter <= the covering's eps; totality then follows
-    from the Lebesgue property of the cells.
-    """
-    xs = cloud.coords[list(simplex), axis]
-    return covering.axes[axis].assign(float(xs.min()), float(xs.max()))
 
 
 class AxisSplit(NamedTuple):

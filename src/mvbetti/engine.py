@@ -119,8 +119,7 @@ def execute_scale(cloud, covering, scale, n_max, field, budget, workers, scales,
         try:
             if job.kind == "node":
                 solvers[box] = assemble([solvers[b] for b in job.pieces],
-                                        [solvers[b] for b in job.overlaps],
-                                        n_max, field, scale)
+                                        [solvers[b] for b in job.overlaps], n_max, field)
             elif box in built:
                 solvers[box] = built[box]
             else:

@@ -22,17 +22,10 @@ All chains use global point indices, so inclusions are literal identities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import accumulate
 
 from .core import Chain, ConsistencyError, chain_boundary
 from .reduction import PrimeField, as_dict, combine, eliminate, reduce_columns
-
-
-def _offsets(sizes):
-    off = [0]
-    for s in sizes:
-        off.append(off[-1] + s)
-    return off
 
 
 def _combo_chain(solver, n: int, coeffs, p: int) -> Chain:
@@ -74,32 +67,77 @@ def induced_map(inter, piece, n: int, sign: int, field: PrimeField):
     return cols
 
 
-@dataclass
 class FMatrix:
-    """Block matrix of f_n over the flattened piece/overlap homology bases.
+    """f_n as a block matrix over the flattened piece/overlap homology bases,
+    reduced: its image echelon, cokernel rows and kernel basis.
 
-    Rows run over the pieces' bases (block k at row_offsets[k]); columns over
-    the overlaps' bases.  Column (k, b) holds +coords in piece k and -coords
-    in piece k+1 of overlap k's representative b.
+    Rows run over the pieces' bases, block k from row_starts[k]; columns
+    over the overlaps' bases, block k from col_starts[k].  Column (k, b) holds
+    +coords in piece k and -coords in piece k+1 of overlap k's
+    representative b.  The columns are reduced once, on construction;
+    coker_rows are the non-pivot rows, ascending, and kernel_cols the
+    echelon nullspace: the V_j of the zero columns R_j.  V is unit
+    upper-triangular, so V_j's lowest row is j, the kernel columns have
+    distinct lowest rows, and membership in the kernel is a straight
+    elimination.
     """
 
-    n: int
-    nrows: int
-    columns: list
-    row_offsets: list
-    col_offsets: list
+    __slots__ = ("columns", "row_starts", "col_starts", "p", "rank", "_v",
+                 "_image", "coker_rows", "_coker_pos", "kernel_cols", "_kernel")
+
+    def __init__(self, columns, row_starts, col_starts, field: PrimeField):
+        self.columns = columns
+        self.row_starts = row_starts
+        self.col_starts = col_starts
+        self.p = field.p
+        red = reduce_columns(columns, field)
+        self.rank = red.rank
+        self._v = red.v
+        self._image = {l: (red.r[j], j) for l, j in red.pivots.items()}
+        self.coker_rows = [r for r in range(self.nrows) if r not in red.pivots]
+        self._coker_pos = {r: i for i, r in enumerate(self.coker_rows)}
+        kernel = [j for j in range(red.ncols) if not red.r[j]]
+        self.kernel_cols = [as_dict(red.v[j]) for j in kernel]
+        self._kernel = {j: (red.v[j], i) for i, j in enumerate(kernel)}
+
+    @property
+    def nrows(self) -> int:
+        return self.row_starts[-1]
 
     @property
     def ncols(self) -> int:
         return len(self.columns)
 
+    def project_coker(self, t: dict, want_membership: bool = False):
+        """Reduce a target vector mod im(f): cokernel coordinates, and optionally
+        the source combination y with f(y) = t when the projection is zero.
+
+        Every row left after eliminating the image pivot rows is a cokernel row.
+        """
+        rest, used = eliminate(t, self._image.get, self.p)
+        pos = self._coker_pos
+        coords = {pos[r]: c for r, c in as_dict(rest).items()}
+        if want_membership:
+            v = self._v
+            return coords, as_dict(combine([(v[j], c) for j, c in used], self.p))
+        return coords
+
+    def kernel_coords(self, u: dict) -> dict:
+        """Sparse coordinates of a kernel vector in the echelon kernel basis."""
+        rest, used = eliminate(u, self._kernel.get, self.p)
+        if rest:
+            raise ConsistencyError(
+                "connecting-map image landed outside ker(f); exactness violated"
+            )
+        return dict(used)
+
 
 def build_f(pieces, inters, n: int, field) -> FMatrix:
-    """Assemble f_n from child solvers along the path covering."""
+    """Assemble and reduce f_n from child solvers along the path covering."""
     if isinstance(field, int):
         field = PrimeField(field)
-    row_off = _offsets([pc.betti(n) for pc in pieces])
-    col_off = _offsets([it.betti(n) for it in inters])
+    row_off = list(accumulate((pc.betti(n) for pc in pieces), initial=0))
+    col_off = list(accumulate((it.betti(n) for it in inters), initial=0))
     columns = [None] * col_off[-1]
     for k, inter in enumerate(inters):
         plus = induced_map(inter, pieces[k], n, +1, field)
@@ -108,54 +146,7 @@ def build_f(pieces, inters, n: int, field) -> FMatrix:
             col = {row_off[k] + r: c for r, c in plus[b].items()}
             col.update({row_off[k + 1] + r: c for r, c in minus[b].items()})
             columns[col_off[k] + b] = col
-    return FMatrix(n=n, nrows=row_off[-1], columns=columns,
-                   row_offsets=row_off, col_offsets=col_off)
-
-
-class _FStructure:
-    """Reduced form of one f_n: image echelon, cokernel rows, kernel basis."""
-
-    __slots__ = ("fmat", "rank", "red", "image_table", "coker_rows", "coker_pos",
-                 "kernel_cols", "kernel_table")
-
-    def __init__(self, fmat: FMatrix, field: PrimeField):
-        self.fmat = fmat
-        red = reduce_columns(fmat.columns, field)
-        self.red = red
-        self.rank = red.rank
-        self.image_table = {l: (red.r[j], j) for l, j in red.pivots.items()}
-        self.coker_rows = [r for r in range(fmat.nrows) if r not in red.pivots]
-        self.coker_pos = {r: i for i, r in enumerate(self.coker_rows)}
-        # Echelon nullspace: the V_j of the zero columns R_j.  V is unit
-        # upper-triangular, so V_j's lowest row is j, the kernel columns have
-        # distinct lowest rows, and membership in the kernel is a straight
-        # elimination.
-        kernel = [j for j in range(red.ncols) if not red.r[j]]
-        self.kernel_cols = [as_dict(red.v[j]) for j in kernel]
-        self.kernel_table = {j: (red.v[j], i) for i, j in enumerate(kernel)}
-
-    def project_coker(self, t: dict, field: PrimeField, want_membership: bool = False):
-        """Reduce a target vector mod im(f): cokernel coordinates, and optionally
-        the source combination y with f(y) = t when the projection is zero.
-
-        Every row left after eliminating the image pivot rows is a cokernel row.
-        """
-        rest, used = eliminate(t, self.image_table.get, field.p)
-        pos = self.coker_pos
-        coords = {pos[r]: c for r, c in as_dict(rest).items()}
-        if want_membership:
-            v = self.red.v
-            return coords, as_dict(combine([(v[j], c) for j, c in used], field.p))
-        return coords
-
-    def kernel_coords(self, u: dict, field: PrimeField) -> dict:
-        """Sparse coordinates of a kernel vector in the echelon kernel basis."""
-        rest, used = eliminate(u, self.kernel_table.get, field.p)
-        if rest:
-            raise ConsistencyError(
-                "connecting-map image landed outside ker(f); exactness violated"
-            )
-        return dict(used)
+    return FMatrix(columns, row_off, col_off, field)
 
 
 class MVNodeSolver:
@@ -169,7 +160,7 @@ class MVNodeSolver:
     a coords() dict kernel class i has key len(coker_rows) + i.
     """
 
-    def __init__(self, pieces, inters, n_max: int, field: PrimeField, scale: float):
+    def __init__(self, pieces, inters, n_max: int, field: PrimeField):
         if len(inters) != max(len(pieces) - 1, 0):
             raise ValueError(
                 f"expected {max(len(pieces) - 1, 0)} overlap solvers for "
@@ -179,14 +170,8 @@ class MVNodeSolver:
         self.inters = list(inters)
         self.n_max = n_max
         self.field = field
-        self.scale = scale
         self.p = field.p
-
-        seen = set()
-        for pc in self.pieces:
-            seen.update(pc.point_set)
-        self.points = tuple(sorted(seen))
-        self.point_set = frozenset(seen)
+        self.point_set = frozenset().union(*(pc.point_set for pc in self.pieces))
         for k, it in enumerate(self.inters):
             expect = self.pieces[k].point_set & self.pieces[k + 1].point_set
             if it.point_set != expect:
@@ -195,7 +180,7 @@ class MVNodeSolver:
                     f"pieces intersect in {sorted(expect)}"
                 )
 
-        self._f = []        # _FStructure per dimension 0..n_max
+        self._f = []        # reduced FMatrix per dimension 0..n_max
         self._lifts = []    # per dimension n: lifts for ker f_n (cycles of dim n+1)
         self._rep_chains = {}   # dimension -> representatives(n), built on first call
         self.rank_f = {}
@@ -206,14 +191,14 @@ class MVNodeSolver:
     def _build(self):
         field = self.field
         for n in range(self.n_max + 1):
-            fs = _FStructure(build_f(self.pieces, self.inters, n, field), field)
+            fs = build_f(self.pieces, self.inters, n, field)
             self._f.append(fs)
             self.rank_f[n] = fs.rank
             # Splitting-formula bookkeeping must agree with rank-nullity on
             # both sides; a mismatch means the reduction lost columns.
-            if len(fs.coker_rows) != fs.fmat.nrows - fs.rank:
+            if len(fs.coker_rows) != fs.nrows - fs.rank:
                 raise ConsistencyError(f"cokernel dimension mismatch at n={n}")
-            if len(fs.kernel_cols) != fs.fmat.ncols - fs.rank:
+            if len(fs.kernel_cols) != fs.ncols - fs.rank:
                 raise ConsistencyError(f"kernel dimension mismatch at n={n}")
 
         for n in range(self.n_max):
@@ -222,7 +207,7 @@ class MVNodeSolver:
 
     def _slice_source(self, n: int, u: dict):
         """Split a flattened f_n source vector into per-overlap coefficient dicts."""
-        off = self._f[n].fmat.col_offsets
+        off = self._f[n].col_starts
         per = [dict() for _ in self.inters]
         for r, c in u.items():
             k = 0
@@ -285,7 +270,7 @@ class MVNodeSolver:
             return out
         out = []
         fs = self._f[n]
-        off = fs.fmat.row_offsets
+        off = fs.row_starts
         k = 0
         reps = None
         for r in fs.coker_rows:     # ascending, so k only moves forward
@@ -341,9 +326,9 @@ class MVNodeSolver:
             fs_prev = self._f[n - 1]
             for k, om in enumerate(omegas):
                 u.update(_block_coords(self.inters[k], om, n - 1,
-                                       fs_prev.fmat.col_offsets[k],
+                                       fs_prev.col_starts[k],
                                        f"partial boundary escaped overlap {k}"))
-            kappa = fs_prev.kernel_coords(u, self.field)
+            kappa = fs_prev.kernel_coords(u)
             if kappa:
                 zz = z
                 for i, c in kappa.items():
@@ -387,7 +372,7 @@ class MVNodeSolver:
 
     def _piece_target_vector(self, xis, n: int) -> dict:
         """The corrected piece chains' classes as one f_n target vector."""
-        off = self._f[n].fmat.row_offsets
+        off = self._f[n].row_starts
         t = {}
         for k, xi in enumerate(xis):
             t.update(_block_coords(self.pieces[k], xi, n, off[k],
@@ -401,7 +386,7 @@ class MVNodeSolver:
             return {}
         kappa, xis = self._chase(z, n)
         fs_n = self._f[n]
-        out = fs_n.project_coker(self._piece_target_vector(xis, n), self.field)
+        out = fs_n.project_coker(self._piece_target_vector(xis, n))
         m = len(fs_n.coker_rows)
         out.update((m + i, c) for i, c in kappa.items())
         return out
@@ -414,7 +399,7 @@ class MVNodeSolver:
         if kappa:
             return None
         coker, y = self._f[n].project_coker(self._piece_target_vector(xis, n),
-                                            self.field, want_membership=True)
+                                            want_membership=True)
         if coker:
             return None
         # f(y) = t, so with rho_k the overlap chains of y each
@@ -430,8 +415,8 @@ class MVNodeSolver:
         return [self.betti(n) for n in range(self.n_max + 1)]
 
 
-def assemble(pieces, inters, n_max: int, field, scale: float) -> MVNodeSolver:
+def assemble(pieces, inters, n_max: int, field) -> MVNodeSolver:
     """Build the union solver for path-ordered pieces and their overlaps."""
     if isinstance(field, int):
         field = PrimeField(field)
-    return MVNodeSolver(pieces, inters, n_max, field, scale)
+    return MVNodeSolver(pieces, inters, n_max, field)

@@ -39,8 +39,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Chain, ConsistencyError, PointCloud, PrimeField, chain_boundary
-from .rips import (DEFAULT_BUDGET, boundary_matrix, enumerate_complex, facet_signs,
-                   facet_tables)
+from .rips import (DEFAULT_BUDGET, boundary_column, boundary_matrix, enumerate_complex,
+                   facet_signs, facet_tables)
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +441,9 @@ def _apparent_columns(facets, nrows: int, field: PrimeField) -> ReducedPair:
     any combination of them: in a left-to-right reduction k is never
     reduced, l is its pivot, R_k = the boundary of k and V_k = e_k, over
     every Z/p and in every prefix.  Their pivots are entered; r and v build
-    a column on first read (_Implicit).  Ripser's apparent pairs (Bauer,
-    2021), found here on the homology side, apart from cohomology_pairs.
+    a column on first read (_Implicit), R_k with rips.boundary_column.
+    Ripser's apparent pairs (Bauer, 2021), found here on the homology side,
+    apart from cohomology_pairs.
     """
     ncols, width = facets.shape
     p = field.p
@@ -452,14 +453,11 @@ def _apparent_columns(facets, nrows: int, field: PrimeField) -> ReducedPair:
     apparent = first[low] == np.arange(ncols)
     cols = np.flatnonzero(apparent)
     signs = facet_signs(width - 1, p)
-
-    def boundary(k):
-        rows = facets[k].tolist()
-        return _bits(rows) if p == 2 else dict(zip(rows, signs))
-
-    return ReducedPair(len(cols), field, _Implicit(apparent, boundary),
-                       _Implicit(apparent, lambda k: _unit(k, p)),
-                       dict(zip(low[cols].tolist(), cols.tolist())))
+    return ReducedPair(
+        len(cols), field,
+        _Implicit(apparent, lambda k: boundary_column(facets[k].tolist(), signs, p)),
+        _Implicit(apparent, lambda k: _unit(k, p)),
+        dict(zip(low[cols].tolist(), cols.tolist())))
 
 
 class _LeafTable(dict):
@@ -529,7 +527,6 @@ class LeafReduction:
 
     def __init__(self, points, cloud: PointCloud, scales, n_max: int,
                  field: PrimeField, budget: int = DEFAULT_BUDGET):
-        self.cloud = cloud
         self.scales = sorted(set(float(s) for s in scales))
         self.n_max = n_max
         self.field = field
@@ -602,7 +599,6 @@ class LeafSolver:
         if b == len(reduction.scales) or reduction.scales[b] != scale:
             raise ValueError(f"scale {scale} is not one of the leaf's scales")
         self.reduction = reduction
-        self.cloud = reduction.cloud
         self.scale = scale
         self.n_max = reduction.n_max
         self.field = reduction.field

@@ -22,10 +22,11 @@ tuples are made only for the chains of its queries.
 
 facet_tables turns the levels of a complex into one int array per level
 that holds the facet positions of every simplex.  It is the one facet
-lookup: boundary_matrix builds its columns from it, and the pairing in
-reduction reads its coboundaries from it.  A caller builds it once per
-complex, after any reordering of the levels; a leaf keeps it to build its
-apparent columns on first read.
+lookup: boundary_column turns one of its rows into a native boundary column
+(boundary_matrix and a leaf's implicit apparent columns both build theirs
+with it), and the pairing in reduction reads its coboundaries from it.  A
+caller builds it once per complex, after any reordering of the levels; a
+leaf keeps it to build its apparent columns on first read.
 """
 
 from __future__ import annotations
@@ -301,13 +302,25 @@ def facet_signs(q: int, p: int):
     return [p - 1 if (q - m) % 2 else 1 for m in range(q + 1)]
 
 
+def boundary_column(rows, signs, p: int):
+    """The boundary of one simplex as a native column of reduce_columns:
+    an int bitset (bit r = row r) at p = 2, a {row: coefficient} dict
+    otherwise.  rows is its facet-table row as a list, signs the level's
+    facet_signs."""
+    if p == 2:
+        col = 0
+        for x in rows:
+            col |= 1 << x
+        return col
+    return dict(zip(rows, signs))
+
+
 def boundary_matrix(cx: RipsComplex, q: int, p: int, columns=None, facets=None):
     """Sparse boundary matrix from q-simplices to (q-1)-simplices over Z/p.
 
-    Returns the columns in reduce_columns' own representation: int bitsets
-    (bit r = row r) at p = 2, {row: coefficient} dicts otherwise.  Column j holds the alternating-sign faces of the j-th
-    q-simplex.  With columns, a list of q-simplex indices, only those
-    columns are built, in that order.  facets is level q's facet table from
+    Column j is boundary_column of the j-th q-simplex: its alternating-sign
+    faces.  With columns, a list of q-simplex indices, only those columns
+    are built, in that order.  facets is level q's facet table from
     facet_tables, built here when not given.
     """
     if q < 1 or q > cx.max_dim:
@@ -316,15 +329,5 @@ def boundary_matrix(cx: RipsComplex, q: int, p: int, columns=None, facets=None):
         facets = facet_tables(cx, q)[q]
     if columns is not None:
         facets = facets[np.asarray(columns, dtype=np.intp)]
-    rows = facets.tolist()
-    if p == 2:
-        out = []
-        for r in rows:
-            col = 0
-            for x in r:
-                col |= 1 << x
-            out.append(col)
-    else:
-        signs = facet_signs(q, p)
-        out = [dict(zip(r, signs)) for r in rows]
-    return out
+    signs = facet_signs(q, p)
+    return [boundary_column(r, signs, p) for r in facets.tolist()]

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from mvbetti.core import ConsistencyError, PointCloud
-from mvbetti.covering import (FULL, assign_simplex, build_covering, cell,
-                              choose_k, full_box, overlap, split_axis)
+from mvbetti.core import Chain, ConsistencyError, PointCloud
+from mvbetti.covering import (FULL, build_covering, cell, choose_k, full_box, overlap,
+                              split_axis)
+from mvbetti.mayer_vietoris import assemble
+from mvbetti.reduction import build_leaf
 
 from conftest import HEX_POINTS
 
@@ -100,48 +102,72 @@ class TestBuildCovering:
         assert cov.k_per_axis == (5, 3)
 
 
+def two_piece_node(p=3):
+    """The covering of six points on a line at eps 2 with two cells, [0, 7]
+    and [5, 12], and the node over its pieces: points 0-3 and 2-5, overlap
+    points 2 and 3 (x = 5.5 and 7, cell 0's end)."""
+    pc = PointCloud([[0.0], [2.0], [5.5], [7.0], [9.0], [10.0]])
+    cov = build_covering(pc, 2.0, 2)
+    sp = split_axis(full_box(1), cov)
+
+    def leaf(box):
+        return build_leaf(cov.points_in_box(pc, box), pc, 2.0, 1, p)
+
+    node = assemble([leaf(b) for b in sp.pieces], [leaf(b) for b in sp.overlaps], 1, p)
+    return cov, node
+
+
 class TestAssign:
+    """MVNodeSolver._split assigns each simplex of a chain to the lowest
+    piece holding all its vertices, the assignment that run() uses."""
+
     def test_lowest_cell_tiebreak(self):
-        cov = build_covering(line_cloud(), 1.0, 5)
-        # Span {2.5, 2.9} sits in both cell 0 ([0,3]) and cell 1 ([2,5]).
-        assert cov.axes[0].assign(2.5, 2.9) == 0
+        cov, node = two_piece_node()
+        assert cov.axes[0].cells == ((0.0, 7.0), (5.0, 12.0))
+        z = Chain(1, 3, {(2, 3): 1})    # [5.5, 7] lies in both cells
+        zs = node._split(z)
+        assert zs[0] == z and zs[1].is_zero()
 
     def test_single_coordinate(self):
-        cov = build_covering(line_cloud(), 1.0, 5)
-        assert cov.axes[0].assign(4.0, 4.0) == 1  # [2,5] before [4,7]
+        _, node = two_piece_node()
+        z = Chain(0, 3, {(3,): 2})      # x = 7, the end of cell 0
+        zs = node._split(z)
+        assert zs[0] == z and zs[1].is_zero()
 
     def test_span_in_second_cell(self):
-        cov = build_covering(line_cloud(), 1.0, 5)
-        # {4.1 .. 5.0} is not inside [4,7]? It is, but [2,5] comes first.
-        assert cov.axes[0].assign(4.1, 5.0) == 1
+        _, node = two_piece_node()
+        z = Chain(1, 3, {(3, 4): 1})    # [7, 9] lies in cell 1 only
+        zs = node._split(z)
+        assert zs[0].is_zero() and zs[1] == z
 
-    def test_assign_simplex_uses_vertex_coords(self):
-        pc = PointCloud([[2.5], [2.9], [4.4]])
-        cov = build_covering(line_cloud(), 1.0, 5)
-        assert assign_simplex(cov, 0, (0, 1), pc) == 0
-        assert assign_simplex(cov, 0, (2,), pc) == 1
+    def test_vertex_outside_region_rejected(self):
+        _, node = two_piece_node()
+        with pytest.raises(ValueError, match="outside this region"):
+            node._split(Chain(1, 3, {(3, 6): 1}))
 
     def test_oversized_span_rejected(self):
-        cov = build_covering(line_cloud(), 1.0, 5)
-        with pytest.raises(ConsistencyError):
-            cov.axes[0].assign(0.0, 9.5)
+        # [2, 9] is wider than eps and fits neither cell.
+        _, node = two_piece_node()
+        with pytest.raises(ConsistencyError, match="fits no piece"):
+            node._split(Chain(1, 3, {(1, 4): 1}))
 
     def test_lebesgue_property_sampled(self):
         rng = np.random.default_rng(11)
         cov = build_covering(line_cloud(), 1.0, 5)
-        ax = cov.axes[0]
+        cells = cov.axes[0].cells
         for _ in range(20_000):
             lo = rng.uniform(0.0, 10.0)
             hi = min(lo + rng.uniform(0.0, 1.0), 10.0)
-            j = ax.assign(lo, hi)
-            assert ax.cells[j][0] <= lo and hi <= ax.cells[j][1]
+            assert any(a <= lo and hi <= b for a, b in cells), (lo, hi)
 
     def test_deterministic_and_order_free(self):
-        pc = PointCloud([[4.3], [4.9], [4.6]])
-        cov = build_covering(line_cloud(), 1.0, 5)
-        a = assign_simplex(cov, 0, (0, 1, 2), pc)
-        b = assign_simplex(cov, 0, (2, 0, 1), pc)
-        assert a == b
+        _, node = two_piece_node()
+        terms = {(0, 1): 1, (2, 3): 2, (3, 4): 1, (4, 5): 2}
+        z = Chain(1, 3, terms)
+        zs = node._split(z)
+        assert zs == node._split(Chain(1, 3, dict(reversed(terms.items()))))
+        assert [sorted(part.terms) for part in zs] == [[(0, 1), (2, 3)], [(3, 4), (4, 5)]]
+        assert zs[0] + zs[1] == z
 
 
 class TestBoxesAndSplits:

@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 from mvbetti.core import Chain, ConsistencyError, PointCloud, PrimeField, chain_boundary
 from mvbetti.covering import build_covering, full_box, split_axis
 from mvbetti.engine import execute_scale
-from mvbetti.mayer_vietoris import (FMatrix, MVNodeSolver, _FStructure, assemble, build_f,
-                                    induced_map)
+from mvbetti.mayer_vietoris import FMatrix, MVNodeSolver, assemble, build_f, induced_map
 from mvbetti.reduction import (betti_at_scale, build_leaf, persistence_barcode,
                                reduce_columns)
 from mvbetti.rips import DEFAULT_BUDGET
@@ -88,7 +87,7 @@ class TestFStructure:
     def test_kernel_basis_and_cokernel_membership(self, case, data):
         p, nrows, cols = case
         field, ncols = PrimeField(p), len(cols)
-        fs = _FStructure(FMatrix(0, nrows, cols, [0, nrows], [0, ncols]), field)
+        fs = FMatrix(cols, [0, nrows], [0, ncols], field)
 
         def apply(y):
             """f y for a sparse source vector y, as a sparse target vector."""
@@ -111,11 +110,11 @@ class TestFStructure:
             for r, x in k.items():
                 u[r] = (u.get(r, 0) + c * x) % p
         u = {r: x for r, x in u.items() if x}
-        assert fs.kernel_coords(u, field) == {i: c for i, c in enumerate(coeffs) if c}
+        assert fs.kernel_coords(u) == {i: c for i, c in enumerate(coeffs) if c}
 
         y = data.draw(st.dictionaries(st.integers(0, ncols - 1), st.integers(1, p - 1))
                       if ncols else st.just({}))
-        coker, y2 = fs.project_coker(apply(y), field, want_membership=True)
+        coker, y2 = fs.project_coker(apply(y), want_membership=True)
         assert coker == {}
         assert apply(y2) == apply(y)
 
@@ -124,7 +123,7 @@ class TestAssemble:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_collinear(self, p):
         _, f, a, b, i = collinear_pair(p)
-        node = assemble([a, b], [i], 1, f, 1.0)
+        node = assemble([a, b], [i], 1, f)
         assert node.betti_all() == [1, 0]
 
     def test_two_separated_clusters(self):
@@ -139,7 +138,7 @@ class TestAssemble:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_hexagon_circle(self, p):
         _, f, a, b, i = hexagon_two_pieces(p)
-        node = assemble([a, b], [i], 1, f, 1.0)
+        node = assemble([a, b], [i], 1, f)
         assert node.betti_all() == [1, 1]
         assert node.rank_f == {0: 1, 1: 0}
 
@@ -160,7 +159,7 @@ class TestAssemble:
         b = build_leaf([1, 2], pc, 1.0, 1, f)
         bad = build_leaf([0], pc, 1.0, 1, f)  # not the intersection
         with pytest.raises(ConsistencyError):
-            assemble([a, b], [bad], 1, f, 1.0)
+            assemble([a, b], [bad], 1, f)
 
     def test_wrong_overlap_count_rejected(self):
         pc = PointCloud([[0.0], [1.0], [2.0]])
@@ -168,14 +167,14 @@ class TestAssemble:
         a = build_leaf([0, 1], pc, 1.0, 1, f)
         b = build_leaf([1, 2], pc, 1.0, 1, f)
         with pytest.raises(ValueError):
-            assemble([a, b], [], 1, f, 1.0)
+            assemble([a, b], [], 1, f)
 
 
 class TestUnionQueries:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_representatives_map_to_unit_vectors(self, p):
         _, f, a, b, i = hexagon_two_pieces(p)
-        node = assemble([a, b], [i], 1, f, 1.0)
+        node = assemble([a, b], [i], 1, f)
         for n in (0, 1):
             reps = node.representatives(n)
             assert len(reps) == node.betti(n)
@@ -186,7 +185,7 @@ class TestUnionQueries:
     @pytest.mark.parametrize("p", [2, 3])
     def test_hexagon_cycle_detected_through_kernel(self, p):
         _, f, a, b, i = hexagon_two_pieces(p)
-        node = assemble([a, b], [i], 1, f, 1.0)
+        node = assemble([a, b], [i], 1, f)
         z = hexagon_cycle(p)
         co = node.coords(z, 1)
         # beta_1 comes entirely from ker(f_0) here: coker block is empty.
@@ -198,7 +197,7 @@ class TestUnionQueries:
         pc = PointCloud(HEX_POINTS)
         f = PrimeField(p)
         _, _, a, b, i = hexagon_two_pieces(p)
-        node = assemble([a, b], [i], 1, f, 1.0)
+        node = assemble([a, b], [i], 1, f)
         direct = build_leaf(range(6), pc, 1.0, 1, f)
         for n in (0, 1):
             assert node.betti(n) == direct.betti(n)
@@ -220,7 +219,7 @@ class TestUnionQueries:
         a = build_leaf([0, 1, 2, 5], pc, 1.2, 1, f)
         b = build_leaf([2, 3, 4, 5], pc, 1.2, 1, f)
         i = build_leaf([2, 5], pc, 1.2, 1, f)
-        node = assemble([a, b], [i], 1, f, 1.2)
+        node = assemble([a, b], [i], 1, f)
         rng = np.random.default_rng(p)
         # random 1-chains w in the union made of piece simplices: z = dw
         pool = [tuple(s) for s in a.complex.simplices[1].tolist()] + \
@@ -235,7 +234,7 @@ class TestUnionQueries:
 
     def test_bound_zero_chain(self):
         _, f, a, b, i = hexagon_two_pieces(2)
-        node = assemble([a, b], [i], 1, f, 1.0)
+        node = assemble([a, b], [i], 1, f)
         w = node.bound(Chain.zero(1, 2), 1)
         assert w is not None and w.is_zero()
 
@@ -245,13 +244,13 @@ class TestUnionQueries:
         a = build_leaf([0, 1], pc, 1.0, 1, f)
         b = build_leaf([1, 2], pc, 1.0, 1, f)
         i = build_leaf([1], pc, 1.0, 1, f)
-        node = assemble([a, b], [i], 1, f, 1.0)
+        node = assemble([a, b], [i], 1, f)
         with pytest.raises(ValueError):
             node.coords(Chain(0, 2, {(3,): 1}), 0)
 
     def test_rejects_non_cycle(self):
         _, f, a, b, i = collinear_pair(2)
-        node = assemble([a, b], [i], 1, f, 1.0)
+        node = assemble([a, b], [i], 1, f)
         with pytest.raises(ValueError):
             node.coords(Chain(1, 2, {(0, 1): 1}), 1)
 
@@ -303,7 +302,7 @@ class TestExactnessProperties:
         # representative are the same chain and their difference is literally
         # zero; the exactness statement degenerates to coords(0) = 0.
         _, f, a, b, i = hexagon_two_pieces(p)
-        node = assemble([a, b], [i], 1, f, 1.0)
+        node = assemble([a, b], [i], 1, f)
         for n in (0, 1):
             for rep in i.representatives(n):
                 diff = rep - rep
@@ -341,8 +340,8 @@ class TestExactnessProperties:
     @pytest.mark.parametrize("p", [2, 3])
     def test_determinism(self, p):
         _, f, a, b, i = hexagon_two_pieces(p)
-        n1 = assemble([a, b], [i], 1, f, 1.0)
-        n2 = assemble([a, b], [i], 1, f, 1.0)
+        n1 = assemble([a, b], [i], 1, f)
+        n2 = assemble([a, b], [i], 1, f)
         for n in (0, 1):
             assert [r.terms for r in n1.representatives(n)] == \
                    [r.terms for r in n2.representatives(n)]
