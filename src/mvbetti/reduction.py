@@ -378,32 +378,43 @@ def _union_find_pairs(edges, n: int):
 # Leaf homology solver
 
 
-def _order_levels(cx, scales):
-    """Stable-sort every level of cx by scale bucket, in place.
+def _order_levels(cx, top: int, floor: float):
+    """Stable-sort levels 1..top of cx by diameter, in place, and return
+    their facet tables [None, F_1, ..., F_top].
 
-    scales ascend and the last is at least every diameter in cx.  A
-    simplex's bucket is the index of the first scale >= its diameter, so the
-    complex at scales[b] is a prefix of every level; with the distinct
-    diameters as scales, each level is ordered by (diameter, lex).  Returns
-    prefix[q][b], the number of q-simplices in buckets <= b.  A level with
-    every diameter in bucket 0, as under a single scale, is left as it is.
+    The tables are built while the levels are in enumeration (lex) order,
+    where facet_tables is cheapest.  A level with some diameter above floor
+    is then stable-sorted by diameter, i.e. put in (diameter, lex) order
+    with one sort, and F_q follows its rows; the entries of F_q are mapped
+    through the inverse permutation of level q-1 when that level moved.  A
+    level whose diameters are all <= floor stays in lex order: at every
+    scale >= floor the whole level is in, so any order of it is a prefix
+    order.  The complex at any scale >= floor is then a prefix of every
+    level, as a leaf needs, and the pairs are those of the whole
+    filtration's (diameter, dimension, lex) order, as the oracle needs
+    (Bauer, "Ripser", 2021).
     """
-    prefix = []
-    for q in range(cx.max_dim + 1):
+    tables = facet_tables(cx, top)
+    inverse = None      # level q-1's new position of each old position
+    for q in range(1, top + 1):
         diams = cx.diameters[q]
-        if not len(diams) or diams.max() <= scales[0]:
-            prefix.append([len(diams)] * len(scales))
-            continue
-        buckets = np.searchsorted(scales, diams)
-        cx.reorder(q, np.argsort(buckets, kind="stable"))
-        prefix.append(np.bincount(buckets, minlength=len(scales)).cumsum().tolist())
-    return prefix
+        if inverse is not None:
+            tables[q] = inverse[tables[q]]
+        if len(diams) and diams.max() > floor:
+            order = np.argsort(diams, kind="stable")
+            cx.reorder(q, order)
+            tables[q] = tables[q].take(order, axis=0)
+            inverse = np.empty_like(order)
+            inverse[order] = np.arange(len(order))
+        else:
+            inverse = None
+    return tables
 
 
 def _pair_levels(cx, top: int, field: PrimeField, facets):
     """Pivot pairs of D_1, ..., D_top as {q: {(q-1)-simplex: q-simplex}},
     with pairs[0] = {} for D_0 = 0: cohomology_pairs in ascending q on the
-    facet tables of facet_tables(cx, top), each level cleared by the pivot
+    facet tables from _order_levels, each level cleared by the pivot
     columns of the level below."""
     pairs = {0: {}}
     for q in range(1, top + 1):
@@ -455,9 +466,27 @@ def _apparent_columns(facets, nrows: int, field: PrimeField) -> ReducedPair:
     signs = facet_signs(width - 1, p)
     return ReducedPair(
         len(cols), field,
-        _Implicit(apparent, lambda k: boundary_column(facets[k].tolist(), signs, p)),
-        _Implicit(apparent, lambda k: _unit(k, p)),
+        _Implicit(apparent, _BoundaryColumn(facets, signs, p)),
+        _Implicit(apparent, _UnitColumn(p)),
         dict(zip(low[cols].tolist(), cols.tolist())))
+
+
+class _BoundaryColumn(NamedTuple):
+    """R_k of an apparent column k: boundary_column of facet-table row k."""
+    facets: np.ndarray
+    signs: list
+    p: int
+
+    def __call__(self, k):
+        return boundary_column(self.facets[k].tolist(), self.signs, self.p)
+
+
+class _UnitColumn(NamedTuple):
+    """V_k = e_k of an apparent column k."""
+    p: int
+
+    def __call__(self, k):
+        return _unit(k, self.p)
 
 
 class _LeafTable(dict):
@@ -494,12 +523,15 @@ class _LeafTable(dict):
 class LeafReduction:
     """One reduction of a region's Rips complex that serves every requested scale.
 
-    The complex is enumerated once at the top scale and its levels are
-    ordered by scale bucket, so left-to-right reduction of each boundary
-    matrix is also a reduction of every prefix, i.e. of the complex at every
-    requested scale.  Pairs come first: cohomology_pairs finds the pivot
-    pairs of D_1, ..., D_{n_max+1} in ascending dimension, each level
-    cleared by the pivot columns of the level below.
+    The complex is enumerated once at the top scale and _order_levels puts
+    every level with a diameter above the first scale in (diameter, lex)
+    order, so the complex at every requested scale is a prefix of every
+    level, prefix[q][b] q-simplices long, and left-to-right reduction of
+    each boundary matrix is also a reduction of the complex at every
+    requested scale.  Under a single scale nothing is reordered.  Pairs
+    come first: cohomology_pairs finds the pivot pairs of D_1, ...,
+    D_{n_max+1} in ascending dimension, each level cleared by the pivot
+    columns of the level below.
 
     Every D_q is then reduced the same way, top dimension first, keeping R
     and V only for the columns the views read.  At the top these are the
@@ -533,8 +565,12 @@ class LeafReduction:
         top = n_max + 1
         cx = enumerate_complex(points, cloud, self.scales[-1], top, budget)
         self.complex = cx
-        self.prefix = _order_levels(cx, self.scales)
-        facets = facet_tables(cx, top)
+        facets = _order_levels(cx, top, self.scales[0])
+        # prefix[q][b]: the q-simplices of diameter <= scales[b].  A level
+        # left in lex order has every diameter <= scales[0], so each search
+        # in it ends at its length as if it were sorted.
+        self.prefix = [np.searchsorted(d, self.scales, "right").tolist()
+                       for d in cx.diameters]
         pairs = _pair_levels(cx, top, field, facets)
 
         # Per dimension q >= 1: reduced D_q, keyed by the columns it holds,
@@ -740,29 +776,35 @@ def persistence_barcode(points, cloud, eps_max, n_max, field,
 
     Simplices enter at their diameter, ties ordered by dimension then lex
     order.  Pairs between levels q-1 and q depend only on the order within
-    each level, so every level is sorted by (diameter, lex) and paired as a
-    leaf is.  An n-simplex that is not a column of the D_n pairs is born at
-    its diameter and dies at its D_{n+1} partner's, or gives an open bar;
-    zero-length bars are dropped.  The oracle shares enumeration, level
-    ordering and pairing with run(), nothing else; the tests'
-    brute_force_betti, the golden barcode frozen from a global reduction and
-    the benchmark's frozen seed-0 Betti numbers keep it independent.
+    each level, so _order_levels puts every level in (diameter, lex) order
+    with one stable sort (floor 0: a level of zero diameters stays in lex
+    order, which is that order) and it is paired as a leaf is.  An
+    n-simplex that is not a column of the D_n pairs is born at its diameter
+    and dies at its D_{n+1} partner's, or gives an open bar; zero-length
+    bars are dropped.  The bars of each dimension are read with numpy and
+    ordered by (birth, death), an open bar first among equal births.  The
+    oracle shares enumeration, level ordering and pairing with run(),
+    nothing else; the tests' brute_force_betti and brute_force_barcode, the
+    golden barcode frozen from a global reduction and the benchmark's
+    frozen seed-0 Betti numbers keep it independent.
     """
     if isinstance(field, int):
         field = PrimeField(field)
     cx = enumerate_complex(points, cloud, eps_max, n_max + 1, budget)
-    _order_levels(cx, np.unique(np.concatenate(cx.diameters)))
-    pairs = _pair_levels(cx, n_max + 1, field, facet_tables(cx, n_max + 1))
+    pairs = _pair_levels(cx, n_max + 1, field, _order_levels(cx, n_max + 1, 0.0))
 
     bars = []
     for n in range(n_max + 1):
-        killers, up = set(pairs[n].values()), pairs[n + 1]
-        deaths = cx.diameters[n + 1].tolist()
-        for i, birth in enumerate(cx.diameters[n].tolist()):
-            death = deaths[up[i]] if i in up else None
-            if i not in killers and (death is None or death > birth):
-                bars.append(Bar(n, birth, death))
-    bars.sort(key=lambda b: (b.dim, b.birth, -1.0 if b.death is None else b.death))
+        births = cx.diameters[n]
+        death = np.full(len(births), np.inf)
+        up = pairs[n + 1]
+        death[list(up)] = cx.diameters[n + 1][list(up.values())]
+        keep = death > births
+        keep[list(pairs[n].values())] = False
+        birth, death = births[keep], death[keep]
+        order = np.lexsort((np.where(death == np.inf, -1.0, death), birth))
+        bars += [Bar(n, b, None if d == np.inf else d)
+                 for b, d in zip(birth[order].tolist(), death[order].tolist())]
     return bars
 
 

@@ -25,8 +25,10 @@ that holds the facet positions of every simplex.  It is the one facet
 lookup: boundary_column turns one of its rows into a native boundary column
 (boundary_matrix and a leaf's implicit apparent columns both build theirs
 with it), and the pairing in reduction reads its coboundaries from it.  A
-caller builds it once per complex, after any reordering of the levels; a
-leaf keeps it to build its apparent columns on first read.
+caller builds it once per complex, before any reordering, while the levels
+are in enumeration order; reduction._order_levels then sorts the levels by
+diameter and relabels the tables through the permutations.  A leaf keeps
+them to build its apparent columns on first read.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class RipsComplex:
     simplices[q] is a (count(q), q + 1) int64 array whose rows are the
     q-simplices as increasing global point indices, lexicographically sorted
     as enumerated; diameters[q] is the float64 array of their diameters.  A
-    leaf reduction or the oracle may reorder the levels by scale bucket
+    leaf reduction or the oracle may stable-sort the levels by diameter
     before pairing them.  Chains stay keyed by vertex tuples: index[q], for
     the levels below max_dim, the only ones looked up, maps a tuple to its
     row.  It is built from the arrays on first use, so only when a query
@@ -238,7 +240,7 @@ def facet_tables(cx: RipsComplex, top: int):
 
     F_q is a (count(q), q + 1) int64 array: row i holds the (q-1)-level
     positions of the facets of q-simplex i, in the order of facet_signs(q, p).
-    Built in the levels' current order, so after any reordering.
+    Built in the levels' current order; cheapest in enumeration order.
     """
     levels = cx.simplices[:top + 1]
     # row[g] is the level-0 position of point g, g below the cloud's size.

@@ -1,8 +1,8 @@
 """Shared fixtures and independent test oracles.
 
-The oracles here (dense row-reduction rank, brute-force subset enumeration)
-deliberately do not reuse the library's column-reduction or clique-expansion
-code paths.
+The oracles here (dense row-reduction rank, brute-force subset enumeration,
+the textbook barcode reduction) deliberately do not reuse the library's
+column-reduction, pairing or clique-expansion code paths.
 """
 
 import math
@@ -120,6 +120,52 @@ def brute_force_betti(points, cloud, scale, n_max, p):
             rank_next = dense_rank_mod_p(dense_boundary(levels[n], levels[n + 1], p), p)
         betti.append(cn - rank_n - rank_next)
     return betti
+
+
+def brute_force_barcode(points, cloud, eps_max, n_max, p):
+    """The persistence barcode by the standard column reduction, fully
+    independent: every simplex of brute_force_simplices up to dimension
+    n_max + 1 in the whole filtration's (diameter, dimension, lex) order,
+    each boundary column reduced left to right against the earlier ones.
+
+    A pair (lowest row i, column j) gives the bar (dim i, diam i, diam j)
+    unless it has zero length; a simplex of dimension <= n_max that is
+    neither a pivot row nor has a nonzero reduced column gives an open bar.
+    Returns [(dim, birth, death or None)] sorted by (dim, birth, death), an
+    open bar first among equal births.
+    """
+    levels = brute_force_simplices(points, cloud, eps_max, n_max + 1)
+    order = sorted((cloud.diameter(s), q, s) for q, level in enumerate(levels) for s in level)
+    index = {s: j for j, (_, _, s) in enumerate(order)}
+    columns, pivots = [], {}    # pivots: lowest row -> column
+    for j, (_, q, s) in enumerate(order):
+        col = {}
+        if q:
+            for i in range(q + 1):
+                col[index[s[:i] + s[i + 1:]]] = 1 if i % 2 == 0 else p - 1
+        while col and max(col) in pivots:
+            low = max(col)
+            src = columns[pivots[low]]
+            c = col[low] * pow(src[low], p - 2, p) % p
+            for r, x in src.items():
+                y = (col.get(r, 0) - c * x) % p
+                if y:
+                    col[r] = y
+                else:
+                    del col[r]
+        columns.append(col)
+        if col:
+            pivots[max(col)] = j
+    deaths = {i: order[j][0] for i, j in pivots.items()}
+    bars = []
+    for j, (diam, q, _) in enumerate(order):
+        if q > n_max or columns[j]:
+            continue
+        death = deaths.get(j)
+        if death is None or death > diam:
+            bars.append((q, diam, death))
+    bars.sort(key=lambda b: (b[0], b[1], -1.0 if b[2] is None else b[2]))
+    return bars
 
 
 def random_cloud(rng, n, d) -> PointCloud:

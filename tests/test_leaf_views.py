@@ -5,6 +5,8 @@ independent brute-force oracle, answer coords()/bound() exactly, and reject
 simplices that only enter at a larger scale.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,6 +97,33 @@ def test_views_guard_their_basis_size_and_bounds(p):
     red.rows[1], red.killers[1] = red.rows[1][keep], red.killers[1][keep]
     with pytest.raises(ConsistencyError, match="basis size mismatch"):
         red.view(1.0)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_pickled_reduction_answers_as_the_original(p):
+    # A freshly built multi-scale leaf, sent through pickle as to a worker
+    # process: every view must give the same Betti numbers and
+    # representatives, and each representative of a scale the same coords
+    # and bound at that scale and every larger one, where some of them die.
+    cloud = PointCloud(np.random.default_rng(7).random((40, 2)))
+    scales = [0.15, 0.2, 0.25, 0.3]
+    red = build_leaf(range(cloud.n), cloud, scales[0], 1, p, scales=scales).reduction
+    copy = pickle.loads(pickle.dumps(red))
+    bounded = 0
+    for i, s in enumerate(scales):
+        view, twin = red.view(s), copy.view(s)
+        assert view.betti_all() == twin.betti_all()
+        for n in range(2):
+            reps = view.representatives(n)
+            assert reps == twin.representatives(n)
+            for t in scales[i:]:
+                later, later_twin = red.view(t), copy.view(t)
+                for z in reps:
+                    assert later.coords(z, n) == later_twin.coords(z, n)
+                    w = later.bound(z, n)
+                    assert w == later_twin.bound(z, n)
+                    bounded += w is not None
+    assert bounded > 0
 
 
 def _eager_tables(cx, n_max, p):

@@ -19,11 +19,12 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvbetti.core import PointCloud
 from mvbetti.reduction import persistence_barcode
 
-from conftest import HEX_POINTS
+from conftest import HEX_POINTS, brute_force_barcode
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "barcodes.json")
 
@@ -72,6 +73,44 @@ def test_bars_carry_python_floats():
     for b in bars:
         assert type(b.birth) is float
         assert b.death is None or type(b.death) is float
+
+
+@st.composite
+def tied_clouds(draw):
+    """Up to 12 points in d = 1..3 on a half-integer grid (many equal
+    distances), uniform, or a regular polygon (loops, with equal sides and
+    chords), with duplicate points, shifted by 0 or 1e6..1e12 (the grid
+    stays exact there), at a scale that is one of their distances, with
+    n_max 0..2 and p in {2, 3, 5}.  Everything is drawn from a seeded
+    generator, so the cases spread evenly instead of leaning towards
+    hypothesis's smallest values."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d, n = int(rng.integers(1, 4)), int(rng.integers(1, 13))
+    kind = rng.choice(["grid", "uniform", "polygon"])
+    if kind == "grid" or (kind == "polygon" and d == 1):
+        coords = rng.integers(0, 5, size=(n, d)) * 0.5
+    elif kind == "uniform":
+        coords = rng.random((n, d))
+    else:
+        angles = 2 * np.pi * np.arange(n) / n
+        coords = np.zeros((n, d))
+        coords[:, 0], coords[:, 1] = np.cos(angles), np.sin(angles)
+    dups = int(rng.integers(0, min(n, 3)))
+    coords[n - dups:] = coords[:dups]
+    cloud = PointCloud(coords + rng.choice([0.0, 1e6, 1e9, 1e12]))
+    dists = sorted({float(x) for x in cloud.pairwise(range(n)).ravel()})
+    return cloud, dists[rng.integers(len(dists))], int(rng.integers(0, 3)), int(rng.choice([2, 3, 5]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(tied_clouds())
+def test_barcode_equals_the_textbook_reduction(case):
+    """The same bars in the same order with the same floats as the global
+    (diameter, dimension, lex) reduction of the whole filtration: Betti
+    numbers at each scale do not pin the pairing, this does."""
+    cloud, eps, n_max, p = case
+    bars = persistence_barcode(range(cloud.n), cloud, eps, n_max, p)
+    assert bars == brute_force_barcode(range(cloud.n), cloud, eps, n_max, p)
 
 
 def test_golden_cases_are_nontrivial():

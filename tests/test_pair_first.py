@@ -46,7 +46,7 @@ def _needed(red, q):
 def test_pairs_and_pivot_columns_match_the_full_reduction(case):
     cloud, scales, p, n_max, _ = case
     leaf = build_leaf(range(cloud.n), cloud, scales[0], n_max, p, scales=scales)
-    cx = leaf.reduction.complex     # levels in the leaf's bucket order
+    cx = leaf.reduction.complex     # levels in the leaf's diameter order
     field = PrimeField(p)
     top = n_max + 1
 
@@ -82,7 +82,7 @@ def graph_cases(draw):
     """Clouds that stress the union-find pairing of D_1: a single point,
     clusters too far apart to join, duplicate points (zero-length edges),
     lattice points with many equal edge lengths, and scales that put the
-    edges in bucket order, zero-length edges first when 0 is a scale."""
+    edges in diameter order, zero-length edges first when 0 is a scale."""
     d = draw(st.integers(1, 3))
     rows = []
     for c in range(draw(st.integers(1, 3))):
@@ -103,7 +103,7 @@ def test_union_find_pairs_match_the_full_reduction(case):
     cloud, scales, p = case
     field = PrimeField(p)
     cx = enumerate_complex(range(cloud.n), cloud, scales[-1], 1)
-    _order_levels(cx, scales)
+    _order_levels(cx, 1, scales[0])
     assert cohomology_pairs(cx, 1, field) == \
         reduce_columns(boundary_matrix(cx, 1, p), field).pivots
 

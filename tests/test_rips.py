@@ -10,8 +10,7 @@ from mvbetti import rips
 from mvbetti.cli import main
 from mvbetti.core import Chain, PointCloud, boundary
 from mvbetti.reduction import _order_levels, as_dict
-from mvbetti.rips import (DEFAULT_BUDGET, BudgetExceededError, boundary_matrix,
-                          enumerate_complex, facet_tables)
+from mvbetti.rips import DEFAULT_BUDGET, BudgetExceededError, boundary_matrix, enumerate_complex
 
 from conftest import (TETRA_POINTS, TETRA_SIDE, UNIT_SQUARE,
                       brute_force_simplices, random_cloud)
@@ -427,8 +426,8 @@ def facet_clouds(draw):
     """A leaf-like point subset in d = 1..4 whose global indices lie far
     above its size: grid-snapped points with ties and duplicates, the unit
     vectors (every distance sqrt(2) or 0) with repeats, or one point
-    repeated.  Also n_max up to 3 and scales that put the levels in bucket
-    order."""
+    repeated.  Also n_max up to 3 and scales whose first is the floor of a
+    leaf's level order."""
     d = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["grid", "equal", "same"]))
@@ -457,16 +456,25 @@ class TestFacetTables:
     @settings(max_examples=120, deadline=None)
     @given(facet_clouds())
     def test_equals_a_per_simplex_lookup(self, case):
+        # The tables _order_levels builds in lex order and relabels must be
+        # those of the reordered levels: at a leaf's floor (its first
+        # scale), at the oracle's floor 0, and with level 1 left in lex
+        # order below the floor (its diameters zeroed) while level 2 is
+        # sorted.
         cloud, points, scales, n_max = case
         top = n_max + 1
-        cx = enumerate_complex(points, cloud, scales[-1], top)
-        _order_levels(cx, scales)
-        tables = facet_tables(cx, top)
-        assert len(tables) == top + 1 and tables[0] is None
-        for q in range(1, top + 1):
-            assert tables[q].dtype == np.int64
-            assert tables[q].shape == (cx.count(q), q + 1)
-            assert tables[q].tolist() == looked_up_facets(cx.simplices, q)
+        for floor, flat_edges in ((scales[0], False), (0.0, False), (0.0, True)):
+            cx = enumerate_complex(points, cloud, scales[-1], top)
+            if flat_edges:
+                cx.diameters[1][:] = 0.0
+            tables = _order_levels(cx, top, floor)
+            assert len(tables) == top + 1 and tables[0] is None
+            for q in range(1, top + 1):
+                assert tables[q].dtype == np.int64
+                assert tables[q].shape == (cx.count(q), q + 1)
+                assert tables[q].tolist() == looked_up_facets(cx.simplices, q)
+                d = cx.diameters[q]
+                assert d.max(initial=0.0) <= floor or (np.diff(d) >= 0).all()
 
     def test_keys_stay_exact_where_radix_keys_wrap(self):
         # Radix keys over the three vertices of a triangle would need
