@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .core import ConsistencyError, PointCloud, PrimeField
 from .engine import BettiReport, JobError, attach_verification, run
@@ -24,22 +23,6 @@ class DataFormatError(Exception):
 
 class UsageError(Exception):
     """Bad flags or configuration."""
-
-
-@dataclass
-class RunConfig:
-    input_path: str
-    epsilon: float
-    scales: list
-    n_max: int = 1
-    field: int = 2
-    workers: int = None
-    grid: list = None
-    budget: int = DEFAULT_BUDGET
-    verify: bool = False
-    output: str = None
-    slack: float = 0.0
-    timings: bool = True
 
 
 def parse_input(path) -> PointCloud:
@@ -182,7 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def config_from_args(args) -> RunConfig:
+def config_from_args(args) -> argparse.Namespace:
+    """Validate parsed arguments and return them, with args.scales the sorted
+    list of scales and args.grid a list of cell counts or None."""
     eps = args.epsilon
     if not (eps > 0):
         raise UsageError("--epsilon must be positive")
@@ -221,55 +206,42 @@ def config_from_args(args) -> RunConfig:
         if not grid or any(k < 1 for k in grid):
             raise UsageError("--grid entries must be positive integers")
 
-    workers = args.parallel
-    if workers is not None and workers < 1:
+    if args.parallel is not None and args.parallel < 1:
         raise UsageError("--parallel must be >= 1")
 
-    return RunConfig(
-        input_path=args.input,
-        epsilon=eps,
-        scales=sorted(scales),
-        n_max=args.max_dim,
-        field=args.field,
-        workers=workers,
-        grid=grid,
-        budget=args.budget,
-        verify=args.verify,
-        output=args.output,
-        slack=args.slack,
-        timings=not args.no_timings,
-    )
+    args.scales = sorted(scales)
+    args.grid = grid
+    return args
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = config_from_args(args)
+        args = config_from_args(parser.parse_args(argv))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     try:
-        cloud = parse_input(cfg.input_path)
+        cloud = parse_input(args.input)
     except DataFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if cfg.grid is not None and len(cfg.grid) not in (1, cloud.dim):
-        print(f"error: --grid needs 1 or {cloud.dim} entries, got {len(cfg.grid)}",
+    grid = args.grid
+    if grid is not None and len(grid) not in (1, cloud.dim):
+        print(f"error: --grid needs 1 or {cloud.dim} entries, got {len(grid)}",
               file=sys.stderr)
         return 1
-    grid = cfg.grid
     if grid is not None and len(grid) == 1:
         grid = grid * cloud.dim
 
     try:
         report = run(
-            cloud, cfg.epsilon, cfg.scales,
-            n_max=cfg.n_max, field=cfg.field,
-            workers=cfg.workers,
-            grid=grid, budget=cfg.budget, slack=cfg.slack,
+            cloud, args.epsilon, args.scales,
+            n_max=args.max_dim, field=args.field,
+            workers=args.parallel,
+            grid=grid, budget=args.budget, slack=args.slack,
         )
     except JobError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -285,19 +257,19 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if cfg.verify:
-        attach_verification(report, cloud, cfg.n_max, budget=cfg.budget,
-                            slack=cfg.slack)
+    if args.verify:
+        attach_verification(report, cloud, args.max_dim, budget=args.budget,
+                            slack=args.slack)
 
     try:
-        text = emit_report(report, path=cfg.output, timings=cfg.timings)
+        text = emit_report(report, path=args.output, timings=not args.no_timings)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
-    if not cfg.output:
+    if not args.output:
         sys.stdout.write(text)
 
-    if cfg.verify:
+    if args.verify:
         if report.verify.get("pass") is None:
             print("verify: oracle infeasible under the simplex budget", file=sys.stderr)
             return 3

@@ -85,16 +85,14 @@ def execute_scale(cloud, covering, scale, n_max, field, budget, workers, scales,
     one run) are built in sorted box order by at most `workers` threads,
     each enumerated and reduced once for every scale in `scales`, and added
     to it; the first of them to fail in that order cancels the rest.  The
-    box tree is then walked on the calling thread: a leaf built here uses
-    the view at `scale` that its build returned, any other leaf takes its
-    view at `scale` from its reduction.  Results are independent
-    of worker count: assembly consumes children in a fixed order and all
-    arithmetic is exact.
+    box tree is then walked on the calling thread: every leaf takes its
+    view at `scale` from its reduction.  Results are independent of worker
+    count: assembly consumes children in a fixed order and all arithmetic
+    is exact.
     """
     jobs, root = plan_jobs(covering)
     missing = sorted(box for box, j in jobs.items()
                      if j.kind == "leaf" and box not in leaves)
-    built = {}      # box -> the view at `scale` that its build returned
     if missing:
         # Point sets first: computed between submissions, they would wait on
         # the interpreter lock behind running builds.
@@ -105,10 +103,9 @@ def execute_scale(cloud, covering, scale, n_max, field, budget, workers, scales,
                                    budget, scales=scales) for pts in points]
             for box, fut in zip(missing, futures):
                 try:
-                    built[box] = fut.result()
+                    leaves[box] = fut.result().reduction
                 except Exception as exc:
                     raise JobError(box, exc) from exc
-                leaves[box] = built[box].reduction
         finally:
             pool.shutdown(cancel_futures=True)
 
@@ -120,8 +117,6 @@ def execute_scale(cloud, covering, scale, n_max, field, budget, workers, scales,
             if job.kind == "node":
                 solvers[box] = assemble([solvers[b] for b in job.pieces],
                                         [solvers[b] for b in job.overlaps], n_max, field)
-            elif box in built:
-                solvers[box] = built[box]
             else:
                 solvers[box] = leaves[box].view(scale)
         except Exception as exc:

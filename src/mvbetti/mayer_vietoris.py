@@ -50,23 +50,6 @@ def _block_coords(solver, z: Chain, n: int, offset: int, what: str) -> dict:
     return {offset + i: c for i, c in co.items()}
 
 
-def induced_map(inter, piece, n: int, sign: int, field: PrimeField):
-    """Matrix of the inclusion-induced map H_n(inter) -> H_n(piece), scaled by sign.
-
-    Columns are sparse {row: coeff}; column b is sign * coords_piece(rep_b).
-    Chains carry global indices, so "inclusion" is the identity on simplices.
-    """
-    if isinstance(field, int):
-        field = PrimeField(field)
-    p = field.p
-    cols = []
-    for rep in inter.representatives(n):
-        co = _block_coords(piece, rep, n, 0,
-                           "overlap representative is not a cycle of its piece")
-        cols.append({i: (sign * c) % p for i, c in co.items()})
-    return cols
-
-
 class FMatrix:
     """f_n as a block matrix over the flattened piece/overlap homology bases,
     reduced: its image echelon, cokernel rows and kernel basis.
@@ -133,19 +116,25 @@ class FMatrix:
 
 
 def build_f(pieces, inters, n: int, field) -> FMatrix:
-    """Assemble and reduce f_n from child solvers along the path covering."""
+    """Assemble and reduce f_n from child solvers along the path covering.
+
+    Each overlap's representatives are read once; column (k, b) is filled
+    from piece k and, negated, from piece k+1 (see FMatrix).  Chains carry
+    global indices, so an inclusion is the identity on simplices.
+    """
     if isinstance(field, int):
         field = PrimeField(field)
+    p = field.p
     row_off = list(accumulate((pc.betti(n) for pc in pieces), initial=0))
     col_off = list(accumulate((it.betti(n) for it in inters), initial=0))
-    columns = [None] * col_off[-1]
+    what = "overlap representative is not a cycle of its piece"
+    columns = []
     for k, inter in enumerate(inters):
-        plus = induced_map(inter, pieces[k], n, +1, field)
-        minus = induced_map(inter, pieces[k + 1], n, -1, field)
-        for b in range(inter.betti(n)):
-            col = {row_off[k] + r: c for r, c in plus[b].items()}
-            col.update({row_off[k + 1] + r: c for r, c in minus[b].items()})
-            columns[col_off[k] + b] = col
+        for rep in inter.representatives(n):
+            col = _block_coords(pieces[k], rep, n, row_off[k], what)
+            minus = _block_coords(pieces[k + 1], rep, n, row_off[k + 1], what)
+            col.update((r, p - c) for r, c in minus.items())
+            columns.append(col)
     return FMatrix(columns, row_off, col_off, field)
 
 
@@ -183,7 +172,6 @@ class MVNodeSolver:
         self._f = []        # reduced FMatrix per dimension 0..n_max
         self._lifts = []    # per dimension n: lifts for ker f_n (cycles of dim n+1)
         self._rep_chains = {}   # dimension -> representatives(n), built on first call
-        self.rank_f = {}
         self._build()
 
     # -- construction -----------------------------------------------------
@@ -193,7 +181,6 @@ class MVNodeSolver:
         for n in range(self.n_max + 1):
             fs = build_f(self.pieces, self.inters, n, field)
             self._f.append(fs)
-            self.rank_f[n] = fs.rank
             # Splitting-formula bookkeeping must agree with rank-nullity on
             # both sides; a mismatch means the reduction lost columns.
             if len(fs.coker_rows) != fs.nrows - fs.rank:
@@ -246,6 +233,11 @@ class MVNodeSolver:
         if not chain_boundary(lift).is_zero():
             raise ConsistencyError("connecting lift is not a cycle")
         return lift
+
+    @property
+    def rank_f(self) -> dict:
+        """{n: rank of f_n} for n = 0..n_max."""
+        return {n: fs.rank for n, fs in enumerate(self._f)}
 
     # -- solver surface ---------------------------------------------------
 
@@ -317,41 +309,39 @@ class MVNodeSolver:
             raise ValueError(f"chain dimension {z.dim} does not match query dimension {n}")
         if not chain_boundary(z).is_zero():
             raise ValueError("chain is not a cycle")
-        K = len(self.pieces)
         zs = self._split(z)
-        kappa = {}
-        if n >= 1:
+        if n == 0:      # 0-chains have no boundary, so the split needs no correction
+            return {}, zs
+        omegas = self._partial_boundaries(zs)
+        u = {}
+        fs_prev = self._f[n - 1]
+        for k, om in enumerate(omegas):
+            u.update(_block_coords(self.inters[k], om, n - 1,
+                                   fs_prev.col_starts[k],
+                                   f"partial boundary escaped overlap {k}"))
+        kappa = fs_prev.kernel_coords(u)
+        if kappa:
+            zz = z
+            for i, c in kappa.items():
+                zz = zz - self._lifts[n - 1][i].scaled(c)
+            zs = self._split(zz)
             omegas = self._partial_boundaries(zs)
-            u = {}
-            fs_prev = self._f[n - 1]
-            for k, om in enumerate(omegas):
-                u.update(_block_coords(self.inters[k], om, n - 1,
-                                       fs_prev.col_starts[k],
-                                       f"partial boundary escaped overlap {k}"))
-            kappa = fs_prev.kernel_coords(u)
-            if kappa:
-                zz = z
-                for i, c in kappa.items():
-                    zz = zz - self._lifts[n - 1][i].scaled(c)
-                zs = self._split(zz)
-                omegas = self._partial_boundaries(zs)
-            vs = []
-            for k, om in enumerate(omegas):
-                try:
-                    v = self.inters[k].bound(om, n - 1)
-                except ValueError as exc:
-                    raise ConsistencyError(
-                        f"partial boundary escaped overlap {k}: {exc}"
-                    ) from exc
-                if v is None:
-                    raise ConsistencyError(
-                        f"partial boundary is non-bounding in overlap {k} after "
-                        f"kernel correction; exactness violated"
-                    )
-                vs.append(v)
-        else:
-            vs = [Chain.zero(0, self.p) for _ in range(max(K - 1, 0))]
+        vs = []
+        for k, om in enumerate(omegas):
+            try:
+                v = self.inters[k].bound(om, n - 1)
+            except ValueError as exc:
+                raise ConsistencyError(
+                    f"partial boundary escaped overlap {k}: {exc}"
+                ) from exc
+            if v is None:
+                raise ConsistencyError(
+                    f"partial boundary is non-bounding in overlap {k} after "
+                    f"kernel correction; exactness violated"
+                )
+            vs.append(v)
 
+        K = len(self.pieces)
         xis = []
         for k in range(K):
             xi = zs[k]

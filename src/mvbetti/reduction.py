@@ -72,6 +72,17 @@ def _unit(j: int, p: int):
     return 1 << j if p == 2 else {j: 1}
 
 
+def _axpy(col: dict, src: dict, c: int, p: int):
+    """col += c * src over Z/p, in place, for dict columns: a row whose sum
+    is zero is deleted, so col keeps only nonzero residues."""
+    for r, x in src.items():
+        y = (col.get(r, 0) + c * x) % p
+        if y:
+            col[r] = y
+        else:
+            del col[r]
+
+
 def combine(terms, p: int):
     """The native column sum(c * col) over (col, c) pairs of native columns."""
     if p == 2:
@@ -82,12 +93,7 @@ def combine(terms, p: int):
         return out
     out = {}
     for col, c in terms:
-        for r, x in col.items():
-            y = (out.get(r, 0) + c * x) % p
-            if y:
-                out[r] = y
-            else:
-                del out[r]
+        _axpy(out, col, c, p)
     return out
 
 
@@ -98,13 +104,13 @@ def eliminate(col, lookup, p: int):
     as its lowest (largest) nonzero row, or None when row is not a table
     row: a dict's .get, or a leaf's table that builds each entry on first
     lookup.  Every table column is native and nonzero.  The rows of col are
-    swept in descending order: a table row is cleared by subtracting a
-    multiple of its column, which touches only smaller rows; any other row
-    is set aside.  Returns (remainder, used): col = remainder + sum(c *
-    column) over the (tag, c) pairs in used, no row of the remainder is a
-    table row, and each tag appears at most once.  A dict col holds nonzero
-    residues; at p = 2 col may also be a bitset, and the remainder is native
-    either way.
+    swept in descending order: a table row is cleared by subtracting the
+    multiple of its column that cancels it, which touches no larger row;
+    any other row is set aside.  Returns (remainder, used): col = remainder
+    + sum(c * column) over the (tag, c) pairs in used, no row of the
+    remainder is a table row, and each tag appears at most once.  A dict
+    col holds nonzero residues; at p = 2 col may also be a bitset, and the
+    remainder is native either way.
     """
     used = []
     if p == 2:
@@ -126,20 +132,13 @@ def eliminate(col, lookup, p: int):
     rest = {}
     while col:
         l = max(col)
-        x = col.pop(l)
         e = lookup(l)
         if e is None:
-            rest[l] = x
+            rest[l] = col.pop(l)
             continue
         src, tag = e
-        c = x * pow(src[l], -1, p) % p
-        for r, y in src.items():
-            if r != l:
-                z = (col.get(r, 0) - c * y) % p
-                if z:
-                    col[r] = z
-                else:
-                    del col[r]
+        c = col[l] * pow(src[l], -1, p) % p
+        _axpy(col, src, p - c, p)
         used.append((tag, c))
     return rest, used
 
@@ -229,7 +228,8 @@ def _reduce_bits(items, R, V, pivots):
 def _reduce_dicts(items, R, V, pivots, field):
     """The odd-p loop over dict columns.  Each pivot column's negated
     inverse of its lowest coefficient is computed once, when it is first
-    a source, so a step costs one multiplication plus the inlined axpy."""
+    a source, so a step costs one multiplication plus an _axpy on R and
+    one on V."""
     p = field.p
     neg_inv = {}    # pivot column -> -(lowest coefficient)^-1 mod p
     for j, col in items:
@@ -246,18 +246,8 @@ def _reduce_dicts(items, R, V, pivots, field):
             if c is None:
                 c = neg_inv[k] = (-field.inv(src[l])) % p
             c = (col[l] * c) % p
-            for r, x in src.items():
-                y = (col.get(r, 0) + c * x) % p
-                if y:
-                    col[r] = y
-                else:
-                    del col[r]
-            for r, x in V[k].items():
-                y = (v.get(r, 0) + c * x) % p
-                if y:
-                    v[r] = y
-                else:
-                    del v[r]
+            _axpy(col, src, c, p)
+            _axpy(v, V[k], c, p)
         R[j] = col
         V[j] = v
 
@@ -338,12 +328,7 @@ def cohomology_pairs(cx, q: int, field: PrimeField, clear=(), facets=None):
                 if c is None:
                     c = neg_inv[j] = (-field.inv(src[low])) % p
                 c = (col[low] * c) % p
-                for r, x in src.items():
-                    y = (col.get(r, 0) + c * x) % p
-                    if y:
-                        col[r] = y
-                    else:
-                        del col[r]
+                _axpy(col, src, c, p)
                 if not col:
                     break
                 low = min(col)
@@ -565,6 +550,7 @@ class LeafReduction:
         top = n_max + 1
         cx = enumerate_complex(points, cloud, self.scales[-1], top, budget)
         self.complex = cx
+        self.point_set = frozenset(cx.points)
         facets = _order_levels(cx, top, self.scales[0])
         # prefix[q][b]: the q-simplices of diameter <= scales[b].  A level
         # left in lex order has every diameter <= scales[0], so each search
@@ -639,8 +625,7 @@ class LeafSolver:
         self.n_max = reduction.n_max
         self.field = reduction.field
         self.complex = reduction.complex
-        self.points = self.complex.points
-        self.point_set = frozenset(self.points)
+        self.point_set = reduction.point_set
         # Simplices of the view per dimension: a prefix of every level.
         self._limit = [reduction.prefix[q][b] for q in range(self.n_max + 2)]
         self._basis = []    # per dimension: {representative row: basis index}

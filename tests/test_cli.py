@@ -157,9 +157,10 @@ class TestFlags:
         assert cfg.scales[-1] == 2.0
 
     def test_scales_list(self):
-        args = build_parser().parse_args(["in.csv", "--epsilon", "1", "--scales", "0.2,0.4"])
+        args = build_parser().parse_args(["in.csv", "--epsilon", "1", "--scales", "0.4,0.2",
+                                          "--grid", "3,2"])
         cfg = config_from_args(args)
-        assert cfg.scales == [0.2, 0.4]
+        assert cfg.scales == [0.2, 0.4] and cfg.grid == [3, 2]
 
     def test_mutually_exclusive(self):
         from mvbetti.cli import UsageError

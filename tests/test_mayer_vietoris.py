@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from mvbetti.core import Chain, ConsistencyError, PointCloud, PrimeField, chain_boundary
 from mvbetti.covering import build_covering, full_box, split_axis
 from mvbetti.engine import execute_scale
-from mvbetti.mayer_vietoris import FMatrix, MVNodeSolver, assemble, build_f, induced_map
+from mvbetti.mayer_vietoris import FMatrix, MVNodeSolver, assemble, build_f
 from mvbetti.reduction import (betti_at_scale, build_leaf, persistence_barcode,
                                reduce_columns)
 from mvbetti.rips import DEFAULT_BUDGET
@@ -36,31 +36,45 @@ def hexagon_two_pieces(p, n_max=1):
 
 
 class TestInducedMap:
-    def test_identity_when_equal(self):
-        rng = np.random.default_rng(1)
-        pc = random_cloud(rng, 10, 2)
-        f = PrimeField(3)
-        s = build_leaf(range(10), pc, 0.5, 1, f)
-        for n in (0, 1):
-            cols = induced_map(s, s, n, +1, f)
-            assert cols == [{i: 1} for i in range(s.betti(n))]
-
     def test_collinear_point_class(self):
+        # The inclusions' induced maps are the pieces' coords() of the
+        # overlap's representative: +1 into the left piece, -1 into the
+        # right, and build_f lays exactly these images out as its column.
         _, f, a, b, i = collinear_pair(3)
-        assert induced_map(i, a, 0, +1, f) == [{0: 1}]
-        assert induced_map(i, b, 0, -1, f) == [{0: 2}]
-
-    def test_empty_intersection(self):
-        pc = PointCloud([[0.0], [1.0], [5.0], [6.0]])
-        f = PrimeField(2)
-        a = build_leaf([0, 1], pc, 1.0, 1, f)
-        empty = build_leaf([], pc, 1.0, 1, f)
-        assert induced_map(empty, a, 0, +1, f) == []
+        rep = i.representatives(0)[0]
+        assert a.coords(rep, 0) == {0: 1}
+        assert b.coords(rep.scaled(f.p - 1), 0) == {0: 2}
+        fm = build_f([a, b], [i], 0, f)
+        assert fm.columns == [{0: 1, fm.row_starts[1]: 2}]
 
 
 class TestBuildF:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_self_overlap_gives_signed_identity_blocks(self, p):
+        # Column i is +e_i in the first piece and -e_i in the second: the
+        # overlap's representatives are the pieces' own basis.
+        rng = np.random.default_rng(1)
+        pc = random_cloud(rng, 10, 2)
+        f = PrimeField(p)
+        s = build_leaf(range(10), pc, 0.5, 1, f)
+        for n in (0, 1):
+            b = s.betti(n)
+            fm = build_f([s, s], [s], n, f)
+            assert fm.row_starts == [0, b, 2 * b] and fm.col_starts == [0, b]
+            assert fm.columns == [{i: 1, b + i: p - 1} for i in range(b)]
+
+    def test_empty_overlap_gives_no_columns(self):
+        pc = PointCloud([[0.0], [1.0], [5.0], [6.0]])
+        f = PrimeField(2)
+        a = build_leaf([0, 1], pc, 1.0, 1, f)
+        c = build_leaf([2, 3], pc, 1.0, 1, f)
+        empty = build_leaf([], pc, 1.0, 1, f)
+        fm = build_f([a, c], [empty], 0, f)
+        assert fm.columns == [] and fm.nrows == 2 and fm.coker_rows == [0, 1]
+
     @pytest.mark.parametrize("p,expect", [(2, {0: 1, 1: 1}), (3, {0: 1, 1: 2})])
     def test_collinear_column(self, p, expect):
+        # The overlap's point class is +1 in the left piece, -1 in the right.
         _, f, a, b, i = collinear_pair(p)
         fm = build_f([a, b], [i], 0, f)
         assert fm.nrows == 2 and fm.columns == [expect]
@@ -149,7 +163,7 @@ class TestAssemble:
         cov = build_covering(pc, 0.5, 5)
         node = execute_scale(pc, cov, 0.5, 1, f, DEFAULT_BUDGET, 1, [0.5], {})[0]
         assert node.betti_all() == [2, 0]
-        sizes = [len(s.points) for s in node.pieces]
+        sizes = [len(s.point_set) for s in node.pieces]
         assert 0 in sizes
 
     def test_mismatched_overlap_rejected(self):
