@@ -10,7 +10,9 @@ from mvbetti import (Chain, PointCloud, betti_at_scale, build_leaf,
                      chain_boundary, persistence_barcode)
 
 square = PointCloud([[0, 0], [1, 0], [1, 1], [0, 1]])
-solver = build_leaf(range(4), square, 1.0, 1, 2)
+# build_leaf reduces the region once for every listed scale; view(s) is the
+# region's solver at scale s.
+solver = build_leaf(range(4), square, [1.0], 1, 2).view(1.0)
 print("Unit square at scale 1 (sides connect, diagonals do not):")
 print("  betti =", solver.betti_all(), " -> one component, one loop")
 
@@ -23,7 +25,7 @@ print("  bound(four-sides cycle):", solver.bound(z, 1), " (non-bounding)")
 
 print()
 tri = PointCloud([[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]])
-tsolver = build_leaf(range(3), tri, 1.0, 1, 2)
+tsolver = build_leaf(range(3), tri, [1.0], 1, 2).view(1.0)
 zb = chain_boundary(Chain(2, 2, {(0, 1, 2): 1}))
 w = tsolver.bound(zb, 1)
 print("Filled triangle: the perimeter bounds;")

@@ -15,9 +15,9 @@ h = math.sqrt(3) / 2
 hexagon = PointCloud([[1, 0], [0.5, h], [-0.5, h], [-1, 0], [-0.5, -h], [0.5, -h]])
 
 # Two arcs covering the hexagon; their overlap is two far-apart vertices.
-top = build_leaf([0, 1, 2, 5], hexagon, 1.0, 1, 3)
-bottom = build_leaf([2, 3, 4, 5], hexagon, 1.0, 1, 3)
-overlap = build_leaf([2, 5], hexagon, 1.0, 1, 3)
+top = build_leaf([0, 1, 2, 5], hexagon, [1.0], 1, 3).view(1.0)
+bottom = build_leaf([2, 3, 4, 5], hexagon, [1.0], 1, 3).view(1.0)
+overlap = build_leaf([2, 5], hexagon, [1.0], 1, 3).view(1.0)
 
 print("piece betti:", top.betti_all(), "and", bottom.betti_all(),
       "(both contractible arcs)")
@@ -32,6 +32,8 @@ print("\nassembled union betti:", node.betti_all())
 print("  beta_0 = coker(f_0) = 2 - 1 = 1")
 print("  beta_1 = ker(f_0)   = 2 - 1 = 1   (no loop lives in any piece!)")
 
+# The Betti numbers above read only ranks; the lift is built on this first
+# read of the representatives.
 lift = node.representatives(1)[0]
 print("\nconnecting lift built for the kernel vector (a global 1-cycle):")
 print(" ", lift)

@@ -228,20 +228,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    grid = args.grid
-    if grid is not None and len(grid) not in (1, cloud.dim):
-        print(f"error: --grid needs 1 or {cloud.dim} entries, got {len(grid)}",
-              file=sys.stderr)
-        return 1
-    if grid is not None and len(grid) == 1:
-        grid = grid * cloud.dim
-
     try:
         report = run(
             cloud, args.epsilon, args.scales,
             n_max=args.max_dim, field=args.field,
             workers=args.parallel,
-            grid=grid, budget=args.budget, slack=args.slack,
+            grid=args.grid, budget=args.budget, slack=args.slack,
         )
     except JobError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -178,8 +178,9 @@ class GridCovering:
 def build_covering(cloud: PointCloud, eps: float, k) -> GridCovering:
     """Build the grid covering for a cloud at top scale eps.
 
-    k is a single cell count applied to every axis or a per-axis sequence.
-    A cloud with zero spread degenerates to k = 1 everywhere.
+    k is one cell count for every axis (an int or a 1-entry sequence) or a
+    sequence of one count per axis; any other length is a ValueError.  A
+    cloud with zero spread degenerates to k = 1 everywhere.
     """
     if cloud.n == 0:
         raise ValueError("cannot cover an empty cloud")
@@ -187,12 +188,11 @@ def build_covering(cloud: PointCloud, eps: float, k) -> GridCovering:
         raise ValueError("eps must be positive")
     mins, maxs = cloud.axis_ranges()
     extent = float((maxs - mins).max())  # one shared R across axes
-    if isinstance(k, int):
-        ks = [k] * cloud.dim
-    else:
-        ks = [int(v) for v in k]
-        if len(ks) != cloud.dim:
-            raise ValueError(f"expected {cloud.dim} cell counts, got {len(ks)}")
+    ks = [k] if isinstance(k, int) else [int(v) for v in k]
+    if len(ks) == 1:
+        ks = ks * cloud.dim
+    if len(ks) != cloud.dim:
+        raise ValueError(f"expected 1 or {cloud.dim} cell counts, got {len(ks)}")
     if extent == 0.0:
         ks = [1] * cloud.dim
     axes = tuple(

@@ -3,13 +3,17 @@
 A box with a full axis splits along its first full axis into cell pieces and
 overlap boxes; boxes with no full axis are leaves solved by direct reduction.
 Each leaf is enumerated and reduced once per run, for every requested scale,
-by a bounded thread pool; the builds share only the cloud, the field and the
-covering, which are immutable.  Per scale, the box tree is then walked on the
-calling thread, children before parents: leaves take their view at that
-scale, nodes assemble, and Betti numbers are read off the root solver.
-Later scales start no threads.  A leaf reduction is not immutable: its table
-columns and implicit apparent columns are built and cached on first query,
-and queries run only in that walk, so they fill on the calling thread.
+by a bounded thread pool (build_leaf returns the reduction); the builds
+share only the cloud, the field and the covering, which are immutable.  Per
+scale, the box tree is then walked on the calling thread, children before
+parents: leaves take their view at that scale, nodes assemble, and Betti
+numbers are read off the root solver.  Later scales start no threads.  A
+leaf reduction is not immutable: its table columns and implicit apparent
+columns are built and cached on first query, and queries run only in that
+walk, so they fill on the calling thread.  A node's representatives, its
+connecting lifts among them, are built the same way, on first read: by the
+assembly of an enclosing node, so a failed lift check names that node's
+box, and never for the root, whose Betti numbers read only ranks.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .core import PointCloud, PrimeField
 from .covering import GridCovering, build_covering, choose_k, full_box, split_axis
@@ -99,11 +103,11 @@ def execute_scale(cloud, covering, scale, n_max, field, budget, workers, scales,
         points = [covering.points_in_box(cloud, box) for box in missing]
         pool = ThreadPoolExecutor(max_workers=max(1, workers))
         try:
-            futures = [pool.submit(build_leaf, pts, cloud, scale, n_max, field,
-                                   budget, scales=scales) for pts in points]
+            futures = [pool.submit(build_leaf, pts, cloud, scales, n_max, field,
+                                   budget) for pts in points]
             for box, fut in zip(missing, futures):
                 try:
-                    leaves[box] = fut.result().reduction
+                    leaves[box] = fut.result()
                 except Exception as exc:
                     raise JobError(box, exc) from exc
         finally:
@@ -145,7 +149,6 @@ class BettiReport:
     scales: list                      # list[ScaleResult], ascending scale
     diagnostics: dict
     verify: dict = None
-    root_solvers: dict = dc_field(default=None, repr=False, compare=False)
 
     def betti_at(self, scale: float):
         for sr in self.scales:
@@ -173,12 +176,13 @@ def _collect_ranks(root) -> dict:
 
 
 def run(cloud, eps, scales, n_max=1, field=2, workers=None, grid=None,
-        budget=DEFAULT_BUDGET, slack=0.0, keep_solvers=False) -> BettiReport:
+        budget=DEFAULT_BUDGET, slack=0.0) -> BettiReport:
     """Betti numbers of the cloud at each requested scale up to eps.
 
     The covering is built once for eps (+ optional slack) and reused for all
     scales, which stay valid because smaller scales only shrink simplices.
-    `grid` overrides the parallelism-derived cell counts per axis.
+    `grid` overrides the parallelism-derived cell counts: one count for
+    every axis or one per axis (see covering.build_covering).
     """
     if isinstance(field, int):
         field = PrimeField(field)
@@ -201,9 +205,8 @@ def run(cloud, eps, scales, n_max=1, field=2, workers=None, grid=None,
     warnings = []
     eps_eff = eps + slack
     t0 = time.perf_counter()
-    if grid is not None:
-        ks = list(grid) if not isinstance(grid, int) else [grid] * cloud.dim
-    else:
+    k = grid
+    if k is None:
         mins, maxs = cloud.axis_ranges()
         extent = float((maxs - mins).max())
         if extent > 0:
@@ -215,12 +218,10 @@ def run(cloud, eps, scales, n_max=1, field=2, workers=None, grid=None,
                 )
         else:
             k = 1
-        ks = [k] * cloud.dim
-    covering = build_covering(cloud, eps_eff, ks)
+    covering = build_covering(cloud, eps_eff, k)
     covering_seconds = time.perf_counter() - t0
 
     per_scale = []
-    roots = {}
     diag_ranks = {}
     timings_scales = {}
     leaves = {}
@@ -229,8 +230,6 @@ def run(cloud, eps, scales, n_max=1, field=2, workers=None, grid=None,
         root, seconds = execute_scale(cloud, covering, s + slack, n_max, field,
                                       budget, workers, scales_eff, leaves)
         per_scale.append(ScaleResult(scale=s, betti=root.betti_all()))
-        if keep_solvers:
-            roots[s] = root
         diag_ranks[_scale_key(s)] = _collect_ranks(root)
         timings_scales[_scale_key(s)] = {
             "leaves_ms": seconds["leaf"] * 1000.0,
@@ -263,7 +262,6 @@ def run(cloud, eps, scales, n_max=1, field=2, workers=None, grid=None,
         scales=per_scale,
         diagnostics=diagnostics,
         verify=None,
-        root_solvers=roots if keep_solvers else None,
     )
 
 

@@ -10,12 +10,14 @@ on homology
 
 determines the union's homology as coker(f_n) (+) ker(f_{n-1}).  This module
 builds the f matrices from child solvers, extracts kernel and cokernel bases
-exactly over Z/p, constructs an explicit union cycle for every kernel basis
-vector (the connecting-map lift), and answers coords()/bound() on the union
-by the standard chain-level chase, so a node composes with further nodes
-exactly like a leaf solver.  Class coordinates are sparse {basis index:
-nonzero residue} dicts throughout, the representation of a dict column: a
-child's coords() shifts straight into an f-matrix column or target vector.
+exactly over Z/p, and answers coords()/bound() on the union by the standard
+chain-level chase, so a node composes with further nodes exactly like a leaf
+solver.  The explicit union cycle of each kernel basis vector (the
+connecting-map lift) is built on first read, with the node's other
+representatives: a Betti number needs only ranks, so a Betti-only root
+builds none.  Class coordinates are sparse {basis index: nonzero residue}
+dicts throughout, the representation of a dict column: a child's coords()
+shifts straight into an f-matrix column or target vector.
 
 All chains use global point indices, so inclusions are literal identities.
 """
@@ -170,7 +172,6 @@ class MVNodeSolver:
                 )
 
         self._f = []        # reduced FMatrix per dimension 0..n_max
-        self._lifts = []    # per dimension n: lifts for ker f_n (cycles of dim n+1)
         self._rep_chains = {}   # dimension -> representatives(n), built on first call
         self._build()
 
@@ -187,10 +188,6 @@ class MVNodeSolver:
                 raise ConsistencyError(f"cokernel dimension mismatch at n={n}")
             if len(fs.kernel_cols) != fs.ncols - fs.rank:
                 raise ConsistencyError(f"kernel dimension mismatch at n={n}")
-
-        for n in range(self.n_max):
-            self._lifts.append([self._connecting_lift(u, n)
-                                for u in self._f[n].kernel_cols])
 
     def _slice_source(self, n: int, u: dict):
         """Split a flattened f_n source vector into per-overlap coefficient dicts."""
@@ -251,9 +248,11 @@ class MVNodeSolver:
     def representatives(self, n: int):
         """Cycle chains whose classes form the union's basis at dimension n.
 
-        The list is built once per node and shared by later calls, so a
-        query that names a few basis classes does not rebuild all of them;
-        callers must not mutate it.
+        The list is built once per node, on the first call, and shared by
+        later calls, so a query that names a few basis classes does not
+        rebuild all of them; callers must not mutate it.  Building it
+        builds the connecting lifts, whose guards raise ConsistencyError
+        here: in the caller that first reads them.
         """
         if n < 0 or n > self.n_max:
             return []
@@ -273,7 +272,8 @@ class MVNodeSolver:
                 reps = self.pieces[k].representatives(n)
             out.append(reps[r - off[k]])
         if n >= 1:
-            out.extend(self._lifts[n - 1])
+            out.extend(self._connecting_lift(u, n - 1)
+                       for u in self._f[n - 1].kernel_cols)
         self._rep_chains[n] = out
         return out
 
@@ -320,11 +320,10 @@ class MVNodeSolver:
                                    fs_prev.col_starts[k],
                                    f"partial boundary escaped overlap {k}"))
         kappa = fs_prev.kernel_coords(u)
-        if kappa:
-            zz = z
-            for i, c in kappa.items():
-                zz = zz - self._lifts[n - 1][i].scaled(c)
-            zs = self._split(zz)
+        if kappa:   # subtract the kernel classes' lifts: basis keys m + i
+            m = len(self._f[n].coker_rows)
+            zs = self._split(z - _combo_chain(self, n, {m + i: c for i, c in kappa.items()},
+                                              self.p))
             omegas = self._partial_boundaries(zs)
         vs = []
         for k, om in enumerate(omegas):

@@ -731,18 +731,13 @@ class LeafSolver:
         return [self.betti(n) for n in range(self.n_max + 1)]
 
 
-def build_leaf(points, cloud, scale, n_max, field, budget: int = DEFAULT_BUDGET,
-               scales=None) -> LeafSolver:
-    """Region solver over its Rips complex at the given scale.
-
-    With `scales` (which must contain `scale`), the one reduction behind the
-    returned solver also serves solver.reduction.view(s) for every s in it.
-    """
+def build_leaf(points, cloud, scales, n_max, field,
+               budget: int = DEFAULT_BUDGET) -> LeafReduction:
+    """The one reduction of a region's Rips complex for every scale in
+    `scales`; its view(s) is the region solver at scale s."""
     if isinstance(field, int):
         field = PrimeField(field)
-    reduction = LeafReduction(points, cloud, (scale,) if scales is None else scales,
-                              n_max, field, budget)
-    return reduction.view(scale)
+    return LeafReduction(points, cloud, scales, n_max, field, budget)
 
 
 # ---------------------------------------------------------------------------

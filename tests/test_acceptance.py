@@ -16,9 +16,9 @@ from mvbetti import engine
 from mvbetti.cli import emit_report, main
 from mvbetti.core import PointCloud
 from mvbetti.covering import build_covering
-from mvbetti.engine import run
+from mvbetti.engine import execute_scale, run
 from mvbetti.mayer_vietoris import MVNodeSolver
-from mvbetti.reduction import betti_at_scale, build_leaf, persistence_barcode
+from mvbetti.reduction import DEFAULT_BUDGET, betti_at_scale, build_leaf, persistence_barcode
 
 from conftest import HEX_POINTS, distance_quantile
 
@@ -54,8 +54,11 @@ def walk_nodes(solver):
             yield from walk_nodes(child)
 
 
-def run_suite(p, check_nodes=True):
-    """Criterion 1 run (+2/+4 node walks) for one coefficient field."""
+def run_suite(p):
+    """Criterion 1 run (+2/+4 node walks) for one coefficient field.
+
+    The node walks take each scale's root from execute_scale on run()'s
+    grid, all scales sharing one leaves dict as run() does."""
     stats = {
         "clouds": 0, "scale_checks": 0, "mismatches": [],
         "nodes": 0, "split_violations": 0,
@@ -68,7 +71,7 @@ def run_suite(p, check_nodes=True):
         # are valid at any eps.
         grid = [2] * 3 if cloud.dim == 3 else None
         rep = run(cloud, eps, scales, n_max=n_max, field=p,
-                  workers=WORKER_HINT, grid=grid, keep_solvers=check_nodes)
+                  workers=WORKER_HINT, grid=grid)
         assert min(rep.grid) >= 2, (spec, rep.grid)
         bars = persistence_barcode(range(cloud.n), cloud, eps, n_max, p)
         for sr in rep.scales:
@@ -76,12 +79,15 @@ def run_suite(p, check_nodes=True):
             stats["scale_checks"] += 1
             if expect != list(sr.betti):
                 stats["mismatches"].append((spec[0], sr.scale, sr.betti, expect))
-        if check_nodes:
-            for s, root in rep.root_solvers.items():
-                for node in walk_nodes(root):
-                    stats["nodes"] += 1
-                    _check_splitting_identity(node, stats)
-                    _check_representatives(node, stats)
+        covering = build_covering(cloud, eps, rep.grid)
+        leaves = {}
+        for s in scales:
+            root, _ = execute_scale(cloud, covering, s, n_max, p, DEFAULT_BUDGET,
+                                    WORKER_HINT, scales, leaves)
+            for node in walk_nodes(root):
+                stats["nodes"] += 1
+                _check_splitting_identity(node, stats)
+                _check_representatives(node, stats)
         stats["clouds"] += 1
     return stats
 
@@ -251,7 +257,7 @@ class TestCriterion8:
             best = math.inf
             for _ in range(5):
                 t0 = time.perf_counter()
-                build_leaf(range(n), cloud, eps, 1, 2)
+                build_leaf(range(n), cloud, [eps], 1, 2)
                 best = min(best, time.perf_counter() - t0)
             times.append(best)
         logs_n = np.log(sizes)

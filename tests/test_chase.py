@@ -11,9 +11,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from mvbetti.core import Chain, PointCloud, chain_boundary
-from mvbetti.engine import run
+from mvbetti.covering import build_covering
+from mvbetti.engine import execute_scale
 from mvbetti.mayer_vietoris import MVNodeSolver
-from mvbetti.reduction import build_leaf
+from mvbetti.reduction import DEFAULT_BUDGET, build_leaf
 
 
 @st.composite
@@ -73,11 +74,10 @@ def _check_queries(solver, uppers, n, p, rng, zero_class):
 @given(chase_cases())
 def test_root_and_leaf_queries_recover_known_classes(case):
     cloud, scale, p, n_max, rng, zero_class = case
-    report = run(cloud, scale, [scale], n_max=n_max, field=p, workers=1,
-                 grid=[2, 2], keep_solvers=True)
-    root = report.root_solvers[scale]
+    root, _ = execute_scale(cloud, build_covering(cloud, scale, [2, 2]), scale, n_max, p,
+                            DEFAULT_BUDGET, 1, [scale], {})
     assert isinstance(root, MVNodeSolver)
-    leaf = build_leaf(range(cloud.n), cloud, scale, n_max, p)
+    leaf = build_leaf(range(cloud.n), cloud, [scale], n_max, p).view(scale)
     assert root.betti_all() == leaf.betti_all()
     # The single-scale leaf's complex is the whole cloud's complex at scale.
     levels = [[tuple(s) for s in level.tolist()] for level in leaf.complex.simplices]

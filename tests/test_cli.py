@@ -9,8 +9,10 @@ import mvbetti.engine
 from mvbetti.cli import (DataFormatError, build_parser, config_from_args,
                          emit_report, main, parse_input, report_to_dict)
 from mvbetti.core import ConsistencyError, PointCloud
-from mvbetti.engine import BettiReport, ScaleResult, run
+from mvbetti.covering import full_box
+from mvbetti.engine import BettiReport, JobError, ScaleResult, run
 from mvbetti.mayer_vietoris import MVNodeSolver
+from mvbetti.reduction import LeafSolver
 
 from conftest import HEX_POINTS
 
@@ -255,6 +257,29 @@ class TestMainExitCodes:
         assert err.startswith("error: job for box")
         assert "injected assembly invariant failure" in err
         assert "Traceback" not in err
+
+    def test_broken_lift_is_reported_under_the_node_that_reads_it(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # A loop inside the overlap strip of axis 0 that crosses the split of
+        # axis 1: the overlap node holds it as a kernel class of its f_0, and
+        # the root reads that connecting lift when it builds f_1.
+        ys = [1.5 + 0.5 * j for j in range(9)]
+        pts = ([[0.0, 0.0], [6.0, 6.0], [3.5, 1.2], [3.5, 5.8]]
+               + [[3.05, y] for y in ys] + [[3.95, y] for y in ys])
+        path = tmp_path / "loop.csv"
+        path.write_text("".join(f"{x!r},{y!r}\n" for x, y in pts))
+        args = [str(path), "--epsilon", "1.0", "--scales", "0.6", "--grid", "2,2",
+                "--field", "3", "--no-timings"]
+        assert main(args) == 0
+        assert json.loads(capsys.readouterr().out)["scales"][0]["betti"] == [3, 1]
+
+        monkeypatch.setattr(LeafSolver, "bound", lambda self, z, n: None)
+        with pytest.raises(JobError, match="kernel difference chain fails to bound") as ei:
+            run(np.array(pts), 1.0, [0.6], n_max=1, field=3, workers=1, grid=[2, 2])
+        assert ei.value.box == full_box(2)
+        assert main(args) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: job for box") and "kernel difference chain" in err
 
     def test_bare_consistency_error_exits_5(self, tmp_path, capsys, monkeypatch):
         def broken_run(*args, **kwargs):

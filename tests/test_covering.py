@@ -100,6 +100,11 @@ class TestBuildCovering:
         pc = PointCloud(rng.random((30, 2)) * [10.0, 10.0])
         cov = build_covering(pc, 0.9, [5, 3])
         assert cov.k_per_axis == (5, 3)
+        # One entry is one count for every axis; any other length is rejected.
+        assert build_covering(pc, 0.9, [4]).k_per_axis == (4, 4)
+        for bad in ([], [5, 3, 2]):
+            with pytest.raises(ValueError, match="expected 1 or 2 cell counts"):
+                build_covering(pc, 0.9, bad)
 
 
 def two_piece_node(p=3):
@@ -111,7 +116,7 @@ def two_piece_node(p=3):
     sp = split_axis(full_box(1), cov)
 
     def leaf(box):
-        return build_leaf(cov.points_in_box(pc, box), pc, 2.0, 1, p)
+        return build_leaf(cov.points_in_box(pc, box), pc, [2.0], 1, p).view(2.0)
 
     node = assemble([leaf(b) for b in sp.pieces], [leaf(b) for b in sp.overlaps], 1, p)
     return cov, node

@@ -154,7 +154,7 @@ class TestRun:
         pc = random_cloud(rng, 25, 2)
         eps = distance_quantile(pc, 0.3)
         rep = run(pc, eps, [eps / 2, eps], n_max=1, field=2, workers=2, grid=[1, 1])
-        direct = build_leaf(range(25), pc, eps, 1, 2)
+        direct = build_leaf(range(25), pc, [eps], 1, 2).view(eps)
         assert rep.betti_at(eps) == direct.betti_all()
 
     @pytest.mark.parametrize("p", [2, 3])
@@ -213,14 +213,6 @@ class TestRun:
         assert strict.betti_at(1.0) == [2]
         slackened = run(pc, 1.0, [1.0], n_max=0, field=2, workers=1, slack=0.1)
         assert slackened.betti_at(1.0) == [1]
-
-    def test_keep_solvers(self):
-        pc = PointCloud(HEX_POINTS)
-        rep = run(pc, 1.0, [1.0], n_max=1, field=2, workers=2, grid=[2, 2],
-                  keep_solvers=True)
-        root = rep.root_solvers[1.0]
-        assert isinstance(root, MVNodeSolver)
-        assert root.betti_all() == [1, 1]
 
     def test_ranks_f_diagnostics_present(self):
         pc = PointCloud(HEX_POINTS)

@@ -50,10 +50,10 @@ def _prefix_simplices(view, q):
 def test_views_match_fresh_solves_and_the_oracle(case):
     cloud, scales, p, n_max, rng = case
     pts = range(cloud.n)
-    first = build_leaf(pts, cloud, scales[0], n_max, p, scales=scales)
+    red = build_leaf(pts, cloud, scales, n_max, p)
     for s in scales:
-        view = first.reduction.view(s)
-        fresh = build_leaf(pts, cloud, s, n_max, p)
+        view = red.view(s)
+        fresh = build_leaf(pts, cloud, [s], n_max, p).view(s)
         assert view.betti_all() == fresh.betti_all() == brute_force_betti(pts, cloud, s, n_max, p)
         for n in range(n_max + 1):
             # The view's own representatives: cycles of its complex, each
@@ -81,7 +81,7 @@ def test_views_match_fresh_solves_and_the_oracle(case):
 def test_views_guard_their_basis_size_and_bounds(p):
     cloud = PointCloud([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     top = 2.0 ** 0.5
-    red = build_leaf(range(4), cloud, 1.0, 1, p, scales=[1.0, top]).reduction
+    red = build_leaf(range(4), cloud, [1.0, top], 1, p)
     # A boundary at the top scale whose preimage is then tampered with: V_k
     # of every pivot column, implicit (apparent) or reduced, read as zero.
     z = chain_boundary(Chain.single((0, 1, 2), p))
@@ -107,7 +107,7 @@ def test_a_pickled_reduction_answers_as_the_original(p):
     # and bound at that scale and every larger one, where some of them die.
     cloud = PointCloud(np.random.default_rng(7).random((40, 2)))
     scales = [0.15, 0.2, 0.25, 0.3]
-    red = build_leaf(range(cloud.n), cloud, scales[0], 1, p, scales=scales).reduction
+    red = build_leaf(range(cloud.n), cloud, scales, 1, p)
     copy = pickle.loads(pickle.dumps(red))
     bounded = 0
     for i, s in enumerate(scales):
@@ -153,7 +153,7 @@ def _eager_tables(cx, n_max, p):
 @given(leaf_cases(primes=(2, 3, 5), n_maxes=(0, 1, 2)))
 def test_lazy_table_columns_equal_the_eager_tables(case):
     cloud, scales, p, n_max, _ = case
-    red = build_leaf(range(cloud.n), cloud, scales[0], n_max, p, scales=scales).reduction
+    red = build_leaf(range(cloud.n), cloud, scales, n_max, p)
     assert [len(t) for t in red.tables] == [0] * (n_max + 1)
     for n, (table, killers) in enumerate(_eager_tables(red.complex, n_max, p)):
         rows = sorted(table)
@@ -168,16 +168,17 @@ def test_view_rejects_simplices_beyond_its_scale():
     # Unit square: the sides enter at 1, the diagonals at sqrt(2).
     cloud = PointCloud([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     top = 2.0 ** 0.5
-    leaf = build_leaf(range(4), cloud, 1.0, 1, 3, scales=[1.0, top])
+    red = build_leaf(range(4), cloud, [1.0, top], 1, 3)
+    leaf = red.view(1.0)
     z = chain_boundary(Chain.single((0, 1, 2), 3))   # uses the diagonal (0, 2)
-    top_view = leaf.reduction.view(top)
+    top_view = red.view(top)
     assert top_view.betti(1) == 0 and top_view.coords(z, 1) == {}
     with pytest.raises(ValueError, match="is not in this complex"):
         leaf.coords(z, 1)
     with pytest.raises(ValueError, match="is not in this complex"):
         leaf.bound(z, 1)
     with pytest.raises(ValueError):
-        leaf.reduction.view(1.2)
+        red.view(1.2)
 
 
 @settings(max_examples=15, deadline=None)

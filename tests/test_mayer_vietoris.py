@@ -19,9 +19,9 @@ def collinear_pair(p):
     """Pieces {0,1} / {1,2} of three collinear unit-spaced points."""
     pc = PointCloud([[0.0], [1.0], [2.0]])
     f = PrimeField(p)
-    a = build_leaf([0, 1], pc, 1.0, 1, f)
-    b = build_leaf([1, 2], pc, 1.0, 1, f)
-    i = build_leaf([1], pc, 1.0, 1, f)
+    a = build_leaf([0, 1], pc, [1.0], 1, f).view(1.0)
+    b = build_leaf([1, 2], pc, [1.0], 1, f).view(1.0)
+    i = build_leaf([1], pc, [1.0], 1, f).view(1.0)
     return pc, f, a, b, i
 
 
@@ -29,9 +29,9 @@ def hexagon_two_pieces(p, n_max=1):
     """Manual covering of the hexagon: the overlap has two far-apart points."""
     pc = PointCloud(HEX_POINTS)
     f = PrimeField(p)
-    a = build_leaf([0, 1, 2, 5], pc, 1.0, n_max, f)
-    b = build_leaf([2, 3, 4, 5], pc, 1.0, n_max, f)
-    i = build_leaf([2, 5], pc, 1.0, n_max, f)
+    a = build_leaf([0, 1, 2, 5], pc, [1.0], n_max, f).view(1.0)
+    b = build_leaf([2, 3, 4, 5], pc, [1.0], n_max, f).view(1.0)
+    i = build_leaf([2, 5], pc, [1.0], n_max, f).view(1.0)
     return pc, f, a, b, i
 
 
@@ -56,7 +56,7 @@ class TestBuildF:
         rng = np.random.default_rng(1)
         pc = random_cloud(rng, 10, 2)
         f = PrimeField(p)
-        s = build_leaf(range(10), pc, 0.5, 1, f)
+        s = build_leaf(range(10), pc, [0.5], 1, f).view(0.5)
         for n in (0, 1):
             b = s.betti(n)
             fm = build_f([s, s], [s], n, f)
@@ -66,9 +66,9 @@ class TestBuildF:
     def test_empty_overlap_gives_no_columns(self):
         pc = PointCloud([[0.0], [1.0], [5.0], [6.0]])
         f = PrimeField(2)
-        a = build_leaf([0, 1], pc, 1.0, 1, f)
-        c = build_leaf([2, 3], pc, 1.0, 1, f)
-        empty = build_leaf([], pc, 1.0, 1, f)
+        a = build_leaf([0, 1], pc, [1.0], 1, f).view(1.0)
+        c = build_leaf([2, 3], pc, [1.0], 1, f).view(1.0)
+        empty = build_leaf([], pc, [1.0], 1, f).view(1.0)
         fm = build_f([a, c], [empty], 0, f)
         assert fm.columns == [] and fm.nrows == 2 and fm.coker_rows == [0, 1]
 
@@ -83,7 +83,7 @@ class TestBuildF:
     def test_single_piece_empty_matrix(self):
         pc = PointCloud([[0.0], [1.0]])
         f = PrimeField(2)
-        a = build_leaf([0, 1], pc, 1.0, 1, f)
+        a = build_leaf([0, 1], pc, [1.0], 1, f).view(1.0)
         fm = build_f([a], [], 0, f)
         assert fm.ncols == 0 and fm.nrows == 1
 
@@ -169,17 +169,17 @@ class TestAssemble:
     def test_mismatched_overlap_rejected(self):
         pc = PointCloud([[0.0], [1.0], [2.0]])
         f = PrimeField(2)
-        a = build_leaf([0, 1], pc, 1.0, 1, f)
-        b = build_leaf([1, 2], pc, 1.0, 1, f)
-        bad = build_leaf([0], pc, 1.0, 1, f)  # not the intersection
+        a = build_leaf([0, 1], pc, [1.0], 1, f).view(1.0)
+        b = build_leaf([1, 2], pc, [1.0], 1, f).view(1.0)
+        bad = build_leaf([0], pc, [1.0], 1, f).view(1.0)  # not the intersection
         with pytest.raises(ConsistencyError):
             assemble([a, b], [bad], 1, f)
 
     def test_wrong_overlap_count_rejected(self):
         pc = PointCloud([[0.0], [1.0], [2.0]])
         f = PrimeField(2)
-        a = build_leaf([0, 1], pc, 1.0, 1, f)
-        b = build_leaf([1, 2], pc, 1.0, 1, f)
+        a = build_leaf([0, 1], pc, [1.0], 1, f).view(1.0)
+        b = build_leaf([1, 2], pc, [1.0], 1, f).view(1.0)
         with pytest.raises(ValueError):
             assemble([a, b], [], 1, f)
 
@@ -212,7 +212,7 @@ class TestUnionQueries:
         f = PrimeField(p)
         _, _, a, b, i = hexagon_two_pieces(p)
         node = assemble([a, b], [i], 1, f)
-        direct = build_leaf(range(6), pc, 1.0, 1, f)
+        direct = build_leaf(range(6), pc, [1.0], 1, f).view(1.0)
         for n in (0, 1):
             assert node.betti(n) == direct.betti(n)
             # Change of basis: node coordinates of the direct basis.
@@ -230,9 +230,9 @@ class TestUnionQueries:
     def test_boundaries_have_zero_coords_and_bound(self, p):
         pc = PointCloud(HEX_POINTS)
         f = PrimeField(p)
-        a = build_leaf([0, 1, 2, 5], pc, 1.2, 1, f)
-        b = build_leaf([2, 3, 4, 5], pc, 1.2, 1, f)
-        i = build_leaf([2, 5], pc, 1.2, 1, f)
+        a = build_leaf([0, 1, 2, 5], pc, [1.2], 1, f).view(1.2)
+        b = build_leaf([2, 3, 4, 5], pc, [1.2], 1, f).view(1.2)
+        i = build_leaf([2, 5], pc, [1.2], 1, f).view(1.2)
         node = assemble([a, b], [i], 1, f)
         rng = np.random.default_rng(p)
         # random 1-chains w in the union made of piece simplices: z = dw
@@ -246,6 +246,26 @@ class TestUnionQueries:
             w2 = node.bound(z, 0)
             assert w2 is not None and chain_boundary(w2) == z
 
+    @pytest.mark.parametrize("piece_bound,message", [
+        (lambda real, z, n: None, "kernel difference chain fails to bound in piece 0"),
+        (lambda real, z, n: real(z, n) + Chain.single((0, 1), 3),
+         "connecting lift is not a cycle"),
+    ], ids=["not-bounding", "not-a-cycle"])
+    def test_broken_lift_raises_where_it_is_read(self, monkeypatch, piece_bound, message):
+        # The hexagon's beta_1 is a kernel class of f_0, so its only
+        # representative is a connecting lift, built from the pieces' bound().
+        _, f, a, b, i = hexagon_two_pieces(3)
+        real = type(a).bound
+        monkeypatch.setattr(type(a), "bound",
+                            lambda self, z, n: piece_bound(real.__get__(self), z, n))
+        # Betti numbers read ranks only: no lift is built, so none is checked.
+        assert assemble([a, b], [i], 1, f).betti_all() == [1, 1]
+        with pytest.raises(ConsistencyError, match=message):
+            assemble([a, b], [i], 1, f).representatives(1)
+        # The chase corrects the hexagon's kernel class with the lift.
+        with pytest.raises(ConsistencyError, match=message):
+            assemble([a, b], [i], 1, f).coords(hexagon_cycle(3), 1)
+
     def test_bound_zero_chain(self):
         _, f, a, b, i = hexagon_two_pieces(2)
         node = assemble([a, b], [i], 1, f)
@@ -255,9 +275,9 @@ class TestUnionQueries:
     def test_rejects_chain_outside_region(self):
         pc = PointCloud([[0.0], [1.0], [2.0], [9.0]])
         f = PrimeField(2)
-        a = build_leaf([0, 1], pc, 1.0, 1, f)
-        b = build_leaf([1, 2], pc, 1.0, 1, f)
-        i = build_leaf([1], pc, 1.0, 1, f)
+        a = build_leaf([0, 1], pc, [1.0], 1, f).view(1.0)
+        b = build_leaf([1, 2], pc, [1.0], 1, f).view(1.0)
+        i = build_leaf([1], pc, [1.0], 1, f).view(1.0)
         node = assemble([a, b], [i], 1, f)
         with pytest.raises(ValueError):
             node.coords(Chain(0, 2, {(3,): 1}), 0)
@@ -307,7 +327,7 @@ class TestExactnessProperties:
             node = execute_scale(pc, cov, eps, 1, f, DEFAULT_BUDGET, 1, [eps], {})[0]
             assert isinstance(node, MVNodeSolver)
             assert all(isinstance(c, MVNodeSolver) for c in node.pieces)
-            leaf = build_leaf(range(25), pc, eps, 1, f)
+            leaf = build_leaf(range(25), pc, [eps], 1, f).view(eps)
             assert node.betti_all() == leaf.betti_all()
 
     @pytest.mark.parametrize("p", [2, 3])
@@ -333,7 +353,7 @@ class TestExactnessProperties:
         f = PrimeField(p)
         cov = build_covering(pc, 1.0, [2, 1])
         node = execute_scale(pc, cov, 1.0, 1, f, DEFAULT_BUDGET, 1, [1.0], {})[0]
-        leaf = build_leaf(range(4), pc, 1.0, 1, f)
+        leaf = build_leaf(range(4), pc, [1.0], 1, f).view(1.0)
         assert node.betti_all() == leaf.betti_all() == [1, 1]
         edges = [tuple(s) for s in leaf.complex.simplices[1].tolist()]
         M = [dense(node.coords(rep, 1), node.betti(1)) for rep in leaf.representatives(1)]

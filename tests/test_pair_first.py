@@ -45,8 +45,8 @@ def _needed(red, q):
 @given(leaf_cases(primes=(2, 3, 5)))
 def test_pairs_and_pivot_columns_match_the_full_reduction(case):
     cloud, scales, p, n_max, _ = case
-    leaf = build_leaf(range(cloud.n), cloud, scales[0], n_max, p, scales=scales)
-    cx = leaf.reduction.complex     # levels in the leaf's diameter order
+    red = build_leaf(range(cloud.n), cloud, scales, n_max, p)
+    cx = red.complex     # levels in the leaf's diameter order
     field = PrimeField(p)
     top = n_max + 1
 
@@ -58,11 +58,11 @@ def test_pairs_and_pivot_columns_match_the_full_reduction(case):
         assert cohomology_pairs(cx, q, field) == pairs      # clearing changes no pair
         clear = set(pairs.values())
 
-        mine = leaf.reduction.reduced[q]
+        mine = red.reduced[q]
         assert mine.pivots == full.pivots
         # Only the needed columns are stored: the reduced ones, and the
         # apparent ones that were read as sources, built on that first read.
-        needed = _needed(leaf.reduction, q)
+        needed = _needed(red, q)
         apparent = _apparent(cx, q)
         assert apparent <= set(full.pivots.values()) & needed
         assert needed - apparent <= set(mine.r) == set(mine.v) <= needed
@@ -123,7 +123,7 @@ def test_only_pivot_columns_of_the_top_dimension_are_built(monkeypatch, p):
 
     monkeypatch.setattr(reduction, "boundary_matrix", recording)
     cloud = _cloud()
-    red = build_leaf(range(cloud.n), cloud, 0.3, 1, p).reduction
+    red = build_leaf(range(cloud.n), cloud, [0.3], 1, p)
     cx = red.complex
     paired = [j for j, _ in red.pivot_pairs[2]]
     assert 0 < len(paired) < cx.count(2)
@@ -166,7 +166,7 @@ def test_altered_pair_raises(monkeypatch):
     _swap_two_pairs(monkeypatch)
     cloud = _cloud()
     with pytest.raises(ConsistencyError, match="differ from its cohomology pairs"):
-        build_leaf(range(cloud.n), cloud, 0.3, 1, 3)
+        build_leaf(range(cloud.n), cloud, [0.3], 1, 3)
 
 
 def test_altered_pair_exits_5(monkeypatch, tmp_path, capsys):
@@ -193,7 +193,7 @@ def test_boundary_columns_are_built_only_for_non_apparent_pivots(case):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reduction, "boundary_matrix", recording)
-        red = build_leaf(range(cloud.n), cloud, scales[0], n_max, p, scales=scales).reduction
+        red = build_leaf(range(cloud.n), cloud, scales, n_max, p)
     for q in range(1, top + 1):
         apparent = _apparent(red.complex, q)
         assert apparent <= {j for j, _ in red.pivot_pairs[q]}
@@ -204,7 +204,7 @@ def test_boundary_columns_are_built_only_for_non_apparent_pivots(case):
 @given(leaf_cases(primes=(2, 3, 5), n_maxes=(0, 1, 2)))
 def test_pivot_pairs_are_sorted_and_ranks_match_brute_force(case):
     cloud, scales, p, n_max, _ = case
-    red = build_leaf(range(cloud.n), cloud, scales[0], n_max, p, scales=scales).reduction
+    red = build_leaf(range(cloud.n), cloud, scales, n_max, p)
     for q in range(1, n_max + 2):
         columns = [j for j, _ in red.pivot_pairs[q]]
         assert columns == sorted(set(columns))
@@ -221,8 +221,8 @@ def test_betti_only_run_on_one_leaf_builds_no_table_column(monkeypatch):
     original = engine.build_leaf
 
     def recording(*args, **kwargs):
-        leaves.append(original(*args, **kwargs).reduction)
-        return leaves[-1].view(args[2])
+        leaves.append(original(*args, **kwargs))
+        return leaves[-1]
 
     monkeypatch.setattr(engine, "build_leaf", recording)
     cloud = _cloud(200, seed=2)
@@ -249,7 +249,7 @@ def test_swapped_pairs_of_either_kind_raise_and_exit_5(monkeypatch, tmp_path, ca
     _swap_two_pairs(monkeypatch, apparent, dim)
     cloud = _cloud()
     with pytest.raises(ConsistencyError, match="differ from its cohomology pairs"):
-        build_leaf(range(cloud.n), cloud, 0.3, 1, 3)
+        build_leaf(range(cloud.n), cloud, [0.3], 1, 3)
     path = tmp_path / "cloud.csv"
     path.write_text("".join(f"{x!r},{y!r}\n" for x, y in cloud.coords.tolist()))
     assert main([str(path), "--epsilon", "0.3", "--no-timings"]) == 5

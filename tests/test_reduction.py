@@ -214,17 +214,17 @@ class TestEliminate:
 class TestLeafSolver:
     def test_empty_region(self):
         pc = PointCloud([[0.0]])
-        leaf = build_leaf([], pc, 1.0, 2, 2)
+        leaf = build_leaf([], pc, [1.0], 2, 2).view(1.0)
         assert leaf.betti_all() == [0, 0, 0]
 
     def test_triangle_contractible(self):
         pc = PointCloud([[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]])
-        leaf = build_leaf(range(3), pc, 1.0, 1, 2)
+        leaf = build_leaf(range(3), pc, [1.0], 1, 2).view(1.0)
         assert leaf.betti_all() == [1, 0]
 
     def test_unit_square_circle(self):
         pc = PointCloud(UNIT_SQUARE)
-        leaf = build_leaf(range(4), pc, 1.0, 1, 2)
+        leaf = build_leaf(range(4), pc, [1.0], 1, 2).view(1.0)
         assert leaf.betti_all() == [1, 1]
 
     @pytest.mark.parametrize("p", [2, 3, 5])
@@ -235,14 +235,14 @@ class TestLeafSolver:
             n = int(rng.integers(4, 13))
             pc = random_cloud(rng, n, d)
             scale = float(rng.uniform(0.25, 0.8))
-            leaf = build_leaf(range(n), pc, scale, 2, p)
+            leaf = build_leaf(range(n), pc, [scale], 2, p).view(scale)
             assert leaf.betti_all() == brute_force_betti(range(n), pc, scale, 2, p)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_coords_of_representatives_are_unit(self, p):
         rng = np.random.default_rng(200 + p)
         pc = random_cloud(rng, 12, 2)
-        leaf = build_leaf(range(12), pc, 0.5, 1, p)
+        leaf = build_leaf(range(12), pc, [0.5], 1, p).view(0.5)
         for n in (0, 1):
             reps = leaf.representatives(n)
             assert len(reps) == leaf.betti(n)
@@ -254,7 +254,7 @@ class TestLeafSolver:
     def test_coords_of_boundary_is_zero(self, p):
         rng = np.random.default_rng(300 + p)
         pc = random_cloud(rng, 12, 2)
-        leaf = build_leaf(range(12), pc, 0.6, 1, p)
+        leaf = build_leaf(range(12), pc, [0.6], 1, p).view(0.6)
         cx = leaf.complex
         for _ in range(10):
             if cx.count(2) == 0:
@@ -267,21 +267,21 @@ class TestLeafSolver:
 
     def test_square_cycle_coordinates(self):
         pc = PointCloud(UNIT_SQUARE)
-        leaf = build_leaf(range(4), pc, 1.0, 1, 2)
+        leaf = build_leaf(range(4), pc, [1.0], 1, 2).view(1.0)
         z = Chain(1, 2, {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): 1})
         assert leaf.betti(1) == 1 and leaf.coords(z, 1) == {0: 1}
         assert leaf.bound(z, 1) is None
 
     def test_bound_zero_chain(self):
         pc = PointCloud(UNIT_SQUARE)
-        leaf = build_leaf(range(4), pc, 1.0, 1, 2)
+        leaf = build_leaf(range(4), pc, [1.0], 1, 2).view(1.0)
         w = leaf.bound(Chain.zero(1, 2), 1)
         assert w is not None and w.is_zero()
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_bound_of_triangle_boundary(self, p):
         pc = PointCloud(TETRA_POINTS)
-        leaf = build_leaf(range(4), pc, TETRA_SIDE, 2, p)
+        leaf = build_leaf(range(4), pc, [TETRA_SIDE], 2, p).view(TETRA_SIDE)
         from mvbetti.core import boundary
         z = boundary((0, 1, 2), p)
         w = leaf.bound(z, 1)
@@ -292,7 +292,7 @@ class TestLeafSolver:
     def test_bound_results_verified(self, p):
         rng = np.random.default_rng(400 + p)
         pc = random_cloud(rng, 14, 2)
-        leaf = build_leaf(range(14), pc, 0.6, 1, p)
+        leaf = build_leaf(range(14), pc, [0.6], 1, p).view(0.6)
         cx = leaf.complex
         for _ in range(15):
             if cx.count(2) == 0:
@@ -306,13 +306,13 @@ class TestLeafSolver:
 
     def test_rejects_foreign_simplices(self):
         pc = PointCloud([[0.0], [1.0], [5.0]])
-        leaf = build_leaf([0, 1], pc, 1.0, 1, 2)
+        leaf = build_leaf([0, 1], pc, [1.0], 1, 2).view(1.0)
         with pytest.raises(ValueError):
             leaf.coords(Chain(0, 2, {(2,): 1}), 0)
 
     def test_rejects_non_cycle(self):
         pc = PointCloud([[0.0], [1.0]])
-        leaf = build_leaf([0, 1], pc, 1.0, 1, 2)
+        leaf = build_leaf([0, 1], pc, [1.0], 1, 2).view(1.0)
         with pytest.raises(ValueError):
             # A bare vertex is a 0-cycle, but an edge chain is not a 1-cycle.
             leaf.coords(Chain(1, 2, {(0, 1): 1}), 1)
@@ -355,7 +355,7 @@ class TestBarcode:
                 continue
             bars = persistence_barcode(range(n), pc, eps, 1, p)
             s = eps * float(rng.uniform(0.3, 1.0))
-            leaf = build_leaf(range(n), pc, s, 1, p)
+            leaf = build_leaf(range(n), pc, [s], 1, p).view(s)
             for nn in (0, 1):
                 assert betti_at_scale(bars, nn, s) == leaf.betti(nn)
             if n > 16:
