@@ -169,12 +169,12 @@ def config_from_args(args) -> argparse.Namespace:
     """Validate parsed arguments and return them, with args.scales the sorted
     list of scales and args.grid a list of cell counts or None."""
     eps = args.epsilon
-    if not (eps > 0):
-        raise UsageError("--epsilon must be positive")
+    if not (0 < eps < math.inf):
+        raise UsageError("--epsilon must be positive and finite")
     if args.max_dim < 0:
         raise UsageError("--max-dim must be >= 0")
-    if args.slack < 0:
-        raise UsageError("--slack must be >= 0")
+    if not (0 <= args.slack < math.inf):
+        raise UsageError("--slack must be finite and >= 0")
     if args.budget < 1:
         raise UsageError("--budget must be >= 1")
     try:
@@ -194,8 +194,8 @@ def config_from_args(args) -> argparse.Namespace:
         if m < 1:
             raise UsageError("--scale-steps must be >= 1")
         scales = [eps * (i / m) for i in range(1, m + 1)]
-    if any(s <= 0 or s > eps for s in scales):
-        raise UsageError(f"scales must lie in (0, {eps}]")
+    if not all(0 < s <= eps for s in scales):
+        raise UsageError(f"--scales must lie in (0, {eps}]")
 
     grid = None
     if args.grid is not None:

@@ -18,6 +18,7 @@ box, and never for the root, whose Betti numbers read only ranks.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -190,15 +191,15 @@ def run(cloud, eps, scales, n_max=1, field=2, workers=None, grid=None,
         cloud = PointCloud(cloud)
     if cloud.n == 0:
         raise ValueError("cannot cover an empty cloud")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (0 < eps < math.inf):
+        raise ValueError("eps must be positive and finite")
     scales = sorted(set(float(s) for s in scales))
     if not scales:
         raise ValueError("at least one scale is required")
-    if scales[0] <= 0 or scales[-1] > eps:
+    if not all(0 < s <= eps for s in scales):
         raise ValueError(f"scales must lie in (0, {eps}]")
-    if slack < 0:
-        raise ValueError("slack must be nonnegative")
+    if not (0 <= slack < math.inf):
+        raise ValueError("slack must be finite and nonnegative")
     if workers is None:
         workers = os.cpu_count() or 1
 

@@ -4,10 +4,10 @@ Column reduction (R = D*V with V invertible upper-triangular) gives the
 Betti numbers of a region at each requested scale and its membership
 queries (express a cycle in the homology basis / produce an explicit
 bounding chain).  A region is reduced once, into one elimination table per
-dimension that serves every scale: two arrays, its rows and each row's
-killer, from which a per-scale view picks the rows that are
-representatives at its scale.  A row's column is built only when a query
-reaches it.  The pairing that precedes the reduction also gives the direct
+dimension that serves every scale, and keeps its pairing once, as arrays:
+each simplex's killer, a live mask and per-scale ranks, from which a
+per-scale view picks the rows that are representatives at its scale.  A
+row's column is built only when a query reaches it.  The pairing that precedes the reduction also gives the direct
 filtration barcode, the oracle for the divide-and-conquer path (see
 persistence_barcode for what it shares with run() and what keeps it
 independent).
@@ -414,15 +414,15 @@ class _Implicit(dict):
     and it is then cached.  Reading any other missing column raises
     KeyError."""
 
-    __slots__ = ("_apparent", "_make")
+    __slots__ = ("apparent", "_make")
 
     def __init__(self, apparent, make):
         super().__init__()
-        self._apparent = apparent
+        self.apparent = apparent
         self._make = make
 
     def __missing__(self, k):
-        if not (0 <= k < len(self._apparent) and self._apparent[k]):
+        if not (0 <= k < len(self.apparent) and self.apparent[k]):
             raise KeyError(k)
         col = self[k] = self._make(k)
         return col
@@ -476,31 +476,29 @@ class _UnitColumn(NamedTuple):
 
 class _LeafTable(dict):
     """Dimension n's eliminate() table of a LeafReduction, {row: (column,
-    row)}, each entry built on its first lookup: R_k at a row killed by
-    column k of D_{n+1}, e_j at an unkilled vertex, V_j at an unkilled zero
-    column of D_n.  A pivot column of D_n (live[row] false) is no table
-    row; looking it up gives None and caches nothing.  table.__getitem__ is
-    the lookup that eliminate() takes."""
+    row)}, each entry built on its first lookup: R_k at a row whose killer
+    in D_{n+1} is k, else V_j at an unkilled zero column of D_n (e_j at a
+    vertex).  A pivot column of D_n (live[row] false) is no table row;
+    looking it up gives None and caches nothing.  table.__getitem__ is the
+    lookup that eliminate() takes."""
 
-    __slots__ = ("_up", "_down", "_live")
+    __slots__ = ("_killer", "_live", "_r", "_v")
 
-    def __init__(self, up: ReducedPair, down, live):
+    def __init__(self, killer, live, r, v):
         super().__init__()
-        self._up = up           # reduced D_{n+1}
-        self._down = down       # reduced D_n, None at n = 0
+        self._killer = killer   # int array over the n-simplices, -1 when unkilled
         self._live = live       # bool array over the n-simplices
+        self._r = r             # R columns of reduced D_{n+1}
+        self._v = v             # V columns of reduced D_n
 
     def __missing__(self, row):
-        up = self._up
-        k = up.pivots.get(row)
-        if k is not None:
-            col = up.r[k]
-        elif not self._live[row]:
-            return None
-        elif self._down is None:
-            col = _unit(row, up.field.p)
+        k = int(self._killer[row])
+        if k >= 0:
+            col = self._r[k]
+        elif self._live[row]:
+            col = self._v[row]
         else:
-            col = self._down.v[row]
+            return None
         e = self[row] = (col, row)
         return e
 
@@ -531,15 +529,16 @@ class LeafReduction:
     into them.  Every reduction, apparent pivots included, must reproduce
     the pairs found first, or ConsistencyError is raised.
 
-    The dimension-n eliminate() table for every scale has as rows the
-    n-simplices that are not pivot columns of D_n, in ascending order:
-    rows[n], with killers[n] each row's killer in D_{n+1} (-1 when none).
-    Its rows below any prefix span the cycles of that prefix, and a view
-    (view(scale), a LeafSolver) picks its basis from these two arrays.  The
-    column of a row (R_k where k kills it, V_j at an unkilled zero column,
-    e_j at an unkilled vertex) is built only when a query reaches that row,
-    and cached in tables[n].  A Betti-only run builds none.  The caches
-    fill on the thread that queries, during assembly on the calling thread.
+    The pairing is then kept once, in arrays: killer[n] gives each
+    n-simplex's killer in D_{n+1} (-1 when none), live[n] is false at the
+    pivot columns of D_n, and ranks[q][b], read off the sorted pivot
+    columns, is the rank of D_q on the prefix of scales[b]; of each reduced
+    D_q only r[q] and v[q] stay (v[0], of D_0 = 0, is the identity).  The live n-simplices are the rows of the dimension-n
+    eliminate() table for every scale, and a view (view(scale), a
+    LeafSolver) picks its basis from killer[n] and live[n].  The column of
+    a row is built only when a query reaches that row, and cached in
+    tables[n]; a Betti-only run builds none.  The caches fill on the
+    thread that queries, during assembly on the calling thread.
     """
 
     def __init__(self, points, cloud: PointCloud, scales, n_max: int,
@@ -559,41 +558,38 @@ class LeafReduction:
                        for d in cx.diameters]
         pairs = _pair_levels(cx, top, field, facets)
 
-        # Per dimension q >= 1: reduced D_q, keyed by the columns it holds,
-        # and its (column, low row) pivot pairs in ascending column order.
-        self.reduced = {}
-        self.pivot_pairs = {}
-        killers = {}
+        self.r = {}
+        self.v = {0: _Implicit(np.ones(cx.count(0), bool), _UnitColumn(field.p))}
+        self.ranks = {0: [0] * len(self.scales)}
+        self.killer = [None] * top
+        self.live = [np.ones(cx.count(n), bool) for n in range(top)]
         for q in range(top, 0, -1):
             red = _apparent_columns(facets[q], cx.count(q - 1), field)
             if q == top:
-                needed = set(pairs[q].values())
+                needed = np.zeros(cx.count(q), bool)
+                needed[list(pairs[q].values())] = True
             else:
-                needed = set(range(cx.count(q))).difference(killers)
-            built = sorted(needed.difference(red.pivots.values()))
-            cols = boundary_matrix(cx, q, field.p, built, facets[q])
-            reduce_columns(dict(zip(built, cols)), field, into=red)
+                needed = self.killer[q] < 0
+            built = np.flatnonzero(needed & ~red.r.apparent).tolist()
+            reduce_columns(dict(zip(built, boundary_matrix(cx, q, field.p, built, facets[q]))),
+                           field, into=red)
             if red.pivots != pairs[q]:
                 raise ConsistencyError(
                     f"reduced D_{q} pivots differ from its cohomology pairs "
                     f"({len(red.pivots)} vs {len(pairs[q])})"
                 )
-            self.reduced[q] = red
-            killers = red.pivots
-            self.pivot_pairs[q] = sorted(zip(killers.values(), killers))
+            lows = np.fromiter(red.pivots, np.int64, red.rank)
+            cols = np.fromiter(red.pivots.values(), np.int64, red.rank)
+            self.killer[q - 1] = np.full(cx.count(q - 1), -1, np.int64)
+            self.killer[q - 1][lows] = cols
+            cols.sort()
+            self.ranks[q] = np.searchsorted(cols, self.prefix[q]).tolist()
+            if q < top:
+                self.live[q][cols] = False
+            self.r[q], self.v[q] = red.r, red.v
 
-        self.rows, self.killers, self.tables = [], [], []
-        for n in range(n_max + 1):
-            up, down = self.reduced[n + 1], self.reduced.get(n)
-            killer = np.full(cx.count(n), -1, np.int64)
-            killer[list(up.pivots)] = list(up.pivots.values())
-            live = np.ones(cx.count(n), bool)
-            if down is not None:
-                live[list(down.pivots.values())] = False
-            rows = np.flatnonzero(live)
-            self.rows.append(rows)
-            self.killers.append(killer[rows])
-            self.tables.append(_LeafTable(up, down, live))
+        self.tables = [_LeafTable(self.killer[n], self.live[n], self.r[n + 1], self.v[n])
+                       for n in range(top)]
 
     def view(self, scale: float) -> "LeafSolver":
         return LeafSolver(self, scale)
@@ -602,18 +598,19 @@ class LeafReduction:
 class LeafSolver:
     """Homology of one region at one scale: a view of a LeafReduction.
 
-    A view is the list of its live rows.  The rows of the reduction's
+    A view is the list of its live rows.  The live rows of the reduction's
     dimension-n table below the view's n-limit span the cycle space Z_n of
     the complex at its scale.  A row is a representative unless its killer k
     lies in the view's (n+1)-prefix, where R_k is a boundary with preimage
     V_k.  The view keeps {representative row: basis index} per dimension,
-    picked from the reduction's rows and killers arrays with numpy, so
-    betti(n) = dim Z_n - rank d_{n+1} is the size of that dict and no table
-    column is built.  coords() expresses a cycle in the representative basis
-    as a sparse {basis index: nonzero residue} dict, the representation of a
-    dict column; bound() returns an explicit preimage under the boundary map
-    whenever the class vanishes.  Both, and representatives(), build the
-    table columns they reach on first use.
+    picked from the reduction's killer and live arrays with numpy and
+    checked against its ranks, so betti(n) = dim Z_n - rank d_{n+1} is the
+    size of that dict and no table column is built.  coords() expresses a
+    cycle in the representative basis as a sparse {basis index: nonzero
+    residue} dict, the representation of a dict column; bound() returns an
+    explicit preimage under the boundary map, from the V_k of the killed
+    rows, whenever the class vanishes.  Both, and representatives(), build
+    the table columns they reach on first use.
     """
 
     def __init__(self, reduction: LeafReduction, scale: float):
@@ -631,23 +628,19 @@ class LeafSolver:
         self._basis = []    # per dimension: {representative row: basis index}
         self._rep_chains = {}   # dimension -> representatives(n), built on first call
         for n in range(self.n_max + 1):
-            rows, killers = reduction.rows[n], reduction.killers[n]
-            end = np.searchsorted(rows, self._limit[n])
-            killers = killers[:end]
-            reps = rows[:end][(killers < 0) | (killers >= self._limit[n + 1])]
+            end = self._limit[n]
+            killer = reduction.killer[n][:end]
+            reps = np.flatnonzero(reduction.live[n][:end]
+                                  & ((killer < 0) | (killer >= self._limit[n + 1])))
             basis = dict(zip(reps.tolist(), range(len(reps))))
             self._basis.append(basis)
 
-            expected = self._limit[n] - self._rank(n) - self._rank(n + 1)
+            expected = end - reduction.ranks[n][b] - reduction.ranks[n + 1][b]
             if len(basis) != expected:
                 raise ConsistencyError(
                     f"homology basis size mismatch at dimension {n}: "
                     f"{len(basis)} reps vs {expected} expected"
                 )
-
-    def _rank(self, q: int) -> int:
-        """Rank of d_q restricted to the view."""
-        return bisect_left(self.reduction.pivot_pairs.get(q, ()), (self._limit[q],))
 
     # -- queries
 
@@ -681,8 +674,8 @@ class LeafSolver:
         return col
 
     def _eliminate(self, z: Chain, n: int):
-        """Express a nonzero cycle as (sparse rep coordinates, (preimage
-        column, coefficient) terms of a bounding chain of the rest)."""
+        """Express a nonzero cycle as (sparse rep coordinates, (killed row,
+        coefficient) terms of the rest, a boundary in the view)."""
         if n < 0 or n > self.n_max:
             raise ValueError(f"dimension {n} out of range")
         if z.dim != n:
@@ -694,16 +687,16 @@ class LeafSolver:
                 f"chain is not a cycle of this region's complex (unmatched row "
                 f"{max(as_dict(rest))} at dimension {n})"
             )
-        basis, up = self._basis[n], red.reduced[n + 1]
+        basis = self._basis[n]
         coords = {}
-        preimage = []
+        killed = []
         for row, c in used:
             b = basis.get(row)
             if b is None:
-                preimage.append((up.v[up.pivots[row]], c))
+                killed.append((row, c))
             else:
                 coords[b] = c
-        return coords, preimage
+        return coords, killed
 
     def coords(self, z: Chain, n: int) -> dict:
         """A cycle's class in the homology basis as {basis index: nonzero residue}."""
@@ -718,10 +711,11 @@ class LeafSolver:
         """
         if z.is_zero():
             return Chain.zero(n + 1, self.field.p)
-        coords, preimage = self._eliminate(z, n)
+        coords, killed = self._eliminate(z, n)
         if coords:
             return None
-        p = self.field.p
+        p, red = self.field.p, self.reduction
+        preimage = [(red.v[n + 1][int(red.killer[n][row])], c) for row, c in killed]
         chain = self.complex.chain_of_column(as_dict(combine(preimage, p)), n + 1, p)
         if chain_boundary(chain) != z:
             raise ConsistencyError("bound() produced a chain whose boundary differs from z")

@@ -208,6 +208,23 @@ class TestMainExitCodes:
         assert main([csv, "--epsilon", "-2"]) == 1
         assert main([csv, "--epsilon", "1", "--grid", "2,2,2"]) == 1
 
+    # NaN passes every one-sided range check, and an infinite epsilon would
+    # be written to the report as the non-JSON token Infinity.
+    @pytest.mark.parametrize("flags", [
+        ["--epsilon", "inf"],
+        ["--epsilon", "nan"],
+        ["--epsilon", "1", "--scales", "nan"],
+        ["--epsilon", "1", "--scales", "0.5,inf"],
+        ["--epsilon", "1", "--slack", "nan"],
+        ["--epsilon", "1", "--slack", "inf"],
+    ])
+    def test_non_finite_numbers_are_usage_errors(self, tmp_path, capsys, flags):
+        csv = write_hexagon_csv(tmp_path / "hex.csv")
+        assert main([csv] + flags + ["--no-timings"]) == 1
+        out, err = capsys.readouterr()
+        # The message names the flag at fault, the last one given.
+        assert out == "" and err.startswith(f"error: {flags[-2]} must ")
+
     def test_cells_touching_after_rounding(self, tmp_path, capsys):
         # extent/3 = 0.10000000000000002 > eps, yet cells 0 and 2 meet at
         # 0.30000000000000004.  The automatic grid lowers k to 2; an

@@ -181,6 +181,18 @@ class TestRun:
         with pytest.raises(ValueError):
             run(pc, 1.0, [1.5])
 
+    @pytest.mark.parametrize("eps,scales,slack", [
+        (float("inf"), [0.5], 0.0),
+        (float("nan"), [0.5], 0.0),
+        (1.0, [float("nan")], 0.0),
+        (1.0, [0.5, float("nan")], 0.0),
+        (1.0, [0.5], float("nan")),
+        (1.0, [0.5], float("inf")),
+    ])
+    def test_non_finite_numbers_rejected(self, eps, scales, slack):
+        with pytest.raises(ValueError, match="^(eps|scales|slack) must"):
+            run(PointCloud(HEX_POINTS), eps, scales, workers=1, slack=slack)
+
     @pytest.mark.parametrize("grid", [None, [2, 2]])
     def test_empty_cloud_rejected(self, grid):
         with pytest.raises(ValueError, match="cannot cover an empty cloud"):

@@ -85,18 +85,22 @@ def test_views_guard_their_basis_size_and_bounds(p):
     # A boundary at the top scale whose preimage is then tampered with: V_k
     # of every pivot column, implicit (apparent) or reduced, read as zero.
     z = chain_boundary(Chain.single((0, 1, 2), p))
-    up = red.reduced[2]
-    for k, _ in red.pivot_pairs[2]:
-        up.v[k] = 0 if p == 2 else {}
+    for k in red.killer[1][red.killer[1] >= 0].tolist():
+        red.v[2][k] = 0 if p == 2 else {}
     with pytest.raises(ConsistencyError, match="boundary differs from z"):
         red.view(top).bound(z, 1)
-    # The square's loop is the one 1-cycle row at scale 1; without it in the
-    # table's row arrays the view's basis no longer matches the ranks.
-    row = next(iter(red.view(1.0)._basis[1]))
-    keep = red.rows[1] != row
-    red.rows[1], red.killers[1] = red.rows[1][keep], red.killers[1][keep]
+    # The square's loop is the one 1-cycle row at scale 1, killed at the top
+    # scale.  Marked dead, or unkilled, it no longer gives the basis that
+    # the ranks, taken from the pivot columns, expect.
+    (row,) = red.view(1.0)._basis[1]
+    red.live[1][row] = False
     with pytest.raises(ConsistencyError, match="basis size mismatch"):
         red.view(1.0)
+    red.live[1][row] = True
+    assert red.view(top).betti(1) == 0
+    red.killer[1][row] = -1
+    with pytest.raises(ConsistencyError, match="basis size mismatch"):
+        red.view(top)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -124,6 +128,22 @@ def test_a_pickled_reduction_answers_as_the_original(p):
                     assert w == later_twin.bound(z, n)
                     bounded += w is not None
     assert bounded > 0
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_only_bound_reads_the_v_columns_of_killed_rows(p):
+    # Boundaries of triangles are killed rows of the dimension-1 table:
+    # coords() finds them zero without building V_k; bound() builds them.
+    cloud = PointCloud(np.random.default_rng(7).random((40, 2)))
+    red = build_leaf(range(cloud.n), cloud, [0.3], 1, p)
+    view = red.view(0.3)
+    zs = [chain_boundary(Chain.single(tuple(t), p))
+          for t in red.complex.simplices[2][:50].tolist()]
+    built = len(red.v[2])
+    assert all(view.coords(z, 1) == {} for z in zs)
+    assert len(red.v[2]) == built
+    assert all(view.bound(z, 1) is not None for z in zs)
+    assert len(red.v[2]) > built
 
 
 def _eager_tables(cx, n_max, p):
@@ -157,8 +177,9 @@ def test_lazy_table_columns_equal_the_eager_tables(case):
     assert [len(t) for t in red.tables] == [0] * (n_max + 1)
     for n, (table, killers) in enumerate(_eager_tables(red.complex, n_max, p)):
         rows = sorted(table)
-        assert red.rows[n].tolist() == rows
-        assert red.killers[n].tolist() == [killers.get(j, -1) for j in rows]
+        assert np.flatnonzero(red.live[n]).tolist() == rows
+        assert red.killer[n].tolist() == [killers.get(j, -1)
+                                          for j in range(red.complex.count(n))]
         for j in range(red.complex.count(n)):
             assert red.tables[n][j] == table.get(j)
         assert sorted(red.tables[n]) == rows

@@ -32,13 +32,19 @@ def _apparent(cx, q):
     return {j for j, col in enumerate(cols) if first[max(col)] == j}
 
 
+def _pairs(red, q):
+    """The pivot pairs of D_q that a leaf keeps, {low row: column}, read
+    from its killer array over the (q-1)-simplices."""
+    return {l: k for l, k in enumerate(red.killer[q - 1].tolist()) if k >= 0}
+
+
 def _needed(red, q):
     """The columns of D_q that a leaf reduction keeps: the pivot columns at
     the top dimension, below it every column except the cleared ones, the
     pivot rows of D_{q+1}."""
     if q == red.n_max + 1:
-        return {j for j, _ in red.pivot_pairs[q]}
-    return set(range(red.complex.count(q))) - {l for _, l in red.pivot_pairs[q + 1]}
+        return set(_pairs(red, q).values())
+    return set(range(red.complex.count(q))) - set(_pairs(red, q + 1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -58,23 +64,25 @@ def test_pairs_and_pivot_columns_match_the_full_reduction(case):
         assert cohomology_pairs(cx, q, field) == pairs      # clearing changes no pair
         clear = set(pairs.values())
 
-        mine = red.reduced[q]
-        assert mine.pivots == full.pivots
+        assert _pairs(red, q) == full.pivots
+        if q <= n_max:
+            assert np.flatnonzero(~red.live[q]).tolist() == sorted(full.pivots.values())
         # Only the needed columns are stored: the reduced ones, and the
         # apparent ones that were read as sources, built on that first read.
+        r, v = red.r[q], red.v[q]
         needed = _needed(red, q)
         apparent = _apparent(cx, q)
         assert apparent <= set(full.pivots.values()) & needed
-        assert needed - apparent <= set(mine.r) == set(mine.v) <= needed
+        assert needed - apparent <= set(r) == set(v) <= needed
         for j in needed:
-            assert mine.r[j] == full.r[j]
-            assert mine.v[j] == full.v[j]
-        assert sorted(mine.r) == sorted(mine.v) == sorted(needed)
+            assert r[j] == full.r[j]
+            assert v[j] == full.v[j]
+        assert sorted(r) == sorted(v) == sorted(needed)
         for j in set(range(cx.count(q))) - needed:
             with pytest.raises(KeyError):
-                mine.r[j]
+                r[j]
             with pytest.raises(KeyError):
-                mine.v[j]
+                v[j]
 
 
 @st.composite
@@ -125,19 +133,19 @@ def test_only_pivot_columns_of_the_top_dimension_are_built(monkeypatch, p):
     cloud = _cloud()
     red = build_leaf(range(cloud.n), cloud, [0.3], 1, p)
     cx = red.complex
-    paired = [j for j, _ in red.pivot_pairs[2]]
+    paired = sorted(_pairs(red, 2).values())
     assert 0 < len(paired) < cx.count(2)
     apparent = _apparent(cx, 2)
     assert 0 < len(apparent) < len(paired)
     assert sorted(built[2] + list(apparent)) == paired
-    assert set(built[2]) <= set(red.reduced[2].r) == set(red.reduced[2].v) <= set(paired)
+    assert set(built[2]) <= set(red.r[2]) == set(red.v[2]) <= set(paired)
     # D_1 is built without its cleared columns, the pivot rows of D_2, and
     # without its apparent columns.
-    cleared = {l for _, l in red.pivot_pairs[2]}
+    cleared = set(_pairs(red, 2))
     apparent = _apparent(cx, 1)
     assert 0 < len(apparent) and not apparent & cleared
     assert built[1] == [j for j in range(cx.count(1)) if j not in cleared | apparent]
-    assert set(built[1]) <= set(red.reduced[1].r) == set(red.reduced[1].v)
+    assert set(built[1]) <= set(red.r[1]) == set(red.v[1])
 
 
 def _swap_two_pairs(monkeypatch, apparent=None, dim=None):
@@ -196,24 +204,22 @@ def test_boundary_columns_are_built_only_for_non_apparent_pivots(case):
         red = build_leaf(range(cloud.n), cloud, scales, n_max, p)
     for q in range(1, top + 1):
         apparent = _apparent(red.complex, q)
-        assert apparent <= {j for j, _ in red.pivot_pairs[q]}
+        assert apparent <= set(_pairs(red, q).values())
         assert built[q] == sorted(_needed(red, q) - apparent)
 
 
 @settings(max_examples=60, deadline=None)
 @given(leaf_cases(primes=(2, 3, 5), n_maxes=(0, 1, 2)))
-def test_pivot_pairs_are_sorted_and_ranks_match_brute_force(case):
+def test_per_scale_ranks_match_dense_ranks(case):
     cloud, scales, p, n_max, _ = case
     red = build_leaf(range(cloud.n), cloud, scales, n_max, p)
-    for q in range(1, n_max + 2):
-        columns = [j for j, _ in red.pivot_pairs[q]]
-        assert columns == sorted(set(columns))
-        assert dict((l, j) for j, l in red.pivot_pairs[q]) == red.reduced[q].pivots
-    for s in scales:
+    assert red.scales == sorted(set(scales))
+    for b, s in enumerate(red.scales):
         view = red.view(s)
+        assert red.ranks[0][b] == 0
         for q in range(1, n_max + 2):
             M = dense_boundary(_prefix_simplices(view, q - 1), _prefix_simplices(view, q), p)
-            assert view._rank(q) == dense_rank_mod_p(M, p)
+            assert red.ranks[q][b] == dense_rank_mod_p(M, p)
 
 
 def test_betti_only_run_on_one_leaf_builds_no_table_column(monkeypatch):
@@ -232,8 +238,7 @@ def test_betti_only_run_on_one_leaf_builds_no_table_column(monkeypatch):
         (red,) = leaves
         assert [len(t) for t in red.tables] == [0, 0]
         # Apparent top columns that no reduction read stay implicit.
-        top = red.reduced[2]
-        assert len(top.r) == len(top.v) < top.rank
+        assert len(red.r[2]) == len(red.v[2]) < red.ranks[2][-1]
     # On a grid the assembly queries the leaves, which fill their tables.
     leaves.clear()
     engine.run(cloud, 0.2, [0.2], n_max=1, field=3, workers=1, grid=[2, 2])
