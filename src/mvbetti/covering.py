@@ -63,9 +63,6 @@ def choose_k(parallel: int, dim: int, extent: float, eps: float, origins=None):
         raise ValueError("parallel and dim must be >= 1")
     if extent <= 0 or eps <= 0:
         raise ValueError("extent and eps must be positive")
-    k_par = 0
-    while (k_par + 1) ** dim < parallel:  # largest k with k**dim < parallel
-        k_par += 1
     # Largest k with extent/k > eps; integer search around the float quotient
     # so borderline divisions cannot push k over the constraint.
     k_eps = max(0, int(math.floor(extent / eps)))
@@ -73,6 +70,10 @@ def choose_k(parallel: int, dim: int, extent: float, eps: float, origins=None):
         k_eps -= 1
     while extent / (k_eps + 1) > eps:
         k_eps += 1
+    # Largest k with k**dim < parallel, counted only up to k_eps + 1.
+    k_par = 0
+    while k_par <= k_eps and (k_par + 1) ** dim < parallel:
+        k_par += 1
     k = max(1, min(k_par, k_eps))
     origins = [0.0] * dim if origins is None else [float(o) for o in origins]
     while not all(_disjoint(_cells(o, extent, k, eps)) for o in origins):

@@ -8,7 +8,7 @@ share only the cloud, the field and the covering, which are immutable.  Per
 scale, the box tree is then walked on the calling thread, children before
 parents: leaves take their view at that scale, nodes assemble, and Betti
 numbers are read off the root solver.  Later scales start no threads.  A
-leaf reduction is not immutable: its table columns and implicit apparent
+leaf reduction is not immutable: its index, table columns and apparent
 columns are built and cached on first query, and queries run only in that
 walk, so they fill on the calling thread.  A node's representatives, its
 connecting lifts among them, are built the same way, on first read: by the
@@ -87,8 +87,9 @@ def execute_scale(cloud, covering, scale, n_max, field, budget, workers, scales,
     """(root solver, {"leaf"|"node": summed step seconds}) of one scale.
 
     Leaves missing from `leaves` (box -> reduction, shared by the calls of
-    one run) are built in sorted box order by at most `workers` threads,
-    each enumerated and reduced once for every scale in `scales`, and added
+    one run) are built in sorted box order by at most min(`workers`, cores)
+    threads (the pool starts one per submission while none is idle), each
+    enumerated and reduced once for every scale in `scales`, and added
     to it; the first of them to fail in that order cancels the rest.  The
     box tree is then walked on the calling thread: every leaf takes its
     view at `scale` from its reduction.  Results are independent of worker
@@ -102,7 +103,7 @@ def execute_scale(cloud, covering, scale, n_max, field, budget, workers, scales,
         # Point sets first: computed between submissions, they would wait on
         # the interpreter lock behind running builds.
         points = [covering.points_in_box(cloud, box) for box in missing]
-        pool = ThreadPoolExecutor(max_workers=max(1, workers))
+        pool = ThreadPoolExecutor(max_workers=max(1, min(workers, os.cpu_count() or 1)))
         try:
             futures = [pool.submit(build_leaf, pts, cloud, scales, n_max, field,
                                    budget) for pts in points]
@@ -236,7 +237,7 @@ def run(cloud, eps, scales, n_max=1, field=2, workers=None, grid=None,
             "leaves_ms": seconds["leaf"] * 1000.0,
             "assembly_ms": seconds["node"] * 1000.0,
         }
-    max_complex = max(red.complex.total() for red in leaves.values())
+    max_complex = max(sum(level[-1] for level in red.prefix) for red in leaves.values())
 
     if budget and max_complex > 0.8 * budget:
         warnings.append(
@@ -246,7 +247,7 @@ def run(cloud, eps, scales, n_max=1, field=2, workers=None, grid=None,
 
     diagnostics = {
         "leaf_count": len(leaves),
-        "max_leaf_points": max(len(red.complex.points) for red in leaves.values()),
+        "max_leaf_points": max(len(red.points) for red in leaves.values()),
         "max_complex_size": max_complex,
         "ranks_f": diag_ranks,
         "timings_ms": {

@@ -33,7 +33,7 @@ representation.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import reduce
+from functools import cached_property, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -533,12 +533,17 @@ class LeafReduction:
     n-simplex's killer in D_{n+1} (-1 when none), live[n] is false at the
     pivot columns of D_n, and ranks[q][b], read off the sorted pivot
     columns, is the rank of D_q on the prefix of scales[b]; of each reduced
-    D_q only r[q] and v[q] stay (v[0], of D_0 = 0, is the identity).  The live n-simplices are the rows of the dimension-n
-    eliminate() table for every scale, and a view (view(scale), a
-    LeafSolver) picks its basis from killer[n] and live[n].  The column of
-    a row is built only when a query reaches that row, and cached in
-    tables[n]; a Betti-only run builds none.  The caches fill on the
-    thread that queries, during assembly on the calling thread.
+    D_q only r[q] and v[q] stay (v[0], of D_0 = 0, is the identity).  The
+    live n-simplices are the rows of the dimension-n eliminate() table for
+    every scale, and a view (view(scale), a LeafSolver) picks its basis
+    from killer[n] and live[n].  The column of a row is built only when a
+    query reaches that row, and cached in tables[n]; a Betti-only run
+    builds none.  The complex is dropped after the build: the leaf keeps
+    points (a tuple and the level-0 id array), point_set, prefix (the last
+    entry of each level is its count) and the facet tables, which give every
+    simplex's vertex rows, as in Ripser (Bauer, 2021).  index and
+    chain_of_column map vertex tuples to rows and back.  The caches fill on
+    the thread that queries, during assembly on the calling thread.
     """
 
     def __init__(self, points, cloud: PointCloud, scales, n_max: int,
@@ -548,15 +553,16 @@ class LeafReduction:
         self.field = field
         top = n_max + 1
         cx = enumerate_complex(points, cloud, self.scales[-1], top, budget)
-        self.complex = cx
+        self.points = cx.points
         self.point_set = frozenset(cx.points)
-        facets = _order_levels(cx, top, self.scales[0])
+        self._ids = cx.simplices[0][:, 0]   # global id of each vertex row
+        self.facets = _order_levels(cx, top, self.scales[0])
         # prefix[q][b]: the q-simplices of diameter <= scales[b].  A level
         # left in lex order has every diameter <= scales[0], so each search
         # in it ends at its length as if it were sorted.
         self.prefix = [np.searchsorted(d, self.scales, "right").tolist()
                        for d in cx.diameters]
-        pairs = _pair_levels(cx, top, field, facets)
+        pairs = _pair_levels(cx, top, field, self.facets)
 
         self.r = {}
         self.v = {0: _Implicit(np.ones(cx.count(0), bool), _UnitColumn(field.p))}
@@ -564,14 +570,14 @@ class LeafReduction:
         self.killer = [None] * top
         self.live = [np.ones(cx.count(n), bool) for n in range(top)]
         for q in range(top, 0, -1):
-            red = _apparent_columns(facets[q], cx.count(q - 1), field)
+            red = _apparent_columns(self.facets[q], cx.count(q - 1), field)
             if q == top:
                 needed = np.zeros(cx.count(q), bool)
                 needed[list(pairs[q].values())] = True
             else:
                 needed = self.killer[q] < 0
             built = np.flatnonzero(needed & ~red.r.apparent).tolist()
-            reduce_columns(dict(zip(built, boundary_matrix(cx, q, field.p, built, facets[q]))),
+            reduce_columns(dict(zip(built, boundary_matrix(cx, q, field.p, built, self.facets[q]))),
                            field, into=red)
             if red.pivots != pairs[q]:
                 raise ConsistencyError(
@@ -593,6 +599,35 @@ class LeafReduction:
 
     def view(self, scale: float) -> "LeafSolver":
         return LeafSolver(self, scale)
+
+    def _vertex_rows(self, q: int, rows):
+        """The (len(rows), q + 1) local vertex rows of the q-simplices at
+        rows, an int array: F_1's rows are the edges' vertex rows, and for
+        q >= 2 facet 0 drops the last vertex and facet q the first."""
+        if q == 0:
+            return rows[:, None]
+        f = self.facets[q][rows]
+        if q == 1:
+            return f
+        return np.column_stack((self._vertex_rows(q - 1, f[:, 0]),
+                                self._vertex_rows(q - 1, f[:, q])[:, -1]))
+
+    @cached_property
+    def index(self):
+        """{vertex tuple: row} per level below the top.  The tuples hold the
+        int objects of points, not a new int per entry as tolist() makes."""
+        pts, index = self.points, []
+        for q in range(self.n_max + 1):
+            count = self.prefix[q][-1]
+            cols = self._vertex_rows(q, np.arange(count)).T.tolist()
+            keys = zip(*(map(pts.__getitem__, col) for col in cols))
+            index.append(dict(zip(keys, range(count))))
+        return index
+
+    def chain_of_column(self, col: dict, q: int, p: int) -> Chain:
+        """The chain of a {row: coefficient} column over level q."""
+        rows = self._vertex_rows(q, np.fromiter(col, np.int64, len(col)))
+        return Chain(q, p, dict(zip(map(tuple, self._ids[rows].tolist()), col.values())))
 
 
 class LeafSolver:
@@ -621,7 +656,6 @@ class LeafSolver:
         self.scale = scale
         self.n_max = reduction.n_max
         self.field = reduction.field
-        self.complex = reduction.complex
         self.point_set = reduction.point_set
         # Simplices of the view per dimension: a prefix of every level.
         self._limit = [reduction.prefix[q][b] for q in range(self.n_max + 2)]
@@ -659,18 +693,21 @@ class LeafSolver:
             return []
         chains = self._rep_chains.get(n)
         if chains is None:
-            cx, p, table = self.complex, self.field.p, self.reduction.tables[n]
-            chains = [cx.chain_of_column(as_dict(table[row][0]), n, p)
+            red, p = self.reduction, self.field.p
+            chains = [red.chain_of_column(as_dict(red.tables[n][row][0]), n, p)
                       for row in self._basis[n]]
             self._rep_chains[n] = chains
         return chains
 
     def _column(self, z: Chain, n: int) -> dict:
         """z over the view's n-simplices; simplices beyond the view are foreign."""
-        col = self.complex.column_of_chain(z)
-        if col and max(col) >= self._limit[n]:
-            s = tuple(self.complex.simplices[n][max(col)].tolist())
-            raise ValueError(f"simplex {s} is not in this complex")
+        idx, end = self.reduction.index[n], self._limit[n]
+        col = {}
+        for s, c in z.terms.items():
+            row = idx.get(s, end)
+            if row >= end:
+                raise ValueError(f"simplex {s} is not in this complex")
+            col[row] = c
         return col
 
     def _eliminate(self, z: Chain, n: int):
@@ -716,7 +753,7 @@ class LeafSolver:
             return None
         p, red = self.field.p, self.reduction
         preimage = [(red.v[n + 1][int(red.killer[n][row])], c) for row, c in killed]
-        chain = self.complex.chain_of_column(as_dict(combine(preimage, p)), n + 1, p)
+        chain = red.chain_of_column(as_dict(combine(preimage, p)), n + 1, p)
         if chain_boundary(chain) != z:
             raise ConsistencyError("bound() produced a chain whose boundary differs from z")
         return chain

@@ -17,8 +17,7 @@ The edges become sorted arrays: CSR offsets of each vertex's higher
 neighbours and one sorted key per edge.  Every level then comes from the one
 below it with numpy, in blocks of at most _EXPAND_BLOCK candidates, each
 block counted against the budget before the next is expanded.  A complex
-keeps its levels as arrays from enumeration to the facet table; vertex
-tuples are made only for the chains of its queries.
+is plain enumeration output, its levels arrays: it makes no vertex tuples.
 
 facet_tables turns the levels of a complex into one int array per level
 that holds the facet positions of every simplex.  It is the one facet
@@ -28,14 +27,15 @@ with it), and the pairing in reduction reads its coboundaries from it.  A
 caller builds it once per complex, before any reordering, while the levels
 are in enumeration order; reduction._order_levels then sorts the levels by
 diameter and relabels the tables through the permutations.  A leaf keeps
-them to build its apparent columns on first read.
+the tables and drops its complex: they build its apparent columns on first
+read and give back the vertex rows of any simplex a query names.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Chain, PointCloud
+from .core import PointCloud
 
 DEFAULT_BUDGET = 10_000_000
 _EXPAND_BLOCK = 1 << 16     # candidate cofaces of one clique expansion block
@@ -56,45 +56,27 @@ class BudgetExceededError(RuntimeError):
 class RipsComplex:
     """All simplices of diameter <= scale on a region, up to max_dim.
 
+    points is the tuple of the region's sorted global point indices.
     simplices[q] is a (count(q), q + 1) int64 array whose rows are the
     q-simplices as increasing global point indices, lexicographically sorted
     as enumerated; diameters[q] is the float64 array of their diameters.  A
     leaf reduction or the oracle may stable-sort the levels by diameter
-    before pairing them.  Chains stay keyed by vertex tuples: index[q], for
-    the levels below max_dim, the only ones looked up, maps a tuple to its
-    row.  It is built from the arrays on first use, so only when a query
-    needs it and after any reordering.
+    before pairing them.  Nothing here looks a simplex up: a leaf answers
+    its queries from its facet tables (reduction.LeafReduction).
     """
 
-    __slots__ = ("points", "scale", "max_dim", "simplices", "diameters", "_index")
+    __slots__ = ("points", "max_dim", "simplices", "diameters")
 
-    def __init__(self, points, scale, max_dim, simplices, diameters):
+    def __init__(self, points, max_dim, simplices, diameters):
         self.points = points
-        self.scale = scale
         self.max_dim = max_dim
         self.simplices = simplices
         self.diameters = diameters
-        self._index = None
-
-    @property
-    def index(self):
-        if self._index is None:
-            # The tuples hold the int objects of points, not one new int per
-            # vertex entry as tolist() would make.
-            pts = self.points
-            at = np.asarray(pts, dtype=np.int64)
-            self._index = []
-            for level in self.simplices[:self.max_dim]:
-                cols = np.searchsorted(at, level).T.tolist()
-                keys = zip(*(map(pts.__getitem__, col) for col in cols))
-                self._index.append(dict(zip(keys, range(len(level)))))
-        return self._index
 
     def reorder(self, q: int, order):
         """Put level q in the given order of its current positions."""
         self.simplices[q] = self.simplices[q][order]
         self.diameters[q] = self.diameters[q][order]
-        self._index = None
 
     def count(self, q: int) -> int:
         if q < 0 or q > self.max_dim:
@@ -103,28 +85,6 @@ class RipsComplex:
 
     def total(self) -> int:
         return sum(len(level) for level in self.simplices)
-
-    def column_of_chain(self, chain: Chain) -> dict:
-        """Chain of a level below max_dim as a sparse coefficient vector over
-        this complex's basis."""
-        q = chain.dim
-        if chain.is_zero():
-            return {}
-        if not 0 <= q < self.max_dim:
-            raise ValueError(f"dimension {q} chains are not indexed; only levels "
-                             f"below {self.max_dim} are")
-        idx = self.index[q]
-        col = {}
-        for s, c in chain.terms.items():
-            row = idx.get(s)
-            if row is None:
-                raise ValueError(f"simplex {s} is not in this complex")
-            col[row] = c
-        return col
-
-    def chain_of_column(self, col: dict, q: int, p: int) -> Chain:
-        rows = self.simplices[q][list(col)].tolist()
-        return Chain(q, p, dict(zip(map(tuple, rows), col.values())))
 
 
 def _edges(pts, cloud: PointCloud, scale: float, budget: int):
@@ -171,7 +131,7 @@ def enumerate_complex(
                                   for q in range(1, max_dim + 1)]
     diameters = [np.zeros(n)] + [np.empty(0) for _ in range(max_dim)]
     if n == 0:
-        return RipsComplex(tuple(), scale, max_dim, simplices, diameters)
+        return RipsComplex(tuple(), max_dim, simplices, diameters)
     count = n
     if count > budget:
         raise BudgetExceededError(budget, n)
@@ -198,7 +158,7 @@ def enumerate_complex(
         for q in range(1, max_dim + 1):
             simplices[q] = pts[simplices[q]]
 
-    return RipsComplex(tuple(pts.tolist()), scale, max_dim, simplices, diameters)
+    return RipsComplex(tuple(pts.tolist()), max_dim, simplices, diameters)
 
 
 def _cofaces(level, diams, starts, hi, dist, keys, n):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from mvbetti.core import Chain, PointCloud
+from mvbetti.rips import RipsComplex, enumerate_complex
 
 HEX_H = math.sqrt(3) / 2
 # Regular hexagon with side exactly 1 (all six side lengths compare <= 1.0).
@@ -176,3 +177,33 @@ def distance_quantile(cloud: PointCloud, q: float) -> float:
     dm = cloud.pairwise(range(cloud.n))
     iu = np.triu_indices(cloud.n, 1)
     return float(np.quantile(dm[iu], q))
+
+
+def leaf_levels(points, cloud: PointCloud, scales, top: int):
+    """Levels 0..top of a leaf over scales as (vertex tuples, diameters)
+    lists, in the leaf's row order: enumerate_complex at the top scale, then
+    a level with a diameter above the first scale sorted by (diameter, lex
+    position), the order LeafReduction documents.  A reference for the rows
+    of a leaf, which keeps no vertex levels of its own; unlike the oracles
+    above it enumerates with the library, since it fixes an order, not
+    which simplices exist."""
+    cx = enumerate_complex(points, cloud, max(scales), top)
+    levels = []
+    for simplices, diams in zip(cx.simplices, cx.diameters):
+        simplices, diams = [tuple(s) for s in simplices.tolist()], diams.tolist()
+        order = range(len(diams))
+        if diams and max(diams) > min(scales):
+            order = sorted(order, key=lambda i: (diams[i], i))
+        levels.append(([simplices[i] for i in order], [diams[i] for i in order]))
+    return levels
+
+
+def leaf_complex(points, cloud: PointCloud, scales, top: int) -> RipsComplex:
+    """The complex of leaf_levels as a RipsComplex, its levels in the
+    leaf's row order, for the library routines that take one."""
+    levels = leaf_levels(points, cloud, scales, top)
+    return RipsComplex(
+        tuple(s for (s,) in levels[0][0]), top,
+        [np.array(simplices, np.int64).reshape(-1, q + 1)
+         for q, (simplices, _) in enumerate(levels)],
+        [np.array(diams, np.float64) for _, diams in levels])

@@ -15,6 +15,7 @@ from mvbetti.covering import build_covering
 from mvbetti.engine import execute_scale
 from mvbetti.mayer_vietoris import MVNodeSolver
 from mvbetti.reduction import DEFAULT_BUDGET, build_leaf
+from mvbetti.rips import enumerate_complex
 
 
 @st.composite
@@ -79,8 +80,9 @@ def test_root_and_leaf_queries_recover_known_classes(case):
     assert isinstance(root, MVNodeSolver)
     leaf = build_leaf(range(cloud.n), cloud, [scale], n_max, p).view(scale)
     assert root.betti_all() == leaf.betti_all()
-    # The single-scale leaf's complex is the whole cloud's complex at scale.
-    levels = [[tuple(s) for s in level.tolist()] for level in leaf.complex.simplices]
+    # The whole cloud's complex at scale, as the single-scale leaf holds it.
+    cx = enumerate_complex(range(cloud.n), cloud, scale, n_max + 1)
+    levels = [[tuple(s) for s in level.tolist()] for level in cx.simplices]
     for n in range(n_max + 1):
         for solver in (root, leaf):
             _check_queries(solver, levels[n + 1], n, p, rng, zero_class)

@@ -1,9 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
 from mvbetti.core import Chain, ConsistencyError, PointCloud
-from mvbetti.covering import (FULL, build_covering, cell, choose_k, full_box, overlap,
-                              split_axis)
+from mvbetti.covering import (FULL, _cells, _disjoint, build_covering, cell, choose_k,
+                              full_box, overlap, split_axis)
 from mvbetti.mayer_vietoris import assemble
 from mvbetti.reduction import build_leaf
 
@@ -43,6 +45,29 @@ class TestChooseK:
             choose_k(0, 1, 1.0, 0.5)
         with pytest.raises(ValueError):
             choose_k(4, 1, 0.0, 0.5)
+
+    def test_a_huge_parallelism_hint_returns_at_once(self):
+        # Counting k_par up to 10**18 would never end; it stops past k_eps.
+        start = time.perf_counter()
+        assert choose_k(10**18, 1, 1.0, 0.1) == (9, True)
+        assert choose_k(10**18, 2, 1.0, 0.1) == (9, True)
+        assert time.perf_counter() - start < 1.0
+
+    def test_matches_a_brute_force_reference(self):
+        def reference(parallel, dim, extent, eps):
+            k_par = max(k for k in range(parallel + 1) if k ** dim < parallel)
+            k_eps = max(k for k in range(int(extent / eps) + 3) if k == 0 or extent / k > eps)
+            k = max(1, min(k_par, k_eps))
+            while not _disjoint(_cells(0.0, extent, k, eps)):
+                k -= 1
+            return k, min(k_eps, k) < k_par
+
+        for parallel in range(1, 70):
+            for dim in (1, 2, 3):
+                for extent in (0.3, 1.0, 2.5, 10.0):
+                    for eps in (0.1, 0.3, 0.7, 1.0):
+                        assert choose_k(parallel, dim, extent, eps) == \
+                            reference(parallel, dim, extent, eps)
 
     def test_lowered_until_rounded_cells_stay_disjoint(self):
         # extent/3 = 0.10000000000000002 > eps, but from origin 0.1 cells 0

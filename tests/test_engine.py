@@ -1,3 +1,4 @@
+import os
 import time
 
 import numpy as np
@@ -156,6 +157,26 @@ class TestRun:
         rep = run(pc, eps, [eps / 2, eps], n_max=1, field=2, workers=2, grid=[1, 1])
         direct = build_leaf(range(25), pc, [eps], 1, 2).view(eps)
         assert rep.betti_at(eps) == direct.betti_all()
+
+    def test_leaf_pool_is_capped_at_the_core_count(self, monkeypatch):
+        # The pool would start one thread per leaf while none is idle, so
+        # its size must not follow a large worker count.  The stand-in
+        # records the size asked for and starts one thread whatever it is.
+        from mvbetti.cli import emit_report
+        sizes = []
+        real = engine.ThreadPoolExecutor
+
+        def recording(max_workers):
+            sizes.append(max_workers)
+            return real(max_workers=1)
+
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", recording)
+        pc = PointCloud(HEX_POINTS)
+        texts = [emit_report(run(pc, 1.0, [0.5, 1.0], n_max=1, field=2, workers=w,
+                                 grid=[2, 2]), timings=False)
+                 for w in (10**6, 1)]
+        assert sizes == [min(10**6, os.cpu_count() or 1), 1]
+        assert texts[0] == texts[1]
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_worker_count_invariance(self, p):

@@ -5,7 +5,9 @@ independent brute-force oracle, answer coords()/bound() exactly, and reject
 simplices that only enter at a larger scale.
 """
 
+import gc
 import pickle
+import types
 
 import numpy as np
 import pytest
@@ -15,9 +17,9 @@ from mvbetti import reduction
 from mvbetti.core import Chain, ConsistencyError, PointCloud, PrimeField, chain_boundary
 from mvbetti.engine import run
 from mvbetti.reduction import betti_at_scale, build_leaf, persistence_barcode, reduce_columns
-from mvbetti.rips import boundary_matrix
+from mvbetti.rips import RipsComplex, enumerate_complex
 
-from conftest import brute_force_betti, dense, dense_rank_mod_p
+from conftest import brute_force_betti, dense, dense_rank_mod_p, leaf_levels
 
 
 @st.composite
@@ -39,10 +41,9 @@ def leaf_cases(draw, primes=(2, 3), n_maxes=(1, 2)):
     return cloud, scales, p, n_max, rng
 
 
-def _prefix_simplices(view, q):
-    cx = view.complex
-    return [tuple(s) for s, diam in zip(cx.simplices[q].tolist(), cx.diameters[q].tolist())
-            if diam <= view.scale]
+def _prefix_simplices(levels, q, scale):
+    simplices, diams = levels[q]
+    return [s for s, diam in zip(simplices, diams) if diam <= scale]
 
 
 @settings(max_examples=40, deadline=None)
@@ -51,6 +52,7 @@ def test_views_match_fresh_solves_and_the_oracle(case):
     cloud, scales, p, n_max, rng = case
     pts = range(cloud.n)
     red = build_leaf(pts, cloud, scales, n_max, p)
+    levels = leaf_levels(pts, cloud, scales, n_max + 1)
     for s in scales:
         view = red.view(s)
         fresh = build_leaf(pts, cloud, [s], n_max, p).view(s)
@@ -59,7 +61,7 @@ def test_views_match_fresh_solves_and_the_oracle(case):
             # The view's own representatives: cycles of its complex, each
             # its own basis vector, although the shared table may hold R_k
             # for a killer k that only enters at a larger scale.
-            present = set(_prefix_simplices(view, n))
+            present = set(_prefix_simplices(levels, n, s))
             for b, z in enumerate(view.representatives(n)):
                 assert chain_boundary(z).is_zero()
                 assert set(z.terms) <= present
@@ -68,7 +70,7 @@ def test_views_match_fresh_solves_and_the_oracle(case):
             if reps:
                 M = np.array([dense(view.coords(z, n), view.betti(n)) for z in reps]).T
                 assert dense_rank_mod_p(M, p) == len(reps)
-            uppers = _prefix_simplices(view, n + 1)
+            uppers = _prefix_simplices(levels, n + 1, s)
             if uppers:
                 picks = rng.choice(len(uppers), size=min(3, len(uppers)), replace=False)
                 w0 = Chain(n + 1, p, {uppers[int(i)]: int(rng.integers(1, p)) for i in picks})
@@ -138,7 +140,7 @@ def test_only_bound_reads_the_v_columns_of_killed_rows(p):
     red = build_leaf(range(cloud.n), cloud, [0.3], 1, p)
     view = red.view(0.3)
     zs = [chain_boundary(Chain.single(tuple(t), p))
-          for t in red.complex.simplices[2][:50].tolist()]
+          for t in enumerate_complex(range(cloud.n), cloud, 0.3, 2).simplices[2][:50].tolist()]
     built = len(red.v[2])
     assert all(view.coords(z, 1) == {} for z in zs)
     assert len(red.v[2]) == built
@@ -146,18 +148,23 @@ def test_only_bound_reads_the_v_columns_of_killed_rows(p):
     assert len(red.v[2]) > built
 
 
-def _eager_tables(cx, n_max, p):
+def _eager_tables(levels, n_max, p):
     """The per-dimension eliminate tables as they were built eagerly, from
-    full reductions of every D_q (at a zero column of D_q, the V_j of a full
-    reduction equals that of one with clearing: a cleared column reduces to
-    zero and is never added to another)."""
+    full reductions of every D_q over the levels' vertex tuples (at a zero
+    column of D_q, the V_j of a full reduction equals that of one with
+    clearing: a cleared column reduces to zero and is never added to
+    another)."""
     field = PrimeField(p)
-    full = {q: reduce_columns(boundary_matrix(cx, q, p), field) for q in range(1, n_max + 2)}
+    full = {}
+    for q in range(1, n_max + 2):
+        row = {s: i for i, s in enumerate(levels[q - 1][0])}
+        full[q] = reduce_columns([{row[s[:i] + s[i + 1:]]: 1 if i % 2 == 0 else p - 1
+                                   for i in range(q + 1)} for s in levels[q][0]], field)
     tables = []
     for n in range(n_max + 1):
         up, red = full[n + 1], full.get(n)
         table = {}
-        for j in range(cx.count(n)):
+        for j in range(len(levels[n][0])):
             k = up.pivots.get(j)
             if k is not None:
                 table[j] = (up.r[k], j)
@@ -175,12 +182,13 @@ def test_lazy_table_columns_equal_the_eager_tables(case):
     cloud, scales, p, n_max, _ = case
     red = build_leaf(range(cloud.n), cloud, scales, n_max, p)
     assert [len(t) for t in red.tables] == [0] * (n_max + 1)
-    for n, (table, killers) in enumerate(_eager_tables(red.complex, n_max, p)):
+    levels = leaf_levels(range(cloud.n), cloud, scales, n_max + 1)
+    for n, (table, killers) in enumerate(_eager_tables(levels, n_max, p)):
         rows = sorted(table)
+        count = len(levels[n][0])
         assert np.flatnonzero(red.live[n]).tolist() == rows
-        assert red.killer[n].tolist() == [killers.get(j, -1)
-                                          for j in range(red.complex.count(n))]
-        for j in range(red.complex.count(n)):
+        assert red.killer[n].tolist() == [killers.get(j, -1) for j in range(count)]
+        for j in range(count):
             assert red.tables[n][j] == table.get(j)
         assert sorted(red.tables[n]) == rows
 
@@ -232,3 +240,52 @@ def test_run_enumerates_each_leaf_once(monkeypatch):
     assert leaf_count == 25
     assert len(calls) == leaf_count
     assert set(calls) == {0.2}
+
+
+def _reachable(obj):
+    """Every object reachable from obj through gc referents, classes,
+    modules and functions excluded."""
+    seen, stack, out = set(), [obj], []
+    while stack:
+        o = stack.pop()
+        if id(o) in seen or isinstance(o, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(o))
+        out.append(o)
+        stack.extend(gc.get_referents(o))
+    return out
+
+
+@pytest.mark.parametrize("p,n_max,scales", [(2, 1, [0.3]), (3, 1, [0.1, 0.2, 0.3]),
+                                            (2, 2, [0.15, 0.3]), (3, 2, [0.3])])
+def test_chain_of_column_gives_each_row_its_enumerated_simplex(p, n_max, scales):
+    # Every row of every level, the top one included, against the levels of
+    # enumerate_complex in the leaf's row order; below the top the index
+    # maps each simplex back to its row.
+    cloud = PointCloud(np.random.default_rng(13).random((30, 2)))
+    pts = range(5, 30)
+    red = build_leaf(pts, cloud, scales, n_max, p)
+    levels = leaf_levels(pts, cloud, scales, n_max + 1)
+    assert len(levels[n_max + 1][0]) > 0
+    for q, (simplices, _) in enumerate(levels):
+        assert red.prefix[q][-1] == len(simplices)
+        for row, s in enumerate(simplices):
+            assert red.chain_of_column({row: 1}, q, p) == Chain.single(s, p)
+            if q <= n_max:
+                assert red.index[q][s] == row
+    assert [len(level) for level in red.index] == [len(s) for s, _ in levels[:n_max + 1]]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_built_leaf_holds_no_complex_and_no_float_array(p):
+    cloud = PointCloud(np.random.default_rng(7).random((40, 2)))
+    red = build_leaf(range(cloud.n), cloud, [0.15, 0.3], 2, p)
+    view = red.view(0.3)
+    assert not hasattr(red, "complex") and not hasattr(view, "complex")
+    for n in range(3):
+        for z in view.representatives(n):
+            view.coords(z, n)
+    held = _reachable(view)
+    assert red in held
+    assert not any(isinstance(o, RipsComplex) for o in held)
+    assert not any(isinstance(o, np.ndarray) and o.dtype.kind == "f" for o in held)

@@ -17,7 +17,7 @@ from mvbetti.core import ConsistencyError, PointCloud, PrimeField
 from mvbetti.reduction import _order_levels, build_leaf, cohomology_pairs, reduce_columns
 from mvbetti.rips import boundary_matrix, enumerate_complex
 
-from conftest import dense_boundary, dense_rank_mod_p
+from conftest import dense_boundary, dense_rank_mod_p, leaf_complex, leaf_levels
 from test_leaf_views import _prefix_simplices, leaf_cases
 
 
@@ -44,7 +44,7 @@ def _needed(red, q):
     pivot rows of D_{q+1}."""
     if q == red.n_max + 1:
         return set(_pairs(red, q).values())
-    return set(range(red.complex.count(q))) - set(_pairs(red, q + 1))
+    return set(range(red.prefix[q][-1])) - set(_pairs(red, q + 1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -52,9 +52,9 @@ def _needed(red, q):
 def test_pairs_and_pivot_columns_match_the_full_reduction(case):
     cloud, scales, p, n_max, _ = case
     red = build_leaf(range(cloud.n), cloud, scales, n_max, p)
-    cx = red.complex     # levels in the leaf's diameter order
-    field = PrimeField(p)
     top = n_max + 1
+    cx = leaf_complex(range(cloud.n), cloud, scales, top)   # in the leaf's row order
+    field = PrimeField(p)
 
     clear = ()
     for q in range(1, top + 1):
@@ -132,7 +132,7 @@ def test_only_pivot_columns_of_the_top_dimension_are_built(monkeypatch, p):
     monkeypatch.setattr(reduction, "boundary_matrix", recording)
     cloud = _cloud()
     red = build_leaf(range(cloud.n), cloud, [0.3], 1, p)
-    cx = red.complex
+    cx = enumerate_complex(range(cloud.n), cloud, 0.3, 2)     # the leaf's row order
     paired = sorted(_pairs(red, 2).values())
     assert 0 < len(paired) < cx.count(2)
     apparent = _apparent(cx, 2)
@@ -202,8 +202,9 @@ def test_boundary_columns_are_built_only_for_non_apparent_pivots(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reduction, "boundary_matrix", recording)
         red = build_leaf(range(cloud.n), cloud, scales, n_max, p)
+    cx = leaf_complex(range(cloud.n), cloud, scales, top)
     for q in range(1, top + 1):
-        apparent = _apparent(red.complex, q)
+        apparent = _apparent(cx, q)
         assert apparent <= set(_pairs(red, q).values())
         assert built[q] == sorted(_needed(red, q) - apparent)
 
@@ -213,12 +214,14 @@ def test_boundary_columns_are_built_only_for_non_apparent_pivots(case):
 def test_per_scale_ranks_match_dense_ranks(case):
     cloud, scales, p, n_max, _ = case
     red = build_leaf(range(cloud.n), cloud, scales, n_max, p)
+    levels = leaf_levels(range(cloud.n), cloud, scales, n_max + 1)
     assert red.scales == sorted(set(scales))
     for b, s in enumerate(red.scales):
-        view = red.view(s)
+        red.view(s)     # checks its basis size against the ranks
         assert red.ranks[0][b] == 0
         for q in range(1, n_max + 2):
-            M = dense_boundary(_prefix_simplices(view, q - 1), _prefix_simplices(view, q), p)
+            M = dense_boundary(_prefix_simplices(levels, q - 1, s),
+                               _prefix_simplices(levels, q, s), p)
             assert red.ranks[q][b] == dense_rank_mod_p(M, p)
 
 

@@ -255,7 +255,7 @@ class TestLeafSolver:
         rng = np.random.default_rng(300 + p)
         pc = random_cloud(rng, 12, 2)
         leaf = build_leaf(range(12), pc, [0.6], 1, p).view(0.6)
-        cx = leaf.complex
+        cx = enumerate_complex(range(12), pc, 0.6, 2)    # the leaf's row order
         for _ in range(10):
             if cx.count(2) == 0:
                 break
@@ -293,7 +293,7 @@ class TestLeafSolver:
         rng = np.random.default_rng(400 + p)
         pc = random_cloud(rng, 14, 2)
         leaf = build_leaf(range(14), pc, [0.6], 1, p).view(0.6)
-        cx = leaf.complex
+        cx = enumerate_complex(range(14), pc, 0.6, 2)    # the leaf's row order
         for _ in range(15):
             if cx.count(2) == 0:
                 break

@@ -9,7 +9,7 @@ import mvbetti.core
 from mvbetti import rips
 from mvbetti.cli import main
 from mvbetti.core import Chain, PointCloud, boundary
-from mvbetti.reduction import _order_levels, as_dict
+from mvbetti.reduction import _order_levels, as_dict, build_leaf
 from mvbetti.rips import DEFAULT_BUDGET, BudgetExceededError, boundary_matrix, enumerate_complex
 
 from conftest import (TETRA_POINTS, TETRA_SIDE, UNIT_SQUARE,
@@ -58,10 +58,11 @@ class TestEnumerate:
         rng = np.random.default_rng(5)
         pc = random_cloud(rng, 14, 2)
         cx = enumerate_complex(range(14), pc, 0.5, 3)
+        levels = [{tuple(s) for s in level.tolist()} for level in cx.simplices]
         for q in range(1, 4):
-            for s in [tuple(s) for s in cx.simplices[q].tolist()]:
+            for s in levels[q]:
                 for i in range(len(s)):
-                    assert s[:i] + s[i + 1:] in cx.index[q - 1]
+                    assert s[:i] + s[i + 1:] in levels[q - 1]
 
     def test_monotone_in_scale(self):
         rng = np.random.default_rng(7)
@@ -73,26 +74,29 @@ class TestEnumerate:
         assert counts == sorted(counts)
 
     def test_only_levels_below_the_top_are_indexed(self):
+        # A leaf at n_max = 1 enumerates up to level 2 and indexes levels 0
+        # and 1, the ones its queries name; the complex itself indexes none.
         pc = PointCloud(TETRA_POINTS)
-        cx = enumerate_complex(range(4), pc, TETRA_SIDE, 2)
-        assert cx.count(2) == 4
-        assert len(cx.index) == 2
+        red = build_leaf(range(4), pc, [TETRA_SIDE], 1, 3)
+        levels = [[tuple(s) for s in level.tolist()]
+                  for level in enumerate_complex(range(4), pc, TETRA_SIDE, 2).simplices]
+        assert len(levels[2]) == 4
+        assert len(red.index) == 2
         for q in range(2):
-            assert cx.index[q] == {s: i for i, s in
-                                   enumerate(tuple(s) for s in cx.simplices[q].tolist())}
-        edge = Chain.single(tuple(cx.simplices[1][0].tolist()), 3)
-        assert cx.column_of_chain(edge) == {0: 1}
-        with pytest.raises(ValueError, match="not indexed"):
-            cx.column_of_chain(Chain.single(tuple(cx.simplices[2][0].tolist()), 3))
+            assert red.index[q] == {s: i for i, s in enumerate(levels[q])}
+        view = red.view(TETRA_SIDE)
+        assert view._column(Chain.single(levels[1][0], 3), 1) == {0: 1}
+        with pytest.raises(ValueError, match="out of range"):
+            view.coords(Chain.single(levels[2][0], 3), 2)
 
     def test_index_keys_share_the_point_ints(self):
-        # Indices above 256 are not cached ints: the index must not hold a
-        # new int object per vertex entry.
+        # Indices above 256 are not cached ints: a leaf's index must not
+        # hold a new int object per vertex entry.
         pc = random_cloud(np.random.default_rng(11), 330, 2)
-        cx = enumerate_complex(range(300, 330), pc, 0.5, 2)
-        assert cx.count(1) > 0
-        ids = {id(g) for g in cx.points}
-        for level in cx.index:
+        red = build_leaf(range(300, 330), pc, [0.5], 1, 2)
+        assert red.prefix[1][-1] > 0
+        ids = {id(g) for g in red.points}
+        for level in red.index:
             assert all(id(v) in ids for s in level for v in s)
 
     def test_lexicographic_order(self):
@@ -388,9 +392,10 @@ class TestBoundaryMatrix:
             for q in (1, 2):
                 cols = boundary_matrix(cx, q, p)
                 assert all(type(c) is (int if p == 2 else dict) for c in cols)
+                row = {tuple(f): i for i, f in enumerate(cx.simplices[q - 1].tolist())}
                 for s, col in zip(cx.simplices[q], dict_columns(cols)):
                     chain = boundary(s, p)
-                    want = {cx.index[q - 1][f]: c for f, c in chain.terms.items()}
+                    want = {row[f]: c for f, c in chain.terms.items()}
                     assert col == want
 
     def test_selected_columns(self):
