@@ -19,6 +19,7 @@ box, and never for the root, whose Betti numbers read only ranks.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -186,6 +187,11 @@ def run(cloud, eps, scales, n_max=1, field=2, workers=None, grid=None,
     `grid` overrides the parallelism-derived cell counts: one count for
     every axis or one per axis (see covering.build_covering).
     """
+    if workers is None:
+        workers = os.cpu_count() or 1
+    for name, value, least in (("workers", workers, 1), ("n_max", n_max, 0), ("budget", budget, 1)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            raise ValueError(f"{name} must be an int >= {least}, not {value!r}")
     if isinstance(field, int):
         field = PrimeField(field)
     if isinstance(cloud, PointCloud) is False:
@@ -201,8 +207,6 @@ def run(cloud, eps, scales, n_max=1, field=2, workers=None, grid=None,
         raise ValueError(f"scales must lie in (0, {eps}]")
     if not (0 <= slack < math.inf):
         raise ValueError("slack must be finite and nonnegative")
-    if workers is None:
-        workers = os.cpu_count() or 1
 
     warnings = []
     eps_eff = eps + slack
@@ -239,7 +243,7 @@ def run(cloud, eps, scales, n_max=1, field=2, workers=None, grid=None,
         }
     max_complex = max(sum(level[-1] for level in red.prefix) for red in leaves.values())
 
-    if budget and max_complex > 0.8 * budget:
+    if max_complex > 0.8 * budget:
         warnings.append(
             f"simplex budget nearly exhausted: largest leaf complex {max_complex} "
             f"of budget {budget}"

@@ -19,15 +19,15 @@ reduces a matrix left to right with V, one loop per representation;
 cohomology_pairs finds the pivot pairs of a boundary matrix, so that a
 region reduces only the columns it reads: by union-find over the edges for
 D_1, and above that by reducing coboundary columns read from the level's
-facet table (rips.facet_tables, shared with boundary_matrix); and eliminate
-reduces one column against a table of columns with distinct lowest rows,
-given as a row lookup, the step behind every coords/bound query of a region
-and the Mayer-Vietoris kernel and cokernel.  In every dimension, the
-apparent columns (R_k = the boundary of k, V_k = e_k) are found from the
-facet table and left implicit, built from it on first read; only the other
-columns a region reads are built and reduced.  combine forms linear
-combinations of columns, and as_dict decodes a column of either
-representation.
+facet table (written by the clique expansion, RipsComplex.facets, and
+shared with boundary_matrix); and eliminate reduces one column against a
+table of columns with distinct lowest rows, given as a row lookup, the step
+behind every coords/bound query of a region and the Mayer-Vietoris kernel
+and cokernel.  In every dimension, the apparent columns (R_k = the boundary
+of k, V_k = e_k) are found from the facet table and left implicit, built
+from it on first read; only the other columns a region reads are built and
+reduced.  combine forms linear combinations of columns, and as_dict
+decodes a column of either representation.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Chain, ConsistencyError, PointCloud, PrimeField, chain_boundary
-from .rips import (DEFAULT_BUDGET, boundary_column, boundary_matrix, enumerate_complex,
-                   facet_signs, facet_tables)
+from .rips import DEFAULT_BUDGET, boundary_column, boundary_matrix, enumerate_complex, facet_signs
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +251,15 @@ def _reduce_dicts(items, R, V, pivots, field):
         V[j] = v
 
 
-def cohomology_pairs(cx, q: int, field: PrimeField, clear=(), facets=None):
+def cohomology_pairs(cx, q: int, field: PrimeField, clear=()):
     """Pivot pairs of D_q, found by reducing the coboundary columns of the
     (q-1)-simplices instead of the boundary columns of the q-simplices.
 
     Returns {(q-1)-simplex: q-simplex}, equal to the pivots of
     reduce_columns over all of boundary_matrix(cx, q, p): homology and
     cohomology have the same pairs (de Silva, Morozov & Vejdemo-Johansson,
-    "Dualities in persistent (co)homology", 2011).  facets is level q's
-    table from facet_tables, built here when not given.
+    "Dualities in persistent (co)homology", 2011).  The columns are read
+    from level q's facet table, cx.facets[q].
 
     At q = 1 the pairs come from union-find over the edges in level order
     (Kruskal), each component rooted at its smallest vertex row: an edge
@@ -282,8 +281,7 @@ def cohomology_pairs(cx, q: int, field: PrimeField, clear=(), facets=None):
     its pivot coefficient is computed once.  Simplices in clear, the pivot
     columns of D_{q-1}, are skipped: their coboundary columns reduce to zero.
     """
-    if facets is None:
-        facets = facet_tables(cx, q)[q]
+    facets = cx.facets[q]
     if q == 1:
         return _union_find_pairs(facets, cx.count(0))
     p, k, n = field.p, q + 1, cx.count(q - 1)
@@ -363,48 +361,31 @@ def _union_find_pairs(edges, n: int):
 # Leaf homology solver
 
 
-def _order_levels(cx, top: int, floor: float):
-    """Stable-sort levels 1..top of cx by diameter, in place, and return
-    their facet tables [None, F_1, ..., F_top].
+def _order_levels(cx, floor: float):
+    """Stable-sort the levels of cx above 0 by diameter, in place.
 
-    The tables are built while the levels are in enumeration (lex) order,
-    where facet_tables is cheapest.  A level with some diameter above floor
-    is then stable-sorted by diameter, i.e. put in (diameter, lex) order
-    with one sort, and F_q follows its rows; the entries of F_q are mapped
-    through the inverse permutation of level q-1 when that level moved.  A
-    level whose diameters are all <= floor stays in lex order: at every
-    scale >= floor the whole level is in, so any order of it is a prefix
-    order.  The complex at any scale >= floor is then a prefix of every
-    level, as a leaf needs, and the pairs are those of the whole
-    filtration's (diameter, dimension, lex) order, as the oracle needs
-    (Bauer, "Ripser", 2021).
+    A level with some diameter above floor is stable-sorted by diameter,
+    i.e. put in (diameter, lex) order with one sort; cx.reorder moves its
+    facet table with it and relabels the table above.  A level whose
+    diameters are all <= floor stays in lex order: at every scale >= floor
+    the whole level is in, so any order of it is a prefix order.  The
+    complex at any scale >= floor is then a prefix of every level, as a leaf
+    needs, and the pairs are those of the whole filtration's (diameter,
+    dimension, lex) order, as the oracle needs (Bauer, "Ripser", 2021).
     """
-    tables = facet_tables(cx, top)
-    inverse = None      # level q-1's new position of each old position
-    for q in range(1, top + 1):
+    for q in range(1, cx.max_dim + 1):
         diams = cx.diameters[q]
-        if inverse is not None:
-            tables[q] = inverse[tables[q]]
         if len(diams) and diams.max() > floor:
-            order = np.argsort(diams, kind="stable")
-            cx.reorder(q, order)
-            tables[q] = tables[q].take(order, axis=0)
-            inverse = np.empty_like(order)
-            inverse[order] = np.arange(len(order))
-        else:
-            inverse = None
-    return tables
+            cx.reorder(q, np.argsort(diams, kind="stable"))
 
 
-def _pair_levels(cx, top: int, field: PrimeField, facets):
-    """Pivot pairs of D_1, ..., D_top as {q: {(q-1)-simplex: q-simplex}},
-    with pairs[0] = {} for D_0 = 0: cohomology_pairs in ascending q on the
-    facet tables from _order_levels, each level cleared by the pivot
-    columns of the level below."""
+def _pair_levels(cx, field: PrimeField):
+    """Pivot pairs of every D_q of cx as {q: {(q-1)-simplex: q-simplex}},
+    with pairs[0] = {} for D_0 = 0: cohomology_pairs in ascending q, each
+    level cleared by the pivot columns of the level below."""
     pairs = {0: {}}
-    for q in range(1, top + 1):
-        pairs[q] = cohomology_pairs(cx, q, field, set(pairs[q - 1].values()),
-                                    facets[q])
+    for q in range(1, cx.max_dim + 1):
+        pairs[q] = cohomology_pairs(cx, q, field, set(pairs[q - 1].values()))
     return pairs
 
 
@@ -556,13 +537,14 @@ class LeafReduction:
         self.points = cx.points
         self.point_set = frozenset(cx.points)
         self._ids = cx.simplices[0][:, 0]   # global id of each vertex row
-        self.facets = _order_levels(cx, top, self.scales[0])
+        _order_levels(cx, self.scales[0])
+        self.facets = cx.facets
         # prefix[q][b]: the q-simplices of diameter <= scales[b].  A level
         # left in lex order has every diameter <= scales[0], so each search
         # in it ends at its length as if it were sorted.
         self.prefix = [np.searchsorted(d, self.scales, "right").tolist()
                        for d in cx.diameters]
-        pairs = _pair_levels(cx, top, field, self.facets)
+        pairs = _pair_levels(cx, field)
 
         self.r = {}
         self.v = {0: _Implicit(np.ones(cx.count(0), bool), _UnitColumn(field.p))}
@@ -577,7 +559,7 @@ class LeafReduction:
             else:
                 needed = self.killer[q] < 0
             built = np.flatnonzero(needed & ~red.r.apparent).tolist()
-            reduce_columns(dict(zip(built, boundary_matrix(cx, q, field.p, built, self.facets[q]))),
+            reduce_columns(dict(zip(built, boundary_matrix(cx, q, field.p, built))),
                            field, into=red)
             if red.pivots != pairs[q]:
                 raise ConsistencyError(
@@ -802,7 +784,8 @@ def persistence_barcode(points, cloud, eps_max, n_max, field,
     if isinstance(field, int):
         field = PrimeField(field)
     cx = enumerate_complex(points, cloud, eps_max, n_max + 1, budget)
-    pairs = _pair_levels(cx, n_max + 1, field, _order_levels(cx, n_max + 1, 0.0))
+    _order_levels(cx, 0.0)
+    pairs = _pair_levels(cx, field)
 
     bars = []
     for n in range(n_max + 1):

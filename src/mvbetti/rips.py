@@ -14,21 +14,23 @@ edges, and the edges count against the simplex budget as they are found,
 so the budget bounds the distance stage as well.
 
 The edges become sorted arrays: CSR offsets of each vertex's higher
-neighbours and one sorted key per edge.  Every level then comes from the one
-below it with numpy, in blocks of at most _EXPAND_BLOCK candidates, each
-block counted against the budget before the next is expanded.  A complex
-is plain enumeration output, its levels arrays: it makes no vertex tuples.
+neighbours.  Every level then comes from the one below it with numpy, in
+blocks of at most _EXPAND_BLOCK candidates, each block counted against the
+budget before the next is expanded.  The expansion finds a coface's facets
+while it tests the coface, one search per facet in the level below, so it
+writes each level's facet table, one int array per level that holds the
+facet positions of every simplex, with no second lookup.  A complex is
+plain enumeration output, its levels and tables arrays: it makes no vertex
+tuples.
 
-facet_tables turns the levels of a complex into one int array per level
-that holds the facet positions of every simplex.  It is the one facet
-lookup: boundary_column turns one of its rows into a native boundary column
-(boundary_matrix and a leaf's implicit apparent columns both build theirs
-with it), and the pairing in reduction reads its coboundaries from it.  A
-caller builds it once per complex, before any reordering, while the levels
-are in enumeration order; reduction._order_levels then sorts the levels by
-diameter and relabels the tables through the permutations.  A leaf keeps
-the tables and drops its complex: they build its apparent columns on first
-read and give back the vertex rows of any simplex a query names.
+The facet tables are the one facet lookup: boundary_column turns one of
+their rows into a native boundary column (boundary_matrix and a leaf's
+implicit apparent columns both build theirs with it), and the pairing in
+reduction reads its coboundaries from them.  RipsComplex.reorder keeps them
+consistent when reduction._order_levels sorts the levels by diameter.  A
+leaf keeps the tables and drops its complex: they build its apparent
+columns on first read and give back the vertex rows of any simplex a query
+names.
 """
 
 from __future__ import annotations
@@ -59,24 +61,39 @@ class RipsComplex:
     points is the tuple of the region's sorted global point indices.
     simplices[q] is a (count(q), q + 1) int64 array whose rows are the
     q-simplices as increasing global point indices, lexicographically sorted
-    as enumerated; diameters[q] is the float64 array of their diameters.  A
-    leaf reduction or the oracle may stable-sort the levels by diameter
-    before pairing them.  Nothing here looks a simplex up: a leaf answers
-    its queries from its facet tables (reduction.LeafReduction).
+    as enumerated; diameters[q] is the float64 array of their diameters.
+    facets is [None, F_1, ..., F_max_dim], as the clique expansion writes
+    them: row i of the (count(q), q + 1) int64 array F_q holds the level
+    q-1 positions of the facets of q-simplex i in the order of
+    facet_signs(q, p), facet m dropping vertex q - m, so F_1 holds the
+    edges' local vertex rows.  A leaf reduction or the oracle may
+    stable-sort the levels by diameter (reorder) before pairing them.
+    Nothing here looks a simplex up: a leaf answers its queries from the
+    facet tables (reduction.LeafReduction).
     """
 
-    __slots__ = ("points", "max_dim", "simplices", "diameters")
+    __slots__ = ("points", "max_dim", "simplices", "diameters", "facets")
 
-    def __init__(self, points, max_dim, simplices, diameters):
+    def __init__(self, points, max_dim, simplices, diameters, facets):
         self.points = points
         self.max_dim = max_dim
         self.simplices = simplices
         self.diameters = diameters
+        self.facets = facets
 
     def reorder(self, q: int, order):
-        """Put level q in the given order of its current positions."""
+        """Put level q in the given order of its current positions: its
+        simplices, diameters and facet table rows move, and the entries of
+        level q+1's table are relabelled to the new positions.  The arrays
+        held here are replaced, not kept beside their reordered copies."""
         self.simplices[q] = self.simplices[q][order]
         self.diameters[q] = self.diameters[q][order]
+        if q:
+            self.facets[q] = self.facets[q][order]
+        if q < self.max_dim:
+            inverse = np.empty_like(order)
+            inverse[order] = np.arange(len(order))
+            self.facets[q + 1] = inverse[self.facets[q + 1]]
 
     def count(self, q: int) -> int:
         if q < 0 or q > self.max_dim:
@@ -130,8 +147,9 @@ def enumerate_complex(
     simplices = [pts[:, None]] + [np.empty((0, q + 1), np.int64)
                                   for q in range(1, max_dim + 1)]
     diameters = [np.zeros(n)] + [np.empty(0) for _ in range(max_dim)]
+    facets = [None] + [np.empty((0, q + 1), np.int64) for q in range(1, max_dim + 1)]
     if n == 0:
-        return RipsComplex(tuple(), max_dim, simplices, diameters)
+        return RipsComplex(tuple(), max_dim, simplices, diameters, facets)
     count = n
     if count > budget:
         raise BudgetExceededError(budget, n)
@@ -140,39 +158,47 @@ def enumerate_complex(
         lo, hi, dist = _edges(pts, cloud, scale, budget)
         count += len(lo)
         # starts[v]:starts[v + 1] are the edges from v to its higher
-        # neighbours, in ascending order; keys are the edges' (lo, hi) keys,
-        # ascending too.
+        # neighbours, in ascending order.  An edge's facets are its vertex
+        # rows.
         starts = np.searchsorted(lo, np.arange(n + 1))
-        keys = lo * n + hi
-        level, diams = np.column_stack((lo, hi)), dist
-        simplices[1], diameters[1] = level, diams
-        for q in range(2, max_dim + 1):
-            blocks = [(simplices[q], diameters[q])]     # the empty level
-            for block in _cofaces(level, diams, starts, hi, dist, keys, n):
+        simplices[1] = facets[1] = np.column_stack((lo, hi))
+        diameters[1] = dist
+        for q in range(1, max_dim):
+            blocks = [(simplices[q + 1], diameters[q + 1], facets[q + 1])]     # the empty level
+            for block in _cofaces(simplices[q], diameters[q], facets[q], starts, hi, n):
                 count += len(block[1])
                 if count > budget:
                     raise BudgetExceededError(budget, n)
                 blocks.append(block)
-            level, diams = (np.concatenate(a) for a in zip(*blocks))
-            simplices[q], diameters[q] = level, diams
+            simplices[q + 1], diameters[q + 1], facets[q + 1] = (
+                np.concatenate(a) for a in zip(*blocks))
         for q in range(1, max_dim + 1):
             simplices[q] = pts[simplices[q]]
 
-    return RipsComplex(tuple(pts.tolist()), max_dim, simplices, diameters)
+    return RipsComplex(tuple(pts.tolist()), max_dim, simplices, diameters, facets)
 
 
-def _cofaces(level, diams, starts, hi, dist, keys, n):
+def _cofaces(level, diams, facets, starts, hi, n):
     """Yield the simplices one dimension up from level (local vertex rows,
-    lexsorted) and their diameters, in lex order, as (vertex rows, diameters)
-    blocks of at most _EXPAND_BLOCK candidates, or of one simplex with more.
+    lexsorted, on n vertices) and their diameters and facet tables, in lex
+    order, as (vertex rows, diameters, facets) blocks of at most
+    _EXPAND_BLOCK candidates, or of one simplex with more.
 
-    The candidates of a simplex are the higher neighbours w of its last
-    vertex, in ascending order; w extends it when the edge key (v, w) of
-    every other vertex v is in keys.  A coface's diameter is the largest of
-    the simplex's and the new edges' distances: max is exact, so the bits
-    equal those of a diameter computed over all pairs.
+    Row i of level is keyed by facets[i, 0] * n + its last vertex: the
+    position of the simplex without its last vertex, then that vertex.  The
+    keys of a lexsorted level ascend, and they stay below n times the count
+    of the level below, so they are exact in int64 for any complex that
+    fits in memory, where a radix key over the three vertices of a triangle
+    would pass 2^63 once n > 2^21.  The candidates of a simplex s are the higher neighbours w of
+    its last vertex, in ascending order.  Facet 0 of s + w is s; facet
+    m >= 1 drops the vertex that facet m - 1 of s drops, so it is that facet
+    plus w, searched in level by its key.  w extends s when every facet is
+    found: together they hold every edge (v, w).  A coface's diameter is
+    the largest of the simplex's and those facets' diameters: max is exact,
+    so the bits equal those of a diameter computed over all pairs.
     """
     last = level[:, -1]
+    keys = facets[:, 0] * n + last
     first = starts[last]
     sizes = starts[last + 1] - first
     ends = sizes.cumsum()
@@ -184,78 +210,17 @@ def _cofaces(level, diams, starts, hi, dist, keys, n):
         total = int(ends[b - 1] - done)
         # Candidate c of simplex s is edge first[s] + c.
         sid = np.repeat(np.arange(a, b), size)
-        e = np.arange(total) + np.repeat(first[a:b] - (ends[a:b] - size - done), size)
-        w, d = hi[e], np.maximum(diams[sid], dist[e])
-        for i in range(level.shape[1] - 1):
-            key = level[sid, i] * n + w
+        w = hi[np.arange(total) + np.repeat(first[a:b] - (ends[a:b] - size - done), size)]
+        found, d = [sid], diams[sid]    # facet positions of the kept candidates
+        for f in facets.T:
+            key = f[found[0]] * n + w
             pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
             ok = keys[pos] == key
-            sid, w, d = sid[ok], w[ok], np.maximum(d[ok], dist[pos[ok]])
-        yield np.column_stack((level[sid], w)), d
+            pos = pos[ok]
+            found = [c[ok] for c in found] + [pos]
+            w, d = w[ok], np.maximum(d[ok], diams[pos])
+        yield np.column_stack((level[found[0]], w)), d, np.column_stack(found)
         a = b
-
-
-def facet_tables(cx: RipsComplex, top: int):
-    """[None, F_1, ..., F_top], one facet table per level 1..top.
-
-    F_q is a (count(q), q + 1) int64 array: row i holds the (q-1)-level
-    positions of the facets of q-simplex i, in the order of facet_signs(q, p).
-    Built in the levels' current order; cheapest in enumeration order.
-    """
-    levels = cx.simplices[:top + 1]
-    # row[g] is the level-0 position of point g, g below the cloud's size.
-    row = np.empty(cx.points[-1] + 1 if cx.points else 0, np.int64)
-    row[levels[0][:, 0]] = np.arange(cx.count(0))
-    return _facet_tables([row[v] for v in levels], cx.count(0))
-
-
-def _facet_tables(levels, n: int):
-    """Facet tables from the vertex rows levels[q] of every level q >= 1 of
-    a closed complex on n vertices (levels[0] is not read).
-
-    A (q-1)-simplex, q >= 2, is keyed by (position of its first q - 1
-    vertices in level q-2) * n + (its last vertex), where the position of a
-    vertex in level 0 is its row.  Keys are distinct within a level and
-    below count(q-2) * n.  Both counts stay below 2^31 for any complex that
-    fits in memory (2^31 simplices take hundreds of GB as tuples), so the
-    keys are exact in int64, where a radix key over all q vertices would
-    pass 2^63 at q = 3 once n > 2^21.  Column 0 of F_q is the position of
-    the prefix v_0..v_{q-1}, found one vertex at a time; the facet that drops
-    v_{q-m}, m >= 1, is facet m - 1 of that prefix plus v_q.  So level q
-    costs 2q - 1 searchsorted calls and, for the level above, one argsort.
-    A facet that is not in the level below raises ValueError.
-    """
-    tables = [None]
-    index = [None]      # level k -> (sorted keys, their positions)
-
-    def find(k, keys):
-        sorted_keys, at = index[k]
-        pos = np.searchsorted(sorted_keys, keys)
-        if keys.size and not (len(sorted_keys) and np.array_equal(
-                sorted_keys[np.minimum(pos, len(sorted_keys) - 1)], keys)):
-            raise ValueError(f"a facet of a level-{k + 1} simplex is not in level {k}")
-        return at[pos]
-
-    for q in range(1, len(levels)):
-        v = levels[q]
-        table = np.empty(v.shape, np.int64)
-        if q == 1:
-            table[:, 0], table[:, 1] = v[:, 0], v[:, 1]
-        else:
-            # Position of the prefix v_0..v_{q-1}, found one vertex at a time.
-            prefix = v[:, 0]
-            for k in range(1, q):
-                prefix = find(k, prefix * n + v[:, k])
-            table[:, 0] = prefix
-            # Dropping v_{q-m} (m >= 1) leaves facet m - 1 of the prefix plus v_q.
-            for m in range(1, q + 1):
-                table[:, m] = find(q - 1, tables[q - 1][prefix, m - 1] * n + v[:, q])
-        tables.append(table)
-        if q + 1 < len(levels):
-            keys = table[:, 0] * n + v[:, q]
-            at = np.argsort(keys)
-            index.append((keys[at], at))
-    return tables
 
 
 def facet_signs(q: int, p: int):
@@ -277,18 +242,16 @@ def boundary_column(rows, signs, p: int):
     return dict(zip(rows, signs))
 
 
-def boundary_matrix(cx: RipsComplex, q: int, p: int, columns=None, facets=None):
+def boundary_matrix(cx: RipsComplex, q: int, p: int, columns=None):
     """Sparse boundary matrix from q-simplices to (q-1)-simplices over Z/p.
 
     Column j is boundary_column of the j-th q-simplex: its alternating-sign
-    faces.  With columns, a list of q-simplex indices, only those columns
-    are built, in that order.  facets is level q's facet table from
-    facet_tables, built here when not given.
+    faces, read from the facet table cx.facets[q].  With columns, a list of
+    q-simplex indices, only those columns are built, in that order.
     """
     if q < 1 or q > cx.max_dim:
         raise ValueError(f"boundary dimension {q} out of range 1..{cx.max_dim}")
-    if facets is None:
-        facets = facet_tables(cx, q)[q]
+    facets = cx.facets[q]
     if columns is not None:
         facets = facets[np.asarray(columns, dtype=np.intp)]
     signs = facet_signs(q, p)

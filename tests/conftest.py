@@ -200,10 +200,21 @@ def leaf_levels(points, cloud: PointCloud, scales, top: int):
 
 def leaf_complex(points, cloud: PointCloud, scales, top: int) -> RipsComplex:
     """The complex of leaf_levels as a RipsComplex, its levels in the
-    leaf's row order, for the library routines that take one."""
+    leaf's row order, for the library routines that take one.  Its facet
+    tables come from looked_up_facets, not from the library's expansion."""
     levels = leaf_levels(points, cloud, scales, top)
+    simplices = [s for s, _ in levels]
     return RipsComplex(
-        tuple(s for (s,) in levels[0][0]), top,
-        [np.array(simplices, np.int64).reshape(-1, q + 1)
-         for q, (simplices, _) in enumerate(levels)],
-        [np.array(diams, np.float64) for _, diams in levels])
+        tuple(s for (s,) in simplices[0]), top,
+        [np.array(s, np.int64).reshape(-1, q + 1) for q, s in enumerate(simplices)],
+        [np.array(diams, np.float64) for _, diams in levels],
+        [None] + [np.array(looked_up_facets(simplices, q), np.int64).reshape(-1, q + 1)
+                  for q in range(1, top + 1)])
+
+
+def looked_up_facets(levels, q):
+    """Facet rows of level q from combinations() and a {vertex tuple: row}
+    dict of level q - 1: combinations drops the last vertex first, the
+    facet_signs order."""
+    index = {tuple(s): i for i, s in enumerate(levels[q - 1])}
+    return [[index[f] for f in combinations(tuple(s), q)] for s in levels[q]]

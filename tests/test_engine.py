@@ -215,6 +215,19 @@ class TestRun:
             run(PointCloud(HEX_POINTS), eps, scales, workers=1, slack=slack)
 
     @pytest.mark.parametrize("grid", [None, [2, 2]])
+    @pytest.mark.parametrize("name,value", [
+        ("workers", 0), ("workers", -1), ("workers", 2.5), ("workers", True),
+        ("n_max", -1), ("n_max", 1.5), ("budget", 0), ("budget", -3), ("budget", 1e6),
+    ])
+    def test_integer_arguments_validated_before_any_work(self, monkeypatch, grid, name, value):
+        # Each is refused by name before the covering is built: a negative
+        # n_max gave empty Betti lists, workers=0 ran on a grid, and a
+        # negative budget or a float n_max failed only inside a leaf job.
+        monkeypatch.setattr(engine, "build_covering", None)
+        with pytest.raises(ValueError, match=f"^{name} must be an int >= "):
+            run(PointCloud(HEX_POINTS), 1.0, [0.5], grid=grid, **{name: value})
+
+    @pytest.mark.parametrize("grid", [None, [2, 2]])
     def test_empty_cloud_rejected(self, grid):
         with pytest.raises(ValueError, match="cannot cover an empty cloud"):
             run(PointCloud(np.zeros((0, 2))), 1.0, [0.5], grid=grid)

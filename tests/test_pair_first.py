@@ -111,7 +111,7 @@ def test_union_find_pairs_match_the_full_reduction(case):
     cloud, scales, p = case
     field = PrimeField(p)
     cx = enumerate_complex(range(cloud.n), cloud, scales[-1], 1)
-    _order_levels(cx, 1, scales[0])
+    _order_levels(cx, scales[0])
     assert cohomology_pairs(cx, 1, field) == \
         reduce_columns(boundary_matrix(cx, 1, p), field).pivots
 
@@ -125,9 +125,9 @@ def test_only_pivot_columns_of_the_top_dimension_are_built(monkeypatch, p):
     built = {}
     original = reduction.boundary_matrix
 
-    def recording(cx, q, p, columns=None, facets=None):
+    def recording(cx, q, p, columns=None):
         built[q] = list(columns)
-        return original(cx, q, p, columns, facets)
+        return original(cx, q, p, columns)
 
     monkeypatch.setattr(reduction, "boundary_matrix", recording)
     cloud = _cloud()
@@ -154,8 +154,8 @@ def _swap_two_pairs(monkeypatch, apparent=None, dim=None):
     or is not (False) apparent."""
     original = reduction.cohomology_pairs
 
-    def swapped(cx, q, field, clear=(), facets=None):
-        pairs = original(cx, q, field, clear, facets)
+    def swapped(cx, q, field, clear=()):
+        pairs = original(cx, q, field, clear)
         if q != (cx.max_dim if dim is None else dim):
             return pairs
         items = list(pairs.items())
@@ -195,9 +195,9 @@ def test_boundary_columns_are_built_only_for_non_apparent_pivots(case):
     built = {}
     original = reduction.boundary_matrix
 
-    def recording(cx, q, p, columns=None, facets=None):
+    def recording(cx, q, p, columns=None):
         built[q] = list(columns)
-        return original(cx, q, p, columns, facets)
+        return original(cx, q, p, columns)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reduction, "boundary_matrix", recording)

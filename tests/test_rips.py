@@ -13,7 +13,7 @@ from mvbetti.reduction import _order_levels, as_dict, build_leaf
 from mvbetti.rips import DEFAULT_BUDGET, BudgetExceededError, boundary_matrix, enumerate_complex
 
 from conftest import (TETRA_POINTS, TETRA_SIDE, UNIT_SQUARE,
-                      brute_force_simplices, random_cloud)
+                      brute_force_simplices, looked_up_facets, random_cloud)
 
 
 class TestEnumerate:
@@ -174,6 +174,12 @@ class TestEnumerateProperties:
             mp.setattr(rips, "_EXPAND_BLOCK", block)
             cx = enumerate_complex(points, cloud, scale, max_dim)
         assert_equals_brute_force(cx, cloud, points, scale, max_dim)
+        # The facet tables the expansion writes, block by block.
+        assert len(cx.facets) == max_dim + 1 and cx.facets[0] is None
+        for q in range(1, max_dim + 1):
+            assert cx.facets[q].dtype == np.int64
+            assert cx.facets[q].shape == (cx.count(q), q + 1)
+            assert cx.facets[q].tolist() == looked_up_facets(cx.simplices, q)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 7))
@@ -419,13 +425,6 @@ class TestBoundaryMatrix:
             boundary_matrix(cx, 3, 2)
 
 
-def looked_up_facets(levels, q):
-    """Facet rows of level q from combinations() and a dict of level q - 1:
-    combinations drops the last vertex first, the facet_signs order."""
-    index = {tuple(s): i for i, s in enumerate(levels[q - 1])}
-    return [[index[f] for f in combinations(tuple(s), q)] for s in levels[q]]
-
-
 @st.composite
 def facet_clouds(draw):
     """A leaf-like point subset of 1..10 points in d = 1..4 whose global
@@ -462,42 +461,64 @@ class TestFacetTables:
     @settings(max_examples=120, deadline=None)
     @given(facet_clouds())
     def test_equals_a_per_simplex_lookup(self, case):
-        # The tables _order_levels builds in lex order and relabels must be
-        # those of the reordered levels: at a leaf's floor (its first
-        # scale), at the oracle's floor 0, and with level 1 left in lex
-        # order below the floor (its diameters zeroed) while level 2 is
-        # sorted.
+        # The tables the expansion writes in lex order, after _order_levels
+        # has moved and relabelled them, must be those of the reordered
+        # levels: at a leaf's floor (its first scale), at the oracle's floor
+        # 0, and with level 1 left in lex order below the floor (its
+        # diameters zeroed) while level 2 is sorted.
         cloud, points, scales, n_max = case
         top = n_max + 1
         for floor, flat_edges in ((scales[0], False), (0.0, False), (0.0, True)):
             cx = enumerate_complex(points, cloud, scales[-1], top)
             if flat_edges:
                 cx.diameters[1][:] = 0.0
-            tables = _order_levels(cx, top, floor)
-            assert len(tables) == top + 1 and tables[0] is None
+            _order_levels(cx, floor)
+            assert len(cx.facets) == top + 1 and cx.facets[0] is None
             for q in range(1, top + 1):
-                assert tables[q].dtype == np.int64
-                assert tables[q].shape == (cx.count(q), q + 1)
-                assert tables[q].tolist() == looked_up_facets(cx.simplices, q)
+                assert cx.facets[q].dtype == np.int64
+                assert cx.facets[q].shape == (cx.count(q), q + 1)
+                assert cx.facets[q].tolist() == looked_up_facets(cx.simplices, q)
                 d = cx.diameters[q]
                 assert d.max(initial=0.0) <= floor or (np.diff(d) >= 0).all()
 
+    @settings(max_examples=60, deadline=None)
+    @given(facet_clouds(), st.integers(0, 2**32 - 1))
+    def test_reorder_keeps_the_tables(self, case, seed):
+        # Any permutation of any level, applied in any sequence, moves that
+        # level's table rows and relabels the table above.
+        cloud, points, scales, n_max = case
+        top = n_max + 1
+        cx = enumerate_complex(points, cloud, scales[-1], top)
+        rng = np.random.default_rng(seed)
+        for q in rng.integers(0, top + 1, size=3).tolist():
+            before = [level.copy() for level in cx.simplices]
+            order = rng.permutation(cx.count(q))
+            cx.reorder(q, order)
+            assert cx.simplices[q].tolist() == before[q][order].tolist()
+            for k in range(1, top + 1):
+                assert cx.facets[k].tolist() == looked_up_facets(cx.simplices, k)
+
     def test_keys_stay_exact_where_radix_keys_wrap(self):
         # Radix keys over the three vertices of a triangle would need
-        # n^3 > 2^63 here; the prefix keys stay below count * n.
+        # n^3 > 2^63 here; the expansion's keys stay below count * n.  The
+        # levels are expanded from a synthetic clique on six vertex rows
+        # spread over n, each edge with its own distance.
         n = 2**21 + 8
         assert n**3 > 2**63
         verts = [0, 5, n - 4, n - 3, n - 2, n - 1]
-        rng = np.random.default_rng(0)
-        levels = [None]
-        for q in range(1, 5):
-            level = np.array(list(combinations(verts, q + 1)), dtype=np.int64)
-            levels.append(level[rng.permutation(len(level))])
-        tables = rips._facet_tables(levels, n)
-        assert tables[1].tolist() == levels[1].tolist()     # vertices are their rows
-        for q in range(2, 5):
-            assert tables[q].tolist() == looked_up_facets(levels, q)
-        # A level missing one of the facets of the level above is refused.
-        levels[2] = levels[2][1:]
-        with pytest.raises(ValueError, match="not in level 2"):
-            rips._facet_tables(levels, n)
+        edges = np.array(list(combinations(verts, 2)), dtype=np.int64)
+        lo, hi = edges[:, 0], edges[:, 1]
+        dist = np.random.default_rng(0).random(len(edges))
+        starts = np.searchsorted(lo, np.arange(n + 1))
+        levels, diams, tables = [None, edges], [None, dist], [None, edges]
+        for q in range(1, 4):
+            blocks = list(rips._cofaces(levels[q], diams[q], tables[q], starts, hi, n))
+            level, d, table = (np.concatenate(a) for a in zip(*blocks))
+            assert level.tolist() == [list(s) for s in combinations(verts, q + 2)]
+            assert table.tolist() == looked_up_facets(levels + [level], q + 1)
+            length = {tuple(e): x for e, x in zip(edges.tolist(), dist.tolist())}
+            assert d.tolist() == [max(length[e] for e in combinations(s, 2))
+                                  for s in map(tuple, level.tolist())]
+            levels.append(level)
+            diams.append(d)
+            tables.append(table)
