@@ -23,5 +23,7 @@ At 0.5 nothing connects; at 1.0 the six sides form a hollow loop; at 1.75
 the short diagonals fill in the loop; at 2.0 everything is a clique.""")
 
 cx = enumerate_complex(range(6), hexagon, 1.0, 2)
-print("edges at scale 1.0:", [tuple(s) for s in cx.simplices[1].tolist()])
+# The rows of the edges' facet table are their two vertex rows, positions
+# in cx.points, the region's point ids.
+print("edges at scale 1.0:", [tuple(s) for s in cx.points[cx.facets[1]].tolist()])
 print("each edge records its diameter:", [round(d, 6) for d in cx.diameters[1].tolist()])

@@ -7,6 +7,7 @@ a leaf reduction (reduction.LeafReduction) fills caches on first query.
 
 from __future__ import annotations
 
+import numbers
 from itertools import product
 
 import numpy as np
@@ -45,12 +46,20 @@ def _is_prime(p: int) -> bool:
 class PrimeField:
     """Exact arithmetic in Z/p for a prime modulus p (default 2).
 
+    p is a PrimeField, whose modulus is taken, or a prime int (a bool or a
+    non-integral number is a ValueError), the one rule by which every
+    entry point turns its field argument into a field.
+
     Every residue is kept in [0, p); every nonzero residue has an inverse.
     """
 
     __slots__ = ("p",)
 
-    def __init__(self, p: int = 2):
+    def __init__(self, p=2):
+        if isinstance(p, PrimeField):
+            p = p.p
+        elif isinstance(p, bool) or not isinstance(p, numbers.Integral):
+            raise ValueError(f"field must be an int >= 2, not {p!r}")
         p = int(p)
         if not _is_prime(p):
             raise ValueError(f"field modulus must be prime, got {p}")
@@ -175,22 +184,13 @@ class PointCloud:
         first = np.searchsorted(key, centre - 1, "left")
         first[:, 0] = np.arange(1, n + 1)
         sizes = (np.searchsorted(key, centre + 1, "right") - first).ravel()
-        first, ends, runs = first.ravel(), sizes.cumsum(), centre.shape[1]
-        a, m = 0, len(sizes)
-        while a < m:
-            done = ends[a - 1] if a else 0
-            b = max(a + 1, int(np.searchsorted(ends, done + _PAIR_BLOCK, "right")))
-            size = sizes[a:b]
-            total = int(ends[b - 1] - done)
-            if total:
-                # Candidate c of range r is position first[r] + c.
-                rows = np.repeat(np.arange(a, b) // runs, size)
-                cols = np.arange(total) + np.repeat(first[a:b] - (ends[a:b] - size - done), size)
-                dist = _distances(pts.take(rows, axis=0), pts.take(cols, axis=0))
-                keep = np.flatnonzero(dist <= scale)
-                i, j = order[rows[keep]], order[cols[keep]]
-                yield np.minimum(i, j), np.maximum(i, j), dist[keep]
-            a = b
+        runs = centre.shape[1]
+        for ranges, cols in blocked_ranges(first.ravel(), sizes, _PAIR_BLOCK):
+            rows = ranges // runs
+            dist = _distances(pts.take(rows, axis=0), pts.take(cols, axis=0))
+            keep = np.flatnonzero(dist <= scale)
+            i, j = order[rows[keep]], order[cols[keep]]
+            yield np.minimum(i, j), np.maximum(i, j), dist[keep]
 
     def diameter(self, vertices) -> float:
         """Max pairwise distance over a nonempty vertex-index set (0 for singletons)."""
@@ -210,6 +210,25 @@ class PointCloud:
 
 
 _PAIR_BLOCK = 1 << 15     # candidate pairs of one close_pairs block
+
+
+def blocked_ranges(first, sizes, limit):
+    """Expand the ranges first[r]:first[r] + sizes[r] in order, in blocks:
+    yield (range index, position) int arrays, one entry per position, for
+    each non-empty block of whole ranges holding at most limit positions,
+    or of one longer range on its own."""
+    ends = sizes.cumsum()
+    a, m = 0, len(sizes)
+    while a < m:
+        done = ends[a - 1] if a else 0
+        b = max(a + 1, int(np.searchsorted(ends, done + limit, "right")))
+        size = sizes[a:b]
+        total = int(ends[b - 1] - done)
+        if total:
+            # Position c of the block is first[r] + c minus range r's start in it.
+            yield (np.repeat(np.arange(a, b), size),
+                   np.arange(total) + np.repeat(first[a:b] - (ends[a:b] - size - done), size))
+        a = b
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

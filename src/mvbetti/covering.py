@@ -15,6 +15,7 @@ have no non-adjacent pair).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -180,8 +181,9 @@ def build_covering(cloud: PointCloud, eps: float, k) -> GridCovering:
     """Build the grid covering for a cloud at top scale eps.
 
     k is one cell count for every axis (an int or a 1-entry sequence) or a
-    sequence of one count per axis; any other length is a ValueError.  A
-    cloud with zero spread degenerates to k = 1 everywhere.
+    sequence of one count per axis; any other length, and a count that is
+    a bool or not an integer, is a ValueError.  A cloud with zero spread
+    degenerates to k = 1 everywhere.
     """
     if cloud.n == 0:
         raise ValueError("cannot cover an empty cloud")
@@ -189,7 +191,10 @@ def build_covering(cloud: PointCloud, eps: float, k) -> GridCovering:
         raise ValueError("eps must be positive")
     mins, maxs = cloud.axis_ranges()
     extent = float((maxs - mins).max())  # one shared R across axes
-    ks = [k] if isinstance(k, int) else [int(v) for v in k]
+    ks = list(k) if np.iterable(k) else [k]
+    if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in ks):
+        raise ValueError(f"cell counts must be ints, not {k!r}")
+    ks = [int(v) for v in ks]
     if len(ks) == 1:
         ks = ks * cloud.dim
     if len(ks) != cloud.dim:

@@ -192,8 +192,7 @@ def run(cloud, eps, scales, n_max=1, field=2, workers=None, grid=None,
     for name, value, least in (("workers", workers, 1), ("n_max", n_max, 0), ("budget", budget, 1)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
             raise ValueError(f"{name} must be an int >= {least}, not {value!r}")
-    if isinstance(field, int):
-        field = PrimeField(field)
+    field = PrimeField(field)
     if isinstance(cloud, PointCloud) is False:
         cloud = PointCloud(cloud)
     if cloud.n == 0:

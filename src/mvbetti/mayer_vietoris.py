@@ -124,8 +124,7 @@ def build_f(pieces, inters, n: int, field) -> FMatrix:
     from piece k and, negated, from piece k+1 (see FMatrix).  Chains carry
     global indices, so an inclusion is the identity on simplices.
     """
-    if isinstance(field, int):
-        field = PrimeField(field)
+    field = PrimeField(field)
     p = field.p
     row_off = list(accumulate((pc.betti(n) for pc in pieces), initial=0))
     col_off = list(accumulate((it.betti(n) for it in inters), initial=0))
@@ -406,6 +405,5 @@ class MVNodeSolver:
 
 def assemble(pieces, inters, n_max: int, field) -> MVNodeSolver:
     """Build the union solver for path-ordered pieces and their overlaps."""
-    if isinstance(field, int):
-        field = PrimeField(field)
+    field = PrimeField(field)
     return MVNodeSolver(pieces, inters, n_max, field)

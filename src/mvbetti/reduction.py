@@ -39,7 +39,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Chain, ConsistencyError, PointCloud, PrimeField, chain_boundary
-from .rips import DEFAULT_BUDGET, boundary_column, boundary_matrix, enumerate_complex, facet_signs
+from .rips import (DEFAULT_BUDGET, boundary_column, boundary_matrix, enumerate_complex,
+                   facet_signs, vertex_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -520,11 +521,12 @@ class LeafReduction:
     from killer[n] and live[n].  The column of a row is built only when a
     query reaches that row, and cached in tables[n]; a Betti-only run
     builds none.  The complex is dropped after the build: the leaf keeps
-    points (a tuple and the level-0 id array), point_set, prefix (the last
-    entry of each level is its count) and the facet tables, which give every
-    simplex's vertex rows, as in Ripser (Bauer, 2021).  index and
-    chain_of_column map vertex tuples to rows and back.  The caches fill on
-    the thread that queries, during assembly on the calling thread.
+    its level-0 id array (points and point_set are made from it), prefix
+    (the last entry of each level is its count) and the facet tables, which
+    give every simplex's vertex rows (rips.vertex_rows), as in Ripser
+    (Bauer, 2021).  index and chain_of_column map vertex tuples to rows and
+    back.  The caches fill on the thread that queries, during assembly on
+    the calling thread.
     """
 
     def __init__(self, points, cloud: PointCloud, scales, n_max: int,
@@ -534,9 +536,9 @@ class LeafReduction:
         self.field = field
         top = n_max + 1
         cx = enumerate_complex(points, cloud, self.scales[-1], top, budget)
-        self.points = cx.points
-        self.point_set = frozenset(cx.points)
-        self._ids = cx.simplices[0][:, 0]   # global id of each vertex row
+        self._ids = cx.points   # global id of each vertex row
+        self.points = tuple(cx.points.tolist())
+        self.point_set = frozenset(self.points)
         _order_levels(cx, self.scales[0])
         self.facets = cx.facets
         # prefix[q][b]: the q-simplices of diameter <= scales[b].  A level
@@ -582,18 +584,6 @@ class LeafReduction:
     def view(self, scale: float) -> "LeafSolver":
         return LeafSolver(self, scale)
 
-    def _vertex_rows(self, q: int, rows):
-        """The (len(rows), q + 1) local vertex rows of the q-simplices at
-        rows, an int array: F_1's rows are the edges' vertex rows, and for
-        q >= 2 facet 0 drops the last vertex and facet q the first."""
-        if q == 0:
-            return rows[:, None]
-        f = self.facets[q][rows]
-        if q == 1:
-            return f
-        return np.column_stack((self._vertex_rows(q - 1, f[:, 0]),
-                                self._vertex_rows(q - 1, f[:, q])[:, -1]))
-
     @cached_property
     def index(self):
         """{vertex tuple: row} per level below the top.  The tuples hold the
@@ -601,14 +591,14 @@ class LeafReduction:
         pts, index = self.points, []
         for q in range(self.n_max + 1):
             count = self.prefix[q][-1]
-            cols = self._vertex_rows(q, np.arange(count)).T.tolist()
+            cols = vertex_rows(self.facets, q, np.arange(count)).T.tolist()
             keys = zip(*(map(pts.__getitem__, col) for col in cols))
             index.append(dict(zip(keys, range(count))))
         return index
 
     def chain_of_column(self, col: dict, q: int, p: int) -> Chain:
         """The chain of a {row: coefficient} column over level q."""
-        rows = self._vertex_rows(q, np.fromiter(col, np.int64, len(col)))
+        rows = vertex_rows(self.facets, q, np.fromiter(col, np.int64, len(col)))
         return Chain(q, p, dict(zip(map(tuple, self._ids[rows].tolist()), col.values())))
 
 
@@ -748,8 +738,7 @@ def build_leaf(points, cloud, scales, n_max, field,
                budget: int = DEFAULT_BUDGET) -> LeafReduction:
     """The one reduction of a region's Rips complex for every scale in
     `scales`; its view(s) is the region solver at scale s."""
-    if isinstance(field, int):
-        field = PrimeField(field)
+    field = PrimeField(field)
     return LeafReduction(points, cloud, scales, n_max, field, budget)
 
 
@@ -781,8 +770,7 @@ def persistence_barcode(points, cloud, eps_max, n_max, field,
     golden barcode frozen from a global reduction and the benchmark's
     frozen seed-0 Betti numbers keep it independent.
     """
-    if isinstance(field, int):
-        field = PrimeField(field)
+    field = PrimeField(field)
     cx = enumerate_complex(points, cloud, eps_max, n_max + 1, budget)
     _order_levels(cx, 0.0)
     pairs = _pair_levels(cx, field)

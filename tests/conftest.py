@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mvbetti.core import Chain, PointCloud
-from mvbetti.rips import RipsComplex, enumerate_complex
+from mvbetti.rips import RipsComplex, enumerate_complex, vertex_rows
 
 HEX_H = math.sqrt(3) / 2
 # Regular hexagon with side exactly 1 (all six side lengths compare <= 1.0).
@@ -179,6 +179,14 @@ def distance_quantile(cloud: PointCloud, q: float) -> float:
     return float(np.quantile(dm[iu], q))
 
 
+def vertex_levels(cx: RipsComplex):
+    """The levels of cx as (count(q), q + 1) int64 arrays of global point
+    indices, in cx's row order: rips.vertex_rows of every row, mapped
+    through cx.points.  The complex stores no vertex rows of its own."""
+    return [cx.points[vertex_rows(cx.facets, q, np.arange(cx.count(q)))]
+            for q in range(cx.max_dim + 1)]
+
+
 def leaf_levels(points, cloud: PointCloud, scales, top: int):
     """Levels 0..top of a leaf over scales as (vertex tuples, diameters)
     lists, in the leaf's row order: enumerate_complex at the top scale, then
@@ -189,7 +197,7 @@ def leaf_levels(points, cloud: PointCloud, scales, top: int):
     which simplices exist."""
     cx = enumerate_complex(points, cloud, max(scales), top)
     levels = []
-    for simplices, diams in zip(cx.simplices, cx.diameters):
+    for simplices, diams in zip(vertex_levels(cx), cx.diameters):
         simplices, diams = [tuple(s) for s in simplices.tolist()], diams.tolist()
         order = range(len(diams))
         if diams and max(diams) > min(scales):
@@ -205,8 +213,7 @@ def leaf_complex(points, cloud: PointCloud, scales, top: int) -> RipsComplex:
     levels = leaf_levels(points, cloud, scales, top)
     simplices = [s for s, _ in levels]
     return RipsComplex(
-        tuple(s for (s,) in simplices[0]), top,
-        [np.array(s, np.int64).reshape(-1, q + 1) for q, s in enumerate(simplices)],
+        np.array([s for (s,) in simplices[0]], np.int64), top,
         [np.array(diams, np.float64) for _, diams in levels],
         [None] + [np.array(looked_up_facets(simplices, q), np.int64).reshape(-1, q + 1)
                   for q in range(1, top + 1)])

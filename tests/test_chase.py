@@ -17,6 +17,8 @@ from mvbetti.mayer_vietoris import MVNodeSolver
 from mvbetti.reduction import DEFAULT_BUDGET, build_leaf
 from mvbetti.rips import enumerate_complex
 
+from conftest import vertex_levels
+
 
 @st.composite
 def chase_cases(draw):
@@ -82,7 +84,7 @@ def test_root_and_leaf_queries_recover_known_classes(case):
     assert root.betti_all() == leaf.betti_all()
     # The whole cloud's complex at scale, as the single-scale leaf holds it.
     cx = enumerate_complex(range(cloud.n), cloud, scale, n_max + 1)
-    levels = [[tuple(s) for s in level.tolist()] for level in cx.simplices]
+    levels = [[tuple(s) for s in level.tolist()] for level in vertex_levels(cx)]
     for n in range(n_max + 1):
         for solver in (root, leaf):
             _check_queries(solver, levels[n + 1], n, p, rng, zero_class)

@@ -205,6 +205,16 @@ class TestPrimeField:
             with pytest.raises(ValueError):
                 PrimeField(bad)
 
+    @pytest.mark.parametrize("p", [3.7, 5.0, "5", True, np.True_, None, [3]])
+    def test_only_integral_moduli_accepted(self, p):
+        # 3.7 became Z/3 and "5" Z/5; a bool is not a modulus.
+        with pytest.raises(ValueError, match="^field must be an int >= 2, not "):
+            PrimeField(p)
+
+    def test_accepts_a_field_or_an_integral_value(self):
+        assert PrimeField(PrimeField(3)) == PrimeField(np.int64(3)) == PrimeField(3)
+        assert PrimeField(np.uint8(5)).p == 5 and type(PrimeField(np.int32(7)).p) is int
+
     def test_zero_has_no_inverse(self):
         with pytest.raises(ZeroDivisionError):
             PrimeField(5).inv(0)

@@ -6,6 +6,7 @@ import pytest
 from mvbetti.core import Chain, ConsistencyError, PointCloud
 from mvbetti.covering import (FULL, _cells, _disjoint, build_covering, cell, choose_k,
                               full_box, overlap, split_axis)
+from mvbetti.engine import run
 from mvbetti.mayer_vietoris import assemble
 from mvbetti.reduction import build_leaf
 
@@ -130,6 +131,16 @@ class TestBuildCovering:
         for bad in ([], [5, 3, 2]):
             with pytest.raises(ValueError, match="expected 1 or 2 cell counts"):
                 build_covering(pc, 0.9, bad)
+
+    @pytest.mark.parametrize("k", [2.5, [2.7, 2], [2, 2.0], True, [True, 2], "22"])
+    def test_cell_counts_must_be_ints(self, k):
+        # [2.7, 2] ran a 2x2 grid, True a 1x1 grid, and 2.5 raised TypeError.
+        pc = PointCloud(np.random.default_rng(5).random((30, 2)) * 10.0)
+        with pytest.raises(ValueError, match="^cell counts must be ints, not "):
+            build_covering(pc, 0.9, k)
+        with pytest.raises(ValueError, match="^cell counts must be ints, not "):
+            run(pc, 0.9, [0.9], workers=1, grid=k)
+        assert build_covering(pc, 0.9, np.array([5, 3])).k_per_axis == (5, 3)
 
 
 def two_piece_node(p=3):

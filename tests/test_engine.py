@@ -218,11 +218,13 @@ class TestRun:
     @pytest.mark.parametrize("name,value", [
         ("workers", 0), ("workers", -1), ("workers", 2.5), ("workers", True),
         ("n_max", -1), ("n_max", 1.5), ("budget", 0), ("budget", -3), ("budget", 1e6),
+        ("field", 2.0), ("field", 3.7), ("field", "5"), ("field", True),
     ])
     def test_integer_arguments_validated_before_any_work(self, monkeypatch, grid, name, value):
         # Each is refused by name before the covering is built: a negative
-        # n_max gave empty Betti lists, workers=0 ran on a grid, and a
-        # negative budget or a float n_max failed only inside a leaf job.
+        # n_max gave empty Betti lists, workers=0 ran on a grid, a negative
+        # budget, a float n_max or a float field failed only inside a leaf
+        # job, and field 3.7 ran over Z/3.
         monkeypatch.setattr(engine, "build_covering", None)
         with pytest.raises(ValueError, match=f"^{name} must be an int >= "):
             run(PointCloud(HEX_POINTS), 1.0, [0.5], grid=grid, **{name: value})

@@ -19,7 +19,8 @@ from mvbetti.engine import run
 from mvbetti.reduction import betti_at_scale, build_leaf, persistence_barcode, reduce_columns
 from mvbetti.rips import RipsComplex, enumerate_complex
 
-from conftest import brute_force_betti, dense, dense_rank_mod_p, leaf_levels
+from conftest import (brute_force_betti, dense, dense_rank_mod_p, leaf_levels,
+                      vertex_levels)
 
 
 @st.composite
@@ -139,8 +140,8 @@ def test_only_bound_reads_the_v_columns_of_killed_rows(p):
     cloud = PointCloud(np.random.default_rng(7).random((40, 2)))
     red = build_leaf(range(cloud.n), cloud, [0.3], 1, p)
     view = red.view(0.3)
-    zs = [chain_boundary(Chain.single(tuple(t), p))
-          for t in enumerate_complex(range(cloud.n), cloud, 0.3, 2).simplices[2][:50].tolist()]
+    triangles = vertex_levels(enumerate_complex(range(cloud.n), cloud, 0.3, 2))[2]
+    zs = [chain_boundary(Chain.single(tuple(t), p)) for t in triangles[:50].tolist()]
     built = len(red.v[2])
     assert all(view.coords(z, 1) == {} for z in zs)
     assert len(red.v[2]) == built

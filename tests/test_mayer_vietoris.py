@@ -11,7 +11,7 @@ from mvbetti.reduction import (betti_at_scale, build_leaf, persistence_barcode,
 from mvbetti.rips import DEFAULT_BUDGET, enumerate_complex
 
 from conftest import (HEX_POINTS, dense, dense_rank_mod_p, distance_quantile,
-                      hexagon_cycle, random_cloud)
+                      hexagon_cycle, random_cloud, vertex_levels)
 from test_reduction import dense_of_columns, sparse_matrices
 
 
@@ -237,7 +237,7 @@ class TestUnionQueries:
         rng = np.random.default_rng(p)
         # random 1-chains w in the union made of piece simplices: z = dw
         pool = [tuple(s) for pts in ([0, 1, 2, 5], [2, 3, 4, 5])
-                for s in enumerate_complex(pts, pc, 1.2, 1).simplices[1].tolist()]
+                for s in vertex_levels(enumerate_complex(pts, pc, 1.2, 1))[1].tolist()]
         for _ in range(10):
             take = rng.integers(0, len(pool), size=3)
             w = Chain(1, p, {pool[int(t)]: int(rng.integers(1, p)) for t in set(map(int, take))})
@@ -355,7 +355,8 @@ class TestExactnessProperties:
         node = execute_scale(pc, cov, 1.0, 1, f, DEFAULT_BUDGET, 1, [1.0], {})[0]
         leaf = build_leaf(range(4), pc, [1.0], 1, f).view(1.0)
         assert node.betti_all() == leaf.betti_all() == [1, 1]
-        edges = [tuple(s) for s in enumerate_complex(range(4), pc, 1.0, 1).simplices[1].tolist()]
+        edges = [tuple(s) for s in
+                 vertex_levels(enumerate_complex(range(4), pc, 1.0, 1))[1].tolist()]
         M = [dense(node.coords(rep, 1), node.betti(1)) for rep in leaf.representatives(1)]
         cycles = 0
         for coeffs in product(range(p), repeat=len(edges)):

@@ -11,7 +11,7 @@ from mvbetti.rips import boundary_matrix, enumerate_complex
 
 from conftest import (HEX_POINTS, TETRA_POINTS, TETRA_SIDE, UNIT_SQUARE,
                       brute_force_betti, dense_rank_mod_p, distance_quantile,
-                      random_cloud)
+                      random_cloud, vertex_levels)
 
 
 def dense_of_columns(nrows, cols, p):
@@ -260,7 +260,7 @@ class TestLeafSolver:
             if cx.count(2) == 0:
                 break
             idx = rng.integers(0, cx.count(2), size=min(3, cx.count(2)))
-            w = Chain(2, p, {tuple(cx.simplices[2][int(i)].tolist()): int(rng.integers(1, p))
+            w = Chain(2, p, {tuple(vertex_levels(cx)[2][int(i)].tolist()): int(rng.integers(1, p))
                              for i in set(map(int, idx))})
             z = chain_boundary(w)
             assert leaf.coords(z, 1) == {}
@@ -298,7 +298,7 @@ class TestLeafSolver:
             if cx.count(2) == 0:
                 break
             i = int(rng.integers(0, cx.count(2)))
-            w0 = Chain(2, p, {tuple(cx.simplices[2][i].tolist()): int(rng.integers(1, p))})
+            w0 = Chain(2, p, {tuple(vertex_levels(cx)[2][i].tolist()): int(rng.integers(1, p))})
             z = chain_boundary(w0)
             w = leaf.bound(z, 1)
             assert w is not None

@@ -9,11 +9,11 @@ import mvbetti.core
 from mvbetti import rips
 from mvbetti.cli import main
 from mvbetti.core import Chain, PointCloud, boundary
-from mvbetti.reduction import _order_levels, as_dict, build_leaf
+from mvbetti.reduction import _order_levels, as_dict, build_leaf, persistence_barcode
 from mvbetti.rips import DEFAULT_BUDGET, BudgetExceededError, boundary_matrix, enumerate_complex
 
 from conftest import (TETRA_POINTS, TETRA_SIDE, UNIT_SQUARE,
-                      brute_force_simplices, looked_up_facets, random_cloud)
+                      brute_force_simplices, looked_up_facets, random_cloud, vertex_levels)
 
 
 class TestEnumerate:
@@ -31,7 +31,8 @@ class TestEnumerate:
         pc = PointCloud(UNIT_SQUARE)
         cx = enumerate_complex(range(4), pc, 1.0, 2)
         assert [cx.count(q) for q in range(3)] == [4, 4, 0]
-        assert {tuple(s) for s in cx.simplices[1].tolist()} == {(0, 1), (1, 2), (2, 3), (0, 3)}
+        edges = {tuple(s) for s in vertex_levels(cx)[1].tolist()}
+        assert edges == {(0, 1), (1, 2), (2, 3), (0, 3)}
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(4)
@@ -43,7 +44,7 @@ class TestEnumerate:
             cx = enumerate_complex(range(n), pc, scale, 3)
             expect = brute_force_simplices(range(n), pc, scale, 3)
             for q in range(4):
-                assert [tuple(s) for s in cx.simplices[q].tolist()] == expect[q]
+                assert [tuple(s) for s in vertex_levels(cx)[q].tolist()] == expect[q]
 
     def test_subset_of_points(self):
         rng = np.random.default_rng(6)
@@ -52,13 +53,13 @@ class TestEnumerate:
         cx = enumerate_complex(sub, pc, 0.6, 2)
         expect = brute_force_simplices(sub, pc, 0.6, 2)
         for q in range(3):
-            assert [tuple(s) for s in cx.simplices[q].tolist()] == expect[q]
+            assert [tuple(s) for s in vertex_levels(cx)[q].tolist()] == expect[q]
 
     def test_face_closure(self):
         rng = np.random.default_rng(5)
         pc = random_cloud(rng, 14, 2)
         cx = enumerate_complex(range(14), pc, 0.5, 3)
-        levels = [{tuple(s) for s in level.tolist()} for level in cx.simplices]
+        levels = [{tuple(s) for s in level.tolist()} for level in vertex_levels(cx)]
         for q in range(1, 4):
             for s in levels[q]:
                 for i in range(len(s)):
@@ -79,7 +80,7 @@ class TestEnumerate:
         pc = PointCloud(TETRA_POINTS)
         red = build_leaf(range(4), pc, [TETRA_SIDE], 1, 3)
         levels = [[tuple(s) for s in level.tolist()]
-                  for level in enumerate_complex(range(4), pc, TETRA_SIDE, 2).simplices]
+                  for level in vertex_levels(enumerate_complex(range(4), pc, TETRA_SIDE, 2))]
         assert len(levels[2]) == 4
         assert len(red.index) == 2
         for q in range(2):
@@ -104,8 +105,30 @@ class TestEnumerate:
         pc = random_cloud(rng, 12, 2)
         cx = enumerate_complex(range(12), pc, 0.7, 2)
         for q in range(3):
-            level = [tuple(s) for s in cx.simplices[q].tolist()]
+            level = [tuple(s) for s in vertex_levels(cx)[q].tolist()]
             assert level == sorted(level)
+
+    @pytest.mark.parametrize("points,message", [
+        ([0, 0, 1], "point index 0 is repeated"),
+        ([-1, 0], "point index -1 is out of range for a cloud of 3 points"),
+        ([0, 5], "point index 5 is out of range for a cloud of 3 points"),
+        (np.array([2, 3], np.uint64), "point index 3 is out of range"),
+        (np.array([0, 2**64 - 1], np.uint64), "point index -1 is out of range"),
+        ([0.0, 1.0], "point indices must be integers, not float64"),
+        ([True, False], "point indices must be integers, not bool"),
+        (np.array([[0, 1]]), "point indices must be integers, not int64 of shape"),
+    ])
+    def test_point_indices_validated(self, points, message):
+        # [0, 0, 1] made the edges [0, 0], [0, 1] twice and a triangle
+        # [0, 0, 1]; -1 made a vertex -1 at point 2's coordinates; 5 was a
+        # bare IndexError.  The leaf and the oracle pass indices through.
+        pc = PointCloud([[0.0], [0.5], [1.0]])
+        for build in (lambda: enumerate_complex(points, pc, 1.0, 2),
+                      lambda: build_leaf(points, pc, [1.0], 1, 2),
+                      lambda: persistence_barcode(points, pc, 1.0, 1, 2)):
+            with pytest.raises(ValueError, match=message):
+                build()
+        assert enumerate_complex([2, 0], pc, 1.0, 1).points.tolist() == [0, 2]
 
     def test_empty_points(self):
         pc = PointCloud([[0.0]])
@@ -122,7 +145,7 @@ class TestEnumerate:
         pc = random_cloud(rng, 10, 2)
         cx = enumerate_complex(range(10), pc, 0.8, 2)
         for q in range(3):
-            for s, d in zip(cx.simplices[q], cx.diameters[q]):
+            for s, d in zip(vertex_levels(cx)[q], cx.diameters[q]):
                 assert d == pc.diameter(s)
 
 
@@ -152,7 +175,7 @@ def assert_equals_brute_force(cx, cloud, points, scale, max_dim):
     """Same simplices in the same order, diameters bit-equal as float64."""
     expect = brute_force_simplices(points, cloud, scale, max_dim)
     for q in range(max_dim + 1):
-        assert [tuple(s) for s in cx.simplices[q].tolist()] == expect[q]
+        assert [tuple(s) for s in vertex_levels(cx)[q].tolist()] == expect[q]
         want = [0.0 if q == 0 else cloud.diameter(s) for s in expect[q]]
         assert [d.hex() for d in cx.diameters[q].tolist()] == [d.hex() for d in want]
         assert cx.diameters[q].dtype == np.float64
@@ -179,7 +202,7 @@ class TestEnumerateProperties:
         for q in range(1, max_dim + 1):
             assert cx.facets[q].dtype == np.int64
             assert cx.facets[q].shape == (cx.count(q), q + 1)
-            assert cx.facets[q].tolist() == looked_up_facets(cx.simplices, q)
+            assert cx.facets[q].tolist() == looked_up_facets(vertex_levels(cx), q)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 7))
@@ -205,9 +228,9 @@ class TestEnumerateProperties:
         blocks = []     # (dimension, simplices) of every expanded block
         cofaces = rips._cofaces
 
-        def recording(level, *args):
-            for block in cofaces(level, *args):
-                blocks.append((level.shape[1], len(block[1])))
+        def recording(last, diams, facets, *args):
+            for block in cofaces(last, diams, facets, *args):
+                blocks.append((facets.shape[1], len(block[1])))
                 yield block
 
         monkeypatch.setattr(rips, "_cofaces", recording)
@@ -398,8 +421,9 @@ class TestBoundaryMatrix:
             for q in (1, 2):
                 cols = boundary_matrix(cx, q, p)
                 assert all(type(c) is (int if p == 2 else dict) for c in cols)
-                row = {tuple(f): i for i, f in enumerate(cx.simplices[q - 1].tolist())}
-                for s, col in zip(cx.simplices[q], dict_columns(cols)):
+                levels = vertex_levels(cx)
+                row = {tuple(f): i for i, f in enumerate(levels[q - 1].tolist())}
+                for s, col in zip(levels[q], dict_columns(cols)):
                     chain = boundary(s, p)
                     want = {row[f]: c for f, c in chain.terms.items()}
                     assert col == want
@@ -472,14 +496,22 @@ class TestFacetTables:
             cx = enumerate_complex(points, cloud, scales[-1], top)
             if flat_edges:
                 cx.diameters[1][:] = 0.0
+            lex = [list(zip(level.tolist(), d.tolist()))
+                   for level, d in zip(vertex_levels(cx), cx.diameters)]
             _order_levels(cx, floor)
+            levels = vertex_levels(cx)
             assert len(cx.facets) == top + 1 and cx.facets[0] is None
             for q in range(1, top + 1):
                 assert cx.facets[q].dtype == np.int64
                 assert cx.facets[q].shape == (cx.count(q), q + 1)
-                assert cx.facets[q].tolist() == looked_up_facets(cx.simplices, q)
+                assert cx.facets[q].tolist() == looked_up_facets(levels, q)
                 d = cx.diameters[q]
                 assert d.max(initial=0.0) <= floor or (np.diff(d) >= 0).all()
+                # The rows moved with their diameters: a stable sort of the
+                # lex level by diameter, or the lex level itself.
+                if d.max(initial=0.0) > floor:
+                    lex[q].sort(key=lambda row: row[1])
+                assert list(zip(levels[q].tolist(), d.tolist())) == lex[q]
 
     @settings(max_examples=60, deadline=None)
     @given(facet_clouds(), st.integers(0, 2**32 - 1))
@@ -491,12 +523,14 @@ class TestFacetTables:
         cx = enumerate_complex(points, cloud, scales[-1], top)
         rng = np.random.default_rng(seed)
         for q in rng.integers(0, top + 1, size=3).tolist():
-            before = [level.copy() for level in cx.simplices]
+            before = vertex_levels(cx)
             order = rng.permutation(cx.count(q))
             cx.reorder(q, order)
-            assert cx.simplices[q].tolist() == before[q][order].tolist()
+            after = vertex_levels(cx)
+            for k in range(top + 1):
+                assert after[k].tolist() == (before[k][order] if k == q else before[k]).tolist()
             for k in range(1, top + 1):
-                assert cx.facets[k].tolist() == looked_up_facets(cx.simplices, k)
+                assert cx.facets[k].tolist() == looked_up_facets(after, k)
 
     def test_keys_stay_exact_where_radix_keys_wrap(self):
         # Radix keys over the three vertices of a triangle would need
@@ -510,11 +544,13 @@ class TestFacetTables:
         lo, hi = edges[:, 0], edges[:, 1]
         dist = np.random.default_rng(0).random(len(edges))
         starts = np.searchsorted(lo, np.arange(n + 1))
-        levels, diams, tables = [None, edges], [None, dist], [None, edges]
+        levels, diams, tables, last = [None, edges], [None, dist], [None, edges], hi
         for q in range(1, 4):
-            blocks = list(rips._cofaces(levels[q], diams[q], tables[q], starts, hi, n))
-            level, d, table = (np.concatenate(a) for a in zip(*blocks))
+            blocks = list(rips._cofaces(last, diams[q], tables[q], starts, hi, n))
+            last, d, table = (np.concatenate(a) for a in zip(*blocks))
+            level = rips.vertex_rows(tables + [table], q + 1, np.arange(len(d)))
             assert level.tolist() == [list(s) for s in combinations(verts, q + 2)]
+            assert last.tolist() == level[:, -1].tolist()
             assert table.tolist() == looked_up_facets(levels + [level], q + 1)
             length = {tuple(e): x for e, x in zip(edges.tolist(), dist.tolist())}
             assert d.tolist() == [max(length[e] for e in combinations(s, 2))
@@ -522,3 +558,19 @@ class TestFacetTables:
             levels.append(level)
             diams.append(d)
             tables.append(table)
+
+    def test_a_complex_holds_its_tables_once(self):
+        # Enumerated and put in the oracle's order, a complex holds its
+        # points, diameters and facet tables and nothing beside them: no
+        # vertex levels, before or after a reorder.
+        pc = PointCloud(np.random.default_rng(0).random((2000, 2)))
+        tracemalloc.start()
+        try:
+            cx = enumerate_complex(range(2000), pc, 0.06, 2)
+            _order_levels(cx, 0.0)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = cx.points.nbytes + sum(a.nbytes for a in cx.diameters + cx.facets[1:])
+        assert held <= 1.1 * size
+        assert peak <= 3 * size
