@@ -2,7 +2,7 @@
 
 Everything here is an immutable value after construction, so instances can be
 shared freely between worker threads.  What is built from them need not be:
-a leaf reduction (reduction.LeafReduction) fills caches on first query.
+a leaf reduction (reduction.LeafReduction) builds entries on first query.
 """
 
 from __future__ import annotations

@@ -8,12 +8,13 @@ share only the cloud, the field and the covering, which are immutable.  Per
 scale, the box tree is then walked on the calling thread, children before
 parents: leaves take their view at that scale, nodes assemble, and Betti
 numbers are read off the root solver.  Later scales start no threads.  A
-leaf reduction is not immutable: its index, table columns and apparent
-columns are built and cached on first query, and queries run only in that
-walk, so they fill on the calling thread.  A node's representatives, its
-connecting lifts among them, are built the same way, on first read: by the
-assembly of an enclosing node, so a failed lift check names that node's
-box, and never for the root, whose Betti numbers read only ranks.
+leaf reduction is not immutable: its index levels, table columns, apparent
+columns and row chains are built one entry at a time, on the first query
+that reads them, and queries run only in that walk, so they are built on
+the calling thread.  A node's connecting lift is built the same way, on
+the first read of its class: by the assembly of an enclosing node, so a
+failed lift check names that node's box, and never for the root, whose
+Betti numbers read only ranks.
 """
 
 from __future__ import annotations
@@ -22,8 +23,11 @@ import math
 import numbers
 import os
 import time
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import PointCloud, PrimeField
 from .covering import GridCovering, build_covering, choose_k, full_box, split_axis
@@ -192,6 +196,11 @@ def run(cloud, eps, scales, n_max=1, field=2, workers=None, grid=None,
     for name, value, least in (("workers", workers, 1), ("n_max", n_max, 0), ("budget", budget, 1)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
             raise ValueError(f"{name} must be an int >= {least}, not {value!r}")
+    if (isinstance(scales, str) or not isinstance(scales, (Sequence, np.ndarray))
+            or getattr(scales, "ndim", 1) != 1):
+        raise ValueError(f"scales must be a sequence of real numbers, not {scales!r}")
+    for name, values in (("eps", [eps]), ("scales", scales), ("slack", [slack])):
+        _require_real(name, values)
     field = PrimeField(field)
     if isinstance(cloud, PointCloud) is False:
         cloud = PointCloud(cloud)
@@ -274,6 +283,14 @@ def _scale_key(s: float) -> str:
     return repr(float(s))
 
 
+def _require_real(name, values):
+    """ValueError naming the argument unless every value is a real number:
+    a bool, a string or a complex number is not; numpy reals are."""
+    for x in values:
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise ValueError(f"{name} must be real, not {x!r}")
+
+
 def attach_verification(report: BettiReport, cloud, n_max, budget=DEFAULT_BUDGET,
                         slack=0.0) -> BettiReport:
     """Compare a report against the direct global barcode; fills report.verify.
@@ -282,6 +299,7 @@ def attach_verification(report: BettiReport, cloud, n_max, budget=DEFAULT_BUDGET
     the assembly (see reduction.persistence_barcode).  An infeasible oracle
     (budget exceeded) is reported explicitly rather than passing silently.
     """
+    _require_real("slack", [slack])
     if isinstance(cloud, PointCloud) is False:
         cloud = PointCloud(cloud)
     field = PrimeField(report.field)

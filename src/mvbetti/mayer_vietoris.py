@@ -12,18 +12,19 @@ determines the union's homology as coker(f_n) (+) ker(f_{n-1}).  This module
 builds the f matrices from child solvers, extracts kernel and cokernel bases
 exactly over Z/p, and answers coords()/bound() on the union by the standard
 chain-level chase, so a node composes with further nodes exactly like a leaf
-solver.  The explicit union cycle of each kernel basis vector (the
-connecting-map lift) is built on first read, with the node's other
-representatives: a Betti number needs only ranks, so a Betti-only root
-builds none.  Class coordinates are sparse {basis index: nonzero residue}
-dicts throughout, the representation of a dict column: a child's coords()
-shifts straight into an f-matrix column or target vector.
+solver.  Representatives are read by class, and the explicit union cycle of
+a kernel basis vector (the connecting-map lift) is built on the first read
+of its class: a Betti-only root builds none, and a chase only those its
+kernel correction names.  Class coordinates are sparse {basis index:
+nonzero residue} dicts throughout, the representation of a dict column: a
+child's coords() shifts straight into an f-matrix column or target vector.
 
 All chains use global point indices, so inclusions are literal identities.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import accumulate
 
 from .core import Chain, ConsistencyError, chain_boundary
@@ -31,13 +32,11 @@ from .reduction import PrimeField, as_dict, combine, eliminate, reduce_columns
 
 
 def _combo_chain(solver, n: int, coeffs, p: int) -> Chain:
-    """Linear combination of a solver's representatives at dimension n."""
+    """Linear combination of a solver's representatives at dimension n,
+    reading only the classes named in coeffs."""
     out = Chain.zero(n, p)
-    if not coeffs:
-        return out
-    reps = solver.representatives(n)
     for b, c in coeffs.items():
-        out = out + reps[b].scaled(c)
+        out = out + solver.representative(n, b).scaled(c)
     return out
 
 
@@ -148,6 +147,7 @@ class MVNodeSolver:
     representative per non-pivot row of f_n, ascending) and kernel classes
     second (one connecting lift per echelon kernel vector of f_{n-1}), so in
     a coords() dict kernel class i has key len(coker_rows) + i.
+    representative(n, b) reads one class; representatives(n) lists them all.
     """
 
     def __init__(self, pieces, inters, n_max: int, field: PrimeField):
@@ -171,7 +171,7 @@ class MVNodeSolver:
                 )
 
         self._f = []        # reduced FMatrix per dimension 0..n_max
-        self._rep_chains = {}   # dimension -> representatives(n), built on first call
+        self._lifts = {}    # (dimension, kernel basis index) -> connecting lift
         self._build()
 
     # -- construction -----------------------------------------------------
@@ -193,9 +193,7 @@ class MVNodeSolver:
         off = self._f[n].col_starts
         per = [dict() for _ in self.inters]
         for r, c in u.items():
-            k = 0
-            while off[k + 1] <= r:
-                k += 1
+            k = bisect_right(off, r) - 1
             per[k][r - off[k]] = c
         return per
 
@@ -244,37 +242,26 @@ class MVNodeSolver:
         kernel = len(self._f[n - 1].kernel_cols) if n >= 1 else 0
         return coker + kernel
 
-    def representatives(self, n: int):
-        """Cycle chains whose classes form the union's basis at dimension n.
-
-        The list is built once per node, on the first call, and shared by
-        later calls, so a query that names a few basis classes does not
-        rebuild all of them; callers must not mutate it.  Building it
-        builds the connecting lifts, whose guards raise ConsistencyError
-        here: in the caller that first reads them.
-        """
-        if n < 0 or n > self.n_max:
-            return []
-        out = self._rep_chains.get(n)
-        if out is not None:
-            return out
-        out = []
+    def representative(self, n: int, b: int) -> Chain:
+        """The cycle chain of basis class b at dimension n; callers must not
+        mutate it.  A cokernel class is the representative of row
+        coker_rows[b] in its piece; a kernel class is its connecting lift,
+        built on first read, whose guards raise ConsistencyError there."""
         fs = self._f[n]
-        off = fs.row_starts
-        k = 0
-        reps = None
-        for r in fs.coker_rows:     # ascending, so k only moves forward
-            while off[k + 1] <= r:
-                k += 1
-                reps = None
-            if reps is None:
-                reps = self.pieces[k].representatives(n)
-            out.append(reps[r - off[k]])
-        if n >= 1:
-            out.extend(self._connecting_lift(u, n - 1)
-                       for u in self._f[n - 1].kernel_cols)
-        self._rep_chains[n] = out
-        return out
+        m = len(fs.coker_rows)
+        if b < m:
+            r = fs.coker_rows[b]
+            k = bisect_right(fs.row_starts, r) - 1
+            return self.pieces[k].representative(n, r - fs.row_starts[k])
+        lift = self._lifts.get((n, b - m))
+        if lift is None:
+            lift = self._lifts[n, b - m] = self._connecting_lift(
+                self._f[n - 1].kernel_cols[b - m], n - 1)
+        return lift
+
+    def representatives(self, n: int):
+        """Cycle chains whose classes form the union's basis at dimension n."""
+        return [self.representative(n, b) for b in range(self.betti(n))]
 
     def _split(self, z: Chain):
         """Assign each simplex to the lowest piece containing all its vertices."""

@@ -6,11 +6,13 @@ queries (express a cycle in the homology basis / produce an explicit
 bounding chain).  A region is reduced once, into one elimination table per
 dimension that serves every scale, and keeps its pairing once, as arrays:
 each simplex's killer, a live mask and per-scale ranks, from which a
-per-scale view picks the rows that are representatives at its scale.  A
-row's column is built only when a query reaches it.  The pairing that precedes the reduction also gives the direct
-filtration barcode, the oracle for the divide-and-conquer path (see
-persistence_barcode for what it shares with run() and what keeps it
-independent).
+per-scale view picks the rows that are representatives at its scale.  What
+a query reads is built one entry at a time, on its first read, in a _Lazy
+dict: a row's table column, a level's simplex index, an apparent column; a
+row's cycle chain is built once for every scale.  The pairing that
+precedes the reduction also gives the direct filtration barcode, the oracle
+for the divide-and-conquer path (see persistence_barcode for what it
+shares with run() and what keeps it independent).
 
 Columns are native Python values: int bitsets (bit r = row r) at p = 2,
 where column addition is one XOR, and {row: nonzero residue} dicts
@@ -33,7 +35,7 @@ decodes a column of either representation.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import cached_property, reduce
+from functools import partial, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -155,7 +157,7 @@ class ReducedPair:
     r and v hold the columns of R and V by column index: lists when the
     ncols columns were given as a list, {column index: column} mappings when
     they were given as one (a leaf leaves its apparent columns implicit
-    there, see _Implicit).  Columns are native (bitsets at p = 2, dicts
+    there, see _apparent_columns).  Columns are native (bitsets at p = 2, dicts
     otherwise).
     """
 
@@ -390,24 +392,33 @@ def _pair_levels(cx, field: PrimeField):
     return pairs
 
 
-class _Implicit(dict):
-    """Columns of a reduction by column index, where the apparent columns
-    (apparent[k] true) are left implicit: make(k) builds one on first read,
-    and it is then cached.  Reading any other missing column raises
-    KeyError."""
+class _Lazy(dict):
+    """A dict whose entries are built on first read: a missing key is
+    make(key), kept unless it is None.  A make that raises KeyError marks
+    a key that may not be read.  make is bound with functools.partial to
+    the arrays it reads, never to its owner, so no owner is in a
+    reference cycle."""
 
-    __slots__ = ("apparent", "_make")
+    __slots__ = ("_make",)
 
-    def __init__(self, apparent, make):
+    def __init__(self, make):
         super().__init__()
-        self.apparent = apparent
         self._make = make
 
-    def __missing__(self, k):
-        if not (0 <= k < len(self.apparent) and self.apparent[k]):
-            raise KeyError(k)
-        col = self[k] = self._make(k)
-        return col
+    def __missing__(self, key):
+        value = self._make(key)
+        if value is not None:
+            self[key] = value
+        return value
+
+
+def _apparent(apparent, facets, signs, p: int, k):
+    """R_k = rips.boundary_column of facet-table row k, or V_k = e_k when
+    facets is None, of an apparent column k (apparent[k] true); KeyError
+    for any other k."""
+    if not (0 <= k < len(apparent) and apparent[k]):
+        raise KeyError(k)
+    return _unit(k, p) if facets is None else boundary_column(facets[k].tolist(), signs, p)
 
 
 def _apparent_columns(facets, nrows: int, field: PrimeField) -> ReducedPair:
@@ -419,7 +430,7 @@ def _apparent_columns(facets, nrows: int, field: PrimeField) -> ReducedPair:
     any combination of them: in a left-to-right reduction k is never
     reduced, l is its pivot, R_k = the boundary of k and V_k = e_k, over
     every Z/p and in every prefix.  Their pivots are entered; r and v build
-    a column on first read (_Implicit), R_k with rips.boundary_column.
+    a column on first read (_Lazy, _apparent).
     Ripser's apparent pairs (Bauer, 2021), found here on the homology side,
     apart from cohomology_pairs.
     """
@@ -433,56 +444,34 @@ def _apparent_columns(facets, nrows: int, field: PrimeField) -> ReducedPair:
     signs = facet_signs(width - 1, p)
     return ReducedPair(
         len(cols), field,
-        _Implicit(apparent, _BoundaryColumn(facets, signs, p)),
-        _Implicit(apparent, _UnitColumn(p)),
+        _Lazy(partial(_apparent, apparent, facets, signs, p)),
+        _Lazy(partial(_apparent, apparent, None, None, p)),
         dict(zip(low[cols].tolist(), cols.tolist())))
 
 
-class _BoundaryColumn(NamedTuple):
-    """R_k of an apparent column k: boundary_column of facet-table row k."""
-    facets: np.ndarray
-    signs: list
-    p: int
-
-    def __call__(self, k):
-        return boundary_column(self.facets[k].tolist(), self.signs, self.p)
-
-
-class _UnitColumn(NamedTuple):
-    """V_k = e_k of an apparent column k."""
-    p: int
-
-    def __call__(self, k):
-        return _unit(k, self.p)
+def _table_entry(killer, live, r, v, row):
+    """Row row's entry (column, row) of dimension n's eliminate() table,
+    from killer[n], live[n], r[n+1] and v[n]: R_k when the row's killer in
+    D_{n+1} is k, else V_j at an unkilled zero column of D_n (e_j at a
+    vertex).  A pivot column of D_n (live[row] false) is no table row:
+    None."""
+    k = int(killer[row])
+    if k >= 0:
+        return r[k], row
+    if live[row]:
+        return v[row], row
+    return None
 
 
-class _LeafTable(dict):
-    """Dimension n's eliminate() table of a LeafReduction, {row: (column,
-    row)}, each entry built on its first lookup: R_k at a row whose killer
-    in D_{n+1} is k, else V_j at an unkilled zero column of D_n (e_j at a
-    vertex).  A pivot column of D_n (live[row] false) is no table row;
-    looking it up gives None and caches nothing.  table.__getitem__ is the
-    lookup that eliminate() takes."""
-
-    __slots__ = ("_killer", "_live", "_r", "_v")
-
-    def __init__(self, killer, live, r, v):
-        super().__init__()
-        self._killer = killer   # int array over the n-simplices, -1 when unkilled
-        self._live = live       # bool array over the n-simplices
-        self._r = r             # R columns of reduced D_{n+1}
-        self._v = v             # V columns of reduced D_n
-
-    def __missing__(self, row):
-        k = int(self._killer[row])
-        if k >= 0:
-            col = self._r[k]
-        elif self._live[row]:
-            col = self._v[row]
-        else:
-            return None
-        e = self[row] = (col, row)
-        return e
+def _level_index(facets, prefix, points, q):
+    """{vertex tuple: row} of level q below the top.  The tuples hold the
+    int objects of points, not a new int per entry as tolist() makes."""
+    if not 0 <= q < len(prefix) - 1:
+        raise KeyError(q)
+    count = prefix[q][-1]
+    cols = vertex_rows(facets, q, np.arange(count)).T.tolist()
+    keys = zip(*(map(points.__getitem__, col) for col in cols))
+    return dict(zip(keys, range(count)))
 
 
 class LeafReduction:
@@ -519,14 +508,16 @@ class LeafReduction:
     live n-simplices are the rows of the dimension-n eliminate() table for
     every scale, and a view (view(scale), a LeafSolver) picks its basis
     from killer[n] and live[n].  The column of a row is built only when a
-    query reaches that row, and cached in tables[n]; a Betti-only run
-    builds none.  The complex is dropped after the build: the leaf keeps
+    query reaches that row, and kept in tables[n] (_Lazy); a Betti-only
+    run builds none.  The complex is dropped after the build: the leaf keeps
     its level-0 id array (points and point_set are made from it), prefix
     (the last entry of each level is its count) and the facet tables, which
     give every simplex's vertex rows (rips.vertex_rows), as in Ripser
-    (Bauer, 2021).  index and chain_of_column map vertex tuples to rows and
-    back.  The caches fill on the thread that queries, during assembly on
-    the calling thread.
+    (Bauer, 2021).  index[q] maps level q's vertex tuples to rows, built on
+    the first query at level q, for q below the top; chain_of_column maps
+    rows back.  chain(n, row) builds a table row's cycle chain once, for
+    every view.  Entries are built on the thread that queries, during
+    assembly on the calling thread.
     """
 
     def __init__(self, points, cloud: PointCloud, scales, n_max: int,
@@ -549,7 +540,7 @@ class LeafReduction:
         pairs = _pair_levels(cx, field)
 
         self.r = {}
-        self.v = {0: _Implicit(np.ones(cx.count(0), bool), _UnitColumn(field.p))}
+        self.v = {0: _Lazy(partial(_apparent, np.ones(cx.count(0), bool), None, None, field.p))}
         self.ranks = {0: [0] * len(self.scales)}
         self.killer = [None] * top
         self.live = [np.ones(cx.count(n), bool) for n in range(top)]
@@ -560,7 +551,8 @@ class LeafReduction:
                 needed[list(pairs[q].values())] = True
             else:
                 needed = self.killer[q] < 0
-            built = np.flatnonzero(needed & ~red.r.apparent).tolist()
+            needed[list(red.pivots.values())] = False   # apparent: left implicit
+            built = np.flatnonzero(needed).tolist()
             reduce_columns(dict(zip(built, boundary_matrix(cx, q, field.p, built))),
                            field, into=red)
             if red.pivots != pairs[q]:
@@ -578,23 +570,23 @@ class LeafReduction:
                 self.live[q][cols] = False
             self.r[q], self.v[q] = red.r, red.v
 
-        self.tables = [_LeafTable(self.killer[n], self.live[n], self.r[n + 1], self.v[n])
+        self.tables = [_Lazy(partial(_table_entry, self.killer[n], self.live[n],
+                                     self.r[n + 1], self.v[n]))
                        for n in range(top)]
+        self.index = _Lazy(partial(_level_index, self.facets, self.prefix, self.points))
+        self._chains = {}   # (dimension, row) -> the row's cycle chain
 
     def view(self, scale: float) -> "LeafSolver":
         return LeafSolver(self, scale)
 
-    @cached_property
-    def index(self):
-        """{vertex tuple: row} per level below the top.  The tuples hold the
-        int objects of points, not a new int per entry as tolist() makes."""
-        pts, index = self.points, []
-        for q in range(self.n_max + 1):
-            count = self.prefix[q][-1]
-            cols = vertex_rows(self.facets, q, np.arange(count)).T.tolist()
-            keys = zip(*(map(pts.__getitem__, col) for col in cols))
-            index.append(dict(zip(keys, range(count))))
-        return index
+    def chain(self, n: int, row: int) -> Chain:
+        """The cycle chain of row row of dimension n's table, built once for
+        every scale; callers must not mutate it."""
+        z = self._chains.get((n, row))
+        if z is None:
+            z = self._chains[n, row] = self.chain_of_column(
+                as_dict(self.tables[n][row][0]), n, self.field.p)
+        return z
 
     def chain_of_column(self, col: dict, q: int, p: int) -> Chain:
         """The chain of a {row: coefficient} column over level q."""
@@ -612,12 +604,14 @@ class LeafSolver:
     V_k.  The view keeps {representative row: basis index} per dimension,
     picked from the reduction's killer and live arrays with numpy and
     checked against its ranks, so betti(n) = dim Z_n - rank d_{n+1} is the
-    size of that dict and no table column is built.  coords() expresses a
-    cycle in the representative basis as a sparse {basis index: nonzero
-    residue} dict, the representation of a dict column; bound() returns an
-    explicit preimage under the boundary map, from the V_k of the killed
-    rows, whenever the class vanishes.  Both, and representatives(), build
-    the table columns they reach on first use.
+    size of that dict and no table column is built; _rows lists the same
+    rows by basis index.  coords() expresses a cycle in the representative
+    basis as a sparse {basis index: nonzero residue} dict, the
+    representation of a dict column; bound() returns an explicit preimage
+    under the boundary map, from the V_k of the killed rows, whenever the
+    class vanishes.  Both build the table columns they reach on first use,
+    and representative(n, b) the chain of the one class it names
+    (LeafReduction.chain).
     """
 
     def __init__(self, reduction: LeafReduction, scale: float):
@@ -632,14 +626,15 @@ class LeafSolver:
         # Simplices of the view per dimension: a prefix of every level.
         self._limit = [reduction.prefix[q][b] for q in range(self.n_max + 2)]
         self._basis = []    # per dimension: {representative row: basis index}
-        self._rep_chains = {}   # dimension -> representatives(n), built on first call
+        self._rows = []     # per dimension: basis index -> representative row
         for n in range(self.n_max + 1):
             end = self._limit[n]
             killer = reduction.killer[n][:end]
-            reps = np.flatnonzero(reduction.live[n][:end]
-                                  & ((killer < 0) | (killer >= self._limit[n + 1])))
-            basis = dict(zip(reps.tolist(), range(len(reps))))
+            rows = np.flatnonzero(reduction.live[n][:end]
+                                  & ((killer < 0) | (killer >= self._limit[n + 1]))).tolist()
+            basis = dict(zip(rows, range(len(rows))))
             self._basis.append(basis)
+            self._rows.append(rows)
 
             expected = end - reduction.ranks[n][b] - reduction.ranks[n + 1][b]
             if len(basis) != expected:
@@ -655,21 +650,14 @@ class LeafSolver:
             return 0
         return len(self._basis[n])
 
-    def representatives(self, n: int):
-        """Cycle chains whose classes form the homology basis at dimension n.
+    def representative(self, n: int, b: int) -> Chain:
+        """The cycle chain of basis class b at dimension n, shared with every
+        view of the reduction; callers must not mutate it."""
+        return self.reduction.chain(n, self._rows[n][b])
 
-        The list is built once per view and shared by later calls; callers
-        must not mutate it.
-        """
-        if n < 0 or n > self.n_max:
-            return []
-        chains = self._rep_chains.get(n)
-        if chains is None:
-            red, p = self.reduction, self.field.p
-            chains = [red.chain_of_column(as_dict(red.tables[n][row][0]), n, p)
-                      for row in self._basis[n]]
-            self._rep_chains[n] = chains
-        return chains
+    def representatives(self, n: int):
+        """Cycle chains whose classes form the homology basis at dimension n."""
+        return [self.representative(n, b) for b in range(self.betti(n))]
 
     def _column(self, z: Chain, n: int) -> dict:
         """z over the view's n-simplices; simplices beyond the view are foreign."""

@@ -1,5 +1,7 @@
+import gc
 import os
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -209,10 +211,40 @@ class TestRun:
         (1.0, [0.5, float("nan")], 0.0),
         (1.0, [0.5], float("nan")),
         (1.0, [0.5], float("inf")),
+        # Bools, strings and complex numbers are not real numbers, and a
+        # lone scale is not a sequence: True ran at scale 1.0, "0.5" at 0.5.
+        (True, [True], 0.0),
+        (1.0, [True], 0.0),
+        (1.0, ["0.5"], 0.0),
+        (1.0, "0.5", 0.0),
+        (1.0, 0.5, 0.0),
+        (1.0, {0.5}, 0.0),
+        (1.0, np.array(0.5), 0.0),
+        (1.0, [0.5 + 0j], 0.0),
+        ("1", [0.5], 0.0),
+        (1.0, [0.5], True),
+        (1.0, [0.5], "0"),
     ])
-    def test_non_finite_numbers_rejected(self, eps, scales, slack):
+    def test_non_finite_numbers_rejected(self, monkeypatch, eps, scales, slack):
+        monkeypatch.setattr(engine, "build_covering", None)
         with pytest.raises(ValueError, match="^(eps|scales|slack) must"):
             run(PointCloud(HEX_POINTS), eps, scales, workers=1, slack=slack)
+
+    def test_numpy_reals_accepted(self):
+        pc = PointCloud(HEX_POINTS)
+        ref = report_to_dict(run(pc, 1.0, [0.5, 1.0], workers=1), timings=False)
+        for eps, scales, slack in [(np.float64(1.0), [np.float32(0.5), np.int64(1)], 0.0),
+                                   (1.0, np.array([0.5, 1.0]), np.int64(0))]:
+            rep = run(pc, eps, scales, workers=1, slack=slack)
+            assert report_to_dict(rep, timings=False)["scales"] == ref["scales"]
+            assert attach_verification(rep, pc, 1, slack=slack).verify["pass"] is True
+
+    @pytest.mark.parametrize("slack", [True, "0", 1j])
+    def test_verification_slack_must_be_real(self, slack):
+        pc = PointCloud(HEX_POINTS)
+        rep = run(pc, 1.0, [0.5], workers=1)
+        with pytest.raises(ValueError, match="^slack must be real"):
+            attach_verification(rep, pc, 1, slack=slack)
 
     @pytest.mark.parametrize("grid", [None, [2, 2]])
     @pytest.mark.parametrize("name,value", [
@@ -228,6 +260,38 @@ class TestRun:
         monkeypatch.setattr(engine, "build_covering", None)
         with pytest.raises(ValueError, match=f"^{name} must be an int >= "):
             run(PointCloud(HEX_POINTS), 1.0, [0.5], grid=grid, **{name: value})
+
+    def test_no_leaf_or_node_outlives_run(self, monkeypatch):
+        # Without the cycle collector, a reference cycle through a leaf
+        # reduction or a node solver would keep it alive after run()
+        # returns.  The 3x3x3 nested grid reads connecting lifts.
+        refs, lifts = [], []
+        build, join, lift = engine.build_leaf, engine.assemble, MVNodeSolver._connecting_lift
+
+        def building(*args):
+            red = build(*args)
+            refs.append(weakref.ref(red))
+            return red
+
+        def assembling(*args):
+            node = join(*args)
+            refs.append(weakref.ref(node))
+            return node
+
+        monkeypatch.setattr(engine, "build_leaf", building)
+        monkeypatch.setattr(engine, "assemble", assembling)
+        monkeypatch.setattr(MVNodeSolver, "_connecting_lift",
+                            lambda self, u, n: lifts.append(n) or lift(self, u, n))
+        cloud = PointCloud(np.random.default_rng(0).random((300, 3)))
+        gc.collect()
+        gc.disable()
+        try:
+            run(cloud, 0.2, [0.1, 0.2], n_max=2, field=3, workers=2, grid=[3, 3, 3])
+            alive = sum(r() is not None for r in refs)
+        finally:
+            gc.enable()
+        assert len(refs) > 27 and lifts
+        assert alive == 0
 
     @pytest.mark.parametrize("grid", [None, [2, 2]])
     def test_empty_cloud_rejected(self, grid):

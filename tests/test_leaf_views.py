@@ -274,7 +274,44 @@ def test_chain_of_column_gives_each_row_its_enumerated_simplex(p, n_max, scales)
             assert red.chain_of_column({row: 1}, q, p) == Chain.single(s, p)
             if q <= n_max:
                 assert red.index[q][s] == row
-    assert [len(level) for level in red.index] == [len(s) for s, _ in levels[:n_max + 1]]
+    assert [len(red.index[q]) for q in range(n_max + 1)] == \
+        [len(s) for s, _ in levels[:n_max + 1]]
+    with pytest.raises(KeyError):
+        red.index[n_max + 1]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_leaf_queried_at_dimension_0_indexes_no_other_level(p):
+    # Each level's index is built on the first query at that level.
+    cloud = PointCloud(np.random.default_rng(7).random((40, 2)))
+    red = build_leaf(range(cloud.n), cloud, [0.15, 0.3], 1, p)
+    view, small = red.view(0.3), red.view(0.15)
+    assert view.betti(1) > 0 and small.betti(0) > 1 and not red.index
+    for v in (view, small):
+        reps = v.representatives(0)
+        assert [v.coords(z, 0) for z in reps] == [{b: 1} for b in range(len(reps))]
+    assert small.bound(reps[0] - reps[1], 0) is None
+    assert sorted(red.index) == [0]
+    view.coords(view.representatives(1)[0], 1)
+    assert sorted(red.index) == [0, 1]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_views_at_two_scales_share_the_chain_of_a_row(p):
+    # A row that is a representative at two scales has one chain, built
+    # once for the reduction, not once per view.
+    cloud = PointCloud(np.random.default_rng(7).random((40, 2)))
+    red = build_leaf(range(cloud.n), cloud, [0.15, 0.2, 0.3], 1, p)
+    small, large = red.view(0.15), red.view(0.3)
+    shared = 0
+    for n in range(2):
+        reps_small, reps_large = small.representatives(n), large.representatives(n)
+        for row, b in small._basis[n].items():
+            c = large._basis[n].get(row)
+            if c is not None:
+                assert reps_small[b] is reps_large[c]
+                shared += 1
+    assert shared > 0
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -266,6 +266,47 @@ class TestUnionQueries:
         with pytest.raises(ConsistencyError, match=message):
             assemble([a, b], [i], 1, f).coords(hexagon_cycle(3), 1)
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_chase_builds_only_the_lift_it_names(self, monkeypatch, p):
+        # A 5x5 unit lattice at scale 1 without (2, 1) and (2, 3), cut at
+        # x = 2: each piece has four square holes, the overlap three points,
+        # so ker f_0 gives two kernel classes.  A loop through the overlap
+        # points at y = 0 and y = 2 names one of them in its kernel
+        # correction; the chase builds that lift and no other, and reads
+        # no cokernel representative of the node.
+        pts = [(x, y) for x in range(5) for y in range(5) if (x, y) not in ((2, 1), (2, 3))]
+        pc = PointCloud(np.array(pts, float))
+        at = {xy: i for i, xy in enumerate(pts)}
+        f = PrimeField(p)
+
+        def node():
+            leaf = lambda keep: build_leaf([at[xy] for xy in pts if keep(xy[0])], pc,
+                                           [1.0], 1, f).view(1.0)
+            return assemble([leaf(lambda x: x <= 2), leaf(lambda x: x >= 2)],
+                            [leaf(lambda x: x == 2)], 1, f)
+
+        loop = [(1, 0), (2, 0), (3, 0), (3, 1), (3, 2), (2, 2), (1, 2), (1, 1), (1, 0)]
+        terms = {}
+        for u, v in zip(loop, loop[1:]):
+            a, b = at[u], at[v]
+            terms[(min(a, b), max(a, b))] = 1 if a < b else p - 1
+        z = Chain(1, p, terms)
+        assert chain_boundary(z).is_zero()
+        ref = node()
+        ref.representatives(1)
+        lifts = []
+        real = MVNodeSolver._connecting_lift
+        monkeypatch.setattr(MVNodeSolver, "_connecting_lift",
+                            lambda self, u, n: lifts.append(n) or real(self, u, n))
+        lazy = node()
+        assert lazy.betti(1) == 10 and len(lazy._f[0].kernel_cols) == 2
+        co = lazy.coords(z, 1)
+        m = len(lazy._f[1].coker_rows)
+        assert co == ref.coords(z, 1)
+        assert lifts == [0]
+        assert [b - m for b in co if b >= m] == [i for _, i in lazy._lifts]
+        assert not any(n == 1 for piece in lazy.pieces for n, _ in piece.reduction._chains)
+
     def test_bound_zero_chain(self):
         _, f, a, b, i = hexagon_two_pieces(2)
         node = assemble([a, b], [i], 1, f)

@@ -82,9 +82,12 @@ class TestEnumerate:
         levels = [[tuple(s) for s in level.tolist()]
                   for level in vertex_levels(enumerate_complex(range(4), pc, TETRA_SIDE, 2))]
         assert len(levels[2]) == 4
-        assert len(red.index) == 2
+        assert not red.index
         for q in range(2):
             assert red.index[q] == {s: i for i, s in enumerate(levels[q])}
+        with pytest.raises(KeyError):
+            red.index[2]
+        assert sorted(red.index) == [0, 1]
         view = red.view(TETRA_SIDE)
         assert view._column(Chain.single(levels[1][0], 3), 1) == {0: 1}
         with pytest.raises(ValueError, match="out of range"):
@@ -97,8 +100,9 @@ class TestEnumerate:
         red = build_leaf(range(300, 330), pc, [0.5], 1, 2)
         assert red.prefix[1][-1] > 0
         ids = {id(g) for g in red.points}
-        for level in red.index:
-            assert all(id(v) in ids for s in level for v in s)
+        for q in range(2):
+            assert red.index[q]
+            assert all(id(v) in ids for s in red.index[q] for v in s)
 
     def test_lexicographic_order(self):
         rng = np.random.default_rng(8)
