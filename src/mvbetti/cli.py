@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 budget exceeded,
 4 verify mismatch, 5 internal consistency check failed, 6 a region job
-failed for another reason.
+failed for another reason.  Every flag is checked by the rule in core that
+run() applies to the same argument, under the flag's name, before the input
+file is read: a bad flag exits 1 even when the file is missing.  --verify
+checks the report at its own run's --max-dim and --slack, under --budget.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ import json
 import math
 import sys
 
-from .core import ConsistencyError, PointCloud, PrimeField
+from .core import (ConsistencyError, PointCloud, PrimeField, require_int, require_real,
+                   require_scales)
 from .engine import BettiReport, JobError, attach_verification, run
 from .rips import DEFAULT_BUDGET, BudgetExceededError
 
@@ -166,51 +170,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> argparse.Namespace:
-    """Validate parsed arguments and return them, with args.scales the sorted
-    list of scales and args.grid a list of cell counts or None."""
-    eps = args.epsilon
-    if not (0 < eps < math.inf):
-        raise UsageError("--epsilon must be positive and finite")
-    if args.max_dim < 0:
-        raise UsageError("--max-dim must be >= 0")
-    if not (0 <= args.slack < math.inf):
-        raise UsageError("--slack must be finite and >= 0")
-    if args.budget < 1:
-        raise UsageError("--budget must be >= 1")
+    """Check parsed arguments by core's rules, under the flags' names, and
+    return them, with args.scales the sorted list of scales and args.grid a
+    list of cell counts or None."""
     try:
+        eps = require_real("--epsilon", args.epsilon, positive=True)
+        require_int("--max-dim", args.max_dim, 0)
+        require_real("--slack", args.slack)
+        require_int("--budget", args.budget, 1)
         PrimeField(args.field)
+        if args.scales is not None:
+            try:
+                scales = [float(s) for s in args.scales.split(",") if s.strip()]
+            except ValueError:
+                raise UsageError(f"--scales must be comma-separated numbers: "
+                                 f"{args.scales!r}") from None
+        else:
+            m = require_int("--scale-steps",
+                            10 if args.scale_steps is None else args.scale_steps, 1)
+            scales = [eps * (i / m) for i in range(1, m + 1)]
+        args.scales = require_scales("--scales", scales, eps)
+        if args.grid is not None:
+            try:
+                grid = [int(k) for k in args.grid.split(",") if k.strip()]
+            except ValueError:
+                grid = []
+            if not grid:
+                raise UsageError(f"--grid must be comma-separated integers: {args.grid!r}")
+            args.grid = [require_int("--grid", k, 1) for k in grid]
+        if args.parallel is not None:
+            require_int("--parallel", args.parallel, 1)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-
-    if args.scales is not None:
-        try:
-            scales = [float(s) for s in args.scales.split(",") if s.strip()]
-        except ValueError:
-            raise UsageError(f"--scales must be comma-separated numbers: {args.scales!r}") from None
-        if not scales:
-            raise UsageError("--scales is empty")
-    else:
-        m = args.scale_steps if args.scale_steps is not None else 10
-        if m < 1:
-            raise UsageError("--scale-steps must be >= 1")
-        scales = [eps * (i / m) for i in range(1, m + 1)]
-    if not all(0 < s <= eps for s in scales):
-        raise UsageError(f"--scales must lie in (0, {eps}]")
-
-    grid = None
-    if args.grid is not None:
-        try:
-            grid = [int(k) for k in args.grid.split(",") if k.strip()]
-        except ValueError:
-            raise UsageError(f"--grid must be comma-separated integers: {args.grid!r}") from None
-        if not grid or any(k < 1 for k in grid):
-            raise UsageError("--grid entries must be positive integers")
-
-    if args.parallel is not None and args.parallel < 1:
-        raise UsageError("--parallel must be >= 1")
-
-    args.scales = sorted(scales)
-    args.grid = grid
     return args
 
 
@@ -250,8 +241,7 @@ def main(argv=None) -> int:
         return 1
 
     if args.verify:
-        attach_verification(report, cloud, args.max_dim, budget=args.budget,
-                            slack=args.slack)
+        attach_verification(report, cloud, budget=args.budget)
 
     try:
         text = emit_report(report, path=args.output, timings=not args.no_timings)

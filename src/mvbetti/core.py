@@ -1,4 +1,6 @@
-"""Foundational types: point clouds, prime fields, simplices, chains, boundaries.
+"""Foundational types: point clouds, prime fields, simplices, chains, boundaries,
+and the argument rules (require_int, require_real, require_scales,
+require_query) by which every entry point checks what it is given.
 
 Everything here is an immutable value after construction, so instances can be
 shared freely between worker threads.  What is built from them need not be:
@@ -7,7 +9,9 @@ a leaf reduction (reduction.LeafReduction) builds entries on first query.
 
 from __future__ import annotations
 
+import math
 import numbers
+from collections.abc import Sequence
 from itertools import product
 
 import numpy as np
@@ -79,6 +83,53 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField({self.p})"
+
+
+# The argument rules take the caller's name for the argument, so every
+# message starts with "<name> must".
+
+def require_int(name, value, least: int) -> int:
+    """value as an int, or ValueError unless it is an integer >= least; a
+    bool is not an integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an int >= {least}, not {value!r}")
+    return int(value)
+
+
+def _real(name, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be real, not {value!r}")
+    return float(value)
+
+
+def require_real(name, value, positive: bool = False) -> float:
+    """value as a float, or ValueError unless it is a real number, finite and
+    > 0 when positive, else finite and >= 0.  A bool, a string or a complex
+    number is not real; numpy reals are."""
+    x = _real(name, value)
+    if not (0 < x if positive else 0 <= x) or not x < math.inf:
+        raise ValueError(f"{name} must be "
+                         f"{'positive and finite' if positive else 'finite and >= 0'}")
+    return x
+
+
+def require_scales(name, values, top=None) -> list:
+    """values as a sorted list of distinct floats, or ValueError unless they
+    are a 1-D sequence (a list, a tuple or a 1-D array; not a string, a set
+    or a lone number) of real numbers, not empty, each in (0, top], or
+    finite and >= 0 when top is None."""
+    if (isinstance(values, str) or not isinstance(values, (Sequence, np.ndarray))
+            or getattr(values, "ndim", 1) != 1):
+        raise ValueError(f"{name} must be a sequence of real numbers, not {values!r}")
+    out = sorted({_real(name, x) for x in values})
+    if not out:
+        raise ValueError(f"{name} must not be empty")
+    if top is None:
+        for x in out:
+            require_real(name, x)
+    elif not all(0 < x <= top for x in out):
+        raise ValueError(f"{name} must lie in (0, {top}]")
+    return out
 
 
 class PointCloud:
@@ -358,3 +409,13 @@ def chain_boundary(chain: Chain) -> Chain:
             else:
                 acc.pop(face, None)
     return Chain(chain.dim - 1, p, acc)
+
+
+def require_query(z: Chain, n: int, n_max: int):
+    """ValueError unless n is a dimension in 0..n_max and z an n-chain: the
+    rule of every solver's coords() and bound(), checked before the
+    zero-chain shortcut."""
+    if n < 0 or n > n_max:
+        raise ValueError(f"dimension {n} out of range")
+    if z.dim != n:
+        raise ValueError(f"chain dimension {z.dim} does not match query dimension {n}")

@@ -19,17 +19,12 @@ Betti numbers read only ranks.
 
 from __future__ import annotations
 
-import math
-import numbers
 import os
 import time
-from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import PointCloud, PrimeField
+from .core import PointCloud, PrimeField, require_int, require_real, require_scales
 from .covering import GridCovering, build_covering, choose_k, full_box, split_axis
 from .mayer_vietoris import MVNodeSolver, assemble
 from .reduction import (DEFAULT_BUDGET, betti_at_scale, build_leaf,
@@ -155,6 +150,7 @@ class BettiReport:
     grid: list
     scales: list                      # list[ScaleResult], ascending scale
     diagnostics: dict
+    slack: float = 0.0                # the run's slack; not in the JSON report
     verify: dict = None
 
     def betti_at(self, scale: float):
@@ -190,31 +186,26 @@ def run(cloud, eps, scales, n_max=1, field=2, workers=None, grid=None,
     scales, which stay valid because smaller scales only shrink simplices.
     `grid` overrides the parallelism-derived cell counts: one count for
     every axis or one per axis (see covering.build_covering).
+
+    Before any work each argument is checked by its rule in core, under its
+    own name: workers (default: the cpu count) an int >= 1, n_max an int
+    >= 0, budget an int >= 1, eps a positive finite real, scales a
+    non-empty 1-D sequence of reals in (0, eps] (taken sorted and
+    distinct), slack a finite real >= 0 and field a prime (PrimeField); a
+    ValueError names the one at fault.  The report keeps slack, so
+    attach_verification checks it at the run's own n_max and slack.
     """
-    if workers is None:
-        workers = os.cpu_count() or 1
-    for name, value, least in (("workers", workers, 1), ("n_max", n_max, 0), ("budget", budget, 1)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-            raise ValueError(f"{name} must be an int >= {least}, not {value!r}")
-    if (isinstance(scales, str) or not isinstance(scales, (Sequence, np.ndarray))
-            or getattr(scales, "ndim", 1) != 1):
-        raise ValueError(f"scales must be a sequence of real numbers, not {scales!r}")
-    for name, values in (("eps", [eps]), ("scales", scales), ("slack", [slack])):
-        _require_real(name, values)
+    workers = require_int("workers", (os.cpu_count() or 1) if workers is None else workers, 1)
+    n_max = require_int("n_max", n_max, 0)
+    budget = require_int("budget", budget, 1)
+    eps = require_real("eps", eps, positive=True)
+    scales = require_scales("scales", scales, eps)
+    slack = require_real("slack", slack)
     field = PrimeField(field)
     if isinstance(cloud, PointCloud) is False:
         cloud = PointCloud(cloud)
     if cloud.n == 0:
         raise ValueError("cannot cover an empty cloud")
-    if not (0 < eps < math.inf):
-        raise ValueError("eps must be positive and finite")
-    scales = sorted(set(float(s) for s in scales))
-    if not scales:
-        raise ValueError("at least one scale is required")
-    if not all(0 < s <= eps for s in scales):
-        raise ValueError(f"scales must lie in (0, {eps}]")
-    if not (0 <= slack < math.inf):
-        raise ValueError("slack must be finite and nonnegative")
 
     warnings = []
     eps_eff = eps + slack
@@ -275,7 +266,7 @@ def run(cloud, eps, scales, n_max=1, field=2, workers=None, grid=None,
         grid=list(covering.k_per_axis),
         scales=per_scale,
         diagnostics=diagnostics,
-        verify=None,
+        slack=slack,
     )
 
 
@@ -283,30 +274,24 @@ def _scale_key(s: float) -> str:
     return repr(float(s))
 
 
-def _require_real(name, values):
-    """ValueError naming the argument unless every value is a real number:
-    a bool, a string or a complex number is not; numpy reals are."""
-    for x in values:
-        if isinstance(x, bool) or not isinstance(x, numbers.Real):
-            raise ValueError(f"{name} must be real, not {x!r}")
-
-
-def attach_verification(report: BettiReport, cloud, n_max, budget=DEFAULT_BUDGET,
-                        slack=0.0) -> BettiReport:
+def attach_verification(report: BettiReport, cloud,
+                        budget=DEFAULT_BUDGET) -> BettiReport:
     """Compare a report against the direct global barcode; fills report.verify.
 
-    The oracle shares enumeration and pairing with run(), not the grid or
-    the assembly (see reduction.persistence_barcode).  An infeasible oracle
-    (budget exceeded) is reported explicitly rather than passing silently.
+    The report is checked at its own run's n_max (one less than the length
+    of its Betti lists) and slack, so the two cannot disagree.  The oracle
+    shares enumeration and pairing with run(), not the grid or the assembly
+    (see reduction.persistence_barcode).  An infeasible oracle (budget
+    exceeded) is reported explicitly rather than passing silently; a budget
+    that is not an int >= 0 (enumerate_complex's rule) is a ValueError.
     """
-    _require_real("slack", [slack])
     if isinstance(cloud, PointCloud) is False:
         cloud = PointCloud(cloud)
-    field = PrimeField(report.field)
+    n_max = len(report.scales[0].betti) - 1
+    slack = report.slack
     try:
-        pts = range(cloud.n)
-        bars = persistence_barcode(pts, cloud, report.epsilon + slack, n_max,
-                                   field, budget)
+        bars = persistence_barcode(range(cloud.n), cloud, report.epsilon + slack, n_max,
+                                   report.field, budget)
     except BudgetExceededError as exc:
         report.verify = {
             "pass": None,
@@ -330,7 +315,8 @@ def attach_verification(report: BettiReport, cloud, n_max, budget=DEFAULT_BUDGET
 
 def verify(cloud, eps, scales, n_max=1, field=2, workers=None, grid=None,
            budget=DEFAULT_BUDGET, slack=0.0) -> BettiReport:
-    """run() plus an oracle comparison at every (scale, dimension)."""
+    """run() plus an oracle comparison at every (scale, dimension), under the
+    same budget."""
     report = run(cloud, eps, scales, n_max=n_max, field=field, workers=workers,
                  grid=grid, budget=budget, slack=slack)
-    return attach_verification(report, cloud, n_max, budget=budget, slack=slack)
+    return attach_verification(report, cloud, budget=budget)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import accumulate
 
-from .core import Chain, ConsistencyError, chain_boundary
+from .core import Chain, ConsistencyError, chain_boundary, require_query
 from .reduction import PrimeField, as_dict, combine, eliminate, reduce_columns
 
 
@@ -289,10 +289,6 @@ class MVNodeSolver:
     def _chase(self, z: Chain, n: int):
         """Run the exact-sequence chase on a nonzero cycle; returns (sparse
         kernel coords, xi chains)."""
-        if n < 0 or n > self.n_max:
-            raise ValueError(f"dimension {n} out of range")
-        if z.dim != n:
-            raise ValueError(f"chain dimension {z.dim} does not match query dimension {n}")
         if not chain_boundary(z).is_zero():
             raise ValueError("chain is not a cycle")
         zs = self._split(z)
@@ -357,6 +353,7 @@ class MVNodeSolver:
     def coords(self, z: Chain, n: int) -> dict:
         """A union cycle's class as {basis index: nonzero residue}: cokernel
         keys first, kernel keys offset by the cokernel size."""
+        require_query(z, n, self.n_max)
         if z.is_zero():
             return {}
         kappa, xis = self._chase(z, n)
@@ -368,6 +365,7 @@ class MVNodeSolver:
 
     def bound(self, z: Chain, n: int):
         """A union chain w with boundary exactly z, or None when [z] != 0."""
+        require_query(z, n, self.n_max)
         if z.is_zero():
             return Chain.zero(n + 1, self.p)
         kappa, xis = self._chase(z, n)

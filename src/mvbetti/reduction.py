@@ -40,7 +40,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Chain, ConsistencyError, PointCloud, PrimeField, chain_boundary
+from .core import (Chain, ConsistencyError, PointCloud, PrimeField, chain_boundary,
+                   require_int, require_query, require_real, require_scales)
 from .rips import (DEFAULT_BUDGET, boundary_column, boundary_matrix, enumerate_complex,
                    facet_signs, vertex_rows)
 
@@ -522,7 +523,7 @@ class LeafReduction:
 
     def __init__(self, points, cloud: PointCloud, scales, n_max: int,
                  field: PrimeField, budget: int = DEFAULT_BUDGET):
-        self.scales = sorted(set(float(s) for s in scales))
+        self.scales = scales    # sorted and distinct (build_leaf)
         self.n_max = n_max
         self.field = field
         top = n_max + 1
@@ -673,10 +674,6 @@ class LeafSolver:
     def _eliminate(self, z: Chain, n: int):
         """Express a nonzero cycle as (sparse rep coordinates, (killed row,
         coefficient) terms of the rest, a boundary in the view)."""
-        if n < 0 or n > self.n_max:
-            raise ValueError(f"dimension {n} out of range")
-        if z.dim != n:
-            raise ValueError(f"chain dimension {z.dim} does not match query dimension {n}")
         red = self.reduction
         rest, used = eliminate(self._column(z, n), red.tables[n].__getitem__, self.field.p)
         if rest:
@@ -697,6 +694,7 @@ class LeafSolver:
 
     def coords(self, z: Chain, n: int) -> dict:
         """A cycle's class in the homology basis as {basis index: nonzero residue}."""
+        require_query(z, n, self.n_max)
         if z.is_zero():
             return {}
         return self._eliminate(z, n)[0]
@@ -706,6 +704,7 @@ class LeafSolver:
 
         The returned chain is re-checked against z before being returned.
         """
+        require_query(z, n, self.n_max)
         if z.is_zero():
             return Chain.zero(n + 1, self.field.p)
         coords, killed = self._eliminate(z, n)
@@ -725,9 +724,12 @@ class LeafSolver:
 def build_leaf(points, cloud, scales, n_max, field,
                budget: int = DEFAULT_BUDGET) -> LeafReduction:
     """The one reduction of a region's Rips complex for every scale in
-    `scales`; its view(s) is the region solver at scale s."""
+    `scales`; its view(s) is the region solver at scale s.  The scales are
+    a non-empty sequence of finite reals >= 0, n_max an int >= 0, or a
+    ValueError names the argument."""
     field = PrimeField(field)
-    return LeafReduction(points, cloud, scales, n_max, field, budget)
+    return LeafReduction(points, cloud, require_scales("scales", scales),
+                         require_int("n_max", n_max, 0), field, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -756,9 +758,12 @@ def persistence_barcode(points, cloud, eps_max, n_max, field,
     oracle shares enumeration, level ordering and pairing with run(),
     nothing else; the tests' brute_force_betti and brute_force_barcode, the
     golden barcode frozen from a global reduction and the benchmark's
-    frozen seed-0 Betti numbers keep it independent.
+    frozen seed-0 Betti numbers keep it independent.  eps_max is a finite
+    real >= 0 and n_max an int >= 0, or a ValueError names the argument.
     """
     field = PrimeField(field)
+    eps_max = require_real("eps_max", eps_max)
+    n_max = require_int("n_max", n_max, 0)
     cx = enumerate_complex(points, cloud, eps_max, n_max + 1, budget)
     _order_levels(cx, 0.0)
     pairs = _pair_levels(cx, field)

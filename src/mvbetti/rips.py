@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import PointCloud, blocked_ranges
+from .core import PointCloud, blocked_ranges, require_int
 
 DEFAULT_BUDGET = 10_000_000
 _EXPAND_BLOCK = 1 << 16     # candidate cofaces of one clique expansion block
@@ -166,13 +166,13 @@ def enumerate_complex(
 ) -> RipsComplex:
     """Enumerate the Rips complex of a point-index set at one scale.
 
-    The points are distinct integers in 0..cloud.n - 1, in any order, or a
-    ValueError is raised.  Membership uses the closed condition (pairwise
-    distances <= scale).  Raises BudgetExceededError when the total simplex
-    count passes budget.
+    The points are distinct integers in 0..cloud.n - 1, in any order, and
+    max_dim and budget are ints >= 0, or a ValueError is raised.
+    Membership uses the closed condition (pairwise distances <= scale).
+    Raises BudgetExceededError when the total simplex count passes budget.
     """
-    if max_dim < 0:
-        raise ValueError("max_dim must be >= 0")
+    max_dim = require_int("max_dim", max_dim, 0)
+    budget = require_int("budget", budget, 0)
     pts = _point_ids(points, cloud.n)
     n = len(pts)
     diameters = [np.zeros(n)] + [np.empty(0) for _ in range(max_dim)]

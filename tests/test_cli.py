@@ -225,6 +225,24 @@ class TestMainExitCodes:
         # The message names the flag at fault, the last one given.
         assert out == "" and err.startswith(f"error: {flags[-2]} must ")
 
+    # Every flag is checked before the input file is read, so a bad flag
+    # with a missing file is a usage error, not a data error.
+    @pytest.mark.parametrize("flags", [
+        ["--epsilon", "0"],
+        ["--epsilon", "1", "--max-dim", "-1"],
+        ["--epsilon", "1", "--budget", "0"],
+        ["--epsilon", "1", "--scale-steps", "0"],
+        ["--epsilon", "1", "--grid", "0"],
+        ["--epsilon", "1", "--grid", "2,0"],
+        ["--epsilon", "1", "--parallel", "0"],
+        ["--epsilon", "1", "--slack", "-0.1"],
+        ["--epsilon", "1", "--scales", "0.5,2"],
+    ])
+    def test_usage_errors_win_over_data_errors(self, tmp_path, capsys, flags):
+        assert main([str(tmp_path / "missing.csv")] + flags) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {flags[-2]} must ")
+
     def test_cells_touching_after_rounding(self, tmp_path, capsys):
         # extent/3 = 0.10000000000000002 > eps, yet cells 0 and 2 meet at
         # 0.30000000000000004.  The automatic grid lowers k to 2; an

@@ -13,7 +13,7 @@ from mvbetti.covering import build_covering, cell, full_box
 from mvbetti.engine import (JobError, attach_verification, execute_scale, plan_jobs,
                             run)
 from mvbetti.mayer_vietoris import MVNodeSolver
-from mvbetti.reduction import LeafSolver, build_leaf
+from mvbetti.reduction import LeafSolver, build_leaf, persistence_barcode
 from mvbetti.rips import DEFAULT_BUDGET, BudgetExceededError
 
 from conftest import HEX_POINTS, brute_force_betti, distance_quantile, random_cloud
@@ -224,6 +224,7 @@ class TestRun:
         ("1", [0.5], 0.0),
         (1.0, [0.5], True),
         (1.0, [0.5], "0"),
+        (1.0, [0.5], 1j),
     ])
     def test_non_finite_numbers_rejected(self, monkeypatch, eps, scales, slack):
         monkeypatch.setattr(engine, "build_covering", None)
@@ -237,14 +238,7 @@ class TestRun:
                                    (1.0, np.array([0.5, 1.0]), np.int64(0))]:
             rep = run(pc, eps, scales, workers=1, slack=slack)
             assert report_to_dict(rep, timings=False)["scales"] == ref["scales"]
-            assert attach_verification(rep, pc, 1, slack=slack).verify["pass"] is True
-
-    @pytest.mark.parametrize("slack", [True, "0", 1j])
-    def test_verification_slack_must_be_real(self, slack):
-        pc = PointCloud(HEX_POINTS)
-        rep = run(pc, 1.0, [0.5], workers=1)
-        with pytest.raises(ValueError, match="^slack must be real"):
-            attach_verification(rep, pc, 1, slack=slack)
+            assert attach_verification(rep, pc).verify["pass"] is True
 
     @pytest.mark.parametrize("grid", [None, [2, 2]])
     @pytest.mark.parametrize("name,value", [
@@ -365,7 +359,7 @@ class TestVerify:
 
         monkeypatch.setattr(MVNodeSolver, "betti_all", corrupt)
         rep = run(pc, 1.0, [0.5, 1.0], n_max=1, field=2, workers=1, grid=[2, 2])
-        attach_verification(rep, pc, 1)
+        attach_verification(rep, pc)
         assert rep.verify["pass"] is False
         assert [m["scale"] for m in rep.verify["mismatches"]] == [0.5, 1.0]
         m = rep.verify["mismatches"][0]
@@ -377,9 +371,48 @@ class TestVerify:
         eps = distance_quantile(pc, 0.4)
         rep = run(pc, eps, [eps], n_max=1, field=2, workers=1, grid=[1, 1], budget=10**6)
         # Tiny budget only for the oracle comparison pass.
-        attach_verification(rep, pc, 1, budget=10)
+        attach_verification(rep, pc, budget=10)
         assert rep.verify["pass"] is None
         assert "oracle_infeasible" in rep.verify
+
+    def test_verified_at_the_runs_own_n_max_and_slack(self):
+        # No n_max or slack is passed: the oracle reads them off the report.
+        pc = PointCloud(np.random.default_rng(0).random((60, 2)))
+        rep = run(pc, 0.2, [0.1, 0.2], n_max=2, workers=1, grid=[2, 2], slack=0.05)
+        assert attach_verification(rep, pc).verify == {"pass": True, "mismatches": []}
+        # Two points 1.05 apart join only under the slack.
+        pc = PointCloud([[0.0], [1.05]])
+        rep = run(pc, 1.0, [1.0], n_max=0, workers=1, slack=0.1)
+        assert rep.betti_at(1.0) == [1]
+        assert attach_verification(rep, pc).verify["pass"] is True
+
+
+class TestArgumentRules:
+    # Unchecked, each row gives a wrong answer or an error that does not
+    # name the argument: n_max -1 gives Betti [] and no bars, n_max 1.5 a
+    # bare TypeError, scales [] an IndexError, scales [-1.0] Betti [0, 0],
+    # an eps_max of nan or -1 every point as a bar, and budget True a
+    # "simplex budget True exceeded" verdict.
+    @pytest.mark.parametrize("call,name,value", [
+        ("build_leaf", "n_max", -1), ("build_leaf", "n_max", 1.5),
+        ("build_leaf", "scales", []), ("build_leaf", "scales", [-1.0]),
+        ("persistence_barcode", "eps_max", float("nan")),
+        ("persistence_barcode", "eps_max", -1.0),
+        ("persistence_barcode", "n_max", -1), ("persistence_barcode", "n_max", 1.5),
+        ("attach_verification", "budget", True),
+    ])
+    def test_library_entry_points_refuse_bad_arguments(self, call, name, value):
+        cloud = PointCloud(np.random.default_rng(0).random((30, 2)))
+        calls = {
+            "build_leaf": lambda a: build_leaf(range(30), cloud, a.get("scales", [0.2]),
+                                               a.get("n_max", 1), 2),
+            "persistence_barcode": lambda a: persistence_barcode(
+                range(30), cloud, a.get("eps_max", 0.2), a.get("n_max", 1), 2),
+            "attach_verification": lambda a: attach_verification(
+                run(cloud, 0.2, [0.1, 0.2], workers=1, grid=[2, 2]), cloud, **a),
+        }
+        with pytest.raises(ValueError, match=f"^{name} must "):
+            calls[call]({name: value})
 
 
 class TestOracleSweep:

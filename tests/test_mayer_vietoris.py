@@ -329,6 +329,21 @@ class TestUnionQueries:
         with pytest.raises(ValueError):
             node.coords(Chain(1, 2, {(0, 1): 1}), 1)
 
+    @pytest.mark.parametrize("solver", ["leaf", "node"])
+    @pytest.mark.parametrize("query,z,n,message", [
+        ("coords", Chain.zero(3, 2), 3, "dimension 3 out of range"),
+        ("bound", Chain.zero(0, 2), 7, "dimension 7 out of range"),
+        ("coords", Chain.zero(-1, 2), -1, "dimension -1 out of range"),
+        ("bound", Chain.zero(0, 2), 1, "chain dimension 0 does not match query dimension 1"),
+    ])
+    def test_query_rule_comes_before_the_zero_chain_shortcut(self, solver, query, z, n,
+                                                            message):
+        # Unchecked, a zero chain gives {} or a zero (n+1)-chain at any n.
+        _, f, a, b, i = hexagon_two_pieces(2)
+        s = a if solver == "leaf" else assemble([a, b], [i], 1, f)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            getattr(s, query)(z, n)
+
 
 class TestExactnessProperties:
     @pytest.mark.parametrize("p", [2, 3])
