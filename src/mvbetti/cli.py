@@ -15,7 +15,7 @@ import json
 import math
 import sys
 
-from .core import (ConsistencyError, PointCloud, PrimeField, require_int, require_real,
+from .core import (ConsistencyError, PointCloud, require_int, require_prime, require_real,
                    require_scales)
 from .engine import BettiReport, JobError, attach_verification, run
 from .rips import DEFAULT_BUDGET, BudgetExceededError
@@ -178,7 +178,7 @@ def config_from_args(args) -> argparse.Namespace:
         require_int("--max-dim", args.max_dim, 0)
         require_real("--slack", args.slack)
         require_int("--budget", args.budget, 1)
-        PrimeField(args.field)
+        require_prime("--field", args.field)
         if args.scales is not None:
             try:
                 scales = [float(s) for s in args.scales.split(",") if s.strip()]

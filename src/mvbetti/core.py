@@ -1,6 +1,7 @@
 """Foundational types: point clouds, prime fields, simplices, chains, boundaries,
-and the argument rules (require_int, require_real, require_scales,
-require_query) by which every entry point checks what it is given.
+and the argument rules (require_int, require_prime, require_real,
+require_scales, require_query) by which every entry point checks what it is
+given.
 
 Everything here is an immutable value after construction, so instances can be
 shared freely between worker threads.  What is built from them need not be:
@@ -50,9 +51,9 @@ def _is_prime(p: int) -> bool:
 class PrimeField:
     """Exact arithmetic in Z/p for a prime modulus p (default 2).
 
-    p is a PrimeField, whose modulus is taken, or a prime int (a bool or a
-    non-integral number is a ValueError), the one rule by which every
-    entry point turns its field argument into a field.
+    p is a PrimeField, whose modulus is taken, or a prime int checked by
+    require_prime under the name field, the one rule by which every entry
+    point turns its field argument into a field.
 
     Every residue is kept in [0, p); every nonzero residue has an inverse.
     """
@@ -60,14 +61,7 @@ class PrimeField:
     __slots__ = ("p",)
 
     def __init__(self, p=2):
-        if isinstance(p, PrimeField):
-            p = p.p
-        elif isinstance(p, bool) or not isinstance(p, numbers.Integral):
-            raise ValueError(f"field must be an int >= 2, not {p!r}")
-        p = int(p)
-        if not _is_prime(p):
-            raise ValueError(f"field modulus must be prime, got {p}")
-        self.p = p
+        self.p = p.p if isinstance(p, PrimeField) else require_prime("field", p)
 
     def inv(self, a: int) -> int:
         """The residue b in [1, p) with a * b = 1 mod p, for a nonzero mod p."""
@@ -94,6 +88,15 @@ def require_int(name, value, least: int) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{name} must be an int >= {least}, not {value!r}")
     return int(value)
+
+
+def require_prime(name, value) -> int:
+    """value as an int, or ValueError unless it is a prime integer; a bool
+    is not an integer."""
+    p = require_int(name, value, 2)
+    if not _is_prime(p):
+        raise ValueError(f"{name} must be prime, not {p}")
+    return p
 
 
 def _real(name, value) -> float:

@@ -15,13 +15,12 @@ have no non-adjacent pair).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import PointCloud
+from .core import PointCloud, require_int
 
 
 class Sel(NamedTuple):
@@ -123,8 +122,6 @@ def _disjoint(cells) -> bool:
 
 
 def _build_axis(axis: int, a: float, extent: float, k: int, eps: float) -> AxisIntervals:
-    if k < 1:
-        raise ValueError("cell count must be >= 1")
     if k == 1:
         return AxisIntervals(axis, a, extent, 1, eps, ((a, a + extent + eps),), ())
     cells = _cells(a, extent, k, eps)
@@ -182,8 +179,8 @@ def build_covering(cloud: PointCloud, eps: float, k) -> GridCovering:
 
     k is one cell count for every axis (an int or a 1-entry sequence) or a
     sequence of one count per axis; any other length, and a count that is
-    a bool or not an integer, is a ValueError.  A cloud with zero spread
-    degenerates to k = 1 everywhere.
+    not an int >= 1 (core.require_int, a bool is none), is a ValueError.
+    A cloud with zero spread degenerates to k = 1 everywhere.
     """
     if cloud.n == 0:
         raise ValueError("cannot cover an empty cloud")
@@ -191,10 +188,7 @@ def build_covering(cloud: PointCloud, eps: float, k) -> GridCovering:
         raise ValueError("eps must be positive")
     mins, maxs = cloud.axis_ranges()
     extent = float((maxs - mins).max())  # one shared R across axes
-    ks = list(k) if np.iterable(k) else [k]
-    if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in ks):
-        raise ValueError(f"cell counts must be ints, not {k!r}")
-    ks = [int(v) for v in ks]
+    ks = [require_int("cell counts", v, 1) for v in (k if np.iterable(k) else [k])]
     if len(ks) == 1:
         ks = ks * cloud.dim
     if len(ks) != cloud.dim:

@@ -2,19 +2,19 @@
 
 A box with a full axis splits along its first full axis into cell pieces and
 overlap boxes; boxes with no full axis are leaves solved by direct reduction.
-Each leaf is enumerated and reduced once per run, for every requested scale,
-by a bounded thread pool (build_leaf returns the reduction); the builds
-share only the cloud, the field and the covering, which are immutable.  Per
-scale, the box tree is then walked on the calling thread, children before
-parents: leaves take their view at that scale, nodes assemble, and Betti
-numbers are read off the root solver.  Later scales start no threads.  A
-leaf reduction is not immutable: its index levels, table columns, apparent
-columns and row chains are built one entry at a time, on the first query
-that reads them, and queries run only in that walk, so they are built on
-the calling thread.  A node's connecting lift is built the same way, on
-the first read of its class: by the assembly of an enclosing node, so a
-failed lift check names that node's box, and never for the root, whose
-Betti numbers read only ranks.
+Each leaf is enumerated and paired once per run, for every requested scale,
+by a bounded thread pool (build_leaf returns the reduction, whose build
+ends at its pairing); the builds share only the cloud, the field and the
+covering, which are immutable.  Per scale, the box tree is then walked on
+the calling thread, children before parents: leaves take their view at
+that scale, nodes assemble, and Betti numbers are read off the root
+solver.  Later scales start no threads.  A leaf reduction is not
+immutable: its index levels, R and V columns and row chains are built one
+entry at a time, on the first query that reads them, and queries run only
+in that walk, so they are built on the calling thread.  A node's
+connecting lift is built the same way, on the first read of its class: by
+the assembly of an enclosing node, so a failed lift check names that
+node's box, and never for the root, whose Betti numbers read only ranks.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import PointCloud, PrimeField, require_int, require_real, require_scales
 from .covering import GridCovering, build_covering, choose_k, full_box, split_axis
@@ -89,7 +91,7 @@ def execute_scale(cloud, covering, scale, n_max, field, budget, workers, scales,
     Leaves missing from `leaves` (box -> reduction, shared by the calls of
     one run) are built in sorted box order by at most min(`workers`, cores)
     threads (the pool starts one per submission while none is idle), each
-    enumerated and reduced once for every scale in `scales`, and added
+    enumerated and paired once for every scale in `scales`, and added
     to it; the first of them to fail in that order cancels the rest.  The
     box tree is then walked on the calling thread: every leaf takes its
     view at `scale` from its reduction.  Results are independent of worker
@@ -191,9 +193,10 @@ def run(cloud, eps, scales, n_max=1, field=2, workers=None, grid=None,
     own name: workers (default: the cpu count) an int >= 1, n_max an int
     >= 0, budget an int >= 1, eps a positive finite real, scales a
     non-empty 1-D sequence of reals in (0, eps] (taken sorted and
-    distinct), slack a finite real >= 0 and field a prime (PrimeField); a
-    ValueError names the one at fault.  The report keeps slack, so
-    attach_verification checks it at the run's own n_max and slack.
+    distinct), slack a finite real >= 0, field a prime (PrimeField) and
+    each count of grid an int >= 1; a ValueError names the one at fault.
+    The report keeps slack, so attach_verification checks it at the run's
+    own n_max and slack.
     """
     workers = require_int("workers", (os.cpu_count() or 1) if workers is None else workers, 1)
     n_max = require_int("n_max", n_max, 0)
@@ -202,6 +205,9 @@ def run(cloud, eps, scales, n_max=1, field=2, workers=None, grid=None,
     scales = require_scales("scales", scales, eps)
     slack = require_real("slack", slack)
     field = PrimeField(field)
+    if grid is not None:
+        for v in grid if np.iterable(grid) else [grid]:
+            require_int("grid", v, 1)
     if isinstance(cloud, PointCloud) is False:
         cloud = PointCloud(cloud)
     if cloud.n == 0:

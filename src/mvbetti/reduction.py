@@ -3,33 +3,30 @@
 Column reduction (R = D*V with V invertible upper-triangular) gives the
 Betti numbers of a region at each requested scale and its membership
 queries (express a cycle in the homology basis / produce an explicit
-bounding chain).  A region is reduced once, into one elimination table per
-dimension that serves every scale, and keeps its pairing once, as arrays:
-each simplex's killer, a live mask and per-scale ranks, from which a
-per-scale view picks the rows that are representatives at its scale.  What
-a query reads is built one entry at a time, on its first read, in a _Lazy
-dict: a row's table column, a level's simplex index, an apparent column; a
-row's cycle chain is built once for every scale.  The pairing that
-precedes the reduction also gives the direct filtration barcode, the oracle
+bounding chain).  A region keeps its pairing once, as arrays: each
+simplex's killer, a live mask and per-scale ranks, from which a per-scale
+view picks the rows that are representatives at its scale.  What a query
+reads is built one entry at a time, on its first read, and serves every
+scale: a column of R and V, a level's simplex index (_Lazy), a row's cycle
+chain.  The pairing also gives the direct filtration barcode, the oracle
 for the divide-and-conquer path (see persistence_barcode for what it
 shares with run() and what keeps it independent).
 
 Columns are native Python values: int bitsets (bit r = row r) at p = 2,
 where column addition is one XOR, and {row: nonzero residue} dicts
-otherwise.  Elimination goes through three routines: reduce_columns
-reduces a matrix left to right with V, one loop per representation;
-cohomology_pairs finds the pivot pairs of a boundary matrix, so that a
-region reduces only the columns it reads: by union-find over the edges for
-D_1, and above that by reducing coboundary columns read from the level's
-facet table (written by the clique expansion, RipsComplex.facets, and
-shared with boundary_matrix); and eliminate reduces one column against a
+otherwise; _reduce_column holds the one update rule of each.  Elimination
+goes through three routines: reduce_columns reduces a matrix left to right
+with V; cohomology_pairs finds the pivot pairs of a boundary matrix, by
+union-find over the edges for D_1, and above that by reducing coboundary
+columns read from the level's facet table (written by the clique
+expansion, RipsComplex.facets); and eliminate reduces one column against a
 table of columns with distinct lowest rows, given as a row lookup, the step
 behind every coords/bound query of a region and the Mayer-Vietoris kernel
-and cokernel.  In every dimension, the apparent columns (R_k = the boundary
-of k, V_k = e_k) are found from the facet table and left implicit, built
-from it on first read; only the other columns a region reads are built and
-reduced.  combine forms linear combinations of columns, and as_dict
-decodes a column of either representation.
+and cokernel.  A region's build ends at its pairing: the columns R_j and V_j
+of its reduction are built one at a time, from the pairs, when a query
+reads them (_Columns), and each checks the pairs as it is built.  combine
+forms linear combinations of columns, and as_dict decodes a column of
+either representation.
 """
 
 from __future__ import annotations
@@ -42,6 +39,8 @@ import numpy as np
 
 from .core import (Chain, ConsistencyError, PointCloud, PrimeField, chain_boundary,
                    require_int, require_query, require_real, require_scales)
+# boundary_matrix is not called here: perfbench/tracer.py wraps this
+# module's name for it, as it does reduce_columns.
 from .rips import (DEFAULT_BUDGET, boundary_column, boundary_matrix, enumerate_complex,
                    facet_signs, vertex_rows)
 
@@ -155,10 +154,7 @@ class ReducedPair:
 
     V is invertible upper-triangular; distinct nonzero columns of R have
     distinct lowest nonzero rows, recorded in pivots (low row -> column).
-    r and v hold the columns of R and V by column index: lists when the
-    ncols columns were given as a list, {column index: column} mappings when
-    they were given as one (a leaf leaves its apparent columns implicit
-    there, see _apparent_columns).  Columns are native (bitsets at p = 2, dicts
+    r and v list the columns of R and V, native (bitsets at p = 2, dicts
     otherwise).
     """
 
@@ -176,83 +172,64 @@ class ReducedPair:
         return len(self.pivots)
 
 
-def reduce_columns(columns, field: PrimeField, into: ReducedPair = None) -> ReducedPair:
-    """Left-to-right column reduction of a sparse matrix over Z/p, with V.
-
-    columns is a list of {row: nonzero residue} dicts, or a {column index:
-    column} dict in ascending index order standing for a matrix whose other
-    columns are zero: those get no R or V entry and cost nothing.  At p = 2
-    a column may also be an int bitset (bit r = row r).  While a column
-    shares its lowest nonzero row with an earlier column, the appropriate
-    multiple of that earlier column is subtracted; V records the operations.
-    Deterministic given the column order.
-
-    into, a reduction of other columns of the same matrix whose pivots are
-    already entered, is extended in place with the dict columns and
-    returned.  Its pivot columns are read through its r and v as sources;
-    each must be final whatever columns come before it, and no column
-    before it may reach its pivot row, as holds for an apparent column (see
-    _apparent_columns).
+def _reduce_column(col, v, source, p: int):
+    """Reduce the pair (col, v), a column of R and its column of V, left to
+    right: while source(l), at col's lowest row l, gives an earlier pair
+    (R_k, V_k) whose lowest row is l, subtract from both the multiple of it
+    that cancels row l: one XOR each at p = 2; otherwise an _axpy each, by
+    the third entry source gives there, -(R_k's coefficient at l)^-1 mod p.
+    The one update rule of both column representations.  col and v are
+    native and of the same representation; a dict col or v is updated in
+    place.  Returns (col, v, l), l the lowest row at which source gave
+    None, or -1 once col is zero.
     """
-    n = len(columns)
-    if into is not None:
-        items, R, V, pivots = columns.items(), into.r, into.v, into.pivots
-        into.ncols += n
-    elif type(columns) is dict:
-        items, R, V, pivots = columns.items(), {}, {}, {}
-    else:
-        items, R, V, pivots = enumerate(columns), [None] * n, [None] * n, {}
-    if field.p == 2:
-        _reduce_bits(items, R, V, pivots)
-    else:
-        _reduce_dicts(items, R, V, pivots, field)
-    return into if into is not None else ReducedPair(n, field, R, V, pivots)
-
-
-def _reduce_bits(items, R, V, pivots):
-    """The Z/2 loop: lowest row is the top bit, column addition is XOR.
-    Fills R, V and pivots."""
-    for j, col in items:
-        if type(col) is not int:
-            col = _bits(col)
-        v = 1 << j
+    if p == 2:
         while col:
             l = col.bit_length() - 1
-            k = pivots.get(l)
-            if k is None:
-                pivots[l] = j
-                break
-            col ^= R[k]
-            v ^= V[k]
-        R[j] = col
-        V[j] = v
+            src = source(l)
+            if src is None:
+                return col, v, l
+            col ^= src[0]
+            v ^= src[1]
+        return col, v, -1
+    while col:
+        l = max(col)
+        src = source(l)
+        if src is None:
+            return col, v, l
+        r, w, c = src
+        c = (col[l] * c) % p
+        _axpy(col, r, c, p)
+        _axpy(v, w, c, p)
+    return col, v, -1
 
 
-def _reduce_dicts(items, R, V, pivots, field):
-    """The odd-p loop over dict columns.  Each pivot column's negated
-    inverse of its lowest coefficient is computed once, when it is first
-    a source, so a step costs one multiplication plus an _axpy on R and
-    one on V."""
-    p = field.p
-    neg_inv = {}    # pivot column -> -(lowest coefficient)^-1 mod p
-    for j, col in items:
-        col = dict(col)
-        v = {j: 1}
-        while col:
-            l = max(col)
-            k = pivots.get(l)
-            if k is None:
-                pivots[l] = j
-                break
-            src = R[k]
-            c = neg_inv.get(k)
-            if c is None:
-                c = neg_inv[k] = (-field.inv(src[l])) % p
-            c = (col[l] * c) % p
-            _axpy(col, src, c, p)
-            _axpy(v, V[k], c, p)
+def reduce_columns(columns, field: PrimeField) -> ReducedPair:
+    """Left-to-right column reduction of a sparse matrix over Z/p, with V.
+
+    columns is a list of {row: nonzero residue} dicts; at p = 2 a column
+    may also be an int bitset (bit r = row r).  While a column shares its
+    lowest nonzero row with an earlier column, the appropriate multiple of
+    that earlier column is subtracted (_reduce_column); V records the
+    operations.  A pivot column's negated inverse of its lowest
+    coefficient is computed once, when it becomes a pivot.  Deterministic
+    given the column order.
+    """
+    p, n = field.p, len(columns)
+    R, V, pivots = [None] * n, [None] * n, {}
+    sources = {}    # pivot row -> its pivot column's (R, V[, negated inverse])
+    for j, col in enumerate(columns):
+        if p == 2:
+            col = col if type(col) is int else _bits(col)
+        else:
+            col = dict(col)
+        col, v, l = _reduce_column(col, _unit(j, p), sources.get, p)
+        if col:
+            pivots[l] = j
+            sources[l] = (col, v) if p == 2 else (col, v, (-field.inv(col[l])) % p)
         R[j] = col
         V[j] = v
+    return ReducedPair(n, field, R, V, pivots)
 
 
 def cohomology_pairs(cx, q: int, field: PrimeField, clear=()):
@@ -413,55 +390,80 @@ class _Lazy(dict):
         return value
 
 
-def _apparent(apparent, facets, signs, p: int, k):
-    """R_k = rips.boundary_column of facet-table row k, or V_k = e_k when
-    facets is None, of an apparent column k (apparent[k] true); KeyError
-    for any other k."""
-    if not (0 <= k < len(apparent) and apparent[k]):
-        raise KeyError(k)
-    return _unit(k, p) if facets is None else boundary_column(facets[k].tolist(), signs, p)
+class _Columns(dict):
+    """The pairs (R_j, V_j) of D_q's left-to-right reduction, by q-simplex
+    j, each built on its first read, from the pairs: a leaf's column cache.
 
+    Column k starts as (rips.boundary_column of facet-table row k, e_k),
+    or (0, e_k) at level 0, where D_0 = 0.  While its lowest row l is
+    paired with an earlier column i (i = killer[l], the row's killer in
+    D_q), the multiple of (R_i, V_i) that cancels l is subtracted
+    (_reduce_column), R_i being built first when it is missing; the
+    columns waiting on a source are kept on an explicit stack, since
+    nothing bounds how deep they nest.  A reduction of all of D_q meets
+    the same rows and subtracts the same columns, since the earlier column
+    whose pivot is l is its killer, so every column equals the full
+    reduction's, and the clearing one's wherever that builds it, in any
+    order of reads.
 
-def _apparent_columns(facets, nrows: int, field: PrimeField) -> ReducedPair:
-    """The reduction of D_q at its apparent columns, from level q's facet
-    table facets (kept, to build them) on nrows (q-1)-simplices.
-
-    Column k is apparent when k is the earliest coface of its lowest row
-    l = max(facets[k]).  No column before k then holds row l, so neither does
-    any combination of them: in a left-to-right reduction k is never
-    reduced, l is its pivot, R_k = the boundary of k and V_k = e_k, over
-    every Z/p and in every prefix.  Their pivots are entered; r and v build
-    a column on first read (_Lazy, _apparent).
-    Ripser's apparent pairs (Bauer, 2021), found here on the homology side,
-    apart from cohomology_pairs.
+    Every column built checks the pairs as a full reduction would: it ends
+    at a row paired with itself, or at zero when it is no pivot column of
+    D_q (live[k]).  A row paired with no column or with a later one, where
+    the full reduction makes k a pivot, or a zero pivot column, raises
+    ConsistencyError.  The cache holds the arrays it reads, never its
+    owner.
     """
-    ncols, width = facets.shape
-    p = field.p
-    low = reduce(np.maximum, facets.T)
-    first = np.full(nrows, ncols, np.int64)     # each row's earliest coface
-    np.minimum.at(first, facets.ravel(), np.arange(ncols).repeat(width))
-    apparent = first[low] == np.arange(ncols)
-    cols = np.flatnonzero(apparent)
-    signs = facet_signs(width - 1, p)
-    return ReducedPair(
-        len(cols), field,
-        _Lazy(partial(_apparent, apparent, facets, signs, p)),
-        _Lazy(partial(_apparent, apparent, None, None, p)),
-        dict(zip(low[cols].tolist(), cols.tolist())))
 
+    __slots__ = ("q", "facets", "killer", "live", "signs", "p")
 
-def _table_entry(killer, live, r, v, row):
-    """Row row's entry (column, row) of dimension n's eliminate() table,
-    from killer[n], live[n], r[n+1] and v[n]: R_k when the row's killer in
-    D_{n+1} is k, else V_j at an unkilled zero column of D_n (e_j at a
-    vertex).  A pivot column of D_n (live[row] false) is no table row:
-    None."""
-    k = int(killer[row])
-    if k >= 0:
-        return r[k], row
-    if live[row]:
-        return v[row], row
-    return None
+    def __init__(self, q, facets, killer, live, p: int):
+        super().__init__()
+        self.q, self.facets, self.killer, self.live, self.p = q, facets, killer, live, p
+        self.signs = facet_signs(q, p) if q else None
+
+    def _start(self, k):
+        """Column k before reduction, as a mutable [k, R, V] stack entry."""
+        p = self.p
+        if not self.q:
+            return [k, 0 if p == 2 else {}, _unit(k, p)]
+        return [k, boundary_column(self.facets[k].tolist(), self.signs, p), _unit(k, p)]
+
+    def _source(self, k, l):
+        """The source of column k at row l for _reduce_column: None when l is
+        k's own pivot row or its source is not built yet."""
+        i = int(self.killer[l])
+        if i == k:
+            return None
+        if not 0 <= i < k:
+            raise ConsistencyError(
+                f"reduced D_{self.q} column {k} differs from its cohomology pairs: "
+                f"its lowest row {l} is paired with "
+                f"{'no column' if i < 0 else f'the later column {i}'}")
+        src = self.get(i)
+        if src is None or self.p == 2:
+            return src
+        r, w = src
+        return r, w, (-pow(r[l], -1, self.p)) % self.p
+
+    def __missing__(self, j):
+        if not 0 <= j < len(self.live):
+            raise KeyError(j)
+        stack = [self._start(j)]
+        while stack:
+            entry = stack[-1]
+            k = entry[0]
+            col, v, l = _reduce_column(entry[1], entry[2], partial(self._source, k), self.p)
+            if col and self.killer[l] != k:     # waits on its source
+                entry[1], entry[2] = col, v
+                stack.append(self._start(int(self.killer[l])))
+                continue
+            if not col and not self.live[k]:
+                raise ConsistencyError(
+                    f"reduced D_{self.q} column {k} differs from its cohomology pairs: "
+                    f"it is zero, and they make it a pivot column")
+            self[k] = col, v
+            stack.pop()
+        return self[j]
 
 
 def _level_index(facets, prefix, points, q):
@@ -488,37 +490,25 @@ class LeafReduction:
     D_{n_max+1} in ascending dimension, each level cleared by the pivot
     columns of the level below.
 
-    Every D_q is then reduced the same way, top dimension first, keeping R
-    and V only for the columns the views read.  At the top these are the
-    pivot columns; below it, every column except the cleared ones: a
-    q-simplex that is the pivot row of some reduced (q+1)-column R_k is a
-    cycle, and R_k is its cycle column.  The other columns of D_q reduce to
-    zero and a zero column is never added to another, so the kept R and V
-    equal those of a full reduction.  Of the kept columns, the apparent
-    ones (_apparent_columns, found from level q's facet table, which is
-    kept) are entered first and stay implicit, R_k = the boundary of k and
-    V_k = e_k, built only when read; just the others are built and reduced
-    into them.  Every reduction, apparent pivots included, must reproduce
-    the pairs found first, or ConsistencyError is raised.
-
-    The pairing is then kept once, in arrays: killer[n] gives each
-    n-simplex's killer in D_{n+1} (-1 when none), live[n] is false at the
-    pivot columns of D_n, and ranks[q][b], read off the sorted pivot
-    columns, is the rank of D_q on the prefix of scales[b]; of each reduced
-    D_q only r[q] and v[q] stay (v[0], of D_0 = 0, is the identity).  The
-    live n-simplices are the rows of the dimension-n eliminate() table for
-    every scale, and a view (view(scale), a LeafSolver) picks its basis
-    from killer[n] and live[n].  The column of a row is built only when a
-    query reaches that row, and kept in tables[n] (_Lazy); a Betti-only
-    run builds none.  The complex is dropped after the build: the leaf keeps
-    its level-0 id array (points and point_set are made from it), prefix
-    (the last entry of each level is its count) and the facet tables, which
-    give every simplex's vertex rows (rips.vertex_rows), as in Ripser
-    (Bauer, 2021).  index[q] maps level q's vertex tuples to rows, built on
-    the first query at level q, for q below the top; chain_of_column maps
-    rows back.  chain(n, row) builds a table row's cycle chain once, for
-    every view.  Entries are built on the thread that queries, during
-    assembly on the calling thread.
+    The build ends at the pairing, which is kept once, in arrays: killer[n]
+    gives each n-simplex's killer in D_{n+1} (-1 when none), live[q] is
+    false at the pivot columns of D_q, and ranks[q][b], read off the sorted
+    pivot columns, is the rank of D_q on the prefix of scales[b].  No column
+    is reduced then.  cols[q] (_Columns) builds the pair (R_j, V_j) of D_q's
+    left-to-right reduction at column j on its first read, from the pairs,
+    and checks them there; a Betti-only run builds none.  The live
+    n-simplices are the rows of the dimension-n eliminate() table for every
+    scale (entry reads a row's column from cols), and a view (view(scale),
+    a LeafSolver) picks its basis from killer[n] and live[n].  The complex
+    is dropped after the build: the leaf keeps its level-0 id array (points
+    and point_set are made from it), prefix (the last entry of each level
+    is its count) and the facet tables, which give every simplex's vertex
+    rows (rips.vertex_rows) and boundary, as in Ripser (Bauer, 2021).
+    index[q] maps level q's vertex tuples to rows, built on the first query
+    at level q, for q below the top; chain_of_column maps rows back.
+    chain(n, row) builds a table row's cycle chain once, for every view.
+    Entries are built on the thread that queries, during assembly on the
+    calling thread.
     """
 
     def __init__(self, points, cloud: PointCloud, scales, n_max: int,
@@ -539,41 +529,21 @@ class LeafReduction:
         self.prefix = [np.searchsorted(d, self.scales, "right").tolist()
                        for d in cx.diameters]
         pairs = _pair_levels(cx, field)
-
-        self.r = {}
-        self.v = {0: _Lazy(partial(_apparent, np.ones(cx.count(0), bool), None, None, field.p))}
         self.ranks = {0: [0] * len(self.scales)}
-        self.killer = [None] * top
-        self.live = [np.ones(cx.count(n), bool) for n in range(top)]
-        for q in range(top, 0, -1):
-            red = _apparent_columns(self.facets[q], cx.count(q - 1), field)
-            if q == top:
-                needed = np.zeros(cx.count(q), bool)
-                needed[list(pairs[q].values())] = True
-            else:
-                needed = self.killer[q] < 0
-            needed[list(red.pivots.values())] = False   # apparent: left implicit
-            built = np.flatnonzero(needed).tolist()
-            reduce_columns(dict(zip(built, boundary_matrix(cx, q, field.p, built))),
-                           field, into=red)
-            if red.pivots != pairs[q]:
-                raise ConsistencyError(
-                    f"reduced D_{q} pivots differ from its cohomology pairs "
-                    f"({len(red.pivots)} vs {len(pairs[q])})"
-                )
-            lows = np.fromiter(red.pivots, np.int64, red.rank)
-            cols = np.fromiter(red.pivots.values(), np.int64, red.rank)
-            self.killer[q - 1] = np.full(cx.count(q - 1), -1, np.int64)
+        self.killer = []
+        self.live = [np.ones(cx.count(0), bool)]
+        for q in range(1, top + 1):
+            lows = np.fromiter(pairs[q], np.int64, len(pairs[q]))
+            cols = np.fromiter(pairs[q].values(), np.int64, len(pairs[q]))
+            self.killer.append(np.full(cx.count(q - 1), -1, np.int64))
             self.killer[q - 1][lows] = cols
+            self.live.append(np.ones(cx.count(q), bool))
+            self.live[q][cols] = False
             cols.sort()
             self.ranks[q] = np.searchsorted(cols, self.prefix[q]).tolist()
-            if q < top:
-                self.live[q][cols] = False
-            self.r[q], self.v[q] = red.r, red.v
-
-        self.tables = [_Lazy(partial(_table_entry, self.killer[n], self.live[n],
-                                     self.r[n + 1], self.v[n]))
-                       for n in range(top)]
+        self.cols = [_Columns(q, self.facets[q], self.killer[q - 1] if q else None,
+                              self.live[q], field.p)
+                     for q in range(top + 1)]
         self.index = _Lazy(partial(_level_index, self.facets, self.prefix, self.points))
         self._chains = {}   # (dimension, row) -> the row's cycle chain
 
@@ -586,8 +556,20 @@ class LeafReduction:
         z = self._chains.get((n, row))
         if z is None:
             z = self._chains[n, row] = self.chain_of_column(
-                as_dict(self.tables[n][row][0]), n, self.field.p)
+                as_dict(self.entry(n, row)[0]), n, self.field.p)
         return z
+
+    def entry(self, n: int, row: int):
+        """Row row's entry (column, row) of dimension n's eliminate() table,
+        from cols: R_k when the row's killer in D_{n+1} is k, else V_row at
+        an unkilled zero column of D_n (e_row at a vertex).  A pivot column
+        of D_n (live[n][row] false) is no table row: None."""
+        k = int(self.killer[n][row])
+        if k >= 0:
+            return self.cols[n + 1][k][0], row
+        if self.live[n][row]:
+            return self.cols[n][row][1], row
+        return None
 
     def chain_of_column(self, col: dict, q: int, p: int) -> Chain:
         """The chain of a {row: coefficient} column over level q."""
@@ -675,7 +657,7 @@ class LeafSolver:
         """Express a nonzero cycle as (sparse rep coordinates, (killed row,
         coefficient) terms of the rest, a boundary in the view)."""
         red = self.reduction
-        rest, used = eliminate(self._column(z, n), red.tables[n].__getitem__, self.field.p)
+        rest, used = eliminate(self._column(z, n), partial(red.entry, n), self.field.p)
         if rest:
             raise ValueError(
                 f"chain is not a cycle of this region's complex (unmatched row "
@@ -711,7 +693,7 @@ class LeafSolver:
         if coords:
             return None
         p, red = self.field.p, self.reduction
-        preimage = [(red.v[n + 1][int(red.killer[n][row])], c) for row, c in killed]
+        preimage = [(red.cols[n + 1][int(red.killer[n][row])][1], c) for row, c in killed]
         chain = red.chain_of_column(as_dict(combine(preimage, p)), n + 1, p)
         if chain_boundary(chain) != z:
             raise ConsistencyError("bound() produced a chain whose boundary differs from z")

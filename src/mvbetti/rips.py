@@ -24,9 +24,9 @@ all arrays: it stores no vertex rows.
 
 The facet tables are the one facet lookup: boundary_column turns one of
 their rows into a native boundary column (boundary_matrix and a leaf's
-implicit apparent columns both build theirs with it), the pairing in
-reduction reads its coboundaries from them, and vertex_rows reads any
-simplex's vertices off them, as in Ripser (Bauer, 2021).
+columns, built when a query reads them, both build theirs with it), the
+pairing in reduction reads its coboundaries from them, and vertex_rows
+reads any simplex's vertices off them, as in Ripser (Bauer, 2021).
 RipsComplex.reorder keeps them consistent when reduction._order_levels
 sorts the levels by diameter.  A leaf keeps the tables and drops its
 complex.
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import PointCloud, blocked_ranges, require_int
+from .core import PointCloud, blocked_ranges, require_int, require_real
 
 DEFAULT_BUDGET = 10_000_000
 _EXPAND_BLOCK = 1 << 16     # candidate cofaces of one clique expansion block
@@ -166,11 +166,13 @@ def enumerate_complex(
 ) -> RipsComplex:
     """Enumerate the Rips complex of a point-index set at one scale.
 
-    The points are distinct integers in 0..cloud.n - 1, in any order, and
-    max_dim and budget are ints >= 0, or a ValueError is raised.
+    The points are distinct integers in 0..cloud.n - 1, in any order,
+    scale is a finite real >= 0, and max_dim and budget are ints >= 0, or
+    a ValueError names the argument.
     Membership uses the closed condition (pairwise distances <= scale).
     Raises BudgetExceededError when the total simplex count passes budget.
     """
+    scale = require_real("scale", scale)
     max_dim = require_int("max_dim", max_dim, 0)
     budget = require_int("budget", budget, 0)
     pts = _point_ids(points, cloud.n)
@@ -260,17 +262,13 @@ def boundary_column(rows, signs, p: int):
     return dict(zip(rows, signs))
 
 
-def boundary_matrix(cx: RipsComplex, q: int, p: int, columns=None):
+def boundary_matrix(cx: RipsComplex, q: int, p: int):
     """Sparse boundary matrix from q-simplices to (q-1)-simplices over Z/p.
 
     Column j is boundary_column of the j-th q-simplex: its alternating-sign
-    faces, read from the facet table cx.facets[q].  With columns, a list of
-    q-simplex indices, only those columns are built, in that order.
+    faces, read from the facet table cx.facets[q].
     """
     if q < 1 or q > cx.max_dim:
         raise ValueError(f"boundary dimension {q} out of range 1..{cx.max_dim}")
-    facets = cx.facets[q]
-    if columns is not None:
-        facets = facets[np.asarray(columns, dtype=np.intp)]
     signs = facet_signs(q, p)
-    return [boundary_column(r, signs, p) for r in facets.tolist()]
+    return [boundary_column(r, signs, p) for r in cx.facets[q].tolist()]

@@ -237,6 +237,8 @@ class TestMainExitCodes:
         ["--epsilon", "1", "--parallel", "0"],
         ["--epsilon", "1", "--slack", "-0.1"],
         ["--epsilon", "1", "--scales", "0.5,2"],
+        ["--epsilon", "1", "--field", "4"],
+        ["--epsilon", "1", "--field", "1"],
     ])
     def test_usage_errors_win_over_data_errors(self, tmp_path, capsys, flags):
         assert main([str(tmp_path / "missing.csv")] + flags) == 1

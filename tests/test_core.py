@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mvbetti.core import Chain, PointCloud, PrimeField, boundary, chain_boundary
+from mvbetti.core import Chain, PointCloud, PrimeField, boundary, chain_boundary, require_prime
 
 
 class TestDistance:
@@ -210,6 +210,15 @@ class TestPrimeField:
         # 3.7 became Z/3 and "5" Z/5; a bool is not a modulus.
         with pytest.raises(ValueError, match="^field must be an int >= 2, not "):
             PrimeField(p)
+
+    @pytest.mark.parametrize("p,message", [(4, "must be prime, not 4"), (1, "must be an int >= 2"),
+                                           (2.0, "must be an int >= 2")])
+    def test_require_prime_names_its_argument(self, p, message):
+        with pytest.raises(ValueError, match=f"^--field {message}"):
+            require_prime("--field", p)
+        with pytest.raises(ValueError, match=f"^field {message}"):
+            PrimeField(p)
+        assert require_prime("--field", np.int64(5)) == 5
 
     def test_accepts_a_field_or_an_integral_value(self):
         assert PrimeField(PrimeField(3)) == PrimeField(np.int64(3)) == PrimeField(3)

@@ -132,13 +132,16 @@ class TestBuildCovering:
             with pytest.raises(ValueError, match="expected 1 or 2 cell counts"):
                 build_covering(pc, 0.9, bad)
 
-    @pytest.mark.parametrize("k", [2.5, [2.7, 2], [2, 2.0], True, [True, 2], "22"])
+    @pytest.mark.parametrize("k", [2.5, [2.7, 2], [2, 2.0], True, [True, 2], "22", 0, [0, 2],
+                                   [2, -1]])
     def test_cell_counts_must_be_ints(self, k):
-        # [2.7, 2] ran a 2x2 grid, True a 1x1 grid, and 2.5 raised TypeError.
+        # [2.7, 2] ran a 2x2 grid, True a 1x1 grid, and 2.5 raised TypeError;
+        # run() named no argument for [0, 2].  Each count has the int rule,
+        # under run()'s name for it.
         pc = PointCloud(np.random.default_rng(5).random((30, 2)) * 10.0)
-        with pytest.raises(ValueError, match="^cell counts must be ints, not "):
+        with pytest.raises(ValueError, match="^cell counts must be an int >= 1, not "):
             build_covering(pc, 0.9, k)
-        with pytest.raises(ValueError, match="^cell counts must be ints, not "):
+        with pytest.raises(ValueError, match="^grid must be an int >= 1, not "):
             run(pc, 0.9, [0.9], workers=1, grid=k)
         assert build_covering(pc, 0.9, np.array([5, 3])).k_per_axis == (5, 3)
 

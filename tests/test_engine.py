@@ -255,6 +255,13 @@ class TestRun:
         with pytest.raises(ValueError, match=f"^{name} must be an int >= "):
             run(PointCloud(HEX_POINTS), 1.0, [0.5], grid=grid, **{name: value})
 
+    @pytest.mark.parametrize("grid", [[0, 2], [2, 0], 0, [2, 2.5], [True, 2], np.array([0, 2])])
+    def test_grid_counts_validated_before_any_work(self, monkeypatch, grid):
+        # [0, 2] failed inside the covering with a message naming no argument.
+        monkeypatch.setattr(engine, "build_covering", None)
+        with pytest.raises(ValueError, match="^grid must be an int >= 1, not "):
+            run(PointCloud(HEX_POINTS), 1.0, [0.5], grid=grid)
+
     def test_no_leaf_or_node_outlives_run(self, monkeypatch):
         # Without the cycle collector, a reference cycle through a leaf
         # reduction or a node solver would keep it alive after run()

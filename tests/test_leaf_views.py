@@ -86,10 +86,10 @@ def test_views_guard_their_basis_size_and_bounds(p):
     top = 2.0 ** 0.5
     red = build_leaf(range(4), cloud, [1.0, top], 1, p)
     # A boundary at the top scale whose preimage is then tampered with: V_k
-    # of every pivot column, implicit (apparent) or reduced, read as zero.
+    # of every pivot column, apparent or reduced, read as zero.
     z = chain_boundary(Chain.single((0, 1, 2), p))
     for k in red.killer[1][red.killer[1] >= 0].tolist():
-        red.v[2][k] = 0 if p == 2 else {}
+        red.cols[2][k] = (red.cols[2][k][0], 0 if p == 2 else {})
     with pytest.raises(ConsistencyError, match="boundary differs from z"):
         red.view(top).bound(z, 1)
     # The square's loop is the one 1-cycle row at scale 1, killed at the top
@@ -134,19 +134,21 @@ def test_a_pickled_reduction_answers_as_the_original(p):
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_only_bound_reads_the_v_columns_of_killed_rows(p):
-    # Boundaries of triangles are killed rows of the dimension-1 table:
-    # coords() finds them zero without building V_k; bound() builds them.
+def test_bound_reads_the_columns_that_coords_built(p):
+    # Boundaries of triangles reduce against killed rows of the dimension-1
+    # table: coords() finds them zero, building (R_k, V_k) of their killers,
+    # and bound() reads the same V_k, building no further column.
     cloud = PointCloud(np.random.default_rng(7).random((40, 2)))
     red = build_leaf(range(cloud.n), cloud, [0.3], 1, p)
     view = red.view(0.3)
     triangles = vertex_levels(enumerate_complex(range(cloud.n), cloud, 0.3, 2))[2]
     zs = [chain_boundary(Chain.single(tuple(t), p)) for t in triangles[:50].tolist()]
-    built = len(red.v[2])
+    assert [len(c) for c in red.cols] == [0, 0, 0]
     assert all(view.coords(z, 1) == {} for z in zs)
-    assert len(red.v[2]) == built
+    built = [sorted(c) for c in red.cols]
+    assert built[2] and not built[0] and not built[1]
     assert all(view.bound(z, 1) is not None for z in zs)
-    assert len(red.v[2]) > built
+    assert [sorted(c) for c in red.cols] == built
 
 
 def _eager_tables(levels, n_max, p):
@@ -182,7 +184,7 @@ def _eager_tables(levels, n_max, p):
 def test_lazy_table_columns_equal_the_eager_tables(case):
     cloud, scales, p, n_max, _ = case
     red = build_leaf(range(cloud.n), cloud, scales, n_max, p)
-    assert [len(t) for t in red.tables] == [0] * (n_max + 1)
+    assert [len(c) for c in red.cols] == [0] * (n_max + 2)
     levels = leaf_levels(range(cloud.n), cloud, scales, n_max + 1)
     for n, (table, killers) in enumerate(_eager_tables(levels, n_max, p)):
         rows = sorted(table)
@@ -190,8 +192,7 @@ def test_lazy_table_columns_equal_the_eager_tables(case):
         assert np.flatnonzero(red.live[n]).tolist() == rows
         assert red.killer[n].tolist() == [killers.get(j, -1) for j in range(count)]
         for j in range(count):
-            assert red.tables[n][j] == table.get(j)
-        assert sorted(red.tables[n]) == rows
+            assert red.entry(n, j) == table.get(j)
 
 
 def test_view_rejects_simplices_beyond_its_scale():

@@ -1,10 +1,11 @@
-"""Pairs first: a leaf builds and reduces only the columns its views read.
+"""Pairs first: a leaf's build ends at its pairing, and builds a column of R
+and V only when a query reads it.
 
 cohomology_pairs must give the pivots of the full boundary reduction at
-every dimension.  The leaf's reduction of every dimension (pivot columns at
-the top, uncleared columns below) must give the full reduction's R and V at
-those columns, its apparent columns must stay implicit until read, and a
-reduction that does not reproduce the pairs must fail loudly.
+every dimension.  The leaf's columns, built one at a time from the pairs in
+any order of reads, must equal the full reduction's R and V; a Betti-only
+run must build none; and a column built against pairs that are wrong must
+fail loudly.
 """
 
 import numpy as np
@@ -38,19 +39,32 @@ def _pairs(red, q):
     return {l: k for l, k in enumerate(red.killer[q - 1].tolist()) if k >= 0}
 
 
-def _needed(red, q):
-    """The columns of D_q that a leaf reduction keeps: the pivot columns at
-    the top dimension, below it every column except the cleared ones, the
-    pivot rows of D_{q+1}."""
-    if q == red.n_max + 1:
-        return set(_pairs(red, q).values())
-    return set(range(red.prefix[q][-1])) - set(_pairs(red, q + 1))
+def _assert_columns_equal_the_full_reduction(red, cx, p, rng):
+    """Every column of every level of the leaf, read in shuffled order,
+    equals the full reduction's (R_j, V_j); level 0's is (0, e_j)."""
+    field = PrimeField(p)
+    assert [len(c) for c in red.cols] == [0] * (cx.max_dim + 1)
+    zero = 0 if p == 2 else {}
+    unit = (lambda j: 1 << j) if p == 2 else (lambda j: {j: 1})
+    full = [None] + [reduce_columns(boundary_matrix(cx, q, p), field)
+                     for q in range(1, cx.max_dim + 1)]
+    reads = [(q, j) for q in range(cx.max_dim + 1) for j in range(cx.count(q))]
+    for i in rng.permutation(len(reads)):
+        q, j = reads[i]
+        want = (zero, unit(j)) if q == 0 else (full[q].r[j], full[q].v[j])
+        assert red.cols[q][j] == want
+    for q in range(cx.max_dim + 1):
+        assert sorted(red.cols[q]) == list(range(cx.count(q)))
+        with pytest.raises(KeyError):
+            red.cols[q][cx.count(q)]
+        with pytest.raises(KeyError):
+            red.cols[q][-1]
 
 
 @settings(max_examples=60, deadline=None)
 @given(leaf_cases(primes=(2, 3, 5)))
-def test_pairs_and_pivot_columns_match_the_full_reduction(case):
-    cloud, scales, p, n_max, _ = case
+def test_pairs_and_columns_match_the_full_reduction(case):
+    cloud, scales, p, n_max, rng = case
     red = build_leaf(range(cloud.n), cloud, scales, n_max, p)
     top = n_max + 1
     cx = leaf_complex(range(cloud.n), cloud, scales, top)   # in the leaf's row order
@@ -63,26 +77,34 @@ def test_pairs_and_pivot_columns_match_the_full_reduction(case):
         assert pairs == full.pivots
         assert cohomology_pairs(cx, q, field) == pairs      # clearing changes no pair
         clear = set(pairs.values())
-
         assert _pairs(red, q) == full.pivots
-        if q <= n_max:
-            assert np.flatnonzero(~red.live[q]).tolist() == sorted(full.pivots.values())
-        # Only the needed columns are stored: the reduced ones, and the
-        # apparent ones that were read as sources, built on that first read.
-        r, v = red.r[q], red.v[q]
-        needed = _needed(red, q)
-        apparent = _apparent(cx, q)
-        assert apparent <= set(full.pivots.values()) & needed
-        assert needed - apparent <= set(r) == set(v) <= needed
-        for j in needed:
-            assert r[j] == full.r[j]
-            assert v[j] == full.v[j]
-        assert sorted(r) == sorted(v) == sorted(needed)
-        for j in set(range(cx.count(q))) - needed:
-            with pytest.raises(KeyError):
-                r[j]
-            with pytest.raises(KeyError):
-                v[j]
+        assert np.flatnonzero(~red.live[q]).tolist() == sorted(full.pivots.values())
+    _assert_columns_equal_the_full_reduction(red, cx, p, rng)
+
+
+@st.composite
+def lattice_cases(draw):
+    """Tie-heavy clouds: points of a small integer lattice in d = 2 or 3,
+    with repeats, so many edges, triangles and tetrahedra share a diameter,
+    at lattice scales; a field from 2, 3, 5 and n_max 1 or 2."""
+    d = draw(st.sampled_from([2, 3]))
+    rows = draw(st.lists(st.lists(st.integers(0, 2), min_size=d, max_size=d),
+                         min_size=3, max_size=11))
+    rows += rows[:draw(st.integers(0, 2))]
+    cloud = PointCloud(np.array(rows, dtype=np.float64))
+    scales = sorted(set(draw(st.lists(st.sampled_from([1.0, 2**0.5, 3**0.5, 2.0]),
+                                      min_size=1, max_size=3))))
+    return cloud, scales, draw(st.sampled_from([2, 3, 5])), draw(st.sampled_from([1, 2])), \
+        np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_cases())
+def test_shuffled_reads_on_tie_heavy_lattice_clouds(case):
+    cloud, scales, p, n_max, rng = case
+    red = build_leaf(range(cloud.n), cloud, scales, n_max, p)
+    cx = leaf_complex(range(cloud.n), cloud, scales, n_max + 1)
+    _assert_columns_equal_the_full_reduction(red, cx, p, rng)
 
 
 @st.composite
@@ -121,38 +143,29 @@ def _cloud(n=40, seed=5):
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_only_pivot_columns_of_the_top_dimension_are_built(monkeypatch, p):
-    built = {}
-    original = reduction.boundary_matrix
-
-    def recording(cx, q, p, columns=None):
-        built[q] = list(columns)
-        return original(cx, q, p, columns)
-
-    monkeypatch.setattr(reduction, "boundary_matrix", recording)
+def test_a_column_builds_only_itself_and_its_sources(p):
+    # The last pivot column of the top dimension: building it builds only
+    # earlier pivot columns of that dimension, the sources it meets, and a
+    # second read builds nothing.
     cloud = _cloud()
     red = build_leaf(range(cloud.n), cloud, [0.3], 1, p)
-    cx = enumerate_complex(range(cloud.n), cloud, 0.3, 2)     # the leaf's row order
-    paired = sorted(_pairs(red, 2).values())
-    assert 0 < len(paired) < cx.count(2)
-    apparent = _apparent(cx, 2)
-    assert 0 < len(apparent) < len(paired)
-    assert sorted(built[2] + list(apparent)) == paired
-    assert set(built[2]) <= set(red.r[2]) == set(red.v[2]) <= set(paired)
-    # D_1 is built without its cleared columns, the pivot rows of D_2, and
-    # without its apparent columns.
-    cleared = set(_pairs(red, 2))
-    apparent = _apparent(cx, 1)
-    assert 0 < len(apparent) and not apparent & cleared
-    assert built[1] == [j for j in range(cx.count(1)) if j not in cleared | apparent]
-    assert set(built[1]) <= set(red.r[1]) == set(red.v[1])
+    k = int(np.flatnonzero(~red.live[2])[-1])
+    assert [len(c) for c in red.cols] == [0, 0, 0]
+    col = red.cols[2][k]
+    built = sorted(red.cols[2])
+    assert 1 < len(built) < len(np.flatnonzero(~red.live[2]))
+    assert built[-1] == k and not red.live[2][built].any()
+    assert red.cols[2][k] is col and sorted(red.cols[2]) == built
+    assert [len(c) for c in red.cols[:2]] == [0, 0]
 
 
 def _swap_two_pairs(monkeypatch, apparent=None, dim=None):
     """Swap the partners of the first two pairs of D_dim (the top dimension
     when dim is None), or of the first two whose column is (apparent=True)
-    or is not (False) apparent."""
+    or is not (False) apparent.  Returns the list to which each call appends
+    the swapped columns as (dimension, j1, j2)."""
     original = reduction.cohomology_pairs
+    swaps = []
 
     def swapped(cx, q, field, clear=()):
         pairs = original(cx, q, field, clear)
@@ -165,48 +178,50 @@ def _swap_two_pairs(monkeypatch, apparent=None, dim=None):
         if len(items) >= 2:
             (l1, j1), (l2, j2) = items[:2]
             pairs[l1], pairs[l2] = j2, j1
+            swaps.append((q, j1, j2))
         return pairs
 
     monkeypatch.setattr(reduction, "cohomology_pairs", swapped)
+    return swaps
 
 
-def test_altered_pair_raises(monkeypatch):
-    _swap_two_pairs(monkeypatch)
-    cloud = _cloud()
-    with pytest.raises(ConsistencyError, match="differ from its cohomology pairs"):
-        build_leaf(range(cloud.n), cloud, [0.3], 1, 3)
+def _assert_swapped_columns_raise(swaps, red):
+    ((q, j1, j2),) = swaps
+    assert [len(c) for c in red.cols] == [0] * len(red.cols)    # the build checks nothing
+    for j in (j1, j2, j1):
+        with pytest.raises(ConsistencyError, match="differs from its cohomology pairs"):
+            red.cols[q][j]
+    assert j1 not in red.cols[q] and j2 not in red.cols[q]
 
 
-def test_altered_pair_exits_5(monkeypatch, tmp_path, capsys):
-    _swap_two_pairs(monkeypatch)
+def _grid_run_exits_5(tmp_path, capsys):
+    """The CLI on a 3-D cloud, at one scale on a 2x2x2 grid over Z/3: the
+    ranks agree whatever the swap, and the assembly reads the swapped
+    columns of some leaf, at the top dimension and at D_1."""
+    cloud = PointCloud(np.random.default_rng(0).random((200, 3)))
     path = tmp_path / "cloud.csv"
-    path.write_text("".join(f"{x!r},{y!r}\n" for x, y in _cloud().coords.tolist()))
-    assert main([str(path), "--epsilon", "0.3", "--no-timings"]) == 5
+    path.write_text("".join(",".join(map(repr, row)) + "\n" for row in cloud.coords.tolist()))
+    assert main([str(path), "--epsilon", "0.25", "--scales", "0.25", "--grid", "2,2,2",
+                 "--field", "3", "--no-timings"]) == 5
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "cohomology pairs" in err
     assert "Traceback" not in err
 
 
-@settings(max_examples=60, deadline=None)
-@given(leaf_cases(primes=(2, 3, 5), n_maxes=(0, 1, 2)))
-def test_boundary_columns_are_built_only_for_non_apparent_pivots(case):
-    cloud, scales, p, n_max, _ = case
-    top = n_max + 1
-    built = {}
-    original = reduction.boundary_matrix
+def test_altered_pair_raises_when_its_column_is_built(monkeypatch):
+    cloud = _cloud()
+    betti = build_leaf(range(cloud.n), cloud, [0.3], 1, 3).view(0.3).betti_all()
+    swaps = _swap_two_pairs(monkeypatch)
+    red = build_leaf(range(cloud.n), cloud, [0.3], 1, 3)
+    # A swap keeps the pivot columns, and so the ranks: Betti numbers read
+    # no column, and check no pair.
+    assert red.view(0.3).betti_all() == betti
+    _assert_swapped_columns_raise(swaps, red)
 
-    def recording(cx, q, p, columns=None):
-        built[q] = list(columns)
-        return original(cx, q, p, columns)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reduction, "boundary_matrix", recording)
-        red = build_leaf(range(cloud.n), cloud, scales, n_max, p)
-    cx = leaf_complex(range(cloud.n), cloud, scales, top)
-    for q in range(1, top + 1):
-        apparent = _apparent(cx, q)
-        assert apparent <= set(_pairs(red, q).values())
-        assert built[q] == sorted(_needed(red, q) - apparent)
+def test_altered_pair_exits_5(monkeypatch, tmp_path, capsys):
+    _swap_two_pairs(monkeypatch)
+    _grid_run_exits_5(tmp_path, capsys)
 
 
 @settings(max_examples=60, deadline=None)
@@ -225,7 +240,7 @@ def test_per_scale_ranks_match_dense_ranks(case):
             assert red.ranks[q][b] == dense_rank_mod_p(M, p)
 
 
-def test_betti_only_run_on_one_leaf_builds_no_table_column(monkeypatch):
+def test_betti_only_run_on_one_leaf_builds_no_column(monkeypatch):
     leaves = []
     original = engine.build_leaf
 
@@ -239,27 +254,20 @@ def test_betti_only_run_on_one_leaf_builds_no_table_column(monkeypatch):
         leaves.clear()
         engine.run(cloud, 0.2, [0.1, 0.2], n_max=1, field=p, workers=2, grid=[1, 1])
         (red,) = leaves
-        assert [len(t) for t in red.tables] == [0, 0]
-        # Apparent top columns that no reduction read stay implicit.
-        assert len(red.r[2]) == len(red.v[2]) < red.ranks[2][-1]
-    # On a grid the assembly queries the leaves, which fill their tables.
+        assert [len(c) for c in red.cols] == [0, 0, 0]
+    # On a grid the assembly queries the leaves, which build columns.
     leaves.clear()
     engine.run(cloud, 0.2, [0.2], n_max=1, field=3, workers=1, grid=[2, 2])
-    assert any(len(t) for red in leaves for t in red.tables)
+    assert any(len(c) for red in leaves for c in red.cols)
 
 
-# At the top dimension and at D_1, whose pairs come from union-find: the pair
-# check covers the apparent pivots that are entered unreduced.
+# At the top dimension and at D_1, whose pairs come from union-find: an
+# apparent column is never reduced, and is checked all the same.
 @pytest.mark.parametrize("apparent,dim", [(True, None), (False, None), (True, 1), (False, 1)],
                          ids=["apparent", "reduced", "d1-apparent", "d1-reduced"])
 def test_swapped_pairs_of_either_kind_raise_and_exit_5(monkeypatch, tmp_path, capsys,
                                                        apparent, dim):
-    _swap_two_pairs(monkeypatch, apparent, dim)
+    swaps = _swap_two_pairs(monkeypatch, apparent, dim)
     cloud = _cloud()
-    with pytest.raises(ConsistencyError, match="differ from its cohomology pairs"):
-        build_leaf(range(cloud.n), cloud, [0.3], 1, 3)
-    path = tmp_path / "cloud.csv"
-    path.write_text("".join(f"{x!r},{y!r}\n" for x, y in cloud.coords.tolist()))
-    assert main([str(path), "--epsilon", "0.3", "--no-timings"]) == 5
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "cohomology pairs" in err
+    _assert_swapped_columns_raise(swaps, build_leaf(range(cloud.n), cloud, [0.3], 1, 3))
+    _grid_run_exits_5(tmp_path, capsys)

@@ -146,17 +146,6 @@ class TestReduceAgainstNaive:
         Vd = dense_of_columns(len(cols), V, p)
         assert np.array_equal((D @ Vd) % p, dense_of_columns(nrows, R, p))
 
-    @settings(max_examples=200, deadline=None)
-    @given(sparse_matrices())
-    def test_given_columns_match_the_full_matrix(self, case):
-        p, _, cols = case
-        given = {j: c for j, c in enumerate(cols) if c}
-        red = reduce_columns(given, PrimeField(p))
-        full = reduce_columns(cols, PrimeField(p))
-        assert red.ncols == len(given) and red.pivots == full.pivots
-        assert list(red.r) == list(red.v) == list(given)
-        assert all(red.r[j] == full.r[j] and red.v[j] == full.v[j] for j in given)
-
     @settings(max_examples=100, deadline=None)
     @given(sparse_matrices())
     def test_bitset_columns_match_dict_columns(self, case):

@@ -10,7 +10,8 @@ from mvbetti import rips
 from mvbetti.cli import main
 from mvbetti.core import Chain, PointCloud, boundary
 from mvbetti.reduction import _order_levels, as_dict, build_leaf, persistence_barcode
-from mvbetti.rips import DEFAULT_BUDGET, BudgetExceededError, boundary_matrix, enumerate_complex
+from mvbetti.rips import (DEFAULT_BUDGET, BudgetExceededError, boundary_column, boundary_matrix,
+                         enumerate_complex, facet_signs)
 
 from conftest import (TETRA_POINTS, TETRA_SIDE, UNIT_SQUARE,
                       brute_force_simplices, looked_up_facets, random_cloud, vertex_levels)
@@ -133,6 +134,14 @@ class TestEnumerate:
             with pytest.raises(ValueError, match=message):
                 build()
         assert enumerate_complex([2, 0], pc, 1.0, 1).points.tolist() == [0, 2]
+
+    @pytest.mark.parametrize("scale", [float("nan"), -1.0, float("inf"), True, "0.5", None])
+    def test_scale_validated(self, scale):
+        # NaN and -1.0 gave a complex of every vertex and no edge.
+        pc = PointCloud(np.random.default_rng(0).random((30, 2)))
+        with pytest.raises(ValueError, match="^scale must be "):
+            enumerate_complex(range(30), pc, scale, 2)
+        assert enumerate_complex(range(30), pc, 0, 2).count(0) == 30
 
     def test_empty_points(self):
         pc = PointCloud([[0.0]])
@@ -433,6 +442,7 @@ class TestBoundaryMatrix:
                     assert col == want
 
     def test_selected_columns(self):
+        # A leaf builds one column at a time from its facet-table row.
         rng = np.random.default_rng(12)
         pc = random_cloud(rng, 14, 2)
         cx = enumerate_complex(range(14), pc, 0.6, 3)
@@ -440,9 +450,9 @@ class TestBoundaryMatrix:
         for p in (2, 3):
             for q in (1, 2, 3):
                 cols = boundary_matrix(cx, q, p)
-                picked = list(range(0, len(cols), 3))
-                assert boundary_matrix(cx, q, p, picked) == [cols[j] for j in picked]
-                assert boundary_matrix(cx, q, p, []) == []
+                for j in range(0, len(cols), 3):
+                    assert boundary_column(cx.facets[q][j].tolist(), facet_signs(q, p), p) \
+                        == cols[j]
 
     def test_dimension_out_of_range(self):
         pc = PointCloud(UNIT_SQUARE)
