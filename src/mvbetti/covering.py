@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import PointCloud, require_int
+from .core import PointCloud, require_int, require_real
 
 
 class Sel(NamedTuple):
@@ -177,15 +177,15 @@ class GridCovering:
 def build_covering(cloud: PointCloud, eps: float, k) -> GridCovering:
     """Build the grid covering for a cloud at top scale eps.
 
-    k is one cell count for every axis (an int or a 1-entry sequence) or a
-    sequence of one count per axis; any other length, and a count that is
-    not an int >= 1 (core.require_int, a bool is none), is a ValueError.
-    A cloud with zero spread degenerates to k = 1 everywhere.
+    eps is a positive finite real (core.require_real).  k is one cell
+    count for every axis (an int or a 1-entry sequence) or a sequence of
+    one count per axis; any other length, and a count that is not an int
+    >= 1 (core.require_int, a bool is none), is a ValueError.  A cloud with
+    zero spread degenerates to k = 1 everywhere.
     """
     if cloud.n == 0:
         raise ValueError("cannot cover an empty cloud")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = require_real("eps", eps, positive=True)
     mins, maxs = cloud.axis_ranges()
     extent = float((maxs - mins).max())  # one shared R across axes
     ks = [require_int("cell counts", v, 1) for v in (k if np.iterable(k) else [k])]

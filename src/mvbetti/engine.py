@@ -11,7 +11,10 @@ that scale, nodes assemble, and Betti numbers are read off the root
 solver.  Later scales start no threads.  A leaf reduction is not
 immutable: its index levels, R and V columns and row chains are built one
 entry at a time, on the first query that reads them, and queries run only
-in that walk, so they are built on the calling thread.  A node's
+in that walk, so they are built on the calling thread.  A view's and a
+node's dimension-0 labels, from which each node builds f_0 as an
+incidence matrix of components, are built the same way, on the first
+dimension-0 query; a Betti-only run on one leaf builds none.  A node's
 connecting lift is built the same way, on the first read of its class: by
 the assembly of an enclosing node, so a failed lift check names that
 node's box, and never for the root, whose Betti numbers read only ranks.
@@ -154,12 +157,6 @@ class BettiReport:
     diagnostics: dict
     slack: float = 0.0                # the run's slack; not in the JSON report
     verify: dict = None
-
-    def betti_at(self, scale: float):
-        for sr in self.scales:
-            if sr.scale == scale:
-                return sr.betti
-        raise KeyError(f"scale {scale} not in report")
 
 
 def _collect_ranks(root) -> dict:

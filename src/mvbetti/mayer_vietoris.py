@@ -19,16 +19,30 @@ kernel correction names.  Class coordinates are sparse {basis index:
 nonzero residue} dicts throughout, the representation of a dict column: a
 child's coords() shifts straight into an f-matrix column or target vector.
 
+Dimension 0 runs on component labels, with no chase (Edelsbrunner & Harer,
+"Computational Topology", 2010: H_0 by union-find).  Every solver's basis
+there is one root vertex per component, and labels() gives a vertex's
+class.  f_0 is the incidence matrix between the overlaps' and the pieces'
+components, filled from the pieces' labels of each overlap root.  A node's
+label of a vertex is its label in the lowest piece holding it (the _split
+rule), mapped to that row's cokernel class (FMatrix.row_classes), so a
+nested node, and the dimension-1 chase's coords(., 0) on the overlaps, read
+labels too.  bound(z, 0) still chases, since it returns a 1-chain.
+
 All chains use global point indices, so inclusions are literal identities.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import cached_property
 from itertools import accumulate
 
+import numpy as np
+
 from .core import Chain, ConsistencyError, chain_boundary, require_query
-from .reduction import PrimeField, as_dict, combine, eliminate, reduce_columns
+from .reduction import (PrimeField, as_dict, combine, eliminate, reduce_columns,
+                        vertex_coords)
 
 
 def _combo_chain(solver, n: int, coeffs, p: int) -> Chain:
@@ -63,7 +77,10 @@ class FMatrix:
     echelon nullspace: the V_j of the zero columns R_j.  V is unit
     upper-triangular, so V_j's lowest row is j, the kernel columns have
     distinct lowest rows, and membership in the kernel is a straight
-    elimination.
+    elimination.  f_0 is an incidence matrix, +1 and -1 in each column
+    (build_f), and is reduced all the same: its kernel basis feeds the
+    connecting lifts at dimension 1, and row_classes reads its cokernel
+    class of each row off the reduced image.
     """
 
     __slots__ = ("columns", "row_starts", "col_starts", "p", "rank", "_v",
@@ -106,6 +123,29 @@ class FMatrix:
             return coords, as_dict(combine([(v[j], c) for j, c in used], self.p))
         return coords
 
+    def row_classes(self) -> np.ndarray:
+        """The cokernel position of each row's class, for an f whose every
+        column sums to zero, as f_0's do (build_f): im(f) is then the
+        vectors that sum to zero on each component of the graph whose
+        edges are the columns, so each component has one cokernel row, its
+        smallest, and every row's class is that row's.  Rows are read in
+        ascending order: a pivot row l takes the class of another row of
+        its image column, whose rows lie below l in one component.  An
+        image column with no other row would put a vertex class in im(f),
+        and raises ConsistencyError."""
+        out = np.empty(self.nrows, np.int64)
+        for r in range(self.nrows):
+            pos = self._coker_pos.get(r)
+            if pos is None:
+                col = self._image[r][0]
+                other = (col & -col).bit_length() - 1 if type(col) is int else min(col)
+                if other == r:
+                    raise ConsistencyError(
+                        f"row {r} of f_0 is in its image: a vertex class vanishes")
+                pos = out[other]
+            out[r] = pos
+        return out
+
     def kernel_coords(self, u: dict) -> dict:
         """Sparse coordinates of a kernel vector in the echelon kernel basis."""
         rest, used = eliminate(u, self._kernel.get, self.p)
@@ -121,7 +161,11 @@ def build_f(pieces, inters, n: int, field) -> FMatrix:
 
     Each overlap's representatives are read once; column (k, b) is filled
     from piece k and, negated, from piece k+1 (see FMatrix).  Chains carry
-    global indices, so an inclusion is the identity on simplices.
+    global indices, so an inclusion is the identity on simplices.  At n = 0
+    f_0 is the incidence matrix of components: a class b of overlap k is
+    its root vertex r (roots()), and column (k, b) is +1 at r's label in
+    piece k and p - 1 at its label in piece k+1, read with one batched
+    labels() call per piece and no chain.
     """
     field = PrimeField(field)
     p = field.p
@@ -130,6 +174,15 @@ def build_f(pieces, inters, n: int, field) -> FMatrix:
     what = "overlap representative is not a cycle of its piece"
     columns = []
     for k, inter in enumerate(inters):
+        if n == 0:
+            roots = inter.roots()
+            try:    # as in _block_coords
+                plus = (pieces[k].labels(roots) + row_off[k]).tolist()
+                minus = (pieces[k + 1].labels(roots) + row_off[k + 1]).tolist()
+            except ValueError as exc:
+                raise ConsistencyError(f"{what}: {exc}") from exc
+            columns += [{a: 1, b: p - 1} for a, b in zip(plus, minus)]
+            continue
         for rep in inter.representatives(n):
             col = _block_coords(pieces[k], rep, n, row_off[k], what)
             minus = _block_coords(pieces[k + 1], rep, n, row_off[k + 1], what)
@@ -172,6 +225,7 @@ class MVNodeSolver:
 
         self._f = []        # reduced FMatrix per dimension 0..n_max
         self._lifts = {}    # (dimension, kernel basis index) -> connecting lift
+        self._label = None  # f_0 row -> cokernel position, on first read
         self._build()
 
     # -- construction -----------------------------------------------------
@@ -263,6 +317,49 @@ class MVNodeSolver:
         """Cycle chains whose classes form the union's basis at dimension n."""
         return [self.representative(n, b) for b in range(self.betti(n))]
 
+    @cached_property
+    def ids(self) -> np.ndarray:
+        """The sorted global ids of the union's points."""
+        return np.unique(np.concatenate([pc.ids for pc in self.pieces]))
+
+    def roots(self) -> np.ndarray:
+        """The global id of each dimension-0 class's root vertex, by basis
+        index: the root of the class's row in its piece."""
+        fs = self._f[0]
+        rows = np.array(fs.coker_rows, np.int64)
+        block = np.searchsorted(fs.row_starts, rows, "right") - 1
+        out = np.empty(len(rows), np.int64)
+        for k, piece in enumerate(self.pieces):
+            mine = block == k
+            if mine.any():
+                out[mine] = piece.roots()[rows[mine] - fs.row_starts[k]]
+        return out
+
+    def labels(self, vertices) -> np.ndarray:
+        """The dimension-0 basis index of each vertex (global ids, an int
+        array): its label in the lowest piece holding it (the _split rule),
+        mapped to the cokernel class of that row of f_0
+        (FMatrix.row_classes).  A vertex outside the region raises
+        ValueError."""
+        if self._label is None:
+            self._label = self._f[0].row_classes()
+        starts = self._f[0].row_starts
+        out = np.empty(len(vertices), np.int64)
+        todo = np.arange(len(vertices))
+        for k, piece in enumerate(self.pieces):
+            if not len(todo):
+                break
+            ids, want = piece.ids, vertices[todo]
+            pos = np.searchsorted(ids, want)
+            hit = pos < len(ids)
+            hit[hit] = ids[pos[hit]] == want[hit]
+            if hit.any():
+                out[todo[hit]] = self._label[starts[k] + piece.labels(want[hit])]
+                todo = todo[~hit]
+        if len(todo):
+            raise ValueError(f"simplex {(int(vertices[todo[0]]),)} lies outside this region")
+        return out
+
     def _split(self, z: Chain):
         """Assign each simplex to the lowest piece containing all its vertices."""
         parts = [dict() for _ in self.pieces]
@@ -352,10 +449,13 @@ class MVNodeSolver:
 
     def coords(self, z: Chain, n: int) -> dict:
         """A union cycle's class as {basis index: nonzero residue}: cokernel
-        keys first, kernel keys offset by the cokernel size."""
+        keys first, kernel keys offset by the cokernel size.  At n = 0 a
+        sum over its vertices' labels, above by the chase."""
         require_query(z, n, self.n_max)
         if z.is_zero():
             return {}
+        if n == 0:
+            return vertex_coords(self, z, self.p)
         kappa, xis = self._chase(z, n)
         fs_n = self._f[n]
         out = fs_n.project_coker(self._piece_target_vector(xis, n))

@@ -8,9 +8,14 @@ simplex's killer, a live mask and per-scale ranks, from which a per-scale
 view picks the rows that are representatives at its scale.  What a query
 reads is built one entry at a time, on its first read, and serves every
 scale: a column of R and V, a level's simplex index (_Lazy), a row's cycle
-chain.  The pairing also gives the direct filtration barcode, the oracle
-for the divide-and-conquer path (see persistence_barcode for what it
-shares with run() and what keeps it independent).
+chain.  Dimension 0 needs none of these for a class: its basis is one root
+vertex per component, the roots that union-find's elder rule leaves at the
+view's scale, and a vertex's class is its label, an array lookup (a view's
+labels come from one pointer-jumping pass over the merge forest that the
+D_1 union-find records).  The pairing also gives the direct filtration
+barcode, the oracle for the divide-and-conquer path (see
+persistence_barcode for what it shares with run() and what keeps it
+independent).
 
 Columns are native Python values: int bitsets (bit r = row r) at p = 2,
 where column addition is one XOR, and {row: nonzero residue} dicts
@@ -21,12 +26,12 @@ union-find over the edges for D_1, and above that by reducing coboundary
 columns read from the level's facet table (written by the clique
 expansion, RipsComplex.facets); and eliminate reduces one column against a
 table of columns with distinct lowest rows, given as a row lookup, the step
-behind every coords/bound query of a region and the Mayer-Vietoris kernel
-and cokernel.  A region's build ends at its pairing: the columns R_j and V_j
-of its reduction are built one at a time, from the pairs, when a query
-reads them (_Columns), and each checks the pairs as it is built.  combine
-forms linear combinations of columns, and as_dict decodes a column of
-either representation.
+behind a region's coords queries above dimension 0, its bound queries and
+the Mayer-Vietoris kernel and cokernel.  A region's build ends at its
+pairing: the columns R_j and V_j of its reduction are built one at a time,
+from the pairs, when a query reads them (_Columns), and each checks the
+pairs as it is built.  combine forms linear combinations of columns, and
+as_dict decodes a column of either representation.
 """
 
 from __future__ import annotations
@@ -246,7 +251,9 @@ def cohomology_pairs(cx, q: int, field: PrimeField, clear=()):
     (Kruskal), each component rooted at its smallest vertex row: an edge
     that joins roots a < b pairs with b.  b is the lowest row of the edge's
     reduced column, which has a nonzero coefficient sum on each of the two
-    components and no pivot row.  clear is not read there.
+    components and no pivot row.  clear is not read there.  The pairs come
+    with the merge forest, b's parent being a (_Merges), from which a leaf
+    labels each vertex with its component's root at every scale.
 
     For q >= 2 the coboundary column of a (q-1)-simplex holds its cofaces
     with their boundary coefficients.  An argsort of the flattened facet
@@ -320,11 +327,23 @@ def cohomology_pairs(cx, q: int, field: PrimeField, clear=()):
     return pairs
 
 
+class _Merges(dict):
+    """The pivot pairs of D_1 from union-find, {merged root: merge edge},
+    and parent, the merge forest as an int64 array: parent[b] is the root
+    that b was merged into, by its edge pairs[b], and parent[v] = v at a
+    vertex that no edge merges.  Merge edges rise along every path of the
+    forest."""
+
+    __slots__ = ("parent",)
+
+
 def _union_find_pairs(edges, n: int):
     """Pivot pairs of D_1 from the (count(1), 2) vertex rows of the edges in
-    level order, on n vertices; roots are merged into the smaller one."""
+    level order, on n vertices; roots are merged into the smaller one, its
+    parent in the merge forest (_Merges)."""
     root = list(range(n))
-    pairs = {}
+    parent = root.copy()
+    pairs = _Merges()
     for j, (a, b) in enumerate(edges.tolist()):
         while root[a] != a:
             root[a] = a = root[root[a]]
@@ -333,8 +352,9 @@ def _union_find_pairs(edges, n: int):
         if a != b:
             if a > b:
                 a, b = b, a
-            root[b] = a
+            root[b] = parent[b] = a
             pairs[b] = j
+    pairs.parent = np.array(parent, np.int64)
     return pairs
 
 
@@ -467,9 +487,11 @@ class _Columns(dict):
 
 
 def _level_index(facets, prefix, points, q):
-    """{vertex tuple: row} of level q below the top.  The tuples hold the
-    int objects of points, not a new int per entry as tolist() makes."""
-    if not 0 <= q < len(prefix) - 1:
+    """{vertex tuple: row} of level q, from 1 to below the top; a vertex's
+    row is a search in the level-0 ids (LeafReduction.rows_of).  The tuples
+    hold the int objects of points, not a new int per entry as tolist()
+    makes."""
+    if not 1 <= q < len(prefix) - 1:
         raise KeyError(q)
     count = prefix[q][-1]
     cols = vertex_rows(facets, q, np.arange(count)).T.tolist()
@@ -493,8 +515,10 @@ class LeafReduction:
     The build ends at the pairing, which is kept once, in arrays: killer[n]
     gives each n-simplex's killer in D_{n+1} (-1 when none), live[q] is
     false at the pivot columns of D_q, and ranks[q][b], read off the sorted
-    pivot columns, is the rank of D_q on the prefix of scales[b].  No column
-    is reduced then.  cols[q] (_Columns) builds the pair (R_j, V_j) of D_q's
+    pivot columns, is the rank of D_q on the prefix of scales[b].  parent is
+    D_1's merge forest over the vertex rows (_Merges), from which a view
+    labels each vertex with its component's root.  No column is reduced
+    then.  cols[q] (_Columns) builds the pair (R_j, V_j) of D_q's
     left-to-right reduction at column j on its first read, from the pairs,
     and checks them there; a Betti-only run builds none.  The live
     n-simplices are the rows of the dimension-n eliminate() table for every
@@ -504,9 +528,11 @@ class LeafReduction:
     and point_set are made from it), prefix (the last entry of each level
     is its count) and the facet tables, which give every simplex's vertex
     rows (rips.vertex_rows) and boundary, as in Ripser (Bauer, 2021).
-    index[q] maps level q's vertex tuples to rows, built on the first query
-    at level q, for q below the top; chain_of_column maps rows back.
-    chain(n, row) builds a table row's cycle chain once, for every view.
+    A vertex's row is a search in the level-0 ids (rows_of); index[q] maps
+    level q's vertex tuples to rows, built on the first query at level q,
+    for 1 <= q below the top; chain_of_column maps rows back.  chain(n,
+    row) builds a table row's cycle chain, or at n = 0 the vertex, once,
+    for every view.
     Entries are built on the thread that queries, during assembly on the
     calling thread.
     """
@@ -529,6 +555,7 @@ class LeafReduction:
         self.prefix = [np.searchsorted(d, self.scales, "right").tolist()
                        for d in cx.diameters]
         pairs = _pair_levels(cx, field)
+        self.parent = pairs[1].parent
         self.ranks = {0: [0] * len(self.scales)}
         self.killer = []
         self.live = [np.ones(cx.count(0), bool)]
@@ -551,13 +578,30 @@ class LeafReduction:
         return LeafSolver(self, scale)
 
     def chain(self, n: int, row: int) -> Chain:
-        """The cycle chain of row row of dimension n's table, built once for
-        every scale; callers must not mutate it."""
+        """The cycle chain of row row of dimension n's table, or the vertex
+        row itself at n = 0, built once for every scale; callers must not
+        mutate it."""
         z = self._chains.get((n, row))
         if z is None:
-            z = self._chains[n, row] = self.chain_of_column(
-                as_dict(self.entry(n, row)[0]), n, self.field.p)
+            if n:
+                z = self.chain_of_column(as_dict(self.entry(n, row)[0]), n, self.field.p)
+            else:
+                z = Chain(0, self.field.p, {(self.points[row],): 1})
+            self._chains[n, row] = z
         return z
+
+    def rows_of(self, vertices) -> np.ndarray:
+        """The level-0 rows of global point ids (an int array), found by
+        search in the sorted ids; a ValueError names the first that is no
+        vertex of the region."""
+        ids = self._ids
+        rows = np.searchsorted(ids, vertices)
+        found = rows < len(ids)
+        found[found] = ids[rows[found]] == vertices[found]
+        if not found.all():
+            v = int(vertices[np.argmin(found)])
+            raise ValueError(f"simplex {(v,)} is not in this complex")
+        return rows
 
     def entry(self, n: int, row: int):
         """Row row's entry (column, row) of dimension n's eliminate() table,
@@ -595,6 +639,16 @@ class LeafSolver:
     class vanishes.  Both build the table columns they reach on first use,
     and representative(n, b) the chain of the one class it names
     (LeafReduction.chain).
+
+    Dimension 0 has a component-root basis: its representative rows are
+    the roots that the elder rule leaves at the view's scale, and
+    representative(0, b) is the root vertex itself (roots() lists them).
+    labels() gives each vertex its root's basis index, from one
+    pointer-jumping pass over the merge forest built on the first
+    dimension-0 query, and coords(z, 0) sums z's coefficients at its
+    vertices' labels (vertex_coords), with no table column.  bound(z, 0)
+    eliminates as above: it must return a 1-chain, and whether [z] = 0
+    does not depend on the basis.
     """
 
     def __init__(self, reduction: LeafReduction, scale: float):
@@ -606,6 +660,8 @@ class LeafSolver:
         self.n_max = reduction.n_max
         self.field = reduction.field
         self.point_set = reduction.point_set
+        self.ids = reduction._ids
+        self._label = None  # vertex row -> dimension-0 basis index, on first read
         # Simplices of the view per dimension: a prefix of every level.
         self._limit = [reduction.prefix[q][b] for q in range(self.n_max + 2)]
         self._basis = []    # per dimension: {representative row: basis index}
@@ -642,8 +698,49 @@ class LeafSolver:
         """Cycle chains whose classes form the homology basis at dimension n."""
         return [self.representative(n, b) for b in range(self.betti(n))]
 
+    def roots(self) -> np.ndarray:
+        """The global id of each dimension-0 class's root vertex, by basis
+        index: the vertex that representative(0, b) is."""
+        return self.ids[self._rows[0]]
+
+    def labels(self, vertices) -> np.ndarray:
+        """The dimension-0 basis index of each vertex (global ids, an int
+        array): the class of its component's root at the view's scale.  A
+        vertex outside the region raises ValueError."""
+        rows = self.reduction.rows_of(vertices)
+        if self._label is None:
+            self._label = self._component_labels()
+        return self._label[rows]
+
+    def _component_labels(self) -> np.ndarray:
+        """Each vertex row's basis index, by one pointer-jumping pass over
+        the merge forest (LeafReduction.parent): a row steps to its parent
+        while its merge edge is inside the view's edge prefix.  Merge edges
+        rise along every path, so the steps stop at the first edge outside
+        it, at the root that the elder rule leaves at this scale."""
+        red = self.reduction
+        killer = red.killer[0]
+        rows = np.arange(len(killer))
+        up = np.where((killer >= 0) & (killer < self._limit[1]), red.parent, rows)
+        while True:
+            nxt = up[up]
+            if np.array_equal(nxt, up):
+                break
+            up = nxt
+        basis = np.full(len(rows), -1, np.int64)
+        basis[self._rows[0]] = np.arange(len(self._rows[0]))
+        label = basis[up]
+        if (label < 0).any():
+            row = int(np.argmin(label))
+            raise ConsistencyError(
+                f"vertex row {row} is labelled {int(up[row])}, which is not a "
+                f"representative row at dimension 0")
+        return label
+
     def _column(self, z: Chain, n: int) -> dict:
         """z over the view's n-simplices; simplices beyond the view are foreign."""
+        if n == 0:     # every vertex of the region is in every view
+            return dict(zip(self.reduction.rows_of(_vertex_ids(z)).tolist(), z.terms.values()))
         idx, end = self.reduction.index[n], self._limit[n]
         col = {}
         for s, c in z.terms.items():
@@ -675,10 +772,14 @@ class LeafSolver:
         return coords, killed
 
     def coords(self, z: Chain, n: int) -> dict:
-        """A cycle's class in the homology basis as {basis index: nonzero residue}."""
+        """A cycle's class in the homology basis as {basis index: nonzero
+        residue}: at n = 0 a sum over its vertices' labels, above by
+        elimination."""
         require_query(z, n, self.n_max)
         if z.is_zero():
             return {}
+        if n == 0:
+            return vertex_coords(self, z, self.field.p)
         return self._eliminate(z, n)[0]
 
     def bound(self, z: Chain, n: int):
@@ -701,6 +802,25 @@ class LeafSolver:
 
     def betti_all(self):
         return [self.betti(n) for n in range(self.n_max + 1)]
+
+
+def _vertex_ids(z: Chain) -> np.ndarray:
+    """The global ids of a 0-chain's vertices, in the order of its terms."""
+    return np.fromiter((s[0] for s in z.terms), np.int64, len(z.terms))
+
+
+def vertex_coords(solver, z: Chain, p: int) -> dict:
+    """A 0-chain's class as {basis index: nonzero residue}: the sum of its
+    coefficients at its vertices' labels (solver.labels), the one rule of
+    dimension 0 on leaves and nodes alike."""
+    out = {}
+    for b, c in zip(solver.labels(_vertex_ids(z)).tolist(), z.terms.values()):
+        c = (out.get(b, 0) + c) % p
+        if c:
+            out[b] = c
+        else:
+            del out[b]
+    return out
 
 
 def build_leaf(points, cloud, scales, n_max, field,

@@ -107,6 +107,26 @@ def dense_boundary(simplices_lower, simplices_upper, p: int):
     return M
 
 
+def brute_force_components(points, cloud: PointCloud, scale: float) -> dict:
+    """{point: smallest point of its component} of the graph on points whose
+    edges are the pairs at distance <= scale: union-find over every pair,
+    independent of the library's pairing."""
+    pts = sorted(points)
+    dist = cloud.pairwise(pts)
+    root = {v: v for v in pts}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for i, j in combinations(range(len(pts)), 2):
+        if dist[i, j] <= scale:
+            a, b = sorted((find(pts[i]), find(pts[j])))
+            root[b] = a
+    return {v: find(v) for v in pts}
+
+
 def brute_force_betti(points, cloud, scale, n_max, p):
     """Betti numbers via subset enumeration plus dense rank, fully independent."""
     levels = brute_force_simplices(points, cloud, scale, n_max + 1)
@@ -167,6 +187,14 @@ def brute_force_barcode(points, cloud, eps_max, n_max, p):
             bars.append((q, diam, death))
     bars.sort(key=lambda b: (b[0], b[1], -1.0 if b[2] is None else b[2]))
     return bars
+
+
+def betti_at(report, scale: float) -> list:
+    """The Betti numbers of a run() report at one of its scales."""
+    for sr in report.scales:
+        if sr.scale == scale:
+            return sr.betti
+    raise KeyError(f"scale {scale} not in report")
 
 
 def random_cloud(rng, n, d) -> PointCloud:

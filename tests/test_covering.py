@@ -145,6 +145,14 @@ class TestBuildCovering:
             run(pc, 0.9, [0.9], workers=1, grid=k)
         assert build_covering(pc, 0.9, np.array([5, 3])).k_per_axis == (5, 3)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), True, 0, 0.0, -1, -1.0])
+    def test_eps_must_be_a_positive_finite_real(self, eps):
+        # nan, inf and True gave a covering with that eps; 0 and -1 were
+        # refused by a second copy of the rule.
+        pc = PointCloud(np.random.default_rng(5).random((30, 2)))
+        with pytest.raises(ValueError, match="^eps must be "):
+            build_covering(pc, eps, 2)
+
 
 def two_piece_node(p=3):
     """The covering of six points on a line at eps 2 with two cells, [0, 7]

@@ -16,7 +16,7 @@ from mvbetti.mayer_vietoris import MVNodeSolver
 from mvbetti.reduction import LeafSolver, build_leaf, persistence_barcode
 from mvbetti.rips import DEFAULT_BUDGET, BudgetExceededError
 
-from conftest import HEX_POINTS, brute_force_betti, distance_quantile, random_cloud
+from conftest import HEX_POINTS, betti_at, brute_force_betti, distance_quantile, random_cloud
 
 
 class TestBuildSolver:
@@ -147,8 +147,8 @@ class TestRun:
     def test_hexagon_regression(self):
         rep = run(PointCloud(HEX_POINTS), 1.0, [0.5, 1.0], n_max=1, field=2,
                   workers=4, grid=[2, 2])
-        assert rep.betti_at(0.5) == [6, 0]
-        assert rep.betti_at(1.0) == [1, 1]
+        assert betti_at(rep, 0.5) == [6, 0]
+        assert betti_at(rep, 1.0) == [1, 1]
         assert rep.grid == [2, 2]
         assert rep.diagnostics["leaf_count"] == 9
 
@@ -158,7 +158,7 @@ class TestRun:
         eps = distance_quantile(pc, 0.3)
         rep = run(pc, eps, [eps / 2, eps], n_max=1, field=2, workers=2, grid=[1, 1])
         direct = build_leaf(range(25), pc, [eps], 1, 2).view(eps)
-        assert rep.betti_at(eps) == direct.betti_all()
+        assert betti_at(rep, eps) == direct.betti_all()
 
     def test_leaf_pool_is_capped_at_the_core_count(self, monkeypatch):
         # The pool would start one thread per leaf while none is idle, so
@@ -323,9 +323,9 @@ class TestRun:
     def test_slack_widens_comparisons(self):
         pc = PointCloud([[0.0], [1.05]])
         strict = run(pc, 1.0, [1.0], n_max=0, field=2, workers=1)
-        assert strict.betti_at(1.0) == [2]
+        assert betti_at(strict, 1.0) == [2]
         slackened = run(pc, 1.0, [1.0], n_max=0, field=2, workers=1, slack=0.1)
-        assert slackened.betti_at(1.0) == [1]
+        assert betti_at(slackened, 1.0) == [1]
 
     def test_ranks_f_diagnostics_present(self):
         pc = PointCloud(HEX_POINTS)
@@ -345,7 +345,7 @@ class TestVerify:
         assert rep.verify["mismatches"] == []
         # On one cell run() and the oracle share their pairing; the dense
         # ranks share nothing with either.
-        assert rep.betti_at(eps) == brute_force_betti(range(20), pc, eps, 1, 2)
+        assert betti_at(rep, eps) == brute_force_betti(range(20), pc, eps, 1, 2)
 
     def test_acceptance_style_instance(self):
         rng = np.random.default_rng(4)
@@ -390,7 +390,7 @@ class TestVerify:
         # Two points 1.05 apart join only under the slack.
         pc = PointCloud([[0.0], [1.05]])
         rep = run(pc, 1.0, [1.0], n_max=0, workers=1, slack=0.1)
-        assert rep.betti_at(1.0) == [1]
+        assert betti_at(rep, 1.0) == [1]
         assert attach_verification(rep, pc).verify["pass"] is True
 
 
@@ -458,4 +458,4 @@ class TestSpeedupInfo:
             times[workers] = time.perf_counter() - t0
         print(f"\n[info] 5041-point grid wall time: 1 worker {times[1]:.2f}s, "
               f"4 workers {times[4]:.2f}s (soft target: 4 workers faster)")
-        assert rep.betti_at(1.1)[0] == 1
+        assert betti_at(rep, 1.1)[0] == 1

@@ -262,8 +262,8 @@ def _reachable(obj):
                                             (2, 2, [0.15, 0.3]), (3, 2, [0.3])])
 def test_chain_of_column_gives_each_row_its_enumerated_simplex(p, n_max, scales):
     # Every row of every level, the top one included, against the levels of
-    # enumerate_complex in the leaf's row order; below the top the index
-    # maps each simplex back to its row.
+    # enumerate_complex in the leaf's row order; below the top rows_of (at
+    # level 0) and the index (above it) map each simplex back to its row.
     cloud = PointCloud(np.random.default_rng(13).random((30, 2)))
     pts = range(5, 30)
     red = build_leaf(pts, cloud, scales, n_max, p)
@@ -273,17 +273,21 @@ def test_chain_of_column_gives_each_row_its_enumerated_simplex(p, n_max, scales)
         assert red.prefix[q][-1] == len(simplices)
         for row, s in enumerate(simplices):
             assert red.chain_of_column({row: 1}, q, p) == Chain.single(s, p)
-            if q <= n_max:
+            if 1 <= q <= n_max:
                 assert red.index[q][s] == row
-    assert [len(red.index[q]) for q in range(n_max + 1)] == \
-        [len(s) for s, _ in levels[:n_max + 1]]
-    with pytest.raises(KeyError):
-        red.index[n_max + 1]
+    vertices = np.array([v for (v,) in levels[0][0]])
+    assert red.rows_of(vertices).tolist() == list(range(len(vertices)))
+    assert [len(red.index[q]) for q in range(1, n_max + 1)] == \
+        [len(s) for s, _ in levels[1:n_max + 1]]
+    for q in (0, n_max + 1):
+        with pytest.raises(KeyError):
+            red.index[q]
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_a_leaf_queried_at_dimension_0_indexes_no_other_level(p):
-    # Each level's index is built on the first query at that level.
+    # Each level's index is built on the first query at that level; a
+    # dimension-0 query searches the level-0 ids and indexes no level.
     cloud = PointCloud(np.random.default_rng(7).random((40, 2)))
     red = build_leaf(range(cloud.n), cloud, [0.15, 0.3], 1, p)
     view, small = red.view(0.3), red.view(0.15)
@@ -292,9 +296,9 @@ def test_a_leaf_queried_at_dimension_0_indexes_no_other_level(p):
         reps = v.representatives(0)
         assert [v.coords(z, 0) for z in reps] == [{b: 1} for b in range(len(reps))]
     assert small.bound(reps[0] - reps[1], 0) is None
-    assert sorted(red.index) == [0]
+    assert not red.index
     view.coords(view.representatives(1)[0], 1)
-    assert sorted(red.index) == [0, 1]
+    assert sorted(red.index) == [1]
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -325,6 +329,6 @@ def test_a_built_leaf_holds_no_complex_and_no_float_array(p):
         for z in view.representatives(n):
             view.coords(z, n)
     held = _reachable(view)
-    assert red in held
+    assert any(o is red for o in held)
     assert not any(isinstance(o, RipsComplex) for o in held)
     assert not any(isinstance(o, np.ndarray) and o.dtype.kind == "f" for o in held)

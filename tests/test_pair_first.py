@@ -255,10 +255,12 @@ def test_betti_only_run_on_one_leaf_builds_no_column(monkeypatch):
         engine.run(cloud, 0.2, [0.1, 0.2], n_max=1, field=p, workers=2, grid=[1, 1])
         (red,) = leaves
         assert [len(c) for c in red.cols] == [0, 0, 0]
-    # On a grid the assembly queries the leaves, which build columns.
+    # On a grid the assembly's dimension-1 queries read the leaves' D_2
+    # columns (dimension 0 reads labels, not columns).
     leaves.clear()
-    engine.run(cloud, 0.2, [0.2], n_max=1, field=3, workers=1, grid=[2, 2])
-    assert any(len(c) for red in leaves for c in red.cols)
+    report = engine.run(cloud, 0.2, [0.1, 0.2], n_max=1, field=3, workers=1, grid=[2, 2])
+    assert report.diagnostics["ranks_f"]["0.1"]["1"]["1"] > 0
+    assert any(len(red.cols[2]) for red in leaves)
 
 
 # At the top dimension and at D_1, whose pairs come from union-find: an

@@ -76,21 +76,24 @@ class TestEnumerate:
         assert counts == sorted(counts)
 
     def test_only_levels_below_the_top_are_indexed(self):
-        # A leaf at n_max = 1 enumerates up to level 2 and indexes levels 0
-        # and 1, the ones its queries name; the complex itself indexes none.
+        # A leaf at n_max = 1 enumerates up to level 2 and indexes level 1,
+        # the one above the vertices that its queries name; a vertex's row
+        # is a search in the level-0 ids.  The complex itself indexes none.
         pc = PointCloud(TETRA_POINTS)
         red = build_leaf(range(4), pc, [TETRA_SIDE], 1, 3)
         levels = [[tuple(s) for s in level.tolist()]
                   for level in vertex_levels(enumerate_complex(range(4), pc, TETRA_SIDE, 2))]
         assert len(levels[2]) == 4
         assert not red.index
-        for q in range(2):
-            assert red.index[q] == {s: i for i, s in enumerate(levels[q])}
-        with pytest.raises(KeyError):
-            red.index[2]
-        assert sorted(red.index) == [0, 1]
+        assert red.index[1] == {s: i for i, s in enumerate(levels[1])}
+        assert red.rows_of(np.array([s for (s,) in levels[0]])).tolist() == [0, 1, 2, 3]
+        for q in (0, 2):
+            with pytest.raises(KeyError):
+                red.index[q]
+        assert sorted(red.index) == [1]
         view = red.view(TETRA_SIDE)
         assert view._column(Chain.single(levels[1][0], 3), 1) == {0: 1}
+        assert view._column(Chain.single(levels[0][2], 3), 0) == {2: 1}
         with pytest.raises(ValueError, match="out of range"):
             view.coords(Chain.single(levels[2][0], 3), 2)
 
@@ -101,9 +104,8 @@ class TestEnumerate:
         red = build_leaf(range(300, 330), pc, [0.5], 1, 2)
         assert red.prefix[1][-1] > 0
         ids = {id(g) for g in red.points}
-        for q in range(2):
-            assert red.index[q]
-            assert all(id(v) in ids for s in red.index[q] for v in s)
+        assert red.index[1]
+        assert all(id(v) in ids for s in red.index[1] for v in s)
 
     def test_lexicographic_order(self):
         rng = np.random.default_rng(8)

@@ -2,20 +2,22 @@
 
 perfbench/tracer.py patches module globals and class attributes by name, so
 renaming or inlining one of them in src/ would silently drop its spans.  A
-small two-cell run() under the tracer must record the leaf-query and
+small run() on a 2x2 grid under the tracer must record the leaf-query and
 f-matrix spans, give the same report as an untraced run, and leave every
-original object in place after uninstall().
+original object in place after uninstall().  Its nested nodes chase
+dimension-1 cycles, so the leaves are queried: dimension 0 alone reads
+component labels, which no span covers.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from mvbetti.cli import emit_report
 from mvbetti.core import PointCloud
 from mvbetti.engine import run
-
-from conftest import HEX_POINTS
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -31,9 +33,9 @@ def _load_tracer():
 
 
 def _report():
-    rep = run(PointCloud(HEX_POINTS), 1.0, [0.5, 1.0], n_max=1, field=3,
-              workers=1, grid=[2, 1])
-    assert rep.grid == [2, 1]
+    rep = run(PointCloud(np.random.default_rng(2).random((200, 2))), 0.2, [0.1, 0.2],
+              n_max=1, field=3, workers=1, grid=[2, 2])
+    assert rep.grid == [2, 2]
     return emit_report(rep, timings=False)
 
 
