@@ -10,8 +10,9 @@ from mvbetti import Chain, PointCloud, PrimeField, boundary, chain_boundary
 print("== Point clouds and the metric ==")
 cloud = PointCloud([[0, 0], [3, 4], [3, 0]])
 print("points:", cloud.coords.tolist())
-print("distance(0, 1) =", cloud.distance(0, 1))
-print("diameter of all three =", cloud.diameter([0, 1, 2]))
+dist = cloud.pairwise([0, 1, 2])
+print("distance between points 0 and 1 =", dist[0, 1])
+print("diameter of all three =", dist.max())
 
 print("\n== Prime field arithmetic (exact, no floats) ==")
 F5 = PrimeField(5)

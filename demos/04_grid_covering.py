@@ -40,4 +40,7 @@ print(f"  cubes are leaves: {split_axis(sub.pieces[0], cov) is None}")
 
 counts = [len(cov.points_in_box(cloud, b)) for b in sub.pieces]
 print(f"  leaf point counts under piece 0: {counts} of {cloud.n} total")
-print(f"  total leaf regions for the run: {cov.leaf_count()}")
+leaves = 1
+for k in cov.k_per_axis:    # k cells and k - 1 overlaps per axis
+    leaves *= 2 * k - 1
+print(f"  total leaf regions for the run: {leaves}")

@@ -9,7 +9,7 @@ Run:  python demos/05_mayer_vietoris_assembly.py
 
 import math
 
-from mvbetti import Chain, PointCloud, assemble, build_f, build_leaf, chain_boundary
+from mvbetti import Chain, NodeRegion, PointCloud, assemble, build_f, build_leaf, chain_boundary
 
 h = math.sqrt(3) / 2
 hexagon = PointCloud([[1, 0], [0.5, h], [-0.5, h], [-1, 0], [-0.5, -h], [0.5, -h]])
@@ -27,7 +27,10 @@ fm = build_f([top, bottom], [overlap], 0, 3)
 print("\nf_0 maps the overlap's two components into the two pieces:")
 print("  columns:", fm.columns, " -> rank 1, kernel dimension 1")
 
-node = assemble([top, bottom], [overlap], 1, 3)
+# The region (union point set, overlap check) does not depend on the scale;
+# assemble gives its solver at the children's scale.
+region = NodeRegion([top, bottom], [overlap], 1, 3)
+node = assemble(region, [top, bottom], [overlap])
 print("\nassembled union betti:", node.betti_all())
 print("  beta_0 = coker(f_0) = 2 - 1 = 1")
 print("  beta_1 = ker(f_0)   = 2 - 1 = 1   (no loop lives in any piece!)")

@@ -10,7 +10,7 @@ cross-check.
 from .core import Chain, ConsistencyError, PointCloud, PrimeField, boundary, chain_boundary
 from .covering import AxisIntervals, GridCovering, build_covering, choose_k, full_box, split_axis
 from .engine import BettiReport, attach_verification, run, verify
-from .mayer_vietoris import FMatrix, MVNodeSolver, assemble, build_f
+from .mayer_vietoris import FMatrix, MVNodeSolver, NodeRegion, assemble, build_f
 from .reduction import (Bar, LeafSolver, ReducedPair, betti_at_scale,
                         build_leaf, persistence_barcode, reduce_columns)
 from .rips import BudgetExceededError, RipsComplex, boundary_matrix, enumerate_complex
@@ -28,6 +28,7 @@ __all__ = [
     "GridCovering",
     "LeafSolver",
     "MVNodeSolver",
+    "NodeRegion",
     "PointCloud",
     "PrimeField",
     "ReducedPair",

@@ -160,12 +160,6 @@ class PointCloud:
     def __len__(self):
         return self.n
 
-    def distance(self, i: int, j: int) -> float:
-        """Euclidean distance between points i and j."""
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexError(f"point index out of range: ({i}, {j}) with n={self.n}")
-        return float(_distances(self.coords[i], self.coords[j]))
-
     def pairwise(self, indices, others=None) -> np.ndarray:
         """Distance matrix of the listed points (row/col order preserved),
         computed for those points only; with others, the rectangular block
@@ -245,18 +239,6 @@ class PointCloud:
             keep = np.flatnonzero(dist <= scale)
             i, j = order[rows[keep]], order[cols[keep]]
             yield np.minimum(i, j), np.maximum(i, j), dist[keep]
-
-    def diameter(self, vertices) -> float:
-        """Max pairwise distance over a nonempty vertex-index set (0 for singletons)."""
-        idx = list(vertices)
-        if not idx:
-            raise ValueError("diameter of an empty vertex set is undefined")
-        if len(idx) == 1:
-            i = idx[0]
-            if not 0 <= i < self.n:
-                raise IndexError(f"point index out of range: {i}")
-            return 0.0
-        return float(self.pairwise(idx).max())
 
     def axis_ranges(self):
         """Per-axis (min, max) coordinate values."""

@@ -154,12 +154,6 @@ class GridCovering:
     def k_per_axis(self):
         return tuple(ax.k for ax in self.axes)
 
-    def leaf_count(self) -> int:
-        n = 1
-        for ax in self.axes:
-            n *= 2 * ax.k - 1
-        return n
-
     def points_in_box(self, cloud: PointCloud, box: Box) -> np.ndarray:
         """Sorted global indices of cloud points inside a box (closed intervals)."""
         mask = np.ones(cloud.n, dtype=bool)

@@ -8,8 +8,9 @@ ends at its pairing); the builds share only the cloud, the field and the
 covering, which are immutable.  Per scale, the box tree is then walked on
 the calling thread, children before parents: leaves take their view at
 that scale, nodes assemble, and Betti numbers are read off the root
-solver.  Later scales start no threads.  A leaf reduction is not
-immutable: its index levels, R and V columns and row chains are built one
+solver.  Later scales start no threads; a node's region, which no scale
+changes, is built on the first walk.  A leaf reduction is not immutable:
+its levels' search keys, R and V columns and row chains are built one
 entry at a time, on the first query that reads them, and queries run only
 in that walk, so they are built on the calling thread.  A view's and a
 node's dimension-0 labels, from which each node builds f_0 as an
@@ -31,8 +32,8 @@ import numpy as np
 
 from .core import PointCloud, PrimeField, require_int, require_real, require_scales
 from .covering import GridCovering, build_covering, choose_k, full_box, split_axis
-from .mayer_vietoris import MVNodeSolver, assemble
-from .reduction import (DEFAULT_BUDGET, betti_at_scale, build_leaf,
+from .mayer_vietoris import MVNodeSolver, NodeRegion, assemble
+from .reduction import (DEFAULT_BUDGET, LeafReduction, betti_at_scale, build_leaf,
                         persistence_barcode)
 from .rips import BudgetExceededError
 
@@ -88,22 +89,23 @@ def plan_jobs(covering: GridCovering):
     return jobs, root
 
 
-def execute_scale(cloud, covering, scale, n_max, field, budget, workers, scales, leaves):
+def execute_scale(cloud, covering, scale, n_max, field, budget, workers, scales, regions):
     """(root solver, {"leaf"|"node": summed step seconds}) of one scale.
 
-    Leaves missing from `leaves` (box -> reduction, shared by the calls of
-    one run) are built in sorted box order by at most min(`workers`, cores)
-    threads (the pool starts one per submission while none is idle), each
-    enumerated and paired once for every scale in `scales`, and added
-    to it; the first of them to fail in that order cancels the rest.  The
-    box tree is then walked on the calling thread: every leaf takes its
-    view at `scale` from its reduction.  Results are independent of worker
-    count: assembly consumes children in a fixed order and all arithmetic
-    is exact.
+    Leaves missing from `regions` (box -> a leaf's reduction or a node's
+    NodeRegion, shared by the calls of one run) are built in sorted box
+    order by at most min(`workers`, cores) threads (the pool starts one per
+    submission while none is idle), each enumerated and paired once for
+    every scale in `scales`, and added to it; the first of them to fail in
+    that order cancels the rest.  The box tree is then walked on the calling
+    thread: every leaf takes its view at `scale` from its reduction, and
+    every node is assembled on its region, added on the run's first walk.
+    Results are independent of worker count: assembly consumes children in
+    a fixed order and all arithmetic is exact.
     """
     jobs, root = plan_jobs(covering)
     missing = sorted(box for box, j in jobs.items()
-                     if j.kind == "leaf" and box not in leaves)
+                     if j.kind == "leaf" and box not in regions)
     if missing:
         # Point sets first: computed between submissions, they would wait on
         # the interpreter lock behind running builds.
@@ -114,7 +116,7 @@ def execute_scale(cloud, covering, scale, n_max, field, budget, workers, scales,
                                    budget) for pts in points]
             for box, fut in zip(missing, futures):
                 try:
-                    leaves[box] = fut.result()
+                    regions[box] = fut.result()
                 except Exception as exc:
                     raise JobError(box, exc) from exc
         finally:
@@ -126,10 +128,14 @@ def execute_scale(cloud, covering, scale, n_max, field, budget, workers, scales,
         start = time.perf_counter()
         try:
             if job.kind == "node":
-                solvers[box] = assemble([solvers[b] for b in job.pieces],
-                                        [solvers[b] for b in job.overlaps], n_max, field)
+                pieces = [solvers[b] for b in job.pieces]
+                inters = [solvers[b] for b in job.overlaps]
+                region = regions.get(box)
+                if region is None:
+                    region = regions[box] = NodeRegion(pieces, inters, n_max, field)
+                solvers[box] = assemble(region, pieces, inters)
             else:
-                solvers[box] = leaves[box].view(scale)
+                solvers[box] = regions[box].view(scale)
         except Exception as exc:
             raise JobError(box, exc) from exc
         seconds[job.kind] += time.perf_counter() - start
@@ -232,18 +238,19 @@ def run(cloud, eps, scales, n_max=1, field=2, workers=None, grid=None,
     per_scale = []
     diag_ranks = {}
     timings_scales = {}
-    leaves = {}
+    regions = {}
     scales_eff = [s + slack for s in scales]
     for s in scales:
         root, seconds = execute_scale(cloud, covering, s + slack, n_max, field,
-                                      budget, workers, scales_eff, leaves)
+                                      budget, workers, scales_eff, regions)
         per_scale.append(ScaleResult(scale=s, betti=root.betti_all()))
         diag_ranks[_scale_key(s)] = _collect_ranks(root)
         timings_scales[_scale_key(s)] = {
             "leaves_ms": seconds["leaf"] * 1000.0,
             "assembly_ms": seconds["node"] * 1000.0,
         }
-    max_complex = max(sum(level[-1] for level in red.prefix) for red in leaves.values())
+    leaves = [r for r in regions.values() if isinstance(r, LeafReduction)]
+    max_complex = max(sum(level[-1] for level in red.prefix) for red in leaves)
 
     if max_complex > 0.8 * budget:
         warnings.append(
@@ -253,7 +260,7 @@ def run(cloud, eps, scales, n_max=1, field=2, workers=None, grid=None,
 
     diagnostics = {
         "leaf_count": len(leaves),
-        "max_leaf_points": max(len(red.points) for red in leaves.values()),
+        "max_leaf_points": max(len(red.ids) for red in leaves),
         "max_complex_size": max_complex,
         "ranks_f": diag_ranks,
         "timings_ms": {

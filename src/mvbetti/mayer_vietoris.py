@@ -12,10 +12,12 @@ determines the union's homology as coker(f_n) (+) ker(f_{n-1}).  This module
 builds the f matrices from child solvers, extracts kernel and cokernel bases
 exactly over Z/p, and answers coords()/bound() on the union by the standard
 chain-level chase, so a node composes with further nodes exactly like a leaf
-solver.  Representatives are read by class, and the explicit union cycle of
-a kernel basis vector (the connecting-map lift) is built on the first read
-of its class: a Betti-only root builds none, and a chase only those its
-kernel correction names.  Class coordinates are sparse {basis index:
+solver.  What no scale changes, the union's point set and the overlap
+check, is its NodeRegion's, which every scale's solver shares.
+Representatives are read by class, and the explicit union cycle of a
+kernel basis vector (the connecting-map lift) is built on the first read of
+its class: a Betti-only root builds none, and a chase only those its kernel
+correction names.  Class coordinates are sparse {basis index:
 nonzero residue} dicts throughout, the representation of a dict column: a
 child's coords() shifts straight into an f-matrix column or target vector.
 
@@ -35,14 +37,13 @@ All chains use global point indices, so inclusions are literal identities.
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
 
 from .core import Chain, ConsistencyError, chain_boundary, require_query
 from .reduction import (PrimeField, as_dict, combine, eliminate, reduce_columns,
-                        vertex_coords)
+                        search_sorted, vertex_coords)
 
 
 def _combo_chain(solver, n: int, coeffs, p: int) -> Chain:
@@ -191,8 +192,39 @@ def build_f(pieces, inters, n: int, field) -> FMatrix:
     return FMatrix(columns, row_off, col_off, field)
 
 
+class NodeRegion:
+    """What a node's solvers share at every scale, as a leaf's views share
+    its LeafReduction: n_max, the field, the union's point set and ids, and
+    the check that each overlap is its pieces' intersection.  Built once per
+    node box per run from the child solvers of one scale, of which it reads
+    only point_set and ids, the same objects at every scale."""
+
+    __slots__ = ("n_max", "field", "parts", "point_set", "ids")
+
+    def __init__(self, pieces, inters, n_max: int, field):
+        if len(inters) != max(len(pieces) - 1, 0):
+            raise ValueError(
+                f"expected {max(len(pieces) - 1, 0)} overlap solvers for "
+                f"{len(pieces)} pieces, got {len(inters)}"
+            )
+        self.n_max, self.field = n_max, PrimeField(field)
+        self.parts = [pc.point_set for pc in pieces], [it.point_set for it in inters]
+        sets = self.parts[0]
+        for k, got in enumerate(self.parts[1]):
+            expect = sets[k] & sets[k + 1]
+            if got != expect:
+                raise ConsistencyError(
+                    f"overlap solver {k} covers {sorted(got)} but the "
+                    f"pieces intersect in {sorted(expect)}"
+                )
+        self.point_set = frozenset().union(*sets)
+        self.ids = np.fromiter(sorted(self.point_set), np.int64, len(self.point_set))
+
+
 class MVNodeSolver:
-    """Union solver assembled from path-ordered piece and overlap solvers.
+    """Union solver of a NodeRegion at one scale, from the path-ordered
+    piece and overlap solvers of that scale: ConsistencyError unless they
+    are over the region's own pieces and overlaps.
 
     Exposes the same surface as a leaf solver (betti / representatives /
     coords / bound over the union region), so nodes stack across split axes.
@@ -203,25 +235,19 @@ class MVNodeSolver:
     representative(n, b) reads one class; representatives(n) lists them all.
     """
 
-    def __init__(self, pieces, inters, n_max: int, field: PrimeField):
-        if len(inters) != max(len(pieces) - 1, 0):
-            raise ValueError(
-                f"expected {max(len(pieces) - 1, 0)} overlap solvers for "
-                f"{len(pieces)} pieces, got {len(inters)}"
-            )
+    def __init__(self, region: NodeRegion, pieces, inters):
+        for solvers, sets in zip((pieces, inters), region.parts):
+            if len(solvers) != len(sets) or any(s.point_set is not t
+                                                for s, t in zip(solvers, sets)):
+                raise ConsistencyError("the solvers are not over the region's pieces and overlaps")
+        self.region = region
         self.pieces = list(pieces)
         self.inters = list(inters)
-        self.n_max = n_max
-        self.field = field
-        self.p = field.p
-        self.point_set = frozenset().union(*(pc.point_set for pc in self.pieces))
-        for k, it in enumerate(self.inters):
-            expect = self.pieces[k].point_set & self.pieces[k + 1].point_set
-            if it.point_set != expect:
-                raise ConsistencyError(
-                    f"overlap solver {k} covers {sorted(it.point_set)} but the "
-                    f"pieces intersect in {sorted(expect)}"
-                )
+        self.n_max = region.n_max
+        self.field = region.field
+        self.p = region.field.p
+        self.point_set = region.point_set
+        self.ids = region.ids
 
         self._f = []        # reduced FMatrix per dimension 0..n_max
         self._lifts = {}    # (dimension, kernel basis index) -> connecting lift
@@ -317,11 +343,6 @@ class MVNodeSolver:
         """Cycle chains whose classes form the union's basis at dimension n."""
         return [self.representative(n, b) for b in range(self.betti(n))]
 
-    @cached_property
-    def ids(self) -> np.ndarray:
-        """The sorted global ids of the union's points."""
-        return np.unique(np.concatenate([pc.ids for pc in self.pieces]))
-
     def roots(self) -> np.ndarray:
         """The global id of each dimension-0 class's root vertex, by basis
         index: the root of the class's row in its piece."""
@@ -349,10 +370,8 @@ class MVNodeSolver:
         for k, piece in enumerate(self.pieces):
             if not len(todo):
                 break
-            ids, want = piece.ids, vertices[todo]
-            pos = np.searchsorted(ids, want)
-            hit = pos < len(ids)
-            hit[hit] = ids[pos[hit]] == want[hit]
+            want = vertices[todo]
+            hit = search_sorted(piece.ids, want)[1]
             if hit.any():
                 out[todo[hit]] = self._label[starts[k] + piece.labels(want[hit])]
                 todo = todo[~hit]
@@ -385,13 +404,15 @@ class MVNodeSolver:
 
     def _chase(self, z: Chain, n: int):
         """Run the exact-sequence chase on a nonzero cycle; returns (sparse
-        kernel coords, xi chains)."""
-        if not chain_boundary(z).is_zero():
-            raise ValueError("chain is not a cycle")
+        kernel coords, xi chains).  The last partial boundary plus the last
+        part's is z's: a ValueError before any child query if it is not 0."""
         zs = self._split(z)
         if n == 0:      # 0-chains have no boundary, so the split needs no correction
             return {}, zs
         omegas = self._partial_boundaries(zs)
+        last = chain_boundary(zs[-1])
+        if not (omegas[-1] + last if omegas else last).is_zero():
+            raise ValueError("chain is not a cycle")
         u = {}
         fs_prev = self._f[n - 1]
         for k, om in enumerate(omegas):
@@ -431,6 +452,7 @@ class MVNodeSolver:
         return kappa, xis
 
     def _partial_boundaries(self, zs):
+        """The boundaries of zs[0] + ... + zs[k] for k below the last part."""
         acc = Chain.zero(zs[0].dim - 1 if zs else -1, self.p)
         out = []
         for k in range(len(zs) - 1):
@@ -488,7 +510,7 @@ class MVNodeSolver:
         return [self.betti(n) for n in range(self.n_max + 1)]
 
 
-def assemble(pieces, inters, n_max: int, field) -> MVNodeSolver:
-    """Build the union solver for path-ordered pieces and their overlaps."""
-    field = PrimeField(field)
-    return MVNodeSolver(pieces, inters, n_max, field)
+def assemble(region: NodeRegion, pieces, inters) -> MVNodeSolver:
+    """The union solver of a node region at the scale of the solvers of its
+    path-ordered pieces and overlaps."""
+    return MVNodeSolver(region, pieces, inters)

@@ -7,7 +7,7 @@ bounding chain).  A region keeps its pairing once, as arrays: each
 simplex's killer, a live mask and per-scale ranks, from which a per-scale
 view picks the rows that are representatives at its scale.  What a query
 reads is built one entry at a time, on its first read, and serves every
-scale: a column of R and V, a level's simplex index (_Lazy), a row's cycle
+scale: a column of R and V, a level's sorted search keys, a row's cycle
 chain.  Dimension 0 needs none of these for a class: its basis is one root
 vertex per component, the roots that union-find's elder rule leaves at the
 view's scale, and a vertex's class is its label, an array lookup (a view's
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import partial, reduce
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -390,26 +391,6 @@ def _pair_levels(cx, field: PrimeField):
     return pairs
 
 
-class _Lazy(dict):
-    """A dict whose entries are built on first read: a missing key is
-    make(key), kept unless it is None.  A make that raises KeyError marks
-    a key that may not be read.  make is bound with functools.partial to
-    the arrays it reads, never to its owner, so no owner is in a
-    reference cycle."""
-
-    __slots__ = ("_make",)
-
-    def __init__(self, make):
-        super().__init__()
-        self._make = make
-
-    def __missing__(self, key):
-        value = self._make(key)
-        if value is not None:
-            self[key] = value
-        return value
-
-
 class _Columns(dict):
     """The pairs (R_j, V_j) of D_q's left-to-right reduction, by q-simplex
     j, each built on its first read, from the pairs: a leaf's column cache.
@@ -486,17 +467,20 @@ class _Columns(dict):
         return self[j]
 
 
-def _level_index(facets, prefix, points, q):
-    """{vertex tuple: row} of level q, from 1 to below the top; a vertex's
-    row is a search in the level-0 ids (LeafReduction.rows_of).  The tuples
-    hold the int objects of points, not a new int per entry as tolist()
-    makes."""
-    if not 1 <= q < len(prefix) - 1:
-        raise KeyError(q)
-    count = prefix[q][-1]
-    cols = vertex_rows(facets, q, np.arange(count)).T.tolist()
-    keys = zip(*(map(points.__getitem__, col) for col in cols))
-    return dict(zip(keys, range(count)))
+def search_sorted(keys, want):
+    """(positions, found): where each entry of want sits in the sorted
+    array keys, and whether it is there."""
+    pos = np.searchsorted(keys, want)
+    if not len(keys):
+        return pos, np.zeros(pos.shape, bool)
+    return pos, keys.take(pos, mode="clip") == want
+
+
+def _require_found(simplices, found):
+    """A ValueError naming the first simplex (a row of ids) not found."""
+    if not found.all():
+        s = tuple(simplices[np.argmin(found)].tolist())
+        raise ValueError(f"simplex {s} is not in this complex")
 
 
 class LeafReduction:
@@ -524,15 +508,15 @@ class LeafReduction:
     n-simplices are the rows of the dimension-n eliminate() table for every
     scale (entry reads a row's column from cols), and a view (view(scale),
     a LeafSolver) picks its basis from killer[n] and live[n].  The complex
-    is dropped after the build: the leaf keeps its level-0 id array (points
-    and point_set are made from it), prefix (the last entry of each level
-    is its count) and the facet tables, which give every simplex's vertex
+    is dropped after the build: the leaf keeps its level-0 id array ids
+    (point_set is made from it), prefix (the last entry of each level is
+    its count) and the facet tables, which give every simplex's vertex
     rows (rips.vertex_rows) and boundary, as in Ripser (Bauer, 2021).
-    A vertex's row is a search in the level-0 ids (rows_of); index[q] maps
-    level q's vertex tuples to rows, built on the first query at level q,
-    for 1 <= q below the top; chain_of_column maps rows back.  chain(n,
-    row) builds a table row's cycle chain, or at n = 0 the vertex, once,
-    for every view.
+    They are also the one simplex lookup: rows_of finds a simplex's row by
+    one search per level, a vertex's in ids and a q-simplex's in level q's
+    keys, sorted on the first query at level q (keys); chain_of_column maps
+    rows back.  chain(n, row) builds a table row's cycle chain, or at n = 0
+    the vertex, once, for every view.
     Entries are built on the thread that queries, during assembly on the
     calling thread.
     """
@@ -544,9 +528,8 @@ class LeafReduction:
         self.field = field
         top = n_max + 1
         cx = enumerate_complex(points, cloud, self.scales[-1], top, budget)
-        self._ids = cx.points   # global id of each vertex row
-        self.points = tuple(cx.points.tolist())
-        self.point_set = frozenset(self.points)
+        self.ids = cx.points    # global id of each vertex row
+        self.point_set = frozenset(cx.points.tolist())
         _order_levels(cx, self.scales[0])
         self.facets = cx.facets
         # prefix[q][b]: the q-simplices of diameter <= scales[b].  A level
@@ -571,7 +554,7 @@ class LeafReduction:
         self.cols = [_Columns(q, self.facets[q], self.killer[q - 1] if q else None,
                               self.live[q], field.p)
                      for q in range(top + 1)]
-        self.index = _Lazy(partial(_level_index, self.facets, self.prefix, self.points))
+        self.keys = {}      # q -> level q's sorted keys and their rows (_level_keys)
         self._chains = {}   # (dimension, row) -> the row's cycle chain
 
     def view(self, scale: float) -> "LeafSolver":
@@ -586,22 +569,38 @@ class LeafReduction:
             if n:
                 z = self.chain_of_column(as_dict(self.entry(n, row)[0]), n, self.field.p)
             else:
-                z = Chain(0, self.field.p, {(self.points[row],): 1})
+                z = Chain(0, self.field.p, {(int(self.ids[row]),): 1})
             self._chains[n, row] = z
         return z
 
-    def rows_of(self, vertices) -> np.ndarray:
-        """The level-0 rows of global point ids (an int array), found by
-        search in the sorted ids; a ValueError names the first that is no
-        vertex of the region."""
-        ids = self._ids
-        rows = np.searchsorted(ids, vertices)
-        found = rows < len(ids)
-        found[found] = ids[rows[found]] == vertices[found]
-        if not found.all():
-            v = int(vertices[np.argmin(found)])
-            raise ValueError(f"simplex {(v,)} is not in this complex")
-        return rows
+    def rows_of(self, simplices) -> np.ndarray:
+        """The level-q rows of an (m, q + 1) int array of simplices, global
+        ids ascending in each row: one search for the vertices in ids, then
+        per level k one in keys[k] for (row of the first k vertices, row of
+        vertex k).  A ValueError names the first simplex not in the complex."""
+        n = len(self.ids)
+        rows, found = search_sorted(self.ids, simplices)
+        _require_found(simplices, found.all(axis=1))
+        row = rows[:, 0]
+        for k in range(1, simplices.shape[1]):
+            keys, order = self._level_keys(k)
+            pos, found = search_sorted(keys, row * n + rows[:, k])
+            _require_found(simplices, found)
+            row = order[pos]
+        return row
+
+    def _level_keys(self, q: int):
+        """Level q's keys, sorted, and the row of each, kept in keys[q].
+        Row i's key is F_q[i, 0] * count(0) + its last vertex row, the
+        clique expansion's key (rips._cofaces): exact wherever that is."""
+        found = self.keys.get(q)
+        if found is None:
+            facets = self.facets[q]
+            last = vertex_rows(self.facets, q, np.arange(len(facets)))[:, -1]
+            keys = facets[:, 0] * len(self.ids) + last
+            order = np.argsort(keys)
+            found = self.keys[q] = keys[order], order
+        return found
 
     def entry(self, n: int, row: int):
         """Row row's entry (column, row) of dimension n's eliminate() table,
@@ -618,7 +617,7 @@ class LeafReduction:
     def chain_of_column(self, col: dict, q: int, p: int) -> Chain:
         """The chain of a {row: coefficient} column over level q."""
         rows = vertex_rows(self.facets, q, np.fromiter(col, np.int64, len(col)))
-        return Chain(q, p, dict(zip(map(tuple, self._ids[rows].tolist()), col.values())))
+        return Chain(q, p, dict(zip(map(tuple, self.ids[rows].tolist()), col.values())))
 
 
 class LeafSolver:
@@ -660,7 +659,7 @@ class LeafSolver:
         self.n_max = reduction.n_max
         self.field = reduction.field
         self.point_set = reduction.point_set
-        self.ids = reduction._ids
+        self.ids = reduction.ids
         self._label = None  # vertex row -> dimension-0 basis index, on first read
         # Simplices of the view per dimension: a prefix of every level.
         self._limit = [reduction.prefix[q][b] for q in range(self.n_max + 2)]
@@ -707,7 +706,7 @@ class LeafSolver:
         """The dimension-0 basis index of each vertex (global ids, an int
         array): the class of its component's root at the view's scale.  A
         vertex outside the region raises ValueError."""
-        rows = self.reduction.rows_of(vertices)
+        rows = self.reduction.rows_of(vertices[:, None])
         if self._label is None:
             self._label = self._component_labels()
         return self._label[rows]
@@ -738,17 +737,13 @@ class LeafSolver:
         return label
 
     def _column(self, z: Chain, n: int) -> dict:
-        """z over the view's n-simplices; simplices beyond the view are foreign."""
-        if n == 0:     # every vertex of the region is in every view
-            return dict(zip(self.reduction.rows_of(_vertex_ids(z)).tolist(), z.terms.values()))
-        idx, end = self.reduction.index[n], self._limit[n]
-        col = {}
-        for s, c in z.terms.items():
-            row = idx.get(s, end)
-            if row >= end:
-                raise ValueError(f"simplex {s} is not in this complex")
-            col[row] = c
-        return col
+        """z over the view's n-simplices, by row (LeafReduction.rows_of); a
+        simplex beyond the view's prefix is not in its complex."""
+        simplices = np.fromiter(itertools.chain.from_iterable(z.terms), np.int64,
+                                len(z.terms) * (n + 1)).reshape(-1, n + 1)
+        rows = self.reduction.rows_of(simplices)
+        _require_found(simplices, rows < self._limit[n])
+        return dict(zip(rows.tolist(), z.terms.values()))
 
     def _eliminate(self, z: Chain, n: int):
         """Express a nonzero cycle as (sparse rep coordinates, (killed row,

@@ -11,7 +11,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from mvbetti.core import Chain, PointCloud
+from mvbetti.core import Chain, PointCloud, _distances
+from mvbetti.mayer_vietoris import NodeRegion, assemble
 from mvbetti.rips import RipsComplex, enumerate_complex, vertex_rows
 
 HEX_H = math.sqrt(3) / 2
@@ -91,7 +92,7 @@ def brute_force_simplices(points, cloud: PointCloud, scale: float, max_dim: int)
     out = [[] for _ in range(max_dim + 1)]
     for q in range(max_dim + 1):
         for sub in combinations(pts, q + 1):
-            if cloud.diameter(sub) <= scale:
+            if diameter(cloud, sub) <= scale:
                 out[q].append(tuple(sub))
     return out
 
@@ -156,7 +157,7 @@ def brute_force_barcode(points, cloud, eps_max, n_max, p):
     open bar first among equal births.
     """
     levels = brute_force_simplices(points, cloud, eps_max, n_max + 1)
-    order = sorted((cloud.diameter(s), q, s) for q, level in enumerate(levels) for s in level)
+    order = sorted((diameter(cloud, s), q, s) for q, level in enumerate(levels) for s in level)
     index = {s: j for j, (_, _, s) in enumerate(order)}
     columns, pivots = [], {}    # pivots: lowest row -> column
     for j, (_, q, s) in enumerate(order):
@@ -195,6 +196,42 @@ def betti_at(report, scale: float) -> list:
         if sr.scale == scale:
             return sr.betti
     raise KeyError(f"scale {scale} not in report")
+
+
+def node_of(pieces, inters, n_max, field):
+    """The node over piece and overlap solvers at one scale: assemble over
+    a NodeRegion built from those solvers."""
+    return assemble(NodeRegion(pieces, inters, n_max, field), pieces, inters)
+
+
+def distance(cloud: PointCloud, i: int, j: int) -> float:
+    """Euclidean distance between points i and j of the cloud, computed
+    for that one pair (the metric PointCloud.pairwise computes in blocks)."""
+    if not (0 <= i < cloud.n and 0 <= j < cloud.n):
+        raise IndexError(f"point index out of range: ({i}, {j}) with n={cloud.n}")
+    return float(_distances(cloud.coords[i], cloud.coords[j]))
+
+
+def diameter(cloud: PointCloud, vertices) -> float:
+    """Max pairwise distance over a nonempty vertex-index set (0 for
+    singletons)."""
+    idx = list(vertices)
+    if not idx:
+        raise ValueError("diameter of an empty vertex set is undefined")
+    if len(idx) == 1:
+        if not 0 <= idx[0] < cloud.n:
+            raise IndexError(f"point index out of range: {idx[0]}")
+        return 0.0
+    return float(cloud.pairwise(idx).max())
+
+
+def leaf_count(covering) -> int:
+    """The number of leaf boxes of a covering: 2k - 1 cells and overlaps
+    per axis of k cells."""
+    n = 1
+    for k in covering.k_per_axis:
+        n *= 2 * k - 1
+    return n
 
 
 def random_cloud(rng, n, d) -> PointCloud:

@@ -5,28 +5,30 @@ import pytest
 
 from mvbetti.core import Chain, PointCloud, PrimeField, boundary, chain_boundary, require_prime
 
+from conftest import diameter, distance
+
 
 class TestDistance:
     def test_three_four_five(self):
         pc = PointCloud([[0, 0], [3, 4]])
-        assert pc.distance(0, 1) == 5.0
-        assert pc.distance(1, 0) == 5.0
+        assert distance(pc, 0, 1) == 5.0
+        assert distance(pc, 1, 0) == 5.0
 
     def test_self_distance_zero(self):
         pc = PointCloud([[2.5, -1.0]])
-        assert pc.distance(0, 0) == 0.0
+        assert distance(pc, 0, 0) == 0.0
 
     def test_equilateral_triangle(self):
         pc = PointCloud([[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]])
         for i in range(3):
             for j in range(i + 1, 3):
-                assert pc.distance(i, j) == pytest.approx(1.0)
-                assert pc.distance(i, j) <= 1.0
+                assert distance(pc, i, j) == pytest.approx(1.0)
+                assert distance(pc, i, j) <= 1.0
 
     def test_index_out_of_range(self):
         pc = PointCloud([[0.0], [1.0]])
         with pytest.raises(IndexError):
-            pc.distance(0, 2)
+            distance(pc, 0, 2)
 
     def test_uncached_distance_equals_pairwise(self):
         # A 1x1 block and a 2x2 block of the same points must agree bitwise.
@@ -34,7 +36,7 @@ class TestDistance:
         pc = PointCloud(rng.random((3001, 3)) * 1e3 + 1e6)
         for i, j in rng.integers(0, 3001, size=(500, 2)):
             i, j = int(i), int(j)
-            assert pc.distance(i, j) == pc.pairwise([i, j])[0, 1]
+            assert distance(pc, i, j) == pc.pairwise([i, j])[0, 1]
 
     @pytest.mark.parametrize("d", [1, 2, 3, 7, 17])
     def test_block_equals_slice_of_full_matrix(self, d):
@@ -68,23 +70,23 @@ class TestDistance:
 class TestDiameter:
     def test_singleton(self):
         pc = PointCloud([[0, 0], [1, 1], [2, 2], [3, 3]])
-        assert pc.diameter([3]) == 0.0
+        assert diameter(pc, [3]) == 0.0
 
     def test_unit_square_diagonal(self):
         pc = PointCloud([[0, 0], [1, 0], [1, 1], [0, 1]])
-        assert pc.diameter(range(4)) == math.sqrt(2)
+        assert diameter(pc, range(4)) == math.sqrt(2)
 
     def test_pair_equals_distance(self):
         rng = np.random.default_rng(0)
         pc = PointCloud(rng.random((10, 2)))
         for i in range(10):
             for j in range(10):
-                assert pc.diameter([i, j]) == pc.distance(i, j)
+                assert diameter(pc, [i, j]) == distance(pc, i, j)
 
     def test_empty_rejected(self):
         pc = PointCloud([[0.0]])
         with pytest.raises(ValueError):
-            pc.diameter([])
+            diameter(pc, [])
 
     def test_monotone_under_inclusion(self):
         rng = np.random.default_rng(1)
@@ -93,7 +95,7 @@ class TestDiameter:
             size = int(rng.integers(2, 12))
             sub = list(rng.choice(12, size=size, replace=False))
             smaller = sub[: int(rng.integers(1, size))]
-            assert pc.diameter(smaller) <= pc.diameter(sub)
+            assert diameter(pc, smaller) <= diameter(pc, sub)
 
 
 class TestPointCloudValidation:

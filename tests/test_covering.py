@@ -7,10 +7,9 @@ from mvbetti.core import Chain, ConsistencyError, PointCloud
 from mvbetti.covering import (FULL, _cells, _disjoint, build_covering, cell, choose_k,
                               full_box, overlap, split_axis)
 from mvbetti.engine import run
-from mvbetti.mayer_vietoris import assemble
 from mvbetti.reduction import build_leaf
 
-from conftest import HEX_POINTS
+from conftest import HEX_POINTS, leaf_count, node_of
 
 
 def line_cloud():
@@ -165,7 +164,7 @@ def two_piece_node(p=3):
     def leaf(box):
         return build_leaf(cov.points_in_box(pc, box), pc, [2.0], 1, p).view(2.0)
 
-    node = assemble([leaf(b) for b in sp.pieces], [leaf(b) for b in sp.overlaps], 1, p)
+    node = node_of([leaf(b) for b in sp.pieces], [leaf(b) for b in sp.overlaps], 1, p)
     return cov, node
 
 
@@ -297,4 +296,4 @@ class TestBoxesAndSplits:
     def test_leaf_count_formula(self):
         pc = PointCloud(np.random.default_rng(1).random((30, 2)) * 10)
         cov = build_covering(pc, 0.4, [3, 2])
-        assert cov.leaf_count() == (2 * 3 - 1) * (2 * 2 - 1)
+        assert leaf_count(cov) == (2 * 3 - 1) * (2 * 2 - 1)

@@ -17,10 +17,10 @@ from hypothesis import given, settings
 from mvbetti import engine, mayer_vietoris
 from mvbetti.core import Chain, PointCloud, chain_boundary
 from mvbetti.covering import build_covering
-from mvbetti.mayer_vietoris import MVNodeSolver, assemble
+from mvbetti.mayer_vietoris import MVNodeSolver
 from mvbetti.reduction import LeafSolver, build_leaf
 
-from conftest import brute_force_components
+from conftest import brute_force_components, node_of
 from test_leaf_views import leaf_cases
 
 
@@ -88,8 +88,8 @@ def _solvers(cloud, eps, scale, grid, p, n_max=1):
     solvers = {}
     for box, job in jobs.items():
         if job.kind == "node":
-            solvers[box] = assemble([solvers[b] for b in job.pieces],
-                                    [solvers[b] for b in job.overlaps], n_max, p)
+            solvers[box] = node_of([solvers[b] for b in job.pieces],
+                                   [solvers[b] for b in job.overlaps], n_max, p)
         else:
             pts = covering.points_in_box(cloud, box)
             solvers[box] = build_leaf(pts, cloud, [scale], n_max, p).view(scale)

@@ -12,11 +12,12 @@ from mvbetti.core import ConsistencyError, PointCloud
 from mvbetti.covering import build_covering, cell, full_box
 from mvbetti.engine import (JobError, attach_verification, execute_scale, plan_jobs,
                             run)
-from mvbetti.mayer_vietoris import MVNodeSolver
+from mvbetti.mayer_vietoris import MVNodeSolver, NodeRegion
 from mvbetti.reduction import LeafSolver, build_leaf, persistence_barcode
 from mvbetti.rips import DEFAULT_BUDGET, BudgetExceededError
 
-from conftest import HEX_POINTS, betti_at, brute_force_betti, distance_quantile, random_cloud
+from conftest import (HEX_POINTS, betti_at, brute_force_betti, distance_quantile, leaf_count,
+                      random_cloud)
 
 
 class TestBuildSolver:
@@ -54,8 +55,39 @@ class TestBuildSolver:
         cov = build_covering(pc, 0.8, [3, 2])
         jobs, root = plan_jobs(cov)
         leaves = [j for j in jobs.values() if j.kind == "leaf"]
-        assert len(leaves) == (2 * 3 - 1) * (2 * 2 - 1) == cov.leaf_count()
+        assert len(leaves) == (2 * 3 - 1) * (2 * 2 - 1) == leaf_count(cov)
         assert root == full_box(2) and jobs[root].kind == "node"
+
+    def test_a_run_builds_each_node_region_once(self, monkeypatch):
+        # No point set depends on the scale: over four scales each node
+        # box's region (its point set, ids and overlap check) is built once,
+        # on the first scale's walk, and assembled at every scale.
+        built, assembled = [], {}
+        init, join = NodeRegion.__init__, engine.assemble
+
+        def building(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        def assembling(region, pieces, inters):
+            node = join(region, pieces, inters)
+            assembled.setdefault(id(region), []).append(node)
+            return node
+
+        monkeypatch.setattr(NodeRegion, "__init__", building)
+        monkeypatch.setattr(engine, "assemble", assembling)
+        cloud = PointCloud(np.random.default_rng(1).random((200, 2)))
+        scales = [0.05, 0.1, 0.15, 0.2]
+        run(cloud, 0.2, scales, n_max=1, field=2, workers=1, grid=[3, 3])
+        jobs, _ = plan_jobs(build_covering(cloud, 0.2, [3, 3]))
+        nodes = sum(j.kind == "node" for j in jobs.values())
+        assert len(built) == nodes == 6
+        assert sorted(assembled) == sorted(map(id, built))
+        for region in built:
+            solvers = assembled[id(region)]
+            assert len(solvers) == len(scales)
+            assert all(s.region is region and s.point_set is region.point_set
+                       for s in solvers)
 
     def test_job_plan_collapses_unit_axes(self):
         rng = np.random.default_rng(2)
@@ -65,7 +97,7 @@ class TestBuildSolver:
         assert jobs[root].kind == "node"
         assert len(jobs[root].pieces) == 2
         leaves = [j for j in jobs.values() if j.kind == "leaf"]
-        assert len(leaves) == 3 == cov.leaf_count()
+        assert len(leaves) == 3 == leaf_count(cov)
 
 
 class TestFailures:
@@ -81,7 +113,7 @@ class TestFailures:
         jobs, _ = plan_jobs(cov)
         boxes = sorted(b for b, j in jobs.items() if j.kind == "leaf")
         keys = [tuple(cov.points_in_box(pc, b)) for b in boxes]
-        assert len(boxes) == cov.leaf_count() == 25
+        assert len(boxes) == leaf_count(cov) == 25
         assert len(set(keys)) == len(keys) and all(keys)
         return pc, cov, boxes, keys
 
@@ -124,7 +156,7 @@ class TestFailures:
             execute_scale(pc, cov, 1.0, 1, 2, DEFAULT_BUDGET, 1, [1.0], leaves)
         assert ei.value.box == boxes[0]
         assert entered[0] == keys[0]
-        assert len(entered) < cov.leaf_count()
+        assert len(entered) < leaf_count(cov)
         assert not leaves
 
     def test_assembly_failure_names_the_first_node_box(self, monkeypatch):

@@ -262,8 +262,8 @@ def _reachable(obj):
                                             (2, 2, [0.15, 0.3]), (3, 2, [0.3])])
 def test_chain_of_column_gives_each_row_its_enumerated_simplex(p, n_max, scales):
     # Every row of every level, the top one included, against the levels of
-    # enumerate_complex in the leaf's row order; below the top rows_of (at
-    # level 0) and the index (above it) map each simplex back to its row.
+    # enumerate_complex in the leaf's row order; below the top rows_of maps
+    # each simplex back to its row, keying only the levels it searches.
     cloud = PointCloud(np.random.default_rng(13).random((30, 2)))
     pts = range(5, 30)
     red = build_leaf(pts, cloud, scales, n_max, p)
@@ -273,32 +273,90 @@ def test_chain_of_column_gives_each_row_its_enumerated_simplex(p, n_max, scales)
         assert red.prefix[q][-1] == len(simplices)
         for row, s in enumerate(simplices):
             assert red.chain_of_column({row: 1}, q, p) == Chain.single(s, p)
-            if 1 <= q <= n_max:
-                assert red.index[q][s] == row
-    vertices = np.array([v for (v,) in levels[0][0]])
-    assert red.rows_of(vertices).tolist() == list(range(len(vertices)))
-    assert [len(red.index[q]) for q in range(1, n_max + 1)] == \
-        [len(s) for s, _ in levels[1:n_max + 1]]
-    for q in (0, n_max + 1):
-        with pytest.raises(KeyError):
-            red.index[q]
+        if q <= n_max:
+            assert red.rows_of(_array(simplices, q)).tolist() == list(range(len(simplices)))
+    assert sorted(red.keys) == list(range(1, n_max + 1))
+
+
+def _array(simplices, q):
+    """Vertex tuples of level q as an (m, q + 1) int64 array."""
+    return np.array(simplices, np.int64).reshape(-1, q + 1)
+
+
+def _lattice(d, k):
+    """The k^d points of a lattice with k points np.arange(k) / k per axis:
+    float ties everywhere, and many equal diameters."""
+    axis = np.arange(k) / k
+    return PointCloud(np.stack(np.meshgrid(*[axis] * d, indexing="ij"), -1).reshape(-1, d))
+
+
+@pytest.mark.parametrize("d,k", [(2, 6), (3, 4)])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n_max", [1, 2])
+def test_every_simplex_below_the_top_is_found_at_its_row(d, k, p, n_max):
+    # On a tie-heavy lattice the levels above the first scale are sorted by
+    # (diameter, lex) with long runs of equal diameters; a search in a
+    # level's keys still gives every simplex its row, from level 0 to the
+    # one below the top.
+    cloud = _lattice(d, k)
+    scales = [1.01 / k, 1.5 / k]
+    red = build_leaf(range(cloud.n), cloud, scales, n_max, p)
+    levels = leaf_levels(range(cloud.n), cloud, scales, n_max + 1)
+    for q in range(n_max + 1):
+        simplices, diams = levels[q]
+        assert len(set(diams)) < len(diams)
+        assert red.rows_of(_array(simplices, q)).tolist() == list(range(len(simplices)))
+        if q:
+            assert red.prefix[q][0] < len(simplices)    # the level was sorted
+    assert sorted(red.keys) == list(range(1, n_max + 1))
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_a_leaf_queried_at_dimension_0_indexes_no_other_level(p):
-    # Each level's index is built on the first query at that level; a
-    # dimension-0 query searches the level-0 ids and indexes no level.
+def test_a_simplex_absent_or_beyond_the_view_is_not_in_its_complex(p):
+    # A leaf over all but the last lattice column: a simplex with a vertex
+    # outside the region, one whose vertices are in it but do not span a
+    # simplex, one not in ascending order and one that enters only above
+    # the view's scale all raise the same ValueError.
+    k = 6
+    cloud = _lattice(2, k)
+    pts = range(cloud.n - k)
+    scales = [1.01 / k, 1.5 / k]
+    red = build_leaf(pts, cloud, scales, 2, p)
+    small, large = red.view(scales[0]), red.view(scales[1])
+    levels = leaf_levels(pts, cloud, scales, 3)
+    outside = cloud.n - 1
+    for q in (1, 2):
+        simplices, diams = levels[q]
+        late = next(s for s, dm in zip(simplices, diams) if dm > scales[0])
+        row = simplices.index(late)
+        assert large._column(Chain.single(late, p), q) == {row: 1}
+        assert red.rows_of(_array([late], q)).tolist() == [row]
+        absent = [late[:-1] + (outside,), tuple(range(q)) + (pts[-1],), late[::-1]]
+        for view, s in [(small, late)] + [(v, s) for v in (small, large) for s in absent]:
+            with pytest.raises(ValueError, match=rf"^simplex \({s[0]}, .* is not in this complex"):
+                view.coords(Chain.single(s, p), q)
+        for s in absent:
+            with pytest.raises(ValueError, match=rf"^simplex \({s[0]}, .* is not in this complex"):
+                red.rows_of(_array([simplices[0], s], q))
+    with pytest.raises(ValueError, match=rf"^simplex \({outside},\) is not in this complex"):
+        small.labels(np.array([0, outside]))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_leaf_queried_at_dimension_0_keys_no_level(p):
+    # A level's keys are sorted on the first query at that level; a
+    # dimension-0 query searches the level-0 ids and builds no key array.
     cloud = PointCloud(np.random.default_rng(7).random((40, 2)))
     red = build_leaf(range(cloud.n), cloud, [0.15, 0.3], 1, p)
     view, small = red.view(0.3), red.view(0.15)
-    assert view.betti(1) > 0 and small.betti(0) > 1 and not red.index
+    assert view.betti(1) > 0 and small.betti(0) > 1 and not red.keys
     for v in (view, small):
         reps = v.representatives(0)
         assert [v.coords(z, 0) for z in reps] == [{b: 1} for b in range(len(reps))]
     assert small.bound(reps[0] - reps[1], 0) is None
-    assert not red.index
+    assert not red.keys
     view.coords(view.representatives(1)[0], 1)
-    assert sorted(red.index) == [1]
+    assert sorted(red.keys) == [1]
 
 
 @pytest.mark.parametrize("p", [2, 3])

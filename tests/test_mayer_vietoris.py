@@ -5,13 +5,13 @@ from hypothesis import given, settings, strategies as st
 from mvbetti.core import Chain, ConsistencyError, PointCloud, PrimeField, chain_boundary
 from mvbetti.covering import build_covering, full_box, split_axis
 from mvbetti.engine import execute_scale
-from mvbetti.mayer_vietoris import FMatrix, MVNodeSolver, assemble, build_f
-from mvbetti.reduction import (betti_at_scale, build_leaf, persistence_barcode,
+from mvbetti.mayer_vietoris import FMatrix, MVNodeSolver, NodeRegion, assemble, build_f
+from mvbetti.reduction import (LeafSolver, betti_at_scale, build_leaf, persistence_barcode,
                                reduce_columns)
 from mvbetti.rips import DEFAULT_BUDGET, enumerate_complex
 
 from conftest import (HEX_POINTS, dense, dense_rank_mod_p, distance_quantile,
-                      hexagon_cycle, random_cloud, vertex_levels)
+                      hexagon_cycle, node_of, random_cloud, vertex_levels)
 from test_reduction import dense_of_columns, sparse_matrices
 
 
@@ -137,7 +137,7 @@ class TestAssemble:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_collinear(self, p):
         _, f, a, b, i = collinear_pair(p)
-        node = assemble([a, b], [i], 1, f)
+        node = node_of([a, b], [i], 1, f)
         assert node.betti_all() == [1, 0]
 
     def test_two_separated_clusters(self):
@@ -152,7 +152,7 @@ class TestAssemble:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_hexagon_circle(self, p):
         _, f, a, b, i = hexagon_two_pieces(p)
-        node = assemble([a, b], [i], 1, f)
+        node = node_of([a, b], [i], 1, f)
         assert node.betti_all() == [1, 1]
         assert node.rank_f == {0: 1, 1: 0}
 
@@ -167,13 +167,25 @@ class TestAssemble:
         assert 0 in sizes
 
     def test_mismatched_overlap_rejected(self):
+        # Once, when the region is built from an overlap that is not its
+        # pieces' intersection, and at every scale, when assemble() is
+        # given a piece or overlap solver other than the region's, even
+        # one over the same points.
         pc = PointCloud([[0.0], [1.0], [2.0]])
         f = PrimeField(2)
         a = build_leaf([0, 1], pc, [1.0], 1, f).view(1.0)
         b = build_leaf([1, 2], pc, [1.0], 1, f).view(1.0)
+        i = build_leaf([1], pc, [1.0], 1, f).view(1.0)
         bad = build_leaf([0], pc, [1.0], 1, f).view(1.0)  # not the intersection
-        with pytest.raises(ConsistencyError):
-            assemble([a, b], [bad], 1, f)
+        with pytest.raises(ConsistencyError, match="pieces intersect in"):
+            NodeRegion([a, b], [bad], 1, f)
+        region = NodeRegion([a, b], [i], 1, f)
+        assert assemble(region, [a, b], [i]).betti_all() == [1, 0]
+        for inters in ([bad], [build_leaf([1], pc, [1.0], 1, f).view(1.0)], []):
+            with pytest.raises(ConsistencyError, match="not over the region's"):
+                assemble(region, [a, b], inters)
+        with pytest.raises(ConsistencyError, match="not over the region's"):
+            assemble(region, [b, a], [i])
 
     def test_wrong_overlap_count_rejected(self):
         pc = PointCloud([[0.0], [1.0], [2.0]])
@@ -181,14 +193,35 @@ class TestAssemble:
         a = build_leaf([0, 1], pc, [1.0], 1, f).view(1.0)
         b = build_leaf([1, 2], pc, [1.0], 1, f).view(1.0)
         with pytest.raises(ValueError):
-            assemble([a, b], [], 1, f)
+            node_of([a, b], [], 1, f)
 
 
 class TestUnionQueries:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_a_chain_that_is_no_cycle_is_rejected_before_any_child_query(self, p, monkeypatch):
+        # The chase checks that z is a cycle from the boundaries of its
+        # parts, which it needs anyway: a boundary left in the first part,
+        # or only in the last one, raises before a piece or overlap is
+        # asked anything.
+        _, f, a, b, i = hexagon_two_pieces(p)
+        node = node_of([a, b], [i], 1, f)
+        asked = []
+        for name in ("coords", "bound"):
+            query = getattr(LeafSolver, name)
+            monkeypatch.setattr(LeafSolver, name,
+                                lambda self, *args, _q=query: asked.append(args) or _q(self, *args))
+        for edges in ([(0, 1)], [(3, 4)], [(0, 1), (1, 2), (2, 3)]):
+            z = Chain(1, p, {e: 1 for e in edges})
+            for query in (node.coords, node.bound):
+                with pytest.raises(ValueError, match="^chain is not a cycle$"):
+                    query(z, 1)
+        assert asked == []
+        assert node.coords(hexagon_cycle(p), 1) and asked
+
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_representatives_map_to_unit_vectors(self, p):
         _, f, a, b, i = hexagon_two_pieces(p)
-        node = assemble([a, b], [i], 1, f)
+        node = node_of([a, b], [i], 1, f)
         for n in (0, 1):
             reps = node.representatives(n)
             assert len(reps) == node.betti(n)
@@ -199,7 +232,7 @@ class TestUnionQueries:
     @pytest.mark.parametrize("p", [2, 3])
     def test_hexagon_cycle_detected_through_kernel(self, p):
         _, f, a, b, i = hexagon_two_pieces(p)
-        node = assemble([a, b], [i], 1, f)
+        node = node_of([a, b], [i], 1, f)
         z = hexagon_cycle(p)
         co = node.coords(z, 1)
         # beta_1 comes entirely from ker(f_0) here: coker block is empty.
@@ -211,7 +244,7 @@ class TestUnionQueries:
         pc = PointCloud(HEX_POINTS)
         f = PrimeField(p)
         _, _, a, b, i = hexagon_two_pieces(p)
-        node = assemble([a, b], [i], 1, f)
+        node = node_of([a, b], [i], 1, f)
         direct = build_leaf(range(6), pc, [1.0], 1, f).view(1.0)
         for n in (0, 1):
             assert node.betti(n) == direct.betti(n)
@@ -233,7 +266,7 @@ class TestUnionQueries:
         a = build_leaf([0, 1, 2, 5], pc, [1.2], 1, f).view(1.2)
         b = build_leaf([2, 3, 4, 5], pc, [1.2], 1, f).view(1.2)
         i = build_leaf([2, 5], pc, [1.2], 1, f).view(1.2)
-        node = assemble([a, b], [i], 1, f)
+        node = node_of([a, b], [i], 1, f)
         rng = np.random.default_rng(p)
         # random 1-chains w in the union made of piece simplices: z = dw
         pool = [tuple(s) for pts in ([0, 1, 2, 5], [2, 3, 4, 5])
@@ -259,12 +292,12 @@ class TestUnionQueries:
         monkeypatch.setattr(type(a), "bound",
                             lambda self, z, n: piece_bound(real.__get__(self), z, n))
         # Betti numbers read ranks only: no lift is built, so none is checked.
-        assert assemble([a, b], [i], 1, f).betti_all() == [1, 1]
+        assert node_of([a, b], [i], 1, f).betti_all() == [1, 1]
         with pytest.raises(ConsistencyError, match=message):
-            assemble([a, b], [i], 1, f).representatives(1)
+            node_of([a, b], [i], 1, f).representatives(1)
         # The chase corrects the hexagon's kernel class with the lift.
         with pytest.raises(ConsistencyError, match=message):
-            assemble([a, b], [i], 1, f).coords(hexagon_cycle(3), 1)
+            node_of([a, b], [i], 1, f).coords(hexagon_cycle(3), 1)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_chase_builds_only_the_lift_it_names(self, monkeypatch, p):
@@ -282,8 +315,8 @@ class TestUnionQueries:
         def node():
             leaf = lambda keep: build_leaf([at[xy] for xy in pts if keep(xy[0])], pc,
                                            [1.0], 1, f).view(1.0)
-            return assemble([leaf(lambda x: x <= 2), leaf(lambda x: x >= 2)],
-                            [leaf(lambda x: x == 2)], 1, f)
+            return node_of([leaf(lambda x: x <= 2), leaf(lambda x: x >= 2)],
+                           [leaf(lambda x: x == 2)], 1, f)
 
         loop = [(1, 0), (2, 0), (3, 0), (3, 1), (3, 2), (2, 2), (1, 2), (1, 1), (1, 0)]
         terms = {}
@@ -309,7 +342,7 @@ class TestUnionQueries:
 
     def test_bound_zero_chain(self):
         _, f, a, b, i = hexagon_two_pieces(2)
-        node = assemble([a, b], [i], 1, f)
+        node = node_of([a, b], [i], 1, f)
         w = node.bound(Chain.zero(1, 2), 1)
         assert w is not None and w.is_zero()
 
@@ -319,13 +352,13 @@ class TestUnionQueries:
         a = build_leaf([0, 1], pc, [1.0], 1, f).view(1.0)
         b = build_leaf([1, 2], pc, [1.0], 1, f).view(1.0)
         i = build_leaf([1], pc, [1.0], 1, f).view(1.0)
-        node = assemble([a, b], [i], 1, f)
+        node = node_of([a, b], [i], 1, f)
         with pytest.raises(ValueError):
             node.coords(Chain(0, 2, {(3,): 1}), 0)
 
     def test_rejects_non_cycle(self):
         _, f, a, b, i = collinear_pair(2)
-        node = assemble([a, b], [i], 1, f)
+        node = node_of([a, b], [i], 1, f)
         with pytest.raises(ValueError):
             node.coords(Chain(1, 2, {(0, 1): 1}), 1)
 
@@ -340,7 +373,7 @@ class TestUnionQueries:
                                                             message):
         # Unchecked, a zero chain gives {} or a zero (n+1)-chain at any n.
         _, f, a, b, i = hexagon_two_pieces(2)
-        s = a if solver == "leaf" else assemble([a, b], [i], 1, f)
+        s = a if solver == "leaf" else node_of([a, b], [i], 1, f)
         with pytest.raises(ValueError, match=f"^{message}$"):
             getattr(s, query)(z, n)
 
@@ -392,7 +425,7 @@ class TestExactnessProperties:
         # representative are the same chain and their difference is literally
         # zero; the exactness statement degenerates to coords(0) = 0.
         _, f, a, b, i = hexagon_two_pieces(p)
-        node = assemble([a, b], [i], 1, f)
+        node = node_of([a, b], [i], 1, f)
         for n in (0, 1):
             for rep in i.representatives(n):
                 diff = rep - rep
@@ -431,8 +464,8 @@ class TestExactnessProperties:
     @pytest.mark.parametrize("p", [2, 3])
     def test_determinism(self, p):
         _, f, a, b, i = hexagon_two_pieces(p)
-        n1 = assemble([a, b], [i], 1, f)
-        n2 = assemble([a, b], [i], 1, f)
+        n1 = node_of([a, b], [i], 1, f)
+        n2 = node_of([a, b], [i], 1, f)
         for n in (0, 1):
             assert [r.terms for r in n1.representatives(n)] == \
                    [r.terms for r in n2.representatives(n)]

@@ -10,7 +10,7 @@ from mvbetti.reduction import (as_dict, betti_at_scale, build_leaf, combine,
 from mvbetti.rips import boundary_matrix, enumerate_complex
 
 from conftest import (HEX_POINTS, TETRA_POINTS, TETRA_SIDE, UNIT_SQUARE,
-                      brute_force_betti, dense_rank_mod_p, distance_quantile,
+                      brute_force_betti, dense_rank_mod_p, distance, distance_quantile,
                       random_cloud, vertex_levels)
 
 
@@ -319,7 +319,7 @@ class TestBarcode:
         bars = persistence_barcode(range(3), pc, 1.5, 1, 2)
         h0 = sorted(((b.birth, b.death) for b in bars if b.dim == 0),
                     key=lambda t: (t[1] is not None, t[1] or 0.0))
-        d01 = pc.distance(0, 1)
+        d01 = distance(pc, 0, 1)
         assert len(h0) == 3 and h0[0] == (0.0, None)
         for birth, death in h0[1:]:
             assert birth == 0.0 and death == pytest.approx(d01)

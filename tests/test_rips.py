@@ -8,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 import mvbetti.core
 from mvbetti import rips
 from mvbetti.cli import main
-from mvbetti.core import Chain, PointCloud, boundary
+from mvbetti.core import Chain, PointCloud, boundary, chain_boundary
 from mvbetti.reduction import _order_levels, as_dict, build_leaf, persistence_barcode
 from mvbetti.rips import (DEFAULT_BUDGET, BudgetExceededError, boundary_column, boundary_matrix,
                          enumerate_complex, facet_signs)
 
 from conftest import (TETRA_POINTS, TETRA_SIDE, UNIT_SQUARE,
-                      brute_force_simplices, looked_up_facets, random_cloud, vertex_levels)
+                      brute_force_simplices, diameter, looked_up_facets, random_cloud,
+                      vertex_levels)
 
 
 class TestEnumerate:
@@ -75,37 +76,48 @@ class TestEnumerate:
             counts.append(cx.total())
         assert counts == sorted(counts)
 
-    def test_only_levels_below_the_top_are_indexed(self):
-        # A leaf at n_max = 1 enumerates up to level 2 and indexes level 1,
-        # the one above the vertices that its queries name; a vertex's row
-        # is a search in the level-0 ids.  The complex itself indexes none.
+    def test_only_levels_below_the_top_are_searched(self):
+        # A leaf at n_max = 1 enumerates up to level 2 and searches level 1,
+        # the one above the vertices that its queries name, sorting its
+        # keys on the first query there; a vertex's row is a search in the
+        # level-0 ids.  No query keys the top level, not even a bound,
+        # whose preimage is read off the columns.
         pc = PointCloud(TETRA_POINTS)
         red = build_leaf(range(4), pc, [TETRA_SIDE], 1, 3)
         levels = [[tuple(s) for s in level.tolist()]
                   for level in vertex_levels(enumerate_complex(range(4), pc, TETRA_SIDE, 2))]
         assert len(levels[2]) == 4
-        assert not red.index
-        assert red.index[1] == {s: i for i, s in enumerate(levels[1])}
-        assert red.rows_of(np.array([s for (s,) in levels[0]])).tolist() == [0, 1, 2, 3]
-        for q in (0, 2):
-            with pytest.raises(KeyError):
-                red.index[q]
-        assert sorted(red.index) == [1]
+        assert not red.keys
+        assert red.rows_of(np.array(levels[0])).tolist() == [0, 1, 2, 3]
+        assert not red.keys
+        assert red.rows_of(np.array(levels[1])).tolist() == list(range(6))
+        assert sorted(red.keys) == [1]
         view = red.view(TETRA_SIDE)
         assert view._column(Chain.single(levels[1][0], 3), 1) == {0: 1}
         assert view._column(Chain.single(levels[0][2], 3), 0) == {2: 1}
+        triangle = boundary(levels[2][0], 3)
+        assert view.coords(triangle, 1) == {}
+        assert chain_boundary(view.bound(triangle, 1)) == triangle
         with pytest.raises(ValueError, match="out of range"):
             view.coords(Chain.single(levels[2][0], 3), 2)
+        assert sorted(red.keys) == [1]
 
-    def test_index_keys_share_the_point_ints(self):
-        # Indices above 256 are not cached ints: a leaf's index must not
-        # hold a new int object per vertex entry.
+    def test_search_keys_are_two_int_arrays_per_level(self):
+        # The search holds no Python object per simplex: a level's keys
+        # are one sorted int64 array and their rows another, count(q)
+        # entries each, whatever the point ids (above 256 here, where
+        # every id would be a new int object).
         pc = random_cloud(np.random.default_rng(11), 330, 2)
         red = build_leaf(range(300, 330), pc, [0.5], 1, 2)
-        assert red.prefix[1][-1] > 0
-        ids = {id(g) for g in red.points}
-        assert red.index[1]
-        assert all(id(v) in ids for s in red.index[1] for v in s)
+        count = red.prefix[1][-1]
+        assert count > 0
+        edges = vertex_levels(enumerate_complex(range(300, 330), pc, 0.5, 1))[1]
+        assert red.rows_of(edges).tolist() == list(range(count))
+        keys, rows = red.keys[1]
+        for a in (keys, rows):
+            assert a.dtype == np.int64 and a.shape == (count,)
+        assert (np.diff(keys) > 0).all()
+        assert sorted(rows.tolist()) == list(range(count))
 
     def test_lexicographic_order(self):
         rng = np.random.default_rng(8)
@@ -161,7 +173,7 @@ class TestEnumerate:
         cx = enumerate_complex(range(10), pc, 0.8, 2)
         for q in range(3):
             for s, d in zip(vertex_levels(cx)[q], cx.diameters[q]):
-                assert d == pc.diameter(s)
+                assert d == diameter(pc, s)
 
 
 @st.composite
@@ -191,7 +203,7 @@ def assert_equals_brute_force(cx, cloud, points, scale, max_dim):
     expect = brute_force_simplices(points, cloud, scale, max_dim)
     for q in range(max_dim + 1):
         assert [tuple(s) for s in vertex_levels(cx)[q].tolist()] == expect[q]
-        want = [0.0 if q == 0 else cloud.diameter(s) for s in expect[q]]
+        want = [0.0 if q == 0 else diameter(cloud, s) for s in expect[q]]
         assert [d.hex() for d in cx.diameters[q].tolist()] == [d.hex() for d in want]
         assert cx.diameters[q].dtype == np.float64
 
