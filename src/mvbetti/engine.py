@@ -5,20 +5,21 @@ overlap boxes; boxes with no full axis are leaves solved by direct reduction.
 Each leaf is enumerated and paired once per run, for every requested scale,
 by a bounded thread pool (build_leaf returns the reduction, whose build
 ends at its pairing); the builds share only the cloud, the field and the
-covering, which are immutable.  Per scale, the box tree is then walked on
-the calling thread, children before parents: leaves take their view at
-that scale, nodes assemble, and Betti numbers are read off the root
-solver.  Later scales start no threads; a node's region, which no scale
-changes, is built on the first walk.  A leaf reduction is not immutable:
-its levels' search keys, R and V columns and row chains are built one
-entry at a time, on the first query that reads them, and queries run only
-in that walk, so they are built on the calling thread.  A view's and a
-node's dimension-0 labels, from which each node builds f_0 as an
-incidence matrix of components, are built the same way, on the first
-dimension-0 query; a Betti-only run on one leaf builds none.  A node's
-connecting lift is built the same way, on the first read of its class: by
-the assembly of an enclosing node, so a failed lift check names that
-node's box, and never for the root, whose Betti numbers read only ranks.
+covering, which are immutable.  The box tree is planned once per run
+(plan_jobs), and per scale it is then walked on the calling thread,
+children before parents: leaves take their view at that scale, nodes
+assemble, and Betti numbers are read off the root solver.  Later scales
+start no threads; a node's region, which no scale changes, is built on the
+first walk.  A leaf reduction is not immutable: its levels' search keys, R
+and V columns and row chains are built one entry at a time, on the first
+query that reads them, and queries run only in that walk, so they are built
+on the calling thread.  A view's and a node's dimension-0 labels, from
+which each node builds f_0 as an incidence matrix of components, are built
+the same way, on the first dimension-0 query; a Betti-only run on one leaf
+builds none.  A node's connecting lift is built the same way, on the first
+read of its class: by the assembly of an enclosing node, so a failed lift
+check names that node's box, and never for the root, whose Betti numbers
+read only ranks.
 """
 
 from __future__ import annotations
@@ -89,10 +90,12 @@ def plan_jobs(covering: GridCovering):
     return jobs, root
 
 
-def execute_scale(cloud, covering, scale, n_max, field, budget, workers, scales, regions):
+def execute_scale(cloud, covering, plan, scale, n_max, field, budget, workers, scales,
+                  regions):
     """(root solver, {"leaf"|"node": summed step seconds}) of one scale.
 
-    Leaves missing from `regions` (box -> a leaf's reduction or a node's
+    `plan` is plan_jobs(covering), the box tree, made once per run.  Leaves
+    missing from `regions` (box -> a leaf's reduction or a node's
     NodeRegion, shared by the calls of one run) are built in sorted box
     order by at most min(`workers`, cores) threads (the pool starts one per
     submission while none is idle), each enumerated and paired once for
@@ -103,7 +106,7 @@ def execute_scale(cloud, covering, scale, n_max, field, budget, workers, scales,
     Results are independent of worker count: assembly consumes children in
     a fixed order and all arithmetic is exact.
     """
-    jobs, root = plan_jobs(covering)
+    jobs, root = plan
     missing = sorted(box for box, j in jobs.items()
                      if j.kind == "leaf" and box not in regions)
     if missing:
@@ -239,9 +242,10 @@ def run(cloud, eps, scales, n_max=1, field=2, workers=None, grid=None,
     diag_ranks = {}
     timings_scales = {}
     regions = {}
+    plan = plan_jobs(covering)
     scales_eff = [s + slack for s in scales]
     for s in scales:
-        root, seconds = execute_scale(cloud, covering, s + slack, n_max, field,
+        root, seconds = execute_scale(cloud, covering, plan, s + slack, n_max, field,
                                       budget, workers, scales_eff, regions)
         per_scale.append(ScaleResult(scale=s, betti=root.betti_all()))
         diag_ranks[_scale_key(s)] = _collect_ranks(root)

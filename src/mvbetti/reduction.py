@@ -21,17 +21,20 @@ Columns are native Python values: int bitsets (bit r = row r) at p = 2,
 where column addition is one XOR, and {row: nonzero residue} dicts
 otherwise; _reduce_column holds the one update rule of each.  Elimination
 goes through three routines: reduce_columns reduces a matrix left to right
-with V; cohomology_pairs finds the pivot pairs of a boundary matrix, by
-union-find over the edges for D_1, and above that by reducing coboundary
-columns read from the level's facet table (written by the clique
-expansion, RipsComplex.facets); and eliminate reduces one column against a
-table of columns with distinct lowest rows, given as a row lookup, the step
-behind a region's coords queries above dimension 0, its bound queries and
-the Mayer-Vietoris kernel and cokernel.  A region's build ends at its
-pairing: the columns R_j and V_j of its reduction are built one at a time,
-from the pairs, when a query reads them (_Columns), and each checks the
-pairs as it is built.  combine forms linear combinations of columns, and
-as_dict decodes a column of either representation.
+with V; cohomology_pairs finds the pivot pairs of a boundary matrix by
+reducing coboundary columns read from the level's facet table (written by
+the clique expansion, RipsComplex.facets), and _pair_levels takes D_1's
+pairs from union-find over the edges instead; and eliminate reduces one
+column against a table of columns with distinct lowest rows, given as a
+row lookup, the step behind a region's coords queries above dimension 0,
+its bound queries and the Mayer-Vietoris kernel and cokernel.  The pairs
+have one format from the pairing to every reader, the leaf, its views and
+the oracle: per level, an int64 killer array, each simplex's partner one
+dimension up or -1.  A region's build ends at its pairing: the columns R_j
+and V_j of its reduction are built one at a time, from the pairs, when a
+query reads them (_Columns), and each checks the pairs as it is built.
+combine forms linear combinations of columns, and as_dict decodes a column
+of either representation.
 """
 
 from __future__ import annotations
@@ -238,41 +241,38 @@ def reduce_columns(columns, field: PrimeField) -> ReducedPair:
     return ReducedPair(n, field, R, V, pivots)
 
 
-def cohomology_pairs(cx, q: int, field: PrimeField, clear=()):
+def cohomology_pairs(cx, q: int, field: PrimeField, clear=None) -> np.ndarray:
     """Pivot pairs of D_q, found by reducing the coboundary columns of the
     (q-1)-simplices instead of the boundary columns of the q-simplices.
 
-    Returns {(q-1)-simplex: q-simplex}, equal to the pivots of
-    reduce_columns over all of boundary_matrix(cx, q, p): homology and
-    cohomology have the same pairs (de Silva, Morozov & Vejdemo-Johansson,
-    "Dualities in persistent (co)homology", 2011).  The columns are read
-    from level q's facet table, cx.facets[q].
+    Returns killer, an int64 array over the (q-1)-simplices: killer[l] is
+    the q-simplex whose reduced column has lowest row l, or -1 where there
+    is none.  These are the pivots of reduce_columns over all of
+    boundary_matrix(cx, q, p): homology and cohomology have the same pairs
+    (de Silva, Morozov & Vejdemo-Johansson, "Dualities in persistent
+    (co)homology", 2011).  The columns are read from level q's facet table,
+    cx.facets[q].  Any q >= 1 is paired this way; _pair_levels pairs D_1
+    by union-find instead (_union_find_pairs), which also gives the merge
+    forest.
 
-    At q = 1 the pairs come from union-find over the edges in level order
-    (Kruskal), each component rooted at its smallest vertex row: an edge
-    that joins roots a < b pairs with b.  b is the lowest row of the edge's
-    reduced column, which has a nonzero coefficient sum on each of the two
-    components and no pivot row.  clear is not read there.  The pairs come
-    with the merge forest, b's parent being a (_Merges), from which a leaf
-    labels each vertex with its component's root at every scale.
-
-    For q >= 2 the coboundary column of a (q-1)-simplex holds its cofaces
-    with their boundary coefficients.  An argsort of the flattened facet
-    table groups its entries by facet into a sparse (CSR) matrix: entry e
-    is coface e // (q+1), with the sign of facet column e % (q+1).  The
-    columns are reduced in descending simplex order, and a column's pivot
-    is its earliest coface (Bauer, "Ripser", 2021).  A column that is the
-    latest facet of its earliest coface forms an apparent pair with it: no
-    column above it holds that coface, so these pairs are entered before the
-    loop.  Of the others, a column whose earliest coface is free is paired
-    by reading that one entry; a column becomes a dict only when it needs
-    an addition or is the source of one, and a source's negated inverse of
-    its pivot coefficient is computed once.  Simplices in clear, the pivot
-    columns of D_{q-1}, are skipped: their coboundary columns reduce to zero.
+    The coboundary column of a (q-1)-simplex holds its cofaces with their
+    boundary coefficients.  An argsort of the flattened facet table groups
+    its entries by facet into a sparse (CSR) matrix: entry e is coface
+    e // (q+1), with the sign of facet column e % (q+1).  The columns are
+    reduced in descending simplex order, and a column's pivot is its
+    earliest coface (Bauer, "Ripser", 2021).  A column that is the latest
+    facet of its earliest coface forms an apparent pair with it: no column
+    above it holds that coface, so these pairs are written with numpy
+    before the loop.  The loop enters only the other columns that have a
+    coface, and finds the column of a pivot in an int64 array over level q,
+    as Ripser does.  A column whose earliest coface is free is paired by
+    reading that one entry; a column becomes a dict only when it needs an
+    addition or is the source of one, and a source's negated inverse of its
+    pivot coefficient is computed once.  The simplices of clear, an int
+    array of the pivot columns of D_{q-1}, are skipped: their coboundary
+    columns reduce to zero.
     """
     facets = cx.facets[q]
-    if q == 1:
-        return _union_find_pairs(facets, cx.count(0))
     p, k, n = field.p, q + 1, cx.count(q - 1)
     flat = facets.ravel()
     # The order within a column is not used, so the sort need not be stable.
@@ -285,14 +285,16 @@ def cohomology_pairs(cx, q: int, field: PrimeField, clear=()):
     first = np.full(n, -1, np.int64)    # each column's earliest coface
     live = sizes > 0
     first[live] = np.minimum.reduceat(cofaces, starts[live])
-    if clear:
-        first[np.fromiter(clear, np.int64, len(clear))] = -1
+    if clear is not None:
+        first[clear] = -1
     apparent = np.flatnonzero(first >= 0)
     apparent = apparent[reduce(np.maximum, facets.T)[first[apparent]] == apparent]
-    table = dict(zip(first[apparent].tolist(), apparent.tolist()))  # pivot -> column
-    pairs = dict(zip(apparent.tolist(), first[apparent].tolist()))
+    killer = np.full(n, -1, np.int64)
+    killer[apparent] = first[apparent]
+    pivot = np.full(len(facets), -1, np.int64)     # pivot row -> its column
+    pivot[killer[apparent]] = apparent
     first[apparent] = -1
-    first, starts, ends = first.tolist(), starts.tolist(), ends.tolist()
+    todo = np.flatnonzero(first >= 0)[::-1]
 
     def column(i):
         s, e = starts[i], ends[i]
@@ -300,14 +302,11 @@ def cohomology_pairs(cx, q: int, field: PrimeField, clear=()):
 
     reduced = {}    # column -> its reduced coboundary, once it is a dict
     neg_inv = {}    # source column -> -(its pivot coefficient)^-1 mod p
-    for i in range(n - 1, -1, -1):
-        low = first[i]
-        if low < 0:
-            continue
-        j = table.get(low)
-        if j is not None:
+    for i, low in zip(todo.tolist(), first[todo].tolist()):
+        j = int(pivot[low])
+        if j >= 0:
             col = column(i)
-            while j is not None:
+            while j >= 0:
                 src = reduced.get(j)
                 if src is None:
                     src = reduced[j] = column(j)
@@ -319,32 +318,30 @@ def cohomology_pairs(cx, q: int, field: PrimeField, clear=()):
                 if not col:
                     break
                 low = min(col)
-                j = table.get(low)
+                j = int(pivot[low])
             if not col:
                 continue
             reduced[i] = col
-        pairs[i] = low
-        table[low] = i
-    return pairs
-
-
-class _Merges(dict):
-    """The pivot pairs of D_1 from union-find, {merged root: merge edge},
-    and parent, the merge forest as an int64 array: parent[b] is the root
-    that b was merged into, by its edge pairs[b], and parent[v] = v at a
-    vertex that no edge merges.  Merge edges rise along every path of the
-    forest."""
-
-    __slots__ = ("parent",)
+        killer[i] = low
+        pivot[low] = i
+    return killer
 
 
 def _union_find_pairs(edges, n: int):
-    """Pivot pairs of D_1 from the (count(1), 2) vertex rows of the edges in
-    level order, on n vertices; roots are merged into the smaller one, its
-    parent in the merge forest (_Merges)."""
+    """The pairing of D_1 as (killer, parent), int64 arrays over n vertex
+    rows, by union-find over the (count(1), 2) vertex rows of the edges in
+    level order (Kruskal), each component rooted at its smallest vertex
+    row: an edge j that joins roots a < b pairs with b (killer[b] = j) and
+    makes a b's parent in the merge forest.  b is the lowest row of the
+    edge's reduced column, which has a nonzero coefficient sum on each of
+    the two components and no pivot row, so these are the pairs that
+    cohomology_pairs(cx, 1) gives.  A vertex that no edge merges has killer
+    -1 and is its own parent.  Merge edges rise along every path of the
+    forest, from which a leaf labels each vertex with its component's root
+    at every scale."""
     root = list(range(n))
     parent = root.copy()
-    pairs = _Merges()
+    killer = [-1] * n
     for j, (a, b) in enumerate(edges.tolist()):
         while root[a] != a:
             root[a] = a = root[root[a]]
@@ -354,9 +351,8 @@ def _union_find_pairs(edges, n: int):
             if a > b:
                 a, b = b, a
             root[b] = parent[b] = a
-            pairs[b] = j
-    pairs.parent = np.array(parent, np.int64)
-    return pairs
+            killer[b] = j
+    return np.array(killer, np.int64), np.array(parent, np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +378,17 @@ def _order_levels(cx, floor: float):
 
 
 def _pair_levels(cx, field: PrimeField):
-    """Pivot pairs of every D_q of cx as {q: {(q-1)-simplex: q-simplex}},
-    with pairs[0] = {} for D_0 = 0: cohomology_pairs in ascending q, each
-    level cleared by the pivot columns of the level below."""
-    pairs = {0: {}}
-    for q in range(1, cx.max_dim + 1):
-        pairs[q] = cohomology_pairs(cx, q, field, set(pairs[q - 1].values()))
-    return pairs
+    """The pairing of cx as (killer, parent): killer[n], for n below
+    cx.max_dim, is an int64 array over the n-simplices giving each one's
+    killer in D_{n+1} (-1 when none), and parent is D_1's merge forest over
+    the vertex rows.  D_1 is paired by union-find, each D_q above by
+    cohomology_pairs, cleared by the pivot columns of D_{q-1}."""
+    killer, parent = _union_find_pairs(cx.facets[1], cx.count(0))
+    killers = [killer]
+    for q in range(2, cx.max_dim + 1):
+        below = killers[-1]
+        killers.append(cohomology_pairs(cx, q, field, below[below >= 0]))
+    return killers, parent
 
 
 class _Columns(dict):
@@ -492,31 +492,31 @@ class LeafReduction:
     level, prefix[q][b] q-simplices long, and left-to-right reduction of
     each boundary matrix is also a reduction of the complex at every
     requested scale.  Under a single scale nothing is reordered.  Pairs
-    come first: cohomology_pairs finds the pivot pairs of D_1, ...,
-    D_{n_max+1} in ascending dimension, each level cleared by the pivot
-    columns of the level below.
+    come first: _pair_levels pairs D_1, ..., D_{n_max+1} in ascending
+    dimension, D_1 by union-find and each level above by cohomology_pairs,
+    cleared by the pivot columns of the level below.
 
-    The build ends at the pairing, which is kept once, in arrays: killer[n]
-    gives each n-simplex's killer in D_{n+1} (-1 when none), live[q] is
-    false at the pivot columns of D_q, and ranks[q][b], read off the sorted
-    pivot columns, is the rank of D_q on the prefix of scales[b].  parent is
-    D_1's merge forest over the vertex rows (_Merges), from which a view
-    labels each vertex with its component's root.  No column is reduced
-    then.  cols[q] (_Columns) builds the pair (R_j, V_j) of D_q's
-    left-to-right reduction at column j on its first read, from the pairs,
-    and checks them there; a Betti-only run builds none.  The live
-    n-simplices are the rows of the dimension-n eliminate() table for every
-    scale (entry reads a row's column from cols), and a view (view(scale),
-    a LeafSolver) picks its basis from killer[n] and live[n].  The complex
-    is dropped after the build: the leaf keeps its level-0 id array ids
-    (point_set is made from it), prefix (the last entry of each level is
-    its count) and the facet tables, which give every simplex's vertex
-    rows (rips.vertex_rows) and boundary, as in Ripser (Bauer, 2021).
-    They are also the one simplex lookup: rows_of finds a simplex's row by
-    one search per level, a vertex's in ids and a q-simplex's in level q's
-    keys, sorted on the first query at level q (keys); chain_of_column maps
-    rows back.  chain(n, row) builds a table row's cycle chain, or at n = 0
-    the vertex, once, for every view.
+    The build ends at the pairing, which is kept once, as the arrays that
+    _pair_levels returns: killer[n] gives each n-simplex's killer in D_{n+1}
+    (-1 when none), and parent is D_1's merge forest over the vertex rows,
+    from which a view labels each vertex with its component's root.  Read
+    off killer[q-1], live[q] is false at the pivot columns of D_q, and
+    ranks[q][b], a search in those columns, ascending, is the rank of D_q on
+    the prefix of scales[b].  No column is reduced then.  cols[q] (_Columns)
+    builds the pair (R_j, V_j) of D_q's left-to-right reduction at column j
+    on its first read, from the pairs, and checks them there; a Betti-only
+    run builds none.  The live n-simplices are the rows of the dimension-n
+    eliminate() table for every scale (entry reads a row's column from
+    cols), and a view (view(scale), a LeafSolver) picks its basis from
+    killer[n] and live[n].  The complex is dropped after the build: the leaf
+    keeps its level-0 id array ids (point_set is made from it), prefix (the
+    last entry of each level is its count) and the facet tables, which give
+    every simplex's vertex rows (rips.vertex_rows) and boundary, as in
+    Ripser (Bauer, 2021).  They are also the one simplex lookup: rows_of
+    finds a simplex's row by one search per level, a vertex's in ids and a
+    q-simplex's in level q's keys, sorted on the first query at level q
+    (keys); chain_of_column maps rows back.  chain(n, row) builds a table
+    row's cycle chain, or at n = 0 the vertex, once, for every view.
     Entries are built on the thread that queries, during assembly on the
     calling thread.
     """
@@ -537,20 +537,14 @@ class LeafReduction:
         # in it ends at its length as if it were sorted.
         self.prefix = [np.searchsorted(d, self.scales, "right").tolist()
                        for d in cx.diameters]
-        pairs = _pair_levels(cx, field)
-        self.parent = pairs[1].parent
+        self.killer, self.parent = _pair_levels(cx, field)
         self.ranks = {0: [0] * len(self.scales)}
-        self.killer = []
         self.live = [np.ones(cx.count(0), bool)]
-        for q in range(1, top + 1):
-            lows = np.fromiter(pairs[q], np.int64, len(pairs[q]))
-            cols = np.fromiter(pairs[q].values(), np.int64, len(pairs[q]))
-            self.killer.append(np.full(cx.count(q - 1), -1, np.int64))
-            self.killer[q - 1][lows] = cols
-            self.live.append(np.ones(cx.count(q), bool))
-            self.live[q][cols] = False
-            cols.sort()
-            self.ranks[q] = np.searchsorted(cols, self.prefix[q]).tolist()
+        for q, killer in enumerate(self.killer, 1):
+            live = np.ones(cx.count(q), bool)
+            live[killer[killer >= 0]] = False
+            self.live.append(live)
+            self.ranks[q] = np.searchsorted(np.flatnonzero(~live), self.prefix[q]).tolist()
         self.cols = [_Columns(q, self.facets[q], self.killer[q - 1] if q else None,
                               self.live[q], field.p)
                      for q in range(top + 1)]
@@ -627,17 +621,17 @@ class LeafSolver:
     dimension-n table below the view's n-limit span the cycle space Z_n of
     the complex at its scale.  A row is a representative unless its killer k
     lies in the view's (n+1)-prefix, where R_k is a boundary with preimage
-    V_k.  The view keeps {representative row: basis index} per dimension,
-    picked from the reduction's killer and live arrays with numpy and
-    checked against its ranks, so betti(n) = dim Z_n - rank d_{n+1} is the
-    size of that dict and no table column is built; _rows lists the same
-    rows by basis index.  coords() expresses a cycle in the representative
-    basis as a sparse {basis index: nonzero residue} dict, the
-    representation of a dict column; bound() returns an explicit preimage
-    under the boundary map, from the V_k of the killed rows, whenever the
-    class vanishes.  Both build the table columns they reach on first use,
-    and representative(n, b) the chain of the one class it names
-    (LeafReduction.chain).
+    V_k.  The view keeps one ascending list of representative rows per
+    dimension (_rows), picked from the reduction's killer and live arrays
+    with numpy and checked against its ranks, so betti(n) = dim Z_n - rank
+    d_{n+1} is the length of that list and no table column is built; a
+    row's basis index is its position there, found by bisection.  coords()
+    expresses a cycle in the representative basis as a sparse {basis index:
+    nonzero residue} dict, the representation of a dict column; bound()
+    returns an explicit preimage under the boundary map, from the V_k of
+    the killed rows, whenever the class vanishes.  Both build the table
+    columns they reach on first use, and representative(n, b) the chain of
+    the one class it names (LeafReduction.chain).
 
     Dimension 0 has a component-root basis: its representative rows are
     the roots that the elder rule leaves at the view's scale, and
@@ -663,22 +657,19 @@ class LeafSolver:
         self._label = None  # vertex row -> dimension-0 basis index, on first read
         # Simplices of the view per dimension: a prefix of every level.
         self._limit = [reduction.prefix[q][b] for q in range(self.n_max + 2)]
-        self._basis = []    # per dimension: {representative row: basis index}
-        self._rows = []     # per dimension: basis index -> representative row
+        self._rows = []     # per dimension: representative rows, ascending
         for n in range(self.n_max + 1):
             end = self._limit[n]
             killer = reduction.killer[n][:end]
             rows = np.flatnonzero(reduction.live[n][:end]
                                   & ((killer < 0) | (killer >= self._limit[n + 1]))).tolist()
-            basis = dict(zip(rows, range(len(rows))))
-            self._basis.append(basis)
             self._rows.append(rows)
 
             expected = end - reduction.ranks[n][b] - reduction.ranks[n + 1][b]
-            if len(basis) != expected:
+            if len(rows) != expected:
                 raise ConsistencyError(
                     f"homology basis size mismatch at dimension {n}: "
-                    f"{len(basis)} reps vs {expected} expected"
+                    f"{len(rows)} reps vs {expected} expected"
                 )
 
     # -- queries
@@ -686,7 +677,7 @@ class LeafSolver:
     def betti(self, n: int) -> int:
         if n < 0 or n > self.n_max:
             return 0
-        return len(self._basis[n])
+        return len(self._rows[n])
 
     def representative(self, n: int, b: int) -> Chain:
         """The cycle chain of basis class b at dimension n, shared with every
@@ -755,15 +746,15 @@ class LeafSolver:
                 f"chain is not a cycle of this region's complex (unmatched row "
                 f"{max(as_dict(rest))} at dimension {n})"
             )
-        basis = self._basis[n]
+        rows = self._rows[n]
         coords = {}
         killed = []
         for row, c in used:
-            b = basis.get(row)
-            if b is None:
-                killed.append((row, c))
-            else:
+            b = bisect_left(rows, row)
+            if b < len(rows) and rows[b] == row:
                 coords[b] = c
+            else:
+                killed.append((row, c))
         return coords, killed
 
     def coords(self, z: Chain, n: int) -> dict:
@@ -847,32 +838,36 @@ def persistence_barcode(points, cloud, eps_max, n_max, field,
     order.  Pairs between levels q-1 and q depend only on the order within
     each level, so _order_levels puts every level in (diameter, lex) order
     with one stable sort (floor 0: a level of zero diameters stays in lex
-    order, which is that order) and it is paired as a leaf is.  An
-    n-simplex that is not a column of the D_n pairs is born at its diameter
-    and dies at its D_{n+1} partner's, or gives an open bar; zero-length
-    bars are dropped.  The bars of each dimension are read with numpy and
-    ordered by (birth, death), an open bar first among equal births.  The
-    oracle shares enumeration, level ordering and pairing with run(),
-    nothing else; the tests' brute_force_betti and brute_force_barcode, the
-    golden barcode frozen from a global reduction and the benchmark's
-    frozen seed-0 Betti numbers keep it independent.  eps_max is a finite
-    real >= 0 and n_max an int >= 0, or a ValueError names the argument.
+    order, which is that order) and it is paired as a leaf is, into the same
+    killer arrays.  An n-simplex that is no pivot column of D_n is born at
+    its diameter and dies at its killer's in D_{n+1}, or gives an open bar;
+    zero-length bars are dropped.  The bars of each dimension are read from
+    the killer arrays with numpy and ordered by (birth, death), an open bar
+    first among equal births.  The oracle shares enumeration, level ordering
+    and pairing with run(), nothing else; the tests' brute_force_betti and
+    brute_force_barcode, the golden barcode frozen from a global reduction
+    and the benchmark's frozen seed-0 Betti numbers keep it independent.
+    eps_max is a finite real >= 0 and n_max an int >= 0, or a ValueError
+    names the argument.
     """
     field = PrimeField(field)
     eps_max = require_real("eps_max", eps_max)
     n_max = require_int("n_max", n_max, 0)
     cx = enumerate_complex(points, cloud, eps_max, n_max + 1, budget)
     _order_levels(cx, 0.0)
-    pairs = _pair_levels(cx, field)
+    killer, _ = _pair_levels(cx, field)
 
     bars = []
+    cleared = np.empty(0, np.int64)     # the pivot columns of D_n: no class is born at one
     for n in range(n_max + 1):
         births = cx.diameters[n]
         death = np.full(len(births), np.inf)
-        up = pairs[n + 1]
-        death[list(up)] = cx.diameters[n + 1][list(up.values())]
+        up = killer[n]
+        paired = up >= 0
+        death[paired] = cx.diameters[n + 1][up[paired]]
         keep = death > births
-        keep[list(pairs[n].values())] = False
+        keep[cleared] = False
+        cleared = up[paired]
         birth, death = births[keep], death[keep]
         order = np.lexsort((np.where(death == np.inf, -1.0, death), birth))
         bars += [Bar(n, b, None if d == np.inf else d)

@@ -16,7 +16,7 @@ from mvbetti import engine
 from mvbetti.cli import emit_report, main
 from mvbetti.core import PointCloud
 from mvbetti.covering import build_covering
-from mvbetti.engine import execute_scale, run
+from mvbetti.engine import execute_scale, plan_jobs, run
 from mvbetti.mayer_vietoris import MVNodeSolver
 from mvbetti.reduction import DEFAULT_BUDGET, betti_at_scale, build_leaf, persistence_barcode
 
@@ -58,7 +58,7 @@ def run_suite(p):
     """Criterion 1 run (+2/+4 node walks) for one coefficient field.
 
     The node walks take each scale's root from execute_scale on run()'s
-    grid, all scales sharing one leaves dict as run() does."""
+    grid, all scales sharing one plan and one leaves dict as run() does."""
     stats = {
         "clouds": 0, "scale_checks": 0, "mismatches": [],
         "nodes": 0, "split_violations": 0,
@@ -80,9 +80,10 @@ def run_suite(p):
             if expect != list(sr.betti):
                 stats["mismatches"].append((spec[0], sr.scale, sr.betti, expect))
         covering = build_covering(cloud, eps, rep.grid)
+        plan = plan_jobs(covering)
         leaves = {}
         for s in scales:
-            root, _ = execute_scale(cloud, covering, s, n_max, p, DEFAULT_BUDGET,
+            root, _ = execute_scale(cloud, covering, plan, s, n_max, p, DEFAULT_BUDGET,
                                     WORKER_HINT, scales, leaves)
             for node in walk_nodes(root):
                 stats["nodes"] += 1

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from mvbetti.core import Chain, PointCloud, chain_boundary
 from mvbetti.covering import build_covering
-from mvbetti.engine import execute_scale
+from mvbetti.engine import execute_scale, plan_jobs
 from mvbetti.mayer_vietoris import MVNodeSolver
 from mvbetti.reduction import DEFAULT_BUDGET, build_leaf
 from mvbetti.rips import enumerate_complex
@@ -77,7 +77,8 @@ def _check_queries(solver, uppers, n, p, rng, zero_class):
 @given(chase_cases())
 def test_root_and_leaf_queries_recover_known_classes(case):
     cloud, scale, p, n_max, rng, zero_class = case
-    root, _ = execute_scale(cloud, build_covering(cloud, scale, [2, 2]), scale, n_max, p,
+    covering = build_covering(cloud, scale, [2, 2])
+    root, _ = execute_scale(cloud, covering, plan_jobs(covering), scale, n_max, p,
                             DEFAULT_BUDGET, 1, [scale], {})
     assert isinstance(root, MVNodeSolver)
     leaf = build_leaf(range(cloud.n), cloud, [scale], n_max, p).view(scale)

@@ -24,14 +24,14 @@ class TestBuildSolver:
     def test_single_cell_is_leaf(self):
         pc = PointCloud([[0.0], [0.5], [1.0]])
         cov = build_covering(pc, 0.6, 1)
-        s = execute_scale(pc, cov, 0.6, 1, 2, DEFAULT_BUDGET, 1, [0.6], {})[0]
+        s = execute_scale(pc, cov, plan_jobs(cov), 0.6, 1, 2, DEFAULT_BUDGET, 1, [0.6], {})[0]
         assert isinstance(s, LeafSolver)
         assert s.betti_all() == [1, 0]
 
     def test_collinear_two_cells(self):
         pc = PointCloud([[0.0], [1.0], [2.0]])
         cov = build_covering(pc, 1.0, 2)
-        s = execute_scale(pc, cov, 1.0, 1, 2, DEFAULT_BUDGET, 1, [1.0], {})[0]
+        s = execute_scale(pc, cov, plan_jobs(cov), 1.0, 1, 2, DEFAULT_BUDGET, 1, [1.0], {})[0]
         assert isinstance(s, MVNodeSolver)
         assert all(isinstance(c, LeafSolver) for c in s.pieces + s.inters)
         assert s.betti_all() == [1, 0]
@@ -40,7 +40,7 @@ class TestBuildSolver:
         rng = np.random.default_rng(0)
         pc = PointCloud(rng.random((30, 2)) * 10)
         cov = build_covering(pc, 0.8, 2)
-        s = execute_scale(pc, cov, 0.8, 1, 2, DEFAULT_BUDGET, 1, [0.8], {})[0]
+        s = execute_scale(pc, cov, plan_jobs(cov), 0.8, 1, 2, DEFAULT_BUDGET, 1, [0.8], {})[0]
         # Root node over 2 strip nodes and 1 overlap-strip node; every child
         # node sits over leaves.
         assert isinstance(s, MVNodeSolver)
@@ -144,7 +144,8 @@ class TestFailures:
         self._failing_build(monkeypatch, {keys[6]: 0.2, keys[17]: 0.0})
         for _ in range(3):
             with pytest.raises(JobError) as ei:
-                execute_scale(pc, cov, 1.0, 1, 2, DEFAULT_BUDGET, workers, [1.0], {})
+                execute_scale(pc, cov, plan_jobs(cov), 1.0, 1, 2, DEFAULT_BUDGET, workers,
+                              [1.0], {})
             assert ei.value.box == boxes[6]
             assert isinstance(ei.value.__cause__, RuntimeError)
 
@@ -153,7 +154,7 @@ class TestFailures:
         entered = self._failing_build(monkeypatch, {keys[0]: 0.0})
         leaves = {}
         with pytest.raises(JobError) as ei:
-            execute_scale(pc, cov, 1.0, 1, 2, DEFAULT_BUDGET, 1, [1.0], leaves)
+            execute_scale(pc, cov, plan_jobs(cov), 1.0, 1, 2, DEFAULT_BUDGET, 1, [1.0], leaves)
         assert ei.value.box == boxes[0]
         assert entered[0] == keys[0]
         assert len(entered) < leaf_count(cov)
@@ -170,7 +171,8 @@ class TestFailures:
         first_node = next(b for b, j in jobs.items() if j.kind == "node")
         for workers in (1, 2):
             with pytest.raises(JobError) as ei:
-                execute_scale(pc, cov, 1.0, 1, 2, DEFAULT_BUDGET, workers, [1.0], {})
+                execute_scale(pc, cov, plan_jobs(cov), 1.0, 1, 2, DEFAULT_BUDGET, workers,
+                              [1.0], {})
             assert ei.value.box == first_node
             assert isinstance(ei.value.__cause__, ConsistencyError)
 

@@ -95,7 +95,7 @@ def test_views_guard_their_basis_size_and_bounds(p):
     # The square's loop is the one 1-cycle row at scale 1, killed at the top
     # scale.  Marked dead, or unkilled, it no longer gives the basis that
     # the ranks, taken from the pivot columns, expect.
-    (row,) = red.view(1.0)._basis[1]
+    (row,) = red.view(1.0)._rows[1]
     red.live[1][row] = False
     with pytest.raises(ConsistencyError, match="basis size mismatch"):
         red.view(1.0)
@@ -369,10 +369,9 @@ def test_views_at_two_scales_share_the_chain_of_a_row(p):
     shared = 0
     for n in range(2):
         reps_small, reps_large = small.representatives(n), large.representatives(n)
-        for row, b in small._basis[n].items():
-            c = large._basis[n].get(row)
-            if c is not None:
-                assert reps_small[b] is reps_large[c]
+        for b, row in enumerate(small._rows[n]):
+            if row in large._rows[n]:
+                assert reps_small[b] is reps_large[large._rows[n].index(row)]
                 shared += 1
     assert shared > 0
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from mvbetti.core import Chain, ConsistencyError, PointCloud, PrimeField, chain_boundary
 from mvbetti.covering import build_covering, full_box, split_axis
-from mvbetti.engine import execute_scale
+from mvbetti.engine import execute_scale, plan_jobs
 from mvbetti.mayer_vietoris import FMatrix, MVNodeSolver, NodeRegion, assemble, build_f
 from mvbetti.reduction import (LeafSolver, betti_at_scale, build_leaf, persistence_barcode,
                                reduce_columns)
@@ -145,7 +145,7 @@ class TestAssemble:
         f = PrimeField(2)
         cov = build_covering(pc, 0.5, 2)
         sp = split_axis(full_box(2), cov)
-        node = execute_scale(pc, cov, 0.5, 1, f, DEFAULT_BUDGET, 1, [0.5], {})[0]
+        node = execute_scale(pc, cov, plan_jobs(cov), 0.5, 1, f, DEFAULT_BUDGET, 1, [0.5], {})[0]
         assert node.betti_all() == [2, 0]
         assert sp is not None
 
@@ -161,7 +161,7 @@ class TestAssemble:
         f = PrimeField(2)
         # Middle cells of a 5-cell covering are empty at this scale.
         cov = build_covering(pc, 0.5, 5)
-        node = execute_scale(pc, cov, 0.5, 1, f, DEFAULT_BUDGET, 1, [0.5], {})[0]
+        node = execute_scale(pc, cov, plan_jobs(cov), 0.5, 1, f, DEFAULT_BUDGET, 1, [0.5], {})[0]
         assert node.betti_all() == [2, 0]
         sizes = [len(s.point_set) for s in node.pieces]
         assert 0 in sizes
@@ -393,7 +393,8 @@ class TestExactnessProperties:
             if eps <= 0:
                 continue
             cov = build_covering(pc, eps, 3 if cov_fits(pc, eps, 3) else 2)
-            node = execute_scale(pc, cov, eps, 1, f, DEFAULT_BUDGET, 1, [eps], {})[0]
+            node = execute_scale(pc, cov, plan_jobs(cov), eps, 1, f, DEFAULT_BUDGET, 1,
+                                 [eps], {})[0]
             bars = persistence_barcode(range(n), pc, eps, 1, f)
             for dim in (0, 1):
                 assert node.betti(dim) == betti_at_scale(bars, dim, eps)
@@ -413,7 +414,8 @@ class TestExactnessProperties:
             pc = random_cloud(rng, 25, 2)
             eps = distance_quantile(pc, 0.25)
             cov = build_covering(pc, eps, 2)
-            node = execute_scale(pc, cov, eps, 1, f, DEFAULT_BUDGET, 1, [eps], {})[0]
+            node = execute_scale(pc, cov, plan_jobs(cov), eps, 1, f, DEFAULT_BUDGET, 1,
+                                 [eps], {})[0]
             assert isinstance(node, MVNodeSolver)
             assert all(isinstance(c, MVNodeSolver) for c in node.pieces)
             leaf = build_leaf(range(25), pc, [eps], 1, f).view(eps)
@@ -441,7 +443,7 @@ class TestExactnessProperties:
         pc = PointCloud([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         f = PrimeField(p)
         cov = build_covering(pc, 1.0, [2, 1])
-        node = execute_scale(pc, cov, 1.0, 1, f, DEFAULT_BUDGET, 1, [1.0], {})[0]
+        node = execute_scale(pc, cov, plan_jobs(cov), 1.0, 1, f, DEFAULT_BUDGET, 1, [1.0], {})[0]
         leaf = build_leaf(range(4), pc, [1.0], 1, f).view(1.0)
         assert node.betti_all() == leaf.betti_all() == [1, 1]
         edges = [tuple(s) for s in

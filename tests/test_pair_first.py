@@ -1,11 +1,11 @@
 """Pairs first: a leaf's build ends at its pairing, and builds a column of R
 and V only when a query reads it.
 
-cohomology_pairs must give the pivots of the full boundary reduction at
-every dimension.  The leaf's columns, built one at a time from the pairs in
-any order of reads, must equal the full reduction's R and V; a Betti-only
-run must build none; and a column built against pairs that are wrong must
-fail loudly.
+The pairing, union-find at D_1 and cohomology_pairs above, must give the
+pivots of the full boundary reduction at every dimension.  The leaf's
+columns, built one at a time from the pairs in any order of reads, must
+equal the full reduction's R and V; a Betti-only run must build none; and a
+column built against pairs that are wrong must fail loudly.
 """
 
 import numpy as np
@@ -15,17 +15,19 @@ from hypothesis import given, settings, strategies as st
 from mvbetti import engine, reduction
 from mvbetti.cli import main
 from mvbetti.core import ConsistencyError, PointCloud, PrimeField
-from mvbetti.reduction import _order_levels, build_leaf, cohomology_pairs, reduce_columns
+from mvbetti.reduction import (_order_levels, _union_find_pairs, build_leaf, cohomology_pairs,
+                               reduce_columns)
 from mvbetti.rips import boundary_matrix, enumerate_complex
 
 from conftest import dense_boundary, dense_rank_mod_p, leaf_complex, leaf_levels
 from test_leaf_views import _prefix_simplices, leaf_cases
 
 
-def _apparent(cx, q):
+def _apparent(facets):
     """Columns of D_q that are the earliest coface of their lowest row, read
-    off the boundary columns in level order."""
-    cols = boundary_matrix(cx, q, 3)
+    off level q's facet table, whose row j lists the rows of boundary
+    column j, in level order."""
+    cols = facets.tolist()
     first = {}
     for j, col in enumerate(cols):
         for r in col:
@@ -33,10 +35,18 @@ def _apparent(cx, q):
     return {j for j, col in enumerate(cols) if first[max(col)] == j}
 
 
-def _pairs(red, q):
-    """The pivot pairs of D_q that a leaf keeps, {low row: column}, read
-    from its killer array over the (q-1)-simplices."""
-    return {l: k for l, k in enumerate(red.killer[q - 1].tolist()) if k >= 0}
+def _pairs(killer):
+    """Pivot pairs as {low row: column}, read from a killer array over the
+    rows."""
+    return {l: k for l, k in enumerate(killer.tolist()) if k >= 0}
+
+
+def _killer(cx, q, field, clear=None):
+    """The killer array of D_q over the (q-1)-simplices as a leaf pairs it:
+    by union-find at q = 1, else by cohomology_pairs."""
+    if q == 1:
+        return _union_find_pairs(cx.facets[1], cx.count(0))[0]
+    return cohomology_pairs(cx, q, field, clear)
 
 
 def _assert_columns_equal_the_full_reduction(red, cx, p, rng):
@@ -70,14 +80,15 @@ def test_pairs_and_columns_match_the_full_reduction(case):
     cx = leaf_complex(range(cloud.n), cloud, scales, top)   # in the leaf's row order
     field = PrimeField(p)
 
-    clear = ()
+    clear = None
     for q in range(1, top + 1):
         full = reduce_columns(boundary_matrix(cx, q, p), field)
-        pairs = cohomology_pairs(cx, q, field, clear)
-        assert pairs == full.pivots
-        assert cohomology_pairs(cx, q, field) == pairs      # clearing changes no pair
-        clear = set(pairs.values())
-        assert _pairs(red, q) == full.pivots
+        killer = _killer(cx, q, field, clear)
+        assert _pairs(killer) == full.pivots
+        # Clearing changes no pair, and neither does union-find at D_1.
+        assert np.array_equal(cohomology_pairs(cx, q, field), killer)
+        clear = killer[killer >= 0]
+        assert np.array_equal(red.killer[q - 1], killer)
         assert np.flatnonzero(~red.live[q]).tolist() == sorted(full.pivots.values())
     _assert_columns_equal_the_full_reduction(red, cx, p, rng)
 
@@ -134,8 +145,52 @@ def test_union_find_pairs_match_the_full_reduction(case):
     field = PrimeField(p)
     cx = enumerate_complex(range(cloud.n), cloud, scales[-1], 1)
     _order_levels(cx, scales[0])
-    assert cohomology_pairs(cx, 1, field) == \
-        reduce_columns(boundary_matrix(cx, 1, p), field).pivots
+    killer, _ = _union_find_pairs(cx.facets[1], cx.count(0))
+    assert _pairs(killer) == reduce_columns(boundary_matrix(cx, 1, p), field).pivots
+    assert np.array_equal(cohomology_pairs(cx, 1, field), killer)
+
+
+def _assert_pairing_matches_the_full_reduction(cx, p):
+    """Each D_q of cx, paired as a leaf pairs it, each level cleared by the
+    pivot columns of the level below, gives the full reduction's pivots."""
+    field = PrimeField(p)
+    clear = None
+    for q in range(1, cx.max_dim + 1):
+        killer = _killer(cx, q, field, clear)
+        assert len(killer) == cx.count(q - 1)
+        assert _pairs(killer) == reduce_columns(boundary_matrix(cx, q, p), field).pivots
+        clear = killer[killer >= 0]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_levels_with_no_cofaces_pair_nothing(p):
+    # Two far-apart points at n_max = 2: no edge, so every level above 0 is
+    # empty and each pairing reads an empty facet table.
+    cloud = PointCloud([[0.0, 0.0], [10.0, 0.0]])
+    cx = enumerate_complex(range(2), cloud, 1.0, 3)
+    assert [cx.count(q) for q in range(4)] == [2, 0, 0, 0]
+    _assert_pairing_matches_the_full_reduction(cx, p)
+    red = build_leaf(range(2), cloud, [1.0], 2, p)
+    assert [k.tolist() for k in red.killer] == [[-1, -1], [], []]
+    assert red.view(1.0).betti_all() == [2, 0, 0]
+    assert reduction.persistence_barcode(range(2), cloud, 1.0, 2, p) == \
+        [reduction.Bar(0, 0.0, None)] * 2
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_level_of_apparent_and_cleared_columns_enters_no_loop(p):
+    # A triangle with three unequal edges: union-find merges along the two
+    # shorter edges, which clears them at D_2, and the longest is the latest
+    # facet of the one triangle, an apparent pair, so D_2 is paired before
+    # the loop, which enters no column.
+    cloud = PointCloud([[0.0, 0.0], [1.0, 0.0], [0.0, 1.2]])
+    cx = enumerate_complex(range(3), cloud, 2.0, 2)
+    _order_levels(cx, 0.0)
+    merged = _killer(cx, 1, PrimeField(p))
+    assert sorted(merged[merged >= 0].tolist()) == [0, 1]
+    assert cx.facets[2].max(axis=1).tolist() == [2]
+    _assert_pairing_matches_the_full_reduction(cx, p)
+    assert cohomology_pairs(cx, 2, PrimeField(p), merged[merged >= 0]).tolist() == [-1, -1, 0]
 
 
 def _cloud(n=40, seed=5):
@@ -160,28 +215,38 @@ def test_a_column_builds_only_itself_and_its_sources(p):
 
 
 def _swap_two_pairs(monkeypatch, apparent=None, dim=None):
-    """Swap the partners of the first two pairs of D_dim (the top dimension
-    when dim is None), or of the first two whose column is (apparent=True)
-    or is not (False) apparent.  Returns the list to which each call appends
-    the swapped columns as (dimension, j1, j2)."""
-    original = reduction.cohomology_pairs
+    """Swap the partners of the first two pairs of D_dim (the top dimension,
+    paired by cohomology_pairs, when dim is None; union-find pairs D_1), or
+    of the first two whose column is (apparent=True) or is not (False)
+    apparent.  Returns the list to which each call appends the swapped
+    columns as (dimension, j1, j2)."""
+    cohomology, union_find = reduction.cohomology_pairs, reduction._union_find_pairs
     swaps = []
 
-    def swapped(cx, q, field, clear=()):
-        pairs = original(cx, q, field, clear)
-        if q != (cx.max_dim if dim is None else dim):
-            return pairs
-        items = list(pairs.items())
+    def swap(killer, facets, q):
+        items = [(l, j) for l, j in enumerate(killer.tolist()) if j >= 0]
         if apparent is not None:
-            kind = _apparent(cx, q)
+            kind = _apparent(facets)
             items = [(l, j) for l, j in items if (j in kind) == apparent]
         if len(items) >= 2:
             (l1, j1), (l2, j2) = items[:2]
-            pairs[l1], pairs[l2] = j2, j1
+            killer[l1], killer[l2] = j2, j1
             swaps.append((q, j1, j2))
-        return pairs
 
-    monkeypatch.setattr(reduction, "cohomology_pairs", swapped)
+    def swapped_cohomology(cx, q, field, clear=None):
+        killer = cohomology(cx, q, field, clear)
+        if q == (cx.max_dim if dim is None else dim):
+            swap(killer, cx.facets[q], q)
+        return killer
+
+    def swapped_union_find(edges, n):
+        killer, parent = union_find(edges, n)
+        if dim == 1:
+            swap(killer, edges, 1)
+        return killer, parent
+
+    monkeypatch.setattr(reduction, "cohomology_pairs", swapped_cohomology)
+    monkeypatch.setattr(reduction, "_union_find_pairs", swapped_union_find)
     return swaps
 
 
