@@ -274,6 +274,18 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt((diff * diff).sum(axis=-1))
 
 
+def _axpy(col: dict, src: dict, c: int, p: int):
+    """col += c * src over Z/p, in place, for sparse {key: nonzero residue}
+    dicts: a key whose sum is zero is deleted, so col keeps only nonzero
+    residues.  The one update rule of dict columns and of chains."""
+    for r, x in src.items():
+        y = (col.get(r, 0) + c * x) % p
+        if y:
+            col[r] = y
+        else:
+            del col[r]
+
+
 class Chain:
     """A sparse formal sum of equal-dimension simplices with coefficients in Z/p.
 
@@ -316,21 +328,20 @@ class Chain:
         if self.dim != other.dim and self.terms and other.terms:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
-    def __add__(self, other: "Chain") -> "Chain":
+    def _plus(self, other: "Chain", c: int) -> "Chain":
+        """self + c * other, for c nonzero mod p."""
         self._check_compatible(other)
         terms = dict(self.terms)
-        for s, c in other.terms.items():
-            v = (terms.get(s, 0) + c) % self.p
-            if v:
-                terms[s] = v
-            else:
-                terms.pop(s, None)
+        _axpy(terms, other.terms, c, self.p)
         out = Chain.__new__(Chain)
         out.dim, out.p, out.terms = self.dim, self.p, terms
         return out
 
+    def __add__(self, other: "Chain") -> "Chain":
+        return self._plus(other, 1)
+
     def __sub__(self, other: "Chain") -> "Chain":
-        return self + other.scaled(-1)
+        return self._plus(other, self.p - 1)
 
     def __neg__(self) -> "Chain":
         return self.scaled(-1)

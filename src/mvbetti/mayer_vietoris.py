@@ -42,7 +42,7 @@ from itertools import accumulate
 import numpy as np
 
 from .core import Chain, ConsistencyError, chain_boundary, require_query
-from .reduction import (PrimeField, as_dict, combine, eliminate, reduce_columns,
+from .reduction import (PrimeField, _unit, as_dict, eliminate, reduce_columns,
                         search_sorted, vertex_coords)
 
 
@@ -73,9 +73,12 @@ class FMatrix:
     Rows run over the pieces' bases, block k from row_starts[k]; columns
     over the overlaps' bases, block k from col_starts[k].  Column (k, b) holds
     +coords in piece k and -coords in piece k+1 of overlap k's
-    representative b.  The columns are reduced once, on construction;
-    coker_rows are the non-pivot rows, ascending, and kernel_cols the
-    echelon nullspace: the V_j of the zero columns R_j.  V is unit
+    representative b.  The columns are reduced once, on construction,
+    and both tables that eliminate() reads give pairs (R, V): the image
+    table holds each pivot's (R_j, V_j), by its lowest row, and the kernel
+    table each kernel vector's (V_j, e_i), by j.  coker_rows are the
+    non-pivot rows, ascending, and kernel_cols the echelon nullspace, the
+    native V_j of the zero columns R_j, i their index there.  V is unit
     upper-triangular, so V_j's lowest row is j, the kernel columns have
     distinct lowest rows, and membership in the kernel is a straight
     elimination.  f_0 is an incidence matrix, +1 and -1 in each column
@@ -84,23 +87,22 @@ class FMatrix:
     class of each row off the reduced image.
     """
 
-    __slots__ = ("columns", "row_starts", "col_starts", "p", "rank", "_v",
+    __slots__ = ("columns", "row_starts", "col_starts", "p", "rank",
                  "_image", "coker_rows", "_coker_pos", "kernel_cols", "_kernel")
 
     def __init__(self, columns, row_starts, col_starts, field: PrimeField):
         self.columns = columns
         self.row_starts = row_starts
         self.col_starts = col_starts
-        self.p = field.p
+        p = self.p = field.p
         red = reduce_columns(columns, field)
         self.rank = red.rank
-        self._v = red.v
-        self._image = {l: (red.r[j], j) for l, j in red.pivots.items()}
+        self._image = {l: (red.r[j], red.v[j]) for l, j in red.pivots.items()}
         self.coker_rows = [r for r in range(self.nrows) if r not in red.pivots]
         self._coker_pos = {r: i for i, r in enumerate(self.coker_rows)}
         kernel = [j for j in range(red.ncols) if not red.r[j]]
-        self.kernel_cols = [as_dict(red.v[j]) for j in kernel]
-        self._kernel = {j: (red.v[j], i) for i, j in enumerate(kernel)}
+        self.kernel_cols = [red.v[j] for j in kernel]
+        self._kernel = {j: (red.v[j], _unit(i, p)) for i, j in enumerate(kernel)}
 
     @property
     def nrows(self) -> int:
@@ -110,19 +112,17 @@ class FMatrix:
     def ncols(self) -> int:
         return len(self.columns)
 
-    def project_coker(self, t: dict, want_membership: bool = False):
-        """Reduce a target vector mod im(f): cokernel coordinates, and optionally
-        the source combination y with f(y) = t when the projection is zero.
+    def project_coker(self, t: dict):
+        """Reduce a target vector mod im(f), in one elimination against the
+        image's (R_j, V_j): (cokernel coordinates, y), y the native source
+        column with f(y) = t minus the cokernel rows left, so f(y) = t when
+        the projection is zero.
 
         Every row left after eliminating the image pivot rows is a cokernel row.
         """
-        rest, used = eliminate(t, self._image.get, self.p)
+        rest, y = eliminate(t, self._image.get, self.p)
         pos = self._coker_pos
-        coords = {pos[r]: c for r, c in as_dict(rest).items()}
-        if want_membership:
-            v = self._v
-            return coords, as_dict(combine([(v[j], c) for j, c in used], self.p))
-        return coords
+        return {pos[r]: c for r, c in as_dict(rest).items()}, y
 
     def row_classes(self) -> np.ndarray:
         """The cokernel position of each row's class, for an f whose every
@@ -149,12 +149,12 @@ class FMatrix:
 
     def kernel_coords(self, u: dict) -> dict:
         """Sparse coordinates of a kernel vector in the echelon kernel basis."""
-        rest, used = eliminate(u, self._kernel.get, self.p)
+        rest, w = eliminate(u, self._kernel.get, self.p)
         if rest:
             raise ConsistencyError(
                 "connecting-map image landed outside ker(f); exactness violated"
             )
-        return dict(used)
+        return as_dict(w)
 
 
 def build_f(pieces, inters, n: int, field) -> FMatrix:
@@ -336,7 +336,7 @@ class MVNodeSolver:
         lift = self._lifts.get((n, b - m))
         if lift is None:
             lift = self._lifts[n, b - m] = self._connecting_lift(
-                self._f[n - 1].kernel_cols[b - m], n - 1)
+                as_dict(self._f[n - 1].kernel_cols[b - m]), n - 1)
         return lift
 
     def representatives(self, n: int):
@@ -480,7 +480,7 @@ class MVNodeSolver:
             return vertex_coords(self, z, self.p)
         kappa, xis = self._chase(z, n)
         fs_n = self._f[n]
-        out = fs_n.project_coker(self._piece_target_vector(xis, n))
+        out = fs_n.project_coker(self._piece_target_vector(xis, n))[0]
         m = len(fs_n.coker_rows)
         out.update((m + i, c) for i, c in kappa.items())
         return out
@@ -493,14 +493,13 @@ class MVNodeSolver:
         kappa, xis = self._chase(z, n)
         if kappa:
             return None
-        coker, y = self._f[n].project_coker(self._piece_target_vector(xis, n),
-                                            want_membership=True)
+        coker, y = self._f[n].project_coker(self._piece_target_vector(xis, n))
         if coker:
             return None
         # f(y) = t, so with rho_k the overlap chains of y each
         # xi_k - rho_k + rho_{k-1} bounds in piece k: telescope over -y.
         p = self.p
-        w = self._telescope(xis, {j: p - c for j, c in y.items()}, n,
+        w = self._telescope(xis, {j: p - c for j, c in as_dict(y).items()}, n,
                             "membership combination")
         if chain_boundary(w) != z:
             raise ConsistencyError("union bound() produced a chain whose boundary differs from z")

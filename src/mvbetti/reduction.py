@@ -17,24 +17,27 @@ barcode, the oracle for the divide-and-conquer path (see
 persistence_barcode for what it shares with run() and what keeps it
 independent).
 
-Columns are native Python values: int bitsets (bit r = row r) at p = 2,
-where column addition is one XOR, and {row: nonzero residue} dicts
-otherwise; _reduce_column holds the one update rule of each.  Elimination
-goes through three routines: reduce_columns reduces a matrix left to right
-with V; cohomology_pairs finds the pivot pairs of a boundary matrix by
-reducing coboundary columns read from the level's facet table (written by
-the clique expansion, RipsComplex.facets), and _pair_levels takes D_1's
-pairs from union-find over the edges instead; and eliminate reduces one
-column against a table of columns with distinct lowest rows, given as a
-row lookup, the step behind a region's coords queries above dimension 0,
-its bound queries and the Mayer-Vietoris kernel and cokernel.  The pairs
-have one format from the pairing to every reader, the leaf, its views and
-the oracle: per level, an int64 killer array, each simplex's partner one
-dimension up or -1.  A region's build ends at its pairing: the columns R_j
-and V_j of its reduction are built one at a time, from the pairs, when a
-query reads them (_Columns), and each checks the pairs as it is built.
-combine forms linear combinations of columns, and as_dict decodes a column
-of either representation.
+Columns are native Python values: int bitsets (bit r = row r), where
+column addition is one XOR, and {row: nonzero residue} dicts, updated by
+core._axpy.  Every exact step is one pivot step, _reduce_column: cancel a
+column's lowest row against a pair (R, V) whose R has the same lowest row,
+by the path of the column's type.  Its callers: reduce_columns reduces a
+matrix left to right with V, as bitsets at p = 2 and dicts otherwise;
+cohomology_pairs finds the pivot pairs of a boundary matrix by reducing
+coboundary columns read from the level's facet table (written by the
+clique expansion, RipsComplex.facets), as dicts at every p, and
+_pair_levels takes D_1's pairs from union-find over the edges instead; a
+leaf's _Columns builds its R and V one column at a time; and eliminate
+reduces one column against a table of (R, V) pairs with distinct lowest
+rows, given as a row lookup, the step behind a region's coords queries
+above dimension 0, its bound queries and the Mayer-Vietoris kernel and
+cokernel.  The pairs have one format from the pairing to every reader, the
+leaf, its views and the oracle: per level, an int64 killer array, each
+simplex's partner one dimension up or -1.  A region's build ends at its
+pairing: the columns R_j and V_j of its reduction are built one at a time,
+from the pairs, when a query reads them (_Columns), and each checks the
+pairs as it is built.  combine forms linear combinations of columns, and
+as_dict decodes a column of either representation.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (Chain, ConsistencyError, PointCloud, PrimeField, chain_boundary,
+from .core import (Chain, ConsistencyError, PointCloud, PrimeField, _axpy, chain_boundary,
                    require_int, require_query, require_real, require_scales)
 # boundary_matrix is not called here: perfbench/tracer.py wraps this
 # module's name for it, as it does reduce_columns.
@@ -83,17 +86,6 @@ def _unit(j: int, p: int):
     return 1 << j if p == 2 else {j: 1}
 
 
-def _axpy(col: dict, src: dict, c: int, p: int):
-    """col += c * src over Z/p, in place, for dict columns: a row whose sum
-    is zero is deleted, so col keeps only nonzero residues."""
-    for r, x in src.items():
-        y = (col.get(r, 0) + c * x) % p
-        if y:
-            col[r] = y
-        else:
-            del col[r]
-
-
 def combine(terms, p: int):
     """The native column sum(c * col) over (col, c) pairs of native columns."""
     if p == 2:
@@ -109,49 +101,32 @@ def combine(terms, p: int):
 
 
 def eliminate(col, lookup, p: int):
-    """Reduce one column against a table of columns with distinct lowest rows.
+    """Reduce one column against a table of pairs (R, V) whose columns R
+    have distinct lowest rows.
 
-    lookup(row) returns the table entry (column, tag) whose column has row
-    as its lowest (largest) nonzero row, or None when row is not a table
-    row: a dict's .get, or a leaf's table that builds each entry on first
-    lookup.  Every table column is native and nonzero.  The rows of col are
-    swept in descending order: a table row is cleared by subtracting the
-    multiple of its column that cancels it, which touches no larger row;
-    any other row is set aside.  Returns (remainder, used): col = remainder
-    + sum(c * column) over the (tag, c) pairs in used, no row of the
-    remainder is a table row, and each tag appears at most once.  A dict
-    col holds nonzero residues; at p = 2 col may also be a bitset, and the
-    remainder is native either way.
+    lookup(row) returns the table entry (R, V) whose R has row as its
+    lowest (largest) nonzero row, or None when row is not a table row: a
+    dict's .get, or a leaf's table that builds each entry on first lookup.
+    Every table column is native and nonzero.  col is reduced by
+    _reduce_column, each row at which lookup gives None being set aside;
+    clearing a row touches no larger row.  Returns (remainder, w), both
+    native: col - remainder = sum(c * R) and w = sum(c * V) over the
+    entries used, and no row of the remainder is a table row.  A table of
+    (R, e_tag) entries so gives the coefficients as w.  A dict col holds
+    nonzero residues; at p = 2 col may also be a bitset.
     """
-    used = []
-    if p == 2:
-        if type(col) is not int:
-            col = _bits(col)
-        rest = 0
-        while col:
-            l = col.bit_length() - 1
-            e = lookup(l)
-            if e is None:
-                bit = 1 << l
-                rest |= bit
-                col ^= bit
-            else:
-                col ^= e[0]
-                used.append((e[1], 1))
-        return rest, used
-    col = dict(col)
-    rest = {}
-    while col:
-        l = max(col)
-        e = lookup(l)
-        if e is None:
+    col = (col if type(col) is int else _bits(col)) if p == 2 else dict(col)
+    rest, w = type(col)(), type(col)()
+    while True:
+        col, w, l = _reduce_column(col, w, lookup, p)
+        if l < 0:   # w holds -sum(c * V): each step subtracts
+            return rest, w if type(w) is int else {r: p - x for r, x in w.items()}
+        if type(col) is int:
+            bit = 1 << l
+            rest |= bit
+            col ^= bit
+        else:
             rest[l] = col.pop(l)
-            continue
-        src, tag = e
-        c = col[l] * pow(src[l], -1, p) % p
-        _axpy(col, src, p - c, p)
-        used.append((tag, c))
-    return rest, used
 
 
 # ---------------------------------------------------------------------------
@@ -183,16 +158,18 @@ class ReducedPair:
 
 def _reduce_column(col, v, source, p: int):
     """Reduce the pair (col, v), a column of R and its column of V, left to
-    right: while source(l), at col's lowest row l, gives an earlier pair
-    (R_k, V_k) whose lowest row is l, subtract from both the multiple of it
-    that cancels row l: one XOR each at p = 2; otherwise an _axpy each, by
-    the third entry source gives there, -(R_k's coefficient at l)^-1 mod p.
-    The one update rule of both column representations.  col and v are
-    native and of the same representation; a dict col or v is updated in
+    right: while source(l), at col's lowest row l, gives a pair (R_k, V_k)
+    whose lowest row is l, subtract from both the multiple of it that
+    cancels row l.  The one pivot step of the package: the pairing, a
+    leaf's columns, reduce_columns and eliminate all reduce through it.
+    The path follows col's type, not p: an int bitset (p = 2) takes one XOR
+    each, a {row: nonzero residue} dict an _axpy each, by the coefficient
+    -(col[l] / R_k[l]) mod p, so dict columns serve at p = 2 too.  v and
+    the pairs source gives are of col's type; a dict col or v is updated in
     place.  Returns (col, v, l), l the lowest row at which source gave
     None, or -1 once col is zero.
     """
-    if p == 2:
+    if type(col) is int:
         while col:
             l = col.bit_length() - 1
             src = source(l)
@@ -206,10 +183,11 @@ def _reduce_column(col, v, source, p: int):
         src = source(l)
         if src is None:
             return col, v, l
-        r, w, c = src
-        c = (col[l] * c) % p
+        r, w = src
+        c = (-col[l] * pow(r[l], -1, p)) % p
         _axpy(col, r, c, p)
-        _axpy(v, w, c, p)
+        if w:   # the pairing's sources have an empty V
+            _axpy(v, w, c, p)
     return col, v, -1
 
 
@@ -217,16 +195,15 @@ def reduce_columns(columns, field: PrimeField) -> ReducedPair:
     """Left-to-right column reduction of a sparse matrix over Z/p, with V.
 
     columns is a list of {row: nonzero residue} dicts; at p = 2 a column
-    may also be an int bitset (bit r = row r).  While a column shares its
-    lowest nonzero row with an earlier column, the appropriate multiple of
-    that earlier column is subtracted (_reduce_column); V records the
-    operations.  A pivot column's negated inverse of its lowest
-    coefficient is computed once, when it becomes a pivot.  Deterministic
+    may also be an int bitset (bit r = row r), and every column is reduced
+    as a bitset.  While a column shares its lowest nonzero row with an
+    earlier column, the appropriate multiple of that earlier column is
+    subtracted (_reduce_column); V records the operations.  Deterministic
     given the column order.
     """
     p, n = field.p, len(columns)
     R, V, pivots = [None] * n, [None] * n, {}
-    sources = {}    # pivot row -> its pivot column's (R, V[, negated inverse])
+    sources = {}    # pivot row -> its pivot column's (R, V)
     for j, col in enumerate(columns):
         if p == 2:
             col = col if type(col) is int else _bits(col)
@@ -235,7 +212,7 @@ def reduce_columns(columns, field: PrimeField) -> ReducedPair:
         col, v, l = _reduce_column(col, _unit(j, p), sources.get, p)
         if col:
             pivots[l] = j
-            sources[l] = (col, v) if p == 2 else (col, v, (-field.inv(col[l])) % p)
+            sources[l] = col, v
         R[j] = col
         V[j] = v
     return ReducedPair(n, field, R, V, pivots)
@@ -258,41 +235,44 @@ def cohomology_pairs(cx, q: int, field: PrimeField, clear=None) -> np.ndarray:
     The coboundary column of a (q-1)-simplex holds its cofaces with their
     boundary coefficients.  An argsort of the flattened facet table groups
     its entries by facet into a sparse (CSR) matrix: entry e is coface
-    e // (q+1), with the sign of facet column e % (q+1).  The columns are
-    reduced in descending simplex order, and a column's pivot is its
-    earliest coface (Bauer, "Ripser", 2021).  A column that is the latest
+    e // (q+1), with the sign of facet column e % (q+1).  Its rows number
+    the cofaces downward, top - coface, so that a column's lowest row is
+    its earliest coface, the pivot (Bauer, "Ripser", 2021).  The columns
+    are reduced in descending simplex order.  A column that is the latest
     facet of its earliest coface forms an apparent pair with it: no column
     above it holds that coface, so these pairs are written with numpy
     before the loop.  The loop enters only the other columns that have a
     coface, and finds the column of a pivot in an int64 array over level q,
     as Ripser does.  A column whose earliest coface is free is paired by
-    reading that one entry; a column becomes a dict only when it needs an
-    addition or is the source of one, and a source's negated inverse of its
-    pivot coefficient is computed once.  The simplices of clear, an int
-    array of the pivot columns of D_{q-1}, are skipped: their coboundary
-    columns reduce to zero.
+    reading that one entry; a column that clashes with a pivot is reduced
+    by one _reduce_column call, as a {row: residue} dict at every p, with
+    no V; a source's column is built on its first use.  The simplices of
+    clear, an int array of the pivot columns of D_{q-1}, are skipped: their
+    coboundary columns reduce to zero.
     """
     facets = cx.facets[q]
     p, k, n = field.p, q + 1, cx.count(q - 1)
+    top = len(facets) - 1
     flat = facets.ravel()
     # The order within a column is not used, so the sort need not be stable.
     cofaces = np.argsort(flat)
     coefs = np.array(facet_signs(q, p))[cofaces % k]
     cofaces //= k
+    np.subtract(top, cofaces, out=cofaces)  # rows numbered downward
     sizes = np.bincount(flat, minlength=n)
     ends = sizes.cumsum()
     starts = ends - sizes
-    first = np.full(n, -1, np.int64)    # each column's earliest coface
+    first = np.full(n, -1, np.int64)    # each column's lowest row: its earliest coface
     live = sizes > 0
-    first[live] = np.minimum.reduceat(cofaces, starts[live])
+    first[live] = np.maximum.reduceat(cofaces, starts[live])
     if clear is not None:
         first[clear] = -1
     apparent = np.flatnonzero(first >= 0)
-    apparent = apparent[reduce(np.maximum, facets.T)[first[apparent]] == apparent]
+    apparent = apparent[reduce(np.maximum, facets.T)[top - first[apparent]] == apparent]
     killer = np.full(n, -1, np.int64)
-    killer[apparent] = first[apparent]
+    killer[apparent] = top - first[apparent]
     pivot = np.full(len(facets), -1, np.int64)     # pivot row -> its column
-    pivot[killer[apparent]] = apparent
+    pivot[first[apparent]] = apparent
     first[apparent] = -1
     todo = np.flatnonzero(first >= 0)[::-1]
 
@@ -300,29 +280,25 @@ def cohomology_pairs(cx, q: int, field: PrimeField, clear=None) -> np.ndarray:
         s, e = starts[i], ends[i]
         return dict(zip(cofaces[s:e].tolist(), coefs[s:e].tolist()))
 
-    reduced = {}    # column -> its reduced coboundary, once it is a dict
-    neg_inv = {}    # source column -> -(its pivot coefficient)^-1 mod p
+    reduced = {}    # column -> its reduced coboundary, once built
+    no_v = {}       # the V of every source: the pairing keeps none
+
+    def source(l):
+        j = pivot.item(l)
+        if j < 0:
+            return None
+        src = reduced.get(j)
+        if src is None:
+            src = reduced[j] = column(j)
+        return src, no_v
+
     for i, low in zip(todo.tolist(), first[todo].tolist()):
-        j = int(pivot[low])
-        if j >= 0:
-            col = column(i)
-            while j >= 0:
-                src = reduced.get(j)
-                if src is None:
-                    src = reduced[j] = column(j)
-                c = neg_inv.get(j)
-                if c is None:
-                    c = neg_inv[j] = (-field.inv(src[low])) % p
-                c = (col[low] * c) % p
-                _axpy(col, src, c, p)
-                if not col:
-                    break
-                low = min(col)
-                j = int(pivot[low])
+        if pivot.item(low) >= 0:
+            col, _, low = _reduce_column(column(i), {}, source, p)
             if not col:
                 continue
             reduced[i] = col
-        killer[i] = low
+        killer[i] = top - low
         pivot[low] = i
     return killer
 
@@ -396,12 +372,11 @@ class _Columns(dict):
     j, each built on its first read, from the pairs: a leaf's column cache.
 
     Column k starts as (rips.boundary_column of facet-table row k, e_k),
-    or (0, e_k) at level 0, where D_0 = 0.  While its lowest row l is
-    paired with an earlier column i (i = killer[l], the row's killer in
-    D_q), the multiple of (R_i, V_i) that cancels l is subtracted
-    (_reduce_column), R_i being built first when it is missing; the
-    columns waiting on a source are kept on an explicit stack, since
-    nothing bounds how deep they nest.  A reduction of all of D_q meets
+    q >= 1.  While its lowest row l is paired with an earlier column i (i =
+    killer[l], the row's killer in D_q), the multiple of (R_i, V_i) that
+    cancels l is subtracted (_reduce_column), R_i being built first when it
+    is missing; the columns waiting on a source are kept on an explicit
+    stack, since nothing bounds how deep they nest.  A reduction of all of D_q meets
     the same rows and subtracts the same columns, since the earlier column
     whose pivot is l is its killer, so every column equals the full
     reduction's, and the clearing one's wherever that builds it, in any
@@ -420,19 +395,17 @@ class _Columns(dict):
     def __init__(self, q, facets, killer, live, p: int):
         super().__init__()
         self.q, self.facets, self.killer, self.live, self.p = q, facets, killer, live, p
-        self.signs = facet_signs(q, p) if q else None
+        self.signs = facet_signs(q, p)
 
     def _start(self, k):
         """Column k before reduction, as a mutable [k, R, V] stack entry."""
-        p = self.p
-        if not self.q:
-            return [k, 0 if p == 2 else {}, _unit(k, p)]
-        return [k, boundary_column(self.facets[k].tolist(), self.signs, p), _unit(k, p)]
+        return [k, boundary_column(self.facets[k].tolist(), self.signs, self.p),
+                _unit(k, self.p)]
 
     def _source(self, k, l):
-        """The source of column k at row l for _reduce_column: None when l is
-        k's own pivot row or its source is not built yet."""
-        i = int(self.killer[l])
+        """The source (R_i, V_i) of column k at row l for _reduce_column:
+        None when l is k's own pivot row or its source is not built yet."""
+        i = self.killer.item(l)
         if i == k:
             return None
         if not 0 <= i < k:
@@ -440,11 +413,7 @@ class _Columns(dict):
                 f"reduced D_{self.q} column {k} differs from its cohomology pairs: "
                 f"its lowest row {l} is paired with "
                 f"{'no column' if i < 0 else f'the later column {i}'}")
-        src = self.get(i)
-        if src is None or self.p == 2:
-            return src
-        r, w = src
-        return r, w, (-pow(r[l], -1, self.p)) % self.p
+        return self.get(i)
 
     def __missing__(self, j):
         if not 0 <= j < len(self.live):
@@ -502,12 +471,12 @@ class LeafReduction:
     from which a view labels each vertex with its component's root.  Read
     off killer[q-1], live[q] is false at the pivot columns of D_q, and
     ranks[q][b], a search in those columns, ascending, is the rank of D_q on
-    the prefix of scales[b].  No column is reduced then.  cols[q] (_Columns)
-    builds the pair (R_j, V_j) of D_q's left-to-right reduction at column j
-    on its first read, from the pairs, and checks them there; a Betti-only
-    run builds none.  The live n-simplices are the rows of the dimension-n
-    eliminate() table for every scale (entry reads a row's column from
-    cols), and a view (view(scale), a LeafSolver) picks its basis from
+    the prefix of scales[b].  No column is reduced then.  cols[q] (_Columns,
+    q >= 1; D_0 = 0 needs none) builds the pair (R_j, V_j) of D_q's
+    left-to-right reduction at column j on its first read, from the pairs,
+    and checks them there; a Betti-only run builds none.  The live
+    n-simplices are the rows of the dimension-n eliminate() table for every
+    scale (entry reads a row's (column, e_row) from cols), and a view (view(scale), a LeafSolver) picks its basis from
     killer[n] and live[n].  The complex is dropped after the build: the leaf
     keeps its level-0 id array ids (point_set is made from it), prefix (the
     last entry of each level is its count) and the facet tables, which give
@@ -545,9 +514,8 @@ class LeafReduction:
             live[killer[killer >= 0]] = False
             self.live.append(live)
             self.ranks[q] = np.searchsorted(np.flatnonzero(~live), self.prefix[q]).tolist()
-        self.cols = [_Columns(q, self.facets[q], self.killer[q - 1] if q else None,
-                              self.live[q], field.p)
-                     for q in range(top + 1)]
+        self.cols = {q: _Columns(q, self.facets[q], self.killer[q - 1], self.live[q], field.p)
+                     for q in range(1, top + 1)}
         self.keys = {}      # q -> level q's sorted keys and their rows (_level_keys)
         self._chains = {}   # (dimension, row) -> the row's cycle chain
 
@@ -597,15 +565,18 @@ class LeafReduction:
         return found
 
     def entry(self, n: int, row: int):
-        """Row row's entry (column, row) of dimension n's eliminate() table,
-        from cols: R_k when the row's killer in D_{n+1} is k, else V_row at
-        an unkilled zero column of D_n (e_row at a vertex).  A pivot column
-        of D_n (live[n][row] false) is no table row: None."""
-        k = int(self.killer[n][row])
+        """Row row's entry (column, e_row) of dimension n's eliminate()
+        table, from cols: R_k when the row's killer in D_{n+1} is k, else
+        V_row at an unkilled zero column of D_n, or e_row at a vertex.  A
+        pivot column of D_n (live[n][row] false) is no table row: None."""
+        k = self.killer[n].item(row)
+        unit = _unit(row, self.field.p)
         if k >= 0:
-            return self.cols[n + 1][k][0], row
+            return self.cols[n + 1][k][0], unit
+        if not n:
+            return unit, unit
         if self.live[n][row]:
-            return self.cols[n][row][1], row
+            return self.cols[n][row][1], unit
         return None
 
     def chain_of_column(self, col: dict, q: int, p: int) -> Chain:
@@ -740,7 +711,7 @@ class LeafSolver:
         """Express a nonzero cycle as (sparse rep coordinates, (killed row,
         coefficient) terms of the rest, a boundary in the view)."""
         red = self.reduction
-        rest, used = eliminate(self._column(z, n), partial(red.entry, n), self.field.p)
+        rest, w = eliminate(self._column(z, n), partial(red.entry, n), self.field.p)
         if rest:
             raise ValueError(
                 f"chain is not a cycle of this region's complex (unmatched row "
@@ -749,7 +720,7 @@ class LeafSolver:
         rows = self._rows[n]
         coords = {}
         killed = []
-        for row, c in used:
+        for row, c in as_dict(w).items():
             b = bisect_left(rows, row)
             if b < len(rows) and rows[b] == row:
                 coords[b] = c

@@ -143,12 +143,12 @@ def test_bound_reads_the_columns_that_coords_built(p):
     view = red.view(0.3)
     triangles = vertex_levels(enumerate_complex(range(cloud.n), cloud, 0.3, 2))[2]
     zs = [chain_boundary(Chain.single(tuple(t), p)) for t in triangles[:50].tolist()]
-    assert [len(c) for c in red.cols] == [0, 0, 0]
+    assert [len(c) for c in red.cols.values()] == [0, 0]
     assert all(view.coords(z, 1) == {} for z in zs)
-    built = [sorted(c) for c in red.cols]
-    assert built[2] and not built[0] and not built[1]
+    built = {q: sorted(c) for q, c in red.cols.items()}
+    assert built[2] and not built[1]
     assert all(view.bound(z, 1) is not None for z in zs)
-    assert [sorted(c) for c in red.cols] == built
+    assert {q: sorted(c) for q, c in red.cols.items()} == built
 
 
 def _eager_tables(levels, n_max, p):
@@ -156,8 +156,10 @@ def _eager_tables(levels, n_max, p):
     full reductions of every D_q over the levels' vertex tuples (at a zero
     column of D_q, the V_j of a full reduction equals that of one with
     clearing: a cleared column reduces to zero and is never added to
-    another)."""
+    another).  Row j's entry is (column, e_j), and (e_j, e_j) at an
+    unkilled vertex."""
     field = PrimeField(p)
+    unit = (lambda j: 1 << j) if p == 2 else (lambda j: {j: 1})
     full = {}
     for q in range(1, n_max + 2):
         row = {s: i for i, s in enumerate(levels[q - 1][0])}
@@ -170,11 +172,11 @@ def _eager_tables(levels, n_max, p):
         for j in range(len(levels[n][0])):
             k = up.pivots.get(j)
             if k is not None:
-                table[j] = (up.r[k], j)
+                table[j] = (up.r[k], unit(j))
             elif n == 0:
-                table[j] = (1 << j if p == 2 else {j: 1}, j)
+                table[j] = (unit(j), unit(j))
             elif not red.r[j]:
-                table[j] = (red.v[j], j)
+                table[j] = (red.v[j], unit(j))
         tables.append((table, up.pivots))
     return tables
 
@@ -184,7 +186,8 @@ def _eager_tables(levels, n_max, p):
 def test_lazy_table_columns_equal_the_eager_tables(case):
     cloud, scales, p, n_max, _ = case
     red = build_leaf(range(cloud.n), cloud, scales, n_max, p)
-    assert [len(c) for c in red.cols] == [0] * (n_max + 2)
+    assert sorted(red.cols) == list(range(1, n_max + 2))    # no level-0 cache
+    assert [len(c) for c in red.cols.values()] == [0] * (n_max + 1)
     levels = leaf_levels(range(cloud.n), cloud, scales, n_max + 1)
     for n, (table, killers) in enumerate(_eager_tables(levels, n_max, p)):
         rows = sorted(table)

@@ -50,20 +50,19 @@ def _killer(cx, q, field, clear=None):
 
 
 def _assert_columns_equal_the_full_reduction(red, cx, p, rng):
-    """Every column of every level of the leaf, read in shuffled order,
-    equals the full reduction's (R_j, V_j); level 0's is (0, e_j)."""
+    """Every column of every level above 0 of the leaf, read in shuffled
+    order, equals the full reduction's (R_j, V_j); level 0, where D_0 = 0,
+    has no column cache."""
     field = PrimeField(p)
-    assert [len(c) for c in red.cols] == [0] * (cx.max_dim + 1)
-    zero = 0 if p == 2 else {}
-    unit = (lambda j: 1 << j) if p == 2 else (lambda j: {j: 1})
+    assert sorted(red.cols) == list(range(1, cx.max_dim + 1))
+    assert [len(c) for c in red.cols.values()] == [0] * cx.max_dim
     full = [None] + [reduce_columns(boundary_matrix(cx, q, p), field)
                      for q in range(1, cx.max_dim + 1)]
-    reads = [(q, j) for q in range(cx.max_dim + 1) for j in range(cx.count(q))]
+    reads = [(q, j) for q in range(1, cx.max_dim + 1) for j in range(cx.count(q))]
     for i in rng.permutation(len(reads)):
         q, j = reads[i]
-        want = (zero, unit(j)) if q == 0 else (full[q].r[j], full[q].v[j])
-        assert red.cols[q][j] == want
-    for q in range(cx.max_dim + 1):
+        assert red.cols[q][j] == (full[q].r[j], full[q].v[j])
+    for q in range(1, cx.max_dim + 1):
         assert sorted(red.cols[q]) == list(range(cx.count(q)))
         with pytest.raises(KeyError):
             red.cols[q][cx.count(q)]
@@ -205,13 +204,13 @@ def test_a_column_builds_only_itself_and_its_sources(p):
     cloud = _cloud()
     red = build_leaf(range(cloud.n), cloud, [0.3], 1, p)
     k = int(np.flatnonzero(~red.live[2])[-1])
-    assert [len(c) for c in red.cols] == [0, 0, 0]
+    assert [len(c) for c in red.cols.values()] == [0, 0]
     col = red.cols[2][k]
     built = sorted(red.cols[2])
     assert 1 < len(built) < len(np.flatnonzero(~red.live[2]))
     assert built[-1] == k and not red.live[2][built].any()
     assert red.cols[2][k] is col and sorted(red.cols[2]) == built
-    assert [len(c) for c in red.cols[:2]] == [0, 0]
+    assert len(red.cols[1]) == 0
 
 
 def _swap_two_pairs(monkeypatch, apparent=None, dim=None):
@@ -252,7 +251,7 @@ def _swap_two_pairs(monkeypatch, apparent=None, dim=None):
 
 def _assert_swapped_columns_raise(swaps, red):
     ((q, j1, j2),) = swaps
-    assert [len(c) for c in red.cols] == [0] * len(red.cols)    # the build checks nothing
+    assert [len(c) for c in red.cols.values()] == [0] * len(red.cols)    # the build checks nothing
     for j in (j1, j2, j1):
         with pytest.raises(ConsistencyError, match="differs from its cohomology pairs"):
             red.cols[q][j]
@@ -319,7 +318,7 @@ def test_betti_only_run_on_one_leaf_builds_no_column(monkeypatch):
         leaves.clear()
         engine.run(cloud, 0.2, [0.1, 0.2], n_max=1, field=p, workers=2, grid=[1, 1])
         (red,) = leaves
-        assert [len(c) for c in red.cols] == [0, 0, 0]
+        assert [len(c) for c in red.cols.values()] == [0, 0]
     # On a grid the assembly's dimension-1 queries read the leaves' D_2
     # columns (dimension 0 reads labels, not columns).
     leaves.clear()

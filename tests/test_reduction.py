@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvbetti.core import Chain, PointCloud, PrimeField, chain_boundary
-from mvbetti.reduction import (as_dict, betti_at_scale, build_leaf, combine,
-                               eliminate, persistence_barcode, reduce_columns)
+from mvbetti.reduction import (_bits, _reduce_column, as_dict, betti_at_scale, build_leaf,
+                               combine, eliminate, persistence_barcode, reduce_columns)
 from mvbetti.rips import boundary_matrix, enumerate_complex
 
 from conftest import (HEX_POINTS, TETRA_POINTS, TETRA_SIDE, UNIT_SQUARE,
@@ -156,48 +156,81 @@ class TestReduceAgainstNaive:
         assert a.pivots == b.pivots and a.r == b.r and a.v == b.v
 
 
+_V_ROWS = 14    # the rows of an elimination case's V columns
+
+
 @st.composite
-def elimination_cases(draw):
-    """(p, nrows, table columns keyed by their lowest row, column) as dicts."""
-    p = draw(st.sampled_from([2, 3, 5, 7]))
+def elimination_cases(draw, primes):
+    """(p, nrows, table columns keyed by their lowest row, a V column for
+    each, column) as dicts, p drawn from primes.  A V column is any column
+    over _V_ROWS rows: a unit column only by chance."""
+    p = draw(st.sampled_from(primes))
     nrows = draw(st.integers(1, 14))
     residue = st.integers(1, p - 1)
-    table = {}
+    table, vs = {}, {}
     for low in sorted(draw(st.sets(st.integers(0, nrows - 1)))):
         col = draw(st.dictionaries(st.integers(0, low - 1), residue)) if low else {}
         col[low] = draw(residue)
         table[low] = col
+        vs[low] = draw(st.dictionaries(st.integers(0, _V_ROWS - 1), residue))
     col = draw(st.dictionaries(st.integers(0, nrows - 1), residue))
-    return p, nrows, table, col
+    return p, nrows, table, vs, col
+
+
+def _native(p):
+    return (lambda c: sum(1 << r for r in c)) if p == 2 else dict
 
 
 class TestEliminate:
     @settings(max_examples=300, deadline=None)
-    @given(elimination_cases())
+    @given(elimination_cases(primes=(2, 3, 5)))
     def test_input_is_remainder_plus_used_columns(self, case):
-        p, nrows, cols, col = case
-        native = (lambda c: sum(1 << r for r in c)) if p == 2 else dict
-        table = {low: (native(c), ("col", low)) for low, c in cols.items()}
+        p, nrows, cols, vs, col = case
+        native = _native(p)
+        # With V = e_low, w is the coefficient of each table column used.
+        units = {low: (native(c), native({low: 1})) for low, c in cols.items()}
         before = dict(col)
-        rest, used = eliminate(col, table.get, p)
+        rest, coeffs = eliminate(col, units.get, p)
         assert col == before
-        rest = as_dict(rest)
-        assert not set(rest) & set(table)
-        tags = [tag for tag, _ in used]
-        assert len(tags) == len(set(tags))
+        rest, coeffs = as_dict(rest), as_dict(coeffs)
+        assert not set(rest) & set(cols)
+        assert set(coeffs) <= set(cols)
 
-        def dense(c):
-            return dense_of_columns(nrows, [c], p)[:, 0]
+        def dense(c, size=nrows):
+            return dense_of_columns(size, [c], p)[:, 0]
 
+        # col - remainder = sum(c * R)
         total = dense(rest)
-        for (_, low), c in used:
+        for low, c in coeffs.items():
             assert 0 < c < p
             total = total + c * dense(cols[low])
         assert np.array_equal(total % p, dense(col))
-        spent = combine([(table[low][0], c) for (_, low), c in used], p)
+        spent = combine([(units[low][0], c) for low, c in coeffs.items()], p)
         assert np.array_equal(dense(as_dict(spent)), (dense(col) - dense(rest)) % p)
-        if p == 2:
+        # w = sum(c * V), the same steps taken against the drawn V columns.
+        table = {low: (native(c), native(vs[low])) for low, c in cols.items()}
+        rest2, w = eliminate(col, table.get, p)
+        assert as_dict(rest2) == rest
+        want = sum((c * dense(vs[low], _V_ROWS) for low, c in coeffs.items()),
+                   np.zeros(_V_ROWS, np.int64))
+        assert np.array_equal(dense(as_dict(w), _V_ROWS), want % p)
+        if p == 2:      # a dict input and its bitset give one result
             assert eliminate(native(col), table.get, p) == eliminate(col, table.get, p)
+
+
+class TestReduceColumn:
+    @settings(max_examples=200, deadline=None)
+    @given(elimination_cases(primes=(2,)), st.integers(0, _V_ROWS - 1))
+    def test_the_step_follows_the_column_type(self, case, j):
+        # At p = 2 a dict column, against dict pairs, takes the _axpy path
+        # and ends where the same column as a bitset ends on the XOR path.
+        p, _, cols, vs, col = case
+        pairs = {low: (cols[low], vs[low]) for low in cols}
+        bits = {low: (_bits(r), _bits(v)) for low, (r, v) in pairs.items()}
+        r1, v1, l1 = _reduce_column(_bits(col), 1 << j, bits.get, p)
+        r2, v2, l2 = _reduce_column(dict(col), {j: 1}, pairs.get, p)
+        assert type(r1) is int and type(r2) is dict and type(v2) is dict
+        assert (as_dict(r1), as_dict(v1), l1) == (r2, v2, l2)
 
 
 class TestLeafSolver:
