@@ -18,7 +18,7 @@ print("\n== Prime field arithmetic (exact, no floats) ==")
 F5 = PrimeField(5)
 p = F5.p
 print("in Z/5: 3 + 4 =", (3 + 4) % p, ", 3 * 4 =", (3 * 4) % p)
-print("inverse of 4 mod 5:", F5.inv(4), " (4 * 4 = 16 = 1 mod 5)")
+print("inverse of 4 mod 5:", pow(4, -1, p), " (4 * 4 = 16 = 1 mod 5)")
 
 print("\n== Boundaries ==")
 b2 = boundary((0, 1, 2), 2)

@@ -63,12 +63,6 @@ class PrimeField:
     def __init__(self, p=2):
         self.p = p.p if isinstance(p, PrimeField) else require_prime("field", p)
 
-    def inv(self, a: int) -> int:
-        """The residue b in [1, p) with a * b = 1 mod p, for a nonzero mod p."""
-        if a % self.p == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return pow(a, -1, self.p)
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 

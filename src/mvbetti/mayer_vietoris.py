@@ -26,10 +26,11 @@ Dimension 0 runs on component labels, with no chase (Edelsbrunner & Harer,
 there is one root vertex per component, and labels() gives a vertex's
 class.  f_0 is the incidence matrix between the overlaps' and the pieces'
 components, filled from the pieces' labels of each overlap root.  A node's
-label of a vertex is its label in the lowest piece holding it (the _split
-rule), mapped to that row's cokernel class (FMatrix.row_classes), so a
-nested node, and the dimension-1 chase's coords(., 0) on the overlaps, read
-labels too.  bound(z, 0) still chases, since it returns a 1-chain.
+label of a vertex is its label in the lowest piece holding it
+(_lowest_pieces, the rule by which _split assigns a simplex too), mapped
+to that row's cokernel class (FMatrix.row_classes), so a nested node, and
+the dimension-1 chase's coords(., 0) on the overlaps, read labels too.
+bound(z, 0) still chases, since it returns a 1-chain.
 
 All chains use global point indices, so inclusions are literal identities.
 """
@@ -43,7 +44,7 @@ import numpy as np
 
 from .core import Chain, ConsistencyError, chain_boundary, require_query
 from .reduction import (PrimeField, _unit, as_dict, eliminate, reduce_columns,
-                        search_sorted, vertex_coords)
+                        search_sorted, simplex_array, vertex_coords)
 
 
 def _combo_chain(solver, n: int, coeffs, p: int) -> Chain:
@@ -194,12 +195,12 @@ def build_f(pieces, inters, n: int, field) -> FMatrix:
 
 class NodeRegion:
     """What a node's solvers share at every scale, as a leaf's views share
-    its LeafReduction: n_max, the field, the union's point set and ids, and
-    the check that each overlap is its pieces' intersection.  Built once per
-    node box per run from the child solvers of one scale, of which it reads
-    only point_set and ids, the same objects at every scale."""
+    its LeafReduction: n_max, the field, the union's point set as its sorted
+    ids, and the check that each overlap is its pieces' intersection.  Built
+    once per node box per run from the child solvers of one scale, of which
+    it reads only ids, the same array at every scale."""
 
-    __slots__ = ("n_max", "field", "parts", "point_set", "ids")
+    __slots__ = ("n_max", "field", "parts", "ids")
 
     def __init__(self, pieces, inters, n_max: int, field):
         if len(inters) != max(len(pieces) - 1, 0):
@@ -208,17 +209,18 @@ class NodeRegion:
                 f"{len(pieces)} pieces, got {len(inters)}"
             )
         self.n_max, self.field = n_max, PrimeField(field)
-        self.parts = [pc.point_set for pc in pieces], [it.point_set for it in inters]
-        sets = self.parts[0]
+        self.parts = [pc.ids for pc in pieces], [it.ids for it in inters]
+        ids = self.parts[0]
         for k, got in enumerate(self.parts[1]):
-            expect = sets[k] & sets[k + 1]
-            if got != expect:
+            expect = np.intersect1d(ids[k], ids[k + 1], assume_unique=True)
+            if not np.array_equal(got, expect):
                 raise ConsistencyError(
-                    f"overlap solver {k} covers {sorted(got)} but the "
-                    f"pieces intersect in {sorted(expect)}"
+                    f"overlap solver {k} covers {got.tolist()} but the "
+                    f"pieces intersect in {expect.tolist()}"
                 )
-        self.point_set = frozenset().union(*sets)
-        self.ids = np.fromiter(sorted(self.point_set), np.int64, len(self.point_set))
+        # No np.unique: its first call imports numpy.ma, a cost in every run.
+        union = np.sort(np.concatenate(ids))
+        self.ids = union[np.diff(union, prepend=-1) != 0]
 
 
 class MVNodeSolver:
@@ -236,9 +238,8 @@ class MVNodeSolver:
     """
 
     def __init__(self, region: NodeRegion, pieces, inters):
-        for solvers, sets in zip((pieces, inters), region.parts):
-            if len(solvers) != len(sets) or any(s.point_set is not t
-                                                for s, t in zip(solvers, sets)):
+        for solvers, ids in zip((pieces, inters), region.parts):
+            if len(solvers) != len(ids) or any(s.ids is not t for s, t in zip(solvers, ids)):
                 raise ConsistencyError("the solvers are not over the region's pieces and overlaps")
         self.region = region
         self.pieces = list(pieces)
@@ -246,7 +247,6 @@ class MVNodeSolver:
         self.n_max = region.n_max
         self.field = region.field
         self.p = region.field.p
-        self.point_set = region.point_set
         self.ids = region.ids
 
         self._f = []        # reduced FMatrix per dimension 0..n_max
@@ -358,48 +358,53 @@ class MVNodeSolver:
 
     def labels(self, vertices) -> np.ndarray:
         """The dimension-0 basis index of each vertex (global ids, an int
-        array): its label in the lowest piece holding it (the _split rule),
+        array): its label in the lowest piece holding it (_lowest_pieces),
         mapped to the cokernel class of that row of f_0
         (FMatrix.row_classes).  A vertex outside the region raises
         ValueError."""
         if self._label is None:
             self._label = self._f[0].row_classes()
         starts = self._f[0].row_starts
+        lowest = self._lowest_pieces(vertices[:, None])
         out = np.empty(len(vertices), np.int64)
-        todo = np.arange(len(vertices))
+        for k, piece in enumerate(self.pieces):
+            mine = lowest == k
+            if mine.any():
+                out[mine] = self._label[starts[k] + piece.labels(vertices[mine])]
+        return out
+
+    def _lowest_pieces(self, simplices) -> np.ndarray:
+        """The lowest piece whose ids hold every vertex of each row of an
+        (m, q + 1) int array of global ids, the one assignment rule of a
+        node, by one search per piece over the rows not yet assigned.  The
+        first row left, in order, raises ValueError if a vertex of it lies
+        outside the node's ids, else ConsistencyError: the covering lost
+        the Lebesgue property."""
+        out = np.empty(len(simplices), np.int64)
+        todo = np.arange(len(simplices))
         for k, piece in enumerate(self.pieces):
             if not len(todo):
                 break
-            want = vertices[todo]
-            hit = search_sorted(piece.ids, want)[1]
-            if hit.any():
-                out[todo[hit]] = self._label[starts[k] + piece.labels(want[hit])]
-                todo = todo[~hit]
+            hit = search_sorted(piece.ids, simplices[todo])[1].all(axis=1)
+            out[todo[hit]] = k
+            todo = todo[~hit]
         if len(todo):
-            raise ValueError(f"simplex {(int(vertices[todo[0]]),)} lies outside this region")
+            row = simplices[todo[0]]
+            s = tuple(row.tolist())
+            if not search_sorted(self.ids, row)[1].all():
+                raise ValueError(f"simplex {s} lies outside this region")
+            raise ConsistencyError(
+                f"simplex {s} fits no piece; Lebesgue property violated "
+                f"(diameter precondition or covering bug)"
+            )
         return out
 
     def _split(self, z: Chain):
-        """Assign each simplex to the lowest piece containing all its vertices."""
+        """Assign each simplex to the lowest piece containing all its
+        vertices (_lowest_pieces), in term order."""
         parts = [dict() for _ in self.pieces]
-        for s, c in z.terms.items():
-            for k, piece in enumerate(self.pieces):
-                ok = True
-                for v in s:
-                    if v not in piece.point_set:
-                        ok = False
-                        break
-                if ok:
-                    parts[k][s] = c
-                    break
-            else:
-                for v in s:
-                    if v not in self.point_set:
-                        raise ValueError(f"simplex {s} lies outside this region")
-                raise ConsistencyError(
-                    f"simplex {s} fits no piece; Lebesgue property violated "
-                    f"(diameter precondition or covering bug)"
-                )
+        for k, (s, c) in zip(self._lowest_pieces(simplex_array(z)).tolist(), z.terms.items()):
+            parts[k][s] = c
         return [Chain(z.dim, self.p, t) for t in parts]
 
     def _chase(self, z: Chain, n: int):

@@ -246,8 +246,10 @@ def cohomology_pairs(cx, q: int, field: PrimeField, clear=None) -> np.ndarray:
     as Ripser does.  A column whose earliest coface is free is paired by
     reading that one entry; a column that clashes with a pivot is reduced
     by one _reduce_column call, as a {row: residue} dict at every p, with
-    no V; a source's column is built on its first use.  The simplices of
-    clear, an int array of the pivot columns of D_{q-1}, are skipped: their
+    no V.  A source's column is the one the loop reduced, which it keeps,
+    or else its coboundary rebuilt from the CSR slice on each use and not
+    stored, as Ripser recomputes coboundaries.  The simplices of clear, an
+    int array of the pivot columns of D_{q-1}, are skipped: their
     coboundary columns reduce to zero.
     """
     facets = cx.facets[q]
@@ -280,7 +282,7 @@ def cohomology_pairs(cx, q: int, field: PrimeField, clear=None) -> np.ndarray:
         s, e = starts[i], ends[i]
         return dict(zip(cofaces[s:e].tolist(), coefs[s:e].tolist()))
 
-    reduced = {}    # column -> its reduced coboundary, once built
+    reduced = {}    # column -> its coboundary, where the loop reduced it
     no_v = {}       # the V of every source: the pairing keeps none
 
     def source(l):
@@ -288,9 +290,7 @@ def cohomology_pairs(cx, q: int, field: PrimeField, clear=None) -> np.ndarray:
         if j < 0:
             return None
         src = reduced.get(j)
-        if src is None:
-            src = reduced[j] = column(j)
-        return src, no_v
+        return column(j) if src is None else src, no_v
 
     for i, low in zip(todo.tolist(), first[todo].tolist()):
         if pivot.item(low) >= 0:
@@ -476,11 +476,12 @@ class LeafReduction:
     left-to-right reduction at column j on its first read, from the pairs,
     and checks them there; a Betti-only run builds none.  The live
     n-simplices are the rows of the dimension-n eliminate() table for every
-    scale (entry reads a row's (column, e_row) from cols), and a view (view(scale), a LeafSolver) picks its basis from
-    killer[n] and live[n].  The complex is dropped after the build: the leaf
-    keeps its level-0 id array ids (point_set is made from it), prefix (the
-    last entry of each level is its count) and the facet tables, which give
-    every simplex's vertex rows (rips.vertex_rows) and boundary, as in
+    scale (entry reads a row's (column, e_row) from cols), and a view
+    (view(scale), a LeafSolver) picks its basis from killer[n] and
+    live[n].  The complex is dropped after the build: the leaf keeps its
+    level-0 id array ids, sorted, the one form of its point set, prefix
+    (the last entry of each level is its count) and the facet tables, which
+    give every simplex's vertex rows (rips.vertex_rows) and boundary, as in
     Ripser (Bauer, 2021).  They are also the one simplex lookup: rows_of
     finds a simplex's row by one search per level, a vertex's in ids and a
     q-simplex's in level q's keys, sorted on the first query at level q
@@ -498,7 +499,6 @@ class LeafReduction:
         top = n_max + 1
         cx = enumerate_complex(points, cloud, self.scales[-1], top, budget)
         self.ids = cx.points    # global id of each vertex row
-        self.point_set = frozenset(cx.points.tolist())
         _order_levels(cx, self.scales[0])
         self.facets = cx.facets
         # prefix[q][b]: the q-simplices of diameter <= scales[b].  A level
@@ -623,7 +623,6 @@ class LeafSolver:
         self.scale = scale
         self.n_max = reduction.n_max
         self.field = reduction.field
-        self.point_set = reduction.point_set
         self.ids = reduction.ids
         self._label = None  # vertex row -> dimension-0 basis index, on first read
         # Simplices of the view per dimension: a prefix of every level.
@@ -701,8 +700,7 @@ class LeafSolver:
     def _column(self, z: Chain, n: int) -> dict:
         """z over the view's n-simplices, by row (LeafReduction.rows_of); a
         simplex beyond the view's prefix is not in its complex."""
-        simplices = np.fromiter(itertools.chain.from_iterable(z.terms), np.int64,
-                                len(z.terms) * (n + 1)).reshape(-1, n + 1)
+        simplices = simplex_array(z)
         rows = self.reduction.rows_of(simplices)
         _require_found(simplices, rows < self._limit[n])
         return dict(zip(rows.tolist(), z.terms.values()))
@@ -761,9 +759,12 @@ class LeafSolver:
         return [self.betti(n) for n in range(self.n_max + 1)]
 
 
-def _vertex_ids(z: Chain) -> np.ndarray:
-    """The global ids of a 0-chain's vertices, in the order of its terms."""
-    return np.fromiter((s[0] for s in z.terms), np.int64, len(z.terms))
+def simplex_array(z: Chain) -> np.ndarray:
+    """A chain's simplices as an (m, dim + 1) int64 array of global ids, a
+    row per term, in the order of its terms."""
+    k = z.dim + 1
+    return np.fromiter(itertools.chain.from_iterable(z.terms), np.int64,
+                       len(z.terms) * k).reshape(-1, k)
 
 
 def vertex_coords(solver, z: Chain, p: int) -> dict:
@@ -771,7 +772,7 @@ def vertex_coords(solver, z: Chain, p: int) -> dict:
     coefficients at its vertices' labels (solver.labels), the one rule of
     dimension 0 on leaves and nodes alike."""
     out = {}
-    for b, c in zip(solver.labels(_vertex_ids(z)).tolist(), z.terms.values()):
+    for b, c in zip(solver.labels(simplex_array(z).ravel()).tolist(), z.terms.values()):
         c = (out.get(b, 0) + c) % p
         if c:
             out[b] = c

@@ -182,25 +182,12 @@ class TestChainArithmetic:
 
 
 class TestPrimeField:
-    @pytest.mark.parametrize("p", [2, 3, 5, 7, 7919])
-    def test_inverses(self, p):
-        f = PrimeField(p)
-        for a in range(1, p):
-            assert (a * f.inv(a)) % p == 1
-            assert 0 < f.inv(a) < p
-
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_distributivity(self, p):
         rng = np.random.default_rng(p)
-        f = PrimeField(p)
         for _ in range(50):
             a, b, c = (int(x) for x in rng.integers(0, p, size=3))
             assert (a * ((b + c) % p)) % p == ((a * b) % p + (a * c) % p) % p
-            if a and b:
-                # Inversion respects the field product, and accepts any
-                # representative of a residue.
-                assert f.inv((a * b) % p) == (f.inv(a) * f.inv(b)) % p
-                assert f.inv(a + 3 * p) == f.inv(a)
 
     def test_non_prime_rejected(self):
         for bad in (0, 1, 4, 6, 9, 15):
@@ -225,8 +212,4 @@ class TestPrimeField:
     def test_accepts_a_field_or_an_integral_value(self):
         assert PrimeField(PrimeField(3)) == PrimeField(np.int64(3)) == PrimeField(3)
         assert PrimeField(np.uint8(5)).p == 5 and type(PrimeField(np.int32(7)).p) is int
-
-    def test_zero_has_no_inverse(self):
-        with pytest.raises(ZeroDivisionError):
-            PrimeField(5).inv(0)
 

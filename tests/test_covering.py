@@ -7,9 +7,12 @@ from mvbetti.core import Chain, ConsistencyError, PointCloud
 from mvbetti.covering import (FULL, _cells, _disjoint, build_covering, cell, choose_k,
                               full_box, overlap, split_axis)
 from mvbetti.engine import run
+from mvbetti.mayer_vietoris import MVNodeSolver
 from mvbetti.reduction import build_leaf
 
 from conftest import HEX_POINTS, leaf_count, node_of
+from test_dimension_zero import _solvers
+from test_leaf_views import _lattice
 
 
 def line_cloud():
@@ -170,7 +173,8 @@ def two_piece_node(p=3):
 
 class TestAssign:
     """MVNodeSolver._split assigns each simplex of a chain to the lowest
-    piece holding all its vertices, the assignment that run() uses."""
+    piece holding all its vertices, the assignment that run() uses, by the
+    rule that labels() reads too (_lowest_pieces)."""
 
     def test_lowest_cell_tiebreak(self):
         cov, node = two_piece_node()
@@ -210,6 +214,38 @@ class TestAssign:
             lo = rng.uniform(0.0, 10.0)
             hi = min(lo + rng.uniform(0.0, 1.0), 10.0)
             assert any(a <= lo and hi <= b for a, b in cells), (lo, hi)
+
+    @pytest.mark.parametrize("case", ["lattice40-4x4", "two-piece"])
+    def test_lowest_pieces_by_brute_force(self, case):
+        # On every node, nested ones included, of the tie-heavy 40x40
+        # lattice cut 4x4 (the CI cloud) and on two_piece_node: each vertex
+        # and random edge goes to the lowest piece whose ids hold all its
+        # vertices, found over Python sets; an edge that fits no piece
+        # raises, named, even behind edges that fit.  A node's ids are its
+        # pieces' sorted union.
+        if case == "two-piece":
+            nodes = [two_piece_node()[1]]
+        else:
+            solvers = _solvers(_lattice(2, 40), 0.06, 0.06, [4, 4], 2, n_max=0)
+            nodes = [s for s in solvers if isinstance(s, MVNodeSolver)]
+            assert any(isinstance(pc, MVNodeSolver) for x in nodes for pc in x.pieces)
+        rng = np.random.default_rng(12)
+        for node in nodes:
+            sets = [set(pc.ids.tolist()) for pc in node.pieces]
+            assert node.ids.tolist() == sorted(set().union(*sets))
+            edges = np.sort(rng.choice(node.ids, (300, 2)), axis=1)
+            edges = edges[edges[:, 0] < edges[:, 1]]
+            for simplices in (node.ids[:, None], edges):
+                lowest = [next((k for k, s in enumerate(sets) if s.issuperset(row)), None)
+                          for row in simplices.tolist()]
+                fit = np.array([k is not None for k in lowest], bool)
+                assert fit.any()
+                assert node._lowest_pieces(simplices[fit]).tolist() == [
+                    k for k in lowest if k is not None]
+                for bad in simplices[~fit][:3]:
+                    with pytest.raises(ConsistencyError,
+                                       match=rf"^simplex \({bad[0]}, {bad[1]}\) fits no piece"):
+                        node._lowest_pieces(np.vstack([simplices[fit][:5], bad]))
 
     def test_deterministic_and_order_free(self):
         _, node = two_piece_node()

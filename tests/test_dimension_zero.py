@@ -29,7 +29,7 @@ def _vertex(v, p):
 
 
 def _check_dimension_0(solver, cloud, scale, p, rng, bounds=8):
-    region = sorted(solver.point_set)
+    region = solver.ids.tolist()
     comp = brute_force_components(region, cloud, scale)
     # One single-vertex representative per component, each its own class.
     roots = []
@@ -111,7 +111,7 @@ def test_nested_grid_labels_are_components(d, n, eps, scales, grid, p):
         for solver in solvers:
             _check_dimension_0(solver, cloud, s, p, rng, bounds=4)
         # The root covers the cloud: nothing lies outside it.
-        assert solvers[-1].point_set == frozenset(range(cloud.n))
+        assert np.array_equal(solvers[-1].ids, np.arange(cloud.n))
 
 
 def test_f0_is_built_from_labels_without_coords(monkeypatch):

@@ -86,7 +86,7 @@ class TestBuildSolver:
         for region in built:
             solvers = assembled[id(region)]
             assert len(solvers) == len(scales)
-            assert all(s.region is region and s.point_set is region.point_set
+            assert all(s.region is region and s.ids is region.ids
                        for s in solvers)
 
     def test_job_plan_collapses_unit_axes(self):

@@ -163,7 +163,7 @@ class TestAssemble:
         cov = build_covering(pc, 0.5, 5)
         node = execute_scale(pc, cov, plan_jobs(cov), 0.5, 1, f, DEFAULT_BUDGET, 1, [0.5], {})[0]
         assert node.betti_all() == [2, 0]
-        sizes = [len(s.point_set) for s in node.pieces]
+        sizes = [len(s.ids) for s in node.pieces]
         assert 0 in sizes
 
     def test_mismatched_overlap_rejected(self):

@@ -232,6 +232,24 @@ class TestReduceColumn:
         assert type(r1) is int and type(r2) is dict and type(v2) is dict
         assert (as_dict(r1), as_dict(v1), l1) == (r2, v2, l2)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 7919])
+    def test_the_step_divides_by_the_pivot_entry(self, p):
+        # For every nonzero residue a at col's lowest row and a drawn one b
+        # at the pair's, one dict step subtracts (a / b) R_k: row 3 cancels,
+        # row 1 takes the multiple c of R_k's entry there, and V takes c
+        # times V_k.  c is the field's own quotient, whatever the residue.
+        # The pair is given once, so a step that fails to cancel row 3
+        # returns it rather than spinning.
+        rng = np.random.default_rng(p)
+        for a in range(1, p):
+            b, e = (int(x) for x in rng.integers(1, p, size=2))
+            once = iter([({3: b, 1: e}, {5: 1})])
+            source = lambda l: next(once, None) if l == 3 else None
+            col, v, l = _reduce_column({0: 1, 3: a}, {2: 1}, source, p)
+            c = v[5]
+            assert 0 < c < p and (a + c * b) % p == 0
+            assert (col, v, l) == ({0: 1, 1: c * e % p}, {2: 1, 5: c}, 1)
+
 
 class TestLeafSolver:
     def test_empty_region(self):
