@@ -6,10 +6,13 @@ overlaps have width exactly eps.  Because coordinate projections are
 axis (a Lebesgue-number property).  points_in_box selects a region's points
 with the same closed intervals, so every such simplex has all its vertices
 in some piece of a split, and mayer_vietoris.MVNodeSolver._split, which
-assigns each simplex of a chain to the lowest such piece, is total.
-Non-adjacent cells must be disjoint at their float endpoints, which
-requires R/k > eps and is enforced at construction from k = 3 on (two cells
-have no non-adjacent pair).
+assigns each simplex of a chain to the lowest such piece
+(_lowest_pieces, which checks it per query), is total.  Non-adjacent cells
+must be disjoint at their float endpoints, which requires R/k > eps and is
+enforced at construction from k = 3 on (two cells have no non-adjacent
+pair).  mayer_vietoris.NodeRegion checks the same path hypothesis on the
+points, once per run: no point in two pieces more than one apart, and each
+overlap exactly its two pieces' intersection.
 """
 
 from __future__ import annotations

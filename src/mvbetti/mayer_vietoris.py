@@ -12,8 +12,17 @@ determines the union's homology as coker(f_n) (+) ker(f_{n-1}).  This module
 builds the f matrices from child solvers, extracts kernel and cokernel bases
 exactly over Z/p, and answers coords()/bound() on the union by the standard
 chain-level chase, so a node composes with further nodes exactly like a leaf
-solver.  What no scale changes, the union's point set and the overlap
-check, is its NodeRegion's, which every scale's solver shares.
+solver.  What no scale changes, the union's point set, its piece table and
+the path checks, is its NodeRegion's, which every scale's solver shares.
+
+The path hypothesis is checked where each part of it can fail, each
+failure a ConsistencyError: covering._disjoint keeps non-adjacent grid
+cells disjoint at their float endpoints when a covering is built;
+NodeRegion, once per run, checks from its piece table that no point lies
+in two pieces more than one apart and that overlap k is exactly the points
+of pieces k and k + 1; and _lowest_pieces, per query, finds a piece
+holding every vertex of each simplex (the Lebesgue property).
+
 Representatives are read by class, and the explicit union cycle of a
 kernel basis vector (the connecting-map lift) is built on the first read of
 its class: a Betti-only root builds none, and a chase only those its kernel
@@ -56,15 +65,20 @@ def _combo_chain(solver, n: int, coeffs, p: int) -> Chain:
     return out
 
 
-def _block_coords(solver, z: Chain, n: int, offset: int, what: str) -> dict:
-    """solver.coords(z, n) with its keys shifted by offset into an f-matrix
-    block.  A child that rejects z breaks exactness, so its ValueError is
-    raised as ConsistencyError, prefixed by what."""
+def _ask_child(what: str, query, *args):
+    """query(*args) on a child solver.  A child that rejects a query the
+    node derived from its own pieces and overlaps breaks exactness, so its
+    ValueError is raised as ConsistencyError, prefixed by what."""
     try:
-        co = solver.coords(z, n)
+        return query(*args)
     except ValueError as exc:
         raise ConsistencyError(f"{what}: {exc}") from exc
-    return {offset + i: c for i, c in co.items()}
+
+
+def _block_coords(solver, z: Chain, n: int, offset: int, what: str) -> dict:
+    """solver.coords(z, n), asked by _ask_child, with its keys shifted by
+    offset into an f-matrix block."""
+    return {offset + i: c for i, c in _ask_child(what, solver.coords, z, n).items()}
 
 
 class FMatrix:
@@ -178,11 +192,8 @@ def build_f(pieces, inters, n: int, field) -> FMatrix:
     for k, inter in enumerate(inters):
         if n == 0:
             roots = inter.roots()
-            try:    # as in _block_coords
-                plus = (pieces[k].labels(roots) + row_off[k]).tolist()
-                minus = (pieces[k + 1].labels(roots) + row_off[k + 1]).tolist()
-            except ValueError as exc:
-                raise ConsistencyError(f"{what}: {exc}") from exc
+            plus = (_ask_child(what, pieces[k].labels, roots) + row_off[k]).tolist()
+            minus = (_ask_child(what, pieces[k + 1].labels, roots) + row_off[k + 1]).tolist()
             columns += [{a: 1, b: p - 1} for a, b in zip(plus, minus)]
             continue
         for rep in inter.representatives(n):
@@ -196,11 +207,21 @@ def build_f(pieces, inters, n: int, field) -> FMatrix:
 class NodeRegion:
     """What a node's solvers share at every scale, as a leaf's views share
     its LeafReduction: n_max, the field, the union's point set as its sorted
-    ids, and the check that each overlap is its pieces' intersection.  Built
-    once per node box per run from the child solvers of one scale, of which
-    it reads only ids, the same array at every scale."""
+    ids, and its piece table: lo[i] and hi[i], the first and last piece
+    holding ids[i], in the smallest unsigned dtype that holds the piece
+    count.  Built once per node box per run from the child solvers of one
+    scale, of which it reads only ids, the same array at every scale.
 
-    __slots__ = ("n_max", "field", "parts", "ids")
+    The path hypothesis, pieces a and b disjoint unless |a - b| <= 1 with
+    overlap k their intersection, and every simplex in some piece, is
+    checked in three places, each failure a ConsistencyError.
+    covering._disjoint keeps non-adjacent grid cells apart when a covering
+    is built.  This table, once per run, puts no point in two pieces more
+    than one apart and makes overlap k exactly the points whose (lo, hi)
+    is (k, k + 1).  MVNodeSolver._lowest_pieces, per query, finds a piece
+    holding every vertex of each simplex."""
+
+    __slots__ = ("n_max", "field", "parts", "ids", "lo", "hi")
 
     def __init__(self, pieces, inters, n_max: int, field):
         if len(inters) != max(len(pieces) - 1, 0):
@@ -211,16 +232,30 @@ class NodeRegion:
         self.n_max, self.field = n_max, PrimeField(field)
         self.parts = [pc.ids for pc in pieces], [it.ids for it in inters]
         ids = self.parts[0]
+        # No np.unique: its first call imports numpy.ma, a cost in every run.
+        union = np.sort(np.concatenate(ids))
+        self.ids = union = union[np.diff(union, prepend=-1) != 0]
+        K = len(ids)
+        lo = self.lo = np.full(len(union), K, np.min_scalar_type(K))
+        hi = self.hi = np.zeros_like(lo)
+        for k, part in enumerate(ids):
+            pos = np.searchsorted(union, part)
+            lo[pos] = np.minimum(lo[pos], k)
+            hi[pos] = k
+        far = np.flatnonzero(hi - lo > 1)
+        if len(far):
+            i = far[0]
+            raise ConsistencyError(
+                f"point {union[i]} lies in pieces {lo[i]} and {hi[i]}: pieces "
+                f"more than one apart must be disjoint"
+            )
         for k, got in enumerate(self.parts[1]):
-            expect = np.intersect1d(ids[k], ids[k + 1], assume_unique=True)
+            expect = union[(lo == k) & (hi == k + 1)]
             if not np.array_equal(got, expect):
                 raise ConsistencyError(
                     f"overlap solver {k} covers {got.tolist()} but the "
                     f"pieces intersect in {expect.tolist()}"
                 )
-        # No np.unique: its first call imports numpy.ma, a cost in every run.
-        union = np.sort(np.concatenate(ids))
-        self.ids = union[np.diff(union, prepend=-1) != 0]
 
 
 class MVNodeSolver:
@@ -376,28 +411,28 @@ class MVNodeSolver:
     def _lowest_pieces(self, simplices) -> np.ndarray:
         """The lowest piece whose ids hold every vertex of each row of an
         (m, q + 1) int array of global ids, the one assignment rule of a
-        node, by one search per piece over the rows not yet assigned.  The
-        first row left, in order, raises ValueError if a vertex of it lies
-        outside the node's ids, else ConsistencyError: the covering lost
-        the Lebesgue property."""
-        out = np.empty(len(simplices), np.int64)
-        todo = np.arange(len(simplices))
-        for k, piece in enumerate(self.pieces):
-            if not len(todo):
-                break
-            hit = search_sorted(piece.ids, simplices[todo])[1].all(axis=1)
-            out[todo[hit]] = k
-            todo = todo[~hit]
-        if len(todo):
-            row = simplices[todo[0]]
-            s = tuple(row.tolist())
-            if not search_sorted(self.ids, row)[1].all():
+        node.  A point's pieces run from lo to hi (NodeRegion), so the
+        pieces holding a row run from the largest lo of its vertices to the
+        smallest hi, and the lowest is that lo.  The first row that fits no
+        piece, in order, raises ValueError if a vertex of it lies outside
+        the node's ids, else ConsistencyError: the covering lost the
+        Lebesgue property."""
+        pos, found = search_sorted(self.ids, simplices)
+        inside = found.all(axis=1)
+        rows = pos[inside]
+        low = self.region.lo[rows].max(axis=1)
+        fit = inside.copy()
+        fit[inside] = low <= self.region.hi[rows].min(axis=1)
+        if not fit.all():
+            i = np.argmin(fit)
+            s = tuple(simplices[i].tolist())
+            if not inside[i]:
                 raise ValueError(f"simplex {s} lies outside this region")
             raise ConsistencyError(
                 f"simplex {s} fits no piece; Lebesgue property violated "
                 f"(diameter precondition or covering bug)"
             )
-        return out
+        return low
 
     def _split(self, z: Chain):
         """Assign each simplex to the lowest piece containing all its
@@ -432,12 +467,7 @@ class MVNodeSolver:
             omegas = self._partial_boundaries(zs)
         vs = []
         for k, om in enumerate(omegas):
-            try:
-                v = self.inters[k].bound(om, n - 1)
-            except ValueError as exc:
-                raise ConsistencyError(
-                    f"partial boundary escaped overlap {k}: {exc}"
-                ) from exc
+            v = _ask_child(f"partial boundary escaped overlap {k}", self.inters[k].bound, om, n - 1)
             if v is None:
                 raise ConsistencyError(
                     f"partial boundary is non-bounding in overlap {k} after "

@@ -182,12 +182,22 @@ class TestChainArithmetic:
 
 
 class TestPrimeField:
-    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 7919])
     def test_distributivity(self, p):
+        # Chain arithmetic over Z/p: (a + b).scaled(c) == a.scaled(c) +
+        # b.scaled(c) on random 1-chains sharing some edges, with c = 0, 1,
+        # p - 1, a random residue and a random integer in [-p, 2p).
         rng = np.random.default_rng(p)
+        edges = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+
+        def chain():
+            pick = rng.choice(len(edges), rng.integers(0, len(edges) + 1), replace=False)
+            return Chain(1, p, {edges[e]: int(rng.integers(0, p)) for e in pick})
+
         for _ in range(50):
-            a, b, c = (int(x) for x in rng.integers(0, p, size=3))
-            assert (a * ((b + c) % p)) % p == ((a * b) % p + (a * c) % p) % p
+            a, b = chain(), chain()
+            for c in {0, 1, p - 1, int(rng.integers(0, p)), int(rng.integers(-p, 2 * p))}:
+                assert (a + b).scaled(c) == a.scaled(c) + b.scaled(c)
 
     def test_non_prime_rejected(self):
         for bad in (0, 1, 4, 6, 9, 15):

@@ -222,7 +222,8 @@ class TestAssign:
         # and random edge goes to the lowest piece whose ids hold all its
         # vertices, found over Python sets; an edge that fits no piece
         # raises, named, even behind edges that fit.  A node's ids are its
-        # pieces' sorted union.
+        # pieces' sorted union, and its region's lo and hi the first and
+        # last piece holding each id.
         if case == "two-piece":
             nodes = [two_piece_node()[1]]
         else:
@@ -233,6 +234,9 @@ class TestAssign:
         for node in nodes:
             sets = [set(pc.ids.tolist()) for pc in node.pieces]
             assert node.ids.tolist() == sorted(set().union(*sets))
+            holding = [[k for k, s in enumerate(sets) if i in s] for i in node.ids.tolist()]
+            assert node.region.lo.tolist() == [ks[0] for ks in holding]
+            assert node.region.hi.tolist() == [ks[-1] for ks in holding]
             edges = np.sort(rng.choice(node.ids, (300, 2)), axis=1)
             edges = edges[edges[:, 0] < edges[:, 1]]
             for simplices in (node.ids[:, None], edges):

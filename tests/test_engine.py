@@ -1,7 +1,10 @@
 import gc
 import os
+import subprocess
+import sys
 import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,6 +188,32 @@ class TestRun:
         assert betti_at(rep, 1.0) == [1, 1]
         assert rep.grid == [2, 2]
         assert rep.diagnostics["leaf_count"] == 9
+
+    def test_a_run_imports_no_numpy_ma(self):
+        # The first call of np.unique, np.union1d or np.intersect1d without
+        # assume_unique imports numpy.ma, 9-12 ms and 1.8 MB that every run
+        # would pay.  In a fresh interpreter, run() on a nested multi-scale
+        # grid at p = 2 and p = 3 and the oracle must not import it.
+        code = """if True:
+            import sys
+            import numpy as np
+            from mvbetti.core import PointCloud
+            from mvbetti.engine import run
+            from mvbetti.reduction import persistence_barcode
+            cloud = PointCloud(np.random.default_rng(0).random((300, 2)))
+            for p in (2, 3):
+                rep = run(cloud, 0.15, [0.05, 0.1, 0.15], n_max=1, field=p, workers=1,
+                          grid=[3, 3])
+                assert rep.diagnostics["leaf_count"] == 25
+            persistence_barcode(range(cloud.n), cloud, 0.15, 1, 2)
+            sys.exit("numpy.ma" in sys.modules)
+        """
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr or "numpy.ma was imported"
 
     def test_single_cell_equals_direct(self):
         rng = np.random.default_rng(2)

@@ -187,6 +187,30 @@ class TestAssemble:
         with pytest.raises(ConsistencyError, match="not over the region's"):
             assemble(region, [b, a], [i])
 
+    def test_non_consecutive_pieces_rejected(self):
+        # Three leaves of the unit hexagon at 1.01 that close into a cycle:
+        # each overlap is its pieces' intersection, but pieces 0 and 2
+        # share point 0, so the covering is no path.  Assembled, it read
+        # Betti [1, 0] where the hexagon has [1, 1].
+        pc = PointCloud(HEX_POINTS)
+        f = PrimeField(2)
+
+        def leaf(ids):
+            return build_leaf(ids, pc, [1.01], 1, f).view(1.01)
+
+        assert leaf(range(6)).betti_all() == [1, 1]
+        pieces = [leaf([0, 1, 2]), leaf([2, 3, 4]), leaf([4, 5, 0])]
+        with pytest.raises(ConsistencyError, match=r"^point 0 lies in pieces 0 and 2: "):
+            NodeRegion(pieces, [leaf([2]), leaf([4])], 1, f)
+
+    def test_point_in_three_consecutive_pieces_rejected(self):
+        pc = PointCloud([[0.0], [1.0], [2.0]])
+        f = PrimeField(2)
+        a, b, c, i = (build_leaf(ids, pc, [1.0], 1, f).view(1.0)
+                      for ids in ([0, 1], [1], [1, 2], [1]))
+        with pytest.raises(ConsistencyError, match=r"^point 1 lies in pieces 0 and 2: "):
+            NodeRegion([a, b, c], [i, i], 1, f)
+
     def test_wrong_overlap_count_rejected(self):
         pc = PointCloud([[0.0], [1.0], [2.0]])
         f = PrimeField(2)
@@ -298,6 +322,33 @@ class TestUnionQueries:
         # The chase corrects the hexagon's kernel class with the lift.
         with pytest.raises(ConsistencyError, match=message):
             node_of([a, b], [i], 1, f).coords(hexagon_cycle(3), 1)
+
+    @pytest.mark.parametrize("child,query,message", [
+        (0, "labels", "overlap representative is not a cycle of its piece"),
+        (2, "coords", "partial boundary escaped overlap 0"),
+        (2, "bound", "partial boundary escaped overlap 0"),
+        (1, "coords", "corrected piece chain is not a cycle in piece 1"),
+    ], ids=["f0-labels", "chase-coords", "chase-bound", "target-coords"])
+    def test_a_child_rejecting_a_query_breaks_exactness(self, monkeypatch, child, query,
+                                                        message):
+        # Every query a node asks a child comes from its own pieces and
+        # overlaps, so a child's ValueError is raised as ConsistencyError,
+        # prefixed by where it was asked: f_0's labels at construction, and
+        # in the chase of the hexagon's cycle the overlap's coords and bound
+        # and the pieces' coords.
+        _, f, a, b, i = hexagon_two_pieces(3)
+        node = node_of([a, b], [i], 1, f)
+
+        def reject(*args):
+            raise ValueError("injected")
+
+        monkeypatch.setattr((a, b, i)[child], query, reject)
+        with pytest.raises(ConsistencyError, match=f"^{message}: injected$") as ei:
+            if query == "labels":
+                node_of([a, b], [i], 1, f)
+            else:
+                node.coords(hexagon_cycle(3), 1)
+        assert isinstance(ei.value.__cause__, ValueError)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_chase_builds_only_the_lift_it_names(self, monkeypatch, p):
