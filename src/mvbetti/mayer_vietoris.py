@@ -27,8 +27,10 @@ Representatives are read by class, and the explicit union cycle of a
 kernel basis vector (the connecting-map lift) is built on the first read of
 its class: a Betti-only root builds none, and a chase only those its kernel
 correction names.  Class coordinates are sparse {basis index:
-nonzero residue} dicts throughout, the representation of a dict column: a
+nonzero residue} dicts throughout, the format of every column here: a
 child's coords() shifts straight into an f-matrix column or target vector.
+The f-matrices, their tables and kernel bases and every vector the chase
+reduces are dicts at every p; bitsets stay inside the leaves (reduction).
 
 Dimension 0 runs on component labels, with no chase (Edelsbrunner & Harer,
 "Computational Topology", 2010: H_0 by union-find).  Every solver's basis
@@ -52,8 +54,8 @@ from itertools import accumulate
 import numpy as np
 
 from .core import Chain, ConsistencyError, chain_boundary, require_query
-from .reduction import (PrimeField, _unit, as_dict, eliminate, reduce_columns,
-                        search_sorted, simplex_array, vertex_coords)
+from .reduction import (PrimeField, eliminate, reduce_columns, search_sorted, simplex_array,
+                        vertex_coords)
 
 
 def _combo_chain(solver, n: int, coeffs, p: int) -> Chain:
@@ -93,7 +95,8 @@ class FMatrix:
     table holds each pivot's (R_j, V_j), by its lowest row, and the kernel
     table each kernel vector's (V_j, e_i), by j.  coker_rows are the
     non-pivot rows, ascending, and kernel_cols the echelon nullspace, the
-    native V_j of the zero columns R_j, i their index there.  V is unit
+    V_j of the zero columns R_j, i their index there.  Every column and
+    table entry is a {row: nonzero residue} dict, at every p.  V is unit
     upper-triangular, so V_j's lowest row is j, the kernel columns have
     distinct lowest rows, and membership in the kernel is a straight
     elimination.  f_0 is an incidence matrix, +1 and -1 in each column
@@ -109,7 +112,7 @@ class FMatrix:
         self.columns = columns
         self.row_starts = row_starts
         self.col_starts = col_starts
-        p = self.p = field.p
+        self.p = field.p
         red = reduce_columns(columns, field)
         self.rank = red.rank
         self._image = {l: (red.r[j], red.v[j]) for l, j in red.pivots.items()}
@@ -117,7 +120,7 @@ class FMatrix:
         self._coker_pos = {r: i for i, r in enumerate(self.coker_rows)}
         kernel = [j for j in range(red.ncols) if not red.r[j]]
         self.kernel_cols = [red.v[j] for j in kernel]
-        self._kernel = {j: (red.v[j], _unit(i, p)) for i, j in enumerate(kernel)}
+        self._kernel = {j: (red.v[j], {i: 1}) for i, j in enumerate(kernel)}
 
     @property
     def nrows(self) -> int:
@@ -129,15 +132,15 @@ class FMatrix:
 
     def project_coker(self, t: dict):
         """Reduce a target vector mod im(f), in one elimination against the
-        image's (R_j, V_j): (cokernel coordinates, y), y the native source
-        column with f(y) = t minus the cokernel rows left, so f(y) = t when
-        the projection is zero.
+        image's (R_j, V_j): (cokernel coordinates, y), y the source vector,
+        a {column: nonzero residue} dict, with f(y) = t minus the cokernel
+        rows left, so f(y) = t when the projection is zero.
 
         Every row left after eliminating the image pivot rows is a cokernel row.
         """
         rest, y = eliminate(t, self._image.get, self.p)
         pos = self._coker_pos
-        return {pos[r]: c for r, c in as_dict(rest).items()}, y
+        return {pos[r]: c for r, c in rest.items()}, y
 
     def row_classes(self) -> np.ndarray:
         """The cokernel position of each row's class, for an f whose every
@@ -153,8 +156,7 @@ class FMatrix:
         for r in range(self.nrows):
             pos = self._coker_pos.get(r)
             if pos is None:
-                col = self._image[r][0]
-                other = (col & -col).bit_length() - 1 if type(col) is int else min(col)
+                other = min(self._image[r][0])
                 if other == r:
                     raise ConsistencyError(
                         f"row {r} of f_0 is in its image: a vertex class vanishes")
@@ -169,7 +171,7 @@ class FMatrix:
             raise ConsistencyError(
                 "connecting-map image landed outside ker(f); exactness violated"
             )
-        return as_dict(w)
+        return w
 
 
 def build_f(pieces, inters, n: int, field) -> FMatrix:
@@ -249,8 +251,11 @@ class NodeRegion:
                 f"point {union[i]} lies in pieces {lo[i]} and {hi[i]}: pieces "
                 f"more than one apart must be disjoint"
             )
-        for k, got in enumerate(self.parts[1]):
-            expect = union[(lo == k) & (hi == k + 1)]
+        # The points of two pieces, grouped by lo, ascending within a group.
+        two = np.flatnonzero(hi == lo + 1)
+        two = two[np.argsort(lo[two], kind="stable")]
+        ends = np.cumsum(np.bincount(lo[two], minlength=len(inters)))
+        for k, (got, expect) in enumerate(zip(self.parts[1], np.split(union[two], ends[:-1]))):
             if not np.array_equal(got, expect):
                 raise ConsistencyError(
                     f"overlap solver {k} covers {got.tolist()} but the "
@@ -371,7 +376,7 @@ class MVNodeSolver:
         lift = self._lifts.get((n, b - m))
         if lift is None:
             lift = self._lifts[n, b - m] = self._connecting_lift(
-                as_dict(self._f[n - 1].kernel_cols[b - m]), n - 1)
+                self._f[n - 1].kernel_cols[b - m], n - 1)
         return lift
 
     def representatives(self, n: int):
@@ -534,7 +539,7 @@ class MVNodeSolver:
         # f(y) = t, so with rho_k the overlap chains of y each
         # xi_k - rho_k + rho_{k-1} bounds in piece k: telescope over -y.
         p = self.p
-        w = self._telescope(xis, {j: p - c for j, c in as_dict(y).items()}, n,
+        w = self._telescope(xis, {j: p - c for j, c in y.items()}, n,
                             "membership combination")
         if chain_boundary(w) != z:
             raise ConsistencyError("union bound() produced a chain whose boundary differs from z")

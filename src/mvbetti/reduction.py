@@ -17,27 +17,30 @@ barcode, the oracle for the divide-and-conquer path (see
 persistence_barcode for what it shares with run() and what keeps it
 independent).
 
-Columns are native Python values: int bitsets (bit r = row r), where
-column addition is one XOR, and {row: nonzero residue} dicts, updated by
-core._axpy.  Every exact step is one pivot step, _reduce_column: cancel a
-column's lowest row against a pair (R, V) whose R has the same lowest row,
-by the path of the column's type.  Its callers: reduce_columns reduces a
-matrix left to right with V, as bitsets at p = 2 and dicts otherwise;
-cohomology_pairs finds the pivot pairs of a boundary matrix by reducing
-coboundary columns read from the level's facet table (written by the
-clique expansion, RipsComplex.facets), as dicts at every p, and
-_pair_levels takes D_1's pairs from union-find over the edges instead; a
-leaf's _Columns builds its R and V one column at a time; and eliminate
-reduces one column against a table of (R, V) pairs with distinct lowest
-rows, given as a row lookup, the step behind a region's coords queries
-above dimension 0, its bound queries and the Mayer-Vietoris kernel and
-cokernel.  The pairs have one format from the pairing to every reader, the
-leaf, its views and the oracle: per level, an int64 killer array, each
-simplex's partner one dimension up or -1.  A region's build ends at its
-pairing: the columns R_j and V_j of its reduction are built one at a time,
-from the pairs, when a query reads them (_Columns), and each checks the
-pairs as it is built.  combine forms linear combinations of columns, and
-as_dict decodes a column of either representation.
+Columns are {row: nonzero residue} dicts, updated by core._axpy, at
+every p, except inside a leaf: there they are int bitsets (bit r = row r)
+at p = 2, where column addition is one XOR.  A leaf builds its columns,
+its tables' and those of the cycles it is asked about, in its own format,
+and decodes what it returns (as_dict), so no bitset leaves it.  Every
+exact step is one pivot step, _reduce_column: cancel a column's lowest row
+against a pair (R, V) whose R has the same lowest row, by the path of the
+column's type.  Its callers: reduce_columns reduces a matrix of dict
+columns left to right with V; cohomology_pairs finds the pivot pairs of a
+boundary matrix by reducing coboundary columns read from the level's facet
+table (written by the clique expansion, RipsComplex.facets), as dicts at
+every p, and _pair_levels takes D_1's pairs from union-find over the edges
+instead; a leaf's _Columns builds its R and V one column at a time; and
+eliminate reduces one column against a table of (R, V) pairs with distinct
+lowest rows, in the table's own format, given as a row lookup, the step
+behind a region's coords queries above dimension 0, its bound queries and
+the Mayer-Vietoris kernel and cokernel.  The pairs have one format from
+the pairing to every reader, the leaf, its views and the oracle: per
+level, an int64 killer array, each simplex's partner one dimension up or
+-1.  A region's build ends at its pairing: the columns R_j and V_j of its
+reduction are built one at a time, from the pairs, when a query reads them
+(_Columns), and each checks the pairs as it is built.  combine forms
+linear combinations of a leaf's columns, and as_dict decodes a column of
+either format.
 """
 
 from __future__ import annotations
@@ -53,8 +56,7 @@ from .core import (Chain, ConsistencyError, PointCloud, PrimeField, _axpy, chain
                    require_int, require_query, require_real, require_scales)
 # boundary_matrix is not called here: perfbench/tracer.py wraps this
 # module's name for it, as it does reduce_columns.
-from .rips import (DEFAULT_BUDGET, boundary_column, boundary_matrix, enumerate_complex,
-                   facet_signs, vertex_rows)
+from .rips import DEFAULT_BUDGET, boundary_matrix, enumerate_complex, facet_signs, vertex_rows
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +72,7 @@ def _bits(col) -> int:
 
 
 def as_dict(col) -> dict:
-    """A column of either representation as a new {row: residue} dict."""
+    """A column of either format as a new {row: residue} dict."""
     if type(col) is not int:
         return dict(col)
     out = {}
@@ -87,7 +89,8 @@ def _unit(j: int, p: int):
 
 
 def combine(terms, p: int):
-    """The native column sum(c * col) over (col, c) pairs of native columns."""
+    """The column sum(c * col) over (col, c) pairs of a leaf's columns,
+    in the leaf's format."""
     if p == 2:
         out = 0
         for col, c in terms:
@@ -107,15 +110,16 @@ def eliminate(col, lookup, p: int):
     lookup(row) returns the table entry (R, V) whose R has row as its
     lowest (largest) nonzero row, or None when row is not a table row: a
     dict's .get, or a leaf's table that builds each entry on first lookup.
-    Every table column is native and nonzero.  col is reduced by
-    _reduce_column, each row at which lookup gives None being set aside;
-    clearing a row touches no larger row.  Returns (remainder, w), both
-    native: col - remainder = sum(c * R) and w = sum(c * V) over the
-    entries used, and no row of the remainder is a table row.  A table of
-    (R, e_tag) entries so gives the coefficients as w.  A dict col holds
-    nonzero residues; at p = 2 col may also be a bitset.
+    Every table column is nonzero, and col and the table's columns are of
+    one format, the table's own: a leaf's int bitsets at p = 2, else
+    {row: nonzero residue} dicts.  col is not changed: a copy of it is
+    reduced by _reduce_column, each row at which lookup gives None being
+    set aside; clearing a row touches no larger row.  Returns (remainder,
+    w), both of that format: col - remainder = sum(c * R) and w = sum(c *
+    V) over the entries used, and no row of the remainder is a table row.
+    A table of (R, e_tag) entries so gives the coefficients as w.
     """
-    col = (col if type(col) is int else _bits(col)) if p == 2 else dict(col)
+    col = col if type(col) is int else dict(col)
     rest, w = type(col)(), type(col)()
     while True:
         col, w, l = _reduce_column(col, w, lookup, p)
@@ -138,8 +142,8 @@ class ReducedPair:
 
     V is invertible upper-triangular; distinct nonzero columns of R have
     distinct lowest nonzero rows, recorded in pivots (low row -> column).
-    r and v list the columns of R and V, native (bitsets at p = 2, dicts
-    otherwise).
+    r and v list the columns of R and V, {row: nonzero residue} dicts at
+    every p.
     """
 
     __slots__ = ("ncols", "field", "r", "v", "pivots")
@@ -194,22 +198,18 @@ def _reduce_column(col, v, source, p: int):
 def reduce_columns(columns, field: PrimeField) -> ReducedPair:
     """Left-to-right column reduction of a sparse matrix over Z/p, with V.
 
-    columns is a list of {row: nonzero residue} dicts; at p = 2 a column
-    may also be an int bitset (bit r = row r), and every column is reduced
-    as a bitset.  While a column shares its lowest nonzero row with an
-    earlier column, the appropriate multiple of that earlier column is
-    subtracted (_reduce_column); V records the operations.  Deterministic
-    given the column order.
+    columns is a list of {row: nonzero residue} dicts, at every p, and the
+    columns of R and V are dicts too; the input is not changed.  While a
+    column shares its lowest nonzero row with an earlier column, the
+    appropriate multiple of that earlier column is subtracted
+    (_reduce_column); V records the operations.  Deterministic given the
+    column order.
     """
     p, n = field.p, len(columns)
     R, V, pivots = [None] * n, [None] * n, {}
     sources = {}    # pivot row -> its pivot column's (R, V)
     for j, col in enumerate(columns):
-        if p == 2:
-            col = col if type(col) is int else _bits(col)
-        else:
-            col = dict(col)
-        col, v, l = _reduce_column(col, _unit(j, p), sources.get, p)
+        col, v, l = _reduce_column(dict(col), {j: 1}, sources.get, p)
         if col:
             pivots[l] = j
             sources[l] = col, v
@@ -371,16 +371,17 @@ class _Columns(dict):
     """The pairs (R_j, V_j) of D_q's left-to-right reduction, by q-simplex
     j, each built on its first read, from the pairs: a leaf's column cache.
 
-    Column k starts as (rips.boundary_column of facet-table row k, e_k),
-    q >= 1.  While its lowest row l is paired with an earlier column i (i =
+    Column k starts as (its boundary, e_k), q >= 1, built from facet-table
+    row k in the leaf's format: int bitsets at p = 2, dicts otherwise.
+    While its lowest row l is paired with an earlier column i (i =
     killer[l], the row's killer in D_q), the multiple of (R_i, V_i) that
-    cancels l is subtracted (_reduce_column), R_i being built first when it
-    is missing; the columns waiting on a source are kept on an explicit
-    stack, since nothing bounds how deep they nest.  A reduction of all of D_q meets
-    the same rows and subtracts the same columns, since the earlier column
-    whose pivot is l is its killer, so every column equals the full
-    reduction's, and the clearing one's wherever that builds it, in any
-    order of reads.
+    cancels l is subtracted (_reduce_column), R_i being built first when
+    it is missing; the columns waiting on a source are kept on an explicit
+    stack, since nothing bounds how deep they nest.  A reduction of all of
+    D_q meets the same rows and subtracts the same columns, since the
+    earlier column whose pivot is l is its killer, so every column equals
+    the full reduction's, and the clearing one's wherever that builds it,
+    in any order of reads.
 
     Every column built checks the pairs as a full reduction would: it ends
     at a row paired with itself, or at zero when it is no pivot column of
@@ -399,7 +400,8 @@ class _Columns(dict):
 
     def _start(self, k):
         """Column k before reduction, as a mutable [k, R, V] stack entry."""
-        return [k, boundary_column(self.facets[k].tolist(), self.signs, self.p),
+        rows = self.facets[k].tolist()
+        return [k, _bits(rows) if self.p == 2 else dict(zip(rows, self.signs)),
                 _unit(k, self.p)]
 
     def _source(self, k, l):
@@ -697,13 +699,15 @@ class LeafSolver:
                 f"representative row at dimension 0")
         return label
 
-    def _column(self, z: Chain, n: int) -> dict:
-        """z over the view's n-simplices, by row (LeafReduction.rows_of); a
-        simplex beyond the view's prefix is not in its complex."""
+    def _column(self, z: Chain, n: int):
+        """z over the view's n-simplices, by row (LeafReduction.rows_of), in
+        the leaf's format: an int bitset at p = 2, else a dict.  A simplex
+        beyond the view's prefix is not in its complex."""
         simplices = simplex_array(z)
         rows = self.reduction.rows_of(simplices)
         _require_found(simplices, rows < self._limit[n])
-        return dict(zip(rows.tolist(), z.terms.values()))
+        rows = rows.tolist()
+        return _bits(rows) if self.field.p == 2 else dict(zip(rows, z.terms.values()))
 
     def _eliminate(self, z: Chain, n: int):
         """Express a nonzero cycle as (sparse rep coordinates, (killed row,

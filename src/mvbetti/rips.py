@@ -22,10 +22,10 @@ the level below, so it writes each level's facet table with no second
 lookup.  A complex is its level-0 point ids, diameters and facet tables,
 all arrays: it stores no vertex rows.
 
-The facet tables are the one facet lookup: boundary_column turns one of
-their rows into a native boundary column (boundary_matrix and a leaf's
-columns, built when a query reads them, both build theirs with it), the
-pairing in reduction reads its coboundaries from them, and vertex_rows
+The facet tables are the one facet lookup: a row of one is a simplex's
+boundary (a leaf builds its columns from them when a query reads them,
+and boundary_matrix its {row: coefficient} dicts), the pairing in
+reduction reads its coboundaries from them, and vertex_rows
 reads any simplex's vertices off them, as in Ripser (Bauer, 2021).
 RipsComplex.reorder keeps them consistent when reduction._order_levels
 sorts the levels by diameter.  A leaf keeps the tables and drops its
@@ -249,26 +249,15 @@ def facet_signs(q: int, p: int):
     return [p - 1 if (q - m) % 2 else 1 for m in range(q + 1)]
 
 
-def boundary_column(rows, signs, p: int):
-    """The boundary of one simplex as a native column of reduce_columns:
-    an int bitset (bit r = row r) at p = 2, a {row: coefficient} dict
-    otherwise.  rows is its facet-table row as a list, signs the level's
-    facet_signs."""
-    if p == 2:
-        col = 0
-        for x in rows:
-            col |= 1 << x
-        return col
-    return dict(zip(rows, signs))
-
-
 def boundary_matrix(cx: RipsComplex, q: int, p: int):
     """Sparse boundary matrix from q-simplices to (q-1)-simplices over Z/p.
 
-    Column j is boundary_column of the j-th q-simplex: its alternating-sign
-    faces, read from the facet table cx.facets[q].
+    Column j is the {row: coefficient} dict, at every p, of the j-th
+    q-simplex's alternating-sign faces, read from the facet table
+    cx.facets[q].  The package calls it nowhere: it is the tests'
+    reference for boundary columns.
     """
     if q < 1 or q > cx.max_dim:
         raise ValueError(f"boundary dimension {q} out of range 1..{cx.max_dim}")
     signs = facet_signs(q, p)
-    return [boundary_column(r, signs, p) for r in cx.facets[q].tolist()]
+    return [dict(zip(r, signs)) for r in cx.facets[q].tolist()]

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mvbetti import engine
 from mvbetti.core import Chain, ConsistencyError, PointCloud, PrimeField, chain_boundary
 from mvbetti.covering import build_covering, full_box, split_axis
-from mvbetti.engine import execute_scale, plan_jobs
+from mvbetti.engine import execute_scale, plan_jobs, run
 from mvbetti.mayer_vietoris import FMatrix, MVNodeSolver, NodeRegion, assemble, build_f
-from mvbetti.reduction import (LeafSolver, as_dict, betti_at_scale, build_leaf,
+from mvbetti.reduction import (LeafSolver, betti_at_scale, build_leaf,
                                persistence_barcode, reduce_columns)
-from mvbetti.rips import DEFAULT_BUDGET, enumerate_complex
+from mvbetti.rips import DEFAULT_BUDGET, boundary_matrix, enumerate_complex
 
 from conftest import (HEX_POINTS, dense, dense_rank_mod_p, distance_quantile,
                       hexagon_cycle, node_of, random_cloud, vertex_levels)
@@ -111,7 +112,7 @@ class TestFStructure:
                     out[r] = (out.get(r, 0) + c * x) % p
             return {r: x for r, x in out.items() if x}
 
-        kernel = [as_dict(k) for k in fs.kernel_cols]
+        kernel = fs.kernel_cols
         assert fs.rank == dense_rank_mod_p(dense_of_columns(nrows, cols, p), p)
         assert len(kernel) == ncols - fs.rank
         assert all(apply(k) == {} for k in kernel)
@@ -130,7 +131,65 @@ class TestFStructure:
                       if ncols else st.just({}))
         coker, y2 = fs.project_coker(apply(y))
         assert coker == {}
-        assert apply(as_dict(y2)) == apply(y)
+        assert apply(y2) == apply(y)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_a_row_alone_in_its_image_column_vanishes(self, p):
+        # f_0's columns hold two rows each; a one-row column puts a vertex
+        # class in im(f).
+        fs = FMatrix([{0: 1, 1: p - 1}, {2: 1}], [0, 3], [0, 2], PrimeField(p))
+        with pytest.raises(ConsistencyError,
+                           match=r"^row 2 of f_0 is in its image: a vertex class vanishes$"):
+            fs.row_classes()
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_a_source_outside_the_kernel_is_rejected(self, p):
+        # Two equal columns: the kernel is spanned by e_1 - e_0, and e_0 is
+        # not in it.
+        fs = FMatrix([{0: 1}, {0: 1}], [0, 1], [0, 2], PrimeField(p))
+        assert fs.kernel_cols == [{0: p - 1, 1: 1}]
+        assert fs.kernel_coords({0: p - 1, 1: 1}) == {0: 1}
+        with pytest.raises(ConsistencyError,
+                           match=r"^connecting-map image landed outside ker\(f\)"):
+            fs.kernel_coords({0: 1})
+
+
+class TestColumnFormat:
+    @pytest.mark.parametrize("n, d, eps, grid, n_max", [(200, 2, 0.2, [3, 3], 1),
+                                                        (300, 3, 0.2, [2, 2, 2], 2)])
+    def test_bitsets_stay_inside_the_leaves(self, n, d, eps, grid, n_max, monkeypatch):
+        # At p = 2 a leaf's built columns are int bitsets, and every column
+        # outside it is a {row: residue} dict: the nested nodes' f-matrices
+        # and their tables, the kernel bases that their connecting lifts
+        # read, the coords they return, boundary_matrix and reduce_columns.
+        nodes, leaves = [], []
+        join = engine.assemble
+
+        def assembling(region, pieces, inters):
+            nodes.append(join(region, pieces, inters))
+            leaves.extend(s for s in pieces + inters if isinstance(s, LeafSolver))
+            return nodes[-1]
+
+        monkeypatch.setattr(engine, "assemble", assembling)
+        cloud = PointCloud(np.random.default_rng(0).random((n, d)))
+        run(cloud, eps, [eps / 2, eps], n_max=n_max, field=2, workers=1, grid=grid)
+        assert any(isinstance(s, MVNodeSolver) for node in nodes for s in node.pieces)
+        for node in nodes:
+            for q in range(n_max + 1):
+                assert all(type(node.coords(z, q)) is dict for z in node.representatives(q))
+        assert any(node._lifts for node in nodes)
+        for fs in (fs for node in nodes for fs in node._f):
+            tables = (*fs._image.values(), *fs._kernel.values())
+            assert all(type(c) is dict for c in fs.columns + fs.kernel_cols)
+            assert all(type(c) is dict for pair in tables for c in pair)
+        built = [pair for leaf in leaves for cols in leaf.reduction.cols.values()
+                 for pair in cols.values()]
+        assert built and all(type(c) is int for pair in built for c in pair)
+        cx = enumerate_complex(range(n), cloud, eps / 2, n_max + 1)
+        for q in range(1, n_max + 2):
+            red = reduce_columns(boundary_matrix(cx, q, 2), PrimeField(2))
+            assert all(type(c) is dict for c in red.r + red.v)
+            assert all(type(c) is dict for c in boundary_matrix(cx, q, 2))
 
 
 class TestAssemble:
@@ -210,6 +269,19 @@ class TestAssemble:
                       for ids in ([0, 1], [1], [1, 2], [1]))
         with pytest.raises(ConsistencyError, match=r"^point 1 lies in pieces 0 and 2: "):
             NodeRegion([a, b, c], [i, i], 1, f)
+
+    def test_the_first_wrong_overlap_is_named(self):
+        # Overlap 0 is right and overlaps 1 and 2 are wrong: the error
+        # names overlap 1 and the ids its pieces share.
+        pc = PointCloud([[float(x)] for x in range(5)])
+        f = PrimeField(2)
+        pieces = [build_leaf(ids, pc, [1.0], 1, f).view(1.0)
+                  for ids in ([0, 1], [1, 2], [2, 3], [3, 4])]
+        inters = [build_leaf(ids, pc, [1.0], 1, f).view(1.0) for ids in ([1], [1, 2], [4])]
+        with pytest.raises(ConsistencyError,
+                           match=r"^overlap solver 1 covers \[1, 2\] but the pieces "
+                                 r"intersect in \[2\]$"):
+            NodeRegion(pieces, inters, 1, f)
 
     def test_wrong_overlap_count_rejected(self):
         pc = PointCloud([[0.0], [1.0], [2.0]])

@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 from mvbetti import engine, reduction
 from mvbetti.cli import main
 from mvbetti.core import ConsistencyError, PointCloud, PrimeField
-from mvbetti.reduction import (_order_levels, _union_find_pairs, build_leaf, cohomology_pairs,
-                               reduce_columns)
+from mvbetti.reduction import (_order_levels, _union_find_pairs, as_dict, build_leaf,
+                               cohomology_pairs, reduce_columns)
 from mvbetti.rips import boundary_matrix, enumerate_complex
 
 from conftest import dense_boundary, dense_rank_mod_p, leaf_complex, leaf_levels
@@ -61,7 +61,7 @@ def _assert_columns_equal_the_full_reduction(red, cx, p, rng):
     reads = [(q, j) for q in range(1, cx.max_dim + 1) for j in range(cx.count(q))]
     for i in rng.permutation(len(reads)):
         q, j = reads[i]
-        assert red.cols[q][j] == (full[q].r[j], full[q].v[j])
+        assert tuple(map(as_dict, red.cols[q][j])) == (full[q].r[j], full[q].v[j])
     for q in range(1, cx.max_dim + 1):
         assert sorted(red.cols[q]) == list(range(cx.count(q)))
         with pytest.raises(KeyError):

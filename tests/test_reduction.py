@@ -40,14 +40,14 @@ class TestReduce:
         red = reduce_columns([{}, {}, {}], f)
         assert red.rank == 0
         for j in range(3):
-            assert as_dict(red.r[j]) == {}
-            assert as_dict(red.v[j]) == {j: 1}
+            assert red.r[j] == {}
+            assert red.v[j] == {j: 1}
 
     def test_single_edge_already_reduced(self):
         f = PrimeField(2)
         red = reduce_columns([{0: 1, 1: 1}], f)
         assert red.rank == 1
-        assert as_dict(red.r[0]) == {0: 1, 1: 1}
+        assert red.r[0] == {0: 1, 1: 1}
 
     def test_unit_square_rank(self):
         pc = PointCloud(UNIT_SQUARE)
@@ -65,8 +65,8 @@ class TestReduce:
             cols = random_sparse_columns(rng, nrows, ncols, p)
             red = reduce_columns(cols, f)
             D = dense_of_columns(nrows, cols, p)
-            V = dense_of_columns(ncols, [as_dict(red.v[j]) for j in range(ncols)], p)
-            R = dense_of_columns(nrows, [as_dict(red.r[j]) for j in range(ncols)], p)
+            V = dense_of_columns(ncols, red.v, p)
+            R = dense_of_columns(nrows, red.r, p)
             assert np.array_equal((D @ V) % p, R)
 
     @pytest.mark.parametrize("p", [2, 5])
@@ -76,7 +76,7 @@ class TestReduce:
         cols = random_sparse_columns(rng, 8, 10, p)
         red = reduce_columns(cols, f)
         for j in range(10):
-            v = as_dict(red.v[j])
+            v = red.v[j]
             assert v.get(j) == 1
             assert all(r <= j for r in v)
 
@@ -140,20 +140,11 @@ class TestReduceAgainstNaive:
         red = reduce_columns(cols, PrimeField(p))
         pivots, R, V = naive_reduce(cols, p)
         assert red.pivots == pivots
-        assert [as_dict(red.r[j]) for j in range(len(cols))] == R
-        assert [as_dict(red.v[j]) for j in range(len(cols))] == V
+        assert red.r == R
+        assert red.v == V
         D = dense_of_columns(nrows, cols, p)
         Vd = dense_of_columns(len(cols), V, p)
         assert np.array_equal((D @ Vd) % p, dense_of_columns(nrows, R, p))
-
-    @settings(max_examples=100, deadline=None)
-    @given(sparse_matrices())
-    def test_bitset_columns_match_dict_columns(self, case):
-        _, _, cols = case
-        bits = [sum(1 << r for r in c) for c in cols]
-        a = reduce_columns(cols, PrimeField(2))
-        b = reduce_columns(bits, PrimeField(2))
-        assert a.pivots == b.pivots and a.r == b.r and a.v == b.v
 
 
 _V_ROWS = 14    # the rows of an elimination case's V columns
@@ -189,9 +180,9 @@ class TestEliminate:
         native = _native(p)
         # With V = e_low, w is the coefficient of each table column used.
         units = {low: (native(c), native({low: 1})) for low, c in cols.items()}
-        before = dict(col)
-        rest, coeffs = eliminate(col, units.get, p)
-        assert col == before
+        start = native(col)     # the table's own format
+        rest, coeffs = eliminate(start, units.get, p)
+        assert start == native(col)
         rest, coeffs = as_dict(rest), as_dict(coeffs)
         assert not set(rest) & set(cols)
         assert set(coeffs) <= set(cols)
@@ -209,13 +200,14 @@ class TestEliminate:
         assert np.array_equal(dense(as_dict(spent)), (dense(col) - dense(rest)) % p)
         # w = sum(c * V), the same steps taken against the drawn V columns.
         table = {low: (native(c), native(vs[low])) for low, c in cols.items()}
-        rest2, w = eliminate(col, table.get, p)
+        rest2, w = eliminate(native(col), table.get, p)
         assert as_dict(rest2) == rest
         want = sum((c * dense(vs[low], _V_ROWS) for low, c in coeffs.items()),
                    np.zeros(_V_ROWS, np.int64))
         assert np.array_equal(dense(as_dict(w), _V_ROWS), want % p)
-        if p == 2:      # a dict input and its bitset give one result
-            assert eliminate(native(col), table.get, p) == eliminate(col, table.get, p)
+        if p == 2:      # the same table as dicts gives the decoded result
+            dicts = {low: (c, vs[low]) for low, c in cols.items()}
+            assert eliminate(col, dicts.get, p) == (rest, as_dict(w))
 
 
 class TestReduceColumn:

@@ -10,8 +10,7 @@ from mvbetti import rips
 from mvbetti.cli import main
 from mvbetti.core import Chain, PointCloud, boundary, chain_boundary
 from mvbetti.reduction import _order_levels, as_dict, build_leaf, persistence_barcode
-from mvbetti.rips import (DEFAULT_BUDGET, BudgetExceededError, boundary_column, boundary_matrix,
-                         enumerate_complex, facet_signs)
+from mvbetti.rips import DEFAULT_BUDGET, BudgetExceededError, boundary_matrix, enumerate_complex
 
 from conftest import (TETRA_POINTS, TETRA_SIDE, UNIT_SQUARE,
                       brute_force_simplices, diameter, looked_up_facets, random_cloud,
@@ -403,18 +402,11 @@ class TestNeighbourSweep:
         assert peak < 16 * 2**20
 
 
-def dict_columns(cols):
-    """Boundary columns as {row: coefficient} dicts; p = 2 columns are bitsets."""
-    return [as_dict(c) for c in cols]
-
-
 class TestBoundaryMatrix:
     def test_single_edge(self):
         pc = PointCloud([[0.0], [1.0]])
         cx = enumerate_complex(range(2), pc, 1.0, 1)
-        cols = boundary_matrix(cx, 1, 2)
-        assert cols == [0b11]
-        assert dict_columns(cols) == [{0: 1, 1: 1}]
+        assert boundary_matrix(cx, 1, 2) == [{0: 1, 1: 1}]
 
     def test_consecutive_product_vanishes(self):
         pc = PointCloud(TETRA_POINTS)
@@ -423,7 +415,6 @@ class TestBoundaryMatrix:
             for q in (2, 3):
                 lower = boundary_matrix(cx, q - 1, p)
                 upper = boundary_matrix(cx, q, p)
-                lower, upper = dict_columns(lower), dict_columns(upper)
                 # multiply sparsely: (d_{q-1} * d_q) column by column
                 for col in upper:
                     acc = {}
@@ -437,7 +428,7 @@ class TestBoundaryMatrix:
         cx = enumerate_complex(range(4), pc, 1.0, 2)
         cols = boundary_matrix(cx, 1, 2)
         assert len(cols) == 4
-        for col in dict_columns(cols):
+        for col in cols:
             assert len(col) == 2 and all(v == 1 for v in col.values())
 
     def test_matches_core_boundary(self):
@@ -447,26 +438,30 @@ class TestBoundaryMatrix:
             cx = enumerate_complex(range(12), pc, 0.7, 2)
             for q in (1, 2):
                 cols = boundary_matrix(cx, q, p)
-                assert all(type(c) is (int if p == 2 else dict) for c in cols)
+                assert all(type(c) is dict for c in cols)
                 levels = vertex_levels(cx)
                 row = {tuple(f): i for i, f in enumerate(levels[q - 1].tolist())}
-                for s, col in zip(levels[q], dict_columns(cols)):
+                for s, col in zip(levels[q], cols):
                     chain = boundary(s, p)
                     want = {row[f]: c for f, c in chain.terms.items()}
                     assert col == want
 
     def test_selected_columns(self):
-        # A leaf builds one column at a time from its facet-table row.
+        # A leaf starts one column at a time from its facet-table row, in
+        # its own format: a bitset at p = 2.  One scale reorders no level.
         rng = np.random.default_rng(12)
         pc = random_cloud(rng, 14, 2)
         cx = enumerate_complex(range(14), pc, 0.6, 3)
         assert cx.count(3) > 0
         for p in (2, 3):
+            leaf = build_leaf(range(14), pc, [0.6], 2, p)
             for q in (1, 2, 3):
+                assert np.array_equal(leaf.facets[q], cx.facets[q])
                 cols = boundary_matrix(cx, q, p)
                 for j in range(0, len(cols), 3):
-                    assert boundary_column(cx.facets[q][j].tolist(), facet_signs(q, p), p) \
-                        == cols[j]
+                    start = leaf.cols[q]._start(j)[1]
+                    assert type(start) is (int if p == 2 else dict)
+                    assert as_dict(start) == cols[j]
 
     def test_dimension_out_of_range(self):
         pc = PointCloud(UNIT_SQUARE)
