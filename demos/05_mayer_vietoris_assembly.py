@@ -27,9 +27,10 @@ fm = build_f([top, bottom], [overlap], 0, 3)
 print("\nf_0 maps the overlap's two components into the two pieces:")
 print("  columns:", fm.columns, " -> rank 1, kernel dimension 1")
 
-# The region (union point set, overlap check) does not depend on the scale;
-# assemble gives its solver at the children's scale.
-region = NodeRegion([top, bottom], [overlap], 1, 3)
+# The region (union point set, overlap check) does not depend on the scale,
+# and takes n_max and the field from its children; assemble gives its solver
+# at the children's scale.
+region = NodeRegion([top, bottom], [overlap])
 node = assemble(region, [top, bottom], [overlap])
 print("\nassembled union betti:", node.betti_all())
 print("  beta_0 = coker(f_0) = 2 - 1 = 1")

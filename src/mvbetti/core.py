@@ -261,6 +261,15 @@ def blocked_ranges(first, sizes, limit):
         a = b
 
 
+def search_sorted(keys, want):
+    """(positions, found): where each entry of want sits in the sorted
+    array keys, and whether it is there."""
+    pos = np.searchsorted(keys, want)
+    if not len(keys):
+        return pos, np.zeros(pos.shape, bool)
+    return pos, keys.take(pos, mode="clip") == want
+
+
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Shared by the scalar, matrix and pair paths so borderline comparisons
     # against a scale never disagree between call sites.

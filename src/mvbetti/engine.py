@@ -2,30 +2,33 @@
 
 A box with a full axis splits along its first full axis into cell pieces and
 overlap boxes; boxes with no full axis are leaves solved by direct reduction.
-Each leaf is enumerated and paired once per run, for every requested scale,
-by a bounded thread pool (build_leaf returns the reduction, whose build
-ends at its pairing); the builds share only the cloud, the field and the
-covering, which are immutable.  The box tree is planned once per run
-(plan_jobs), and per scale it is then walked on the calling thread,
-children before parents: leaves take their view at that scale, nodes
-assemble, and Betti numbers are read off the root solver.  Later scales
-start no threads; a node's region, which no scale changes, is built on the
-first walk.  A leaf reduction is not immutable: its levels' search keys, R
-and V columns and row chains are built one entry at a time, on the first
-query that reads them, and queries run only in that walk, so they are built
-on the calling thread.  A view's and a node's dimension-0 labels, from
-which each node builds f_0 as an incidence matrix of components, are built
-the same way, on the first dimension-0 query; a Betti-only run on one leaf
-builds none.  A node's connecting lift is built the same way, on the first
-read of its class: by the assembly of an enclosing node, so a failed lift
-check names that node's box, and never for the root, whose Betti numbers
-read only ranks.
+The box tree is planned once per run (plan_jobs), and its regions are built
+once per run, in the first execute_scale call: each leaf enumerated and
+paired once, for every requested scale, by a bounded thread pool
+(build_leaf returns the reduction, whose build ends at its pairing), then
+each node's NodeRegion from its children's regions, children before
+parents, on the calling thread.  The leaf builds share only the cloud, the
+field and the covering, which are immutable.  Per scale the tree is then
+walked on the calling thread, children before parents: leaves take their
+view at that scale, nodes assemble, each adding its f-matrix ranks to its
+level's, and Betti numbers are read off the root solver.  Later scales
+start no threads.  A leaf reduction is not immutable: its levels' search
+keys, R and V columns and row chains are built one entry at a time, on the
+first query that reads them, and queries run only in that walk, so they
+are built on the calling thread.  A view's and a node's dimension-0
+labels, from which each node builds f_0 as an incidence matrix of
+components, are built the same way, on the first dimension-0 query; a
+Betti-only run on one leaf builds none.  A node's connecting lift is built
+the same way, on the first read of its class: by the assembly of an
+enclosing node, so a failed lift check names that node's box, and never
+for the root, whose Betti numbers read only ranks.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -33,7 +36,7 @@ import numpy as np
 
 from .core import PointCloud, PrimeField, require_int, require_real, require_scales
 from .covering import GridCovering, build_covering, choose_k, full_box, split_axis
-from .mayer_vietoris import MVNodeSolver, NodeRegion, assemble
+from .mayer_vietoris import NodeRegion, assemble
 from .reduction import (DEFAULT_BUDGET, LeafReduction, betti_at_scale, build_leaf,
                         persistence_barcode)
 from .rips import BudgetExceededError
@@ -49,12 +52,12 @@ class JobError(RuntimeError):
 
 @dataclass
 class Job:
-    """One box of the recursion: a leaf region or a node over its children."""
+    """One box of the recursion: a leaf region (no pieces) or a node over
+    its children's boxes, at its depth in the tree (the root's is 0)."""
 
-    box: tuple
-    kind: str                 # "leaf" | "node"
     pieces: tuple = ()
     overlaps: tuple = ()
+    level: int = 0
 
 
 def _resolve(box, covering):
@@ -74,41 +77,43 @@ def plan_jobs(covering: GridCovering):
     """
     jobs = {}
 
-    def visit(box):
+    def visit(box, level):
         box, sp = _resolve(box, covering)
         if box in jobs:
             return box
         if sp is None:
-            jobs[box] = Job(box=box, kind="leaf")
+            jobs[box] = Job(level=level)
             return box
-        pieces = tuple(visit(b) for b in sp.pieces)
-        overlaps = tuple(visit(b) for b in sp.overlaps)
-        jobs[box] = Job(box=box, kind="node", pieces=pieces, overlaps=overlaps)
+        pieces = tuple(visit(b, level + 1) for b in sp.pieces)
+        overlaps = tuple(visit(b, level + 1) for b in sp.overlaps)
+        jobs[box] = Job(pieces, overlaps, level)
         return box
 
-    root = visit(full_box(covering.dim))
+    root = visit(full_box(covering.dim), 0)
     return jobs, root
 
 
 def execute_scale(cloud, covering, plan, scale, n_max, field, budget, workers, scales,
                   regions):
-    """(root solver, {"leaf"|"node": summed step seconds}) of one scale.
+    """(root solver, {"leaf"|"node": summed step seconds}, ranks) of one scale.
 
-    `plan` is plan_jobs(covering), the box tree, made once per run.  Leaves
-    missing from `regions` (box -> a leaf's reduction or a node's
-    NodeRegion, shared by the calls of one run) are built in sorted box
-    order by at most min(`workers`, cores) threads (the pool starts one per
-    submission while none is idle), each enumerated and paired once for
+    `plan` is plan_jobs(covering), the box tree, made once per run, and
+    `regions` (box -> a leaf's reduction or a node's NodeRegion) is shared
+    by the calls of one run.  Leaves missing from it are built in sorted
+    box order by at most min(`workers`, cores) threads (the pool starts one
+    per submission while none is idle), each enumerated and paired once for
     every scale in `scales`, and added to it; the first of them to fail in
-    that order cancels the rest.  The box tree is then walked on the calling
-    thread: every leaf takes its view at `scale` from its reduction, and
-    every node is assembled on its region, added on the run's first walk.
+    that order cancels the rest.  Then every node missing from it gets its
+    NodeRegion, built from its children's regions in plan order on the
+    calling thread.  The box tree is then walked on the calling thread:
+    every leaf takes its view at `scale` from its reduction, and every node
+    is assembled on its region.  ranks sums the nodes' f-matrix ranks per
+    level (root = "0") and dimension, both keys strings, ascending.
     Results are independent of worker count: assembly consumes children in
     a fixed order and all arithmetic is exact.
     """
     jobs, root = plan
-    missing = sorted(box for box, j in jobs.items()
-                     if j.kind == "leaf" and box not in regions)
+    missing = sorted(box for box, j in jobs.items() if not j.pieces and box not in regions)
     if missing:
         # Point sets first: computed between submissions, they would wait on
         # the interpreter lock behind running builds.
@@ -124,25 +129,31 @@ def execute_scale(cloud, covering, plan, scale, n_max, field, budget, workers, s
                     raise JobError(box, exc) from exc
         finally:
             pool.shutdown(cancel_futures=True)
+    for box, job in jobs.items():  # children before parents
+        if job.pieces and box not in regions:
+            try:
+                regions[box] = NodeRegion([regions[b] for b in job.pieces],
+                                          [regions[b] for b in job.overlaps])
+            except Exception as exc:
+                raise JobError(box, exc) from exc
 
     solvers = {}
     seconds = {"leaf": 0.0, "node": 0.0}
+    ranks = {}
     for box, job in jobs.items():  # children before parents
         start = time.perf_counter()
         try:
-            if job.kind == "node":
-                pieces = [solvers[b] for b in job.pieces]
-                inters = [solvers[b] for b in job.overlaps]
-                region = regions.get(box)
-                if region is None:
-                    region = regions[box] = NodeRegion(pieces, inters, n_max, field)
-                solvers[box] = assemble(region, pieces, inters)
+            if job.pieces:
+                node = solvers[box] = assemble(regions[box], [solvers[b] for b in job.pieces],
+                                               [solvers[b] for b in job.overlaps])
+                ranks.setdefault(job.level, Counter()).update(node.rank_f)
             else:
                 solvers[box] = regions[box].view(scale)
         except Exception as exc:
             raise JobError(box, exc) from exc
-        seconds[job.kind] += time.perf_counter() - start
-    return solvers[root], seconds
+        seconds["node" if job.pieces else "leaf"] += time.perf_counter() - start
+    return solvers[root], seconds, {str(level): {str(n): r for n, r in sums.items()}
+                                    for level, sums in sorted(ranks.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -166,24 +177,6 @@ class BettiReport:
     diagnostics: dict
     slack: float = 0.0                # the run's slack; not in the JSON report
     verify: dict = None
-
-
-def _collect_ranks(root) -> dict:
-    """Sum of f-matrix ranks per recursion level per dimension, root = level 0."""
-    out = {}
-
-    def visit(node, level):
-        if not isinstance(node, MVNodeSolver):
-            return
-        bucket = out.setdefault(str(level), {})
-        for n, r in sorted(node.rank_f.items()):
-            key = str(n)
-            bucket[key] = bucket.get(key, 0) + r
-        for child in node.pieces + node.inters:
-            visit(child, level + 1)
-
-    visit(root, 0)
-    return out
 
 
 def run(cloud, eps, scales, n_max=1, field=2, workers=None, grid=None,
@@ -245,10 +238,9 @@ def run(cloud, eps, scales, n_max=1, field=2, workers=None, grid=None,
     plan = plan_jobs(covering)
     scales_eff = [s + slack for s in scales]
     for s in scales:
-        root, seconds = execute_scale(cloud, covering, plan, s + slack, n_max, field,
-                                      budget, workers, scales_eff, regions)
+        root, seconds, diag_ranks[_scale_key(s)] = execute_scale(
+            cloud, covering, plan, s + slack, n_max, field, budget, workers, scales_eff, regions)
         per_scale.append(ScaleResult(scale=s, betti=root.betti_all()))
-        diag_ranks[_scale_key(s)] = _collect_ranks(root)
         timings_scales[_scale_key(s)] = {
             "leaves_ms": seconds["leaf"] * 1000.0,
             "assembly_ms": seconds["node"] * 1000.0,

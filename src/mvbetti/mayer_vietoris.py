@@ -53,9 +53,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from .core import Chain, ConsistencyError, chain_boundary, require_query
-from .reduction import (PrimeField, eliminate, reduce_columns, search_sorted, simplex_array,
-                        vertex_coords)
+from .core import (Chain, ConsistencyError, PrimeField, chain_boundary, require_query,
+                   search_sorted)
+from .reduction import eliminate, reduce_columns, simplex_array, vertex_coords
 
 
 def _combo_chain(solver, n: int, coeffs, p: int) -> Chain:
@@ -211,8 +211,10 @@ class NodeRegion:
     its LeafReduction: n_max, the field, the union's point set as its sorted
     ids, and its piece table: lo[i] and hi[i], the first and last piece
     holding ids[i], in the smallest unsigned dtype that holds the piece
-    count.  Built once per node box per run from the child solvers of one
-    scale, of which it reads only ids, the same array at every scale.
+    count.  Built once per node box per run from its children's regions
+    (a leaf's reduction or a node's region; solvers serve as well), of
+    which it reads only ids, n_max and field: a child whose n_max or field
+    differs from piece 0's, or an empty piece list, is a ValueError.
 
     The path hypothesis, pieces a and b disjoint unless |a - b| <= 1 with
     overlap k their intersection, and every simplex in some piece, is
@@ -225,25 +227,31 @@ class NodeRegion:
 
     __slots__ = ("n_max", "field", "parts", "ids", "lo", "hi")
 
-    def __init__(self, pieces, inters, n_max: int, field):
-        if len(inters) != max(len(pieces) - 1, 0):
-            raise ValueError(
-                f"expected {max(len(pieces) - 1, 0)} overlap solvers for "
-                f"{len(pieces)} pieces, got {len(inters)}"
-            )
-        self.n_max, self.field = n_max, PrimeField(field)
+    def __init__(self, pieces, inters):
+        if not pieces:
+            raise ValueError("a node region needs at least one piece")
+        if len(inters) != len(pieces) - 1:
+            raise ValueError(f"expected {len(pieces) - 1} overlap solvers for "
+                             f"{len(pieces)} pieces, got {len(inters)}")
+        self.n_max, self.field = pieces[0].n_max, pieces[0].field
+        for what, children in (("piece", pieces), ("overlap", inters)):
+            for k, child in enumerate(children):
+                if (child.n_max, child.field) != (self.n_max, self.field):
+                    raise ValueError(f"{what} {k} has n_max {child.n_max} over {child.field}, "
+                                     f"but piece 0 has n_max {self.n_max} over {self.field}")
         self.parts = [pc.ids for pc in pieces], [it.ids for it in inters]
-        ids = self.parts[0]
+        ids, got = self.parts
         # No np.unique: its first call imports numpy.ma, a cost in every run.
-        union = np.sort(np.concatenate(ids))
+        every = np.concatenate(ids)
+        union = np.sort(every)
         self.ids = union = union[np.diff(union, prepend=-1) != 0]
         K = len(ids)
-        lo = self.lo = np.full(len(union), K, np.min_scalar_type(K))
+        piece = np.repeat(np.arange(K, dtype=np.min_scalar_type(K)), [len(part) for part in ids])
+        pos = np.searchsorted(union, every)
+        lo = self.lo = np.full(len(union), K, piece.dtype)
         hi = self.hi = np.zeros_like(lo)
-        for k, part in enumerate(ids):
-            pos = np.searchsorted(union, part)
-            lo[pos] = np.minimum(lo[pos], k)
-            hi[pos] = k
+        np.minimum.at(lo, pos, piece)
+        np.maximum.at(hi, pos, piece)
         far = np.flatnonzero(hi - lo > 1)
         if len(far):
             i = far[0]
@@ -251,16 +259,18 @@ class NodeRegion:
                 f"point {union[i]} lies in pieces {lo[i]} and {hi[i]}: pieces "
                 f"more than one apart must be disjoint"
             )
-        # The points of two pieces, grouped by lo, ascending within a group.
+        # The points of two pieces, grouped by lo, ascending within a group:
+        # one comparison for all overlaps (union[:0] gives the concatenation
+        # a dtype when there are none), a loop only to name the first wrong one.
         two = np.flatnonzero(hi == lo + 1)
         two = two[np.argsort(lo[two], kind="stable")]
-        ends = np.cumsum(np.bincount(lo[two], minlength=len(inters)))
-        for k, (got, expect) in enumerate(zip(self.parts[1], np.split(union[two], ends[:-1]))):
-            if not np.array_equal(got, expect):
-                raise ConsistencyError(
-                    f"overlap solver {k} covers {got.tolist()} but the "
-                    f"pieces intersect in {expect.tolist()}"
-                )
+        counts = np.bincount(lo[two], minlength=len(got))
+        if not (np.array_equal(counts, [len(g) for g in got])
+                and np.array_equal(np.concatenate([union[:0], *got]), union[two])):
+            for k, (g, want) in enumerate(zip(got, np.split(union[two], np.cumsum(counts)[:-1]))):
+                if not np.array_equal(g, want):
+                    raise ConsistencyError(f"overlap solver {k} covers {g.tolist()} but the "
+                                           f"pieces intersect in {want.tolist()}")
 
 
 class MVNodeSolver:

@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (Chain, ConsistencyError, PointCloud, PrimeField, _axpy, chain_boundary,
-                   require_int, require_query, require_real, require_scales)
+                   require_int, require_query, require_real, require_scales, search_sorted)
 # boundary_matrix is not called here: perfbench/tracer.py wraps this
 # module's name for it, as it does reduce_columns.
 from .rips import DEFAULT_BUDGET, boundary_matrix, enumerate_complex, facet_signs, vertex_rows
@@ -438,15 +438,6 @@ class _Columns(dict):
         return self[j]
 
 
-def search_sorted(keys, want):
-    """(positions, found): where each entry of want sits in the sorted
-    array keys, and whether it is there."""
-    pos = np.searchsorted(keys, want)
-    if not len(keys):
-        return pos, np.zeros(pos.shape, bool)
-    return pos, keys.take(pos, mode="clip") == want
-
-
 def _require_found(simplices, found):
     """A ValueError naming the first simplex (a row of ids) not found."""
     if not found.all():
@@ -622,7 +613,6 @@ class LeafSolver:
         if b == len(reduction.scales) or reduction.scales[b] != scale:
             raise ValueError(f"scale {scale} is not one of the leaf's scales")
         self.reduction = reduction
-        self.scale = scale
         self.n_max = reduction.n_max
         self.field = reduction.field
         self.ids = reduction.ids

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import PointCloud, blocked_ranges, require_int, require_real
+from .core import PointCloud, blocked_ranges, require_int, require_real, search_sorted
 
 DEFAULT_BUDGET = 10_000_000
 _EXPAND_BLOCK = 1 << 16     # candidate cofaces of one clique expansion block
@@ -235,8 +235,7 @@ def _cofaces(last, diams, facets, starts, hi, n):
         found, d = [sid], diams[sid]    # facet positions of the kept candidates
         for f in facets.T:
             key = f[found[0]] * n + w
-            pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
-            ok = keys[pos] == key
+            pos, ok = search_sorted(keys, key)
             pos = pos[ok]
             found = [c[ok] for c in found] + [pos]
             w, d = w[ok], np.maximum(d[ok], diams[pos])

@@ -198,10 +198,10 @@ def betti_at(report, scale: float) -> list:
     raise KeyError(f"scale {scale} not in report")
 
 
-def node_of(pieces, inters, n_max, field):
+def node_of(pieces, inters):
     """The node over piece and overlap solvers at one scale: assemble over
     a NodeRegion built from those solvers."""
-    return assemble(NodeRegion(pieces, inters, n_max, field), pieces, inters)
+    return assemble(NodeRegion(pieces, inters), pieces, inters)
 
 
 def distance(cloud: PointCloud, i: int, j: int) -> float:

@@ -58,7 +58,7 @@ def run_suite(p):
     """Criterion 1 run (+2/+4 node walks) for one coefficient field.
 
     The node walks take each scale's root from execute_scale on run()'s
-    grid, all scales sharing one plan and one leaves dict as run() does."""
+    grid, all scales sharing one plan and one regions dict as run() does."""
     stats = {
         "clouds": 0, "scale_checks": 0, "mismatches": [],
         "nodes": 0, "split_violations": 0,
@@ -81,10 +81,10 @@ def run_suite(p):
                 stats["mismatches"].append((spec[0], sr.scale, sr.betti, expect))
         covering = build_covering(cloud, eps, rep.grid)
         plan = plan_jobs(covering)
-        leaves = {}
+        regions = {}
         for s in scales:
-            root, _ = execute_scale(cloud, covering, plan, s, n_max, p, DEFAULT_BUDGET,
-                                    WORKER_HINT, scales, leaves)
+            root, _, _ = execute_scale(cloud, covering, plan, s, n_max, p, DEFAULT_BUDGET,
+                                       WORKER_HINT, scales, regions)
             for node in walk_nodes(root):
                 stats["nodes"] += 1
                 _check_splitting_identity(node, stats)

@@ -78,8 +78,8 @@ def _check_queries(solver, uppers, n, p, rng, zero_class):
 def test_root_and_leaf_queries_recover_known_classes(case):
     cloud, scale, p, n_max, rng, zero_class = case
     covering = build_covering(cloud, scale, [2, 2])
-    root, _ = execute_scale(cloud, covering, plan_jobs(covering), scale, n_max, p,
-                            DEFAULT_BUDGET, 1, [scale], {})
+    root, _, _ = execute_scale(cloud, covering, plan_jobs(covering), scale, n_max, p,
+                               DEFAULT_BUDGET, 1, [scale], {})
     assert isinstance(root, MVNodeSolver)
     leaf = build_leaf(range(cloud.n), cloud, [scale], n_max, p).view(scale)
     assert root.betti_all() == leaf.betti_all()

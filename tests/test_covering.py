@@ -167,7 +167,7 @@ def two_piece_node(p=3):
     def leaf(box):
         return build_leaf(cov.points_in_box(pc, box), pc, [2.0], 1, p).view(2.0)
 
-    node = node_of([leaf(b) for b in sp.pieces], [leaf(b) for b in sp.overlaps], 1, p)
+    node = node_of([leaf(b) for b in sp.pieces], [leaf(b) for b in sp.overlaps])
     return cov, node
 
 

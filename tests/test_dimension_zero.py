@@ -87,9 +87,9 @@ def _solvers(cloud, eps, scale, grid, p, n_max=1):
     jobs, _ = engine.plan_jobs(covering)
     solvers = {}
     for box, job in jobs.items():
-        if job.kind == "node":
+        if job.pieces:
             solvers[box] = node_of([solvers[b] for b in job.pieces],
-                                   [solvers[b] for b in job.overlaps], n_max, p)
+                                   [solvers[b] for b in job.overlaps])
         else:
             pts = covering.points_in_box(cloud, box)
             solvers[box] = build_leaf(pts, cloud, [scale], n_max, p).view(scale)

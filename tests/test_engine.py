@@ -57,24 +57,28 @@ class TestBuildSolver:
         pc = PointCloud(rng.random((30, 2)) * 10)
         cov = build_covering(pc, 0.8, [3, 2])
         jobs, root = plan_jobs(cov)
-        leaves = [j for j in jobs.values() if j.kind == "leaf"]
+        leaves = [j for j in jobs.values() if not j.pieces]
         assert len(leaves) == (2 * 3 - 1) * (2 * 2 - 1) == leaf_count(cov)
-        assert root == full_box(2) and jobs[root].kind == "node"
+        assert root == full_box(2) and jobs[root].pieces
 
     def test_a_run_builds_each_node_region_once(self, monkeypatch):
         # No point set depends on the scale: over four scales each node
         # box's region (its point set, ids and overlap check) is built once,
-        # on the first scale's walk, and assembled at every scale.
-        built, assembled = [], {}
+        # from its children's regions with the leaves, before the first
+        # assembly, and assembled at every scale.
+        built, assembled, events = [], {}, []
         init, join = NodeRegion.__init__, engine.assemble
 
-        def building(self, *args):
+        def building(self, pieces, inters):
+            assert not any(isinstance(c, (LeafSolver, MVNodeSolver)) for c in pieces + inters)
             built.append(self)
-            init(self, *args)
+            events.append("region")
+            init(self, pieces, inters)
 
         def assembling(region, pieces, inters):
             node = join(region, pieces, inters)
             assembled.setdefault(id(region), []).append(node)
+            events.append("assemble")
             return node
 
         monkeypatch.setattr(NodeRegion, "__init__", building)
@@ -83,8 +87,9 @@ class TestBuildSolver:
         scales = [0.05, 0.1, 0.15, 0.2]
         run(cloud, 0.2, scales, n_max=1, field=2, workers=1, grid=[3, 3])
         jobs, _ = plan_jobs(build_covering(cloud, 0.2, [3, 3]))
-        nodes = sum(j.kind == "node" for j in jobs.values())
+        nodes = sum(bool(j.pieces) for j in jobs.values())
         assert len(built) == nodes == 6
+        assert events == ["region"] * nodes + ["assemble"] * nodes * len(scales)
         assert sorted(assembled) == sorted(map(id, built))
         for region in built:
             solvers = assembled[id(region)]
@@ -92,14 +97,31 @@ class TestBuildSolver:
             assert all(s.region is region and s.ids is region.ids
                        for s in solvers)
 
+    def test_ranks_sum_each_level_of_the_solver_tree(self):
+        # execute_scale sums its nodes' f-matrix ranks by plan level; the
+        # same sums, read off the root's solver tree, level by level.
+        cloud = PointCloud(np.random.default_rng(3).random((300, 3)))
+        cov = build_covering(cloud, 0.25, [2, 2, 2])
+        plan, regions = plan_jobs(cov), {}
+        for s in (0.15, 0.25):
+            root, _, ranks = execute_scale(cloud, cov, plan, s, 2, 3, DEFAULT_BUDGET, 1,
+                                           [0.15, 0.25], regions)
+            expect, level = {}, [root]
+            while level:
+                nodes = [n for n in level if isinstance(n, MVNodeSolver)]
+                if nodes:
+                    expect[str(len(expect))] = {str(d): sum(n.rank_f[d] for n in nodes)
+                                                for d in range(3)}
+                level = [c for n in nodes for c in n.pieces + n.inters]
+            assert ranks == expect and list(ranks) == ["0", "1", "2"]
+
     def test_job_plan_collapses_unit_axes(self):
         rng = np.random.default_rng(2)
         pc = PointCloud(rng.random((20, 2)) * 10)
         cov = build_covering(pc, 0.8, [1, 2])
         jobs, root = plan_jobs(cov)
-        assert jobs[root].kind == "node"
         assert len(jobs[root].pieces) == 2
-        leaves = [j for j in jobs.values() if j.kind == "leaf"]
+        leaves = [j for j in jobs.values() if not j.pieces]
         assert len(leaves) == 3 == leaf_count(cov)
 
 
@@ -114,7 +136,7 @@ class TestFailures:
                                  dtype=float))
         cov = build_covering(pc, 1.0, 3)
         jobs, _ = plan_jobs(cov)
-        boxes = sorted(b for b, j in jobs.items() if j.kind == "leaf")
+        boxes = sorted(b for b, j in jobs.items() if not j.pieces)
         keys = [tuple(cov.points_in_box(pc, b)) for b in boxes]
         assert len(boxes) == leaf_count(cov) == 25
         assert len(set(keys)) == len(keys) and all(keys)
@@ -171,7 +193,7 @@ class TestFailures:
         pc = PointCloud(HEX_POINTS)
         cov = build_covering(pc, 1.0, 2)
         jobs, _ = plan_jobs(cov)
-        first_node = next(b for b, j in jobs.items() if j.kind == "node")
+        first_node = next(b for b, j in jobs.items() if j.pieces)
         for workers in (1, 2):
             with pytest.raises(JobError) as ei:
                 execute_scale(pc, cov, plan_jobs(cov), 1.0, 1, 2, DEFAULT_BUDGET, workers,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -196,7 +198,7 @@ class TestAssemble:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_collinear(self, p):
         _, f, a, b, i = collinear_pair(p)
-        node = node_of([a, b], [i], 1, f)
+        node = node_of([a, b], [i])
         assert node.betti_all() == [1, 0]
 
     def test_two_separated_clusters(self):
@@ -211,7 +213,7 @@ class TestAssemble:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_hexagon_circle(self, p):
         _, f, a, b, i = hexagon_two_pieces(p)
-        node = node_of([a, b], [i], 1, f)
+        node = node_of([a, b], [i])
         assert node.betti_all() == [1, 1]
         assert node.rank_f == {0: 1, 1: 0}
 
@@ -237,8 +239,8 @@ class TestAssemble:
         i = build_leaf([1], pc, [1.0], 1, f).view(1.0)
         bad = build_leaf([0], pc, [1.0], 1, f).view(1.0)  # not the intersection
         with pytest.raises(ConsistencyError, match="pieces intersect in"):
-            NodeRegion([a, b], [bad], 1, f)
-        region = NodeRegion([a, b], [i], 1, f)
+            NodeRegion([a, b], [bad])
+        region = NodeRegion([a, b], [i])
         assert assemble(region, [a, b], [i]).betti_all() == [1, 0]
         for inters in ([bad], [build_leaf([1], pc, [1.0], 1, f).view(1.0)], []):
             with pytest.raises(ConsistencyError, match="not over the region's"):
@@ -260,7 +262,7 @@ class TestAssemble:
         assert leaf(range(6)).betti_all() == [1, 1]
         pieces = [leaf([0, 1, 2]), leaf([2, 3, 4]), leaf([4, 5, 0])]
         with pytest.raises(ConsistencyError, match=r"^point 0 lies in pieces 0 and 2: "):
-            NodeRegion(pieces, [leaf([2]), leaf([4])], 1, f)
+            NodeRegion(pieces, [leaf([2]), leaf([4])])
 
     def test_point_in_three_consecutive_pieces_rejected(self):
         pc = PointCloud([[0.0], [1.0], [2.0]])
@@ -268,7 +270,7 @@ class TestAssemble:
         a, b, c, i = (build_leaf(ids, pc, [1.0], 1, f).view(1.0)
                       for ids in ([0, 1], [1], [1, 2], [1]))
         with pytest.raises(ConsistencyError, match=r"^point 1 lies in pieces 0 and 2: "):
-            NodeRegion([a, b, c], [i, i], 1, f)
+            NodeRegion([a, b, c], [i, i])
 
     def test_the_first_wrong_overlap_is_named(self):
         # Overlap 0 is right and overlaps 1 and 2 are wrong: the error
@@ -281,7 +283,7 @@ class TestAssemble:
         with pytest.raises(ConsistencyError,
                            match=r"^overlap solver 1 covers \[1, 2\] but the pieces "
                                  r"intersect in \[2\]$"):
-            NodeRegion(pieces, inters, 1, f)
+            NodeRegion(pieces, inters)
 
     def test_wrong_overlap_count_rejected(self):
         pc = PointCloud([[0.0], [1.0], [2.0]])
@@ -289,7 +291,36 @@ class TestAssemble:
         a = build_leaf([0, 1], pc, [1.0], 1, f).view(1.0)
         b = build_leaf([1, 2], pc, [1.0], 1, f).view(1.0)
         with pytest.raises(ValueError):
-            node_of([a, b], [], 1, f)
+            node_of([a, b], [])
+
+    @pytest.mark.parametrize("which,n_max,p,named", [
+        ("piece", 2, 2, "piece 1 has n_max 2 over PrimeField(2)"),
+        ("piece", 1, 3, "piece 1 has n_max 1 over PrimeField(3)"),
+        ("overlap", 0, 2, "overlap 0 has n_max 0 over PrimeField(2)"),
+        ("overlap", 1, 5, "overlap 0 has n_max 1 over PrimeField(5)"),
+    ])
+    def test_a_child_that_disagrees_is_named(self, which, n_max, p, named):
+        # A region reads n_max and the field from its children: one whose
+        # n_max or field differs from piece 0's is a ValueError naming it.
+        pc = PointCloud([[0.0], [1.0], [2.0]])
+
+        def leaf(ids, n_max=1, p=2):
+            return build_leaf(ids, pc, [1.0], n_max, p).view(1.0)
+
+        pieces, inters = [leaf([0, 1]), leaf([1, 2])], [leaf([1])]
+        region = NodeRegion(pieces, inters)
+        assert (region.n_max, region.field) == (1, PrimeField(2))
+        if which == "piece":
+            pieces[1] = leaf([1, 2], n_max, p)
+        else:
+            inters[0] = leaf([1], n_max, p)
+        with pytest.raises(ValueError, match=re.escape(
+                named + ", but piece 0 has n_max 1 over PrimeField(2)")):
+            NodeRegion(pieces, inters)
+
+    def test_no_pieces_rejected(self):
+        with pytest.raises(ValueError, match="^a node region needs at least one piece$"):
+            NodeRegion([], [])
 
 
 class TestUnionQueries:
@@ -300,7 +331,7 @@ class TestUnionQueries:
         # or only in the last one, raises before a piece or overlap is
         # asked anything.
         _, f, a, b, i = hexagon_two_pieces(p)
-        node = node_of([a, b], [i], 1, f)
+        node = node_of([a, b], [i])
         asked = []
         for name in ("coords", "bound"):
             query = getattr(LeafSolver, name)
@@ -317,7 +348,7 @@ class TestUnionQueries:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_representatives_map_to_unit_vectors(self, p):
         _, f, a, b, i = hexagon_two_pieces(p)
-        node = node_of([a, b], [i], 1, f)
+        node = node_of([a, b], [i])
         for n in (0, 1):
             reps = node.representatives(n)
             assert len(reps) == node.betti(n)
@@ -328,7 +359,7 @@ class TestUnionQueries:
     @pytest.mark.parametrize("p", [2, 3])
     def test_hexagon_cycle_detected_through_kernel(self, p):
         _, f, a, b, i = hexagon_two_pieces(p)
-        node = node_of([a, b], [i], 1, f)
+        node = node_of([a, b], [i])
         z = hexagon_cycle(p)
         co = node.coords(z, 1)
         # beta_1 comes entirely from ker(f_0) here: coker block is empty.
@@ -340,7 +371,7 @@ class TestUnionQueries:
         pc = PointCloud(HEX_POINTS)
         f = PrimeField(p)
         _, _, a, b, i = hexagon_two_pieces(p)
-        node = node_of([a, b], [i], 1, f)
+        node = node_of([a, b], [i])
         direct = build_leaf(range(6), pc, [1.0], 1, f).view(1.0)
         for n in (0, 1):
             assert node.betti(n) == direct.betti(n)
@@ -362,7 +393,7 @@ class TestUnionQueries:
         a = build_leaf([0, 1, 2, 5], pc, [1.2], 1, f).view(1.2)
         b = build_leaf([2, 3, 4, 5], pc, [1.2], 1, f).view(1.2)
         i = build_leaf([2, 5], pc, [1.2], 1, f).view(1.2)
-        node = node_of([a, b], [i], 1, f)
+        node = node_of([a, b], [i])
         rng = np.random.default_rng(p)
         # random 1-chains w in the union made of piece simplices: z = dw
         pool = [tuple(s) for pts in ([0, 1, 2, 5], [2, 3, 4, 5])
@@ -388,12 +419,12 @@ class TestUnionQueries:
         monkeypatch.setattr(type(a), "bound",
                             lambda self, z, n: piece_bound(real.__get__(self), z, n))
         # Betti numbers read ranks only: no lift is built, so none is checked.
-        assert node_of([a, b], [i], 1, f).betti_all() == [1, 1]
+        assert node_of([a, b], [i]).betti_all() == [1, 1]
         with pytest.raises(ConsistencyError, match=message):
-            node_of([a, b], [i], 1, f).representatives(1)
+            node_of([a, b], [i]).representatives(1)
         # The chase corrects the hexagon's kernel class with the lift.
         with pytest.raises(ConsistencyError, match=message):
-            node_of([a, b], [i], 1, f).coords(hexagon_cycle(3), 1)
+            node_of([a, b], [i]).coords(hexagon_cycle(3), 1)
 
     @pytest.mark.parametrize("child,query,message", [
         (0, "labels", "overlap representative is not a cycle of its piece"),
@@ -409,7 +440,7 @@ class TestUnionQueries:
         # in the chase of the hexagon's cycle the overlap's coords and bound
         # and the pieces' coords.
         _, f, a, b, i = hexagon_two_pieces(3)
-        node = node_of([a, b], [i], 1, f)
+        node = node_of([a, b], [i])
 
         def reject(*args):
             raise ValueError("injected")
@@ -417,7 +448,7 @@ class TestUnionQueries:
         monkeypatch.setattr((a, b, i)[child], query, reject)
         with pytest.raises(ConsistencyError, match=f"^{message}: injected$") as ei:
             if query == "labels":
-                node_of([a, b], [i], 1, f)
+                node_of([a, b], [i])
             else:
                 node.coords(hexagon_cycle(3), 1)
         assert isinstance(ei.value.__cause__, ValueError)
@@ -439,7 +470,7 @@ class TestUnionQueries:
             leaf = lambda keep: build_leaf([at[xy] for xy in pts if keep(xy[0])], pc,
                                            [1.0], 1, f).view(1.0)
             return node_of([leaf(lambda x: x <= 2), leaf(lambda x: x >= 2)],
-                           [leaf(lambda x: x == 2)], 1, f)
+                           [leaf(lambda x: x == 2)])
 
         loop = [(1, 0), (2, 0), (3, 0), (3, 1), (3, 2), (2, 2), (1, 2), (1, 1), (1, 0)]
         terms = {}
@@ -465,7 +496,7 @@ class TestUnionQueries:
 
     def test_bound_zero_chain(self):
         _, f, a, b, i = hexagon_two_pieces(2)
-        node = node_of([a, b], [i], 1, f)
+        node = node_of([a, b], [i])
         w = node.bound(Chain.zero(1, 2), 1)
         assert w is not None and w.is_zero()
 
@@ -475,13 +506,13 @@ class TestUnionQueries:
         a = build_leaf([0, 1], pc, [1.0], 1, f).view(1.0)
         b = build_leaf([1, 2], pc, [1.0], 1, f).view(1.0)
         i = build_leaf([1], pc, [1.0], 1, f).view(1.0)
-        node = node_of([a, b], [i], 1, f)
+        node = node_of([a, b], [i])
         with pytest.raises(ValueError):
             node.coords(Chain(0, 2, {(3,): 1}), 0)
 
     def test_rejects_non_cycle(self):
         _, f, a, b, i = collinear_pair(2)
-        node = node_of([a, b], [i], 1, f)
+        node = node_of([a, b], [i])
         with pytest.raises(ValueError):
             node.coords(Chain(1, 2, {(0, 1): 1}), 1)
 
@@ -496,7 +527,7 @@ class TestUnionQueries:
                                                             message):
         # Unchecked, a zero chain gives {} or a zero (n+1)-chain at any n.
         _, f, a, b, i = hexagon_two_pieces(2)
-        s = a if solver == "leaf" else node_of([a, b], [i], 1, f)
+        s = a if solver == "leaf" else node_of([a, b], [i])
         with pytest.raises(ValueError, match=f"^{message}$"):
             getattr(s, query)(z, n)
 
@@ -550,7 +581,7 @@ class TestExactnessProperties:
         # representative are the same chain and their difference is literally
         # zero; the exactness statement degenerates to coords(0) = 0.
         _, f, a, b, i = hexagon_two_pieces(p)
-        node = node_of([a, b], [i], 1, f)
+        node = node_of([a, b], [i])
         for n in (0, 1):
             for rep in i.representatives(n):
                 diff = rep - rep
@@ -589,8 +620,8 @@ class TestExactnessProperties:
     @pytest.mark.parametrize("p", [2, 3])
     def test_determinism(self, p):
         _, f, a, b, i = hexagon_two_pieces(p)
-        n1 = node_of([a, b], [i], 1, f)
-        n2 = node_of([a, b], [i], 1, f)
+        n1 = node_of([a, b], [i])
+        n2 = node_of([a, b], [i])
         for n in (0, 1):
             assert [r.terms for r in n1.representatives(n)] == \
                    [r.terms for r in n2.representatives(n)]

@@ -32,11 +32,15 @@ def _load_tracer():
     return sys.modules[name]
 
 
-def _report():
+def _run():
     rep = run(PointCloud(np.random.default_rng(2).random((200, 2))), 0.2, [0.1, 0.2],
               n_max=1, field=3, workers=1, grid=[2, 2])
     assert rep.grid == [2, 2]
-    return emit_report(rep, timings=False)
+    return rep
+
+
+def _report():
+    return emit_report(_run(), timings=False)
 
 
 def test_tracer_wraps_live_names_and_keeps_the_report():
@@ -59,3 +63,25 @@ def test_tracer_wraps_live_names_and_keeps_the_report():
     names = {s.name for s in tracer.spans}
     assert {"LeafSolver.coords", "build_f", "assemble", "execute_scale"} <= names
     assert traced == untraced
+
+
+def test_leaf_builds_and_assemblies_are_children_of_execute_scale():
+    # The tracer counts engine.leaf_jobs and engine.job_cpu_s only from
+    # spans whose parent is an execute_scale span on another thread: every
+    # leaf is built on a pool thread under the execute_scale call that
+    # builds the region tree, and every assembly runs under execute_scale.
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        rep = _run()
+    finally:
+        tracer.uninstall()
+    by_id = {s.id: s for s in tracer.spans}
+    leaves = [s for s in tracer.spans if s.name == "build_leaf"]
+    assert len(leaves) == rep.diagnostics["leaf_count"] == 9
+    for s in leaves:
+        parent = by_id[s.parent]
+        assert parent.name == "execute_scale" and s.thread != parent.thread
+    assembles = [s for s in tracer.spans if s.name == "assemble"]
+    assert len(assembles) == 2 * 4      # two scales, four nodes on a 2x2 grid
+    assert all(by_id[s.parent].name == "execute_scale" for s in assembles)
